@@ -72,3 +72,53 @@ def test_petascale_week_estimate(benchmark, record):
         paper="about 25 minutes of real time ... about 1 week of dedicated "
               "32K or more processor supercomputer time",
     )
+
+
+def test_calibrated_cross_resolution_error(benchmark, record):
+    """OBS-CAL (EXPERIMENTS.md): calibrate `repro.perf.calibrate` on a
+    traced NEX=6 run, predict a NEX=8 run, total-runtime error < 25 %.
+
+    A wall-clock bar, so it lives here and not in tier-1: deep in a long
+    suite on a shared host it measured -25.7 % where a quiet run gives
+    -14.4 %.  Tier-1 keeps the deterministic half (self-prediction and a
+    synthetic trace with planted rates, tests/test_observatory.py).
+    """
+    import gc
+    import time
+
+    from conftest import demo_source, small_params
+
+    from repro.apps.merged_app import run_global_simulation
+    from repro.obs.tracer import Tracer
+    from repro.perf.calibrate import calibrate, predicted_vs_measured
+
+    def traced(nex):
+        # The traces carry real wall-clock: collect garbage before timing
+        # and keep the faster of two runs, so one scheduler hiccup does
+        # not pass for model error.
+        best = None
+        for _ in range(2):
+            gc.collect()
+            tracer = Tracer(pid=0)
+            t0 = time.perf_counter()
+            run_global_simulation(
+                small_params(nex=nex, nstep_override=20),
+                sources=[demo_source()], n_steps=20, tracer=tracer,
+            )
+            wall = time.perf_counter() - t0
+            if best is None or wall < best[0]:
+                best = (wall, tracer.records)
+        return best[1]
+
+    def cross_predict():
+        return predicted_vs_measured(calibrate(traced(6)), traced(8))
+
+    _rows, totals = benchmark.pedantic(cross_predict, rounds=1, iterations=1)
+    assert totals["coverage"] > 0.999
+    assert abs(totals["error_pct"]) < 25.0, totals
+    record(
+        measured_s=round(totals["measured_s"], 3),
+        predicted_s=round(totals["predicted_s"], 3),
+        error_pct=round(totals["error_pct"], 1),
+        acceptance="|error| < 25 % (EXPERIMENTS.md records -14.4 %)",
+    )

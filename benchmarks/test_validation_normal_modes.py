@@ -46,7 +46,7 @@ def test_0T2_period(benchmark, record):
         trace = np.empty(n_steps)
         for step in range(n_steps):
             solver._one_step(step * solver.dt)
-            trace[step] = solver.solid[0].displ[probe, 1]
+            trace[step] = solver.solid[0].displ[0, probe, 1]
         return measure_period_zero_crossings(trace, solver.dt)
 
     period_sem = benchmark.pedantic(run, rounds=1, iterations=1)

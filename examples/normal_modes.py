@@ -60,7 +60,7 @@ def main() -> None:
     trace = np.empty(n_steps)
     for step in range(n_steps):
         solver._one_step(step * solver.dt)
-        trace[step] = solver.solid[0].displ[probe, 1]
+        trace[step] = solver.solid[0].displ[0, probe, 1]
 
     period_sem = measure_period_zero_crossings(trace, solver.dt)
     err = 100 * abs(period_sem - period_analytic) / period_analytic

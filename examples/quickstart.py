@@ -72,7 +72,7 @@ def main() -> None:
     )
     # Final displacement magnitude at every global point of the crust/mantle.
     displ = np.linalg.norm(
-        result.solver.solid[RegionCode.CRUST_MANTLE].displ, axis=1
+        result.solver.solid[RegionCode.CRUST_MANTLE].displ[0], axis=1
     )
     vtk = write_vtk_surface(cm, surface, out / "surface.vtk",
                             point_data={"displacement_m": displ})

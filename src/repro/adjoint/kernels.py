@@ -29,7 +29,7 @@ import numpy as np
 
 from ..cartesian.box import BoxMesh
 from ..cartesian.solver import CartesianElasticSolver
-from ..kernels.elastic import _displacement_gradient_batched
+from ..kernels.elastic import displacement_gradient
 from ..solver.assembly import gather
 
 __all__ = [
@@ -209,8 +209,8 @@ def compute_kernels(
         u_fwd_local = gather(forward.displ[t], mesh.ibool)
         # Density kernel: - u_adj . a_fwd.
         k_rho -= dt * np.einsum("...c,...c->...", u_adj_local, a_fwd_local)
-        grad_f = _displacement_gradient_batched(u_fwd_local, geom, basis)
-        grad_a = _displacement_gradient_batched(u_adj_local, geom, basis)
+        grad_f = displacement_gradient(u_fwd_local, geom, basis)
+        grad_a = displacement_gradient(u_adj_local, geom, basis)
         eps_f = 0.5 * (grad_f + np.swapaxes(grad_f, -1, -2))
         eps_a = 0.5 * (grad_a + np.swapaxes(grad_a, -1, -2))
         div_f = np.trace(eps_f, axis1=-2, axis2=-1)

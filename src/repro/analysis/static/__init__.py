@@ -3,7 +3,7 @@
 Public surface re-exported from :mod:`.core`, :mod:`.rules` and
 :mod:`.sarif`; the CLI lives in :mod:`repro.analysis.__main__`
 (``python -m repro.analysis check src``).  See ``docs/analysis.md`` for
-the rule catalog (R1–R9), the pragma/baseline workflow and the
+the rule catalog (R1–R7, R9), the pragma/baseline workflow and the
 SARIF/CI integration.
 """
 

@@ -24,7 +24,6 @@ from .core import (
 
 __all__ = [
     "AsyncHygieneRule",
-    "BatchedDispatchRule",
     "BroadExceptRule",
     "DeterminismRule",
     "HotLoopAllocRule",
@@ -427,12 +426,7 @@ class HotLoopAllocRule(Rule):
         "path carry a `# repro: hot-loop` marker on their def line (the "
         "rule insists every compute_forces* kernel entry point does); "
         "inside them, array allocation and list-append accumulation are "
-        "flagged — preallocate in __init__ and fill in place.  One "
-        "sanctioned pragma case: the event-batched kernel branches "
-        "(docs/batching.md) np.empty their batched OUTPUT before the "
-        "per-event sweep — the unbatched path's einsum allocates its "
-        "result the same way, so the explicit form is no extra traffic, "
-        "and it must carry a dtype (np.empty_like needs no pragma)."
+        "flagged — preallocate in __init__ and fill in place."
     )
     scope_dirs = ("kernels",)
     scope_suffixes = ("solver/solver.py",)
@@ -904,81 +898,6 @@ class StateLifecycleRule(ProjectRule):
                     return True
             elif isinstance(sub, ast.Attribute) and sub.attr == name:
                 return True
-        return False
-
-
-@register
-class BatchedDispatchRule(Rule):
-    """R8: ndim dispatch must cover both batched and unbatched layouts."""
-
-    id = "R8"
-    title = "one-sided ndim dispatch"
-    rationale = (
-        "Event-batched execution (docs/batching.md) distinguishes the "
-        "batched and unbatched field layouts purely by ndim — displ is "
-        "(nglob, 3) or (B, nglob, 3), zeta is 7- or 8-dimensional.  "
-        "Every function consuming field arrays therefore dispatches on "
-        "ndim, and the sanctioned shapes are: a batched arm that ends "
-        "terminally (return/raise/continue) so the code below stays "
-        "unbatched-only, an explicit else, or a validating "
-        "`ndim != K: raise`.  An if-on-ndim that mutates state and then "
-        "falls through runs the shared tail in BOTH layouts — the "
-        "silent half-coverage bug class that appears every time a new "
-        "kernel variant is added (the ARM-SME SEM work shows variant "
-        "proliferation is where modern SEM speed lives, so this "
-        "pattern gets stress-tested constantly)."
-    )
-    scope_dirs = ("kernels", "solver")
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        findings: list[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.If):
-                continue
-            if not self._is_ndim_test(node.test):
-                continue
-            if node.orelse or self._terminal(node.body):
-                continue
-            findings.append(
-                self.finding(
-                    ctx,
-                    node,
-                    "branch on ndim falls through to shared code — the "
-                    "tail then runs for both the batched and unbatched "
-                    "layouts; end the arm with return/raise or add an "
-                    "explicit else",
-                )
-            )
-        return findings
-
-    def _is_ndim_test(self, test: ast.expr) -> bool:
-        if not isinstance(test, ast.Compare) or len(test.ops) != 1:
-            return False
-
-        def is_ndim(e: ast.expr) -> bool:
-            return isinstance(e, ast.Attribute) and e.attr == "ndim"
-
-        def is_int(e: ast.expr) -> bool:
-            return (
-                isinstance(e, ast.Constant)
-                and isinstance(e.value, int)
-                and not isinstance(e.value, bool)
-            )
-
-        left, right = test.left, test.comparators[0]
-        return (is_ndim(left) and is_int(right)) or \
-            (is_ndim(right) and is_int(left))
-
-    def _terminal(self, body: list[ast.stmt]) -> bool:
-        last = body[-1]
-        if isinstance(last, (ast.Return, ast.Raise, ast.Continue)):
-            return True
-        if isinstance(last, ast.If):
-            return bool(
-                last.orelse
-                and self._terminal(last.body)
-                and self._terminal(last.orelse)
-            )
         return False
 
 

@@ -93,6 +93,7 @@ def run_global_simulation(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     stream=None,
+    event_sources: list[list] | None = None,
 ) -> GlobalSimulationResult:
     """Mesh and solve in one process with in-memory handoff.
 
@@ -110,6 +111,9 @@ def run_global_simulation(
 
     ``stream`` (a :class:`~repro.obs.stream.StreamingTelemetry`) samples
     the solver loop per step; the caller owns and closes it.
+
+    ``event_sources`` (instead of ``sources``) runs B events through the
+    one solver; see :func:`run_batched_simulation`.
     """
     if tracer is None and trace:
         tracer = Tracer(pid=0)
@@ -139,12 +143,15 @@ def run_global_simulation(
         tracer=tracer,
         metrics=metrics,
         stream=stream,
+        event_sources=event_sources,
     )
     result = solver.run(n_steps=n_steps, track_energy=track_energy)
     solver_s = time.perf_counter() - t1
     if metrics is not None:
         metrics.gauge("mesher.wall_s").set(mesher_s)
         metrics.gauge("solver.wall_s").set(solver_s)
+        if event_sources is not None:
+            metrics.gauge("batch.events").set(float(len(event_sources)))
     return GlobalSimulationResult(
         solver_result=result,
         mesh=mesh,
@@ -168,61 +175,22 @@ def run_batched_simulation(
     metrics: MetricsRegistry | None = None,
     stream=None,
 ) -> GlobalSimulationResult:
-    """Run B events through ONE event-batched solver on a shared mesh.
+    """Run B events through ONE solver on a shared mesh.
 
-    ``event_sources[b]`` is event b's source list.  The mesh is built (or
-    reused via ``mesh``) once; the solver carries fields with a leading
-    event axis and sweeps all events through each kernel pass, so the
-    mesh, geometry factors, and kernel setup are amortised B ways
-    (docs/batching.md).  The result's ``seismograms`` are
-    ``(B, n_stations, n_steps, 3)``; per-event seismograms come from
-    ``result.solver_result.receivers.event_receiver_set(b)`` (or
-    ``.seismogram(name, event=b)``) and are bit-identical to B separate
-    :func:`run_global_simulation` calls with ``sources=event_sources[b]``.
+    ``event_sources[b]`` is event b's source list; every other argument
+    is :func:`run_global_simulation`'s.  The mesh is built (or reused via
+    ``mesh``) once and the solver's fields carry a leading event axis, so
+    the mesh, geometry factors and — distributed — the halo messages are
+    shared B ways (docs/batching.md).  The result's ``seismograms`` are
+    ``(B, n_stations, n_steps, 3)``; ``result.solver_result.receivers[b]``
+    is event b's :class:`~repro.solver.receivers.ReceiverSet`, and both
+    are bit-identical to B separate :func:`run_global_simulation` calls
+    with ``sources=event_sources[b]``.
     """
-    if tracer is None and trace:
-        tracer = Tracer(pid=0)
-    if metrics is None and trace:
-        metrics = MetricsRegistry()
-    t0 = time.perf_counter()
-    if mesh is None:
-        mesh = build_global_mesh(params, tracer=tracer)
-    else:
-        from ..campaign.mesh_cache import mesh_cache_key
-
-        if mesh_cache_key(mesh.params) != mesh_cache_key(params):
-            raise ValueError(
-                "pre-built mesh was generated from mesh-incompatible "
-                "parameters; rebuild or fix the cache key"
-            )
-        if metrics is not None:
-            metrics.counter("mesher.reused").add(1)
-    mesher_s = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    solver = GlobalSolver(
-        mesh,
-        params,
-        stations=stations,
-        tracer=tracer,
-        metrics=metrics,
-        stream=stream,
+    return run_global_simulation(
+        params, stations=stations, n_steps=n_steps, trace=trace, mesh=mesh,
+        tracer=tracer, metrics=metrics, stream=stream,
         event_sources=event_sources,
-    )
-    result = solver.run(n_steps=n_steps)
-    solver_s = time.perf_counter() - t1
-    if metrics is not None:
-        metrics.gauge("mesher.wall_s").set(mesher_s)
-        metrics.gauge("solver.wall_s").set(solver_s)
-        metrics.gauge("batch.events").set(float(len(event_sources)))
-    return GlobalSimulationResult(
-        solver_result=result,
-        mesh=mesh,
-        mesher_wall_s=mesher_s,
-        solver_wall_s=solver_s,
-        disk=DiskUsage(files=0, bytes=0, wall_s=0.0),
-        solver=solver,
-        tracer=tracer,
-        metrics=metrics,
     )
 
 

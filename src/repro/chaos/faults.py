@@ -300,7 +300,7 @@ class FaultPlan:
                 region = spec.region
                 if region is None:
                     region = solver.solid_codes[0]
-                solver.solid[region].displ[0, 0] = np.nan
+                solver.solid[region].displ[0, 0] = np.nan  # event 0, point 0
 
         return fire
 

@@ -1,35 +1,24 @@
 """Compute kernels: elastic/acoustic internal forces, padding, flop counts.
 
-Batch-aware array contract
---------------------------
-The hot kernels (:func:`compute_forces_elastic`,
-:func:`compute_forces_acoustic`, :func:`compute_strain`,
-:func:`fluid_displacement`) accept local fields in two layouts,
-distinguished purely by ``ndim`` — there is no mode flag:
+Array contract
+--------------
+Every kernel is **single-event**: elastic ``u`` is ``(nspec, n, n, n,
+3)``, acoustic ``chi`` is ``(nspec, n, n, n)``, and outputs mirror the
+input.  All arrays are float64; geometry (:class:`ElementGeometry`) and
+material arrays belong to the mesh.  A multi-event run shares one mesh
+across B events, but the kernels never see the event axis: the loop
+over events lives in :class:`repro.solver.solver.GlobalSolver`, which
+calls each kernel on a ``displ[b]``-style view, so event ``b`` runs the
+very code (and the one-event-wide temporaries) of a dedicated run —
+bit-identity by construction, enforced by ``tests/test_batching.py``.
+(A fused einsum with a free ``b`` subscript gives the same bits but
+B-wide temporaries; it was measured slower once the working set left
+cache — docs/batching.md has the numbers.)
 
-* unbatched — elastic ``u``: ``(nspec, n, n, n, 3)``; acoustic ``chi``:
-  ``(nspec, n, n, n)``;
-* batched — one leading event axis: ``(B, nspec, n, n, n, 3)`` /
-  ``(B, nspec, n, n, n)``; one kernel call sweeps all B events, each
-  event running the identical unbatched contractions into its own
-  preallocated output slice.
-
-Outputs mirror the input layout.  All arrays are float64; geometry
-(:class:`ElementGeometry`) and material arrays are *never* batched —
-batching shares one mesh across events and broadcasts geometry over the
-event axis, which is the whole point (one kernel sweep amortized over B
-sources).  Callers own every allocation: kernels return freshly computed
-arrays but never resize or retain caller buffers, and the hot paths are
+Callers own every allocation: kernels return freshly computed arrays
+but never resize or retain caller buffers, and the hot paths are
 policed by static rule R3 (no per-call ``np.zeros``/``np.empty`` growth
 in ``# repro: hot-loop`` functions).
-
-Bit-identity guarantee: the batched sweep executes, per event, the very
-same unbatched code path, so event slice ``out[b]`` is bit-for-bit equal
-to the unbatched call on ``u[b]`` — the FP summation order per event is
-unchanged by construction.  (A fused einsum with a free ``b`` subscript
-gives the same bits but B-wide temporaries; it was measured slower once
-the working set left cache — docs/batching.md has the numbers.)
-``tests/test_batching.py`` enforces the guarantee.
 """
 
 from .acoustic import compute_forces_acoustic, fluid_displacement
@@ -43,6 +32,7 @@ from .elastic import (
     KERNEL_VARIANTS,
     compute_forces_elastic,
     compute_strain,
+    displacement_gradient,
     stress_from_strain,
 )
 from .flops import (
@@ -65,6 +55,7 @@ __all__ = [
     "KERNEL_VARIANTS",
     "compute_forces_elastic",
     "compute_strain",
+    "displacement_gradient",
     "stress_from_strain",
     "acoustic_kernel_flops",
     "attenuation_update_flops",

@@ -8,11 +8,7 @@ free Laplace-like operator with 1/rho coefficient; the "mass" is 1/kappa.
 
 The kernel mirrors the elastic one's structure: derivative contractions
 along the three cutplane axes, coefficient scaling, and the -B^T step.
-It also mirrors the elastic kernel's event batching: a batched potential
-``(B, nspec, n, n, n)`` (detected by ``ndim``) sweeps all B events in
-one pass, each event running the identical unbatched contractions into
-its own output slice — per-event FP summation order, and hence bits,
-unchanged (see :mod:`repro.kernels` and docs/batching.md).
+Like it, this kernel is single-event (see :mod:`repro.kernels`).
 """
 
 from __future__ import annotations
@@ -28,17 +24,7 @@ __all__ = ["compute_forces_acoustic", "fluid_displacement"]
 def _potential_gradient(  # repro: hot-loop
     chi: np.ndarray, geom: ElementGeometry, basis: GLLBasis
 ) -> np.ndarray:
-    """grad(chi) at every GLL point, (nspec, n, n, n, 3).
-
-    A batched ``chi`` (B, nspec, n, n, n) yields (B, nspec, n, n, n, 3).
-    """
-    if chi.ndim == 5:
-        # Per-event sweep of the unbatched contraction (bit-identical,
-        # one-event temporaries; see repro.kernels.elastic).
-        out = np.empty((*chi.shape, 3), dtype=np.float64)  # repro: disable=R3 - the output array; the unbatched path's einsum allocates the same
-        for b in range(chi.shape[0]):
-            out[b] = _potential_gradient(chi[b], geom, basis)
-        return out
+    """grad(chi) at every GLL point, (nspec, n, n, n, 3)."""
     h = basis.hprime
     t1 = np.einsum("il,eljk->eijk", h, chi)
     t2 = np.einsum("jl,eilk->eijk", h, chi)
@@ -57,16 +43,9 @@ def compute_forces_acoustic(  # repro: hot-loop
 
     Parameters
     ----------
-    chi : (nspec, n, n, n) local potential values, or (B, nspec, n, n, n)
-        for a one-pass sweep of B events (result gains the same axis)
+    chi : (nspec, n, n, n) local potential values
     rho_inv : (nspec, n, n, n) 1/rho at the GLL points
     """
-    if chi.ndim == 5:
-        # Per-event sweep (bit-identical; see repro.kernels.elastic).
-        out = np.empty_like(chi)
-        for b in range(chi.shape[0]):
-            out[b] = compute_forces_acoustic(chi[b], geom, rho_inv, basis)
-        return out
     grad = _potential_gradient(chi, geom, basis)
     # flux[l] = J * (1/rho) * sum_d grad_d * dxi_l/dx_d
     hw = basis.hprime_wgll

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gll.lagrange import GLLBasis
-from .elastic import _assemble_weak_divergence, _displacement_gradient_batched
+from .elastic import _assemble_weak_divergence, displacement_gradient
 from .geometry import ElementGeometry
 
 __all__ = [
@@ -130,22 +130,8 @@ def compute_forces_elastic_ti(  # repro: hot-loop
 ) -> np.ndarray:
     """Transversely isotropic analogue of
     :func:`repro.kernels.elastic.compute_forces_elastic` (vectorized path).
-
-    A batched ``u`` (B, nspec, n, n, n, 3) sweeps the events through the
-    identical unbatched pass per event (bit-identical per slice; see
-    :mod:`repro.kernels.elastic`).
     """
-    if u.ndim == 6:
-        out = np.empty_like(u)
-        for b in range(u.shape[0]):
-            correction = (
-                stress_correction[b] if stress_correction is not None else None
-            )
-            out[b] = compute_forces_elastic_ti(
-                u[b], geom, moduli, frames, basis, correction
-            )
-        return out
-    grad = _displacement_gradient_batched(u, geom, basis)
+    grad = displacement_gradient(u, geom, basis)
     strain = 0.5 * (grad + np.swapaxes(grad, -1, -2))
     sigma = stress_ti(strain, moduli, frames)
     if stress_correction is not None:

@@ -24,17 +24,10 @@ All variants compute the identical weak-form term
 and agree to roundoff; :mod:`tests` verify this against an independent
 pure-Python reference (:mod:`repro.kernels.reference`).
 
-Event batching: every public kernel also accepts a *batched* local
-displacement ``(B, nspec, n, n, n, 3)`` (detected by ``ndim``, see
-:mod:`repro.solver.fields`) and sweeps all B events in one pass: each
-event runs the identical unbatched contractions into a preallocated
-slice of the output.  Each event slice is therefore bit-identical to an
-unbatched call on that event alone — the arithmetic, and hence the FP
-summation order, is the very same code path (verified by
-tests/test_batching.py).  A fused einsum with a leading free ``b``
-subscript is equally bit-identical (the contracted axes are unchanged)
-but was measured slower: its B-wide temporaries fall out of cache.  See
-docs/batching.md.
+Every kernel here is single-event: it takes one event's local field
+``(nspec, n, n, n, 3)``.  The event loop of a multi-event run lives in
+:class:`repro.solver.solver.GlobalSolver`, which calls these kernels on
+``displ[b]`` views (docs/batching.md).
 """
 
 from __future__ import annotations
@@ -48,6 +41,7 @@ __all__ = [
     "KERNEL_VARIANTS",
     "compute_forces_elastic",
     "compute_strain",
+    "displacement_gradient",
     "stress_from_strain",
 ]
 
@@ -60,10 +54,9 @@ def compute_strain(  # repro: hot-loop
     """Symmetric strain tensor at every GLL point: (nspec, n, n, n, 3, 3).
 
     Used by the attenuation memory-variable update, which needs the
-    deviatoric strain separately from the force computation.  A batched
-    ``u`` (B, nspec, n, n, n, 3) yields (B, nspec, n, n, n, 3, 3).
+    deviatoric strain separately from the force computation.
     """
-    grad = _displacement_gradient_batched(u, geom, basis)
+    grad = displacement_gradient(u, geom, basis)
     return 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
 
@@ -91,9 +84,7 @@ def compute_forces_elastic(  # repro: hot-loop
 
     Parameters
     ----------
-    u : (nspec, n, n, n, 3) local displacement (gathered through ibool),
-        or (B, nspec, n, n, n, 3) to sweep a batch of B events in one
-        pass (the result gains the same leading axis)
+    u : (nspec, n, n, n, 3) local displacement (gathered through ibool)
     geom : precomputed :class:`ElementGeometry`
     lam, mu : (nspec, n, n, n) Lame parameters at the GLL points
     basis : the GLL basis bundle
@@ -107,20 +98,23 @@ def compute_forces_elastic(  # repro: hot-loop
     ibool) and divided by the mass matrix.  Sign convention: this is the
     right-hand side ``-K u`` directly.
     """
+    if u.ndim == 6:
+        # (B, nspec, n, n, n, 3) as a plain loop over this function, kept
+        # ONLY because benchmarks/ledger/adapter.py::KernelProbe.elastic_b4
+        # (kernels.probe_elastic_b4_ms) calls it and the PR that hoisted
+        # the event loop into GlobalSolver could not touch the ledger; a
+        # later benchmark PR should loop in the probe and delete this arm.
+        return np.stack(
+            [
+                compute_forces_elastic(
+                    u[b], geom, lam, mu, basis, variant,
+                    None if stress_correction is None else stress_correction[b],
+                )
+                for b in range(u.shape[0])
+            ]
+        )
     if variant == "vectorized":
         return _forces_vectorized(u, geom, lam, mu, basis, stress_correction)
-    if u.ndim == 6:
-        # The per-element variants gain nothing from a fused event axis;
-        # sweep events with the unbatched implementation (bit-identical).
-        out = np.empty_like(u)
-        for b in range(u.shape[0]):
-            correction = (
-                stress_correction[b] if stress_correction is not None else None
-            )
-            out[b] = compute_forces_elastic(
-                u[b], geom, lam, mu, basis, variant, correction
-            )
-        return out
     if variant == "baseline":
         return _forces_baseline(u, geom, lam, mu, basis, stress_correction)
     if variant == "blas":
@@ -131,29 +125,14 @@ def compute_forces_elastic(  # repro: hot-loop
 
 
 # --------------------------------------------------------------------------
-# Vectorized (batched) implementation — the SSE/Altivec analog.
+# Vectorized (all elements at once) implementation — the SSE/Altivec analog.
 # --------------------------------------------------------------------------
 
 
-def _displacement_gradient_batched(  # repro: hot-loop
+def displacement_gradient(  # repro: hot-loop
     u: np.ndarray, geom: ElementGeometry, basis: GLLBasis
 ) -> np.ndarray:
-    """du_c/dx_d at every point, (nspec, n, n, n, 3, 3) with [c, d].
-
-    With a batched ``u`` of shape (B, nspec, n, n, n, 3) the result gains
-    the same leading event axis; the ``b`` subscript is free (never
-    contracted), so each event's sums run in the unbatched order.
-    """
-    if u.ndim == 6:
-        # Sweep the batch as a per-event loop over the identical unbatched
-        # contraction: bit-identity by construction, and temporaries stay
-        # one event wide.  (A fused einsum with a free ``b`` subscript is
-        # also bit-identical but measured slower — the B-wide temporaries
-        # fall out of cache; see docs/batching.md.)
-        out = np.empty((*u.shape, 3), dtype=np.float64)  # repro: disable=R3 - the output array; the unbatched path's einsum allocates the same
-        for b in range(u.shape[0]):
-            out[b] = _displacement_gradient_batched(u[b], geom, basis)
-        return out
+    """du_c/dx_d at every point, (nspec, n, n, n, 3, 3) with [c, d]."""
     h = basis.hprime
     t1 = np.einsum("il,eljkc->eijkc", h, u)
     t2 = np.einsum("jl,eilkc->eijkc", h, u)
@@ -169,18 +148,8 @@ def _assemble_weak_divergence(  # repro: hot-loop
     """Contract weighted fluxes back with hprime^T: the -B^T step.
 
     ``flux`` has shape (nspec, n, n, n, l, c): the jacobian-scaled stress
-    projected on reference axis l.  Returns (nspec, n, n, n, c).  A
-    batched flux (B, nspec, n, n, n, l, c) yields (B, nspec, n, n, n, c);
-    the weight factors broadcast unchanged (they align on the trailing
-    axes), only the einsum subscripts gain the free ``b``.
+    projected on reference axis l.  Returns (nspec, n, n, n, c).
     """
-    if flux.ndim == 7:
-        # Per-event sweep of the unbatched contraction (see
-        # _displacement_gradient_batched for the rationale).
-        out = np.empty_like(flux[..., 0, :])
-        for b in range(flux.shape[0]):
-            out[b] = _assemble_weak_divergence(flux[b], basis)
-        return out
     hw = basis.hprime_wgll  # hw[l, i] = w_l * h[l, i]
     w = basis.weights
     t1 = np.einsum("li,eljkc->eijkc", hw, flux[..., 0, :])
@@ -200,17 +169,7 @@ def _forces_vectorized(  # repro: hot-loop
     basis: GLLBasis,
     stress_correction: np.ndarray | None,
 ) -> np.ndarray:
-    if u.ndim == 6:
-        # Batched sweep: each event runs the identical unbatched pass into
-        # its own slice — bit-identical per event, one-event temporaries.
-        out = np.empty_like(u)
-        for b in range(u.shape[0]):
-            correction = (
-                stress_correction[b] if stress_correction is not None else None
-            )
-            out[b] = _forces_vectorized(u[b], geom, lam, mu, basis, correction)
-        return out
-    grad = _displacement_gradient_batched(u, geom, basis)
+    grad = displacement_gradient(u, geom, basis)
     strain = 0.5 * (grad + np.swapaxes(grad, -1, -2))
     sigma = stress_from_strain(strain, lam, mu)
     if stress_correction is not None:

@@ -35,14 +35,16 @@ The received-contribution add order (sorted neighbour rank, then region)
 is identical between the two styles, so an overlapped run is bit-identical
 to a blocking one.
 
-Event batching: an exchanger built with ``batch=B`` exchanges batched
-global arrays ``(B, nglob[, 3])`` (see :mod:`repro.solver.fields`) and
-packs **all B events into one message per neighbour per step** — the
-per-step message count is identical to an unbatched run, i.e. B times
-fewer messages than B sequential runs.  Per event the packed values,
-their order, and the receive-side adds are exactly the unbatched ones
-(same sorted-neighbour order, same point order), so every event slice
-of a batched exchange is bit-identical to its unbatched exchange.
+The exchanger is payload-opaque: every array it is handed is
+*point-leading*, ``(nglob, ...)``, and whatever trails the point axis —
+nothing for a mass matrix, the 3 components, or ``(B, 3)`` for the B
+events of a multi-event solver, which hands over ``np.moveaxis(a, 0, 1)``
+views of its ``(B, nglob[, 3])`` arrays — travels as one block per
+shared point.  ``array[ids]`` / ``array[ids] += block`` are the only
+indexing forms, so **all B events share one message per neighbour per
+step** (B times fewer messages than B sequential runs) while the values
+and the receive-side add order of each event are exactly those of a
+single-event exchange.
 """
 
 from __future__ import annotations
@@ -223,15 +225,10 @@ class HaloExchanger:
         comm,
         halos_for_rank: dict[int, RegionHalo],
         tracer=None,
-        batch: int | None = None,
     ):
         self.comm = comm
         self.halos = halos_for_rank
         self.tracer = maybe_tracer(tracer)
-        #: Event-batch size: None exchanges unbatched (nglob[, 3]) arrays;
-        #: B exchanges batched (B, nglob[, 3]) arrays with all events in
-        #: one message per neighbour (see module docstring).
-        self.batch = batch
         #: Cumulative seconds blocked on halo receives (the *visible*
         #: communication time), kept even without a tracer so streaming
         #: telemetry can difference it per step at near-zero cost.
@@ -258,11 +255,7 @@ class HaloExchanger:
             halo = self.halos.get(region)
             if halo is None or nbr not in halo.neighbors:
                 continue
-            ids = halo.neighbors[nbr]
-            if self.batch is None:
-                parts.append(arrays[region][ids].reshape(-1))
-            else:
-                parts.append(arrays[region][:, ids].reshape(-1))
+            parts.append(arrays[region][halo.neighbors[nbr]].reshape(-1))
         return np.concatenate(parts)
 
     def _unpack_add(
@@ -280,19 +273,13 @@ class HaloExchanger:
                 continue
             ids = halo.neighbors[nbr]
             array = arrays[region]
-            if self.batch is None:
-                block_shape = (ids.size, *array.shape[1:])
-            else:
-                block_shape = (self.batch, ids.size, *array.shape[2:])
+            block_shape = (ids.size, *array.shape[1:])
             count = int(np.prod(block_shape))
             block = received[offset : offset + count].reshape(block_shape)
             offset += count
             # ids are unique within one neighbor list (deduplicated at
             # construction), so plain fancy-index addition is exact.
-            if self.batch is None:
-                array[ids] += block
-            else:
-                array[:, ids] += block
+            array[ids] += block
         if offset != received.size:
             raise ValueError(
                 f"combined halo payload from rank {nbr} has "
@@ -308,16 +295,10 @@ class HaloExchanger:
         tag = region_tag(ASSEMBLE_REGION, region)
         with self.tracer.span("halo.exchange", region=region) as span:
             # Capture local contributions before any addition.
-            if self.batch is None:
-                outgoing = {
-                    nbr: array[ids].copy()
-                    for nbr, ids in sorted(halo.neighbors.items())
-                }
-            else:
-                outgoing = {
-                    nbr: array[:, ids].copy()
-                    for nbr, ids in sorted(halo.neighbors.items())
-                }
+            outgoing = {
+                nbr: array[ids].copy()
+                for nbr, ids in sorted(halo.neighbors.items())
+            }
             sent = 0
             for nbr, payload in outgoing.items():
                 self.comm.send(nbr, payload, tag=tag)
@@ -329,10 +310,7 @@ class HaloExchanger:
                 received_bytes += received.nbytes
                 # ids are unique within one neighbor list (deduplicated at
                 # construction), so plain fancy-index addition is exact.
-                if self.batch is None:
-                    array[ids] += received
-                else:
-                    array[:, ids] += received
+                array[ids] += received
             self.wait_s += time.perf_counter() - t_wait
             span.add(
                 messages=2 * len(outgoing),
@@ -387,7 +365,7 @@ class HaloExchanger:
             return pending
         with self.tracer.span("halo.post", region=region) as span:
             for nbr, ids in sorted(halo.neighbors.items()):
-                payload = array[ids] if self.batch is None else array[:, ids]
+                payload = array[ids]
                 pending.send_requests.append(
                     self.comm.isend(nbr, payload, tag=tag)
                 )
@@ -418,10 +396,7 @@ class HaloExchanger:
             for nbr in sorted(pending.recv_requests):
                 received = pending.recv_requests[nbr].wait()
                 received_bytes += received.nbytes
-                if self.batch is None:
-                    array[halo.neighbors[nbr]] += received
-                else:
-                    array[:, halo.neighbors[nbr]] += received
+                array[halo.neighbors[nbr]] += received
             span.add(messages=len(pending.recv_requests), bytes=received_bytes)
         self.wait_s += time.perf_counter() - t_wait
         return array

@@ -54,9 +54,8 @@ __all__ = [
 class DistributedResult:
     """Outcome of a distributed run.
 
-    For event-batched runs (``event_sources``) ``seismograms`` carries a
-    leading event axis: (B, n_stations, n_steps, 3) instead of
-    (n_stations, n_steps, 3).
+    ``seismograms`` is (n_stations, n_steps, 3) for a ``sources=`` run and
+    (B, n_stations, n_steps, 3) for an ``event_sources=`` run.
     """
 
     seismograms: np.ndarray | None
@@ -135,9 +134,13 @@ class WorldSetup:
     halos: dict
     splits: list | None
     station_assignment: dict[int, list[Station]]
-    sources_of_rank: dict[int, list]
-    event_sources_of_rank: dict[int, list[list]] | None
-    nbatch: int | None
+    #: rank -> B-long list of per-event source lists (ranks owning no
+    #: source are absent).
+    event_sources_of_rank: dict[int, list[list]]
+    nbatch: int
+    #: The caller passed ``sources=``: the run is the ``B = 1`` case and
+    #: its result is presented without the event axis.
+    single_event: bool
     dt_global: float
     overlap: bool
 
@@ -164,7 +167,10 @@ def prepare_world(
     """
     if event_sources is not None and sources is not None:
         raise ValueError("pass either sources or event_sources, not both")
-    nbatch = len(event_sources) if event_sources is not None else None
+    single_event = event_sources is None
+    if event_sources is None:
+        event_sources = [sources or []]
+    nbatch = len(event_sources)
     if overlap is None:
         overlap = params.overlap_comm
     grid = SliceGrid(params.nproc_xi)
@@ -196,34 +202,22 @@ def prepare_world(
     )
     station_assignment = _assign_stations(stations or [], slices)
     # Sources must be injected by exactly one rank (the halo assembly then
-    # propagates shared-point contributions); assign like stations.
-    source_stations = [
-        Station(f"__src{i}", tuple(np.asarray(s.position)))
-        for i, s in enumerate(sources or [])
-    ]
-    source_assignment = _assign_stations(source_stations, slices)
-    sources_of_rank: dict[int, list] = {}
-    for rank, pseudo in source_assignment.items():
-        for p in pseudo:
-            index = int(p.name[5:])
-            sources_of_rank.setdefault(rank, []).append(sources[index])
-    # Batched: assign each event's sources independently (same nearest-point
-    # rule), giving every rank a B-long list of per-event source lists —
-    # empty lists for events with no source in that rank's slice.
-    event_sources_of_rank: dict[int, list[list]] | None = None
-    if event_sources is not None:
-        event_sources_of_rank = {}
-        for b, ev_srcs in enumerate(event_sources):
-            pseudo_b = [
-                Station(f"__src{i}", tuple(np.asarray(s.position)))
-                for i, s in enumerate(ev_srcs)
-            ]
-            for rank, plist in _assign_stations(pseudo_b, slices).items():
-                per_rank = event_sources_of_rank.setdefault(
-                    rank, [[] for _ in range(nbatch)]
-                )
-                for p in plist:
-                    per_rank[b].append(ev_srcs[int(p.name[5:])])
+    # propagates shared-point contributions); assign each event's sources
+    # like stations, by the nearest-point rule, giving every owning rank a
+    # B-long list of per-event source lists — empty lists for events with
+    # no source in that rank's slice.
+    event_sources_of_rank: dict[int, list[list]] = {}
+    for b, ev_srcs in enumerate(event_sources):
+        pseudo_b = [
+            Station(f"__src{i}", tuple(np.asarray(s.position)))
+            for i, s in enumerate(ev_srcs)
+        ]
+        for rank, plist in _assign_stations(pseudo_b, slices).items():
+            per_rank = event_sources_of_rank.setdefault(
+                rank, [[] for _ in range(nbatch)]
+            )
+            for p in plist:
+                per_rank[b].append(ev_srcs[int(p.name[5:])])
     # Agree on the global time step before building any solver: attenuation
     # coefficients depend on dt, so it must be fixed up front.
     from ..mesh.quality import estimate_time_step
@@ -244,9 +238,9 @@ def prepare_world(
         halos=halos,
         splits=splits,
         station_assignment=station_assignment,
-        sources_of_rank=sources_of_rank,
         event_sources_of_rank=event_sources_of_rank,
         nbatch=nbatch,
+        single_event=single_event,
         dt_global=dt_global,
         overlap=overlap,
     )
@@ -350,12 +344,12 @@ def run_distributed_simulation(
     periodically so a long run can be watched with ``tail -f``.
 
     ``event_sources`` (mutually exclusive with ``sources``) runs B events
-    at once through one batched solver per rank: entry b is event b's
-    source list.  Every rank's halo exchanger packs all B events into ONE
-    message per neighbour per step (docs/batching.md), and the returned
-    ``seismograms`` gain a leading event axis (B, n_stations, n_steps, 3)
-    — event slice b bit-identical to a separate run with ``sources=
-    event_sources[b]``.
+    at once through one solver per rank: entry b is event b's source
+    list.  All B events share ONE halo message per neighbour per step
+    (docs/batching.md), and the returned ``seismograms`` gain a leading
+    event axis (B, n_stations, n_steps, 3) — event slice b bit-identical
+    to a separate run with ``sources=event_sources[b]``, which is the
+    ``B = 1`` case returned without that axis.
 
     The three resilience hooks (all used by
     :class:`~repro.resilience.supervisor.RunSupervisor`):
@@ -414,8 +408,7 @@ def run_distributed_simulation(
     halos = world.halos
     splits = world.splits
     station_assignment = world.station_assignment
-    sources_of_rank = world.sources_of_rank
-    event_sources_of_rank = world.event_sources_of_rank or {}
+    event_sources_of_rank = world.event_sources_of_rank
     # The supervisor pins dt across recovery epochs (attenuation
     # coefficients depend on it); an unsupervised run uses the world's
     # min-allreduced step.
@@ -427,17 +420,7 @@ def run_distributed_simulation(
         rank = comm.rank
         rank_tracer = _tracer(rank)
         rank_metrics = metrics[rank] if metrics is not None else None
-        exchanger = HaloExchanger(
-            comm, halos[rank], tracer=rank_tracer, batch=nbatch
-        )
-        # Mass matrices are assembled UNBATCHED at setup (they are shared
-        # across events), so a batched run needs a second, unbatched
-        # exchanger dedicated to mass assembly.
-        mass_exchanger = (
-            HaloExchanger(comm, halos[rank], tracer=rank_tracer)
-            if nbatch is not None
-            else exchanger
-        )
+        exchanger = HaloExchanger(comm, halos[rank], tracer=rank_tracer)
         my_stations = station_assignment.get(rank, [])
         sentinel = None
         if params.health_check_every is not None:
@@ -459,21 +442,13 @@ def run_distributed_simulation(
         solver = GlobalSolver(
             slices[rank],
             params,
-            sources=sources_of_rank.get(rank, []),
             stations=my_stations or None,
-            assembler=lambda region, arr: exchanger.assemble(region, arr),
-            mass_assembler=lambda region, arr: mass_exchanger.assemble(
-                region, arr
-            ),
+            assembler=exchanger.assemble,
             multi_assembler=(
                 exchanger.assemble_many if combine_solid_messages else None
             ),
-            event_sources=(
-                event_sources_of_rank.get(rank)
-                or [[] for _ in range(nbatch)]
-                if nbatch is not None
-                else None
-            ),
+            event_sources=event_sources_of_rank.get(rank)
+            or [[] for _ in range(nbatch)],
             dt_override=dt_global,
             tracer=rank_tracer,
             metrics=rank_metrics,
@@ -583,19 +558,15 @@ def run_distributed_simulation(
         if payload["data"] is not None:
             names.extend(payload["names"])
             data_blocks.append(payload["data"])
-    # Batched blocks are (B, nrec_rank, steps, 3): the step axis moves to
-    # position 2 and ranks concatenate along the receiver axis (1).
-    step_axis = 1 if nbatch is None else 2
-    steps = data_blocks[0].shape[step_axis] if data_blocks else (n_steps or 0)
-    # A source in a slice-boundary element is legitimately owned by several
-    # ranks; the solver injects it in each, but seismograms are recorded
-    # once per station (stations are assigned uniquely), so plain
-    # concatenation is correct.
-    seismograms = (
-        np.concatenate(data_blocks, axis=0 if nbatch is None else 1)
-        if data_blocks
-        else None
-    )
+    # Rank blocks are (B, nrec_rank, steps, 3): ranks concatenate along the
+    # receiver axis.  A source in a slice-boundary element is legitimately
+    # owned by several ranks; the solver injects it in each, but
+    # seismograms are recorded once per station (stations are assigned
+    # uniquely), so plain concatenation is correct.
+    steps = data_blocks[0].shape[2] if data_blocks else (n_steps or 0)
+    seismograms = np.concatenate(data_blocks, axis=1) if data_blocks else None
+    if seismograms is not None and world.single_event:
+        seismograms = seismograms[0]
     return DistributedResult(
         seismograms=seismograms,
         station_names=names,

@@ -24,6 +24,11 @@ rule) — and carries over:
   (stations are re-assigned to the nearest point of the new partition,
   so their owning rank and row order may change).
 
+Every state array is event-leading (checkpoint format v4): fields
+``(B, nglob[, 3])``, ``zeta`` ``(B, n_sls, nspec, ...)``, seismograms
+``(B, nrec, n_steps, 3)`` — so the point and receiver slots are axis 1
+and the element slot axis 2, with ``B = 1`` for a single-event run.
+
 Points shared by several old ranks are taken first-writer-wins (old
 rank order).  For points with 3+ owners the per-rank assembled values
 can differ in the last ulps (floating-point addition order), which is
@@ -75,10 +80,9 @@ def _harvest_points(
             continue
         keys = _point_keys(old_slices[rank].regions[code], tol)
         arr = arrays[name]
-        point_axis = arr.ndim - 2 if name.startswith(("displ", "veloc", "accel")) else arr.ndim - 1
         for i, key in enumerate(keys):
             if key not in values:
-                values[key] = np.take(arr, i, axis=point_axis)
+                values[key] = arr[:, i]
     return values
 
 
@@ -149,13 +153,10 @@ def remap_world_state(
             if name not in arrays:
                 continue
             keys = _element_keys(old_slices[rank].regions[code], tol)
-            z = arrays[name]
-            # (n_sls, nspec, n, n, n, 3, 3) unbatched,
-            # (n_sls, B, nspec, n, n, n, 3, 3) batched.
-            elem_axis = 1 if z.ndim == 7 else 2
+            z = arrays[name]  # (B, n_sls, nspec, n, n, n, 3, 3)
             for e, key in enumerate(keys):
                 if key not in values:
-                    values[key] = np.take(z, e, axis=elem_axis)
+                    values[key] = z[:, :, e]
         elem_values[name] = values
 
     # -- seismogram rows by station name -------------------------------------
@@ -168,16 +169,15 @@ def remap_world_state(
         if "seis_data" not in arrays or not names:
             continue
         data = arrays["seis_data"]
-        rec_axis = 0 if data.ndim == 3 else 1
-        if data.shape[rec_axis] != len(names):
+        if data.shape[1] != len(names):
             raise ValueError(
-                f"old rank {rank} checkpoint has {data.shape[rec_axis]} "
+                f"old rank {rank} checkpoint has {data.shape[1]} "
                 f"receiver rows but {len(names)} station names"
             )
         seis_cursor = int(arrays["seis_step"])
         seis_nbuf = int(arrays["seis_n_steps"])
         for j, station in enumerate(names):
-            seis_rows[station] = np.take(data, j, axis=rec_axis)
+            seis_rows[station] = data[:, j]
 
     # -- assemble per-new-rank states ----------------------------------------
     states: list[dict] = []
@@ -200,10 +200,7 @@ def remap_world_state(
             code = int(name[len("zeta_"):])
             keys = _element_keys(sl.regions[code], tol)
             cols = _gather(elem_values[name], keys, code, name)
-            # Stack the per-element blocks back onto the element slot
-            # (axis 1 unbatched, axis 2 batched).
-            elem_axis = 1 if cols[0].ndim == 6 else 2
-            state["zeta"][code] = np.stack(cols, axis=elem_axis)
+            state["zeta"][code] = np.stack(cols, axis=2)
         names = (new_station_names or {}).get(rank, [])
         if names and seis_nbuf is not None:
             missing = [n for n in names if n not in seis_rows]
@@ -211,9 +208,7 @@ def remap_world_state(
                 raise ValueError(
                     f"no checkpointed seismogram rows for stations {missing}"
                 )
-            rows = [seis_rows[n] for n in names]
-            batched = rows[0].ndim == 3
-            data = np.stack(rows, axis=1 if batched else 0)
+            data = np.stack([seis_rows[n] for n in names], axis=1)
             state["seis"] = (data, seis_cursor, seis_nbuf)
         else:
             state["seis"] = None
@@ -245,36 +240,19 @@ def apply_rank_state(solver, state: dict) -> int:
     """
     for code, (displ, veloc, accel) in state["solid"].items():
         fld = solver.solid[code]
-        fld.displ[:] = np.stack(displ, axis=fld.displ.ndim - 2)
-        fld.veloc[:] = np.stack(veloc, axis=fld.veloc.ndim - 2)
-        fld.accel[:] = np.stack(accel, axis=fld.accel.ndim - 2)
+        fld.displ[:] = np.stack(displ, axis=1)
+        fld.veloc[:] = np.stack(veloc, axis=1)
+        fld.accel[:] = np.stack(accel, axis=1)
     if state["fluid"] is not None:
         chi, chi_dot, chi_ddot = state["fluid"]
         fl = solver.fluid
-        fl.chi[:] = np.stack(chi, axis=fl.chi.ndim - 1)
-        fl.chi_dot[:] = np.stack(chi_dot, axis=fl.chi_dot.ndim - 1)
-        fl.chi_ddot[:] = np.stack(chi_ddot, axis=fl.chi_ddot.ndim - 1)
+        fl.chi[:] = np.stack(chi, axis=1)
+        fl.chi_dot[:] = np.stack(chi_dot, axis=1)
+        fl.chi_ddot[:] = np.stack(chi_ddot, axis=1)
     for code, zeta in state["zeta"].items():
         solver.attenuation[code].zeta[:] = zeta
     seis = state.get("seis")
-    if seis is not None and solver.receiver_set is not None:
-        data, cursor, nbuf = seis
-        rs = solver.receiver_set
-        step_axis = 1 if data.ndim == 3 else 2
-        if data.shape[step_axis] != rs.n_steps:
-            # Keep the checkpointed recording horizon, exactly as
-            # load_checkpoint does.
-            if data.ndim == 4:
-                from ..solver.receivers import BatchedReceiverSet
-
-                rs = BatchedReceiverSet(
-                    rs.receivers, rs.batch, data.shape[step_axis], rs.dt
-                )
-            else:
-                from ..solver.receivers import ReceiverSet
-
-                rs = ReceiverSet(rs.receivers, data.shape[step_axis], rs.dt)
-            solver.receiver_set = rs
-        rs.data[:] = data
-        rs.step_cursor = int(cursor)
+    if seis is not None and solver.receiver_sets:
+        data, cursor, _nbuf = seis
+        solver.restore_seismograms(data, cursor)
     return int(state["step"])

@@ -15,9 +15,7 @@ from ..kernels.geometry import ElementGeometry
 
 __all__ = [
     "gather",
-    "gather_batched",
     "scatter_add",
-    "scatter_add_batched",
     "assemble_mass_matrix",
     "assemble_scalar_mass_matrix",
 ]
@@ -28,61 +26,29 @@ def gather(global_field: np.ndarray, ibool: np.ndarray) -> np.ndarray:
     return global_field[ibool]
 
 
-def gather_batched(global_field: np.ndarray, ibool: np.ndarray) -> np.ndarray:
-    """Batched global -> local: (B, nglob[, c]) -> (B, nspec, n, n, n[, c]).
-
-    One fancy-indexing pass gathers all B events; each ``out[b]`` equals
-    ``gather(global_field[b], ibool)`` exactly (pure copies, no sums).
-    """
-    return global_field[:, ibool]
-
-
 def scatter_add(
-    local_field: np.ndarray, ibool: np.ndarray, nglob: int
+    local_field: np.ndarray,
+    ibool: np.ndarray,
+    nglob: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Local -> global sum: the assembly of the paper's Section 2.4.
 
     ``local_field`` is (nspec, n, n, n) or (nspec, n, n, n, ncomp);
-    returns (nglob,) or (nglob, ncomp).
+    returns (nglob,) or (nglob, ncomp).  ``out`` is a destination of that
+    shape to overwrite (the solver passes one event's row of its
+    preallocated force buffer) instead of a freshly allocated result.
     """
     idx = ibool.ravel()
+    if out is None:
+        out = np.empty((nglob, *local_field.shape[ibool.ndim:]))
     if local_field.ndim == ibool.ndim:
-        return np.bincount(idx, weights=local_field.ravel(), minlength=nglob)
+        out[:] = np.bincount(idx, weights=local_field.ravel(), minlength=nglob)
+        return out
     ncomp = local_field.shape[-1]
-    out = np.empty((nglob, ncomp))
     flat = local_field.reshape(-1, ncomp)
     for c in range(ncomp):
         out[:, c] = np.bincount(idx, weights=flat[:, c], minlength=nglob)
-    return out
-
-
-def scatter_add_batched(
-    local_field: np.ndarray, ibool: np.ndarray, nglob: int
-) -> np.ndarray:
-    """Batched local -> global sum, bit-identical per event slice.
-
-    ``local_field`` is (B, nspec, n, n, n) or (B, nspec, n, n, n, ncomp);
-    returns (B, nglob) or (B, nglob, ncomp).  Each event runs the same
-    ``np.bincount`` calls as :func:`scatter_add`, so ``out[b]`` matches
-    the unbatched result bit-for-bit (identical FP summation order).
-    """
-    idx = ibool.ravel()
-    nbatch = local_field.shape[0]
-    if local_field.ndim == ibool.ndim + 1:
-        out = np.empty((nbatch, nglob))
-        for b in range(nbatch):
-            out[b] = np.bincount(
-                idx, weights=local_field[b].ravel(), minlength=nglob
-            )
-        return out
-    ncomp = local_field.shape[-1]
-    out = np.empty((nbatch, nglob, ncomp))
-    flat = local_field.reshape(nbatch, -1, ncomp)
-    for b in range(nbatch):
-        for c in range(ncomp):
-            out[b, :, c] = np.bincount(
-                idx, weights=flat[b, :, c], minlength=nglob
-            )
     return out
 
 

@@ -32,19 +32,14 @@ __all__ = ["AttenuationState", "build_attenuation"]
 
 @dataclass
 class AttenuationState:
-    """Memory variables and coefficients for one solid region.
+    """Memory variables and coefficients for one solid region, one event.
 
     Attributes
     ----------
     fits : per-Q-bin SLS fits (elements are binned by their Q_mu value)
     bin_of_element : (nspec,) index into ``fits`` per element
-    zeta : (n_sls, nspec, n, n, n, 3, 3) memory tensors (deviatoric), or
-        (n_sls, B, nspec, n, n, n, 3, 3) for an event-batched solver
-        (``build_attenuation(..., batch=B)``); the update methods dispatch
-        on ``zeta.ndim`` and the relaxation is elementwise, so each event
-        slice evolves bit-identically to an unbatched state
+    zeta : (n_sls, nspec, n, n, n, 3, 3) memory tensors (deviatoric)
     alpha, weight : (n_sls, nspec, 1, 1, 1) update coefficients per element
-        (shared across events — the mesh, dt and Q model are common)
     """
 
     fits: list[SLSFit]
@@ -58,57 +53,23 @@ class AttenuationState:
     def n_sls(self) -> int:
         return self.zeta.shape[0]
 
-    def update(self, strain: np.ndarray) -> None:
+    def update(self, strain: np.ndarray, elements=slice(None)) -> None:
         """Advance memory variables one step with the current strain.
 
-        ``strain`` is (nspec, n, n, n, 3, 3) — or (B, nspec, n, n, n,
-        3, 3) for a batched state; only its deviatoric part drives the
-        memory variables.
+        ``strain`` is (nspec, n, n, n, 3, 3) on ``elements`` — the whole
+        region by default, or an ascending element-index array; only its
+        deviatoric part drives the memory variables.  The overlapped
+        time loop advances boundary and interior elements in two passes;
+        the relaxation is elementwise, so that is bit-identical to one
+        full update provided each element appears in exactly one subset
+        per step.  A slice indexes ``zeta`` as a view, so the full-region
+        update works in place and the write-back below copies nothing.
         """
         dev = strain.copy()
         trace_third = np.trace(strain, axis1=-2, axis2=-1) / 3.0
         idx = np.arange(3)
         dev[..., idx, idx] -= trace_third[..., None]
         # zeta <- alpha zeta + (1 - alpha) y dev   (exponential relaxation)
-        if self.zeta.ndim == 8:
-            self.zeta *= self.alpha[:, None, ..., None, None]
-            self.zeta += (
-                (self.weight * self.y)[:, None, ..., None, None]
-                * dev[None, ...]
-            )
-            return
-        self.zeta *= self.alpha[..., None, None]
-        self.zeta += (
-            (self.weight * self.y)[..., None, None] * dev[None, ...]
-        )
-
-    def stress_correction(self, mu: np.ndarray) -> np.ndarray:
-        """Anelastic stress to subtract: 2 mu sum_j zeta_j."""
-        return 2.0 * mu[..., None, None] * self.zeta.sum(axis=0)
-
-    def update_subset(self, strain: np.ndarray, elements: np.ndarray) -> None:
-        """:meth:`update` restricted to an element subset.
-
-        The overlapped time loop advances boundary and interior elements
-        in two passes; the relaxation is elementwise, so updating the two
-        subsets separately is bit-identical to one full update — provided
-        each element appears in exactly one subset per step.
-        """
-        dev = strain.copy()
-        trace_third = np.trace(strain, axis1=-2, axis2=-1) / 3.0
-        idx = np.arange(3)
-        dev[..., idx, idx] -= trace_third[..., None]
-        if self.zeta.ndim == 8:
-            zeta = self.zeta[:, :, elements]
-            zeta *= self.alpha[:, None, elements][..., None, None]
-            zeta += (
-                (self.weight[:, None, elements] * self.y[:, None, elements])[
-                    ..., None, None
-                ]
-                * dev[None, ...]
-            )
-            self.zeta[:, :, elements] = zeta
-            return
         zeta = self.zeta[:, elements]
         zeta *= self.alpha[:, elements][..., None, None]
         zeta += (
@@ -117,16 +78,11 @@ class AttenuationState:
         )
         self.zeta[:, elements] = zeta
 
-    def stress_correction_subset(
-        self, mu: np.ndarray, elements: np.ndarray
+    def stress_correction(
+        self, mu: np.ndarray, elements=slice(None)
     ) -> np.ndarray:
-        """:meth:`stress_correction` for an element subset (``mu`` already
-        sliced to the subset)."""
-        if self.zeta.ndim == 8:
-            return (
-                2.0 * mu[..., None, None]
-                * self.zeta[:, :, elements].sum(axis=0)
-            )
+        """Anelastic stress to subtract on ``elements`` (``mu`` already
+        sliced to them): 2 mu sum_j zeta_j."""
         return 2.0 * mu[..., None, None] * self.zeta[:, elements].sum(axis=0)
 
 
@@ -137,15 +93,12 @@ def build_attenuation(
     f_max: float,
     n_sls: int = constants.N_SLS,
     n_q_bins: int = 6,
-    batch: int | None = None,
 ) -> AttenuationState:
     """Build the attenuation state for a solid region.
 
     ``q_mu`` is the per-GLL-point quality factor from the mesher; elements
     are binned by their median Q (PREM has a handful of distinct Q values,
     so binning is exact in practice) and one SLS fit is shared per bin.
-    With ``batch=B`` the memory tensors gain a per-event axis
-    (n_sls, B, nspec, n, n, n, 3, 3); the coefficients stay shared.
     """
     if q_mu.ndim != 4:
         raise ValueError(f"q_mu must be (nspec, n, n, n), got {q_mu.shape}")
@@ -173,14 +126,10 @@ def build_attenuation(
             alpha[j, mask] = a[j]
             y[j, mask] = fit.y[j]
     weight = 1.0 - alpha
-    if batch is None:
-        zeta = np.zeros((n_sls, nspec, n, n, n, 3, 3))
-    else:
-        zeta = np.zeros((n_sls, batch, nspec, n, n, n, 3, 3))
     return AttenuationState(
         fits=fits,
         bin_of_element=bin_of,
-        zeta=zeta,
+        zeta=np.zeros((n_sls, nspec, n, n, n, 3, 3)),
         alpha=alpha,
         weight=weight,
         y=y,

@@ -13,12 +13,6 @@ pointwise (collocated strong-form) terms in the *solid* regions:
 Both are small corrections at the frequencies of interest; the point of
 carrying them is to exercise the corresponding code paths and flop counts
 (DESIGN.md documents the substitution).
-
-Both terms are batch-transparent: with an event-batched local field
-``(B, nspec, n, n, n, 3)`` (see :mod:`repro.solver.fields`) every
-operation here is either elementwise or an ellipsis-broadcast einsum
-over per-mesh data (rho, coordinates, g), so the batched result's event
-slices are bit-identical to unbatched calls — no dispatch needed.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gll.lagrange import GLLBasis
-from ..kernels.elastic import _displacement_gradient_batched
+from ..kernels.elastic import displacement_gradient
 from ..kernels.geometry import ElementGeometry
 
 __all__ = ["coriolis_local_force", "gravity_local_force"]
@@ -40,9 +34,8 @@ def coriolis_local_force(
 ) -> np.ndarray:
     """Mass-weighted Coriolis contribution: -2 rho (Omega x v) J w.
 
-    ``veloc_local`` is (nspec, n, n, n, 3) — or (B, nspec, n, n, n, 3)
-    batched; returns the same shape, ready to scatter-add into the
-    assembled force vector.
+    ``veloc_local`` is (nspec, n, n, n, 3); returns the same shape, ready
+    to scatter-add into the assembled force vector.
     """
     omega = np.asarray(omega_vector, dtype=np.float64)
     if omega.shape != (3,):
@@ -63,15 +56,14 @@ def gravity_local_force(
 
     Parameters
     ----------
-    displ_local : (nspec, n, n, n, 3) displacement at GLL points, or
-        (B, nspec, n, n, n, 3) for an event batch (result gains the axis)
+    displ_local : (nspec, n, n, n, 3) displacement at GLL points
     xyz : (nspec, n, n, n, 3) coordinates (for the radial direction)
     g_of_point : (nspec, n, n, n) gravitational acceleration magnitude
     """
     r = np.linalg.norm(xyz, axis=-1)
     r_safe = np.where(r > 0, r, 1.0)
     rhat = xyz / r_safe[..., None]
-    grad = _displacement_gradient_batched(displ_local, geom, basis)
+    grad = displacement_gradient(displ_local, geom, basis)
     div_s = np.trace(grad, axis1=-2, axis2=-1)
     # grad(s_r) ~ grad(s . rhat): use the gradient of the radial component
     # treating rhat as locally constant plus the curvature term (s_t / r):

@@ -4,10 +4,10 @@ The paper's production runs take "about 1 week ... of dedicated 32K or
 more processor supercomputer time" — far beyond any queue's wall limit, so
 runs of that class live and die by checkpointing.  This module saves and
 restores the complete dynamic state of a :class:`GlobalSolver` (fields of
-every region, attenuation memory variables, step counter, and — since
-format v2 — the partially-recorded seismogram buffers with their step
-cursor) so a run split into segments is bit-identical to an uninterrupted
-one *including its seismograms* — the property the tests verify.
+every region, attenuation memory variables, step counter, and the
+partially-recorded seismogram buffers with their step cursor) so a run
+split into segments is bit-identical to an uninterrupted one *including
+its seismograms* — the property the tests verify.
 
 Writes are crash-safe: the NPZ is written to a temporary file in the
 target directory and atomically renamed into place, so a job killed
@@ -15,21 +15,20 @@ mid-checkpoint never leaves a truncated file that would block restart.
 Unreadable or truncated checkpoints are rejected with
 :class:`CheckpointError`.
 
-Format v3 adds end-to-end integrity verification: every array is
-fingerprinted with CRC32 at save time (:mod:`repro.chaos.integrity`) and
-re-verified on load, so silent on-disk corruption — a flipped bit, a
-partial overwrite the zip layer happens to accept — surfaces as the
-typed :class:`CheckpointCorruptionError` instead of garbage state.  The
+Integrity is verified end to end: every array is fingerprinted with
+CRC32 at save time (:mod:`repro.chaos.integrity`) and re-verified on
+load, so silent on-disk corruption — a flipped bit, a partial overwrite
+the zip layer happens to accept — surfaces as the typed
+:class:`CheckpointCorruptionError` instead of garbage state.  The
 campaign's segmented executor treats that error as "fall back to the
 last *verified* checkpoint"; the retry policy treats it as fail-fast
-for the artifact (re-running the same load cannot fix the file).  v1/v2
-checkpoints still load, with a warning that they carry no checksums.
+for the artifact (re-running the same load cannot fix the file).
 
-Event-batched solvers (docs/batching.md) checkpoint naturally under the
-same format: field and zeta arrays simply carry their leading event axis
-and the shape checks enforce that a batched checkpoint restores into an
-equally-batched solver.  Per-event state can be extracted after load via
-``field.event_view(b)`` / ``receiver_set.event_receiver_set(b)``.
+Format v4 is the only one read or written: every state array is
+event-leading (docs/batching.md) — fields ``(B, nglob[, 3])``, ``zeta``
+``(B, n_sls, nspec, ...)``, ``seis_data`` ``(B, nrec, n_steps, 3)`` — with
+``B = 1`` for a single-event run, and the shape checks enforce that a
+checkpoint restores into a solver with the same number of events.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +57,7 @@ __all__ = [
     "read_verified_arrays",
 ]
 
-_FORMAT_VERSION = 3
-
-#: Format versions :func:`load_checkpoint` still understands.
-_READABLE_VERSIONS = (1, 2, 3)
+_FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -72,7 +67,7 @@ class CheckpointError(ValueError):
 class CheckpointCorruptionError(CheckpointError, IntegrityError):
     """A checkpoint failed integrity verification (corrupt on disk).
 
-    Raised when the v3 CRC32 map does not match the loaded arrays, and
+    Raised when the CRC32 map does not match the loaded arrays, and
     for files the NPZ/zip layer itself rejects as damaged.  Typed so the
     campaign layer can fall back to the last *verified* checkpoint and
     the retry policy can fail fast instead of re-reading a bad file.
@@ -126,14 +121,14 @@ def _save_checkpoint_body(solver, path: Path, step: int) -> Path:
         arrays["chi_ddot"] = solver.fluid.chi_ddot
     for code, atten in solver.attenuation.items():
         arrays[f"zeta_{code}"] = atten.zeta
-    # v2: partially-recorded seismograms plus the recording cursor, so a
+    # Partially-recorded seismograms plus the recording cursor, so a
     # segmented run's seismograms match an uninterrupted run exactly.
-    if solver.receiver_set is not None:
-        rs = solver.receiver_set
-        arrays["seis_data"] = rs.data
-        arrays["seis_step"] = np.asarray(int(rs.step_cursor))
-        arrays["seis_n_steps"] = np.asarray(int(rs.n_steps))
-    # v3: CRC32 of every array, re-verified on load.
+    if solver.receiver_sets:
+        sets = solver.receiver_sets
+        arrays["seis_data"] = np.stack([rs.data for rs in sets])
+        arrays["seis_step"] = np.asarray(int(sets[0].step_cursor))
+        arrays["seis_n_steps"] = np.asarray(int(sets[0].n_steps))
+    # CRC32 of every array, re-verified on load.
     arrays[INTEGRITY_KEY] = checksum_payload(arrays)
 
     fd, tmp_name = tempfile.mkstemp(
@@ -157,7 +152,9 @@ def _save_checkpoint_body(solver, path: Path, step: int) -> Path:
 def _read_arrays(path: Path) -> dict[str, np.ndarray]:
     """Load every array of the NPZ, rejecting corrupt/truncated files."""
     try:
-        with np.load(path, allow_pickle=False) as f:
+        # Own the handle: np.load leaks the file it opened itself when the
+        # archive turns out to be truncated.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as f:
             # Force full decompression of every member: a file truncated
             # mid-write fails here instead of at first (lazy) access, and
             # a flipped bit trips the zip layer's own CRC right here.
@@ -173,10 +170,8 @@ def _read_arrays(path: Path) -> dict[str, np.ndarray]:
 def load_checkpoint(solver, path: str | Path, tracer=None, metrics=None) -> int:
     """Restore a solver's dynamic state; returns the checkpointed step.
 
-    The solver must have been constructed with the identical mesh and
-    parameters; shape mismatches are rejected loudly.  Format v1 files
-    (fields only, no seismogram buffers) still load, with a warning that
-    partially-recorded seismograms were not restored.
+    The solver must have been constructed with the identical mesh,
+    parameters and number of events; shape mismatches are rejected loudly.
 
     With a ``tracer``/``metrics`` pair the read is recorded as a
     ``checkpoint.load`` span plus ``checkpoint.loads``/
@@ -198,7 +193,7 @@ def read_verified_arrays(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint's raw arrays with full integrity verification.
 
     The solver-independent half of :func:`load_checkpoint`: header and
-    version checks plus the v3 CRC32 verification, without applying the
+    version checks plus the CRC32 verification, without applying the
     state to any solver.  This is what shrink-and-redistribute recovery
     (:mod:`repro.resilience.remap`) uses to harvest a dead world's state
     before any new-world solver exists.
@@ -208,36 +203,26 @@ def read_verified_arrays(path: str | Path) -> dict[str, np.ndarray]:
     if "version" not in f or "step" not in f:
         raise CheckpointError(f"checkpoint {path} lacks the version/step header")
     version = int(f["version"])
-    if version not in _READABLE_VERSIONS:
+    if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    # -- Integrity verification (format v3) --------------------------------
-    if version >= 3:
-        if INTEGRITY_KEY not in f:
-            raise CheckpointCorruptionError(
-                f"checkpoint {path} is format v{version} but lacks its "
-                f"integrity map"
-            )
-        try:
-            verify_checksums(
-                {k: v for k, v in f.items() if k != INTEGRITY_KEY},
-                parse_checksum_payload(f[INTEGRITY_KEY]),
-            )
-        except IntegrityError as exc:
-            raise CheckpointCorruptionError(
-                f"checkpoint {path} failed integrity verification: {exc}"
-            ) from exc
-    else:
-        warnings.warn(
-            f"checkpoint {path} is format v{version} (no integrity "
-            "checksums): on-disk corruption cannot be detected",
-            stacklevel=2,
+    if INTEGRITY_KEY not in f:
+        raise CheckpointCorruptionError(
+            f"checkpoint {path} lacks its integrity map"
         )
+    try:
+        verify_checksums(
+            {k: v for k, v in f.items() if k != INTEGRITY_KEY},
+            parse_checksum_payload(f[INTEGRITY_KEY]),
+        )
+    except IntegrityError as exc:
+        raise CheckpointCorruptionError(
+            f"checkpoint {path} failed integrity verification: {exc}"
+        ) from exc
     return f
 
 
 def _load_checkpoint_body(solver, path: Path) -> int:
     f = read_verified_arrays(path)
-    version = int(f["version"])
     saved_dt = float(f["dt"])
     # Relative comparison via math.isclose: tolerates the dt == 0 edge
     # (both zero compares equal; zero vs. non-zero is rejected) instead of
@@ -281,76 +266,38 @@ def _load_checkpoint_body(solver, path: Path) -> int:
                 f"checkpoint lacks attenuation memory for region {code}"
             )
         atten.zeta[:] = f[name]
-    # -- Seismogram buffers (format v2) ------------------------------------
+    # -- Seismogram buffers -------------------------------------------------
     if "seis_data" in f:
-        if solver.receiver_set is None:
+        if not solver.receiver_sets:
             raise ValueError(
                 "checkpoint carries seismogram buffers but the solver has "
                 "no receivers; rebuild the solver with the same stations"
             )
-        rs = solver.receiver_set
-        data = f["seis_data"]
-        # Batched buffers are (B, nrec, n_steps, 3); unbatched are
-        # (nrec, n_steps, 3).  A batched checkpoint only restores into a
-        # batched solver (and vice versa) — the ndim check below rejects
-        # the mismatch as a shape error.
-        batched = data.ndim == 4
-        rec_axis, step_axis = (1, 2) if batched else (0, 1)
-        if batched != (getattr(rs, "batch", None) is not None):
-            raise ValueError(
-                f"checkpoint seismogram buffer {data.shape} is "
-                f"{'batched' if batched else 'unbatched'} but the solver's "
-                f"receiver set is not; rebuild the solver to match"
-            )
-        if batched and data.shape[0] != rs.batch:
-            raise ValueError(
-                f"checkpoint seismogram buffer {data.shape} carries "
-                f"{data.shape[0]} events, solver expects {rs.batch}"
-            )
-        if data.shape[rec_axis] != len(rs.receivers) or data.shape[-1] != 3:
+        data = f["seis_data"]  # (B, nrec, n_steps, 3)
+        sets = solver.receiver_sets
+        expected = (len(sets), len(sets[0].receivers))
+        if data.ndim != 4 or data.shape[:2] != expected or data.shape[-1] != 3:
             raise ValueError(
                 f"checkpoint seismogram buffer {data.shape} does not match "
-                f"the solver's {len(rs.receivers)} receivers"
+                f"the solver's {expected[0]} events x {expected[1]} receivers"
             )
         # The restored run keeps the checkpointed recording horizon.
-        # ``seis_n_steps`` was written since v2 but never read back, so
-        # a truncated buffer silently passed as a shorter recording;
+        # ``seis_n_steps`` was once written but never read back, so a
+        # truncated buffer silently passed as a shorter recording;
         # cross-check it against the buffer's actual step extent.
         if "seis_n_steps" in f:
             declared = int(f["seis_n_steps"])
-            if declared != data.shape[step_axis]:
+            if declared != data.shape[2]:
                 raise ValueError(
                     f"checkpoint seismogram buffer carries "
-                    f"{data.shape[step_axis]} steps but declares "
+                    f"{data.shape[2]} steps but declares "
                     f"seis_n_steps={declared}; the file is inconsistent"
                 )
-        # The buffer is rebuilt at the saved length (the solver's
-        # default n_steps need not match the campaign's total).
-        if data.shape[step_axis] != rs.n_steps:
-            if batched:
-                from .receivers import BatchedReceiverSet
-
-                rs = BatchedReceiverSet(
-                    rs.receivers, rs.batch, data.shape[step_axis], rs.dt
-                )
-            else:
-                from .receivers import ReceiverSet
-
-                rs = ReceiverSet(rs.receivers, data.shape[step_axis], rs.dt)
-            solver.receiver_set = rs
-        rs.data[:] = data
-        rs.step_cursor = int(f["seis_step"])
-    elif version >= 2 and solver.receiver_set is not None:
+        solver.restore_seismograms(data, int(f["seis_step"]))
+    elif solver.receiver_sets:
         raise ValueError(
             "checkpoint has no seismogram buffers but the solver records "
             "receivers; the segmented seismograms would be wrong"
-        )
-    elif version == 1 and solver.receiver_set is not None:
-        warnings.warn(
-            f"checkpoint {path} is format v1 (fields only): partially-"
-            "recorded seismogram buffers were not restored, so a resumed "
-            "run's seismograms will restart from zero",
-            stacklevel=2,
         )
     return int(f["step"])
 

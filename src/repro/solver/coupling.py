@@ -44,25 +44,7 @@ class CouplingOperator:
     def add_fluid_coupling(
         self, chi_force: np.ndarray, solid_displ: np.ndarray
     ) -> None:
-        """Add ``+ w (s_solid . n)`` to the assembled fluid force vector.
-
-        Accepts the batched layout too: ``chi_force`` (B, nglob_f) with
-        ``solid_displ`` (B, nglob_s, 3); the normal projection runs as
-        one einsum over the batch and the surface scatter-add runs per
-        event with the unbatched index order (bit-identical slices).
-        """
-        if solid_displ.ndim == 3:
-            u_n = np.einsum(
-                "bfijc,fijc->bfij",
-                solid_displ[:, self.solid_ids],
-                self.normals,
-            )
-            ids = self.fluid_ids.ravel()
-            for b in range(solid_displ.shape[0]):
-                np.add.at(
-                    chi_force[b], ids, (self.weights * u_n[b]).ravel()
-                )
-            return
+        """Add ``+ w (s_solid . n)`` to the assembled fluid force vector."""
         u_n = np.einsum(
             "fijc,fijc->fij", solid_displ[self.solid_ids], self.normals
         )
@@ -71,22 +53,7 @@ class CouplingOperator:
     def add_solid_coupling(
         self, solid_force: np.ndarray, chi_ddot: np.ndarray
     ) -> None:
-        """Add ``- w n chi_ddot`` to the assembled solid force vector.
-
-        Batched layout: ``solid_force`` (B, nglob_s, 3) with ``chi_ddot``
-        (B, nglob_f); per-event scatter order matches the unbatched path.
-        """
-        if chi_ddot.ndim == 2:
-            contribution = (
-                -(self.weights * chi_ddot[:, self.fluid_ids])[..., None]
-                * self.normals
-            )
-            ids = self.solid_ids.ravel()
-            flat = contribution.reshape(chi_ddot.shape[0], -1, 3)
-            for b in range(chi_ddot.shape[0]):
-                for c in range(3):
-                    np.add.at(solid_force[b, :, c], ids, flat[b, :, c])
-            return
+        """Add ``- w n chi_ddot`` to the assembled solid force vector."""
         contribution = (
             -(self.weights * chi_ddot[self.fluid_ids])[..., None] * self.normals
         )

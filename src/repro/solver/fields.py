@@ -1,35 +1,30 @@
 """Wavefield state containers for the solid and fluid regions.
 
-Batch-aware array contract
---------------------------
-Every field array carries an *optional leading event axis* so one
-time-loop pass can advance a batch of B independent sources on the same
-mesh (the campaign-throughput analogue of the paper's 4-wide SSE/Altivec
-batching — amortize per-op overhead over a batch):
+Array contract
+--------------
+Every field array carries a **leading event axis**: one time loop
+advances B independent sources on the same mesh (the campaign-throughput
+analogue of the paper's 4-wide SSE/Altivec batching), and a single-event
+run is simply ``B = 1``:
 
-====================  =====================  =====================
-array                 unbatched (B = None)   batched (B events)
-====================  =====================  =====================
-``SolidField.displ``  ``(nglob, 3)``         ``(B, nglob, 3)``
-``SolidField.veloc``  ``(nglob, 3)``         ``(B, nglob, 3)``
-``SolidField.accel``  ``(nglob, 3)``         ``(B, nglob, 3)``
-``FluidField.chi``    ``(nglob,)``           ``(B, nglob)``
-====================  =====================  =====================
+====================  ==================
+array                 shape
+====================  ==================
+``SolidField.displ``  ``(B, nglob, 3)``
+``SolidField.veloc``  ``(B, nglob, 3)``
+``SolidField.accel``  ``(B, nglob, 3)``
+``FluidField.chi``    ``(B, nglob)``
+====================  ==================
 
 (``chi_dot`` / ``chi_ddot`` mirror ``chi``.)  All arrays are float64,
-C-contiguous, and allocated exactly once here by ``zeros`` — the solver,
-kernels, and halo exchange mutate them in place and never reallocate
-(rule R3).  ``batch=None`` preserves the historical unbatched layout
-bit-for-bit; ``batch=B`` (including ``B=1``) prepends the event axis.
-The two layouts are distinguished downstream purely by ``ndim``, never
-by a side flag, so a batched array can be handed to any consumer that
-dispatches on shape.
-
-Per-event views (``event_view``) are numpy views, not copies: event
-``b`` of a batched field aliases ``displ[b]`` etc., which is what makes
-the bit-identity guarantee checkable — the batched update of event ``b``
-touches exactly the same values, in the same floating-point summation
-order, as an unbatched run of that event (see docs/batching.md).
+C-contiguous, and allocated exactly once here by ``zeros`` — the solver
+and the halo exchange mutate them in place and never reallocate (rule
+R3).  Only :class:`~repro.solver.solver.GlobalSolver` and the two
+serialisers of its state (``checkpoint.py``, ``resilience/remap.py``)
+know the event axis exists: the solver's phase functions hand every
+component a ``displ[b]``-style *view* in the single-event layout
+``(nglob[, 3])``, which is what makes bit-identity of event ``b`` with a
+dedicated run hold by construction (see docs/batching.md).
 """
 
 from __future__ import annotations
@@ -50,8 +45,8 @@ class SolidField:
     accel: np.ndarray
 
     @classmethod
-    def zeros(cls, nglob: int, batch: int | None = None) -> "SolidField":
-        shape = (nglob, 3) if batch is None else (batch, nglob, 3)
+    def zeros(cls, nglob: int, batch: int = 1) -> "SolidField":
+        shape = (batch, nglob, 3)
         return cls(
             displ=np.zeros(shape),
             veloc=np.zeros(shape),
@@ -59,19 +54,8 @@ class SolidField:
         )
 
     @property
-    def batch(self) -> int | None:
-        """Event-batch size, or None for the unbatched layout."""
-        return None if self.displ.ndim == 2 else int(self.displ.shape[0])
-
-    @property
     def nglob(self) -> int:
         return self.displ.shape[-2]
-
-    def event_view(self, b: int) -> "SolidField":
-        """Unbatched-layout *view* (no copy) of event ``b``."""
-        if self.batch is None:
-            raise ValueError("event_view on an unbatched SolidField")
-        return SolidField(self.displ[b], self.veloc[b], self.accel[b])
 
     def kinetic_energy(self, mass: np.ndarray) -> float:
         """0.5 * v^T M v with the diagonal mass matrix (summed over events)."""
@@ -91,8 +75,8 @@ class FluidField:
     chi_ddot: np.ndarray
 
     @classmethod
-    def zeros(cls, nglob: int, batch: int | None = None) -> "FluidField":
-        shape = (nglob,) if batch is None else (batch, nglob)
+    def zeros(cls, nglob: int, batch: int = 1) -> "FluidField":
+        shape = (batch, nglob)
         return cls(
             chi=np.zeros(shape),
             chi_dot=np.zeros(shape),
@@ -100,16 +84,5 @@ class FluidField:
         )
 
     @property
-    def batch(self) -> int | None:
-        """Event-batch size, or None for the unbatched layout."""
-        return None if self.chi.ndim == 1 else int(self.chi.shape[0])
-
-    @property
     def nglob(self) -> int:
         return self.chi.shape[-1]
-
-    def event_view(self, b: int) -> "FluidField":
-        """Unbatched-layout *view* (no copy) of event ``b``."""
-        if self.batch is None:
-            raise ValueError("event_view on an unbatched FluidField")
-        return FluidField(self.chi[b], self.chi_dot[b], self.chi_ddot[b])

@@ -62,7 +62,7 @@ class SurfaceMovieRecorder:
     def on_step(self, step: int, solver) -> None:
         """Per-step callback for :meth:`GlobalSolver.run`."""
         if step % self.every == 0:
-            displ = solver.solid[self.region_code].displ
+            displ = solver.solid[self.region_code].displ[0]  # event 0
             self.frames.append(displ[self.point_ids].copy())
             self.frame_steps.append(step)
 

@@ -8,14 +8,12 @@ conditionally stable under the Courant limit.  The scheme is split into a
 velocity) and a *corrector* (finish the velocity with the new
 acceleration) so that force evaluation happens exactly once per step.
 
-Batch-aware contract: every update here is an elementwise in-place
-operation (``+=`` / ``[:] = 0``), so the same functions serve both field
-layouts of :mod:`repro.solver.fields` — unbatched ``(nglob[, 3])`` and
-batched ``(B, nglob[, 3])`` — with no dispatch.  Elementwise updates are
-trivially bit-identical per event slice: advancing a batched array and
-advancing each ``field[b]`` separately perform the exact same scalar
-operations in the same order.  Callers own the arrays; nothing here
-allocates.
+Every update here is an elementwise in-place operation (``+=`` /
+``[:] = 0``), so it is shape-agnostic: the solver applies it to whole
+``(B, nglob[, 3])`` field arrays (:mod:`repro.solver.fields`), which
+performs, for each event, exactly the scalar operations of advancing
+that event alone.  Callers own the arrays; the accumulators are never
+reallocated.
 """
 
 from __future__ import annotations

@@ -34,20 +34,8 @@ class OceanLoad:
     ocean_mass: np.ndarray  # (npoints,) rho_w * h * assembled area
 
     def apply(self, accel: np.ndarray, mass: np.ndarray) -> None:
-        """Correct the normal acceleration component in place.
-
-        Works on both layouts: ``accel`` (nglob, 3) or (B, nglob, 3);
-        the correction is pointwise per event, so batched slices match
-        unbatched runs bit-for-bit.
-        """
+        """Correct the normal acceleration component of (nglob, 3) in place."""
         factor = self.ocean_mass / (mass[self.point_ids] + self.ocean_mass)
-        if accel.ndim == 3:
-            a = accel[:, self.point_ids]
-            a_n = np.einsum("bpc,pc->bp", a, self.normals)
-            accel[:, self.point_ids] = (
-                a - (factor * a_n)[..., None] * self.normals
-            )
-            return
         a = accel[self.point_ids]
         a_n = np.einsum("pc,pc->p", a, self.normals)
         accel[self.point_ids] = a - (factor * a_n)[:, None] * self.normals

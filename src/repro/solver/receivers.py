@@ -14,11 +14,10 @@ Both algorithms are implemented:
   isoparametric mapping + full 125-weight interpolation per step;
 * ``closest_point`` — nearest-GLL-point snap + direct array read per step.
 
-For event-batched runs (see :mod:`repro.solver.fields`) a
-:class:`BatchedReceiverSet` records all B events' traces from the
-batched displacement in one pass per step — buffers are
-``(B, nrec, n_steps, 3)`` and ``event_receiver_set(b)`` extracts a
-plain :class:`ReceiverSet` per event for the campaign fan-out.
+A :class:`ReceiverSet` records one event.  Recorded traces never cross
+the halo, so a B-event solver (see :mod:`repro.solver.fields`) simply
+holds a list of B of them over one shared list of located receivers and
+records event ``b`` from its ``displ[b]`` view.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "Station",
     "LocatedReceiver",
     "ReceiverSet",
-    "BatchedReceiverSet",
     "locate_receivers",
 ]
 
@@ -122,83 +120,6 @@ class ReceiverSet:
             if rec.station.name == name:
                 return self.data[r]
         raise KeyError(f"no station named {name!r}")
-
-
-class BatchedReceiverSet:
-    """Recording buffers for an event-batched run: (B, nrec, n_steps, 3).
-
-    One :meth:`record` call per step reads the batched displacement
-    ``(B, nglob, 3)`` for every receiver: a closest-point receiver is a
-    fancy-indexed copy per event, an interpolated one a 125-weight
-    contraction with a free event subscript — both bit-identical per
-    event slice to :class:`ReceiverSet` recording event ``b`` alone.
-    """
-
-    def __init__(
-        self,
-        receivers: list[LocatedReceiver],
-        batch: int,
-        n_steps: int,
-        dt: float,
-    ):
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        self.receivers = receivers
-        self.batch = int(batch)
-        self.n_steps = int(n_steps)
-        self.dt = float(dt)
-        self.data = np.zeros((self.batch, len(receivers), n_steps, 3))
-        self._step = 0
-
-    def record(self, displ: np.ndarray, ibool: np.ndarray) -> None:
-        """Record the current (B, nglob, 3) displacement at every receiver."""
-        if self._step >= self.n_steps:
-            raise RuntimeError("seismogram buffers are full")
-        for r, rec in enumerate(self.receivers):
-            if rec.mode == "closest_point":
-                self.data[:, r, self._step] = displ[:, rec.global_index]
-            else:
-                local = displ[:, ibool[rec.element]]  # (B, n, n, n, 3)
-                self.data[:, r, self._step] = np.einsum(
-                    "ijk,bijkc->bc", rec.weights, local
-                )
-        self._step += 1
-
-    @property
-    def step_cursor(self) -> int:
-        """Next step to be recorded (rows below this are already filled)."""
-        return self._step
-
-    @step_cursor.setter
-    def step_cursor(self, step: int) -> None:
-        step = int(step)
-        if not 0 <= step <= self.n_steps:
-            raise ValueError(
-                f"step cursor {step} outside [0, {self.n_steps}]"
-            )
-        self._step = step
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps) * self.dt
-
-    def seismogram(self, name: str, event: int) -> np.ndarray:
-        """(n_steps, 3) history of the named station for one event."""
-        for r, rec in enumerate(self.receivers):
-            if rec.station.name == name:
-                return self.data[event, r]
-        raise KeyError(f"no station named {name!r}")
-
-    def event_receiver_set(self, event: int) -> ReceiverSet:
-        """Per-event :class:`ReceiverSet` (copied buffers) for fan-out."""
-        if not 0 <= event < self.batch:
-            raise IndexError(
-                f"event {event} outside batch of {self.batch}"
-            )
-        out = ReceiverSet(self.receivers, self.n_steps, self.dt)
-        out.data[:] = self.data[event]
-        out.step_cursor = self._step
-        return out
 
 
 def _invert_isoparametric(

@@ -13,6 +13,10 @@ virtual-MPI launcher provides):
   self-gravitation (Cowling), and ocean load;
 * moment-tensor sources and interpolated/closest-point receivers
   (Section 4.4);
+* B events on one mesh (docs/batching.md): the persistent arrays carry a
+  leading event axis — a ``sources=`` run is ``B = 1`` — and the event
+  loop lives here, in the phase functions, and nowhere else: every
+  component they call is single-event and runs on a ``displ[b]`` view;
 * optional comm/compute overlap: with an ``overlap_exchanger`` and
   per-region ``element_splits`` injected, each step computes
   *boundary* elements first, posts the non-blocking halo exchange
@@ -27,7 +31,7 @@ virtual-MPI launcher provides):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -54,21 +58,14 @@ from .assembly import (
     assemble_mass_matrix,
     assemble_scalar_mass_matrix,
     gather,
-    gather_batched,
     scatter_add,
-    scatter_add_batched,
 )
 from .attenuation import AttenuationState, build_attenuation
 from .body_terms import coriolis_local_force, gravity_local_force
 from .coupling import CouplingOperator, build_coupling_operator
 from .fields import FluidField, SolidField
 from .oceans import OceanLoad, build_ocean_load
-from .receivers import (
-    BatchedReceiverSet,
-    ReceiverSet,
-    Station,
-    locate_receivers,
-)
+from .receivers import ReceiverSet, Station, locate_receivers
 from .sources import MomentTensorSource, PointForceSource, moment_tensor_source_array
 
 __all__ = ["GlobalSolver", "SolverResult", "SolverTimings"]
@@ -97,12 +94,13 @@ class SolverTimings:
 class SolverResult:
     """Outputs of one run.
 
-    ``receivers`` is a :class:`ReceiverSet` for unbatched runs and a
-    :class:`BatchedReceiverSet` for event-batched ones, in which case
-    ``seismograms`` carries a leading event axis (B, nrec, n_steps, 3).
+    ``receivers`` is what :attr:`GlobalSolver.receiver_set` presents: one
+    :class:`ReceiverSet` for a ``sources=`` run, the list of per-event
+    sets for an ``event_sources=`` run — whose ``seismograms`` are their
+    (B, nrec, n_steps, 3) stack.
     """
 
-    receivers: ReceiverSet | BatchedReceiverSet | None
+    receivers: ReceiverSet | list[ReceiverSet] | None
     timings: SolverTimings
     dt: float
     n_steps: int
@@ -110,7 +108,26 @@ class SolverResult:
 
     @property
     def seismograms(self) -> np.ndarray | None:
-        return self.receivers.data if self.receivers is not None else None
+        if self.receivers is None:
+            return None
+        if isinstance(self.receivers, list):
+            return np.stack([rs.data for rs in self.receivers])
+        return self.receivers.data
+
+
+@dataclass
+class _EventAttenuation:
+    """Attenuation memory of all B events on one solid region.
+
+    ``zeta`` (B, n_sls, nspec, n, n, n, 3, 3) is the one array checkpoint
+    and remap serialise; ``events[b]`` is the single-event
+    :class:`AttenuationState` on the view ``zeta[b]`` (memory never
+    crosses the halo, so it is a list, not an axis the component sees).
+    All events share one set of coefficient arrays.
+    """
+
+    zeta: np.ndarray
+    events: list[AttenuationState]
 
 
 class _RegionState:
@@ -140,20 +157,24 @@ def _radial_frames_cached(xyz_m: np.ndarray) -> np.ndarray:
 
 
 class _RegionSubset:
-    """A boundary or interior element subset of one region's state.
+    """An element subset of one region's state, as the force kernels see it.
 
-    Holds element-sliced views of everything the force kernels consume
-    (geometry, materials, numbering, physics extras), precomputed once at
-    solver build so the overlapped time loop pays no per-step slicing of
-    static data.  ``idx`` is an ascending element-index array into the
-    region's original element order; kernels applied per subset produce
-    exactly the rows the full-region kernel would, because every kernel
-    is elementwise over the leading (element) axis.
+    ``idx`` selects the elements in the region's original order: the
+    trivial subset ``slice(None)`` (the whole region — every attribute
+    is then a view and nothing is copied) or the ascending boundary /
+    interior index arrays of the overlapped schedule.  Holds
+    element-sliced geometry, materials, numbering and physics extras,
+    precomputed once at solver build so the time loop pays no per-step
+    slicing of static data.  Kernels applied per subset produce exactly
+    the rows the full-region kernel would, because every kernel is
+    elementwise over the leading (element) axis.
     """
 
-    def __init__(self, solver: "GlobalSolver", code: int, idx: np.ndarray):
+    def __init__(self, solver: "GlobalSolver", code: int, idx):
         st = solver.regions[code]
-        n3 = constants.NGLLX**3
+        self.code = code
+        #: Also the attenuation element selector: boundary and interior
+        #: partition the region, so the elementwise relaxation is unchanged.
         self.idx = idx
         self.ibool = st.ibool[idx]
         geom = st.geom
@@ -177,17 +198,16 @@ class _RegionSubset:
             self.ti_frames = st.ti_frames[idx]
         g = solver.gravity_g.get(code)
         self.gravity_g = None if g is None else g[idx]
-        #: Attenuation memory variables are updated per subset (the two
-        #: subsets partition the region's elements, so the elementwise
-        #: relaxation is unchanged).
-        self.atten_elements = idx
-        self.gll_points_count = float(idx.size * n3)
+        # Per-phase flop estimates (the PSiNS-analog counters attached to
+        # kernel spans), computed once so the hot loop only reads them.
+        nspec = self.ibool.shape[0]
+        self.gll_points_count = float(nspec * constants.NGLLX**3)
         if code == solver.fluid_code:
             self.rho_inv = 1.0 / self.rho
-            self.acoustic_flops = float(acoustic_kernel_flops(idx.size))
+            self.acoustic_flops = float(acoustic_kernel_flops(nspec))
         else:
-            self.elastic_flops = float(elastic_kernel_flops(idx.size))
-            self.atten_flops = float(attenuation_update_flops(idx.size))
+            self.elastic_flops = float(elastic_kernel_flops(nspec))
+            self.atten_flops = float(attenuation_update_flops(nspec))
 
 
 class GlobalSolver:
@@ -199,9 +219,12 @@ class GlobalSolver:
         :class:`repro.mesh.GlobalMesh` or :class:`repro.mesh.SliceMesh`).
     params : simulation parameters (kernel variant, physics switches...).
     sources, stations : source and receiver definitions (positions in km).
-    assembler : optional hook ``(region, global_array) -> global_array``
-        performing cross-rank assembly; identity for serial runs.
-    mass_assembler : same, applied once to the mass matrices at setup.
+    assembler : optional hook ``(region, array) -> array`` summing the
+        other ranks' contributions into a point-leading ``(nglob, ...)``
+        array *in place*; identity for serial runs.  Also applied once
+        to the mass matrices at setup.
+    multi_assembler : same for a ``{region: array}`` dict of several solid
+        regions at once (one combined message per neighbour).
     overlap_exchanger : optional non-blocking halo exchanger (duck-typed
         :class:`repro.parallel.halo.HaloExchanger`: ``post``/``wait`` and
         ``post_many``/``wait_many``).  Together with ``element_splits``
@@ -211,14 +234,20 @@ class GlobalSolver:
         :func:`repro.mesh.partition.split_slice_elements`) classifying
         each region's elements as halo-touching or interior.  Regions
         missing from the dict are treated as all-interior.
-    event_sources : list of per-event source lists.  When given, the
-        solver runs in *event-batched* mode with ``B = len(event_sources)``
-        events sharing this mesh: field arrays carry a leading event axis
-        (see :mod:`repro.solver.fields`), the hot kernels sweep all
-        events in one pass, and each event ``b`` receives only its own
-        sources in ``force[b]``.  Mutually exclusive with ``sources``.
-        Every per-event time loop is bit-identical to an unbatched run of
-        that event alone (tests/test_batching.py).
+    event_sources : list of per-event source lists: ``B =
+        len(event_sources)`` events share this mesh and one halo message
+        per neighbour per step.  Mutually exclusive with ``sources``,
+        which is the ``B = 1`` case ``event_sources=[sources]`` presented
+        in single-event shapes (see :attr:`receiver_set`).
+
+    Only this class (and the serialisers of its state, ``checkpoint.py``
+    and ``resilience/remap.py``) knows there is more than one event: the
+    persistent arrays carry a leading event axis
+    (:mod:`repro.solver.fields`), and the phase functions loop over
+    events, handing every component — kernels, attenuation, coupling,
+    receivers — the single-event view ``displ[b]``.  Event ``b`` therefore
+    runs the code of a dedicated run on a view, and is bit-identical to
+    it (tests/test_batching.py).
     """
 
     def __init__(
@@ -228,7 +257,6 @@ class GlobalSolver:
         sources: list[MomentTensorSource | PointForceSource] | None = None,
         stations: list[Station] | None = None,
         assembler: Callable[[int, np.ndarray], np.ndarray] | None = None,
-        mass_assembler: Callable[[int, np.ndarray], np.ndarray] | None = None,
         multi_assembler: Callable[[dict], dict] | None = None,
         dt_override: float | None = None,
         tracer=None,
@@ -243,21 +271,17 @@ class GlobalSolver:
         if event_sources is not None:
             if sources:
                 raise ValueError(
-                    "pass either sources (unbatched) or event_sources "
-                    "(batched), not both"
+                    "pass either sources or event_sources, not both"
                 )
             if len(event_sources) < 1:
                 raise ValueError("event_sources must hold at least one event")
-        #: Event-batch size (None = historical unbatched layout).
-        self.batch: int | None = (
-            len(event_sources) if event_sources is not None else None
-        )
-        # Layout-dispatched assembly helpers: picked once here so the hot
-        # loop runs a single code path for either layout.
-        self._gather = gather if self.batch is None else gather_batched
-        self._scatter_add = (
-            scatter_add if self.batch is None else scatter_add_batched
-        )
+        #: True for a ``sources=`` run: presented in single-event shapes.
+        self._single_event = event_sources is None
+        if event_sources is None:
+            event_sources = [sources or []]
+        #: Number of events sharing this mesh (the leading axis of every
+        #: persistent array).
+        self.batch = len(event_sources)
         #: Observability hooks: a no-op tracer unless one is injected, and
         #: an optional :class:`~repro.obs.metrics.MetricsRegistry` sampled
         #: per timestep.
@@ -285,7 +309,6 @@ class GlobalSolver:
         #: Optional combined-message assembler for several solid regions at
         #: once (the paper's crust-mantle + inner-core message merging).
         self.multi_assembler = multi_assembler
-        mass_assembler = mass_assembler or self.assembler
         self.regions = {
             code: _RegionState(mesh, self.basis)
             for code, mesh in mesh_bundle.regions.items()
@@ -301,34 +324,11 @@ class GlobalSolver:
             raise ValueError("at most one fluid region is supported")
         self.fluid_code = fluid_codes[0] if fluid_codes else None
 
-        # Per-phase flop estimates (the PSiNS-analog counters attached to
-        # kernel spans), computed once so the hot loop only reads them.
-        n3 = constants.NGLLX**3
-        self._elastic_flops = {
-            code: float(elastic_kernel_flops(self.regions[code].mesh.nspec))
-            for code in self.solid_codes
-        }
-        self._atten_flops = {
-            code: float(attenuation_update_flops(self.regions[code].mesh.nspec))
-            for code in self.solid_codes
-        }
-        self._acoustic_flops = (
-            float(acoustic_kernel_flops(self.regions[self.fluid_code].mesh.nspec))
-            if self.fluid_code is not None
-            else 0.0
-        )
-        self._gll_points = {
-            code: float(st.mesh.nspec * n3) for code, st in self.regions.items()
-        }
         self._newmark_flops = float(
-            sum(
-                newmark_update_flops(self.regions[c].nglob, 3)
-                for c in self.solid_codes
-            )
-            + (
-                newmark_update_flops(self.regions[self.fluid_code].nglob, 1)
-                if self.fluid_code is not None
-                else 0
+            self.batch
+            * sum(
+                newmark_update_flops(st.nglob, 1 if st.mesh.is_fluid else 3)
+                for st in self.regions.values()
             )
         )
 
@@ -337,14 +337,14 @@ class GlobalSolver:
         for code in self.solid_codes:
             st = self.regions[code]
             local_mass = assemble_mass_matrix(st.rho, st.geom, st.ibool, st.nglob)
-            self.mass[code] = mass_assembler(code, local_mass)
+            self.mass[code] = self.assembler(code, local_mass)
         if self.fluid_code is not None:
             st = self.regions[self.fluid_code]
             kappa_inv = 1.0 / st.mesh.kappa
             local_mass = assemble_scalar_mass_matrix(
                 kappa_inv, st.geom, st.ibool, st.nglob
             )
-            self.mass[self.fluid_code] = mass_assembler(self.fluid_code, local_mass)
+            self.mass[self.fluid_code] = self.assembler(self.fluid_code, local_mass)
 
         # -- Time step ------------------------------------------------------
         # Distributed runs pass the already-agreed global minimum dt so the
@@ -370,14 +370,18 @@ class GlobalSolver:
             self._build_couplings()
 
         # -- Physics extras ----------------------------------------------------
-        self.attenuation: dict[int, AttenuationState] = {}
+        self.attenuation: dict[int, _EventAttenuation] = {}
         if params.attenuation:
             f_centre = 1.0 / max(params.record_length_s / 10.0, 4 * self.dt)
             for code in self.solid_codes:
                 st = self.regions[code]
-                self.attenuation[code] = build_attenuation(
-                    st.q_mu, self.dt, f_centre / 3.0, f_centre * 3.0,
-                    batch=self.batch,
+                state = build_attenuation(
+                    st.q_mu, self.dt, f_centre / 3.0, f_centre * 3.0
+                )
+                zeta = np.zeros((self.batch, *state.zeta.shape))
+                self.attenuation[code] = _EventAttenuation(
+                    zeta,
+                    [replace(state, zeta=zeta[b]) for b in range(self.batch)],
                 )
         self.omega_vector = (
             np.array([0.0, 0.0, constants.EARTH_OMEGA]) if params.rotation else None
@@ -410,31 +414,19 @@ class GlobalSolver:
             )
 
         # -- Sources and receivers ----------------------------------------------
-        self.source_terms: list[tuple[int, int, np.ndarray, object]] = []
-        for source in sources or []:
-            self.source_terms.append(self._locate_source(source))
-        #: Batched-mode source terms: (event, region, element, array, source).
-        self.event_source_terms: list[
-            tuple[int, int, int, np.ndarray, object]
-        ] = []
-        if event_sources is not None:
-            for b, event in enumerate(event_sources):
-                for source in event:
-                    self.event_source_terms.append(
-                        (b, *self._locate_source(source))
-                    )
-        self.receiver_set: ReceiverSet | BatchedReceiverSet | None = None
+        #: (event, region, element, source_array, source) per located source.
+        self.source_terms: list[tuple[int, int, int, np.ndarray, object]] = [
+            (b, *self._locate_source(source))
+            for b, event in enumerate(event_sources)
+            for source in event
+        ]
+        self._located: list = []
         if stations:
             st = self.regions[RegionCode.CRUST_MANTLE]
-            located = locate_receivers(
+            self._located = locate_receivers(
                 stations, st.mesh.xyz, st.ibool, mode=params.station_location
             )
-            if self.batch is None:
-                self.receiver_set = ReceiverSet(located, self.n_steps, self.dt)
-            else:
-                self.receiver_set = BatchedReceiverSet(
-                    located, self.batch, self.n_steps, self.dt
-                )
+        self.reset_receivers(self.n_steps)
 
         # -- Fields ------------------------------------------------------------
         self.solid: dict[int, SolidField] = {
@@ -448,49 +440,81 @@ class GlobalSolver:
         )
         self.timings = SolverTimings()
 
-        # -- Comm/compute overlap ----------------------------------------------
-        # Attach the per-view metadata the shared force helper reads, so the
-        # blocking path and the overlapped subsets go through identical code.
-        for code in self.solid_codes:
-            st = self.regions[code]
-            st.atten_elements = None  # full-region attenuation update
-            st.gravity_g = self.gravity_g.get(code)
-            st.elastic_flops = self._elastic_flops[code]
-            st.atten_flops = self._atten_flops[code]
-            st.gll_points_count = self._gll_points[code]
+        # -- Element views and per-step buffers --------------------------------
+        # The blocking schedule runs each region as its trivial subset, the
+        # overlapped one as boundary + interior; both go through the same
+        # phase functions.  Buffers are allocated once here so no time step
+        # allocates them (rule R3); every row is overwritten each step (a
+        # scatter with ``out=``; boundary ∪ interior covers all elements),
+        # so stale contents can never leak into a step.
         self.overlap_exchanger = overlap_exchanger
         self._overlap = overlap_exchanger is not None and element_splits is not None
+        self._full: dict[int, _RegionSubset] = {}
         self._subsets: dict[int, dict[str, _RegionSubset]] = {}
-        if self._overlap:
-            for code, st in self.regions.items():
-                split = element_splits.get(code)
-                if split is None:
-                    boundary = np.empty(0, dtype=np.intp)
-                    interior = np.arange(st.ibool.shape[0], dtype=np.intp)
-                else:
-                    boundary = np.asarray(split.boundary, dtype=np.intp)
-                    interior = np.asarray(split.interior, dtype=np.intp)
-                self._subsets[code] = {
-                    "boundary": _RegionSubset(self, code, boundary),
-                    "interior": _RegionSubset(self, code, interior),
-                }
-        # Per-region scratch for the overlap path's full-order re-scatter:
-        # allocated once here so no time step allocates (rule R3).  Every
-        # element row is overwritten (boundary ∪ interior covers all
-        # elements), so stale contents can never leak into a step.
+        #: Assembled force per region, (B, nglob[, 3]).
+        self._force: dict[int, np.ndarray] = {}
+        #: The same memory point-leading, (nglob, B[, 3]): what the
+        #: event-opaque halo exchanger indexes as ``array[ids]``.
+        self._halo_view: dict[int, np.ndarray] = {}
+        #: Overlap only: local forces in full element order, for the
+        #: re-scatter that reproduces the blocking summation order.
         self._scratch_local: dict[int, np.ndarray] = {}
-        if self._overlap:
-            for code, st in self.regions.items():
-                shape = (
-                    st.ibool.shape + (3,)
-                    if code in self.solid_codes
-                    else st.ibool.shape
-                )
-                if self.batch is not None:
-                    shape = (self.batch, *shape)
-                self._scratch_local[code] = np.empty(shape, dtype=np.float64)
+        for code, st in self.regions.items():
+            ncomp = (3,) if code in self.solid_codes else ()
+            self._force[code] = np.empty(
+                (self.batch, st.nglob, *ncomp), dtype=np.float64
+            )
+            self._halo_view[code] = np.moveaxis(self._force[code], 0, 1)
+            if not self._overlap:
+                self._full[code] = _RegionSubset(self, code, slice(None))
+                continue
+            split = element_splits.get(code)
+            if split is None:
+                boundary = np.empty(0, dtype=np.intp)
+                interior = np.arange(st.ibool.shape[0], dtype=np.intp)
+            else:
+                boundary = np.asarray(split.boundary, dtype=np.intp)
+                interior = np.asarray(split.interior, dtype=np.intp)
+            self._subsets[code] = {
+                "boundary": _RegionSubset(self, code, boundary),
+                "interior": _RegionSubset(self, code, interior),
+            }
+            self._scratch_local[code] = np.empty(
+                (self.batch, *st.ibool.shape, *ncomp), dtype=np.float64
+            )
 
     # ------------------------------------------------------------------ setup
+
+    def reset_receivers(self, n_steps: int) -> None:
+        """(Re)allocate every event's recording buffers for ``n_steps``:
+        one :class:`ReceiverSet` per event over the shared located
+        receivers, none without stations."""
+        self.receiver_sets: list[ReceiverSet] = [
+            ReceiverSet(self._located, n_steps, self.dt)
+            for _ in range(self.batch if self._located else 0)
+        ]
+
+    def restore_seismograms(self, data: np.ndarray, cursor: int) -> None:
+        """Restore partially-recorded ``(B, nrec, n_steps, 3)`` buffers and
+        their step cursor (checkpoint load, shrink remap).  The buffers
+        are rebuilt at the saved length: the restored run keeps the
+        checkpointed recording horizon, which need not be the solver's
+        default ``n_steps``."""
+        if data.shape[2] != self.receiver_sets[0].n_steps:
+            self.reset_receivers(data.shape[2])
+        for rs, event_data in zip(self.receiver_sets, data):
+            rs.data[:] = event_data
+            rs.step_cursor = int(cursor)
+
+    @property
+    def receiver_set(self) -> ReceiverSet | list[ReceiverSet] | None:
+        """The recording buffers in the shape the caller's entry point
+        promises — the one place the single-event public surface is
+        decided: the :class:`ReceiverSet` itself for a ``sources=`` run,
+        the per-event list for ``event_sources=``, None without stations."""
+        if not self.receiver_sets:
+            return None
+        return self.receiver_sets[0] if self._single_event else self.receiver_sets
 
     def _deformed_surfaces(self) -> bool:
         """True when mesh surfaces deviate from exact spheres."""
@@ -667,23 +691,16 @@ class GlobalSolver:
                 f"need 0 <= start_step <= stop_step <= n_steps, got "
                 f"[{start_step}, {stop}) of {n_steps}"
             )
-        if self.receiver_set is not None and n_steps != self.receiver_set.n_steps:
+        if self.receiver_sets and n_steps != self.receiver_sets[0].n_steps:
             if start_step > 0:
                 # A resumed segment must keep the restored buffers: a
                 # re-allocation here would silently drop recorded rows.
                 raise ValueError(
                     f"resumed run (start_step={start_step}) expects the "
-                    f"receiver buffer length {self.receiver_set.n_steps} "
+                    f"receiver buffer length {self.receiver_sets[0].n_steps} "
                     f"to match n_steps {n_steps}"
                 )
-            if self.batch is None:
-                self.receiver_set = ReceiverSet(
-                    self.receiver_set.receivers, n_steps, self.dt
-                )
-            else:
-                self.receiver_set = BatchedReceiverSet(
-                    self.receiver_set.receivers, self.batch, n_steps, self.dt
-                )
+            self.reset_receivers(n_steps)
         energies: list[float] = []
         tr = self.tracer
         metrics = self.metrics
@@ -729,17 +746,13 @@ class GlobalSolver:
                                             "health.failures"
                                         ).add(1)
                                     raise
-                        if self.receiver_set is not None:
+                        if self.receiver_sets:
                             cm = self.regions[RegionCode.CRUST_MANTLE]
+                            displ = self.solid[RegionCode.CRUST_MANTLE].displ
                             with tr.span("io.seismogram_record") as sp:
-                                self.receiver_set.record(
-                                    self.solid[RegionCode.CRUST_MANTLE].displ,
-                                    cm.ibool,
-                                )
-                                nbytes = (
-                                    len(self.receiver_set.receivers) * 3 * 8
-                                    * (self.batch or 1)
-                                )
+                                for b, rs in enumerate(self.receiver_sets):
+                                    rs.record(displ[b], cm.ibool)
+                                nbytes = len(self._located) * 3 * 8 * self.batch
                                 sp.add(bytes=nbytes)
                                 if metrics is not None and step >= metrics_from:
                                     metrics.counter(
@@ -767,7 +780,7 @@ class GlobalSolver:
                         comm_now = comm_fn() if comm_fn is not None else 0.0
                         halo_now = halo_fn() if halo_fn is not None else 0.0
                         sentinel = self.health_sentinel
-                        rs = self.receiver_set
+                        rs = self.receiver_sets[0] if self.receiver_sets else None
                         stream.sample(
                             step,
                             time.perf_counter() - t_step,
@@ -819,41 +832,26 @@ class GlobalSolver:
             else "coupling.icb"
         )
 
-    def _apply_fluid_coupling(self, force: np.ndarray) -> None:  # repro: hot-loop
-        """Add the solid-displacement traction onto a fluid force array."""
+    def _apply_fluid_coupling(self, force: np.ndarray, b: int) -> None:  # repro: hot-loop
+        """Add event ``b``'s solid-displacement traction onto its fluid force."""
         tr = self.tracer
         for solid_code, op in self.couplings:
             with tr.span(self._coupling_span_name(solid_code)):
-                op.add_fluid_coupling(force, self.solid[solid_code].displ)
+                op.add_fluid_coupling(force, self.solid[solid_code].displ[b])
 
-    def _apply_solid_coupling(self, code: int, force: np.ndarray) -> None:  # repro: hot-loop
-        """Add the fluid-pressure traction onto one solid force array."""
+    def _apply_solid_coupling(self, code: int, force: np.ndarray, b: int) -> None:  # repro: hot-loop
+        """Add event ``b``'s fluid-pressure traction onto one solid force."""
         tr = self.tracer
         for solid_code, op in self.couplings:
             if solid_code == code and self.fluid is not None:
                 with tr.span(self._coupling_span_name(solid_code)):
-                    op.add_solid_coupling(force, self.fluid.chi_ddot)
+                    op.add_solid_coupling(force, self.fluid.chi_ddot[b])
 
-    def _apply_sources(self, code: int, force: np.ndarray, t: float) -> None:  # repro: hot-loop
-        """Inject the source terms of one region onto a global force array.
-
-        Batched mode injects each event's sources only into its own force
-        slice ``force[b]`` — the same ``np.add.at`` an unbatched run of
-        that event performs.
-        """
+    def _apply_sources(self, code: int, force: np.ndarray, b: int, t: float) -> None:  # repro: hot-loop
+        """Inject event ``b``'s source terms of one region onto its force."""
         st = self.regions[code]
-        if self.batch is not None:
-            for b, region, element, arr, source in self.event_source_terms:
-                if region == code:
-                    amp = source.amplitude(t)
-                    np_ids = st.ibool[element]
-                    np.add.at(
-                        force[b], np_ids.ravel(),
-                        (amp * arr).reshape(-1, 3),
-                    )
-            return
-        for region, element, arr, source in self.source_terms:
-            if region == code:
+        for event, region, element, arr, source in self.source_terms:
+            if event == b and region == code:
                 amp = source.amplitude(t)
                 np_ids = st.ibool[element]
                 np.add.at(
@@ -861,29 +859,36 @@ class GlobalSolver:
                     (amp * arr).reshape(-1, 3),
                 )
 
-    def _solid_local_force(self, code: int, view) -> np.ndarray:  # repro: hot-loop
-        """Local (unassembled) force of one solid region or element subset.
+    # The phase functions below take ``(view, b)`` — an element subset and
+    # an event — and are the only callers of the kernels, from both
+    # schedules.  Everything they hand a component is the single-event
+    # view of event ``b``.
 
-        ``view`` is a :class:`_RegionState` (full region, blocking path) or
-        a :class:`_RegionSubset` (overlap path); both expose the same
-        sliced attributes, so the two paths run identical elementwise math.
-        """
+    def _fluid_local_force(self, view: _RegionSubset, b: int) -> np.ndarray:  # repro: hot-loop
+        """Local (unassembled) fluid force of event ``b`` on one subset."""
+        with self.tracer.span(
+            "kernel.acoustic",
+            flops=view.acoustic_flops,
+            gll_points=view.gll_points_count,
+        ):
+            chi_local = gather(self.fluid.chi[b], view.ibool)
+            return compute_forces_acoustic(
+                chi_local, view.geom, view.rho_inv, self.basis
+            )
+
+    def _solid_local_force(self, view: _RegionSubset, b: int) -> np.ndarray:  # repro: hot-loop
+        """Local (unassembled) force of event ``b`` on one solid subset."""
         tr = self.tracer
+        code = view.code
         f = self.solid[code]
-        u_local = self._gather(f.displ, view.ibool)
+        u_local = gather(f.displ[b], view.ibool)
         correction = None
         if code in self.attenuation:
             with tr.span("kernel.attenuation", flops=view.atten_flops):
                 strain = compute_strain(u_local, view.geom, self.basis)
-                atten = self.attenuation[code]
-                if view.atten_elements is None:
-                    atten.update(strain)
-                    correction = atten.stress_correction(view.mu)
-                else:
-                    atten.update_subset(strain, view.atten_elements)
-                    correction = atten.stress_correction_subset(
-                        view.mu, view.atten_elements
-                    )
+                atten = self.attenuation[code].events[b]
+                atten.update(strain, view.idx)
+                correction = atten.stress_correction(view.mu, view.idx)
         with tr.span(
             "kernel.elastic",
             flops=view.elastic_flops,
@@ -911,7 +916,7 @@ class GlobalSolver:
                     stress_correction=correction,
                 )
         if self.omega_vector is not None:
-            v_local = self._gather(f.veloc, view.ibool)
+            v_local = gather(f.veloc[b], view.ibool)
             force_local += coriolis_local_force(
                 v_local, view.rho, view.geom, self.omega_vector
             )
@@ -926,49 +931,81 @@ class GlobalSolver:
             )
         return force_local
 
-    def _forces_blocking(self, t: float) -> dict[int, np.ndarray]:  # repro: hot-loop
-        """Reference schedule: compute everything, then exchange (blocking)."""
-        dt = self.dt
-        tr = self.tracer
+    def _local_force(self, view: _RegionSubset, b: int) -> np.ndarray:  # repro: hot-loop
+        if view.code == self.fluid_code:
+            return self._fluid_local_force(view, b)
+        return self._solid_local_force(view, b)
+
+    def _assemble_event(  # repro: hot-loop
+        self, code: int, local: np.ndarray, ibool: np.ndarray, b: int, t: float
+    ) -> None:
+        """Scatter event ``b``'s local force into its row of the region's
+        force buffer, then add the point terms (coupling, sources)."""
+        force = self._force[code][b]
+        scatter_add(local, ibool, force.shape[0], out=force)
+        if code == self.fluid_code:
+            self._apply_fluid_coupling(force, b)
+        else:
+            self._apply_solid_coupling(code, force, b)
+            self._apply_sources(code, force, b, t)
+
+    def _update_fluid(self) -> None:  # repro: hot-loop
+        """Finish the fluid step from its assembled force (the solids'
+        coupling term needs the fresh ``chi_ddot``)."""
+        fluid = self.fluid
+        fluid.chi_ddot[:] = self._force[self.fluid_code] / self.mass[self.fluid_code]
+        newmark.corrector_scalar(fluid.chi_dot, fluid.chi_ddot, self.dt)
+
+    def _full_pass(self, code: int, t: float) -> None:  # repro: hot-loop
+        """Blocking schedule: the whole region of every event."""
+        view = self._full[code]
+        for b in range(self.batch):
+            self._assemble_event(
+                code, self._local_force(view, b), view.ibool, b, t
+            )
+
+    def _boundary_pass(self, code: int, t: float) -> None:  # repro: hot-loop
+        """Overlapped schedule, before the post: halo-touching elements."""
+        bnd = self._subsets[code]["boundary"]
+        for b in range(self.batch):
+            local = self._local_force(bnd, b)
+            self._scratch_local[code][b][bnd.idx] = local
+            self._assemble_event(code, local, bnd.ibool, b, t)
+
+    def _interior_pass(self, code: int, t: float) -> None:  # repro: hot-loop
+        """Overlapped schedule, messages in flight: the remaining elements,
+        then the re-scatter of all local forces in full element order."""
+        inner = self._subsets[code]["interior"]
+        for b in range(self.batch):
+            local = self._scratch_local[code][b]
+            local[inner.idx] = self._local_force(inner, b)
+            self._assemble_event(code, local, self.regions[code].ibool, b, t)
+
+    def _forces_blocking(self, t: float) -> None:  # repro: hot-loop
+        """Reference schedule: compute everything, then exchange (blocking).
+
+        Like :meth:`_forces_overlap`, leaves every region's assembled
+        force in ``self._force``.
+        """
         # ---- Fluid update first (needs only solid displacement). ----
         if self.fluid is not None:
-            fl = self.regions[self.fluid_code]
-            with tr.span(
-                "kernel.acoustic",
-                flops=self._acoustic_flops,
-                gll_points=self._gll_points[self.fluid_code],
-            ):
-                chi_local = self._gather(self.fluid.chi, fl.ibool)
-                force_local = compute_forces_acoustic(
-                    chi_local, fl.geom, 1.0 / fl.rho, self.basis
-                )
-                force = self._scatter_add(force_local, fl.ibool, fl.nglob)
-            self._apply_fluid_coupling(force)
-            force = self.assembler(self.fluid_code, force)
-            self.fluid.chi_ddot[:] = force / self.mass[self.fluid_code]
-            newmark.corrector_scalar(self.fluid.chi_dot, self.fluid.chi_ddot, dt)
-
+            self._full_pass(self.fluid_code, t)
+            self.assembler(self.fluid_code, self._halo_view[self.fluid_code])
+            self._update_fluid()
         # ---- Solid updates (can use the fresh fluid chi_ddot). ----
-        # Phase 1: local force vectors of every solid region.
-        solid_forces: dict[int, np.ndarray] = {}
         for code in self.solid_codes:
-            st = self.regions[code]
-            force_local = self._solid_local_force(code, st)
-            force = self._scatter_add(force_local, st.ibool, st.nglob)
-            self._apply_solid_coupling(code, force)
-            self._apply_sources(code, force, t)
-            solid_forces[code] = force
-        # Phase 2: cross-rank assembly — one combined message per neighbour
-        # when a multi-region assembler is available (the paper's 33%
+            self._full_pass(code, t)
+        # Cross-rank assembly — one combined message per neighbour when a
+        # multi-region assembler is available (the paper's 33%
         # message-count reduction), else per-region.
-        if self.multi_assembler is not None and len(solid_forces) > 1:
-            solid_forces = self.multi_assembler(solid_forces)
+        halo = {code: self._halo_view[code] for code in self.solid_codes}
+        if self.multi_assembler is not None and len(halo) > 1:
+            self.multi_assembler(halo)
         else:
-            for code in solid_forces:
-                solid_forces[code] = self.assembler(code, solid_forces[code])
-        return solid_forces
+            for code, array in halo.items():
+                self.assembler(code, array)
 
-    def _forces_overlap(self, t: float) -> dict[int, np.ndarray]:  # repro: hot-loop
+    def _forces_overlap(self, t: float) -> None:  # repro: hot-loop
         """Overlapped schedule: boundary elements, post, interior, wait.
 
         Bit-identity with :meth:`_forces_blocking` rests on two facts:
@@ -976,7 +1013,9 @@ class GlobalSolver:
         * interior elements touch no halo point, so the scatter of the
           boundary subset alone already carries the *complete* local
           contribution at every slice-shared point — that partial array is
-          what gets sent while interior elements compute;
+          what gets sent while interior elements compute (the exchanger
+          copies the shared-point values at post time, so the force
+          buffer is free to be overwritten by the interior pass);
         * the final local force is re-scattered from the per-element
           contributions in the *original* element order (one ``bincount``
           over the full ``ibool``), so floating-point summation order
@@ -984,85 +1023,23 @@ class GlobalSolver:
           contributions are added in the same sorted-rank order the
           blocking exchange uses.
         """
-        dt = self.dt
-        tr = self.tracer
         ex = self.overlap_exchanger
         # ---- Fluid: boundary pass, post, interior pass, wait. ----
         if self.fluid is not None:
             code = self.fluid_code
-            fl = self.regions[code]
-            bnd = self._subsets[code]["boundary"]
-            inner = self._subsets[code]["interior"]
-            with tr.span(
-                "kernel.acoustic",
-                flops=bnd.acoustic_flops,
-                gll_points=bnd.gll_points_count,
-            ):
-                chi_b = self._gather(self.fluid.chi, bnd.ibool)
-                force_b_local = compute_forces_acoustic(
-                    chi_b, bnd.geom, bnd.rho_inv, self.basis
-                )
-                halo_contrib = self._scatter_add(
-                    force_b_local, bnd.ibool, fl.nglob
-                )
-            self._apply_fluid_coupling(halo_contrib)
-            pending = ex.post(code, halo_contrib)
-            with tr.span(
-                "kernel.acoustic",
-                flops=inner.acoustic_flops,
-                gll_points=inner.gll_points_count,
-            ):
-                chi_i = self._gather(self.fluid.chi, inner.ibool)
-                force_i_local = compute_forces_acoustic(
-                    chi_i, inner.geom, inner.rho_inv, self.basis
-                )
-                # Full-order re-scatter: one bincount over the original
-                # ibool keeps the summation order of the blocking path.
-                force_local = self._scratch_local[code]
-                if self.batch is None:
-                    force_local[bnd.idx] = force_b_local
-                    force_local[inner.idx] = force_i_local
-                else:
-                    force_local[:, bnd.idx] = force_b_local
-                    force_local[:, inner.idx] = force_i_local
-                force = self._scatter_add(force_local, fl.ibool, fl.nglob)
-            self._apply_fluid_coupling(force)
-            ex.wait(pending, force)
-            self.fluid.chi_ddot[:] = force / self.mass[code]
-            newmark.corrector_scalar(self.fluid.chi_dot, self.fluid.chi_ddot, dt)
-
+            self._boundary_pass(code, t)
+            pending = ex.post(code, self._halo_view[code])
+            self._interior_pass(code, t)
+            ex.wait(pending, self._halo_view[code])
+            self._update_fluid()
         # ---- Solids: all boundary passes, one merged post, interiors, wait.
-        boundary_locals: dict[int, np.ndarray] = {}
-        halo_values: dict[int, np.ndarray] = {}
+        halo = {code: self._halo_view[code] for code in self.solid_codes}
         for code in self.solid_codes:
-            st = self.regions[code]
-            bnd = self._subsets[code]["boundary"]
-            force_b_local = self._solid_local_force(code, bnd)
-            boundary_locals[code] = force_b_local
-            contrib = self._scatter_add(force_b_local, bnd.ibool, st.nglob)
-            self._apply_solid_coupling(code, contrib)
-            self._apply_sources(code, contrib, t)
-            halo_values[code] = contrib
-        pending_solid = ex.post_many(halo_values)
-        solid_forces: dict[int, np.ndarray] = {}
+            self._boundary_pass(code, t)
+        pending_solid = ex.post_many(halo)
         for code in self.solid_codes:
-            st = self.regions[code]
-            bnd = self._subsets[code]["boundary"]
-            inner = self._subsets[code]["interior"]
-            force_i_local = self._solid_local_force(code, inner)
-            force_local = self._scratch_local[code]
-            if self.batch is None:
-                force_local[bnd.idx] = boundary_locals[code]
-                force_local[inner.idx] = force_i_local
-            else:
-                force_local[:, bnd.idx] = boundary_locals[code]
-                force_local[:, inner.idx] = force_i_local
-            force = self._scatter_add(force_local, st.ibool, st.nglob)
-            self._apply_solid_coupling(code, force)
-            self._apply_sources(code, force, t)
-            solid_forces[code] = force
-        ex.wait_many(pending_solid, solid_forces)
-        return solid_forces
+            self._interior_pass(code, t)
+        ex.wait_many(pending_solid, halo)
 
     def _one_step(self, t: float) -> None:  # repro: hot-loop
         dt = self.dt
@@ -1080,16 +1057,17 @@ class GlobalSolver:
         t0 = time.perf_counter()
         cpu0 = time.thread_time()
         if self._overlap:
-            solid_forces = self._forces_overlap(t)
+            self._forces_overlap(t)
         else:
-            solid_forces = self._forces_blocking(t)
+            self._forces_blocking(t)
         # Finish the update.
         with tr.span("solver.newmark_corrector", flops=self._newmark_flops):
             for code in self.solid_codes:
                 f = self.solid[code]
-                f.accel[:] = solid_forces[code] / self.mass[code][:, None]
+                f.accel[:] = self._force[code] / self.mass[code][:, None]
                 if code == RegionCode.CRUST_MANTLE and self.ocean_load is not None:
-                    self.ocean_load.apply(f.accel, self.mass[code])
+                    for b in range(self.batch):
+                        self.ocean_load.apply(f.accel[b], self.mass[code])
                 newmark.corrector(f.veloc, f.accel, dt)
         self.timings.compute_s += time.perf_counter() - t0
         self.timings.compute_cpu_s += time.thread_time() - cpu0
@@ -1109,26 +1087,28 @@ class GlobalSolver:
         for code in self.solid_codes:
             st = self.regions[code]
             f = self.solid[code]
-            total += 0.5 * float(np.sum(self.mass[code][:, None] * f.veloc**2))
-            u_local = self._gather(f.displ, st.ibool)
-            if st.ti_moduli is not None:
-                from ..kernels.anisotropic import compute_forces_elastic_ti
+            total += f.kinetic_energy(self.mass[code])
+            for b in range(self.batch):
+                u_local = gather(f.displ[b], st.ibool)
+                if st.ti_moduli is not None:
+                    from ..kernels.anisotropic import compute_forces_elastic_ti
 
-                ku = compute_forces_elastic_ti(
-                    u_local, st.geom, st.ti_moduli, st.ti_frames, self.basis
-                )
-            else:
-                ku = compute_forces_elastic(
-                    u_local, st.geom, st.lam, st.mu, self.basis
-                )
-            total += -0.5 * float(np.sum(u_local * ku))
+                    ku = compute_forces_elastic_ti(
+                        u_local, st.geom, st.ti_moduli, st.ti_frames, self.basis
+                    )
+                else:
+                    ku = compute_forces_elastic(
+                        u_local, st.geom, st.lam, st.mu, self.basis
+                    )
+                total += -0.5 * float(np.sum(u_local * ku))
         if self.fluid is not None:
             fl = self.regions[self.fluid_code]
-            chidot_local = self._gather(self.fluid.chi_dot, fl.ibool)
-            k_chidot = compute_forces_acoustic(
-                chidot_local, fl.geom, 1.0 / fl.rho, self.basis
-            )
-            total += -0.5 * float(np.sum(chidot_local * k_chidot))
+            for b in range(self.batch):
+                chidot_local = gather(self.fluid.chi_dot[b], fl.ibool)
+                k_chidot = compute_forces_acoustic(
+                    chidot_local, fl.geom, 1.0 / fl.rho, self.basis
+                )
+                total += -0.5 * float(np.sum(chidot_local * k_chidot))
             total += 0.5 * float(
                 np.sum(self.mass[self.fluid_code] * self.fluid.chi_ddot**2)
             )

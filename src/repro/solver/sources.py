@@ -6,12 +6,10 @@ the moment-tensor term integrates to ``M : grad(w)(x_s)`` — evaluated here
 by differentiating the Lagrange basis of the host element at the source's
 reference coordinates, exactly as SPECFEM precomputes its ``sourcearray``.
 
-Event batching: sources stay strictly per-event objects.  A batched run
-(see :mod:`repro.solver.fields`) carries one list of sources per event;
-the solver precomputes each event's ``sourcearray`` with the functions
-here, unchanged, and injects event ``b``'s amplitudes only into force
-slice ``force[b]`` — so the source term of a batched event is the exact
-unbatched computation, bit for bit.
+Sources are strictly per-event objects.  A run carries one list of
+sources per event (see :mod:`repro.solver.fields`); the solver
+precomputes each event's ``sourcearray`` with the functions here and
+injects event ``b``'s amplitudes only into force row ``force[b]``.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ def rules_of(report):
 class TestRegistry:
     def test_all_rules_registered(self):
         assert set(REGISTRY) == {
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"
+            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R9"
         }
 
     def test_every_rule_documented(self):

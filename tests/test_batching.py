@@ -129,6 +129,28 @@ class TestSerialBitIdentity:
                 )
 
 
+    def test_traced_flops_count_every_event(self, params, mesh):
+        # Regression: kernel spans once carried one event's flops for a
+        # whole B-event sweep, so perf.calibrate fit a B-fold too low rate.
+        def kernel_flops(tracer):
+            return sum(
+                r.counters.get("flops", 0.0)
+                for r in tracer.records
+                if r.name.startswith("kernel.")
+            )
+
+        ev = events(3)
+        batched = run_batched_simulation(params, ev, mesh=mesh, trace=True)
+        solo = [
+            run_global_simulation(params, sources=srcs, mesh=mesh, trace=True)
+            for srcs in ev
+        ]
+        assert kernel_flops(batched.tracer) > 0
+        assert kernel_flops(batched.tracer) == sum(
+            kernel_flops(s.tracer) for s in solo
+        )
+
+
 class TestDistributedBitIdentity:
     """Batched multi-rank runs under both halo schedules."""
 
@@ -204,11 +226,11 @@ def test_receiver_extraction_and_checkpoint_roundtrip(
     receivers = uninterrupted.solver_result.receivers
     for b, srcs in enumerate(ev):
         solo = run_global_simulation(params, sources=srcs, stations=sta, mesh=mesh)
-        per_event = receivers.event_receiver_set(b)
+        per_event = receivers[b]
         assert np.array_equal(per_event.data, solo.seismograms)
         for s in sta:
             assert np.array_equal(
-                receivers.seismogram(s.name, event=b),
+                receivers[b].seismogram(s.name),
                 solo.solver.receiver_set.seismogram(s.name),
             )
 
@@ -351,6 +373,7 @@ class TestBatchedCampaign:
             )
             assert np.array_equal(r.seismograms, solo.seismograms)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # fault test: NaNs
     def test_health_failure_isolated_to_offending_event(self, tmp_path):
         # Event 1's moment is infinite: the shared health check trips
         # mid-batch, the scheduler falls back to sequential execution,

@@ -67,7 +67,7 @@ def make_solver(mesh, params, stations=True):
 def _rewrite_npz(path, mutate):
     """Load a checkpoint's arrays, apply ``mutate(dict)``, write back.
 
-    The v3 integrity map is refreshed after the mutation (when still
+    The integrity map is refreshed after the mutation (when still
     present): these rewrites simulate *format variants*, not on-disk
     corruption — the corruption tests live in ``tests/test_chaos.py``.
     """
@@ -235,39 +235,6 @@ class TestCrashSafeCheckpoint:
 
 
 class TestCheckpointFormat:
-    def test_v1_loads_with_warning(self, mesh, params, tmp_path):
-        """Fields-only v1 checkpoints still restore, warning about seis."""
-        solver = make_solver(mesh, params)
-        for step in range(6):
-            solver._one_step(step * solver.dt)
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=6)
-
-        def to_v1(arrays):
-            arrays["version"] = np.asarray(1)
-            for name in ("seis_data", "seis_step", "seis_n_steps"):
-                arrays.pop(name)
-
-        _rewrite_npz(path, to_v1)
-        fresh = make_solver(mesh, params)
-        with pytest.warns(UserWarning, match="format v1"):
-            assert load_checkpoint(fresh, path) == 6
-        for code in solver.solid_codes:
-            np.testing.assert_array_equal(
-                solver.solid[code].displ, fresh.solid[code].displ
-            )
-
-    def test_v1_without_receivers_warns_only_about_checksums(
-        self, mesh, params, tmp_path
-    ):
-        """No seismogram warning without receivers; pre-v3 files do warn
-        that on-disk corruption cannot be detected."""
-        solver = make_solver(mesh, params, stations=False)
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=0)
-        _rewrite_npz(path, lambda a: a.update(version=np.asarray(1)))
-        fresh = make_solver(mesh, params, stations=False)
-        with pytest.warns(UserWarning, match="no integrity checksums"):
-            assert load_checkpoint(fresh, path) == 0
-
     def test_v2_missing_seis_with_receivers_rejected(
         self, mesh, params, tmp_path
     ):
@@ -286,10 +253,12 @@ class TestCheckpointFormat:
     def test_unknown_version_rejected(self, mesh, params, tmp_path):
         solver = make_solver(mesh, params, stations=False)
         path = save_checkpoint(solver, tmp_path / "state.npz", step=0)
-        _rewrite_npz(path, lambda a: a.update(version=np.asarray(99)))
         fresh = make_solver(mesh, params, stations=False)
-        with pytest.raises(ValueError, match="version 99"):
-            load_checkpoint(fresh, path)
+        # v4 is the only readable format: older files are rejected too.
+        for version in (99, 1, 2, 3):
+            _rewrite_npz(path, lambda a: a.update(version=np.asarray(version)))
+            with pytest.raises(ValueError, match=f"version {version}"):
+                load_checkpoint(fresh, path)
 
     def test_seis_cursor_restored(self, mesh, params, tmp_path):
         solver = make_solver(mesh, params)

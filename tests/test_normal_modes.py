@@ -143,7 +143,7 @@ class TestSEMvsNormalModes:
         trace = np.empty(n_steps)
         for step in range(n_steps):
             solver._one_step(step * solver.dt)
-            trace[step] = solver.solid[0].displ[probe, 1]
+            trace[step] = solver.solid[0].displ[0, probe, 1]
         period_sem = measure_period_zero_crossings(trace, solver.dt)
         assert period_sem == pytest.approx(period_analytic, rel=0.05), (
             f"SEM period {period_sem:.0f}s vs analytic {period_analytic:.0f}s"
