@@ -376,12 +376,6 @@ class SanitizerComm:
         self._sanitizer.on_recv_complete(rank, source, tag)
         return data
 
-    def sendrecv(
-        self, dest: int, payload, source: int, tag: int = tags.DEFAULT
-    ) -> np.ndarray:
-        self.send(dest, payload, tag=tag)
-        return self.recv(source, tag)
-
     def waitall(
         self, requests: list[Request], timeout: float | None = None
     ) -> list[np.ndarray | None]:

@@ -295,10 +295,11 @@ def walk_function_body(node: ast.AST):
 #: Communicator/halo attribute names that are collective (every rank
 #: must reach them, same order): the VirtualComm collectives plus the
 #: HaloExchanger seams.  ``wait`` on a single request is per-rank and
-#: deliberately excluded.
+#: deliberately excluded — which is why the exchanger's completion of a
+#: posted round is named ``complete``.
 COLLECTIVE_ATTRS = frozenset({
     "allreduce", "gather", "barrier",
-    "assemble", "assemble_many", "post", "post_many", "wait_many",
+    "assemble", "post", "complete",
     "exchange",
 })
 

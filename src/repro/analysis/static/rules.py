@@ -245,7 +245,7 @@ class LeakedRequestRule(Rule):
             )
             if not is_wait:
                 # Escapes: appended to a pending list, passed to
-                # waitall/wait_many, returned — assume managed.
+                # waitall/complete, returned — assume managed.
                 return None
         if not used:
             return self.finding(
@@ -337,7 +337,7 @@ class MagicTagRule(Rule):
     scope_dirs = ("parallel", "solver")
 
     #: positional index of the ``tag`` parameter per comm method.
-    TAG_ARG_INDEX = {"send": 2, "isend": 2, "recv": 1, "irecv": 1, "sendrecv": 3}
+    TAG_ARG_INDEX = {"send": 2, "isend": 2, "recv": 1, "irecv": 1}
 
     def check(self, ctx: FileContext) -> list[Finding]:
         if ctx.path.name == "tags.py":
@@ -665,8 +665,8 @@ class SPMDDivergenceRule(Rule):
         "SPMD discipline is the whole contract of the paper's 62K-rank "
         "runs: every rank must issue the same collectives and halo "
         "posts in the same order.  A barrier/allreduce/gather (or a "
-        "halo assemble/post) guarded by a condition derived from "
-        "comm.rank executes on some ranks and not others — the ranks "
+        "halo assemble/post/complete) guarded by a condition derived "
+        "from comm.rank executes on some ranks and not others — the ranks "
         "that reach it wait forever for the ones that never will.  The "
         "comm sanitizer can only catch this at runtime on the path it "
         "happens to execute; this rule follows the rank-taint lattice "

@@ -25,6 +25,7 @@ import numpy as np
 from ..config.parameters import SimulationParameters
 from ..mesh.mesher import GlobalMesh, build_global_mesh
 from ..obs.tracer import maybe_tracer
+from ..parallel.launcher import segment_boundaries
 from ..solver.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -71,18 +72,6 @@ class SegmentedResult:
     @property
     def total_wall_s(self) -> float:
         return sum(s.wall_s for s in self.segments)
-
-
-def segment_boundaries(n_steps: int, n_segments: int) -> list[tuple[int, int]]:
-    """Split ``n_steps`` into ``n_segments`` near-equal [start, stop) spans."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if not 1 <= n_segments <= n_steps:
-        raise ValueError(
-            f"n_segments must be in [1, {n_steps}], got {n_segments}"
-        )
-    cuts = [round(i * n_steps / n_segments) for i in range(n_segments + 1)]
-    return [(cuts[i], cuts[i + 1]) for i in range(n_segments)]
 
 
 def run_segmented_simulation(

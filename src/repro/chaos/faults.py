@@ -387,9 +387,5 @@ class ChaosComm:
             self._apply_common(fired)
         return self._comm._complete_recv(source, tag, timeout)
 
-    def sendrecv(self, dest: int, payload, source: int, tag: int = 0):
-        self.send(dest, payload, tag=tag)
-        return self.recv(source, tag)
-
     def waitall(self, requests: list, timeout: float | None = None) -> list:
         return [req.wait(timeout) for req in requests]

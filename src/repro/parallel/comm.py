@@ -14,8 +14,8 @@ Two point-to-point styles are offered, mirroring MPI:
   the send is eager (buffered), the receive blocks until matched;
 * **non-blocking**: :meth:`VirtualComm.isend` / :meth:`VirtualComm.irecv`
   return request handles completed by ``wait``/:meth:`VirtualComm.waitall`.
-  This is what the comm/compute-overlapped time loop uses: post the halo
-  messages, compute interior elements while they are in flight, then wait.
+  This is what every halo round uses; the comm/compute-overlapped time
+  loop computes interior elements between the post and the wait.
   Byte/message accounting is identical to the blocking path (sends are
   counted when posted, receives when completed); only the *blocked* time
   inside ``wait`` lands in ``comm_time_s``, so overlap genuinely shrinks
@@ -214,13 +214,6 @@ class VirtualComm:
         self.stats.messages_received += 1
         self.stats.bytes_received += data.nbytes
         return data
-
-    def sendrecv(
-        self, dest: int, payload: np.ndarray, source: int, tag: int = tags.DEFAULT
-    ) -> np.ndarray:
-        """Exchange with distinct peers without deadlock (send is eager)."""
-        self.send(dest, payload, tag)
-        return self.recv(source, tag)
 
     # -- collectives -------------------------------------------------------------
 

@@ -14,26 +14,28 @@ at every shared point to every co-owner and adds what it receives, which
 reproduces the assembled sum exactly (the sum is over distinct rank
 contributions, each counted once).
 
-Two exchange styles are provided:
+A round is written once — pack per neighbour in sorted rank order and
+send, register the receives; then complete the sends, receive in sorted
+neighbour order and add — over a ``{region: array}`` dict, so several
+regions travel in ONE message per neighbour (the paper's 33% message-count
+reduction) and one region is a dict of one.  It is offered in two forms:
 
-* **blocking** — :meth:`HaloExchanger.assemble` (one region) and
-  :meth:`HaloExchanger.assemble_many` (several regions packed into one
-  message per neighbour, the paper's 33% message-count reduction).  One
-  ``halo.exchange`` span covers the whole round.
-* **non-blocking** — :meth:`HaloExchanger.post` / :meth:`HaloExchanger.wait`
-  (and the merged :meth:`HaloExchanger.post_many` /
-  :meth:`HaloExchanger.wait_many`): ``post`` sends this rank's shared-point
-  contributions with ``isend`` and registers ``irecv`` requests, returning
-  a :class:`PendingExchange`; the caller computes interior elements while
-  the messages fly, then ``wait`` completes the receives and adds them.
+* **non-blocking** — :meth:`HaloExchanger.post` sends this rank's
+  shared-point contributions with ``isend`` and registers ``irecv``
+  requests, returning a :class:`PendingExchange`; the caller computes
+  interior elements while the messages fly, then
+  :meth:`HaloExchanger.complete` finishes the receives and adds them.
   Posting is traced as a ``halo.post`` span and the completion as a
   ``halo.wait`` span, so the *visible* (unhidden) communication time of an
   overlapped step is exactly the ``halo.wait`` total — the quantity the
   A-OVERLAP benchmark compares against the blocking ``halo.exchange`` time.
+* **blocking** — :meth:`HaloExchanger.assemble` is the same post completed
+  at once, with nothing in between to overlap.  One ``halo.exchange`` span
+  covers the whole round.
 
-The received-contribution add order (sorted neighbour rank, then region)
-is identical between the two styles, so an overlapped run is bit-identical
-to a blocking one.
+Both forms run the same two bodies, so the received-contribution add order
+(sorted neighbour rank, then region) cannot differ between them: an
+overlapped run is bit-identical to a blocking one.
 
 The exchanger is payload-opaque: every array it is handed is
 *point-leading*, ``(nglob, ...)``, and whatever trails the point axis —
@@ -92,10 +94,6 @@ class RegionHalo:
 
     def total_points(self) -> int:
         return int(sum(ids.size for ids in self.neighbors.values()))
-
-    def message_bytes(self, ncomp: int, itemsize: int = 8) -> int:
-        """Bytes this rank sends per exchange of an ncomp-component field."""
-        return self.total_points() * ncomp * itemsize
 
     def halo_point_ids(self) -> np.ndarray:
         """Sorted unique local global-point ids shared with any neighbour.
@@ -183,19 +181,18 @@ def build_halos(
 
 @dataclass
 class PendingExchange:
-    """An in-flight non-blocking halo round: posted sends + open receives.
+    """An in-flight halo round: posted sends + open receives.
 
-    Returned by :meth:`HaloExchanger.post` / :meth:`HaloExchanger.post_many`
-    and consumed exactly once by the matching ``wait``/``wait_many``.
-    ``recv_requests`` maps neighbour rank -> the posted
-    :class:`~repro.parallel.comm.RecvRequest`; ``send_requests`` keeps the
-    posted :class:`~repro.parallel.comm.SendRequest` handles so the wait
-    completes *every* request of the round — the leaked-request invariant
+    Returned by :meth:`HaloExchanger.post` and consumed exactly once by
+    :meth:`HaloExchanger.complete`.  ``recv_requests`` maps neighbour
+    rank -> the posted :class:`~repro.parallel.comm.RecvRequest` (in
+    sorted-rank order); ``send_requests`` keeps the posted
+    :class:`~repro.parallel.comm.SendRequest` handles so the completion
+    waits *every* request of the round — the leaked-request invariant
     rule R1 and the comm sanitizer both enforce.
     """
 
     regions: tuple[int, ...]
-    tag: int
     recv_requests: dict[int, object] = field(default_factory=dict)
     send_requests: list = field(default_factory=list)
     bytes_sent: int = 0
@@ -204,20 +201,19 @@ class PendingExchange:
 class HaloExchanger:
     """Per-rank exchange engine bound to a communicator.
 
-    ``assemble(region, array)`` sends this rank's contributions at the
-    shared points of each neighbor and adds the received contributions,
-    returning the fully assembled array.  Tags come from the
-    :mod:`repro.parallel.tags` registry: per-region channels separate the
-    fluid and solid exchanges, and the non-blocking rounds use distinct
-    bases so a posted exchange can never collide with a blocking one
-    (the setup-time mass assembly).
+    One *round* (:meth:`_post`, :meth:`_complete`) in two forms:
+    non-blocking :meth:`post` ... :meth:`complete`, and blocking
+    :meth:`assemble` — see the module docstring.  Tags come from the
+    :mod:`repro.parallel.tags` registry: a one-region round uses that
+    region's channel, a multi-region round the merged one, and the two
+    forms use distinct bases so a posted exchange can never collide with
+    a blocking one.
 
-    With a tracer attached, every blocking exchange becomes a
-    ``halo.exchange`` span whose counters record both directions of the
-    traffic (messages, bytes, shared points) — the raw data of the paper's
-    IPM summaries.  Non-blocking rounds split into a ``halo.post`` span
-    (sends) and a ``halo.wait`` span (receives + adds); the wait span's
-    duration is the unhidden communication time.
+    With a tracer attached, a blocking round is one ``halo.exchange``
+    span whose counters record both directions of the traffic (messages,
+    bytes) — the raw data of the paper's IPM summaries; a non-blocking
+    one is a ``halo.post`` span (sends) and a ``halo.wait`` span
+    (receives + adds).
     """
 
     def __init__(
@@ -233,10 +229,15 @@ class HaloExchanger:
         #: communication time), kept even without a tracer so streaming
         #: telemetry can difference it per step at near-zero cost.
         self.wait_s = 0.0
+        #: Whether the solver should hand both solid regions over as ONE
+        #: round (the paper's "reduction of MPI messages by 33% inside each
+        #: chunk by handling crust mantle and inner core simultaneously");
+        #: the launcher clears it for the message-merging ablation.
+        self.merge_regions = True
 
-    # -- shared pack/unpack helpers ----------------------------------------
+    # -- the one round ------------------------------------------------------
 
-    def _merged_neighbors(self, regions: list[int]) -> list[int]:
+    def _neighbors(self, regions: tuple[int, ...]) -> list[int]:
         """Sorted union of neighbour ranks over the given regions."""
         neighbors: set[int] = set()
         for region in regions:
@@ -245,33 +246,33 @@ class HaloExchanger:
                 neighbors.update(halo.neighbors)
         return sorted(neighbors)
 
-    def _pack(
-        self, regions: list[int], arrays: dict[int, np.ndarray], nbr: int
-    ) -> np.ndarray:
-        """Concatenate this rank's shared-point values for one neighbour,
-        region order fixed by the (sorted) region list."""
-        parts = []
+    def _shared(self, regions: tuple[int, ...], nbr: int):
+        """``(region, shared point ids)`` for one neighbour, in the
+        (sorted) region order both sides pack and unpack by."""
         for region in regions:
             halo = self.halos.get(region)
-            if halo is None or nbr not in halo.neighbors:
-                continue
-            parts.append(arrays[region][halo.neighbors[nbr]].reshape(-1))
-        return np.concatenate(parts)
+            if halo is not None and nbr in halo.neighbors:
+                yield region, halo.neighbors[nbr]
+
+    def _pack(
+        self, regions: tuple[int, ...], arrays: dict[int, np.ndarray], nbr: int
+    ) -> np.ndarray:
+        """This rank's shared-point values for one neighbour, flattened."""
+        return np.concatenate([
+            arrays[region][ids].reshape(-1)
+            for region, ids in self._shared(regions, nbr)
+        ])
 
     def _unpack_add(
         self,
-        regions: list[int],
+        regions: tuple[int, ...],
         arrays: dict[int, np.ndarray],
         nbr: int,
         received: np.ndarray,
     ) -> None:
         """Add one neighbour's packed contribution into the target arrays."""
         offset = 0
-        for region in regions:
-            halo = self.halos.get(region)
-            if halo is None or nbr not in halo.neighbors:
-                continue
-            ids = halo.neighbors[nbr]
+        for region, ids in self._shared(regions, nbr):
             array = arrays[region]
             block_shape = (ids.size, *array.shape[1:])
             count = int(np.prod(block_shape))
@@ -286,160 +287,80 @@ class HaloExchanger:
                 f"{received.size} values, consumed {offset}"
             )
 
-    # -- blocking exchanges -------------------------------------------------
+    def _post(
+        self, arrays: dict[int, np.ndarray], region_base: int, merged_base: int
+    ) -> PendingExchange:
+        """Send every neighbour its message (sorted rank order; the send
+        copies the shared-point values, so the arrays are free to change
+        afterwards) and register the matching receives."""
+        regions = tuple(sorted(arrays))
+        tag = (
+            region_tag(region_base, regions[0])
+            if len(regions) == 1
+            else merged_base
+        )
+        pending = PendingExchange(regions=regions)
+        neighbors = self._neighbors(regions)
+        for nbr in neighbors:
+            payload = self._pack(regions, arrays, nbr)
+            pending.send_requests.append(self.comm.isend(nbr, payload, tag=tag))
+            pending.bytes_sent += payload.nbytes
+        for nbr in neighbors:
+            pending.recv_requests[nbr] = self.comm.irecv(nbr, tag=tag)
+        return pending
 
-    def assemble(self, region: int, array: np.ndarray) -> np.ndarray:
-        halo = self.halos.get(region)
-        if halo is None or not halo.neighbors:
-            return array
-        tag = region_tag(ASSEMBLE_REGION, region)
-        with self.tracer.span("halo.exchange", region=region) as span:
-            # Capture local contributions before any addition.
-            outgoing = {
-                nbr: array[ids].copy()
-                for nbr, ids in sorted(halo.neighbors.items())
-            }
-            sent = 0
-            for nbr, payload in outgoing.items():
-                self.comm.send(nbr, payload, tag=tag)
-                sent += payload.nbytes
-            received_bytes = 0
-            t_wait = time.perf_counter()
-            for nbr, ids in sorted(halo.neighbors.items()):
-                received = self.comm.recv(nbr, tag=tag)
-                received_bytes += received.nbytes
-                # ids are unique within one neighbor list (deduplicated at
-                # construction), so plain fancy-index addition is exact.
-                array[ids] += received
-            self.wait_s += time.perf_counter() - t_wait
+    def _complete(
+        self, pending: PendingExchange, arrays: dict[int, np.ndarray]
+    ) -> int:
+        """Wait for every request of the round and add the received
+        contributions in sorted-neighbour, then region, order — the one
+        add order of both forms, which is why they agree bit for bit.
+        Returns the bytes received."""
+        t_wait = time.perf_counter()
+        for req in pending.send_requests:
+            req.wait()
+        received_bytes = 0
+        for nbr, req in pending.recv_requests.items():
+            received = req.wait()
+            received_bytes += received.nbytes
+            self._unpack_add(pending.regions, arrays, nbr, received)
+        self.wait_s += time.perf_counter() - t_wait
+        return received_bytes
+
+    # -- its two forms ------------------------------------------------------
+
+    def assemble(self, arrays: dict[int, np.ndarray]) -> None:
+        """Blocking round: sum the other ranks' contributions into the
+        point-leading ``{region: array}`` arrays *in place*."""
+        with self.tracer.span("halo.exchange", regions=len(arrays)) as span:
+            pending = self._post(arrays, ASSEMBLE_REGION, ASSEMBLE_MERGED)
+            received_bytes = self._complete(pending, arrays)
             span.add(
-                messages=2 * len(outgoing),
-                bytes=sent + received_bytes,
-                points=halo.total_points(),
+                messages=2 * len(pending.recv_requests),
+                bytes=pending.bytes_sent + received_bytes,
             )
-        return array
 
-    def assemble_many(self, arrays: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """Assemble several regions with ONE message per neighbour.
+    def post(self, arrays: dict[int, np.ndarray]) -> PendingExchange:
+        """Post a round without blocking.
 
-        The paper's Section-1 optimisation: "reduction of MPI messages by
-        33% inside each chunk by handling crust mantle and inner core
-        simultaneously" — instead of one exchange per solid region, the
-        shared values of all given regions are packed into a single
-        message per neighbour (region order fixed by sorted region code).
-        """
-        regions = sorted(arrays)
-        neighbors = self._merged_neighbors(regions)
-        tag = ASSEMBLE_MERGED
-        with self.tracer.span("halo.exchange", merged_regions=len(regions)) as span:
-            sent = 0
-            for nbr in neighbors:
-                payload = self._pack(regions, arrays, nbr)
-                self.comm.send(nbr, payload, tag=tag)
-                sent += payload.nbytes
-            received_bytes = 0
-            t_wait = time.perf_counter()
-            for nbr in neighbors:
-                received = self.comm.recv(nbr, tag=tag)
-                received_bytes += received.nbytes
-                self._unpack_add(regions, arrays, nbr, received)
-            self.wait_s += time.perf_counter() - t_wait
-            span.add(messages=2 * len(neighbors), bytes=sent + received_bytes)
-        return arrays
-
-    # -- non-blocking exchanges ---------------------------------------------
-
-    def post(self, region: int, array: np.ndarray) -> PendingExchange:
-        """Post one region's halo exchange without blocking.
-
-        ``array`` must already carry this rank's *complete* local
+        Each array must already carry this rank's *complete* local
         contribution at every shared point — with the interior/boundary
         element split that holds after the boundary-element pass alone,
         since interior elements touch no shared point.  Returns the
-        pending round for :meth:`wait`.
+        pending round for :meth:`complete`.
         """
-        tag = region_tag(OVERLAP_REGION, region)
-        pending = PendingExchange(regions=(region,), tag=tag)
-        halo = self.halos.get(region)
-        if halo is None or not halo.neighbors:
-            return pending
-        with self.tracer.span("halo.post", region=region) as span:
-            for nbr, ids in sorted(halo.neighbors.items()):
-                payload = array[ids]
-                pending.send_requests.append(
-                    self.comm.isend(nbr, payload, tag=tag)
-                )
-                pending.bytes_sent += payload.nbytes
-            for nbr in sorted(halo.neighbors):
-                pending.recv_requests[nbr] = self.comm.irecv(nbr, tag=tag)
+        with self.tracer.span("halo.post", regions=len(arrays)) as span:
+            pending = self._post(arrays, OVERLAP_REGION, OVERLAP_MERGED)
             span.add(
-                messages=len(pending.recv_requests),
-                bytes=pending.bytes_sent,
-                points=halo.total_points(),
+                messages=len(pending.send_requests), bytes=pending.bytes_sent
             )
         return pending
 
-    def wait(self, pending: PendingExchange, array: np.ndarray) -> np.ndarray:
-        """Complete a :meth:`post`: wait for every neighbour and add its
-        contribution.  The add order (sorted neighbour rank) matches
-        :meth:`assemble`, keeping the two paths bit-identical."""
-        t_wait = time.perf_counter()
-        for req in pending.send_requests:
-            req.wait()
-        if not pending.recv_requests:
-            self.wait_s += time.perf_counter() - t_wait
-            return array
-        (region,) = pending.regions
-        halo = self.halos[region]
-        with self.tracer.span("halo.wait", region=region) as span:
-            received_bytes = 0
-            for nbr in sorted(pending.recv_requests):
-                received = pending.recv_requests[nbr].wait()
-                received_bytes += received.nbytes
-                array[halo.neighbors[nbr]] += received
-            span.add(messages=len(pending.recv_requests), bytes=received_bytes)
-        self.wait_s += time.perf_counter() - t_wait
-        return array
-
-    def post_many(self, arrays: dict[int, np.ndarray]) -> PendingExchange:
-        """Non-blocking :meth:`assemble_many`: one posted message per
-        neighbour carrying every given region's shared-point values."""
-        regions = sorted(arrays)
-        neighbors = self._merged_neighbors(regions)
-        tag = OVERLAP_MERGED
-        pending = PendingExchange(regions=tuple(regions), tag=tag)
-        if not neighbors:
-            return pending
-        with self.tracer.span("halo.post", merged_regions=len(regions)) as span:
-            for nbr in neighbors:
-                payload = self._pack(regions, arrays, nbr)
-                pending.send_requests.append(
-                    self.comm.isend(nbr, payload, tag=tag)
-                )
-                pending.bytes_sent += payload.nbytes
-            for nbr in neighbors:
-                pending.recv_requests[nbr] = self.comm.irecv(nbr, tag=tag)
-            span.add(messages=len(neighbors), bytes=pending.bytes_sent)
-        return pending
-
-    def wait_many(
+    def complete(
         self, pending: PendingExchange, arrays: dict[int, np.ndarray]
-    ) -> dict[int, np.ndarray]:
-        """Complete a :meth:`post_many`; add order (sorted neighbour, then
-        region) matches :meth:`assemble_many` bit for bit."""
-        t_wait = time.perf_counter()
-        for req in pending.send_requests:
-            req.wait()
-        if not pending.recv_requests:
-            self.wait_s += time.perf_counter() - t_wait
-            return arrays
-        regions = list(pending.regions)
-        with self.tracer.span("halo.wait", merged_regions=len(regions)) as span:
-            received_bytes = 0
-            for nbr in sorted(pending.recv_requests):
-                received = pending.recv_requests[nbr].wait()
-                received_bytes += received.nbytes
-                self._unpack_add(regions, arrays, nbr, received)
+    ) -> None:
+        """Complete a :meth:`post`: wait for every neighbour and add its
+        contribution into ``arrays`` in place."""
+        with self.tracer.span("halo.wait", regions=len(arrays)) as span:
+            received_bytes = self._complete(pending, arrays)
             span.add(messages=len(pending.recv_requests), bytes=received_bytes)
-        self.wait_s += time.perf_counter() - t_wait
-        return arrays

@@ -7,10 +7,11 @@ exchanges halo contributions after every force evaluation.  Seismograms
 are gathered at rank 0.
 
 With ``overlap=True`` (or ``params.overlap_comm``) each rank classifies
-its elements into halo-touching and interior sets up front and the solver
-switches to the overlapped schedule: boundary forces first, non-blocking
-halo post, interior forces while the messages are in flight, then wait —
-bit-identical to the blocking reference path.
+its elements into halo-touching and interior sets up front and hands the
+solver that split: boundary forces first, non-blocking halo post, interior
+forces while the messages are in flight, then wait — bit-identical to the
+blocking reference, which is the same schedule with no split and so
+nothing left to compute after the post.
 
 The per-rank communication statistics collected by the virtual
 communicators are returned alongside the results — they are the raw
@@ -47,6 +48,7 @@ __all__ = [
     "WorldSetup",
     "prepare_world",
     "run_distributed_simulation",
+    "segment_boundaries",
 ]
 
 
@@ -246,6 +248,18 @@ def prepare_world(
     )
 
 
+def segment_boundaries(n_steps: int, n_segments: int) -> list[tuple[int, int]]:
+    """Split ``n_steps`` into ``n_segments`` near-equal [start, stop) spans."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not 1 <= n_segments <= n_steps:
+        raise ValueError(
+            f"n_segments must be in [1, {n_steps}], got {n_segments}"
+        )
+    cuts = [round(i * n_steps / n_segments) for i in range(n_segments + 1)]
+    return [(cuts[i], cuts[i + 1]) for i in range(n_segments)]
+
+
 @dataclass
 class EpochPlan:
     """Checkpoint/restore instructions for one supervised epoch.
@@ -270,20 +284,14 @@ class EpochPlan:
     dt_pin: float | None = None
 
     def boundaries(self, total_steps: int) -> list[tuple[int, int]]:
-        """Sub-spans of [start_step, total_steps) cut at checkpoints."""
+        """Sub-spans of [start_step, total_steps) cut at checkpoints — one
+        empty span when nothing is left to march, so every epoch runs."""
+        start = min(self.start_step, total_steps)
         cuts = sorted(
-            {
-                s
-                for s in self.checkpoint_steps
-                if self.start_step < s < total_steps
-            }
+            {s for s in self.checkpoint_steps if start < s < total_steps}
         )
-        edges = [self.start_step, *cuts, total_steps]
-        return [
-            (edges[i], edges[i + 1])
-            for i in range(len(edges) - 1)
-            if edges[i] < edges[i + 1]
-        ]
+        edges = [start, *cuts, total_steps]
+        return list(zip(edges, edges[1:]))
 
 
 def run_distributed_simulation(
@@ -319,7 +327,9 @@ def run_distributed_simulation(
     :class:`RankTimeoutError` rather than deadlocking).  ``n_segments``
     splits the marching into that many back-to-back ``solver.run``
     segments over one shared time grid (the campaign restart pattern),
-    exercising state carry-over without changing the results.
+    exercising state carry-over without changing the results — an
+    :class:`EpochPlan` cut at the segment boundaries that saves nothing;
+    an explicit ``epoch_plan`` takes precedence.
 
     ``fault_plan`` (a :class:`~repro.chaos.faults.FaultPlan`) wraps every
     rank's communicator in a fault-injecting ``ChaosComm`` — the chaos
@@ -401,14 +411,11 @@ def run_distributed_simulation(
         )
     # The world fixes partition, schedule, and batching; per-call arguments
     # must not silently disagree with a prebuilt one.
-    overlap = world.overlap
-    nbatch = world.nbatch
-    grid = world.grid
-    slices = world.slices
-    halos = world.halos
-    splits = world.splits
-    station_assignment = world.station_assignment
-    event_sources_of_rank = world.event_sources_of_rank
+    if overlap is not None and overlap != world.overlap:
+        raise ValueError(
+            f"overlap={overlap} disagrees with the prebuilt world "
+            f"(overlap={world.overlap}); the world fixes the schedule"
+        )
     # The supervisor pins dt across recovery epochs (attenuation
     # coefficients depend on it); an unsupervised run uses the world's
     # min-allreduced step.
@@ -420,8 +427,9 @@ def run_distributed_simulation(
         rank = comm.rank
         rank_tracer = _tracer(rank)
         rank_metrics = metrics[rank] if metrics is not None else None
-        exchanger = HaloExchanger(comm, halos[rank], tracer=rank_tracer)
-        my_stations = station_assignment.get(rank, [])
+        exchanger = HaloExchanger(comm, world.halos[rank], tracer=rank_tracer)
+        exchanger.merge_regions = combine_solid_messages
+        my_stations = world.station_assignment.get(rank, [])
         sentinel = None
         if params.health_check_every is not None:
             from ..chaos.sentinel import HealthSentinel
@@ -440,20 +448,16 @@ def run_distributed_simulation(
                 halo_wait_fn=lambda: exchanger.wait_s,
             )
         solver = GlobalSolver(
-            slices[rank],
+            world.slices[rank],
             params,
             stations=my_stations or None,
-            assembler=exchanger.assemble,
-            multi_assembler=(
-                exchanger.assemble_many if combine_solid_messages else None
-            ),
-            event_sources=event_sources_of_rank.get(rank)
-            or [[] for _ in range(nbatch)],
+            exchanger=exchanger,
+            element_splits=world.splits[rank] if world.overlap else None,
+            event_sources=world.event_sources_of_rank.get(rank)
+            or [[] for _ in range(world.nbatch)],
             dt_override=dt_global,
             tracer=rank_tracer,
             metrics=rank_metrics,
-            overlap_exchanger=exchanger if overlap else None,
-            element_splits=splits[rank] if overlap else None,
             health_sentinel=sentinel,
             stream=stream,
         )
@@ -468,38 +472,24 @@ def run_distributed_simulation(
         run_callbacks = (
             [fault_plan.solver_callback(rank)] if fault_plan is not None else None
         )
+        plan = epoch_plan
+        if plan is None:
+            cuts = segment_boundaries(steps, n_segments) if n_segments > 1 else []
+            plan = EpochPlan(
+                checkpoint_steps=tuple(stop for _start, stop in cuts[:-1])
+            )
         try:
-            if epoch_plan is not None:
-                if epoch_plan.restore is not None:
-                    epoch_plan.restore(rank, solver)
-                checkpoint_at = set(epoch_plan.checkpoint_steps)
-                spans = epoch_plan.boundaries(steps) or [
-                    (min(epoch_plan.start_step, steps), steps)
-                ]
-                for seg_start, seg_stop in spans:
-                    result = solver.run(
-                        n_steps=steps,
-                        start_step=seg_start,
-                        stop_step=seg_stop,
-                        callbacks=run_callbacks,
-                    )
-                    if epoch_plan.save is not None and seg_stop in checkpoint_at:
-                        epoch_plan.save(rank, solver, seg_stop)
-            elif n_segments <= 1:
-                result = solver.run(n_steps=steps, callbacks=run_callbacks)
-            else:
-                # Lazy import: campaign sits above parallel in the layering
-                # and imports this module, so a top-level import would be
-                # circular.
-                from ..campaign.segments import segment_boundaries
-
-                for seg_start, seg_stop in segment_boundaries(steps, n_segments):
-                    result = solver.run(
-                        n_steps=steps,
-                        start_step=seg_start,
-                        stop_step=seg_stop,
-                        callbacks=run_callbacks,
-                    )
+            if plan.restore is not None:
+                plan.restore(rank, solver)
+            for seg_start, seg_stop in plan.boundaries(steps):
+                result = solver.run(
+                    n_steps=steps,
+                    start_step=seg_start,
+                    stop_step=seg_stop,
+                    callbacks=run_callbacks,
+                )
+                if plan.save is not None and seg_stop in plan.checkpoint_steps:
+                    plan.save(rank, solver, seg_stop)
         finally:
             if stream is not None:
                 stream.close()
@@ -520,13 +510,13 @@ def run_distributed_simulation(
             "data": result.seismograms,
             "compute_s": result.timings.compute_s,
             "compute_cpu_s": result.timings.compute_cpu_s,
-            "elements": slices[rank].nspec_total,
+            "elements": world.slices[rank].nspec_total,
             "dt": solver.dt,
         }
         return comm.gather(payload, root=0)
 
     cluster = VirtualCluster(
-        grid.nproc_total,
+        world.size,
         recv_timeout_s=recv_timeout_s,
         fault_plan=fault_plan,
         sanitize=sanitize,

@@ -361,12 +361,6 @@ class MonitoredComm:
             detector.beat(rank)
             return data
 
-    def sendrecv(
-        self, dest: int, payload, source: int, tag: int = tags.DEFAULT
-    ):
-        self.send(dest, payload, tag=tag)
-        return self.recv(source, tag)
-
     def waitall(self, requests: list, timeout: float | None = None) -> list:
         return [req.wait(timeout) for req in requests]
 

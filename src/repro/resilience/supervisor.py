@@ -48,6 +48,7 @@ from ..parallel.launcher import (
     EpochPlan,
     prepare_world,
     run_distributed_simulation,
+    segment_boundaries,
 )
 from ..solver.checkpoint import CheckpointError, CheckpointManager
 from .detector import FailureDetector, RankDeathReport
@@ -250,7 +251,6 @@ class RunSupervisor:
         rank deaths; raises the underlying error when the failure is
         non-recoverable or the budget is exhausted."""
         from ..campaign.queue import RetryPolicy
-        from ..campaign.segments import segment_boundaries
         from ..obs.tracer import maybe_tracer
 
         policy = self.policy

@@ -2,7 +2,7 @@
 
 Orchestrates one simulation over a mesh bundle (the merged serial globe
 mesh, or one slice of the distributed run — the same class serves both,
-with cross-rank assembly injected through the ``assembler`` hook the
+with cross-rank assembly injected through the ``exchanger`` the
 virtual-MPI launcher provides):
 
 * three regions (two solid, one fluid) marched with the explicit Newmark
@@ -17,22 +17,19 @@ virtual-MPI launcher provides):
   leading event axis — a ``sources=`` run is ``B = 1`` — and the event
   loop lives here, in the phase functions, and nowhere else: every
   component they call is single-event and runs on a ``displ[b]`` view;
-* optional comm/compute overlap: with an ``overlap_exchanger`` and
-  per-region ``element_splits`` injected, each step computes
-  *boundary* elements first, posts the non-blocking halo exchange
-  (their scatter already carries the complete local contribution at
-  every slice-shared point — interior elements touch none), computes
-  the *interior* elements while the messages are in flight, and only
-  then waits.  The final assembly reproduces the blocking force sum in
-  the original element order, so the two paths are bit-identical; only
-  the time blocked in ``halo.wait`` changes.
+* one force schedule (:meth:`GlobalSolver._forces`): for each exchange
+  round, the elements that feed the halo, the post, the remaining
+  elements, the wait.  Per-region ``element_splits`` say which elements
+  can wait (the *interior* ones, computed while the messages are in
+  flight); without them nothing remains after the post, which is the
+  blocking schedule.  The two are bit-identical; only the time blocked
+  in ``halo.wait`` changes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -85,7 +82,6 @@ class SolverTimings:
 
     compute_s: float = 0.0
     compute_cpu_s: float = 0.0
-    assembly_s: float = 0.0
     total_s: float = 0.0
     steps: int = 0
 
@@ -219,21 +215,19 @@ class GlobalSolver:
         :class:`repro.mesh.GlobalMesh` or :class:`repro.mesh.SliceMesh`).
     params : simulation parameters (kernel variant, physics switches...).
     sources, stations : source and receiver definitions (positions in km).
-    assembler : optional hook ``(region, array) -> array`` summing the
-        other ranks' contributions into a point-leading ``(nglob, ...)``
-        array *in place*; identity for serial runs.  Also applied once
-        to the mass matrices at setup.
-    multi_assembler : same for a ``{region: array}`` dict of several solid
-        regions at once (one combined message per neighbour).
-    overlap_exchanger : optional non-blocking halo exchanger (duck-typed
-        :class:`repro.parallel.halo.HaloExchanger`: ``post``/``wait`` and
-        ``post_many``/``wait_many``).  Together with ``element_splits``
-        it switches the time loop to the overlapped schedule — boundary
-        elements, post, interior elements, wait.
+    exchanger : optional halo exchanger (duck-typed
+        :class:`repro.parallel.halo.HaloExchanger`: ``assemble``,
+        ``post``/``complete``, ``merge_regions``) summing the other
+        ranks' contributions into point-leading ``{region: (nglob, ...)
+        array}`` dicts *in place*; None for serial runs.  Also applied
+        once to the mass matrices at setup.
     element_splits : dict ``region -> ElementSplit`` (from
         :func:`repro.mesh.partition.split_slice_elements`) classifying
-        each region's elements as halo-touching or interior.  Regions
-        missing from the dict are treated as all-interior.
+        each region's elements as halo-touching or interior.  Given, the
+        time loop exchanges without blocking — boundary elements, post,
+        interior elements, wait; None is the blocking schedule, where
+        nothing remains after the post.  Regions missing from the dict
+        are treated as all-interior.
     event_sources : list of per-event source lists: ``B =
         len(event_sources)`` events share this mesh and one halo message
         per neighbour per step.  Mutually exclusive with ``sources``,
@@ -256,13 +250,11 @@ class GlobalSolver:
         params: SimulationParameters,
         sources: list[MomentTensorSource | PointForceSource] | None = None,
         stations: list[Station] | None = None,
-        assembler: Callable[[int, np.ndarray], np.ndarray] | None = None,
-        multi_assembler: Callable[[dict], dict] | None = None,
+        exchanger=None,
+        element_splits: dict | None = None,
         dt_override: float | None = None,
         tracer=None,
         metrics=None,
-        overlap_exchanger=None,
-        element_splits: dict | None = None,
         health_sentinel=None,
         stream=None,
         event_sources: list[list] | None = None,
@@ -305,10 +297,7 @@ class GlobalSolver:
             )
         self.health_sentinel = health_sentinel
         self.basis = GLLBasis(constants.NGLLX)
-        self.assembler = assembler or (lambda region, arr: arr)
-        #: Optional combined-message assembler for several solid regions at
-        #: once (the paper's crust-mantle + inner-core message merging).
-        self.multi_assembler = multi_assembler
+        self.exchanger = exchanger
         self.regions = {
             code: _RegionState(mesh, self.basis)
             for code, mesh in mesh_bundle.regions.items()
@@ -332,19 +321,22 @@ class GlobalSolver:
             )
         )
 
-        # -- Mass matrices (assembled across ranks through the hook) -------
+        # -- Mass matrices (assembled across ranks, one region per round) --
         self.mass: dict[int, np.ndarray] = {}
         for code in self.solid_codes:
             st = self.regions[code]
-            local_mass = assemble_mass_matrix(st.rho, st.geom, st.ibool, st.nglob)
-            self.mass[code] = self.assembler(code, local_mass)
+            self.mass[code] = assemble_mass_matrix(
+                st.rho, st.geom, st.ibool, st.nglob
+            )
         if self.fluid_code is not None:
             st = self.regions[self.fluid_code]
             kappa_inv = 1.0 / st.mesh.kappa
-            local_mass = assemble_scalar_mass_matrix(
+            self.mass[self.fluid_code] = assemble_scalar_mass_matrix(
                 kappa_inv, st.geom, st.ibool, st.nglob
             )
-            self.mass[self.fluid_code] = self.assembler(self.fluid_code, local_mass)
+        if exchanger is not None:
+            for code, local_mass in self.mass.items():
+                exchanger.assemble({code: local_mass})
 
         # -- Time step ------------------------------------------------------
         # Distributed runs pass the already-agreed global minimum dt so the
@@ -440,48 +432,68 @@ class GlobalSolver:
         )
         self.timings = SolverTimings()
 
-        # -- Element views and per-step buffers --------------------------------
-        # The blocking schedule runs each region as its trivial subset, the
-        # overlapped one as boundary + interior; both go through the same
-        # phase functions.  Buffers are allocated once here so no time step
-        # allocates them (rule R3); every row is overwritten each step (a
-        # scatter with ``out=``; boundary ∪ interior covers all elements),
-        # so stale contents can never leak into a step.
-        self.overlap_exchanger = overlap_exchanger
-        self._overlap = overlap_exchanger is not None and element_splits is not None
-        self._full: dict[int, _RegionSubset] = {}
-        self._subsets: dict[int, dict[str, _RegionSubset]] = {}
+        # -- Element views, per-step buffers, exchange rounds -------------------
+        # Everything the force schedule reads is built once here, so no
+        # time step allocates or re-derives it (rule R3).  Every row of the
+        # force buffers is overwritten each step (a scatter with ``out=``;
+        # the subsets of a region cover all its elements), so stale contents
+        # can never leak into a step.
+        #: Whether the time loop's rounds are posted and completed later or
+        #: assembled at once.  The two forms use different tags, so every
+        #: rank must choose alike: by what all ranks were given, never by
+        #: what this rank's elements happen to leave over after a post.
+        self._overlap = element_splits is not None
         #: Assembled force per region, (B, nglob[, 3]).
         self._force: dict[int, np.ndarray] = {}
-        #: The same memory point-leading, (nglob, B[, 3]): what the
-        #: event-opaque halo exchanger indexes as ``array[ids]``.
-        self._halo_view: dict[int, np.ndarray] = {}
-        #: Overlap only: local forces in full element order, for the
-        #: re-scatter that reproduces the blocking summation order.
+        #: Split regions only: local forces in full element order, for the
+        #: re-scatter that reproduces the unsplit summation order.
         self._scratch_local: dict[int, np.ndarray] = {}
+        # Per region, the element subset computed before its round's post
+        # (what feeds the halo) and the one computed after (what cannot).
+        before: dict[int, _RegionSubset] = {}
+        after: dict[int, _RegionSubset] = {}
         for code, st in self.regions.items():
             ncomp = (3,) if code in self.solid_codes else ()
             self._force[code] = np.empty(
                 (self.batch, st.nglob, *ncomp), dtype=np.float64
             )
-            self._halo_view[code] = np.moveaxis(self._force[code], 0, 1)
-            if not self._overlap:
-                self._full[code] = _RegionSubset(self, code, slice(None))
-                continue
-            split = element_splits.get(code)
-            if split is None:
-                boundary = np.empty(0, dtype=np.intp)
-                interior = np.arange(st.ibool.shape[0], dtype=np.intp)
+            # A degenerate side is skipped, not run empty: the other is the
+            # whole region as the trivial subset, scattered once — before
+            # the post unless no element of it touches the halo.
+            split = element_splits.get(code) if self._overlap else None
+            if self._overlap and (split is None or not len(split.boundary)):
+                after[code] = _RegionSubset(self, code, slice(None))
+            elif split is None or not len(split.interior):
+                before[code] = _RegionSubset(self, code, slice(None))
             else:
-                boundary = np.asarray(split.boundary, dtype=np.intp)
-                interior = np.asarray(split.interior, dtype=np.intp)
-            self._subsets[code] = {
-                "boundary": _RegionSubset(self, code, boundary),
-                "interior": _RegionSubset(self, code, interior),
-            }
-            self._scratch_local[code] = np.empty(
-                (self.batch, *st.ibool.shape, *ncomp), dtype=np.float64
+                before[code] = _RegionSubset(
+                    self, code, np.asarray(split.boundary, dtype=np.intp)
+                )
+                after[code] = _RegionSubset(
+                    self, code, np.asarray(split.interior, dtype=np.intp)
+                )
+                self._scratch_local[code] = np.empty(
+                    (self.batch, *st.ibool.shape, *ncomp), dtype=np.float64
+                )
+        # The fluid goes first (the solids' coupling term needs its fresh
+        # ``chi_ddot``), then the solids — in ONE round, one message per
+        # neighbour, unless the exchanger says not to merge.
+        rounds = [tuple(self.solid_codes)]
+        if exchanger is not None and not exchanger.merge_regions:
+            rounds = [(code,) for code in self.solid_codes]
+        if self.fluid_code is not None:
+            rounds.insert(0, (self.fluid_code,))
+        #: The step's exchange rounds: point-leading (nglob, B[, 3]) views
+        #: of the force buffers — what the event-opaque halo exchanger
+        #: indexes as ``array[ids]`` — and the subsets before / after its post.
+        self._rounds = [
+            (
+                {code: np.moveaxis(self._force[code], 0, 1) for code in codes},
+                [before[code] for code in codes if code in before],
+                [after[code] for code in codes if code in after],
             )
+            for codes in rounds
+        ]
 
     # ------------------------------------------------------------------ setup
 
@@ -860,9 +872,8 @@ class GlobalSolver:
                 )
 
     # The phase functions below take ``(view, b)`` — an element subset and
-    # an event — and are the only callers of the kernels, from both
-    # schedules.  Everything they hand a component is the single-event
-    # view of event ``b``.
+    # an event — and are the only callers of the kernels.  Everything they
+    # hand a component is the single-event view of event ``b``.
 
     def _fluid_local_force(self, view: _RegionSubset, b: int) -> np.ndarray:  # repro: hot-loop
         """Local (unassembled) fluid force of event ``b`` on one subset."""
@@ -956,90 +967,62 @@ class GlobalSolver:
         fluid.chi_ddot[:] = self._force[self.fluid_code] / self.mass[self.fluid_code]
         newmark.corrector_scalar(fluid.chi_dot, fluid.chi_ddot, self.dt)
 
-    def _full_pass(self, code: int, t: float) -> None:  # repro: hot-loop
-        """Blocking schedule: the whole region of every event."""
-        view = self._full[code]
+    def _pass(  # repro: hot-loop
+        self, view: _RegionSubset, t: float, rescatter: bool
+    ) -> None:
+        """Every event's force on one element subset, scattered into the
+        region's force buffer.  A split region stashes each side's local
+        forces in full element order; its after-post pass (``rescatter``)
+        then scatters the whole stash — one ``bincount`` over the full
+        ``ibool``, the summation order of the unsplit region."""
+        code = view.code
+        scratch = self._scratch_local.get(code)
         for b in range(self.batch):
-            self._assemble_event(
-                code, self._local_force(view, b), view.ibool, b, t
-            )
+            local, ibool = self._local_force(view, b), view.ibool
+            if scratch is not None:
+                scratch[b][view.idx] = local
+                if rescatter:
+                    local, ibool = scratch[b], self.regions[code].ibool
+            self._assemble_event(code, local, ibool, b, t)
+            # Event b's temporary must not live on into event b+1's kernel.
+            del local
 
-    def _boundary_pass(self, code: int, t: float) -> None:  # repro: hot-loop
-        """Overlapped schedule, before the post: halo-touching elements."""
-        bnd = self._subsets[code]["boundary"]
-        for b in range(self.batch):
-            local = self._local_force(bnd, b)
-            self._scratch_local[code][b][bnd.idx] = local
-            self._assemble_event(code, local, bnd.ibool, b, t)
+    def _forces(self, t: float) -> None:  # repro: hot-loop
+        """The force schedule: per exchange round, the elements that feed
+        the halo, the post, the remaining elements, the wait.  Leaves
+        every region's assembled force in ``self._force``.
 
-    def _interior_pass(self, code: int, t: float) -> None:  # repro: hot-loop
-        """Overlapped schedule, messages in flight: the remaining elements,
-        then the re-scatter of all local forces in full element order."""
-        inner = self._subsets[code]["interior"]
-        for b in range(self.batch):
-            local = self._scratch_local[code][b]
-            local[inner.idx] = self._local_force(inner, b)
-            self._assemble_event(code, local, self.regions[code].ibool, b, t)
-
-    def _forces_blocking(self, t: float) -> None:  # repro: hot-loop
-        """Reference schedule: compute everything, then exchange (blocking).
-
-        Like :meth:`_forces_overlap`, leaves every region's assembled
-        force in ``self._force``.
-        """
-        # ---- Fluid update first (needs only solid displacement). ----
-        if self.fluid is not None:
-            self._full_pass(self.fluid_code, t)
-            self.assembler(self.fluid_code, self._halo_view[self.fluid_code])
-            self._update_fluid()
-        # ---- Solid updates (can use the fresh fluid chi_ddot). ----
-        for code in self.solid_codes:
-            self._full_pass(code, t)
-        # Cross-rank assembly — one combined message per neighbour when a
-        # multi-region assembler is available (the paper's 33%
-        # message-count reduction), else per-region.
-        halo = {code: self._halo_view[code] for code in self.solid_codes}
-        if self.multi_assembler is not None and len(halo) > 1:
-            self.multi_assembler(halo)
-        else:
-            for code, array in halo.items():
-                self.assembler(code, array)
-
-    def _forces_overlap(self, t: float) -> None:  # repro: hot-loop
-        """Overlapped schedule: boundary elements, post, interior, wait.
-
-        Bit-identity with :meth:`_forces_blocking` rests on two facts:
+        That the split and unsplit schedules agree bit for bit rests on
+        two facts:
 
         * interior elements touch no halo point, so the scatter of the
           boundary subset alone already carries the *complete* local
           contribution at every slice-shared point — that partial array is
           what gets sent while interior elements compute (the exchanger
           copies the shared-point values at post time, so the force
-          buffer is free to be overwritten by the interior pass);
+          buffer is free to be overwritten by the after-post pass);
         * the final local force is re-scattered from the per-element
-          contributions in the *original* element order (one ``bincount``
-          over the full ``ibool``), so floating-point summation order
-          matches the blocking path exactly, and the received neighbour
-          contributions are added in the same sorted-rank order the
-          blocking exchange uses.
+          contributions in the *original* element order, so
+          floating-point summation order matches the unsplit pass
+          exactly, and the received neighbour contributions are added in
+          the same sorted-rank order by both forms of the exchange.
         """
-        ex = self.overlap_exchanger
-        # ---- Fluid: boundary pass, post, interior pass, wait. ----
-        if self.fluid is not None:
-            code = self.fluid_code
-            self._boundary_pass(code, t)
-            pending = ex.post(code, self._halo_view[code])
-            self._interior_pass(code, t)
-            ex.wait(pending, self._halo_view[code])
-            self._update_fluid()
-        # ---- Solids: all boundary passes, one merged post, interiors, wait.
-        halo = {code: self._halo_view[code] for code in self.solid_codes}
-        for code in self.solid_codes:
-            self._boundary_pass(code, t)
-        pending_solid = ex.post_many(halo)
-        for code in self.solid_codes:
-            self._interior_pass(code, t)
-        ex.wait_many(pending_solid, halo)
+        ex = self.exchanger
+        for arrays, before, after in self._rounds:
+            for view in before:
+                self._pass(view, t, rescatter=False)
+            pending = None
+            if ex is not None:
+                if self._overlap:
+                    pending = ex.post(arrays)
+                else:
+                    ex.assemble(arrays)
+            for view in after:
+                self._pass(view, t, rescatter=True)
+            if pending is not None:
+                ex.complete(pending, arrays)
+            if self.fluid_code in arrays:
+                self._update_fluid()
 
     def _one_step(self, t: float) -> None:  # repro: hot-loop
         dt = self.dt
@@ -1056,10 +1039,7 @@ class GlobalSolver:
 
         t0 = time.perf_counter()
         cpu0 = time.thread_time()
-        if self._overlap:
-            self._forces_overlap(t)
-        else:
-            self._forces_blocking(t)
+        self._forces(t)
         # Finish the update.
         with tr.span("solver.newmark_corrector", flops=self._newmark_flops):
             for code in self.solid_codes:

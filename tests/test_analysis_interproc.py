@@ -295,6 +295,31 @@ class TestSPMDDivergenceRule:
         }, rules=["R6"])
         assert rules_of(report) == ["R6"]
 
+    def test_rank_guarded_halo_completion_fires(self, tmp_path):
+        report = run_tree(tmp_path, {
+            "solver/step.py": """
+                def step(comm, exchanger, arrays):
+                    pending = exchanger.post(arrays)
+                    if comm.rank == 0:
+                        exchanger.complete(pending, arrays)
+            """,
+        }, rules=["R6"])
+        assert rules_of(report) == ["R6"]
+        assert ".complete()" in report.findings[0].message
+
+    def test_unconditional_halo_completion_clean(self, tmp_path):
+        # A single request's wait() is per-rank and stays out of the set.
+        report = run_tree(tmp_path, {
+            "solver/step.py": """
+                def step(comm, exchanger, arrays, req):
+                    pending = exchanger.post(arrays)
+                    if comm.rank == 0:
+                        req.wait()
+                    exchanger.complete(pending, arrays)
+            """,
+        }, rules=["R6"])
+        assert report.clean
+
     def test_unconditional_collective_clean(self, tmp_path):
         report = run_tree(tmp_path, {
             "parallel/sync.py": """

@@ -44,6 +44,76 @@ class TestMessageMergingEquivalence:
         assert msgs_m < msgs_s
 
 
+class TestScheduleTimesMerging:
+    """The halo schedule and the solid-message merging are independent
+    switches: neither changes the physics, and the message counts depend
+    on the merging alone."""
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return SimulationParameters(
+            nex_xi=4, nproc_xi=1, ner_crust_mantle=2, ner_outer_core=1,
+            ner_inner_core=1, attenuation=True,
+        )
+
+    def test_merging_is_honoured_under_both_schedules(self, params):
+        from repro.model.prem import RegionCode
+        from repro.parallel.launcher import prepare_world
+
+        steps = 6
+        seismograms = {}
+        per_step = {}
+        for overlap in (False, True):
+            world = prepare_world(
+                params, sources=[source()], stations=stations(),
+                overlap=overlap,
+            )
+            for merge in (True, False):
+                one, full = (
+                    run_distributed_simulation(
+                        params, n_steps=n, world=world,
+                        combine_solid_messages=merge,
+                    )
+                    for n in (1, steps)
+                )
+                seismograms[overlap, merge] = full.seismograms
+                # Set-up traffic (mass assembly, allreduces) cancels.
+                per_step[overlap, merge] = [
+                    (
+                        (f.messages_sent - o.messages_sent) / (steps - 1),
+                        (f.bytes_sent - o.bytes_sent) / (steps - 1),
+                    )
+                    for f, o in zip(full.comm_stats, one.comm_stats)
+                ]
+        reference = seismograms[False, True]
+        assert np.max(np.abs(reference)) > 0
+        for key, data in seismograms.items():
+            np.testing.assert_array_equal(data, reference, err_msg=str(key))
+        for merge in (True, False):
+            assert per_step[False, merge] == per_step[True, merge]
+        # Unmerged, a neighbour sharing BOTH solid regions with this rank
+        # gets two messages where the merged round sends one.
+        for rank, halos in world.halos.items():
+            both = set(halos[RegionCode.CRUST_MANTLE].neighbors) & set(
+                halos[RegionCode.INNER_CORE].neighbors
+            )
+            (msgs_m, bytes_m), (msgs_s, bytes_s) = (
+                per_step[True, merge][rank] for merge in (True, False)
+            )
+            assert len(both) > 0
+            assert msgs_s - msgs_m == len(both)
+            assert bytes_s == bytes_m
+
+    def test_overlap_disagreeing_with_world_rejected(self, params):
+        from repro.parallel.launcher import prepare_world
+
+        world = prepare_world(params, overlap=False)
+        with pytest.raises(ValueError, match="overlap"):
+            run_distributed_simulation(
+                params, n_steps=1, world=world, overlap=True
+            )
+
+
 @pytest.mark.slow
 class TestTwentyFourRanks:
     def test_24_rank_run_matches_serial(self):

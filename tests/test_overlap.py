@@ -6,6 +6,8 @@ reordering the time step (boundary elements, post, interior elements,
 wait) must change *when* communication happens, never *what* is computed.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -229,11 +231,11 @@ class TestElementSplit:
 
 
 # --------------------------------------------------------------------------
-# Non-blocking halo exchange == blocking halo exchange
+# The halo round: against an oracle, and independent of when it completes
 # --------------------------------------------------------------------------
 
 
-class TestNonBlockingHalo:
+class TestHaloRound:
     @pytest.fixture(scope="class")
     def meshed(self):
         params = SimulationParameters(
@@ -254,25 +256,66 @@ class TestNonBlockingHalo:
             for region, mesh in slices[rank].regions.items()
         }
 
-    def test_post_wait_matches_assemble(self, meshed):
+    def test_exchange_sums_all_coowners(self, meshed):
+        """Oracle: after a round, every point holds the sum of the
+        pre-exchange values of all ranks owning a point at the same
+        quantised coordinates; a point nobody else owns is untouched.
+        Exchanged once region by region and once as one merged round."""
         grid, slices, halos = meshed
-        region = next(iter(slices[0].regions))
+        nranks = grid.nproc_total
+        before = [self._region_arrays(slices, r, seed=1) for r in range(nranks)]
 
-        def run(style):
-            def program(comm):
-                ex = HaloExchanger(comm, halos[comm.rank])
-                arr = self._region_arrays(slices, comm.rank, seed=1)[region]
-                if style == "blocking":
-                    return ex.assemble(region, arr)
-                pending = ex.post(region, arr)
-                return ex.wait(pending, arr)
+        def single(comm):
+            ex = HaloExchanger(comm, halos[comm.rank])
+            arrays = {r: a.copy() for r, a in before[comm.rank].items()}
+            for region in sorted(arrays):
+                ex.assemble({region: arrays[region]})
+            return arrays
 
-            return VirtualCluster(grid.nproc_total).run(program)
+        def merged(comm):
+            ex = HaloExchanger(comm, halos[comm.rank])
+            arrays = {r: a.copy() for r, a in before[comm.rank].items()}
+            ex.complete(ex.post(arrays), arrays)
+            return arrays
 
-        for a, b in zip(run("blocking"), run("nonblocking")):
-            np.testing.assert_array_equal(a, b)
+        results = [VirtualCluster(nranks).run(p) for p in (single, merged)]
+        n_shared = 0
+        for region in slices[0].regions:
+            keys = []
+            for sl in slices:
+                mesh = sl.regions[region]
+                coords = np.empty((mesh.nglob, 3))
+                coords[mesh.ibool.ravel()] = mesh.xyz.reshape(-1, 3)
+                # The quantisation build_halos matches points with.
+                keys.append(np.round(coords / 1e-5).astype(np.int64))
+            _, inverse, counts = np.unique(
+                np.concatenate(keys), axis=0,
+                return_inverse=True, return_counts=True,
+            )
+            inverse = inverse.ravel()
+            totals = np.zeros((counts.size, 3))
+            np.add.at(
+                totals, inverse, np.concatenate([b[region] for b in before])
+            )
+            shared = counts[inverse] > 1
+            n_shared += int(shared.sum())
+            offsets = np.cumsum([0] + [k.shape[0] for k in keys])
+            for after in results:
+                got = np.concatenate([after[r][region] for r in range(nranks)])
+                np.testing.assert_allclose(
+                    got[shared], totals[inverse][shared], rtol=1e-12, atol=1e-12
+                )
+                for r in range(nranks):
+                    own = ~shared[offsets[r] : offsets[r + 1]]
+                    np.testing.assert_array_equal(
+                        after[r][region][own], before[r][region][own]
+                    )
+        assert n_shared > 0
 
-    def test_post_many_wait_many_matches_assemble_many(self, meshed):
+    def test_result_independent_of_completion_time(self, meshed):
+        """A round completed at once, completed right after its post, and
+        completed after unrelated (rank-skewed) work gives bitwise-equal
+        arrays and equal message accounting."""
         grid, slices, halos = meshed
         solid = [r for r, m in slices[0].regions.items() if not m.is_fluid]
 
@@ -287,43 +330,71 @@ class TestNonBlockingHalo:
                     if r in solid
                 }
                 if style == "blocking":
-                    return ex.assemble_many(arrays)
-                pending = ex.post_many(arrays)
-                return ex.wait_many(pending, arrays)
+                    ex.assemble(arrays)
+                else:
+                    pending = ex.post(arrays)
+                    if style == "late":
+                        time.sleep(0.005 * (comm.rank + 1))
+                        np.linalg.norm(arrays[solid[0]])
+                    ex.complete(pending, arrays)
+                s = comm.stats
+                return arrays, (s.messages_sent, s.bytes_sent,
+                                s.messages_received, s.bytes_received)
 
             return VirtualCluster(grid.nproc_total).run(program)
 
-        for a, b in zip(run("blocking"), run("nonblocking")):
-            assert set(a) == set(b)
-            for r in a:
-                np.testing.assert_array_equal(a[r], b[r])
+        reference = run("blocking")
+        for style in ("immediate", "late"):
+            for (a, stats_a), (b, stats_b) in zip(reference, run(style)):
+                assert stats_a == stats_b
+                for r in solid:
+                    np.testing.assert_array_equal(a[r], b[r])
 
-    def test_comm_stats_identical(self, meshed):
-        grid, slices, halos = meshed
-        solid = [r for r, m in slices[0].regions.items() if not m.is_fluid]
+    def test_degenerate_split_sides_are_single_pass(self):
+        """A region whose split has an empty side runs as the whole region
+        once — no scratch buffer, no re-scatter — and the solver is
+        bit-identical to the unsplit one (attenuation + fluid core)."""
+        from repro.mesh import ElementSplit, build_global_mesh
+        from repro.solver import GlobalSolver
 
-        def run(style):
-            def program(comm):
-                ex = HaloExchanger(comm, halos[comm.rank])
-                arrays = {
-                    r: a
-                    for r, a in self._region_arrays(
-                        slices, comm.rank, seed=3
-                    ).items()
-                    if r in solid
-                }
-                if style == "blocking":
-                    ex.assemble_many(arrays)
-                else:
-                    ex.wait_many(ex.post_many(arrays), arrays)
-                s = comm.stats
-                return (s.messages_sent, s.bytes_sent,
-                        s.messages_received, s.bytes_received)
+        params = SimulationParameters(
+            nex_xi=4, nproc_xi=1, ner_crust_mantle=2, ner_outer_core=1,
+            ner_inner_core=1, attenuation=True, nstep_override=6,
+        )
+        r = constants.R_EARTH_KM
+        mesh = build_global_mesh(params)
+        kwargs = dict(
+            sources=[MomentTensorSource(
+                position=(0.0, 0.0, r - 200.0), moment=1e20 * np.eye(3),
+                stf=gaussian_stf(10.0), time_shift=5.0,
+            )],
+            stations=[Station("POLE", (0.0, 0.0, r)), Station("EQ", (r, 0.0, 0.0))],
+        )
+        nobody = np.empty(0, dtype=np.int64)
 
-            cluster = VirtualCluster(grid.nproc_total)
-            return cluster.run(program)
+        def everybody(code):
+            return np.arange(mesh.regions[code].ibool.shape[0], dtype=np.int64)
 
-        assert run("blocking") == run("nonblocking")
+        splits = {
+            "all-boundary": {
+                c: ElementSplit(interior=nobody, boundary=everybody(c))
+                for c in mesh.regions
+            },
+            "all-interior": {
+                c: ElementSplit(interior=everybody(c), boundary=nobody)
+                for c in mesh.regions
+            },
+        }
+        reference = GlobalSolver(mesh, params, **kwargs).run().seismograms
+        assert np.max(np.abs(reference)) > 0
+        for name, element_splits in splits.items():
+            solver = GlobalSolver(
+                mesh, params, element_splits=element_splits, **kwargs
+            )
+            assert not solver._scratch_local, name
+            np.testing.assert_array_equal(
+                solver.run().seismograms, reference, err_msg=name
+            )
 
 
 # --------------------------------------------------------------------------

@@ -186,7 +186,7 @@ class TestHalos:
             geom = compute_geometry(mesh.xyz * 1000.0, GLLBasis(5))
             mass = assemble_mass_matrix(mesh.rho, geom, mesh.ibool, mesh.nglob)
             local_total = float(mass.sum())  # before halo: no double count
-            HaloExchanger(comm, halos[comm.rank]).assemble(region, mass)
+            HaloExchanger(comm, halos[comm.rank]).assemble({region: mass})
             assert np.all(mass > 0)
             return local_total
 
