@@ -426,12 +426,18 @@ class HotLoopAllocRule(Rule):
         "path carry a `# repro: hot-loop` marker on their def line (the "
         "rule insists every compute_forces* kernel entry point does); "
         "inside them, array allocation and list-append accumulation are "
-        "flagged — preallocate in __init__ and fill in place."
+        "flagged — preallocate in __init__ and fill in place.  The same "
+        "goes for the temporaries a contraction or ufunc call returns: "
+        "np.einsum/matmul/multiply/add/subtract without out= and "
+        "np.stack allocate their result on every call, which is how an "
+        "allocation-free kernel silently regresses."
     )
     scope_dirs = ("kernels",)
     scope_suffixes = ("solver/solver.py",)
 
-    ALLOC_ATTRS = ("zeros", "empty", "concatenate")
+    ALLOC_ATTRS = ("zeros", "empty", "concatenate", "stack")
+    #: Calls that allocate their result unless handed ``out=``.
+    OUT_ATTRS = ("einsum", "matmul", "multiply", "add", "subtract")
     GATHER_ATTRS = ("concatenate", "stack", "array")
 
     def check(self, ctx: FileContext) -> list[Finding]:
@@ -494,10 +500,11 @@ class HotLoopAllocRule(Rule):
         for node in ast.walk(func):
             if not isinstance(node, ast.Call):
                 continue
-            chain = _attr_chain(node.func)
-            if chain in {f"np.{a}" for a in self.ALLOC_ATTRS} or chain in {
-                f"numpy.{a}" for a in self.ALLOC_ATTRS
-            }:
+            chain = _attr_chain(node.func) or ""
+            module, _, attr = chain.rpartition(".")
+            if module not in ("np", "numpy"):
+                attr = None
+            if attr in self.ALLOC_ATTRS:
                 findings.append(
                     self.finding(
                         ctx,
@@ -505,6 +512,18 @@ class HotLoopAllocRule(Rule):
                         f"{chain}() allocates inside time-step-loop "
                         f"function {name}() — preallocate and fill in "
                         f"place",
+                    )
+                )
+            elif attr in self.OUT_ATTRS and not any(
+                kw.arg == "out" for kw in node.keywords
+            ):
+                findings.append(
+                    self.finding(
+                        ctx,
+                        node,
+                        f"{chain}() without out= allocates its result "
+                        f"inside time-step-loop function {name}() — write "
+                        f"into a preallocated work array",
                     )
                 )
             elif (

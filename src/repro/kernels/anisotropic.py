@@ -10,8 +10,11 @@ parameters
 
 The stress is evaluated in a local radial frame (symmetry axis = rhat;
 the transverse axes are arbitrary because TI is azimuthally symmetric),
-rotated back to Cartesian, and pushed through the same weak-form -B^T
-machinery as the isotropic kernel.
+rotated back to Cartesian, and pushed through the same routine as the
+isotropic kernel: :class:`TIElasticOperator` is
+:class:`repro.kernels.elastic.ElasticOperator` with a different Hooke
+step.  That step alone leaves the component-leading layout and
+allocates (it is on no measured workload).
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gll.lagrange import GLLBasis
-from .elastic import _assemble_weak_divergence, displacement_gradient
+from .elastic import ElasticOperator
 from .geometry import ElementGeometry
+from .weakform import Workspace
 
 __all__ = [
     "TIModuli",
+    "TIElasticOperator",
     "radial_frames",
     "stress_ti",
     "compute_forces_elastic_ti",
@@ -106,7 +111,7 @@ def stress_ti(  # repro: hot-loop
     ``frames`` is the Q array from :func:`radial_frames`.
     """
     # eps' = Q^T eps Q
-    eps = np.einsum("...ia,...ij,...jb->...ab", frames, strain, frames)
+    eps = np.einsum("...ia,...ij,...jb->...ab", frames, strain, frames)  # repro: disable=R3 - off-ledger
     sig = np.zeros_like(eps)
     A, C, L, N, F = moduli.A, moduli.C, moduli.L, moduli.N, moduli.F
     e11, e22, e33 = eps[..., 0, 0], eps[..., 1, 1], eps[..., 2, 2]
@@ -117,7 +122,46 @@ def stress_ti(  # repro: hot-loop
     sig[..., 0, 2] = sig[..., 2, 0] = 2.0 * L * eps[..., 0, 2]
     sig[..., 1, 2] = sig[..., 2, 1] = 2.0 * L * eps[..., 1, 2]
     # sigma = Q sig' Q^T
-    return np.einsum("...ia,...ab,...jb->...ij", frames, sig, frames)
+    return np.einsum("...ia,...ab,...jb->...ij", frames, sig, frames)  # repro: disable=R3 - off-ledger
+
+
+#: Six-component index of tensor entry [c, d], order (xx, yy, zz, xy, xz, yz).
+_SIX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+
+class TIElasticOperator(ElasticOperator):
+    """The elastic routine with the TI Hooke step.  ``lam``/``mu`` are the
+    isotropic pair of the region; only ``mu`` is read, by the anelastic
+    correction ``2 mu sum_j zeta_j`` the memory variables subtract."""
+
+    def __init__(
+        self,
+        geom: ElementGeometry,
+        lam: np.ndarray,
+        mu: np.ndarray,
+        moduli: TIModuli,
+        frames: np.ndarray,
+        basis: GLLBasis,
+        workspace: Workspace,
+    ):
+        super().__init__(geom, lam, mu, basis, workspace)
+
+        def per_point(a):
+            return a.reshape(self.nspec, self.npts, *a.shape[4:])
+
+        self.jweight = per_point(geom.jweight)
+        self.frames = per_point(frames)
+        self.love = [per_point(getattr(moduli, k)) for k in "ACLNF"]
+
+    def _hooke(self, strain, trace, memory, stress, lo, hi) -> None:  # repro: hot-loop
+        eps = np.moveaxis(strain[_SIX], (0, 1), (-2, -1))  # (nb, npts, 3, 3)
+        moduli = TIModuli(*(m[lo:hi] for m in self.love))
+        sigma = stress_ti(eps, moduli, self.frames[lo:hi])
+        sigma *= self.jweight[lo:hi, :, None, None]
+        if memory is not None:
+            correction = np.moveaxis(memory, 1, -1)[..., _SIX]
+            sigma -= self.mu2_jw[lo:hi, :, None, None] * correction
+        np.copyto(stress.reshape(3, 3, *eps.shape[:2]), np.moveaxis(sigma, (-2, -1), (0, 1)))
 
 
 def compute_forces_elastic_ti(  # repro: hot-loop
@@ -126,16 +170,14 @@ def compute_forces_elastic_ti(  # repro: hot-loop
     moduli: TIModuli,
     frames: np.ndarray,
     basis: GLLBasis,
-    stress_correction: np.ndarray | None = None,
 ) -> np.ndarray:
     """Transversely isotropic analogue of
-    :func:`repro.kernels.elastic.compute_forces_elastic` (vectorized path).
+    :func:`repro.kernels.elastic.compute_forces_elastic` (the stateless
+    form of :class:`TIElasticOperator`; without a memory hook the
+    isotropic pair is never read, so its isotropic embedding stands in).
     """
-    grad = displacement_gradient(u, geom, basis)
-    strain = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-    sigma = stress_ti(strain, moduli, frames)
-    if stress_correction is not None:
-        sigma = sigma - stress_correction
-    flux = np.einsum("eijkcd,eijkld->eijklc", sigma, geom.inv_jacobian)
-    flux *= geom.jacobian[..., None, None]
-    return _assemble_weak_divergence(flux, basis)
+    out = np.empty_like(u, order="C")
+    TIElasticOperator(
+        geom, moduli.F, moduli.L, moduli, frames, basis, Workspace(basis.ngll)
+    ).apply(u, out)
+    return out

@@ -1,33 +1,32 @@
-"""Elastic internal-force kernels — the routines that dominate the runtime.
+"""Elastic internal forces — the routine that dominates the runtime.
 
 Section 4.3 of the paper: more than 70% of solver time is spent computing
 internal forces in the solid regions, as small (5x5) matrix products along
 the three cutplane directions of each element's 5x5x5 block.  The paper
-compares three implementations: plain scalar loops ("regular Fortran"),
-manual SSE/Altivec vector code (15-20% faster), and per-matrix BLAS SGEMM
-calls (significantly *slower*, because call overhead and cutplane memory
-copies dominate for 5x5 matrices).
+compares three ways to execute those products: plain scalar loops
+("regular Fortran"), manual SSE/Altivec vector code (15-20% faster), and
+per-matrix BLAS SGEMM calls (significantly *slower*, because call overhead
+and cutplane memory copies dominate for 5x5 matrices).
 
-This module provides the analogous three variants:
+Here the force of one element subset is **one routine**
+(:class:`ElasticOperator`, the three-component instance of
+:class:`repro.kernels.weakform.StiffnessOperator`): gradient (once) ->
+symmetric strain -> memory-variable relaxation in place -> Hooke -> flux
+-> ``-B^T``.  ``variant`` keeps meaning what the paper compared and
+selects only how the cut-plane products are executed:
 
-* ``baseline``  — per-element NumPy (one element at a time): the scalar
-  analog, paying interpreter/dispatch overhead per element;
-* ``vectorized`` — all elements batched in single einsum contractions:
-  the vector-unit analog, amortising overhead across the whole slice;
-* ``blas``      — per-cutplane ``np.dot`` calls on (copied, aligned) 5x5
-  matrices: the tiny-GEMM analog with per-call overhead.
+* ``baseline``  — a Python loop per element: the scalar analog;
+* ``vectorized`` — one batched matmul per element block: the vector-unit
+  analog, amortising dispatch overhead across the block;
+* ``blas``      — one ``np.dot`` per (copied, aligned) cut-plane: the
+  tiny-GEMM analog with per-call overhead.
 
-All variants compute the identical weak-form term
-
-    accel -= B^T sigma(B u)
-
-and agree to roundoff; :mod:`tests` verify this against an independent
-pure-Python reference (:mod:`repro.kernels.reference`).
-
-Every kernel here is single-event: it takes one event's local field
-``(nspec, n, n, n, 3)``.  The event loop of a multi-event run lives in
-:class:`repro.solver.solver.GlobalSolver`, which calls these kernels on
-``displ[b]`` views (docs/batching.md).
+Strain, relaxation, Hooke and flux are shared, so all variants — with or
+without attenuation — compute the identical ``accel -= B^T sigma(B u)``
+and agree to roundoff; the tests verify this against an independent
+pure-Python reference (:mod:`repro.kernels.reference`).  Strain, stress
+and memory variables are stored as their six independent components,
+ordered ``(xx, yy, zz, xy, xz, yz)``.
 """
 
 from __future__ import annotations
@@ -36,39 +35,77 @@ import numpy as np
 
 from ..gll.lagrange import GLLBasis
 from .geometry import ElementGeometry
+from .weakform import (
+    KERNEL_VARIANTS,
+    StiffnessOperator,
+    Workspace,
+    carve,
+    reference_derivatives,
+)
 
 __all__ = [
     "KERNEL_VARIANTS",
+    "ElasticOperator",
     "compute_forces_elastic",
-    "compute_strain",
     "displacement_gradient",
-    "stress_from_strain",
 ]
 
-KERNEL_VARIANTS = ("baseline", "vectorized", "blas")
 
+class ElasticOperator(StiffnessOperator):
+    """``u -> -K u`` of an isotropic solid subset, optionally anelastic.
 
-def compute_strain(  # repro: hot-loop
-    u: np.ndarray, geom: ElementGeometry, basis: GLLBasis
-) -> np.ndarray:
-    """Symmetric strain tensor at every GLL point: (nspec, n, n, n, 3, 3).
-
-    Used by the attenuation memory-variable update, which needs the
-    deviatoric strain separately from the force computation.
+    ``lam``/``mu`` are the subset's (nspec, n, n, n) Lame parameters; they
+    are folded with the volume measure once, here.  ``apply(u, out,
+    relax)`` takes the memory-variable hook ``relax(strain, lo, hi)``:
+    called once per block between strain and Hooke with the six-component
+    ``(6, hi - lo, npts)`` strain of subset elements ``lo:hi``, it advances
+    their memory variables and returns ``sum_j zeta_j`` as ``(hi - lo, 6,
+    npts)`` (:meth:`repro.solver.attenuation.AttenuationState.relax`).
     """
-    grad = displacement_gradient(u, geom, basis)
-    return 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
+    ncomp = 3
 
-def stress_from_strain(  # repro: hot-loop
-    strain: np.ndarray, lam: np.ndarray, mu: np.ndarray
-) -> np.ndarray:
-    """Isotropic Hooke's law: sigma = lambda tr(eps) I + 2 mu eps."""
-    trace = np.trace(strain, axis1=-2, axis2=-1)
-    sigma = 2.0 * mu[..., None, None] * strain
-    idx = np.arange(3)
-    sigma[..., idx, idx] += (lam * trace)[..., None]
-    return sigma
+    def __init__(
+        self,
+        geom: ElementGeometry,
+        lam: np.ndarray,
+        mu: np.ndarray,
+        basis: GLLBasis,
+        workspace: Workspace,
+        variant: str = "vectorized",
+    ):
+        super().__init__(geom, basis, workspace, variant)
+        shape = (self.nspec, self.npts)
+        self.lam_jw = (lam * geom.jweight).reshape(shape)
+        self.mu2_jw = (2.0 * mu * geom.jweight).reshape(shape)
+
+    def _stress(self, grad, stress, lo, hi, relax) -> None:  # repro: hot-loop
+        nb = hi - lo
+        g = grad.reshape(9, nb, self.npts)
+        work = carve(self.ws.c, 7, nb, self.npts)
+        strain, trace = work[:6], work[6]
+        np.copyto(strain[:3], g[::4])
+        np.add(g[1:3], g[3:7:3], out=strain[3:5])
+        np.add(g[5], g[7], out=strain[5])
+        np.multiply(strain[3:], 0.5, out=strain[3:])
+        np.add(strain[0], strain[1], out=trace)
+        np.add(trace, strain[2], out=trace)
+        memory = None if relax is None else relax(strain, lo, hi)
+        self._hooke(strain, trace, memory, stress.reshape(9, nb, self.npts), lo, hi)
+
+    def _hooke(self, strain, trace, memory, stress, lo, hi) -> None:  # repro: hot-loop
+        """``stress (9, nb, npts) = jweight * (lam tr(eps) I + 2 mu (eps -
+        memory))`` for elements ``lo:hi``; may destroy its inputs."""
+        mu2_jw = self.mu2_jw[lo:hi]
+        if memory is not None:
+            np.subtract(strain, memory.transpose(1, 0, 2), out=strain)
+        np.multiply(strain[:3], mu2_jw, out=stress[::4])
+        np.multiply(trace, self.lam_jw[lo:hi], out=trace)
+        np.add(stress[::4], trace, out=stress[::4])
+        np.multiply(strain[3:5], mu2_jw, out=stress[1:3])
+        np.multiply(strain[5], mu2_jw, out=stress[5])
+        np.copyto(stress[3:7:3], stress[1:3])
+        np.copyto(stress[7], stress[5])
 
 
 def compute_forces_elastic(  # repro: hot-loop
@@ -78,203 +115,30 @@ def compute_forces_elastic(  # repro: hot-loop
     mu: np.ndarray,
     basis: GLLBasis,
     variant: str = "vectorized",
-    stress_correction: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Elemental internal-force contributions to the acceleration.
+    """Elemental internal-force contributions to the acceleration: the
+    stateless form of :class:`ElasticOperator` (a fresh operator and
+    workspace per call; the solver builds them once).
 
-    Parameters
-    ----------
-    u : (nspec, n, n, n, 3) local displacement (gathered through ibool)
-    geom : precomputed :class:`ElementGeometry`
-    lam, mu : (nspec, n, n, n) Lame parameters at the GLL points
-    basis : the GLL basis bundle
-    variant : one of :data:`KERNEL_VARIANTS`
-    stress_correction : optional (nspec, n, n, n, 3, 3) tensor subtracted
-        from the stress before integration (attenuation memory terms)
-
-    Returns
-    -------
-    (nspec, n, n, n, 3) local force array, to be assembled (summed via
-    ibool) and divided by the mass matrix.  Sign convention: this is the
-    right-hand side ``-K u`` directly.
+    ``u`` is the (nspec, n, n, n, 3) local displacement (gathered through
+    ibool) or a (B, nspec, n, n, n, 3) stack of them, looped over;
+    ``lam``/``mu`` are (nspec, n, n, n); ``variant`` is one of
+    :data:`KERNEL_VARIANTS`.  Returns the local forces, shaped like ``u``,
+    to be assembled and scaled by the mass matrix.  Sign convention: this
+    is the right-hand side ``-K u`` directly.
     """
-    if u.ndim == 6:
-        # (B, nspec, n, n, n, 3) as a plain loop over this function, kept
-        # ONLY because benchmarks/ledger/adapter.py::KernelProbe.elastic_b4
-        # (kernels.probe_elastic_b4_ms) calls it and the PR that hoisted
-        # the event loop into GlobalSolver could not touch the ledger; a
-        # later benchmark PR should loop in the probe and delete this arm.
-        return np.stack(
-            [
-                compute_forces_elastic(
-                    u[b], geom, lam, mu, basis, variant,
-                    None if stress_correction is None else stress_correction[b],
-                )
-                for b in range(u.shape[0])
-            ]
-        )
-    if variant == "vectorized":
-        return _forces_vectorized(u, geom, lam, mu, basis, stress_correction)
-    if variant == "baseline":
-        return _forces_baseline(u, geom, lam, mu, basis, stress_correction)
-    if variant == "blas":
-        return _forces_blas(u, geom, lam, mu, basis, stress_correction)
-    raise ValueError(
-        f"unknown kernel variant {variant!r}; valid: {KERNEL_VARIANTS}"
-    )
+    operator = ElasticOperator(geom, lam, mu, basis, Workspace(basis.ngll), variant)
+    out = np.empty_like(u, order="C")
+    events = (-1, *lam.shape, 3)
+    for u_event, out_event in zip(u.reshape(events), out.reshape(events)):
+        operator.apply(u_event, out_event)
+    return out
 
 
-# --------------------------------------------------------------------------
-# Vectorized (all elements at once) implementation — the SSE/Altivec analog.
-# --------------------------------------------------------------------------
-
-
-def displacement_gradient(  # repro: hot-loop
+def displacement_gradient(
     u: np.ndarray, geom: ElementGeometry, basis: GLLBasis
 ) -> np.ndarray:
-    """du_c/dx_d at every point, (nspec, n, n, n, 3, 3) with [c, d]."""
-    h = basis.hprime
-    t1 = np.einsum("il,eljkc->eijkc", h, u)
-    t2 = np.einsum("jl,eilkc->eijkc", h, u)
-    t3 = np.einsum("kl,eijlc->eijkc", h, u)
-    t = np.stack([t1, t2, t3], axis=-2)  # (..., l, c)
-    # G[c, d] = sum_l t[l, c] * dxi_l/dx_d
-    return np.einsum("eijklc,eijkld->eijkcd", t, geom.inv_jacobian)
-
-
-def _assemble_weak_divergence(  # repro: hot-loop
-    flux: np.ndarray, basis: GLLBasis
-) -> np.ndarray:
-    """Contract weighted fluxes back with hprime^T: the -B^T step.
-
-    ``flux`` has shape (nspec, n, n, n, l, c): the jacobian-scaled stress
-    projected on reference axis l.  Returns (nspec, n, n, n, c).
-    """
-    hw = basis.hprime_wgll  # hw[l, i] = w_l * h[l, i]
-    w = basis.weights
-    t1 = np.einsum("li,eljkc->eijkc", hw, flux[..., 0, :])
-    t1 *= w[None, None, :, None, None] * w[None, None, None, :, None]
-    t2 = np.einsum("lj,eilkc->eijkc", hw, flux[..., 1, :])
-    t2 *= w[None, :, None, None, None] * w[None, None, None, :, None]
-    t3 = np.einsum("lk,eijlc->eijkc", hw, flux[..., 2, :])
-    t3 *= w[None, :, None, None, None] * w[None, None, :, None, None]
-    return -(t1 + t2 + t3)
-
-
-def _forces_vectorized(  # repro: hot-loop
-    u: np.ndarray,
-    geom: ElementGeometry,
-    lam: np.ndarray,
-    mu: np.ndarray,
-    basis: GLLBasis,
-    stress_correction: np.ndarray | None,
-) -> np.ndarray:
-    grad = displacement_gradient(u, geom, basis)
-    strain = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-    sigma = stress_from_strain(strain, lam, mu)
-    if stress_correction is not None:
-        sigma = sigma - stress_correction
-    # flux[l, c] = J * sum_d sigma[c, d] * dxi_l/dx_d
-    flux = np.einsum("eijkcd,eijkld->eijklc", sigma, geom.inv_jacobian)
-    flux *= geom.jacobian[..., None, None]
-    return _assemble_weak_divergence(flux, basis)
-
-
-# --------------------------------------------------------------------------
-# Baseline (per-element) implementation — the scalar-loop analog.
-# --------------------------------------------------------------------------
-
-
-def _forces_baseline(  # repro: hot-loop
-    u: np.ndarray,
-    geom: ElementGeometry,
-    lam: np.ndarray,
-    mu: np.ndarray,
-    basis: GLLBasis,
-    stress_correction: np.ndarray | None,
-) -> np.ndarray:
-    out = np.empty_like(u)
-    for e in range(u.shape[0]):
-        correction = (
-            stress_correction[e : e + 1] if stress_correction is not None else None
-        )
-        sub_geom = ElementGeometry(
-            inv_jacobian=geom.inv_jacobian[e : e + 1],
-            jacobian=geom.jacobian[e : e + 1],
-            jweight=geom.jweight[e : e + 1],
-        )
-        out[e] = _forces_vectorized(
-            u[e : e + 1], sub_geom, lam[e : e + 1], mu[e : e + 1], basis, correction
-        )[0]
-    return out
-
-
-# --------------------------------------------------------------------------
-# BLAS-style implementation — tiny GEMM calls per cutplane, with copies.
-# --------------------------------------------------------------------------
-
-
-def _forces_blas(  # repro: hot-loop
-    u: np.ndarray,
-    geom: ElementGeometry,
-    lam: np.ndarray,
-    mu: np.ndarray,
-    basis: GLLBasis,
-    stress_correction: np.ndarray | None,
-) -> np.ndarray:
-    """Same math, but each 5x5 product is an individual ``np.dot`` call on
-    an explicitly copied (aligned) 2-D block — the paper's "call BLAS for
-    each small matrix" strategy, including the extra cutplane copies for
-    the non-contiguous directions."""
-    h = np.ascontiguousarray(basis.hprime)
-    nspec, n = u.shape[0], u.shape[1]
-    # Deliberately allocated per call: this variant reproduces the paper's
-    # slow tiny-GEMM strategy, copies and all — do not "optimise" it.
-    t = np.empty((nspec, n, n, n, 3, 3), dtype=np.float64)  # repro: disable=R3
-    for e in range(nspec):
-        for c in range(3):
-            block = u[e, :, :, :, c]
-            for k in range(n):
-                # d/dxi: contiguous cutplane (·, ·) at fixed k.
-                t[e, :, :, k, 0, c] = np.dot(h, np.ascontiguousarray(block[:, :, k]))
-            for k in range(n):
-                # d/deta: needs a transpose copy first (non-aligned block).
-                plane = np.ascontiguousarray(block[:, :, k].T)
-                t[e, :, :, k, 1, c] = np.dot(h, plane).T
-            for i in range(n):
-                # d/dgamma: cut along the slowest axis, copy then dot.
-                plane = np.ascontiguousarray(block[i, :, :].T)
-                t[e, i, :, :, 2, c] = np.dot(h, plane).T
-    grad = np.einsum("eijklc,eijkld->eijkcd", t, geom.inv_jacobian)
-    strain = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-    sigma = stress_from_strain(strain, lam, mu)
-    if stress_correction is not None:
-        sigma = sigma - stress_correction
-    flux = np.einsum("eijkcd,eijkld->eijklc", sigma, geom.inv_jacobian)
-    flux *= geom.jacobian[..., None, None]
-
-    hw = np.ascontiguousarray(basis.hprime_wgll.T)  # hw.T[i, l] = w_l h[l, i]
-    w = basis.weights
-    out = np.empty_like(u)
-    for e in range(nspec):
-        for c in range(3):
-            acc = np.zeros((n, n, n))  # repro: disable=R3 - paper's slow variant
-            f1 = flux[e, :, :, :, 0, c]
-            f2 = flux[e, :, :, :, 1, c]
-            f3 = flux[e, :, :, :, 2, c]
-            for k in range(n):
-                acc[:, :, k] += (
-                    np.dot(hw, np.ascontiguousarray(f1[:, :, k]))
-                    * w[None, :]
-                    * w[k]
-                )
-            for k in range(n):
-                plane = np.ascontiguousarray(f2[:, :, k].T)
-                acc[:, :, k] += (
-                    np.dot(hw, plane).T * w[:, None] * w[k]
-                )
-            for i in range(n):
-                plane = np.ascontiguousarray(f3[i, :, :].T)
-                acc[i, :, :] += np.dot(hw, plane).T * (w[i] * w[:, None])
-            out[e, :, :, :, c] = -acc
-    return out
+    """du_c/dx_d at every point, (nspec, n, n, n, ncomp, 3) with [c, d] —
+    allocating, for off-loop readers (adjoint kernels, gravity, tests)."""
+    t = reference_derivatives(u, basis)
+    return np.einsum("lcep,ldep->epcd", t, geom.dxi_dx).reshape(*u.shape, 3)

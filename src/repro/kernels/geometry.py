@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gll.lagrange import GLLBasis
+from .weakform import reference_derivatives
 
 __all__ = ["ElementGeometry", "compute_geometry"]
 
@@ -28,19 +29,35 @@ class ElementGeometry:
 
     Attributes
     ----------
-    inv_jacobian : (nspec, n, n, n, 3, 3) with [l, c] = d xi_l / d x_c
-        (rows: reference axes, columns: physical axes).
+    dxi_dx : (3, 3, nspec, n**3), ``[l, d] = d xi_l / d x_d`` stored
+        component-leading (rows: reference axes, columns: physical axes;
+        SPECFEM's ``xix .. gammaz`` as nine unit-stride arrays) — the one
+        copy of the inverse Jacobian, in the layout the kernels stream.
     jacobian : (nspec, n, n, n) determinant of dx/dxi (positive).
     jweight : (nspec, n, n, n) jacobian * w_i w_j w_k, the volume measure.
     """
 
-    inv_jacobian: np.ndarray
+    dxi_dx: np.ndarray
     jacobian: np.ndarray
     jweight: np.ndarray
 
     @property
     def nspec(self) -> int:
         return self.jacobian.shape[0]
+
+    @property
+    def inv_jacobian(self) -> np.ndarray:
+        """The inverse Jacobian as a ``(nspec, n, n, n, 3, 3)`` view,
+        ``[..., l, d]`` — for off-loop readers."""
+        return np.moveaxis(
+            self.dxi_dx.reshape(3, 3, *self.jacobian.shape), (0, 1), (-2, -1)
+        )
+
+    def subset(self, idx) -> "ElementGeometry":
+        """The factors of elements ``idx`` (views for a slice)."""
+        return ElementGeometry(
+            self.dxi_dx[:, :, idx], self.jacobian[idx], self.jweight[idx]
+        )
 
 
 def compute_geometry(xyz: np.ndarray, basis: GLLBasis | None = None) -> ElementGeometry:
@@ -54,27 +71,20 @@ def compute_geometry(xyz: np.ndarray, basis: GLLBasis | None = None) -> ElementG
         raise ValueError(f"expected (nspec, n, n, n, 3), got {xyz.shape}")
     if basis is None:
         basis = GLLBasis(xyz.shape[1])
-    h = basis.hprime
-    # dx/dxi_l at every point: contract hprime along each local axis.
-    d_xi = np.einsum("il,eljkc->eijkc", h, xyz)
-    d_eta = np.einsum("jl,eilkc->eijkc", h, xyz)
-    d_gam = np.einsum("kl,eijlc->eijkc", h, xyz)
-    # jac[e,i,j,k][l,c] = d x_c / d xi_l
-    jac = np.stack([d_xi, d_eta, d_gam], axis=-2)
-    det = np.linalg.det(jac)
+    jac = reference_derivatives(xyz, basis)  # [l, c] = d x_c / d xi_l
+    # Closed-form inverse: dxi_l/dx_d = cofactor(jac)[l, d] / det, and row l
+    # of the cofactor matrix is the cross product of the other two rows.
+    dxi_dx = np.empty_like(jac)
+    for l in range(3):
+        dxi_dx[l] = np.cross(jac[(l + 1) % 3], jac[(l + 2) % 3], axis=0)
+    det = np.einsum("cep,cep->ep", jac[0], dxi_dx[0])
     if np.any(det <= 0.0):
         bad = int(np.sum(det <= 0.0))
         raise ValueError(
             f"{bad} GLL points have non-positive Jacobian (min {det.min():.3e})"
         )
-    inv = np.linalg.inv(jac)  # [c?, ] -> inv[l?, ]: (dxi/dx)
-    # np.linalg.inv of [l, c] = dx_c/dxi_l gives [c, l] = dxi_l / dx_c as the
-    # matrix inverse: (J^-1)[c, l]. We want [l, c] = d xi_l / d x_c, i.e. the
-    # transpose of the matrix inverse of J[l, c].
-    inv_jacobian = np.swapaxes(inv, -1, -2)
-    jweight = det * basis.wgll3[None, ...]
+    dxi_dx /= det
+    det = det.reshape(xyz.shape[:-1])
     return ElementGeometry(
-        inv_jacobian=np.ascontiguousarray(inv_jacobian),
-        jacobian=det,
-        jweight=jweight,
+        dxi_dx=dxi_dx, jacobian=det, jweight=det * basis.wgll3[None, ...]
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "group_rows",
     "build_global_numbering",
     "renumber_first_touch",
     "apply_global_permutation",
@@ -31,6 +32,28 @@ _REL_TOLERANCE = 1e-9
 def _quantise(points: np.ndarray, tolerance: float) -> np.ndarray:
     """Integer-quantised coordinates for exact dictionary matching."""
     return np.round(points / tolerance).astype(np.int64)
+
+
+def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of an ``(N, k)`` integer array.
+
+    Returns ``(first_index, inverse)`` exactly as ``np.unique(keys, axis=0,
+    return_index=True, return_inverse=True)`` does — groups in
+    lexicographic row order, ``first_index[g]`` the first row of group
+    ``g``, ``inverse[i]`` the group of row ``i`` — from one stable
+    ``lexsort`` of the columns and an adjacent-row compare, without
+    ``np.unique``'s detour through a structured dtype (several times
+    slower on the mesher's (N, 3) int64 keys).
+    """
+    n = keys.shape[0]
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    # Stable sort: the first row of a group has its smallest original index.
+    return order[starts], inverse
 
 
 def build_global_numbering(
@@ -58,11 +81,9 @@ def build_global_numbering(
         tolerance = max(span, 1.0) * _REL_TOLERANCE
     flat = xyz.reshape(-1, 3)
     keys = _quantise(flat, tolerance)
-    # np.unique on the quantised rows gives the distinct points; remap the
-    # unique ids into first-encounter order to keep locality.
-    _, first_index, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
+    # Group the quantised rows into the distinct points; remap the group
+    # ids into first-encounter order to keep locality.
+    first_index, inverse = group_rows(keys)
     order = np.argsort(first_index, kind="stable")
     rank_of_unique = np.empty_like(order)
     rank_of_unique[order] = np.arange(order.size)

@@ -58,6 +58,7 @@ import numpy as np
 
 from ..mesh.element import RegionMesh, SliceMesh
 from ..mesh.interfaces import FACE_SLICES, external_faces
+from ..mesh.numbering import group_rows
 from ..obs.tracer import maybe_tracer
 from .tags import (
     ASSEMBLE_MERGED,
@@ -123,8 +124,8 @@ def _boundary_points(mesh: RegionMesh, tol: float) -> tuple[np.ndarray, np.ndarr
     keys = np.concatenate(keys)
     ids = np.concatenate(ids)
     # Deduplicate per rank (a point may lie on several external faces).
-    _, first = np.unique(keys, axis=0, return_index=True)
-    return keys[np.sort(first)], ids[np.sort(first)]
+    first = np.sort(group_rows(keys)[0])
+    return keys[first], ids[first]
 
 
 def build_halos(

@@ -15,7 +15,7 @@ rule) — and carries over:
 * global-point fields — solid ``displ``/``veloc``/``accel`` per region,
   fluid ``chi``/``chi_dot``/``chi_ddot``;
 * per-element attenuation *memory* (``zeta``) by element centroid.  The
-  attenuation coefficients (alpha/weight/y) are deliberately NOT
+  attenuation coefficients (alpha/y/gain) are deliberately NOT
   remapped: they are element-local functions of (Q_mu, dt) alone
   (:func:`repro.solver.attenuation.build_attenuation` bins by distinct
   Q value), so the new world's solver rebuilds identical coefficients
@@ -24,8 +24,8 @@ rule) — and carries over:
   (stations are re-assigned to the nearest point of the new partition,
   so their owning rank and row order may change).
 
-Every state array is event-leading (checkpoint format v4): fields
-``(B, nglob[, 3])``, ``zeta`` ``(B, n_sls, nspec, ...)``, seismograms
+Every state array is event-leading (checkpoint format v5): fields
+``(B, nglob[, 3])``, ``zeta`` ``(B, n_sls, nspec, 6, n, n, n)``, seismograms
 ``(B, nrec, n_steps, 3)`` — so the point and receiver slots are axis 1
 and the element slot axis 2, with ``B = 1`` for a single-event run.
 
@@ -153,7 +153,7 @@ def remap_world_state(
             if name not in arrays:
                 continue
             keys = _element_keys(old_slices[rank].regions[code], tol)
-            z = arrays[name]  # (B, n_sls, nspec, n, n, n, 3, 3)
+            z = arrays[name]  # (B, n_sls, nspec, 6, n, n, n)
             for e, key in enumerate(keys):
                 if key not in values:
                     values[key] = z[:, :, e]

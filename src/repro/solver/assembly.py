@@ -21,9 +21,15 @@ __all__ = [
 ]
 
 
-def gather(global_field: np.ndarray, ibool: np.ndarray) -> np.ndarray:
-    """Global -> local: (nglob[, c]) -> (nspec, n, n, n[, c])."""
-    return global_field[ibool]
+def gather(
+    global_field: np.ndarray, ibool: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Global -> local: (nglob[, c]) -> (nspec, n, n, n[, c]), into
+    ``out`` when given (``ibool`` indexes its own region, so the unchecked
+    ``clip`` mode applies: the default mode buffers ``out``)."""
+    if out is None:
+        return global_field[ibool]
+    return np.take(global_field, ibool, axis=0, out=out, mode="clip")
 
 
 def scatter_add(

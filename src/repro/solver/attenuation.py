@@ -7,11 +7,13 @@ variables.  This module implements exactly that structure:
 
 * each solid region keeps ``n_sls`` memory tensors ``zeta_j`` tracking the
   deviatoric strain through first-order relaxation
-  ``zeta_j' = (y_j eps_dev - zeta_j) / tau_j``;
-* the stress passed to the force kernel is corrected by
-  ``-2 mu sum_j zeta_j`` (the anelastic stress relaxation);
+  ``zeta_j' = (y_j eps_dev - zeta_j) / tau_j``, stored as their six
+  independent components ``(xx, yy, zz, xy, xz, yz)``;
+* the force kernel calls :meth:`AttenuationState.relax` between strain
+  and Hooke — the strain is computed once and serves both — and corrects
+  its stress by ``-2 mu sum_j zeta_j`` (the anelastic stress relaxation);
 * updates use the exact exponential integrator with the end-of-step strain
-  (first-order accurate, unconditionally stable).
+  (first-order accurate, unconditionally stable), in place.
 
 Only shear (Q_mu) attenuation is modelled; PREM's Q_kappa is 57823 in the
 mantle and its effect over the simulated windows is negligible — the same
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import constants
+from ..kernels.weakform import carve
 from ..model.attenuation import SLSFit, fit_constant_q
 
 __all__ = ["AttenuationState", "build_attenuation"]
@@ -38,52 +41,64 @@ class AttenuationState:
     ----------
     fits : per-Q-bin SLS fits (elements are binned by their Q_mu value)
     bin_of_element : (nspec,) index into ``fits`` per element
-    zeta : (n_sls, nspec, n, n, n, 3, 3) memory tensors (deviatoric)
-    alpha, weight : (n_sls, nspec, 1, 1, 1) update coefficients per element
+    zeta : (n_sls, nspec, 6, n, n, n) memory tensors (deviatoric)
+    alpha, y, gain : (n_sls, nspec, 1, 1) per-element coefficients: decay
+        factor, anelastic coefficient, and ``(1 - alpha) * y`` folded
     """
 
     fits: list[SLSFit]
     bin_of_element: np.ndarray
     zeta: np.ndarray
     alpha: np.ndarray
-    weight: np.ndarray
-    y: np.ndarray  # (n_sls, nspec, 1, 1, 1) anelastic coefficients
+    y: np.ndarray
+    gain: np.ndarray
 
     @property
     def n_sls(self) -> int:
         return self.zeta.shape[0]
 
-    def update(self, strain: np.ndarray, elements=slice(None)) -> None:
-        """Advance memory variables one step with the current strain.
+    def relax(self, strain: np.ndarray, rows, scratch: np.ndarray) -> np.ndarray:
+        """Advance the memory variables of elements ``rows`` one step with
+        their current strain and return ``sum_j zeta_j``.
 
-        ``strain`` is (nspec, n, n, n, 3, 3) on ``elements`` — the whole
-        region by default, or an ascending element-index array; only its
-        deviatoric part drives the memory variables.  The overlapped
-        time loop advances boundary and interior elements in two passes;
-        the relaxation is elementwise, so that is bit-identical to one
-        full update provided each element appears in exactly one subset
-        per step.  A slice indexes ``zeta`` as a view, so the full-region
-        update works in place and the write-back below copies nothing.
+        ``strain`` is the six-component ``(6, nb, npts)`` strain of the
+        region's elements ``rows`` — a slice, relaxed in place, or an
+        ascending index array (the boundary/interior subsets of the
+        overlapped loop), relaxed on a gathered copy and written back;
+        only its deviatoric part drives the memory variables.  The
+        relaxation is elementwise, so any partition of the region into
+        blocks and subsets is bit-identical to one full update provided
+        each element appears exactly once per step.  ``scratch`` is
+        ``(4, >= nb * 6 * npts)`` work space; the returned ``(nb, 6,
+        npts)`` sum (element-major, like ``zeta``) is a view of it.
         """
-        dev = strain.copy()
-        trace_third = np.trace(strain, axis1=-2, axis2=-1) / 3.0
-        idx = np.arange(3)
-        dev[..., idx, idx] -= trace_third[..., None]
-        # zeta <- alpha zeta + (1 - alpha) y dev   (exponential relaxation)
-        zeta = self.zeta[:, elements]
-        zeta *= self.alpha[:, elements][..., None, None]
-        zeta += (
-            (self.weight[:, elements] * self.y[:, elements])[..., None, None]
-            * dev[None, ...]
-        )
-        self.zeta[:, elements] = zeta
-
-    def stress_correction(
-        self, mu: np.ndarray, elements=slice(None)
-    ) -> np.ndarray:
-        """Anelastic stress to subtract on ``elements`` (``mu`` already
-        sliced to them): 2 mu sum_j zeta_j."""
-        return 2.0 * mu[..., None, None] * self.zeta[:, elements].sum(axis=0)
+        nb, npts = strain.shape[1:]
+        dev, total, z_rows, tmp = (carve(s, nb, 6, npts) for s in scratch)
+        mean = carve(scratch[3], nb, npts)  # shares tmp: dead before tmp is written
+        np.add(strain[0], strain[1], out=mean)
+        np.add(mean, strain[2], out=mean)
+        np.multiply(mean, 1.0 / 3.0, out=mean)
+        dev_by_component = dev.transpose(1, 0, 2)
+        np.subtract(strain[:3], mean, out=dev_by_component[:3])
+        np.copyto(dev_by_component[3:], strain[3:])
+        in_place = isinstance(rows, slice)
+        zeta = self.zeta.reshape(self.n_sls, -1, 6, npts)
+        for j in range(self.n_sls):
+            if in_place:
+                z = zeta[j, rows]
+            else:
+                z = np.take(zeta[j], rows, axis=0, out=z_rows, mode="clip")
+            # zeta <- alpha zeta + (1 - alpha) y dev   (exponential relaxation)
+            np.multiply(z, self.alpha[j, rows], out=z)
+            np.multiply(dev, self.gain[j, rows], out=tmp)
+            np.add(z, tmp, out=z)
+            if not in_place:
+                self.zeta[j, rows] = z.reshape(nb, *self.zeta.shape[2:])
+            if j == 0:
+                np.copyto(total, z)
+            else:
+                np.add(total, z, out=total)
+        return total
 
 
 def build_attenuation(
@@ -117,7 +132,7 @@ def build_attenuation(
         q_rep = distinct
         bin_of = np.searchsorted(distinct, q_elem)
     fits = [fit_constant_q(float(q), f_min, f_max, n_sls=n_sls) for q in q_rep]
-    alpha = np.empty((n_sls, nspec, 1, 1, 1))
+    alpha = np.empty((n_sls, nspec, 1, 1))
     y = np.empty_like(alpha)
     for b, fit in enumerate(fits):
         mask = bin_of == b
@@ -125,12 +140,11 @@ def build_attenuation(
         for j in range(n_sls):
             alpha[j, mask] = a[j]
             y[j, mask] = fit.y[j]
-    weight = 1.0 - alpha
     return AttenuationState(
         fits=fits,
         bin_of_element=bin_of,
-        zeta=np.zeros((n_sls, nspec, n, n, n, 3, 3)),
+        zeta=np.zeros((n_sls, nspec, 6, n, n, n)),
         alpha=alpha,
-        weight=weight,
         y=y,
+        gain=(1.0 - alpha) * y,
     )

@@ -24,9 +24,10 @@ campaign's segmented executor treats that error as "fall back to the
 last *verified* checkpoint"; the retry policy treats it as fail-fast
 for the artifact (re-running the same load cannot fix the file).
 
-Format v4 is the only one read or written: every state array is
+Format v5 is the only one read or written: every state array is
 event-leading (docs/batching.md) — fields ``(B, nglob[, 3])``, ``zeta``
-``(B, n_sls, nspec, ...)``, ``seis_data`` ``(B, nrec, n_steps, 3)`` — with
+``(B, n_sls, nspec, 6, n, n, n)`` (six-component memory; v4 stored nine),
+``seis_data`` ``(B, nrec, n_steps, 3)`` — with
 ``B = 1`` for a single-event run, and the shape checks enforce that a
 checkpoint restores into a solver with the same number of events.
 """
@@ -57,7 +58,7 @@ __all__ = [
     "read_verified_arrays",
 ]
 
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 
 class CheckpointError(ValueError):

@@ -8,12 +8,11 @@ conditionally stable under the Courant limit.  The scheme is split into a
 velocity) and a *corrector* (finish the velocity with the new
 acceleration) so that force evaluation happens exactly once per step.
 
-Every update here is an elementwise in-place operation (``+=`` /
-``[:] = 0``), so it is shape-agnostic: the solver applies it to whole
-``(B, nglob[, 3])`` field arrays (:mod:`repro.solver.fields`), which
-performs, for each event, exactly the scalar operations of advancing
-that event alone.  Callers own the arrays; the accumulators are never
-reallocated.
+Every update here is an elementwise in-place ufunc call with ``out=``,
+so it is shape-agnostic: the solver applies it to whole ``(B, nglob[,
+3])`` field arrays (:mod:`repro.solver.fields`), which performs, for each
+event, exactly the scalar operations of advancing that event alone.
+Callers own the arrays; the accumulators are never reallocated.
 """
 
 from __future__ import annotations
@@ -24,15 +23,25 @@ __all__ = ["predictor", "corrector", "predictor_scalar", "corrector_scalar"]
 
 
 def predictor(displ: np.ndarray, veloc: np.ndarray, accel: np.ndarray, dt: float) -> None:
-    """In-place predictor: u += dt v + dt^2/2 a ; v += dt/2 a ; a = 0."""
-    displ += dt * veloc + (0.5 * dt * dt) * accel
-    veloc += (0.5 * dt) * accel
-    accel[:] = 0.0
+    """In-place predictor: v += dt/2 a ; u += dt v ; a = 0.
+
+    The half-stepped velocity carries ``u += dt v + dt^2/2 a`` in one
+    product, and the acceleration array — zeroed at the end anyway — is
+    the scratch, so nothing is allocated.
+    """
+    np.multiply(accel, 0.5 * dt, out=accel)
+    np.add(veloc, accel, out=veloc)
+    np.multiply(veloc, dt, out=accel)
+    np.add(displ, accel, out=displ)
+    accel.fill(0.0)
 
 
-def corrector(veloc: np.ndarray, accel: np.ndarray, dt: float) -> None:
-    """In-place corrector with the newly computed acceleration."""
-    veloc += (0.5 * dt) * accel
+def corrector(
+    veloc: np.ndarray, accel: np.ndarray, dt: float, work: np.ndarray | None = None
+) -> None:
+    """In-place corrector with the newly computed acceleration; ``work``
+    (shaped like ``accel``, clobbered) spares the temporary."""
+    np.add(veloc, np.multiply(accel, 0.5 * dt, out=work), out=veloc)
 
 
 # The scalar (fluid potential) variants are identical numerically; separate

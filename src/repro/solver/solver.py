@@ -36,8 +36,8 @@ import numpy as np
 from ..config import constants
 from ..config.parameters import SimulationParameters
 from ..gll.lagrange import GLLBasis
-from ..kernels.acoustic import compute_forces_acoustic
-from ..kernels.elastic import compute_forces_elastic, compute_strain
+from ..kernels.acoustic import AcousticOperator
+from ..kernels.elastic import ElasticOperator
 from ..kernels.flops import (
     acoustic_kernel_flops,
     attenuation_update_flops,
@@ -45,6 +45,7 @@ from ..kernels.flops import (
     newmark_update_flops,
 )
 from ..kernels.geometry import compute_geometry
+from ..kernels.weakform import Workspace, carve
 from ..mesh.element import RegionMesh
 from ..mesh.interfaces import external_faces, faces_at_radius, match_coupling_faces
 from ..mesh.quality import estimate_time_step
@@ -115,7 +116,7 @@ class SolverResult:
 class _EventAttenuation:
     """Attenuation memory of all B events on one solid region.
 
-    ``zeta`` (B, n_sls, nspec, n, n, n, 3, 3) is the one array checkpoint
+    ``zeta`` (B, n_sls, nspec, 6, n, n, n) is the one array checkpoint
     and remap serialise; ``events[b]`` is the single-event
     :class:`AttenuationState` on the view ``zeta[b]`` (memory never
     crosses the halo, so it is a list, not an axis the component sees).
@@ -158,52 +159,53 @@ class _RegionSubset:
     ``idx`` selects the elements in the region's original order: the
     trivial subset ``slice(None)`` (the whole region — every attribute
     is then a view and nothing is copied) or the ascending boundary /
-    interior index arrays of the overlapped schedule.  Holds
-    element-sliced geometry, materials, numbering and physics extras,
-    precomputed once at solver build so the time loop pays no per-step
-    slicing of static data.  Kernels applied per subset produce exactly
-    the rows the full-region kernel would, because every kernel is
-    elementwise over the leading (element) axis.
+    interior index arrays of the overlapped schedule.  Holds the subset's
+    force operator (geometry and materials folded once), numbering and
+    physics extras, built once at solver build so the time loop pays no
+    per-step slicing of static data.  The operator applied per subset
+    produces exactly the rows the full-region operator would, because
+    every step of it is elementwise over the element axis.
     """
 
     def __init__(self, solver: "GlobalSolver", code: int, idx):
         st = solver.regions[code]
         self.code = code
-        #: Also the attenuation element selector: boundary and interior
-        #: partition the region, so the elementwise relaxation is unchanged.
         self.idx = idx
         self.ibool = st.ibool[idx]
-        geom = st.geom
-        self.geom = type(geom)(
-            inv_jacobian=geom.inv_jacobian[idx],
-            jacobian=geom.jacobian[idx],
-            jweight=geom.jweight[idx],
-        )
+        self.geom = st.geom.subset(idx)
         self.rho = st.rho[idx]
-        self.mu = None if st.mu is None else st.mu[idx]
-        self.lam = None if st.lam is None else st.lam[idx]
         self.xyz_m = st.xyz_m[idx]
-        if st.ti_moduli is None:
-            self.ti_moduli = None
-            self.ti_frames = None
-        else:
-            m = st.ti_moduli
-            self.ti_moduli = type(m)(
-                A=m.A[idx], C=m.C[idx], L=m.L[idx], N=m.N[idx], F=m.F[idx]
-            )
-            self.ti_frames = st.ti_frames[idx]
         g = solver.gravity_g.get(code)
         self.gravity_g = None if g is None else g[idx]
         # Per-phase flop estimates (the PSiNS-analog counters attached to
         # kernel spans), computed once so the hot loop only reads them.
         nspec = self.ibool.shape[0]
         self.gll_points_count = float(nspec * constants.NGLLX**3)
+        basis, ws = solver.basis, solver._workspace
         if code == solver.fluid_code:
-            self.rho_inv = 1.0 / self.rho
-            self.acoustic_flops = float(acoustic_kernel_flops(nspec))
+            self.operator = AcousticOperator(self.geom, 1.0 / self.rho, basis, ws)
+            self.flops = float(acoustic_kernel_flops(nspec))
         else:
-            self.elastic_flops = float(elastic_kernel_flops(nspec))
-            self.atten_flops = float(attenuation_update_flops(nspec))
+            self.flops = float(elastic_kernel_flops(nspec))
+            if st.ti_moduli is None:
+                self.operator = ElasticOperator(
+                    self.geom, st.lam[idx], st.mu[idx], basis, ws,
+                    solver.params.kernel_variant,
+                )
+            else:
+                from ..kernels.anisotropic import TIElasticOperator
+
+                m = st.ti_moduli
+                self.operator = TIElasticOperator(
+                    self.geom, st.lam[idx], st.mu[idx],
+                    type(m)(A=m.A[idx], C=m.C[idx], L=m.L[idx], N=m.N[idx], F=m.F[idx]),
+                    st.ti_frames[idx], basis, ws,
+                )
+
+    def rows(self, lo: int, hi: int):
+        """Region elements of this subset's elements ``lo:hi`` — the
+        attenuation selector: the subsets of a region partition it."""
+        return slice(lo, hi) if isinstance(self.idx, slice) else self.idx[lo:hi]
 
 
 class GlobalSolver:
@@ -337,6 +339,12 @@ class GlobalSolver:
         if exchanger is not None:
             for code, local_mass in self.mass.items():
                 exchanger.assemble({code: local_mass})
+        #: Reciprocal mass (SPECFEM's ``rmass``), shaped to broadcast over
+        #: a region's (B, nglob[, 3]) force: the step multiplies, never divides.
+        self._rmass = {
+            code: (1.0 / mass)[:, None] if code in self.solid_codes else 1.0 / mass
+            for code, mass in self.mass.items()
+        }
 
         # -- Time step ------------------------------------------------------
         # Distributed runs pass the already-agreed global minimum dt so the
@@ -443,6 +451,16 @@ class GlobalSolver:
         #: rank must choose alike: by what all ranks were given, never by
         #: what this rank's elements happen to leave over after a post.
         self._overlap = element_splits is not None
+        #: The kernels' block work vectors, one set for all regions, subsets
+        #: and events (they run one after another).
+        self._workspace = Workspace(constants.NGLLX)
+        # One event's gathered field and local force on the largest region.
+        local = max(
+            st.ibool.size * (1 if st.mesh.is_fluid else 3)
+            for st in self.regions.values()
+        )
+        self._gathered = np.empty(local, dtype=np.float64)
+        self._local = np.empty(local, dtype=np.float64)
         #: Assembled force per region, (B, nglob[, 3]).
         self._force: dict[int, np.ndarray] = {}
         #: Split regions only: local forces in full element order, for the
@@ -494,8 +512,28 @@ class GlobalSolver:
             )
             for codes in rounds
         ]
+        self._touch_step_buffers()
 
     # ------------------------------------------------------------------ setup
+
+    def _touch_step_buffers(self) -> None:
+        """Write every array the first step writes, so its pages are
+        resident before the loop starts.  ``np.zeros``/``np.empty`` only
+        reserve address space; left alone, the first step pays the page
+        faults of ~80 MiB at NEX 8 — +23 ms median and +130 ms worst on a
+        48 ms step, 12 ms here — which is set-up hidden inside the loop."""
+        ws = self._workspace
+        buffers = [ws.a, ws.b, ws.c, self._gathered, self._local]
+        buffers += [*self._force.values(), *self._scratch_local.values()]
+        if self.attenuation:
+            buffers.append(ws.memory)
+            buffers += [att.zeta for att in self.attenuation.values()]
+        for f in self.solid.values():
+            buffers += [f.displ, f.veloc, f.accel]
+        if self.fluid is not None:
+            buffers += [self.fluid.chi, self.fluid.chi_dot, self.fluid.chi_ddot]
+        for buf in buffers:
+            buf.fill(0.0)
 
     def reset_receivers(self, n_steps: int) -> None:
         """(Re)allocate every event's recording buffers for ``n_steps``:
@@ -875,77 +913,52 @@ class GlobalSolver:
     # an event — and are the only callers of the kernels.  Everything they
     # hand a component is the single-event view of event ``b``.
 
-    def _fluid_local_force(self, view: _RegionSubset, b: int) -> np.ndarray:  # repro: hot-loop
-        """Local (unassembled) fluid force of event ``b`` on one subset."""
-        with self.tracer.span(
-            "kernel.acoustic",
-            flops=view.acoustic_flops,
-            gll_points=view.gll_points_count,
-        ):
-            chi_local = gather(self.fluid.chi[b], view.ibool)
-            return compute_forces_acoustic(
-                chi_local, view.geom, view.rho_inv, self.basis
-            )
-
-    def _solid_local_force(self, view: _RegionSubset, b: int) -> np.ndarray:  # repro: hot-loop
-        """Local (unassembled) force of event ``b`` on one solid subset."""
+    def _local_force(self, view: _RegionSubset, b: int) -> np.ndarray:  # repro: hot-loop
+        """Local (unassembled) force of event ``b`` on one subset — a view
+        of the solver's local buffer, valid until the next call.  The
+        kernel spans cover what SPECFEM's ``compute_forces_*`` routines
+        cover: the gather through ``ibool`` and the element computation,
+        with the memory-variable relaxation as a nested span per block."""
         tr = self.tracer
         code = view.code
-        f = self.solid[code]
-        u_local = gather(f.displ[b], view.ibool)
-        correction = None
+        solid = code != self.fluid_code
+        field = self.solid[code].displ[b] if solid else self.fluid.chi[b]
+        shape = view.ibool.shape + field.shape[1:]
+        local = carve(self._local, *shape)
+        relax = None
         if code in self.attenuation:
-            with tr.span("kernel.attenuation", flops=view.atten_flops):
-                strain = compute_strain(u_local, view.geom, self.basis)
-                atten = self.attenuation[code].events[b]
-                atten.update(strain, view.idx)
-                correction = atten.stress_correction(view.mu, view.idx)
+            state = self.attenuation[code].events[b]
+            scratch = self._workspace.memory
+
+            def relax(strain, lo, hi):
+                with tr.span(
+                    "kernel.attenuation",
+                    flops=float(attenuation_update_flops(hi - lo)),
+                ):
+                    return state.relax(strain, view.rows(lo, hi), scratch)
+
         with tr.span(
-            "kernel.elastic",
-            flops=view.elastic_flops,
+            "kernel.elastic" if solid else "kernel.acoustic",
+            flops=view.flops,
             gll_points=view.gll_points_count,
         ):
-            if view.ti_moduli is not None:
-                from ..kernels.anisotropic import compute_forces_elastic_ti
-
-                force_local = compute_forces_elastic_ti(
-                    u_local,
-                    view.geom,
-                    view.ti_moduli,
-                    view.ti_frames,
-                    self.basis,
-                    stress_correction=correction,
-                )
-            else:
-                force_local = compute_forces_elastic(
-                    u_local,
-                    view.geom,
-                    view.lam,
-                    view.mu,
-                    self.basis,
-                    variant=self.params.kernel_variant,
-                    stress_correction=correction,
-                )
-        if self.omega_vector is not None:
-            v_local = gather(f.veloc[b], view.ibool)
-            force_local += coriolis_local_force(
+            gathered = gather(field, view.ibool, out=carve(self._gathered, *shape))
+            view.operator.apply(gathered, local, relax)
+        if solid and self.omega_vector is not None:
+            v_local = gather(self.solid[code].veloc[b], view.ibool)
+            local += coriolis_local_force(
                 v_local, view.rho, view.geom, self.omega_vector
             )
         if view.gravity_g is not None:
-            force_local += gravity_local_force(
-                u_local,
+            local += gravity_local_force(
+                gathered,
                 view.xyz_m,
                 view.rho,
                 view.gravity_g,
                 view.geom,
                 self.basis,
             )
-        return force_local
-
-    def _local_force(self, view: _RegionSubset, b: int) -> np.ndarray:  # repro: hot-loop
-        if view.code == self.fluid_code:
-            return self._fluid_local_force(view, b)
-        return self._solid_local_force(view, b)
+        return local
 
     def _assemble_event(  # repro: hot-loop
         self, code: int, local: np.ndarray, ibool: np.ndarray, b: int, t: float
@@ -953,19 +966,28 @@ class GlobalSolver:
         """Scatter event ``b``'s local force into its row of the region's
         force buffer, then add the point terms (coupling, sources)."""
         force = self._force[code][b]
-        scatter_add(local, ibool, force.shape[0], out=force)
-        if code == self.fluid_code:
-            self._apply_fluid_coupling(force, b)
-        else:
-            self._apply_solid_coupling(code, force, b)
-            self._apply_sources(code, force, b, t)
+        with self.tracer.span("solver.assemble"):
+            scatter_add(local, ibool, force.shape[0], out=force)
+            if code == self.fluid_code:
+                self._apply_fluid_coupling(force, b)
+            else:
+                self._apply_solid_coupling(code, force, b)
+                self._apply_sources(code, force, b, t)
 
     def _update_fluid(self) -> None:  # repro: hot-loop
         """Finish the fluid step from its assembled force (the solids'
         coupling term needs the fresh ``chi_ddot``)."""
         fluid = self.fluid
-        fluid.chi_ddot[:] = self._force[self.fluid_code] / self.mass[self.fluid_code]
-        newmark.corrector_scalar(fluid.chi_dot, fluid.chi_ddot, self.dt)
+        with self.tracer.span("solver.newmark_corrector"):
+            np.multiply(
+                self._force[self.fluid_code],
+                self._rmass[self.fluid_code],
+                out=fluid.chi_ddot,
+            )
+            # The assembled force has been consumed: it is the scratch.
+            newmark.corrector_scalar(
+                fluid.chi_dot, fluid.chi_ddot, self.dt, self._force[self.fluid_code]
+            )
 
     def _pass(  # repro: hot-loop
         self, view: _RegionSubset, t: float, rescatter: bool
@@ -984,8 +1006,6 @@ class GlobalSolver:
                 if rescatter:
                     local, ibool = scratch[b], self.regions[code].ibool
             self._assemble_event(code, local, ibool, b, t)
-            # Event b's temporary must not live on into event b+1's kernel.
-            del local
 
     def _forces(self, t: float) -> None:  # repro: hot-loop
         """The force schedule: per exchange round, the elements that feed
@@ -1044,11 +1064,11 @@ class GlobalSolver:
         with tr.span("solver.newmark_corrector", flops=self._newmark_flops):
             for code in self.solid_codes:
                 f = self.solid[code]
-                f.accel[:] = self._force[code] / self.mass[code][:, None]
+                np.multiply(self._force[code], self._rmass[code], out=f.accel)
                 if code == RegionCode.CRUST_MANTLE and self.ocean_load is not None:
                     for b in range(self.batch):
                         self.ocean_load.apply(f.accel[b], self.mass[code])
-                newmark.corrector(f.veloc, f.accel, dt)
+                newmark.corrector(f.veloc, f.accel, dt, self._force[code])
         self.timings.compute_s += time.perf_counter() - t0
         self.timings.compute_cpu_s += time.thread_time() - cpu0
 
@@ -1064,31 +1084,20 @@ class GlobalSolver:
         to pin the coupling signs.
         """
         total = 0.0
+        # -1/2 x^T (-K x), a sum over elements: through the time loop's own
+        # subsets and operators, which partition every region.
+        for _, before, after in self._rounds:
+            for view in (*before, *after):
+                solid = view.code != self.fluid_code
+                field = self.solid[view.code].displ if solid else self.fluid.chi_dot
+                for b in range(self.batch):
+                    local = gather(field[b], view.ibool)
+                    k_local = np.empty_like(local)
+                    view.operator.apply(local, k_local)
+                    total += -0.5 * float(np.sum(local * k_local))
         for code in self.solid_codes:
-            st = self.regions[code]
-            f = self.solid[code]
-            total += f.kinetic_energy(self.mass[code])
-            for b in range(self.batch):
-                u_local = gather(f.displ[b], st.ibool)
-                if st.ti_moduli is not None:
-                    from ..kernels.anisotropic import compute_forces_elastic_ti
-
-                    ku = compute_forces_elastic_ti(
-                        u_local, st.geom, st.ti_moduli, st.ti_frames, self.basis
-                    )
-                else:
-                    ku = compute_forces_elastic(
-                        u_local, st.geom, st.lam, st.mu, self.basis
-                    )
-                total += -0.5 * float(np.sum(u_local * ku))
+            total += self.solid[code].kinetic_energy(self.mass[code])
         if self.fluid is not None:
-            fl = self.regions[self.fluid_code]
-            for b in range(self.batch):
-                chidot_local = gather(self.fluid.chi_dot[b], fl.ibool)
-                k_chidot = compute_forces_acoustic(
-                    chidot_local, fl.geom, 1.0 / fl.rho, self.basis
-                )
-                total += -0.5 * float(np.sum(chidot_local * k_chidot))
             total += 0.5 * float(
                 np.sum(self.mass[self.fluid_code] * self.fluid.chi_ddot**2)
             )

@@ -216,6 +216,32 @@ class TestHotLoopAllocRule:
         """, rules=["R3"])
         assert report.clean
 
+    def test_contraction_without_out_fires(self, tmp_path):
+        report = run_on(tmp_path, "kernels/mod.py", """
+            import numpy as np
+
+            def step(h, u, inv):  # repro: hot-loop
+                t = np.stack([np.matmul(h, u), np.einsum("il,lj->ij", h, u)])
+                return np.add(np.multiply(t, inv), u)
+        """, rules=["R3"])
+        messages = sorted(f.message.split("(")[0] for f in report.findings)
+        assert messages == [
+            "np.add", "np.einsum", "np.matmul", "np.multiply", "np.stack"
+        ]
+
+    def test_contraction_into_work_array_clean(self, tmp_path):
+        report = run_on(tmp_path, "kernels/mod.py", """
+            import numpy as np
+
+            def step(h, u, inv, t, g):  # repro: hot-loop
+                np.matmul(h, u, out=t)
+                np.einsum("il,lj->ij", h, u, out=g)
+                np.multiply(t, inv, out=t)
+                np.subtract(t, g, out=t)
+                return np.add(t, u, out=t)
+        """, rules=["R3"])
+        assert report.clean
+
     def test_list_append_accumulation_fires(self, tmp_path):
         report = run_on(tmp_path, "solver/solver.py", """
             import numpy as np

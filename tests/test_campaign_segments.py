@@ -255,7 +255,7 @@ class TestCheckpointFormat:
         path = save_checkpoint(solver, tmp_path / "state.npz", step=0)
         fresh = make_solver(mesh, params, stations=False)
         # v4 is the only readable format: older files are rejected too.
-        for version in (99, 1, 2, 3):
+        for version in (99, 1, 2, 3, 4):
             _rewrite_npz(path, lambda a: a.update(version=np.asarray(version)))
             with pytest.raises(ValueError, match=f"version {version}"):
                 load_checkpoint(fresh, path)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gll import gll_points_and_weights
+from repro.mesh.numbering import group_rows
 from repro.mesh import (
     apply_global_permutation,
     average_global_stride,
@@ -82,6 +83,44 @@ class TestBuildGlobalNumbering:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             build_global_numbering(np.zeros((2, 5, 5, 5)))
+
+
+def assert_groups_like_unique(keys):
+    _, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    got_first, got_inverse = group_rows(keys)
+    np.testing.assert_array_equal(got_first, first)
+    np.testing.assert_array_equal(got_inverse, inverse.ravel())
+
+
+class TestGroupRows:
+    """The row-grouping helper against its ``np.unique(axis=0)`` oracle."""
+
+    @staticmethod
+    def mesh_keys(xyz):
+        return np.round(xyz.reshape(-1, 3) / 1e-5).astype(np.int64)
+
+    def test_slice_and_merged_mesh_keys(self):
+        from repro.config.parameters import SimulationParameters
+        from repro.mesh import build_global_mesh, build_slice_mesh
+
+        params = SimulationParameters(
+            nex_xi=4, nproc_xi=1, ner_crust_mantle=2, ner_outer_core=1,
+            ner_inner_core=1,
+        )
+        for bundle in (build_slice_mesh(params), build_global_mesh(params)):
+            for region in bundle.regions.values():
+                assert_groups_like_unique(self.mesh_keys(region.xyz))
+
+    def test_random_rows_with_duplicates(self):
+        rng = np.random.default_rng(0)
+        for n, span in ((1, 3), (50, 2), (5000, 7), (5000, 10**12)):
+            assert_groups_like_unique(rng.integers(-span, span, size=(n, 3)))
+
+    def test_empty(self):
+        first, inverse = group_rows(np.empty((0, 3), dtype=np.int64))
+        assert first.size == 0 and inverse.size == 0
 
 
 class TestRenumbering:

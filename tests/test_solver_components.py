@@ -219,25 +219,32 @@ class TestReceivers:
             rs.seismogram("Y")
 
 
+def relax_region(state, strain):
+    """One step of the whole region with its six-component
+    (6, nspec, 125) strain, ordered (xx, yy, zz, xy, xz, yz)."""
+    scratch = np.empty((4, strain.size))
+    return state.relax(strain, slice(0, strain.shape[1]), scratch)
+
+
 class TestAttenuationState:
     def test_zero_strain_decays_memory(self):
         q = np.full((4, 5, 5, 5), 300.0)
         state = build_attenuation(q, dt=0.1, f_min=0.05, f_max=0.5)
         state.zeta[:] = 1.0
-        state.update(np.zeros((4, 5, 5, 5, 3, 3)))
+        relax_region(state, np.zeros((6, 4, 125)))
         assert np.all(state.zeta < 1.0)
         assert np.all(state.zeta > 0.0)
 
     def test_constant_strain_equilibrium(self):
         q = np.full((2, 5, 5, 5), 100.0)
         state = build_attenuation(q, dt=0.05, f_min=0.05, f_max=0.5)
-        strain = np.zeros((2, 5, 5, 5, 3, 3))
-        strain[..., 0, 1] = strain[..., 1, 0] = 1e-6  # pure deviatoric
+        strain = np.zeros((6, 2, 125))
+        strain[3] = 1e-6  # xy: pure deviatoric
         for _ in range(2000):
-            state.update(strain)
+            relax_region(state, strain)
         # Equilibrium: zeta_j -> y_j * dev(strain).
-        y_total = state.y.sum(axis=0)  # (nspec, 1, 1, 1)
-        z = state.zeta.sum(axis=0)[..., 0, 1]
+        y_total = state.y.sum(axis=0)[..., None]  # (nspec, 1, 1, 1)
+        z = state.zeta.sum(axis=0)[:, 3]
         np.testing.assert_allclose(
             z, np.broadcast_to(y_total * 1e-6, z.shape), rtol=1e-3
         )
@@ -245,21 +252,42 @@ class TestAttenuationState:
     def test_volumetric_strain_ignored(self):
         q = np.full((1, 5, 5, 5), 100.0)
         state = build_attenuation(q, dt=0.05, f_min=0.05, f_max=0.5)
-        strain = np.zeros((1, 5, 5, 5, 3, 3))
-        for c in range(3):
-            strain[..., c, c] = 1e-6  # pure volumetric
-        state.update(strain)
+        strain = np.zeros((6, 1, 125))
+        strain[:3] = 1e-6  # pure volumetric
+        relax_region(state, strain)
         np.testing.assert_allclose(state.zeta, 0.0, atol=1e-20)
 
-    def test_stress_correction_proportional_to_mu(self):
-        q = np.full((1, 5, 5, 5), 100.0)
-        state = build_attenuation(q, dt=0.05, f_min=0.05, f_max=0.5)
-        state.zeta[:] = 1e-8
-        mu = np.full((1, 5, 5, 5), 7.0)
-        corr = state.stress_correction(mu)
-        np.testing.assert_allclose(
-            corr, 2.0 * 7.0 * state.zeta.sum(axis=0), rtol=1e-12
-        )
+    def test_stress_correction_proportional_to_mu(self, box, box_geom):
+        # relax() hands the kernel sum_j zeta_j; the kernel's Hooke step
+        # subtracts 2 mu times it, so the anelastic force scales with mu.
+        from repro.kernels.elastic import ElasticOperator
+        from repro.kernels.weakform import Workspace
+
+        shape = box.ibool.shape
+        state = build_attenuation(np.full(shape, 100.0), dt=0.05, f_min=0.05, f_max=0.5)
+        rng = np.random.default_rng(4)
+        zeta0 = 1e-8 * rng.standard_normal(state.zeta.shape)
+        forces = {}
+        for mu in (1.0, 7.0):
+            state.zeta[:] = zeta0
+            ws = Workspace(5)
+            operator = ElasticOperator(
+                box_geom, np.ones(shape), np.full(shape, mu), GLLBasis(5), ws
+            )
+            totals = []
+
+            def relax(strain, lo, hi):
+                totals.append(state.relax(strain, slice(lo, hi), ws.memory).copy())
+                return totals[-1]
+
+            forces[mu] = np.empty((*shape, 3))
+            operator.apply(np.zeros((*shape, 3)), forces[mu], relax)
+            np.testing.assert_array_equal(
+                np.concatenate(totals).reshape(state.zeta.shape[1:]),
+                state.zeta.sum(axis=0),
+            )
+        assert np.max(np.abs(forces[1.0])) > 0.0
+        np.testing.assert_allclose(forces[7.0], 7.0 * forces[1.0], rtol=1e-12)
 
     def test_distinct_q_values_binned(self):
         q = np.full((4, 5, 5, 5), 80.0)

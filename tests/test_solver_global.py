@@ -211,3 +211,37 @@ class TestPhysicsSwitches:
         np.testing.assert_allclose(
             vec.seismograms / scale, blas.seismograms / scale, atol=1e-9
         )
+
+
+class TestFusedForceSchedule:
+    def test_one_hprime_triple_per_block_with_attenuation(
+        self, tiny_mesh, tiny_params, monkeypatch
+    ):
+        # With attenuation on, the displacement gradient is evaluated once
+        # per (block of a subset, event, step) and serves both the memory
+        # variables and the stress: one hprime triple forward, one back.
+        from repro.kernels import weakform
+
+        batched = weakform._CONTRACT["vectorized"]
+        calls = []
+
+        def counting(axis, m, mt, src, dst, n):
+            calls.append((axis, m))
+            batched(axis, m, mt, src, dst, n)
+
+        monkeypatch.setitem(weakform._CONTRACT, "vectorized", counting)
+        n_steps, events = 2, [[explosion_source()], [explosion_source(300.0)]]
+        solver = GlobalSolver(
+            tiny_mesh, tiny_params.with_updates(attenuation=True),
+            event_sources=events,
+        )
+        assert solver.attenuation and not calls
+        solver.run(n_steps=n_steps)
+        blocks = sum(
+            -(-st.ibool.shape[0] // weakform.BLOCK) for st in solver.regions.values()
+        )
+        h = solver.basis.hprime
+        for axis in range(3):
+            forward = sum(1 for a, m in calls if a == axis and m is h)
+            back = sum(1 for a, m in calls if a == axis and m is not h)
+            assert forward == back == n_steps * len(events) * blocks
