@@ -73,7 +73,7 @@ def _region_payloads(mesh: RegionMesh) -> dict[str, np.ndarray]:
     """The arrays written for one region, keyed by file kind."""
     from ..mesh.interfaces import external_faces
 
-    faces = np.asarray(external_faces(mesh.ibool), dtype=np.int32)
+    faces = external_faces(mesh.ibool).astype(np.int32)
     n_boundary = max(len(faces), 1)
     return {
         "coords_x": mesh.xyz[..., 0].astype(np.float32),

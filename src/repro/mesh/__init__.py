@@ -14,11 +14,10 @@ from .cuthill_mckee import (
 )
 from .element import RegionMesh, SliceMesh
 from .interfaces import (
-    CouplingSurface,
     external_faces,
     face_points,
+    face_values,
     faces_at_radius,
-    match_coupling_faces,
 )
 from .mesher import (
     GlobalMesh,
@@ -54,11 +53,10 @@ __all__ = [
     "reorder_elements",
     "RegionMesh",
     "SliceMesh",
-    "CouplingSurface",
     "external_faces",
     "face_points",
+    "face_values",
     "faces_at_radius",
-    "match_coupling_faces",
     "GlobalMesh",
     "MesherStats",
     "assign_materials",

@@ -16,17 +16,16 @@ physical surfaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .numbering import group_rows
 
 __all__ = [
     "FACE_SLICES",
     "face_points",
+    "face_values",
     "external_faces",
     "faces_at_radius",
-    "CouplingSurface",
-    "match_coupling_faces",
     "face_area_weights",
 ]
 
@@ -50,54 +49,51 @@ def face_points(array: np.ndarray, ispec: int, face_id: int) -> np.ndarray:
     return array[(ispec, *FACE_SLICES[face_id])]
 
 
-def external_faces(ibool: np.ndarray) -> list[tuple[int, int]]:
+def face_values(array: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Gather every face's (n, n[, extra]) values from a per-element array.
+
+    ``faces`` is a face set — ``(N, 2)`` rows of ``(ispec, face_id)`` — and
+    the result is ``(N, n, n[, extra])`` in the same row order.
+    """
+    faces = np.asarray(faces, dtype=np.intp).reshape(-1, 2)
+    n = array.shape[1]
+    out = np.empty((len(faces), n, n, *array.shape[4:]), dtype=array.dtype)
+    for face_id, face in enumerate(FACE_SLICES):
+        rows = np.flatnonzero(faces[:, 1] == face_id)
+        out[rows] = array[(faces[rows, 0], *face)]
+    return out
+
+
+def external_faces(ibool: np.ndarray) -> np.ndarray:
     """All (ispec, face_id) pairs whose face is not shared by two elements.
 
-    Faces are identified by the sorted tuple of their four corner global
-    ids — sufficient because two distinct conforming faces cannot share all
-    four corners.
+    Returns the face set as ``(N, 2)`` ``intp`` rows in ascending
+    ``(ispec, face_id)`` order.  Faces are identified by the sorted ids of
+    their four corner global points — sufficient because two distinct
+    conforming faces cannot share all four corners — and a face is
+    external when its signature occurs once.
     """
     nspec, n = ibool.shape[0], ibool.shape[1]
-    last = n - 1
-    corner_ids = (
-        (0, 0, 0), (0, 0, last), (0, last, 0), (0, last, last),
-        (last, 0, 0), (last, 0, last), (last, last, 0), (last, last, last),
-    )
-    face_corner_local = [
-        [c for c in corner_ids if c[0] == 0],
-        [c for c in corner_ids if c[0] == last],
-        [c for c in corner_ids if c[1] == 0],
-        [c for c in corner_ids if c[1] == last],
-        [c for c in corner_ids if c[2] == 0],
-        [c for c in corner_ids if c[2] == last],
-    ]
-    counts: dict[tuple[int, ...], int] = {}
-    signatures: list[list[tuple[int, ...]]] = []
-    for ispec in range(nspec):
-        sigs: list[tuple[int, ...]] = []
-        for face_id in range(6):
-            ids = sorted(
-                int(ibool[ispec][c]) for c in face_corner_local[face_id]
-            )
-            sig = tuple(ids)
-            sigs.append(sig)
-            counts[sig] = counts.get(sig, 0) + 1
-        signatures.append(sigs)
-    out: list[tuple[int, int]] = []
-    for ispec in range(nspec):
-        for face_id in range(6):
-            if counts[signatures[ispec][face_id]] == 1:
-                out.append((ispec, face_id))
-    return out
+    corners = ibool[:, :: n - 1, :: n - 1, :: n - 1]
+    signatures = np.sort(
+        np.stack(
+            [corners[(slice(None), *face)].reshape(nspec, 4) for face in FACE_SLICES],
+            axis=1,
+        ),
+        axis=-1,
+    ).reshape(-1, 4)
+    _, group = group_rows(signatures)
+    external = np.flatnonzero(np.bincount(group)[group] == 1)
+    return np.stack([external // 6, external % 6], axis=1)
 
 
 def faces_at_radius(
     xyz: np.ndarray,
-    faces: list[tuple[int, int]],
+    faces: np.ndarray,
     radius: float,
     rel_tolerance: float = 1e-6,
     radial_faces_only: bool = False,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Filter external faces to those lying (entirely) on a given radius.
 
     With ellipticity or topography the physical surfaces are no longer
@@ -106,106 +102,19 @@ def faces_at_radius(
     shell elements qualify — side faces of thin layers would otherwise
     slip inside the loosened radius band.
     """
-    tol = radius * rel_tolerance
-    out = []
-    for ispec, face_id in faces:
-        if radial_faces_only and face_id not in (4, 5):
-            continue
-        pts = face_points(xyz, ispec, face_id)
-        r = np.linalg.norm(pts, axis=-1)
-        if np.all(np.abs(r - radius) < tol):
-            out.append((ispec, face_id))
-    return out
-
-
-@dataclass
-class CouplingSurface:
-    """Matched fluid/solid faces on one spherical coupling interface.
-
-    For each face pair the solver needs the fluid-side and solid-side
-    (ispec, face_id), plus — precomputed here — the per-GLL-point outward
-    normals (pointing from fluid into solid) and the surface quadrature
-    weights ``w2d * jacobian2d``.
-
-    Attributes (n_faces leading dimension, faces in matched order):
-    fluid_faces, solid_faces : list of (ispec, face_id)
-    normals : (n_faces, n, n, 3) unit normals, fluid -> solid
-    weights : (n_faces, n, n) surface quadrature weights (area measure)
-    """
-
-    radius: float
-    fluid_faces: list[tuple[int, int]]
-    solid_faces: list[tuple[int, int]]
-    normals: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def n_faces(self) -> int:
-        return len(self.fluid_faces)
-
-
-def _face_signature(xyz: np.ndarray, ispec: int, face_id: int, tol: float) -> tuple:
-    pts = face_points(xyz, ispec, face_id).reshape(-1, 3)
-    q = np.round(pts / tol).astype(np.int64)
-    rows = sorted(map(tuple, q))
-    return tuple(rows)
-
-
-def match_coupling_faces(
-    fluid_xyz: np.ndarray,
-    fluid_faces: list[tuple[int, int]],
-    solid_xyz: np.ndarray,
-    solid_faces: list[tuple[int, int]],
-    radius: float,
-    weights_2d: np.ndarray,
-    outward_from_fluid: float = 1.0,
-) -> CouplingSurface:
-    """Pair fluid and solid faces on a spherical interface by geometry.
-
-    Both face lists must tile the same sphere of ``radius``; faces are
-    matched by their full point-set signature.  Normals are the exact
-    radial directions (the CMB and ICB are spheres), oriented from fluid
-    to solid (``outward_from_fluid=+1`` for the CMB where the solid is
-    outside, ``-1`` for the ICB where the solid inner core is inside).
-    The surface jacobian is computed from the face geometry spectrally.
-    """
-    tol = max(radius, 1.0) * 1e-8
-    solid_lookup = {
-        _face_signature(solid_xyz, s, f, tol): (s, f) for s, f in solid_faces
-    }
-    matched_fluid: list[tuple[int, int]] = []
-    matched_solid: list[tuple[int, int]] = []
-    normals = []
-    weights = []
-    for ispec, face_id in fluid_faces:
-        sig = _face_signature(fluid_xyz, ispec, face_id, tol)
-        if sig not in solid_lookup:
-            raise ValueError(
-                f"fluid face (elem {ispec}, face {face_id}) at r={radius} "
-                "has no matching solid face"
-            )
-        matched_fluid.append((ispec, face_id))
-        matched_solid.append(solid_lookup[sig])
-        pts = face_points(fluid_xyz, ispec, face_id)
-        r = np.linalg.norm(pts, axis=-1, keepdims=True)
-        normals.append(outward_from_fluid * pts / r)
-        weights.append(face_area_weights(pts, weights_2d))
-    if len(matched_fluid) != len(fluid_faces):
-        raise ValueError("coupling face matching failed")
-    return CouplingSurface(
-        radius=radius,
-        fluid_faces=matched_fluid,
-        solid_faces=matched_solid,
-        normals=np.asarray(normals),
-        weights=np.asarray(weights),
-    )
+    faces = np.asarray(faces, dtype=np.intp).reshape(-1, 2)
+    if radial_faces_only:
+        faces = faces[faces[:, 1] >= 4]
+    r = np.linalg.norm(face_values(xyz, faces), axis=-1)
+    return faces[np.all(np.abs(r - radius) < radius * rel_tolerance, axis=(1, 2))]
 
 
 def face_area_weights(
     face_xyz: np.ndarray, weights_2d: np.ndarray
 ) -> np.ndarray:
-    """Surface quadrature weights w_i w_j |x_,u x x_,v| for one curved face.
+    """Surface quadrature weights w_i w_j |x_,u x x_,v| of curved faces.
 
+    ``face_xyz`` is one face ``(n, n, 3)`` or a batch ``(N, n, n, 3)``.
     The 2-D jacobian is computed spectrally: the face coordinates are a
     degree-(n-1) Lagrange interpolant on the face GLL grid, so their
     parametric derivatives are exact matrix products with ``hprime``.
@@ -214,11 +123,11 @@ def face_area_weights(
     """
     from ..gll.lagrange import derivative_matrix
 
-    n = face_xyz.shape[0]
-    h = derivative_matrix(n)
-    # d(xyz)/du at all face points: contract along axis 0; d/dv along axis 1.
-    dxdu = np.einsum("iu,ujc->ijc", h, face_xyz)
-    dxdv = np.einsum("jv,ivc->ijc", h, face_xyz)
+    h = derivative_matrix(face_xyz.shape[-2])
+    # d(xyz)/du at all face points: contract along the first face axis;
+    # d/dv along the second.
+    dxdu = np.einsum("iu,...ujc->...ijc", h, face_xyz)
+    dxdv = np.einsum("jv,...ivc->...ijc", h, face_xyz)
     cross = np.cross(dxdu, dxdv)
     jac2d = np.linalg.norm(cross, axis=-1)
     return weights_2d * jac2d

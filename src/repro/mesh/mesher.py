@@ -14,7 +14,9 @@ Section 4.4 of the paper: the legacy mesher ran its generation loop twice
 (geometry first, then a second identical sweep to attach material values),
 halving mesher throughput at scale; ``single_pass=True`` (default) assigns
 materials immediately after creating each region's geometry.  Both paths
-are kept so the A-MESH2X ablation can measure the factor-of-two.
+are kept so the A-MESH2X ablation can measure the factor-of-two.  The
+merged global mesh takes geometry only from its slices and is numbered
+and filled once, on the merged region.
 """
 
 from __future__ import annotations
@@ -225,6 +227,70 @@ def assign_materials(
         stats.material_points_assigned += r.size
 
 
+_REGIONS = (RegionCode.CRUST_MANTLE, RegionCode.OUTER_CORE, RegionCode.INNER_CORE)
+
+
+def _region_geometry(
+    params: SimulationParameters,
+    address: SliceAddress,
+    region: int,
+    ellipticity: EllipticityProfile | None,
+    topography: "SyntheticTopography | None",
+    split_central_cube: bool,
+    stats: MesherStats,
+    tracer,
+) -> np.ndarray:
+    """GLL coordinates of one region of one slice: the shell elements,
+    any central-cube share behind the inner core's, then the deformations.
+
+    With ``params.single_pass_mesher=False`` the legacy two-pass behaviour
+    is emulated faithfully: the whole generation pipeline — geometry *and*
+    the global-numbering pass — runs a second time (the paper's
+    factor-of-two mesher cost).
+    """
+
+    def generate() -> np.ndarray:
+        with tracer.span("mesher.geometry") as span:
+            xyz = _shell_region_geometry(params, address, region)
+            if region == RegionCode.INNER_CORE:
+                cube_xyz = _cube_geometry(params, address, split_central_cube)
+                if cube_xyz.shape[0]:
+                    xyz = np.concatenate([xyz, cube_xyz], axis=0)
+            if topography is not None:
+                xyz = topography.apply_to_points(xyz)
+            if ellipticity is not None:
+                xyz = ellipticity.apply_to_points(xyz)
+            span.add(elements=xyz.shape[0], gll_points=xyz[..., 0].size)
+        stats.elements_generated += xyz.shape[0]
+        stats.gll_points_generated += xyz[..., 0].size
+        return xyz
+
+    xyz = generate()
+    if not params.single_pass_mesher:
+        with tracer.span("mesher.numbering"):
+            build_global_numbering(xyz)
+        xyz = generate()
+    return xyz
+
+
+def _number_and_fill(
+    region: int,
+    xyz: np.ndarray,
+    params: SimulationParameters,
+    tomography: SyntheticTomography | None,
+    stats: MesherStats,
+    tracer,
+) -> RegionMesh:
+    """Number a region's points and attach its materials."""
+    with tracer.span("mesher.numbering"):
+        ibool, nglob = build_global_numbering(xyz)
+    mesh = RegionMesh(region=region, xyz=xyz, ibool=ibool, nglob=nglob)
+    with tracer.span("mesher.materials") as span:
+        assign_materials(mesh, params, tomography=tomography, stats=stats)
+        span.add(gll_points=mesh.xyz[..., 0].size)
+    return mesh
+
+
 def build_slice_mesh(
     params: SimulationParameters,
     address: SliceAddress | None = None,
@@ -237,9 +303,8 @@ def build_slice_mesh(
 ) -> SliceMesh:
     """Mesh one slice: the three regions plus any central-cube share.
 
-    With ``params.single_pass_mesher=False`` the legacy two-pass behaviour
-    is emulated faithfully: the geometry of every region is generated twice
-    and materials are attached during the second pass only.
+    Each region is generated (see :func:`_region_geometry` for the legacy
+    two-pass mode), numbered, and given its materials.
     """
     from ..model.topography import SyntheticTopography
 
@@ -254,67 +319,31 @@ def build_slice_mesh(
     stats = stats if stats is not None else MesherStats()
     tracer = maybe_tracer(tracer)
 
-    def generate_region(region: int) -> np.ndarray:
-        with tracer.span("mesher.geometry") as span:
-            xyz = _shell_region_geometry(params, address, region)
-            if region == RegionCode.INNER_CORE:
-                cube_xyz = _cube_geometry(params, address, split_central_cube)
-                if cube_xyz.shape[0]:
-                    xyz = np.concatenate([xyz, cube_xyz], axis=0)
-            if topography is not None:
-                xyz = topography.apply_to_points(xyz)
-            if ellipticity is not None:
-                xyz = ellipticity.apply_to_points(xyz)
-            span.add(elements=xyz.shape[0], gll_points=xyz[..., 0].size)
-        stats.geometry_passes += 0  # counted per full sweep below
-        stats.elements_generated += xyz.shape[0]
-        stats.gll_points_generated += xyz[..., 0].size
-        return xyz
-
     regions: dict[int, RegionMesh] = {}
-    cube_count = 0
-    sweeps = 1 if params.single_pass_mesher else 2
     with tracer.span("mesher.slice"):
-        for region in (
-            RegionCode.CRUST_MANTLE,
-            RegionCode.OUTER_CORE,
-            RegionCode.INNER_CORE,
-        ):
+        for region in _REGIONS:
             with tracer.span("mesher.region", region=region):
-                xyz = generate_region(region)
-                if sweeps == 2:
-                    # Legacy behaviour: the whole generation pipeline —
-                    # geometry *and* the global-numbering pass — runs a
-                    # second time before materials are attached (the
-                    # paper's factor-of-two mesher cost).
-                    with tracer.span("mesher.numbering"):
-                        build_global_numbering(xyz)
-                    xyz = generate_region(region)
-                if region == RegionCode.INNER_CORE:
-                    n_shell = (
-                        _region_layer_count(params, region)
-                        * params.nex_per_slice**2
-                    )
-                    cube_count = xyz.shape[0] - n_shell
-                with tracer.span("mesher.numbering"):
-                    ibool, nglob = build_global_numbering(xyz)
-                mesh = RegionMesh(
-                    region=region, xyz=xyz, ibool=ibool, nglob=nglob
+                xyz = _region_geometry(
+                    params, address, region, ellipticity, topography,
+                    split_central_cube, stats, tracer,
                 )
-                with tracer.span("mesher.materials") as span:
-                    assign_materials(
-                        mesh, params, tomography=tomography, stats=stats
-                    )
-                    span.add(gll_points=mesh.xyz[..., 0].size)
-                regions[region] = mesh
-    stats.geometry_passes += sweeps
+                regions[region] = _number_and_fill(
+                    region, xyz, params, tomography, stats, tracer
+                )
+    stats.geometry_passes += 1 if params.single_pass_mesher else 2
     return SliceMesh(
         chunk=address.chunk,
         iproc_xi=address.iproc_xi,
         iproc_eta=address.iproc_eta,
         regions=regions,
-        cube_elements=cube_count,
+        cube_elements=_cube_elements(params, regions[RegionCode.INNER_CORE].nspec),
     )
+
+
+def _cube_elements(params: SimulationParameters, nspec_inner_core: int) -> int:
+    """Central-cube elements behind the shell elements of one slice's
+    inner core."""
+    return nspec_inner_core - params.ner_inner_core * params.nex_per_slice**2
 
 
 @dataclass
@@ -349,9 +378,11 @@ def build_global_mesh(
 ) -> GlobalMesh:
     """Mesh the whole globe: every slice of every chunk, merged and renumbered.
 
-    The merged mesh glues slice boundaries by coordinate matching exactly
-    as the per-slice numbering glues element boundaries, so the serial
-    solver sees one conforming global mesh per region.
+    Slices contribute geometry only; points are numbered and materials
+    attached once, on the merged region.  The merged numbering glues slice
+    boundaries by coordinate matching exactly as a per-slice numbering
+    glues element boundaries, so the serial solver sees one conforming
+    global mesh per region.
     """
     from ..model.topography import SyntheticTopography
 
@@ -359,42 +390,37 @@ def build_global_mesh(
         tomography = SyntheticTomography(seed=params.seed)
     ellipticity = EllipticityProfile() if params.ellipticity else None
     topography = SyntheticTopography(seed=params.seed) if params.topography else None
+    stats = stats if stats is not None else MesherStats()
     tracer = maybe_tracer(tracer)
     grid = SliceGrid(params.nproc_xi)
-    per_region_xyz: dict[int, list[np.ndarray]] = {r: [] for r in RegionCode.NAMES}
-    per_region_owner: dict[int, list[np.ndarray]] = {r: [] for r in RegionCode.NAMES}
+    per_region_xyz: dict[int, list[np.ndarray]] = {r: [] for r in _REGIONS}
     cube_total = 0
     with tracer.span("mesher.generate") as gen_span:
         for rank in range(grid.nproc_total):
-            address = grid.address_of(rank)
-            slice_mesh = build_slice_mesh(
-                params,
-                address,
-                tomography=tomography,
-                ellipticity=ellipticity,
-                topography=topography,
-                split_central_cube=split_central_cube,
-                stats=stats,
-                tracer=tracer,
+            with tracer.span("mesher.slice"):
+                for region in _REGIONS:
+                    with tracer.span("mesher.region", region=region):
+                        per_region_xyz[region].append(
+                            _region_geometry(
+                                params, grid.address_of(rank), region, ellipticity,
+                                topography, split_central_cube, stats, tracer,
+                            )
+                        )
+            stats.geometry_passes += 1 if params.single_pass_mesher else 2
+            cube_total += _cube_elements(
+                params, per_region_xyz[RegionCode.INNER_CORE][-1].shape[0]
             )
-            cube_total += slice_mesh.cube_elements
-            for region, rmesh in slice_mesh.regions.items():
-                per_region_xyz[region].append(rmesh.xyz)
-                per_region_owner[region].append(
-                    np.full(rmesh.nspec, rank, dtype=np.int64)
-                )
         regions: dict[int, RegionMesh] = {}
         owners: dict[int, np.ndarray] = {}
         with tracer.span("mesher.merge"):
-            for region in RegionCode.NAMES:
-                xyz = np.concatenate(per_region_xyz[region], axis=0)
-                ibool, nglob = build_global_numbering(xyz)
-                mesh = RegionMesh(
-                    region=region, xyz=xyz, ibool=ibool, nglob=nglob
+            for region, parts in per_region_xyz.items():
+                regions[region] = _number_and_fill(
+                    region, np.concatenate(parts, axis=0), params, tomography,
+                    stats, tracer,
                 )
-                assign_materials(mesh, params, tomography=tomography)
-                regions[region] = mesh
-                owners[region] = np.concatenate(per_region_owner[region])
+                owners[region] = np.repeat(
+                    np.arange(len(parts)), [xyz.shape[0] for xyz in parts]
+                )
         gen_span.add(
             elements=sum(m.nspec for m in regions.values()),
             gll_points=sum(m.xyz[..., 0].size for m in regions.values()),

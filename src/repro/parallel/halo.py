@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..mesh.element import RegionMesh, SliceMesh
-from ..mesh.interfaces import FACE_SLICES, external_faces
+from ..mesh.interfaces import external_faces, face_values
 from ..mesh.numbering import group_rows
 from ..obs.tracer import maybe_tracer
 from .tags import (
@@ -112,17 +112,8 @@ class RegionHalo:
 def _boundary_points(mesh: RegionMesh, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(quantised coords, global ids) of all points on external faces."""
     faces = external_faces(mesh.ibool)
-    keys = []
-    ids = []
-    for ispec, face_id in faces:
-        pts = mesh.xyz[(ispec, *FACE_SLICES[face_id])].reshape(-1, 3)
-        gids = mesh.ibool[(ispec, *FACE_SLICES[face_id])].ravel()
-        keys.append(np.round(pts / tol).astype(np.int64))
-        ids.append(gids)
-    if not keys:
-        return np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64)
-    keys = np.concatenate(keys)
-    ids = np.concatenate(ids)
+    keys = np.round(face_values(mesh.xyz, faces).reshape(-1, 3) / tol).astype(np.int64)
+    ids = face_values(mesh.ibool, faces).ravel()
     # Deduplicate per rank (a point may lie on several external faces).
     first = np.sort(group_rows(keys)[0])
     return keys[first], ids[first]
@@ -133,50 +124,46 @@ def build_halos(
 ) -> dict[int, dict[int, RegionHalo]]:
     """Build all ranks' halos: ``halos[rank][region] -> RegionHalo``.
 
-    Cross-matches every pair of ranks' boundary points per region.  Points
-    shared by k ranks generate exchanges between all k(k-1) ordered pairs,
-    which the additive exchange needs.
+    Groups all ranks' boundary points of a region by quantised coordinates
+    once.  Points shared by k ranks generate exchanges between all k(k-1)
+    ordered pairs, which the additive exchange needs; memory stays
+    proportional to those pairs (no points x ranks table).
     """
-    nranks = len(slices)
-    # Collect per rank/region boundary keys.
-    boundary: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    regions = set()
-    for rank, sl in enumerate(slices):
-        for region, mesh in sl.regions.items():
-            regions.add(region)
-            boundary[(rank, region)] = _boundary_points(mesh, tolerance_km)
     halos: dict[int, dict[int, RegionHalo]] = {
         rank: {
-            region: RegionHalo(region=region, rank=rank)
-            for region in slices[rank].regions
+            region: RegionHalo(region=region, rank=rank) for region in sl.regions
         }
-        for rank in range(nranks)
+        for rank, sl in enumerate(slices)
     }
-    for region in regions:
-        # Global map: key tuple -> list of (rank, local global id).
-        owners: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-        for rank in range(nranks):
-            keys, ids = boundary.get((rank, region), (None, None))
-            if keys is None:
-                continue
-            for key, gid in zip(map(tuple, keys), ids):
-                owners.setdefault(key, []).append((rank, int(gid)))
-        # Shared points -> pairwise exchange lists, keyed for ordering.
-        pair_points: dict[tuple[int, int], list[tuple[tuple, int]]] = {}
-        for key, own in owners.items():
-            if len(own) < 2:
-                continue
-            for rank_a, gid_a in own:
-                for rank_b, _gid_b in own:
-                    if rank_a == rank_b:
-                        continue
-                    pair_points.setdefault((rank_a, rank_b), []).append(
-                        (key, gid_a)
-                    )
-        for (rank_a, rank_b), entries in pair_points.items():
-            entries.sort(key=lambda e: e[0])  # same order on both sides
-            ids = np.asarray([gid for _, gid in entries], dtype=np.int64)
-            halos[rank_a][region].neighbors[rank_b] = ids
+    for region in {region for sl in slices for region in sl.regions}:
+        owners = [rank for rank, sl in enumerate(slices) if region in sl.regions]
+        boundary = [
+            _boundary_points(slices[rank].regions[region], tolerance_km)
+            for rank in owners
+        ]
+        ids = np.concatenate([gids for _, gids in boundary])
+        rank_of = np.repeat(owners, [gids.size for _, gids in boundary])
+        # Groups are numbered in lexicographic key order — the order both
+        # sides of a pair enumerate their shared points in.
+        _, group = group_rows(np.concatenate([keys for keys, _ in boundary]))
+        # Co-owners of a point sit side by side (ranks ascending: stable).
+        members = np.argsort(group, kind="stable")
+        g = group[members]
+        # Every ordered pair of co-owners: members ``s`` apart in one group
+        # (seeded with an empty run so a region shared with nobody works).
+        a, b = [members[:0]], [members[:0]]
+        for s in range(1, int(np.bincount(group).max(initial=1))):
+            i = np.flatnonzero(g[s:] == g[:-s])
+            a += [members[i], members[i + s]]
+            b += [members[i + s], members[i]]
+        a, b = np.concatenate(a), np.concatenate(b)
+        order = np.lexsort((group[a], rank_of[b], rank_of[a]))
+        a, b = a[order], b[order]
+        cuts = np.flatnonzero(np.diff(rank_of[a] * len(slices) + rank_of[b])) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, a.size]):
+            if lo < hi:
+                rank_a, rank_b = int(rank_of[a[lo]]), int(rank_of[b[lo]])
+                halos[rank_a][region].neighbors[rank_b] = ids[a[lo:hi]]
     return halos
 
 

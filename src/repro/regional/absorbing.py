@@ -18,7 +18,7 @@ import numpy as np
 
 from ..gll.lagrange import GLLBasis
 from ..mesh.element import RegionMesh
-from ..mesh.interfaces import FACE_SLICES, face_area_weights
+from ..mesh.interfaces import face_area_weights, face_values
 
 __all__ = ["StaceyBoundary", "build_stacey_boundary"]
 
@@ -59,35 +59,31 @@ class StaceyBoundary:
 
 
 def _outward_normals(
-    face_xyz: np.ndarray, face_id: int, basis: GLLBasis
+    face_xyz: np.ndarray, face_id, basis: GLLBasis
 ) -> np.ndarray:
-    """Unit normals of one face, oriented outward from the element.
+    """Unit normals of faces, oriented outward from their elements.
 
-    The cross product of the two in-face tangents gives a normal whose
-    orientation depends on the face's parametric handedness; faces on the
-    'minus' side of each local axis (ids 0, 2, 4) need a sign flip.
+    One face ``(n, n, 3)`` with its id, or a batch ``(N, n, n, 3)`` with
+    ``(N,)`` ids.  The cross product of the two in-face tangents gives a
+    normal whose orientation depends on the face's parametric handedness.
+    Face (u, v) orderings: for ids 0/1 the in-face axes are (eta, gamma);
+    for 2/3 (xi, gamma); for 4/5 (xi, eta).  Their cross products point
+    along +xi, -eta (a (xi, gamma) cross in the right-handed (xi, eta,
+    gamma) frame) and +gamma respectively, so the minus faces 0 and 4 and
+    the plus face 3 need a sign flip.
     """
     h = basis.hprime
-    dxdu = np.einsum("iu,ujc->ijc", h, face_xyz)
-    dxdv = np.einsum("jv,ivc->ijc", h, face_xyz)
+    dxdu = np.einsum("iu,...ujc->...ijc", h, face_xyz)
+    dxdv = np.einsum("jv,...ivc->...ijc", h, face_xyz)
     normal = np.cross(dxdu, dxdv)
-    norm = np.linalg.norm(normal, axis=-1, keepdims=True)
-    normal /= norm
-    # Face (u, v) orderings: for ids 0/1 the in-face axes are (eta, gamma);
-    # for 2/3 (xi, gamma); for 4/5 (xi, eta). Their cross products point
-    # along +xi, +eta, +gamma respectively -> flip on the minus faces.
-    if face_id in (0, 2, 4):
-        normal = -normal
-    if face_id in (2, 3):
-        # (xi, gamma) cross in (xi, eta, gamma) right-handed frame points
-        # along -eta: flip once more so id 3 (+eta face) is outward.
-        normal = -normal
-    return normal
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    sign = np.where(np.isin(face_id, (0, 3, 4)), -1.0, 1.0)
+    return normal * sign[..., None, None, None]
 
 
 def build_stacey_boundary(
     mesh: RegionMesh,
-    faces: list[tuple[int, int]],
+    faces: np.ndarray,
     basis: GLLBasis,
     length_scale: float = 1000.0,
 ) -> StaceyBoundary:
@@ -98,28 +94,18 @@ def build_stacey_boundary(
     """
     if not mesh.has_materials:
         raise ValueError("materials must be assigned before Stacey setup")
-    if not faces:
+    faces = np.asarray(faces, dtype=np.intp).reshape(-1, 2)
+    if not len(faces):
         raise ValueError("no absorbing faces supplied")
     w2 = np.outer(basis.weights, basis.weights)
-    ids = []
-    normals = []
-    wp = []
-    ws = []
     vp_field = np.sqrt((mesh.kappa + 4.0 / 3.0 * mesh.mu) / mesh.rho)
     vs_field = np.sqrt(mesh.mu / mesh.rho)
-    for ispec, face_id in faces:
-        sl = (ispec, *FACE_SLICES[face_id])
-        face_xyz = mesh.xyz[sl] * length_scale
-        area = face_area_weights(face_xyz, w2)
-        normal = _outward_normals(face_xyz, face_id, basis)
-        rho = mesh.rho[sl]
-        ids.append(mesh.ibool[sl].ravel())
-        normals.append(normal.reshape(-1, 3))
-        wp.append((rho * vp_field[sl] * area).ravel())
-        ws.append((rho * vs_field[sl] * area).ravel())
+    face_xyz = face_values(mesh.xyz, faces) * length_scale
+    area = face_area_weights(face_xyz, w2)
+    rho = face_values(mesh.rho, faces)
     return StaceyBoundary(
-        ids=np.concatenate(ids),
-        normals=np.concatenate(normals),
-        weight_p=np.concatenate(wp),
-        weight_s=np.concatenate(ws),
+        ids=face_values(mesh.ibool, faces).ravel(),
+        normals=_outward_normals(face_xyz, faces[:, 1], basis).reshape(-1, 3),
+        weight_p=(rho * face_values(vp_field, faces) * area).ravel(),
+        weight_s=(rho * face_values(vs_field, faces) * area).ravel(),
     )

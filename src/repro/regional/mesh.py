@@ -10,7 +10,7 @@ conditions on the four sides and the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ..cubed_sphere.mapping import chunk_points
 from ..cubed_sphere.topology import SliceAddress, SliceGrid
 from ..gll.quadrature import gll_points_and_weights
 from ..mesh.element import RegionMesh
-from ..mesh.interfaces import external_faces, face_points
+from ..mesh.interfaces import external_faces, face_values
 from ..mesh.mesher import assign_materials
 from ..mesh.numbering import build_global_numbering
 from ..mesh.radial import radial_breaks_between_km
@@ -36,8 +36,9 @@ class RegionalMesh:
     mesh: RegionMesh
     chunk: int
     depth_km: float
-    free_surface_faces: list[tuple[int, int]] = field(default_factory=list)
-    absorbing_faces: list[tuple[int, int]] = field(default_factory=list)
+    #: Face sets: (N, 2) rows of (ispec, face_id).
+    free_surface_faces: np.ndarray
+    absorbing_faces: np.ndarray
 
     @property
     def nspec(self) -> int:
@@ -95,19 +96,14 @@ def build_regional_mesh(
     )
     assign_materials(mesh, params)
 
-    free_faces: list[tuple[int, int]] = []
-    absorbing: list[tuple[int, int]] = []
+    faces = external_faces(ibool)
+    r = np.linalg.norm(face_values(xyz, faces), axis=-1)
     surface_tol = 1e-6 * constants.R_EARTH_KM
-    for ispec, face_id in external_faces(ibool):
-        r = np.linalg.norm(face_points(xyz, ispec, face_id), axis=-1)
-        if np.all(np.abs(r - constants.R_EARTH_KM) < surface_tol):
-            free_faces.append((ispec, face_id))
-        else:
-            absorbing.append((ispec, face_id))
+    on_surface = np.all(np.abs(r - constants.R_EARTH_KM) < surface_tol, axis=(1, 2))
     return RegionalMesh(
         mesh=mesh,
         chunk=address.chunk,
         depth_km=depth_km,
-        free_surface_faces=free_faces,
-        absorbing_faces=absorbing,
+        free_surface_faces=faces[on_surface],
+        absorbing_faces=faces[~on_surface],
     )

@@ -88,7 +88,6 @@ class RegionalSolver:
         self.accel = np.zeros((mesh.nglob, 3))
 
     def _locate_source(self, source):
-        from ..solver.receivers import _invert_isoparametric
         from ..solver.sources import (
             MomentTensorSource,
             moment_tensor_source_array,
@@ -101,8 +100,7 @@ class RegionalSolver:
             [Station("src", tuple(target))], mesh.xyz, mesh.ibool,
             mode="interpolated",
         )[0]
-        e = located.element
-        ref, _ = _invert_isoparametric(mesh.xyz[e], target)
+        e, ref = located.element, located.ref
         if isinstance(source, MomentTensorSource):
             from ..gll.lagrange import lagrange_basis, lagrange_basis_derivative
             from ..gll.quadrature import gll_points_and_weights

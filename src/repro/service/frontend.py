@@ -220,7 +220,11 @@ class SimulationService:
         self.pool = pool if pool is not None else WorkerPool(
             n_workers=n_backend_workers, metrics=metrics
         )
-        self.compute = compute or self._campaign_compute
+        #: The injected solve hook, None for the campaign-queue backend —
+        #: not the bound method: a service that referred to itself would,
+        #: with its pool's cached mesh (~22 MiB at NEX 8), outlive
+        #: ``close()`` until the next full garbage collection.
+        self.compute = compute
         self.allow_slicing = allow_slicing
         self._executor = ThreadPoolExecutor(
             max_workers=n_backend_workers, thread_name_prefix="service-solve"
@@ -400,7 +404,7 @@ class SimulationService:
         self, request: SimulationRequest, keys: RequestKeys
     ) -> tuple[np.ndarray, float]:
         """Executor-thread body of a miss: solve, verify shape, persist."""
-        data, dt = self.compute(request, keys)
+        data, dt = (self.compute or self._campaign_compute)(request, keys)
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 3 or data.shape[0] != len(keys.stations):
             raise BackendError(

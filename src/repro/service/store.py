@@ -86,6 +86,13 @@ class SeismogramStore:
         self.manifest_path = self.directory / "manifest.jsonl"
         self.metrics = metrics
         self._lock = threading.Lock()
+        #: One payload parse at a time.  ``np.load`` reads each array header
+        #: with ``ast.literal_eval``, and CPython 3.11 counts the AST
+        #: builder's recursion depth per interpreter, not per thread: when
+        #: a garbage collection inside one thread's parse runs a finalizer
+        #: that yields the GIL to another thread's parse, the first fails
+        #: with ``SystemError: AST constructor recursion depth mismatch``.
+        self._load_lock = threading.Lock()
         self._runs: dict[str, StoredRun] = {}
         self._by_physics: dict[str, list[str]] = {}
         self.corruptions = 0
@@ -141,6 +148,9 @@ class SeismogramStore:
             self.manifest_path, record_type=RUN_RECORD_TYPE
         )
         self.manifest_bad_lines = info["bad_lines"]
+        # One directory listing, not one stat per manifest record.
+        with os.scandir(self.runs_dir) as entries:
+            present = {entry.name for entry in entries}
         with self._lock:
             self._runs.clear()
             self._by_physics.clear()
@@ -164,7 +174,7 @@ class SeismogramStore:
                 except (KeyError, TypeError, ValueError):
                     self.manifest_bad_lines += 1
                     continue
-                if run.path.exists():
+                if run.path.name in present:
                     self._register(run)
             return len(self._runs)
 
@@ -282,7 +292,7 @@ class SeismogramStore:
         recomputes.
         """
         try:
-            with np.load(run.path, allow_pickle=False) as raw:
+            with self._load_lock, np.load(run.path, allow_pickle=False) as raw:
                 loaded = {name: np.array(raw[name]) for name in raw.files}
         except (
             OSError,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mesh.interfaces import FACE_SLICES, CouplingSurface
+from ..mesh.interfaces import face_area_weights, face_values
+from ..mesh.numbering import group_rows
 
 __all__ = ["CouplingOperator", "build_coupling_operator"]
 
@@ -64,49 +65,53 @@ class CouplingOperator:
 
 
 def build_coupling_operator(
-    surface: CouplingSurface,
-    fluid_ibool: np.ndarray,
     fluid_xyz: np.ndarray,
-    solid_ibool: np.ndarray,
+    fluid_ibool: np.ndarray,
+    fluid_faces: np.ndarray,
     solid_xyz: np.ndarray,
+    solid_ibool: np.ndarray,
+    solid_faces: np.ndarray,
+    radius: float,
+    weights_2d: np.ndarray,
+    outward_from_fluid: float = 1.0,
 ) -> CouplingOperator:
-    """Resolve a geometric :class:`CouplingSurface` into global indices.
+    """Join the fluid and solid faces tiling one spherical interface.
 
-    Fluid-side ids come directly from the face slices; solid-side ids are
-    found by coordinate matching against the solid faces (the two regions
-    have independent numberings, and the face grids may disagree in
-    orientation, so matching must be pointwise-geometric).
+    Fluid-side ids come directly from the face grids; the solid-side id of
+    each fluid face point is that of the *coincident* solid face point,
+    found by grouping the quantised coordinates of both sides (the two
+    regions have independent numberings, and the face grids may disagree
+    in orientation, so matching must be pointwise-geometric).  Normals are
+    the exact radial directions (the CMB and ICB are spheres), oriented
+    from fluid to solid (``outward_from_fluid=+1`` for the CMB where the
+    solid is outside, ``-1`` for the ICB where the solid inner core is
+    inside); the surface jacobian is computed from the face geometry
+    spectrally, so ``weights`` are in squared mesh units.
     """
-    tol = max(surface.radius, 1.0) * 1e-8
-    # Hash all solid points on the matched solid faces.
-    solid_lookup: dict[tuple[int, int, int], int] = {}
-    for ispec, face_id in surface.solid_faces:
-        ids = solid_ibool[(ispec, *FACE_SLICES[face_id])]
-        pts = solid_xyz[(ispec, *FACE_SLICES[face_id])]
-        q = np.round(pts / tol).astype(np.int64)
-        for key, gid in zip(map(tuple, q.reshape(-1, 3)), ids.ravel()):
-            solid_lookup[key] = int(gid)
-    fluid_ids = []
-    solid_ids = []
-    for ispec, face_id in surface.fluid_faces:
-        f_ids = fluid_ibool[(ispec, *FACE_SLICES[face_id])]
-        pts = fluid_xyz[(ispec, *FACE_SLICES[face_id])]
-        q = np.round(pts / tol).astype(np.int64)
-        s_ids = np.empty_like(f_ids)
-        flat_keys = list(map(tuple, q.reshape(-1, 3)))
-        for pos, key in enumerate(flat_keys):
-            if key not in solid_lookup:
-                raise ValueError(
-                    f"no solid point matches fluid coupling point at "
-                    f"r={surface.radius}: face ({ispec}, {face_id})"
-                )
-            s_ids.ravel()[pos] = solid_lookup[key]
-        fluid_ids.append(f_ids)
-        solid_ids.append(s_ids)
+    tol = max(radius, 1.0) * 1e-8
+    pts = face_values(fluid_xyz, fluid_faces)
+    fluid_ids = face_values(fluid_ibool, fluid_faces)
+    solid_flat = face_values(solid_ibool, solid_faces).ravel()
+    keys = np.concatenate([
+        face_values(solid_xyz, solid_faces).reshape(-1, 3),
+        pts.reshape(-1, 3),
+    ])
+    first, group = group_rows(np.round(keys / tol).astype(np.int64))
+    # A group's first row is its smallest row index and the solid rows
+    # come first: a group holds a solid point iff its first row is one.
+    partner = first[group[solid_flat.size:]]
+    missing = np.flatnonzero(partner >= solid_flat.size)
+    if missing.size:
+        ispec, face_id = np.asarray(fluid_faces)[missing[0] // fluid_ids[0].size]
+        raise ValueError(
+            f"no solid point matches fluid coupling point at "
+            f"r={radius}: face ({ispec}, {face_id})"
+        )
+    r = np.linalg.norm(pts, axis=-1, keepdims=True)
     return CouplingOperator(
-        radius=surface.radius,
-        fluid_ids=np.asarray(fluid_ids),
-        solid_ids=np.asarray(solid_ids),
-        normals=surface.normals,
-        weights=surface.weights,
+        radius=radius,
+        fluid_ids=fluid_ids,
+        solid_ids=solid_flat[partner].reshape(fluid_ids.shape),
+        normals=outward_from_fluid * pts / r,
+        weights=face_area_weights(pts, weights_2d),
     )

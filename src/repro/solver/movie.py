@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import constants
-from ..mesh.interfaces import external_faces, faces_at_radius
+from ..mesh.interfaces import external_faces, face_values, faces_at_radius
 
 __all__ = ["SurfaceMovieRecorder"]
 
@@ -44,17 +44,10 @@ class SurfaceMovieRecorder:
             rel_tolerance=solver._surface_tolerance(),
             radial_faces_only=solver._deformed_surfaces(),
         )
-        if not faces:
+        if not len(faces):
             raise ValueError("mesh has no free-surface faces to record")
         self.faces = faces
-        from ..mesh.interfaces import FACE_SLICES
-
-        ids = np.unique(
-            np.concatenate(
-                [st.ibool[(i, *FACE_SLICES[f])].ravel() for i, f in faces]
-            )
-        )
-        self.point_ids = ids
+        self.point_ids = np.unique(face_values(st.ibool, faces))
         self.frames: list[np.ndarray] = []
         self.frame_steps: list[int] = []
         self._solver = solver

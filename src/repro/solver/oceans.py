@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import constants
-from ..mesh.interfaces import FACE_SLICES
+from ..mesh.interfaces import face_area_weights, face_values
 
 __all__ = ["OceanLoad", "build_ocean_load"]
 
@@ -42,7 +42,7 @@ class OceanLoad:
 
 
 def build_ocean_load(
-    surface_faces: list[tuple[int, int]],
+    surface_faces: np.ndarray,
     xyz: np.ndarray,
     ibool: np.ndarray,
     weights_2d: np.ndarray,
@@ -57,21 +57,19 @@ def build_ocean_load(
     bathymetry (the code path — per-point loads and normal projection — is
     identical).
     """
-    from ..mesh.interfaces import face_area_weights
-
     if water_depth_m < 0:
         raise ValueError("water depth must be non-negative")
     nglob = int(ibool.max()) + 1
     mass_at = np.zeros(nglob)
     normal_at = np.zeros((nglob, 3))
-    for ispec, face_id in surface_faces:
-        pts = xyz[(ispec, *FACE_SLICES[face_id])]
-        ids = ibool[(ispec, *FACE_SLICES[face_id])]
-        area_w = face_area_weights(pts, weights_2d) * length_scale**2
-        r = np.linalg.norm(pts, axis=-1, keepdims=True)
-        normals = pts / r
-        np.add.at(mass_at, ids.ravel(), (rho_water * water_depth_m * area_w).ravel())
-        np.add.at(normal_at, ids.ravel(), normals.reshape(-1, 3))
+    # One unbuffered add over all faces in face order: the same sequence of
+    # additions as a face-by-face assembly.
+    pts = face_values(xyz, surface_faces)
+    ids = face_values(ibool, surface_faces).ravel()
+    area_w = face_area_weights(pts, weights_2d) * length_scale**2
+    r = np.linalg.norm(pts, axis=-1, keepdims=True)
+    np.add.at(mass_at, ids, (rho_water * water_depth_m * area_w).ravel())
+    np.add.at(normal_at, ids, (pts / r).reshape(-1, 3))
     loaded = np.flatnonzero(mass_at > 0)
     normals = normal_at[loaded]
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)

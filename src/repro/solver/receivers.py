@@ -35,6 +35,7 @@ __all__ = [
     "Station",
     "LocatedReceiver",
     "ReceiverSet",
+    "PointLocator",
     "locate_receivers",
 ]
 
@@ -52,8 +53,10 @@ class LocatedReceiver:
     """A station resolved against the mesh.
 
     ``mode`` is "interpolated" or "closest_point".  For interpolated mode,
-    ``element``/``weights`` drive the per-step interpolation; for
-    closest-point mode only ``global_index`` is used.
+    ``element``/``weights`` drive the per-step interpolation and ``ref``
+    holds the reference coordinates (xi, eta, gamma) the Newton inversion
+    found in ``element``; for closest-point mode only ``global_index`` is
+    used.
     """
 
     station: Station
@@ -62,6 +65,7 @@ class LocatedReceiver:
     location_error: float
     element: int = -1
     weights: np.ndarray | None = None
+    ref: np.ndarray | None = None
 
     @property
     def interpolation_flops_per_step(self) -> int:
@@ -177,40 +181,36 @@ def _invert_isoparametric(
     return ref, float(np.linalg.norm(target - x))
 
 
-def locate_receivers(
-    stations: list[Station],
-    xyz: np.ndarray,
-    ibool: np.ndarray,
-    mode: str = "closest_point",
-) -> list[LocatedReceiver]:
-    """Resolve stations against a region mesh.
+class PointLocator:
+    """Nearest-point and host-element search over one region mesh.
 
-    A KD-tree over all GLL points finds the nearest mesh point; in
-    interpolated mode the elements sharing that point are then searched
-    with Newton inversion and the best-fitting one hosts the station.
+    One KD-tree over all GLL points finds the nearest mesh point of any
+    number of targets; in interpolated mode the elements sharing that
+    point are then searched with Newton inversion and the best-fitting
+    one hosts the target.
     """
-    if mode not in ("closest_point", "interpolated"):
-        raise ValueError(f"unknown station location mode {mode!r}")
-    flat_xyz = xyz.reshape(-1, 3)
-    flat_ibool = ibool.ravel()
-    tree = cKDTree(flat_xyz)
-    n3 = ibool.shape[1] * ibool.shape[2] * ibool.shape[3]
-    out: list[LocatedReceiver] = []
-    for station in stations:
+
+    def __init__(self, xyz: np.ndarray, ibool: np.ndarray):
+        self.xyz = xyz
+        self.ibool = ibool
+        self._tree = cKDTree(xyz.reshape(-1, 3))
+
+    def locate(self, station: Station, mode: str) -> LocatedReceiver:
+        """Resolve one station against the mesh."""
+        if mode not in ("closest_point", "interpolated"):
+            raise ValueError(f"unknown station location mode {mode!r}")
+        xyz, ibool = self.xyz, self.ibool
         target = np.asarray(station.position, dtype=np.float64)
-        dist, flat_index = tree.query(target)
+        dist, flat_index = self._tree.query(target)
+        nearest_global = ibool.ravel()[flat_index]
         if mode == "closest_point":
-            out.append(
-                LocatedReceiver(
-                    station=station,
-                    mode=mode,
-                    global_index=int(flat_ibool[flat_index]),
-                    location_error=float(dist),
-                )
+            return LocatedReceiver(
+                station=station,
+                mode=mode,
+                global_index=int(nearest_global),
+                location_error=float(dist),
             )
-            continue
         # Interpolated: try every element containing the nearest point.
-        nearest_global = flat_ibool[flat_index]
         candidate_elements = np.unique(
             np.nonzero((ibool == nearest_global).reshape(ibool.shape[0], -1))[0]
         )
@@ -220,15 +220,25 @@ def locate_receivers(
             if best is None or err < best[2]:
                 best = (int(e), ref, err)
         element, ref, err = best
-        weights = interpolation_weights_3d(xyz.shape[1], *ref)
-        out.append(
-            LocatedReceiver(
-                station=station,
-                mode=mode,
-                global_index=int(nearest_global),
-                location_error=err,
-                element=element,
-                weights=weights,
-            )
+        return LocatedReceiver(
+            station=station,
+            mode=mode,
+            global_index=int(nearest_global),
+            location_error=err,
+            element=element,
+            weights=interpolation_weights_3d(xyz.shape[1], *ref),
+            ref=ref,
         )
-    return out
+
+
+def locate_receivers(
+    stations: list[Station],
+    xyz: np.ndarray,
+    ibool: np.ndarray,
+    mode: str = "closest_point",
+) -> list[LocatedReceiver]:
+    """Resolve stations against a region mesh (one :class:`PointLocator`)."""
+    if mode not in ("closest_point", "interpolated"):
+        raise ValueError(f"unknown station location mode {mode!r}")
+    locator = PointLocator(xyz, ibool)
+    return [locator.locate(station, mode) for station in stations]

@@ -47,7 +47,7 @@ from ..kernels.flops import (
 from ..kernels.geometry import compute_geometry
 from ..kernels.weakform import Workspace, carve
 from ..mesh.element import RegionMesh
-from ..mesh.interfaces import external_faces, faces_at_radius, match_coupling_faces
+from ..mesh.interfaces import external_faces, faces_at_radius
 from ..mesh.quality import estimate_time_step
 from ..model.prem import PREM, RegionCode
 from ..obs.tracer import maybe_tracer
@@ -63,7 +63,7 @@ from .body_terms import coriolis_local_force, gravity_local_force
 from .coupling import CouplingOperator, build_coupling_operator
 from .fields import FluidField, SolidField
 from .oceans import OceanLoad, build_ocean_load
-from .receivers import ReceiverSet, Station, locate_receivers
+from .receivers import PointLocator, ReceiverSet, Station
 from .sources import MomentTensorSource, PointForceSource, moment_tensor_source_array
 
 __all__ = ["GlobalSolver", "SolverResult", "SolverTimings"]
@@ -414,18 +414,28 @@ class GlobalSolver:
             )
 
         # -- Sources and receivers ----------------------------------------------
+        # One point locator (a KD-tree over a region's GLL points) per
+        # region, shared by every source of every event and the stations.
+        locators: dict[int, PointLocator] = {}
+
+        def locator(code: int) -> PointLocator:
+            if code not in locators:
+                st = self.regions[code]
+                locators[code] = PointLocator(st.mesh.xyz, st.ibool)
+            return locators[code]
+
         #: (event, region, element, source_array, source) per located source.
         self.source_terms: list[tuple[int, int, int, np.ndarray, object]] = [
-            (b, *self._locate_source(source))
+            (b, *self._locate_source(source, locator))
             for b, event in enumerate(event_sources)
             for source in event
         ]
-        self._located: list = []
-        if stations:
-            st = self.regions[RegionCode.CRUST_MANTLE]
-            self._located = locate_receivers(
-                stations, st.mesh.xyz, st.ibool, mode=params.station_location
-            )
+        self._located: list = [
+            locator(RegionCode.CRUST_MANTLE).locate(station, params.station_location)
+            for station in stations or []
+        ]
+        # No tree lives on into the run.
+        locators.clear()
         self.reset_receivers(self.n_steps)
 
         # -- Fields ------------------------------------------------------------
@@ -596,25 +606,18 @@ class GlobalSolver:
                 sol.mesh.xyz, external_faces(sol.ibool), radius_km,
                 rel_tolerance=tol, radial_faces_only=radial_only,
             )
-            if not fluid_faces:
+            if not len(fluid_faces):
                 continue
-            surface = match_coupling_faces(
-                fl.mesh.xyz,
-                fluid_faces,
-                sol.mesh.xyz,
-                solid_faces,
-                radius_km,
-                w2,
-                outward_from_fluid=orientation,
-            )
-            # Convert area weights (km^2) and radius to metres.
-            surface.weights = surface.weights * LENGTH_SCALE**2
             op = build_coupling_operator(
-                surface, fl.ibool, fl.mesh.xyz, sol.ibool, sol.mesh.xyz
+                fl.mesh.xyz, fl.ibool, fluid_faces,
+                sol.mesh.xyz, sol.ibool, solid_faces,
+                radius_km, w2, outward_from_fluid=orientation,
             )
+            # Convert area weights (km^2) to metres.
+            op.weights = op.weights * LENGTH_SCALE**2
             self.couplings.append((solid_code, op))
 
-    def _locate_source(self, source) -> tuple[int, int, np.ndarray, object]:
+    def _locate_source(self, source, locator) -> tuple[int, int, np.ndarray, object]:
         """Resolve a source into (region, element, source_array, source)."""
         position = np.asarray(source.position, dtype=np.float64)
         r = float(np.linalg.norm(position))
@@ -622,18 +625,10 @@ class GlobalSolver:
         if region == RegionCode.OUTER_CORE:
             raise ValueError("sources inside the fluid outer core are not supported")
         st = self.regions[region]
-        located = locate_receivers(
-            [Station("src", tuple(position))],
-            st.mesh.xyz,
-            st.ibool,
-            mode="interpolated",
-        )[0]
-        e = located.element
-        # Reference coordinates recovered from the interpolation weights by
-        # re-running the Newton inversion (cheap, done once).
-        from .receivers import _invert_isoparametric
-
-        ref, _err = _invert_isoparametric(st.mesh.xyz[e], position)
+        located = locator(region).locate(
+            Station("src", tuple(position)), "interpolated"
+        )
+        e, ref = located.element, located.ref
         if isinstance(source, MomentTensorSource):
             # Jacobian at the source point, in SI length units.
             inv_jac = self._inverse_jacobian_at(st, e, ref)

@@ -467,3 +467,54 @@ def test_http_round_trip(tmp_path):
     assert results["lost"][0] == 404
     assert results["health"] == (200, {"ok": True})
     assert backend.calls == 1
+
+
+# ------------------------------------------------ lifetime and concurrency
+
+def test_closed_service_is_freed_without_the_cycle_collector(tmp_path):
+    # A service that referred to itself would keep its pool's cached mesh
+    # alive past close() until the next full garbage collection.
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        service = SimulationService(store=str(tmp_path / "store"))
+        pool = weakref.ref(service.pool)
+        service.close()
+        del service
+        assert pool() is None
+    finally:
+        gc.enable()
+
+
+def test_store_parses_one_payload_at_a_time(tmp_path, monkeypatch):
+    # np.load reads array headers with ast.literal_eval, which CPython 3.11
+    # cannot run in two threads at once without risking a SystemError.
+    service, _backend = make_service(tmp_path)
+    try:
+        response = asyncio.run(service.handle(make_request()))
+    finally:
+        service.close()
+    store = service.store
+    run = store.find_exact(response.key)
+    inside, overlaps = [], []
+    real_load = np.load
+
+    def slow_load(*args, **kwargs):
+        inside.append(1)
+        overlaps.append(len(inside))
+        time.sleep(0.02)
+        try:
+            return real_load(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np, "load", slow_load)
+    threads = [threading.Thread(target=store.load, args=(run,)) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert overlaps == [1, 1, 1, 1]
