@@ -266,7 +266,7 @@ def run_service_drill(
        transient faults (the campaign queue's injection hook) — the
        worker pool's retry loop must absorb them and the client must
        get a normal ``computed`` answer;
-    2. the stored NPZ payload then has one bit flipped — the next
+    2. the stored payload record then has one bit flipped — the next
        identical request must quarantine the corrupt bundle, recompute,
        and still answer bit-identically to an undisturbed reference.
 

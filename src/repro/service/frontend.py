@@ -300,7 +300,7 @@ class SimulationService:
         #    through to a recompute).
         run = self.store.find_exact(keys.key)
         if run is not None:
-            # np.load off-loop: a multi-MB cached payload must not stall
+            # Read off-loop: a multi-MB cached run must not stall
             # every other in-flight request for its read time (R9).
             data = await asyncio.to_thread(self._load_verified, run)
             if data is not None:
@@ -310,7 +310,7 @@ class SimulationService:
         #    receivers contain (or bracket) the requested stations.
         if self.allow_slicing:
             # Candidate scan is in-memory but the winning candidate is
-            # np.load-ed and sliced — also off-loop (R9).
+            # read and sliced — also off-loop (R9).
             sliced = await asyncio.to_thread(self._try_slice, request, keys)
             if sliced is not None:
                 self._bump("sliced")

@@ -187,14 +187,13 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def _station_rows(canonical: tuple[Station, ...]) -> list[list[Any]]:
+    return [[s.name, _canon_floats(list(s.position))] for s in canonical]
+
+
 def station_fingerprint(stations: tuple[Station, ...]) -> str:
     """Order-insensitive content hash of a station set."""
-    return _digest(
-        [
-            [s.name, _canon_floats(list(s.position))]
-            for s in canonical_stations(stations)
-        ]
-    )
+    return _digest(_station_rows(canonical_stations(stations)))
 
 
 def _physics_payload(request: SimulationRequest) -> dict[str, Any]:
@@ -218,12 +217,7 @@ def physics_key(request: SimulationRequest) -> str:
 
 def request_key(request: SimulationRequest) -> str:
     """Full content address: physics key + canonical station set."""
-    payload = _physics_payload(request)
-    payload["stations"] = [
-        [s.name, _canon_floats(list(s.position))]
-        for s in canonical_stations(request.stations)
-    ]
-    return _digest(payload)
+    return derive_keys(request).key
 
 
 @dataclass(frozen=True)
@@ -236,9 +230,15 @@ class RequestKeys:
 
 
 def derive_keys(request: SimulationRequest) -> RequestKeys:
-    """Normalize a request into its canonical keys and station order."""
+    """Normalize a request into its canonical keys and station order.
+
+    The physics payload is built once and hashed twice: alone for the
+    physics key, with the canonical station rows for the request key.
+    """
+    payload = _physics_payload(request)
+    stations = canonical_stations(request.stations)
     return RequestKeys(
-        key=request_key(request),
-        physics=physics_key(request),
-        stations=canonical_stations(request.stations),
+        key=_digest({**payload, "stations": _station_rows(stations)}),
+        physics=_digest(payload),
+        stations=stations,
     )

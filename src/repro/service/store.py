@@ -1,50 +1,97 @@
-"""Content-addressed seismogram store: NPZ payloads + manifest provenance.
+"""Content-addressed seismogram store: flat verified records + manifest.
 
-The service's cache of record.  Each stored *run* is one NPZ bundle —
-the (n_stations, n_steps, 3) seismogram array in canonical station
-order, the station names and positions, the time step — addressed by
-the :func:`~repro.service.keys.request_key` of the request that
-produced it, with a CRC32 map of every array embedded via
-:mod:`repro.chaos.integrity` (the same format v3 discipline the
-checkpoints and mesh spills follow).  Provenance lands in an
-append-only ``manifest.jsonl`` exactly like
+The service's cache of record.  Each stored *run* is one flat record
+file — the (n_stations, n_steps, 3) seismogram array in canonical
+station order, the station positions, and a JSON header carrying the
+station names, the time step and the keys — addressed by the
+:func:`~repro.service.keys.request_key` of the request that produced
+it.  A warm hit is this store's hot path, so the record is read with
+one ``read``, one ``json.loads`` and one ``np.frombuffer`` per array:
+no zip directory, no per-member header parse, no inflate.  Provenance
+lands in an append-only ``manifest.jsonl`` exactly like
 :class:`~repro.campaign.store.ResultStore`, and warm-up scans read it
 through the torn-line-tolerant :func:`~repro.campaign.store
 .read_manifest` — a crash mid-append costs one line, never the store.
 
-Corruption is self-healing: a payload whose zip layer or checksums
-reject is quarantined (renamed ``*.quarantined``) and deregistered, so
-the service re-computes instead of serving garbage — the
-quarantine-and-recompute drill in ``tests/test_service.py`` proves the
-full loop.
+Record layout (little-endian)::
+
+    preamble   magic b"SEISREC1", header length (u32), header CRC32 (u32)
+    header     JSON: {"arrays": [{name, dtype, shape, offset, nbytes,
+                                   crc32}, ...], "meta": {...}}
+    arrays     each array's raw bytes, ``offset`` bytes past the header
+
+Every byte of the file is covered: the magic is compared, the header by
+its CRC32, each array by its own CRC32 and the length must come out
+exact — so every single-bit flip, every truncation and every stray
+trailing byte is caught.  Corruption is self-healing: a record that
+fails verification is quarantined (renamed ``*.quarantined``) and
+deregistered, so the service re-computes instead of serving garbage —
+the quarantine-and-recompute drill in ``tests/test_service.py`` proves
+the full loop.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 import tempfile
 import threading
-import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..chaos.integrity import (
-    INTEGRITY_KEY,
-    CacheCorruptionError,
-    IntegrityError,
-    checksum_payload,
-    parse_checksum_payload,
-    verify_checksums,
-)
+from ..chaos.integrity import CacheCorruptionError, IntegrityError
 from ..campaign.store import read_manifest
 from ..solver.receivers import Station
 
 __all__ = ["StoredRun", "SeismogramStore"]
 
 RUN_RECORD_TYPE = "seismogram_run"
+PAYLOAD_SUFFIX = ".seis"
+_MAGIC = b"SEISREC1"
+_PREAMBLE = struct.Struct("<8sII")  # magic, header length, header CRC32
+
+
+def _pack_record(arrays: dict[str, np.ndarray], meta: dict) -> bytes:
+    """One flat record: preamble, JSON header, each array's raw bytes."""
+    arrays = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
+    entries, offset = [], 0
+    for name, a in arrays.items():
+        entries.append({"name": name, "dtype": a.dtype.str,
+                        "shape": list(a.shape), "offset": offset,
+                        "nbytes": a.nbytes, "crc32": zlib.crc32(a)})
+        offset += a.nbytes
+    header = json.dumps({"arrays": entries, "meta": meta},
+                        sort_keys=True).encode("utf-8")
+    preamble = _PREAMBLE.pack(_MAGIC, len(header), zlib.crc32(header))
+    return b"".join([preamble, header, *arrays.values()])
+
+
+def _unpack_record(raw: bytes) -> dict[str, np.ndarray]:
+    """The verified arrays of one record (read-only views of ``raw``)."""
+    if len(raw) < _PREAMBLE.size:
+        raise IntegrityError(f"{len(raw)} bytes is shorter than a preamble")
+    magic, header_len, header_crc = _PREAMBLE.unpack_from(raw)
+    start = _PREAMBLE.size + header_len
+    view = memoryview(raw)
+    if (magic != _MAGIC or start > len(raw)
+            or zlib.crc32(view[_PREAMBLE.size:start]) != header_crc):
+        raise IntegrityError("bad magic or header CRC32")
+    arrays, end = {}, start
+    for entry in json.loads(raw[_PREAMBLE.size:start])["arrays"]:
+        lo = start + entry["offset"]
+        end = lo + entry["nbytes"]
+        if end > len(raw) or zlib.crc32(view[lo:end]) != entry["crc32"]:
+            raise IntegrityError(f"CRC32 mismatch for array {entry['name']}")
+        arrays[entry["name"]] = np.frombuffer(
+            view[lo:end], dtype=entry["dtype"]
+        ).reshape(entry["shape"])
+    if end != len(raw):
+        raise IntegrityError(f"{len(raw) - end} bytes past the last array")
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -54,7 +101,7 @@ class StoredRun:
     key: str
     physics_key: str
     params_hash: str
-    stations: tuple[Station, ...]  # canonical order = NPZ row order
+    stations: tuple[Station, ...]  # canonical order = payload row order
     n_steps: int
     dt: float
     path: Path
@@ -69,7 +116,7 @@ class SeismogramStore:
 
     Layout::
 
-        <directory>/runs/run-<key>.npz   # payload, CRC32-verified on load
+        <directory>/runs/run-<key>.seis  # flat record, CRC32-verified on load
         <directory>/manifest.jsonl       # append-only provenance stream
 
     The in-memory index (key -> :class:`StoredRun`, physics key ->
@@ -86,13 +133,6 @@ class SeismogramStore:
         self.manifest_path = self.directory / "manifest.jsonl"
         self.metrics = metrics
         self._lock = threading.Lock()
-        #: One payload parse at a time.  ``np.load`` reads each array header
-        #: with ``ast.literal_eval``, and CPython 3.11 counts the AST
-        #: builder's recursion depth per interpreter, not per thread: when
-        #: a garbage collection inside one thread's parse runs a finalizer
-        #: that yields the GIL to another thread's parse, the first fails
-        #: with ``SystemError: AST constructor recursion depth mismatch``.
-        self._load_lock = threading.Lock()
         self._runs: dict[str, StoredRun] = {}
         self._by_physics: dict[str, list[str]] = {}
         self.corruptions = 0
@@ -105,7 +145,7 @@ class SeismogramStore:
             self.metrics.counter(f"service.store.{name}").add(value)
 
     def _run_path(self, key: str) -> Path:
-        return self.runs_dir / f"run-{key}.npz"
+        return self.runs_dir / f"run-{key}{PAYLOAD_SUFFIX}"
 
     def _register(self, run: StoredRun) -> None:
         # Called with the lock held; last write wins, like ResultStore.
@@ -143,6 +183,8 @@ class SeismogramStore:
         The warm-up path of a restarted service: manifest lines whose
         payload file has since vanished (or was quarantined) are
         skipped, torn lines are tolerated by :func:`read_manifest`.
+        Records of an older payload format (any suffix but
+        ``PAYLOAD_SUFFIX``) are not indexed: their requests recompute.
         """
         records, info = read_manifest(
             self.manifest_path, record_type=RUN_RECORD_TYPE
@@ -174,7 +216,8 @@ class SeismogramStore:
                 except (KeyError, TypeError, ValueError):
                     self.manifest_bad_lines += 1
                     continue
-                if run.path.name in present:
+                if (run.path.suffix == PAYLOAD_SUFFIX
+                        and run.path.name in present):
                     self._register(run)
             return len(self._runs)
 
@@ -213,7 +256,12 @@ class SeismogramStore:
         params_hash: str = "",
         extra: dict | None = None,
     ) -> StoredRun:
-        """Persist one run (atomic NPZ write + manifest append)."""
+        """Persist one run (one atomic record write + manifest append).
+
+        The record is written with one ``write`` to a temp file that
+        ``os.replace`` moves into place, so a reader sees the whole old
+        file, the whole new one, or none.
+        """
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 3 or data.shape[0] != len(stations):
             raise ValueError(
@@ -221,32 +269,28 @@ class SeismogramStore:
                 f"{len(stations)} stations"
             )
         path = self._run_path(key)
-        arrays: dict[str, np.ndarray] = {
-            "data": data,
-            "dt": np.asarray(float(dt)),
-            "station_names": np.asarray([s.name for s in stations]),
-            "station_positions": np.asarray(
-                [s.position for s in stations], dtype=np.float64
-            ),
-            "meta_json": np.asarray(
-                json.dumps(
-                    {
-                        "key": key,
-                        "physics_key": physics_key,
-                        "params_hash": params_hash,
-                        **(extra or {}),
-                    },
-                    sort_keys=True,
-                )
-            ),
-        }
-        arrays[INTEGRITY_KEY] = checksum_payload(arrays)
+        payload = _pack_record(
+            {
+                "data": data,
+                "station_positions": np.asarray(
+                    [s.position for s in stations], dtype=np.float64
+                ),
+            },
+            {
+                "key": key,
+                "physics_key": physics_key,
+                "params_hash": params_hash,
+                "dt": float(dt),
+                "station_names": [s.name for s in stations],
+                **(extra or {}),
+            },
+        )
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=path.name + ".", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
+                fh.write(payload)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -285,41 +329,22 @@ class SeismogramStore:
     def load(self, run: StoredRun) -> np.ndarray:
         """The verified (n_stations, n_steps, 3) array of a stored run.
 
-        Every array is re-checked against the embedded CRC32 map; a
-        payload the zip layer rejects or whose checksums mismatch is
-        quarantined and raises :class:`~repro.chaos.integrity
-        .CacheCorruptionError` — the caller treats that as a miss and
-        recomputes.
+        One read, one header parse, one CRC32 per array; a record that
+        cannot be read or fails any check is quarantined and raises
+        :class:`~repro.chaos.integrity.CacheCorruptionError` — the
+        caller treats that as a miss and recomputes.  The array returned
+        is the caller's own writable copy.
         """
         try:
-            with self._load_lock, np.load(run.path, allow_pickle=False) as raw:
-                loaded = {name: np.array(raw[name]) for name in raw.files}
-        except (
-            OSError,
-            ValueError,
-            KeyError,
-            zipfile.BadZipFile,
-            json.JSONDecodeError,
-        ) as exc:
+            with open(run.path, "rb") as fh:
+                data = _unpack_record(fh.read())["data"].copy()
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             self._quarantine(run)
             raise CacheCorruptionError(
                 f"seismogram run {run.path} is corrupt or truncated: {exc}"
             ) from exc
-        try:
-            if INTEGRITY_KEY not in loaded:
-                raise IntegrityError("integrity map missing")
-            verify_checksums(
-                {k: v for k, v in loaded.items() if k != INTEGRITY_KEY},
-                parse_checksum_payload(loaded[INTEGRITY_KEY]),
-            )
-        except IntegrityError as exc:
-            self._quarantine(run)
-            raise CacheCorruptionError(
-                f"seismogram run {run.path} failed integrity "
-                f"verification: {exc}"
-            ) from exc
         self._count("loads")
-        return loaded["data"]
+        return data
 
     def stats(self) -> dict:
         """Index snapshot (what the CLI ``stats`` table prints)."""

@@ -2,8 +2,9 @@
 
 Covers the canonical key derivation (order-insensitive stations,
 execution options and bit-identical engineering switches excluded), the
-content-addressed seismogram store (atomic puts, CRC verification,
-quarantine-and-recompute, torn-manifest tolerance), the request path
+content-addressed seismogram store (atomic puts, CRC verification
+exhaustive over every bit flip and truncation, quarantine-and-recompute,
+torn-manifest tolerance, older NPZ-payload records), the request path
 (miss -> compute, hit, superset slicing with the exactness flag,
 single-flight coalescing of concurrent identical requests), the HTTP
 layer, and the service chaos drill — a backend fault retried without
@@ -21,6 +22,11 @@ import numpy as np
 import pytest
 
 from repro.chaos import flip_bit, run_service_drill
+from repro.chaos.integrity import (
+    INTEGRITY_KEY,
+    CacheCorruptionError,
+    checksum_payload,
+)
 from repro.config.parameters import ParameterError, SimulationParameters
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import render_service_report
@@ -315,6 +321,105 @@ def test_stats_and_report(tmp_path):
 # -------------------------------------------------------------------- store
 
 
+def test_key_digests_are_pinned():
+    # Every stored run is addressed by these digests: a change in how a
+    # request is canonicalized would orphan the whole store silently.
+    b = SimulationRequest.from_spec({
+        "params": {"NEX_XI": 8, "NER_CRUST_MANTLE": 2, "NER_OUTER_CORE": 1,
+                   "NER_INNER_CORE": 1, "ATTENUATION": True},
+        "source": {"position": [100.0, -50, 6000], "moment_scale": 3e19,
+                   "half_duration_s": 5},
+        "stations": [{"name": "B", "position": [1, 2, 3]},
+                     {"name": "A", "position": [6371, 0, 0]}],
+    })
+    pinned = {
+        "a": ("b7fbaab217ee9fff", "3a27b126b7759e46"),
+        "b": ("196f61502221148d", "0a26fe8ddfe6b19b"),
+    }
+    for name, request in (("a", make_request()), ("b", b)):
+        keys = derive_keys(request)
+        assert (keys.key, keys.physics) == pinned[name]
+        assert (request_key(request), physics_key(request)) == pinned[name]
+
+
+def test_every_bit_flip_truncation_and_stray_byte_is_quarantined(tmp_path):
+    service, _backend = make_service(tmp_path)
+    try:
+        response = asyncio.run(service.handle(make_request()))
+    finally:
+        service.close()
+    store = service.store
+    run = store.find_exact(response.key)
+    pristine = run.path.read_bytes()
+    quarantined = run.path.with_name(run.path.name + ".quarantined")
+
+    def corrupt_variants():
+        flipped = bytearray(pristine)
+        for bit in range(8 * len(pristine)):
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            yield bytes(flipped)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+        for size in range(len(pristine)):
+            yield pristine[:size]
+        yield pristine + b"\0"
+
+    cases = 0
+    for variant in corrupt_variants():
+        run.path.write_bytes(variant)
+        with pytest.raises(CacheCorruptionError):
+            store.load(run)
+        assert not run.path.exists() and quarantined.exists()
+        cases += 1
+    assert cases == 9 * len(pristine) + 1
+    assert store.corruptions == cases
+    run.path.write_bytes(pristine)
+    canonical = np.stack([response.seismogram(s.name) for s in run.stations])
+    assert np.array_equal(store.load(run), canonical)
+
+
+def test_older_npz_payload_records_are_not_indexed(tmp_path):
+    # A store written by the NPZ-payload release: its records are left
+    # alone (not quarantined, not counted corrupt) and their requests
+    # recompute into the current format.
+    request = make_request()
+    keys = derive_keys(request)
+    store_dir = tmp_path / "store"
+    (store_dir / "runs").mkdir(parents=True)
+    old_payload = store_dir / "runs" / f"run-{keys.key}.npz"
+    data = np.zeros((len(keys.stations), 8, 3))
+    arrays = {
+        "data": data,
+        "dt": np.asarray(0.25),
+        "station_names": np.asarray([s.name for s in keys.stations]),
+        "station_positions": np.asarray([s.position for s in keys.stations]),
+        "meta_json": np.asarray(json.dumps({"key": keys.key})),
+    }
+    arrays[INTEGRITY_KEY] = checksum_payload(arrays)
+    np.savez_compressed(old_payload, **arrays)
+    record = {
+        "record_type": "seismogram_run", "key": keys.key,
+        "physics_key": keys.physics, "params_hash": "",
+        "stations": [[s.name, *s.position] for s in keys.stations],
+        "n_steps": 8, "dt": 0.25, "file": old_payload.name,
+    }
+    (store_dir / "manifest.jsonl").write_text(json.dumps(record) + "\n")
+
+    assert len(SeismogramStore(store_dir)) == 0
+    service, backend = make_service(tmp_path)
+    try:
+        first = asyncio.run(service.handle(request))
+        second = asyncio.run(service.handle(request))
+    finally:
+        service.close()
+    assert (first.status, second.status) == ("computed", "hit")
+    assert backend.calls == 1
+    assert service.counts["corruptions"] == 0
+    assert service.store.corruptions == 0
+    assert old_payload.exists()
+    assert service.store.find_exact(keys.key).path.suffix == ".seis"
+    assert len(SeismogramStore(store_dir)) == 1
+
+
 def test_store_scan_survives_torn_manifest_line(tmp_path):
     # Slicing off so the subset request persists its own run.
     service, _backend = make_service(tmp_path, allow_slicing=False)
@@ -488,9 +593,9 @@ def test_closed_service_is_freed_without_the_cycle_collector(tmp_path):
         gc.enable()
 
 
-def test_store_parses_one_payload_at_a_time(tmp_path, monkeypatch):
-    # np.load reads array headers with ast.literal_eval, which CPython 3.11
-    # cannot run in two threads at once without risking a SystemError.
+def test_store_loads_run_concurrently_without_np_load(tmp_path, monkeypatch):
+    # A record is parsed with json + np.frombuffer: no np.load, no ast, no
+    # lock — four threads loading one run at once all get the same rows.
     service, _backend = make_service(tmp_path)
     try:
         response = asyncio.run(service.handle(make_request()))
@@ -498,23 +603,28 @@ def test_store_parses_one_payload_at_a_time(tmp_path, monkeypatch):
         service.close()
     store = service.store
     run = store.find_exact(response.key)
-    inside, overlaps = [], []
-    real_load = np.load
 
-    def slow_load(*args, **kwargs):
-        inside.append(1)
-        overlaps.append(len(inside))
-        time.sleep(0.02)
+    def no_np_load(*args, **kwargs):
+        raise AssertionError("the store must not call np.load")
+
+    monkeypatch.setattr(np, "load", no_np_load)
+    results, errors = [], []
+
+    def load():
         try:
-            return real_load(*args, **kwargs)
-        finally:
-            inside.pop()
+            results.append(store.load(run))
+        except BaseException as exc:  # surfaced by the asserts below
+            errors.append(exc)
 
-    monkeypatch.setattr(np, "load", slow_load)
-    threads = [threading.Thread(target=store.load, args=(run,)) for _ in range(4)]
+    threads = [threading.Thread(target=load) for _ in range(4)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=30)
     assert not any(t.is_alive() for t in threads)
-    assert overlaps == [1, 1, 1, 1]
+    assert errors == []
+    assert len(results) == 4
+    canonical = np.stack([response.seismogram(s.name) for s in run.stations])
+    for data in results:
+        assert data.flags.writeable
+        assert np.array_equal(data, canonical)
