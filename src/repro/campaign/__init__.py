@@ -12,7 +12,7 @@ north star:
   per-job timeouts and retry-with-exponential-backoff over typed
   transient failures (including the launcher's rank failures);
 * :mod:`~repro.campaign.mesh_cache` — a content-addressed mesh cache
-  (LRU + on-disk NPZ spill) so N events at one resolution build one
+  (LRU + verified on-disk spill) so N events at one resolution build one
   mesh, not N;
 * :mod:`~repro.campaign.segments` — segmented checkpoint–restart
   execution, bit-identical to an uninterrupted run;
@@ -34,10 +34,10 @@ from .errors import (
 from .mesh_cache import (
     MESH_KEY_FIELDS,
     MeshCache,
-    load_mesh_npz,
+    load_mesh_spill,
     mesh_cache_key,
     params_hash,
-    save_mesh_npz,
+    save_mesh_spill,
 )
 from .queue import JobQueue, JobSpec, JobStatus, RetryPolicy
 from .segments import (
@@ -56,10 +56,10 @@ __all__ = [
     "TransientJobError",
     "MESH_KEY_FIELDS",
     "MeshCache",
-    "load_mesh_npz",
+    "load_mesh_spill",
     "mesh_cache_key",
     "params_hash",
-    "save_mesh_npz",
+    "save_mesh_spill",
     "JobQueue",
     "JobSpec",
     "JobStatus",

@@ -10,7 +10,9 @@ right-hand sides).
 
 :func:`mesh_cache_key` canonically hashes that subset; :class:`MeshCache`
 keeps an in-memory LRU of built meshes keyed on it, with an optional
-on-disk NPZ spill directory so meshes survive eviction (and processes).
+on-disk spill directory of verified records
+(:mod:`repro.chaos.integrity`) so meshes survive eviction (and
+processes).
 Hit/miss/spill counters are exported through a
 :class:`~repro.obs.metrics.MetricsRegistry` under ``campaign.mesh_cache.*``.
 
@@ -31,12 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from ..chaos.integrity import (
-    INTEGRITY_KEY,
     CacheCorruptionError,
     IntegrityError,
-    checksum_payload,
-    parse_checksum_payload,
-    verify_checksums,
+    quarantine,
+    read_record,
+    write_record,
 )
 from ..config.parameters import SimulationParameters
 from ..mesh.element import RegionMesh
@@ -47,9 +48,11 @@ __all__ = [
     "mesh_cache_key",
     "params_hash",
     "MeshCache",
-    "save_mesh_npz",
-    "load_mesh_npz",
+    "save_mesh_spill",
+    "load_mesh_spill",
 ]
+
+_MAGIC = b"MESHREC1"
 
 #: Par_file keys that determine the generated mesh, and nothing else.
 #: Solver-only switches (attenuation, rotation, gravity, oceans, kernel
@@ -88,25 +91,16 @@ def params_hash(params: SimulationParameters) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-# ---------------------------------------------------------------- NPZ spill
+# -------------------------------------------------------------------- spill
 
 
-def save_mesh_npz(mesh: GlobalMesh, path: str | Path) -> Path:
-    """Serialise a :class:`GlobalMesh` to one NPZ file (atomic write)."""
-    import os
-    import tempfile
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    arrays: dict[str, np.ndarray] = {
-        "region_codes": np.asarray(sorted(mesh.regions)),
-        "cube_elements": np.asarray(int(mesh.cube_elements)),
-        "params_json": np.asarray(json.dumps(mesh.params.to_dict())),
-    }
+def save_mesh_spill(mesh: GlobalMesh, path: str | Path) -> Path:
+    """Serialise a :class:`GlobalMesh` to one verified record (atomic)."""
+    arrays: dict[str, np.ndarray] = {}
     for code, rmesh in mesh.regions.items():
+        code = int(code)
         arrays[f"{code}_xyz"] = rmesh.xyz
         arrays[f"{code}_ibool"] = rmesh.ibool
-        arrays[f"{code}_nglob"] = np.asarray(int(rmesh.nglob))
         for name in ("rho", "kappa", "mu", "q_mu"):
             value = getattr(rmesh, name)
             if value is not None:
@@ -115,60 +109,30 @@ def save_mesh_npz(mesh: GlobalMesh, path: str | Path) -> Path:
             for love in ("A", "C", "L", "N", "F"):
                 arrays[f"{code}_ti_{love}"] = getattr(rmesh.ti_moduli, love)
         arrays[f"{code}_owner"] = mesh.slice_of_element[code]
-    # CRC32 of every array, re-verified by load_mesh_npz: a corrupted
-    # spill must surface as CacheCorruptionError, never as a bad mesh.
-    arrays[INTEGRITY_KEY] = checksum_payload(arrays)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
+    meta = {
+        "params": mesh.params.to_dict(),
+        "cube_elements": int(mesh.cube_elements),
+        "nglob": {str(int(c)): int(r.nglob) for c, r in mesh.regions.items()},
+    }
+    return write_record(path, _MAGIC, arrays, meta)
 
 
-def load_mesh_npz(path: str | Path) -> GlobalMesh:
-    """Rebuild a :class:`GlobalMesh` from :func:`save_mesh_npz` output.
+def load_mesh_spill(path: str | Path) -> GlobalMesh:
+    """Rebuild a :class:`GlobalMesh` from :func:`save_mesh_spill` output.
 
-    Every array is re-verified against the embedded CRC32 map; a file
-    the zip layer rejects or whose checksums mismatch raises
-    :class:`~repro.chaos.integrity.CacheCorruptionError` (which
-    :class:`MeshCache` quarantines and treats as a miss).  Spills
-    written before checksums existed load without verification.
+    Every byte is verified; a file that is not a mesh record or fails a
+    CRC32 check raises :class:`~repro.chaos.integrity.CacheCorruptionError`
+    (which :class:`MeshCache` quarantines and treats as a miss).
     """
-    path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as raw:
-            loaded = {name: np.array(raw[name]) for name in raw.files}
-    except Exception as exc:
+        f, meta = read_record(path, _MAGIC)
+    except (OSError, IntegrityError) as exc:
         raise CacheCorruptionError(
-            f"mesh spill {path} is corrupt or truncated: {exc}"
+            f"mesh spill {path} failed integrity verification: {exc}"
         ) from exc
-    if INTEGRITY_KEY in loaded:
-        try:
-            verify_checksums(
-                {k: v for k, v in loaded.items() if k != INTEGRITY_KEY},
-                parse_checksum_payload(loaded[INTEGRITY_KEY]),
-            )
-        except IntegrityError as exc:
-            raise CacheCorruptionError(
-                f"mesh spill {path} failed integrity verification: {exc}"
-            ) from exc
-
-    f = loaded
-    params = SimulationParameters.from_dict(
-        json.loads(str(f["params_json"]))
-    )
     regions: dict[int, RegionMesh] = {}
     owners: dict[int, np.ndarray] = {}
-    for code in (int(c) for c in f["region_codes"]):
+    for code, nglob in sorted((int(c), n) for c, n in meta["nglob"].items()):
         ti = None
         if f"{code}_ti_A" in f:
             from ..kernels.anisotropic import TIModuli
@@ -180,7 +144,7 @@ def load_mesh_npz(path: str | Path) -> GlobalMesh:
             region=code,
             xyz=f[f"{code}_xyz"],
             ibool=f[f"{code}_ibool"],
-            nglob=int(f[f"{code}_nglob"]),
+            nglob=nglob,
             rho=f[f"{code}_rho"],
             kappa=f[f"{code}_kappa"],
             mu=f[f"{code}_mu"],
@@ -188,10 +152,10 @@ def load_mesh_npz(path: str | Path) -> GlobalMesh:
             ti_moduli=ti,
         )
         owners[code] = f[f"{code}_owner"]
-    cube = int(f["cube_elements"])
     return GlobalMesh(
-        params=params, regions=regions, slice_of_element=owners,
-        cube_elements=cube,
+        params=SimulationParameters.from_dict(meta["params"]),
+        regions=regions, slice_of_element=owners,
+        cube_elements=meta["cube_elements"],
     )
 
 
@@ -216,7 +180,7 @@ class MeshCache:
     ----------
     max_entries : in-memory capacity; the least-recently-used mesh is
         evicted (and spilled to disk if a ``spill_dir`` is set).
-    spill_dir : directory for NPZ copies of evicted meshes; evicted keys
+    spill_dir : directory for record copies of evicted meshes; evicted keys
         reload from there instead of re-meshing (counted as
         ``disk_hits``, still far cheaper than a rebuild).
     metrics : optional registry receiving ``campaign.mesh_cache.hits`` /
@@ -256,7 +220,7 @@ class MeshCache:
     def _spill_path(self, key: str) -> Path | None:
         if self.spill_dir is None:
             return None
-        return self.spill_dir / f"mesh-{key}.npz"
+        return self.spill_dir / f"mesh-{key}.mesh"
 
     def _evict_overflow(self, tracer=None) -> None:
         # Called with the lock held.  Never evict an in-flight build.
@@ -277,7 +241,7 @@ class MeshCache:
             spill = self._spill_path(victim)
             if spill is not None and entry.mesh is not None and not spill.exists():
                 with tr.span("cache.spill"):
-                    save_mesh_npz(entry.mesh, spill)
+                    save_mesh_spill(entry.mesh, spill)
 
     # -- API ----------------------------------------------------------------
 
@@ -328,7 +292,7 @@ class MeshCache:
             if spill is not None and spill.exists():
                 try:
                     with tr.span("cache.load", key=1):
-                        entry.mesh = load_mesh_npz(spill)
+                        entry.mesh = load_mesh_spill(spill)
                     with self._lock:
                         self.disk_hits += 1
                         self._count("disk_hits")
@@ -336,7 +300,7 @@ class MeshCache:
                     # Quarantine the corrupt spill (so it is never loaded
                     # again) and rebuild: corruption is a miss, not an
                     # error — the cache heals itself.
-                    self._quarantine(spill)
+                    quarantine(spill)
                     with self._lock:
                         self.corruptions += 1
                         self._count("corruptions")
@@ -363,19 +327,6 @@ class MeshCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def _quarantine(self, spill: Path) -> None:
-        """Move a corrupt spill aside (fall back to deleting it)."""
-        import os
-
-        target = spill.with_suffix(spill.suffix + ".quarantined")
-        try:
-            os.replace(spill, target)
-        except OSError:
-            try:
-                spill.unlink()
-            except OSError:
-                pass
 
     def stats(self) -> dict:
         """Hit/miss accounting snapshot (what the CLI table prints)."""

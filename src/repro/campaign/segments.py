@@ -214,7 +214,7 @@ def run_segmented_simulation(
                 ckpt: Path | None = None
                 if index < len(bounds) - 1:
                     ckpt = save_checkpoint(
-                        solver, directory / f"segment_{index:03d}.npz",
+                        solver, directory / f"segment_{index:03d}.ckpt",
                         step=stop, tracer=tr, metrics=metrics,
                     )
                     checkpoints.append((stop, ckpt))

@@ -11,57 +11,17 @@ are the source of truth, the manifest is the convenient audit log.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..chaos.integrity import append_manifest, atomic_write, read_manifest
+
 __all__ = [
     "JobRecord",
     "ResultStore",
-    "read_manifest",
     "render_campaign_table",
 ]
-
-
-def read_manifest(
-    path: str | Path, record_type: str | None = None
-) -> tuple[list[dict[str, Any]], dict[str, int]]:
-    """Tolerantly read an append-only ``manifest.jsonl`` stream.
-
-    Same policy as :func:`repro.obs.stream.read_stream`: a torn final
-    line — the normal aftermath of a process killed mid-append — is
-    counted in ``info["bad_lines"]`` and skipped, never raised, so a
-    crash cannot poison ``report --campaign`` or a service warm-up
-    scan.  Returns ``(records, info)``; a missing manifest is an empty
-    stream, not an error.  ``record_type`` filters on the records'
-    ``record_type`` field (absent = per-job records, which predate the
-    field and match ``record_type=None`` only).
-    """
-    records: list[dict[str, Any]] = []
-    info = {"bad_lines": 0, "lines": 0}
-    manifest = Path(path)
-    if not manifest.exists():
-        return records, info
-    with manifest.open(encoding="utf-8", errors="replace") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            info["lines"] += 1
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                info["bad_lines"] += 1
-                continue
-            if not isinstance(obj, dict):
-                info["bad_lines"] += 1
-                continue
-            if record_type is not None and obj.get("record_type") != record_type:
-                continue
-            records.append(obj)
-    return records, info
 
 
 @dataclass
@@ -100,22 +60,6 @@ class JobRecord:
         return cls(**d)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 class ResultStore:
     """Directory-backed store of :class:`JobRecord` files.
 
@@ -135,9 +79,8 @@ class ResultStore:
         """Persist one record; returns the per-job JSON path."""
         path = self.jobs_dir / f"{rec.name}.json"
         payload = json.dumps(rec.to_dict(), indent=2, sort_keys=True)
-        _atomic_write_text(path, payload)
-        with open(self.manifest_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+        atomic_write(path, [payload.encode("utf-8")])
+        append_manifest(self.manifest_path, rec.to_dict())
         return path
 
     def load(self, status: str | None = None) -> list[JobRecord]:

@@ -12,8 +12,9 @@ three *testable* on the virtual cluster, as three coupled layers:
   attackable unmodified;
 * **detection** (:mod:`~repro.chaos.sentinel`,
   :mod:`~repro.chaos.integrity`) — the periodic numerical
-  :class:`HealthSentinel` in the solver loop, and CRC32 verification of
-  checkpoints (format v3) and mesh-cache spills at load time;
+  :class:`HealthSentinel` in the solver loop, and the one verified
+  record every checkpoint, mesh-cache spill and stored run is read
+  through;
 * **containment** — typed-error classification in the campaign
   :class:`~repro.campaign.queue.RetryPolicy` (transient comm faults
   retry; deterministic numerical/corruption faults fail fast with a
@@ -45,7 +46,6 @@ from .integrity import (
     IntegrityError,
     array_checksums,
     flip_bit,
-    verify_checksums,
 )
 from .sentinel import HealthSentinel, HealthSnapshot, NumericalHealthError
 
@@ -63,7 +63,6 @@ __all__ = [
     "CacheCorruptionError",
     "CheckpointCorruptionError",
     "array_checksums",
-    "verify_checksums",
     "flip_bit",
     "DrillReport",
     "run_comm_drill",

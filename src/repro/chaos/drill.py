@@ -199,8 +199,8 @@ def run_checkpoint_drill(
 
     def corrupt(index: int, path) -> None:
         if index == corrupt_segment:
-            # Flip a bit in the middle of the file: compressed array
-            # data, past the zip headers.
+            # Flip a bit in the middle of the file: array data, past
+            # the record header.
             size = path.stat().st_size
             flip_bit(path, bit=8 * (size // 2))
             corrupted.append(str(path))

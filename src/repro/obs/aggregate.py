@@ -279,11 +279,11 @@ def record_campaign_summary(
     The line carries ``record_type: "campaign_summary"`` so manifest
     readers (which otherwise see per-job records) can tell it apart.
     """
+    from ..chaos.integrity import append_manifest
+
     manifest = Path(store_dir) / "manifest.jsonl"
     manifest.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(
-        {"record_type": "campaign_summary", **agg.to_dict()}, sort_keys=True
+    append_manifest(
+        manifest, {"record_type": "campaign_summary", **agg.to_dict()}
     )
-    with open(manifest, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
     return manifest

@@ -1,50 +1,46 @@
 """Content-addressed seismogram store: flat verified records + manifest.
 
-The service's cache of record.  Each stored *run* is one flat record
-file — the (n_stations, n_steps, 3) seismogram array in canonical
-station order, the station positions, and a JSON header carrying the
-station names, the time step and the keys — addressed by the
-:func:`~repro.service.keys.request_key` of the request that produced
-it.  A warm hit is this store's hot path, so the record is read with
-one ``read``, one ``json.loads`` and one ``np.frombuffer`` per array:
-no zip directory, no per-member header parse, no inflate.  Provenance
-lands in an append-only ``manifest.jsonl`` exactly like
+The service's cache of record.  Each stored *run* is one verified record
+(:mod:`repro.chaos.integrity`, magic ``SEISREC1``) — the
+(n_stations, n_steps, 3) seismogram array in canonical station order,
+the station positions, and header metadata carrying the station names,
+the time step and the keys — addressed by the
+:func:`~repro.service.keys.request_key` of the request that produced it.
+A warm hit is this store's hot path, so the record is read with one
+``readinto``, one ``json.loads`` and one ``np.frombuffer`` per array: no
+zip directory, no per-member header parse, no inflate.  Provenance lands
+in an append-only ``manifest.jsonl`` exactly like
 :class:`~repro.campaign.store.ResultStore`, and warm-up scans read it
-through the torn-line-tolerant :func:`~repro.campaign.store
-.read_manifest` — a crash mid-append costs one line, never the store.
+through the torn-line-tolerant
+:func:`~repro.chaos.integrity.read_manifest` — a crash mid-append costs
+one line, never the store.
 
-Record layout (little-endian)::
-
-    preamble   magic b"SEISREC1", header length (u32), header CRC32 (u32)
-    header     JSON: {"arrays": [{name, dtype, shape, offset, nbytes,
-                                   crc32}, ...], "meta": {...}}
-    arrays     each array's raw bytes, ``offset`` bytes past the header
-
-Every byte of the file is covered: the magic is compared, the header by
-its CRC32, each array by its own CRC32 and the length must come out
-exact — so every single-bit flip, every truncation and every stray
-trailing byte is caught.  Corruption is self-healing: a record that
-fails verification is quarantined (renamed ``*.quarantined``) and
-deregistered, so the service re-computes instead of serving garbage —
-the quarantine-and-recompute drill in ``tests/test_service.py`` proves
-the full loop.
+Every byte of a record is verified on load, so every single-bit flip,
+every truncation and every stray trailing byte is caught.  Corruption is
+self-healing: a record that fails verification is quarantined (renamed
+``*.quarantined``) and deregistered, so the service re-computes instead
+of serving garbage — the quarantine-and-recompute drill in
+``tests/test_service.py`` proves the full loop.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import struct
-import tempfile
 import threading
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..chaos.integrity import CacheCorruptionError, IntegrityError
-from ..campaign.store import read_manifest
+from ..chaos.integrity import (
+    CacheCorruptionError,
+    IntegrityError,
+    append_manifest,
+    quarantine,
+    read_manifest,
+    read_record,
+    write_record,
+)
 from ..solver.receivers import Station
 
 __all__ = ["StoredRun", "SeismogramStore"]
@@ -52,46 +48,6 @@ __all__ = ["StoredRun", "SeismogramStore"]
 RUN_RECORD_TYPE = "seismogram_run"
 PAYLOAD_SUFFIX = ".seis"
 _MAGIC = b"SEISREC1"
-_PREAMBLE = struct.Struct("<8sII")  # magic, header length, header CRC32
-
-
-def _pack_record(arrays: dict[str, np.ndarray], meta: dict) -> bytes:
-    """One flat record: preamble, JSON header, each array's raw bytes."""
-    arrays = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
-    entries, offset = [], 0
-    for name, a in arrays.items():
-        entries.append({"name": name, "dtype": a.dtype.str,
-                        "shape": list(a.shape), "offset": offset,
-                        "nbytes": a.nbytes, "crc32": zlib.crc32(a)})
-        offset += a.nbytes
-    header = json.dumps({"arrays": entries, "meta": meta},
-                        sort_keys=True).encode("utf-8")
-    preamble = _PREAMBLE.pack(_MAGIC, len(header), zlib.crc32(header))
-    return b"".join([preamble, header, *arrays.values()])
-
-
-def _unpack_record(raw: bytes) -> dict[str, np.ndarray]:
-    """The verified arrays of one record (read-only views of ``raw``)."""
-    if len(raw) < _PREAMBLE.size:
-        raise IntegrityError(f"{len(raw)} bytes is shorter than a preamble")
-    magic, header_len, header_crc = _PREAMBLE.unpack_from(raw)
-    start = _PREAMBLE.size + header_len
-    view = memoryview(raw)
-    if (magic != _MAGIC or start > len(raw)
-            or zlib.crc32(view[_PREAMBLE.size:start]) != header_crc):
-        raise IntegrityError("bad magic or header CRC32")
-    arrays, end = {}, start
-    for entry in json.loads(raw[_PREAMBLE.size:start])["arrays"]:
-        lo = start + entry["offset"]
-        end = lo + entry["nbytes"]
-        if end > len(raw) or zlib.crc32(view[lo:end]) != entry["crc32"]:
-            raise IntegrityError(f"CRC32 mismatch for array {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(
-            view[lo:end], dtype=entry["dtype"]
-        ).reshape(entry["shape"])
-    if end != len(raw):
-        raise IntegrityError(f"{len(raw) - end} bytes past the last array")
-    return arrays
 
 
 @dataclass(frozen=True)
@@ -166,14 +122,7 @@ class SeismogramStore:
         self._deregister(run)
         self.corruptions += 1
         self._count("corruptions")
-        target = run.path.with_suffix(run.path.suffix + ".quarantined")
-        try:
-            os.replace(run.path, target)
-        except OSError:
-            try:
-                run.path.unlink()
-            except OSError:
-                pass
+        quarantine(run.path)
 
     # -- scan / index -------------------------------------------------------
 
@@ -258,9 +207,7 @@ class SeismogramStore:
     ) -> StoredRun:
         """Persist one run (one atomic record write + manifest append).
 
-        The record is written with one ``write`` to a temp file that
-        ``os.replace`` moves into place, so a reader sees the whole old
-        file, the whole new one, or none.
+        A reader sees the whole old record, the whole new one, or none.
         """
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 3 or data.shape[0] != len(stations):
@@ -269,7 +216,9 @@ class SeismogramStore:
                 f"{len(stations)} stations"
             )
         path = self._run_path(key)
-        payload = _pack_record(
+        write_record(
+            path,
+            _MAGIC,
             {
                 "data": data,
                 "station_positions": np.asarray(
@@ -285,19 +234,6 @@ class SeismogramStore:
                 **(extra or {}),
             },
         )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
         run = StoredRun(
             key=key,
             physics_key=physics_key,
@@ -320,8 +256,7 @@ class SeismogramStore:
             "file": path.name,
         }
         with self._lock:
-            with open(self.manifest_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            append_manifest(self.manifest_path, record)
             self._register(run)
         self._count("puts")
         return run
@@ -333,12 +268,11 @@ class SeismogramStore:
         cannot be read or fails any check is quarantined and raises
         :class:`~repro.chaos.integrity.CacheCorruptionError` — the
         caller treats that as a miss and recomputes.  The array returned
-        is the caller's own writable copy.
+        is the caller's own, writable.
         """
         try:
-            with open(run.path, "rb") as fh:
-                data = _unpack_record(fh.read())["data"].copy()
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+            data = read_record(run.path, _MAGIC)[0]["data"]
+        except (OSError, KeyError, IntegrityError) as exc:
             self._quarantine(run)
             raise CacheCorruptionError(
                 f"seismogram run {run.path} is corrupt or truncated: {exc}"

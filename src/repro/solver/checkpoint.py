@@ -9,20 +9,18 @@ partially-recorded seismogram buffers with their step cursor) so a run
 split into segments is bit-identical to an uninterrupted one *including
 its seismograms* — the property the tests verify.
 
-Writes are crash-safe: the NPZ is written to a temporary file in the
-target directory and atomically renamed into place, so a job killed
-mid-checkpoint never leaves a truncated file that would block restart.
-Unreadable or truncated checkpoints are rejected with
-:class:`CheckpointError`.
-
-Integrity is verified end to end: every array is fingerprinted with
-CRC32 at save time (:mod:`repro.chaos.integrity`) and re-verified on
-load, so silent on-disk corruption — a flipped bit, a partial overwrite
-the zip layer happens to accept — surfaces as the typed
-:class:`CheckpointCorruptionError` instead of garbage state.  The
-campaign's segmented executor treats that error as "fall back to the
-last *verified* checkpoint"; the retry policy treats it as fail-fast
-for the artifact (re-running the same load cannot fix the file).
+A checkpoint is one verified record (:mod:`repro.chaos.integrity`,
+magic ``CKPTREC1``): every state array plus the scalars as 0-d arrays,
+each with its own CRC32.  Writes are crash-safe — the record goes to a
+temporary file in the target directory and is atomically renamed into
+place, so a job killed mid-checkpoint never leaves a truncated file that
+would block restart.  Integrity is verified end to end on load, so
+silent on-disk corruption — a flipped bit, a truncation, a file of
+another kind — surfaces as the typed :class:`CheckpointCorruptionError`
+instead of garbage state.  The campaign's segmented executor treats that
+error as "fall back to the last *verified* checkpoint"; the retry policy
+treats it as fail-fast for the artifact (re-running the same load cannot
+fix the file).
 
 Format v5 is the only one read or written: every state array is
 event-leading (docs/batching.md) — fields ``(B, nglob[, 3])``, ``zeta``
@@ -35,19 +33,11 @@ checkpoint restores into a solver with the same number of events.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from ..chaos.integrity import (
-    INTEGRITY_KEY,
-    IntegrityError,
-    checksum_payload,
-    parse_checksum_payload,
-    verify_checksums,
-)
+from ..chaos.integrity import IntegrityError, quarantine, read_record, write_record
 
 __all__ = [
     "CheckpointError",
@@ -59,6 +49,7 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 5
+_MAGIC = b"CKPTREC1"
 
 
 class CheckpointError(ValueError):
@@ -68,8 +59,8 @@ class CheckpointError(ValueError):
 class CheckpointCorruptionError(CheckpointError, IntegrityError):
     """A checkpoint failed integrity verification (corrupt on disk).
 
-    Raised when the CRC32 map does not match the loaded arrays, and
-    for files the NPZ/zip layer itself rejects as damaged.  Typed so the
+    Raised when the file is not a checkpoint record or any of its CRC32
+    checks fails (a flipped bit, a truncation).  Typed so the
     campaign layer can fall back to the last *verified* checkpoint and
     the retry policy can fail fast instead of re-reading a bad file.
     """
@@ -78,12 +69,11 @@ class CheckpointCorruptionError(CheckpointError, IntegrityError):
 def save_checkpoint(
     solver, path: str | Path, step: int, tracer=None, metrics=None
 ) -> Path:
-    """Write the solver's dynamic state to a compressed NPZ file.
+    """Write the solver's dynamic state to one verified record.
 
-    The write is atomic: data goes to a temp file in the same directory
-    which is then :func:`os.replace`-d over ``path``, so readers never see
-    a partially-written checkpoint and a crash mid-write leaves any
-    previous checkpoint at ``path`` intact.
+    The write is atomic (:func:`~repro.chaos.integrity.atomic_write`):
+    readers never see a partially-written checkpoint and a crash
+    mid-write leaves any previous checkpoint at ``path`` intact.
 
     With a ``tracer``/``metrics`` pair the write is recorded as a
     ``checkpoint.save`` span (with a ``bytes`` counter) plus
@@ -104,7 +94,6 @@ def save_checkpoint(
 
 
 def _save_checkpoint_body(solver, path: Path, step: int) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {
         "version": np.asarray(_FORMAT_VERSION),
         "step": np.asarray(int(step)),
@@ -129,43 +118,7 @@ def _save_checkpoint_body(solver, path: Path, step: int) -> Path:
         arrays["seis_data"] = np.stack([rs.data for rs in sets])
         arrays["seis_step"] = np.asarray(int(sets[0].step_cursor))
         arrays["seis_n_steps"] = np.asarray(int(sets[0].n_steps))
-    # CRC32 of every array, re-verified on load.
-    arrays[INTEGRITY_KEY] = checksum_payload(arrays)
-
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            # Passing an open file object stops numpy from appending
-            # ``.npz`` to the temp name.
-            np.savez_compressed(fh, **arrays)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def _read_arrays(path: Path) -> dict[str, np.ndarray]:
-    """Load every array of the NPZ, rejecting corrupt/truncated files."""
-    try:
-        # Own the handle: np.load leaks the file it opened itself when the
-        # archive turns out to be truncated.
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as f:
-            # Force full decompression of every member: a file truncated
-            # mid-write fails here instead of at first (lazy) access, and
-            # a flipped bit trips the zip layer's own CRC right here.
-            return {name: np.array(f[name]) for name in f.files}
-    except CheckpointError:
-        raise
-    except Exception as exc:
-        raise CheckpointCorruptionError(
-            f"checkpoint {path} is corrupt or truncated: {exc}"
-        ) from exc
+    return write_record(path, _MAGIC, arrays)
 
 
 def load_checkpoint(solver, path: str | Path, tracer=None, metrics=None) -> int:
@@ -193,32 +146,23 @@ def load_checkpoint(solver, path: str | Path, tracer=None, metrics=None) -> int:
 def read_verified_arrays(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint's raw arrays with full integrity verification.
 
-    The solver-independent half of :func:`load_checkpoint`: header and
-    version checks plus the CRC32 verification, without applying the
+    The solver-independent half of :func:`load_checkpoint`: the record's
+    CRC32 checks plus the header and version checks, without applying the
     state to any solver.  This is what shrink-and-redistribute recovery
     (:mod:`repro.resilience.remap`) uses to harvest a dead world's state
     before any new-world solver exists.
     """
-    path = Path(path)
-    f = _read_arrays(path)
+    try:
+        f, _meta = read_record(path, _MAGIC)
+    except (OSError, IntegrityError) as exc:
+        raise CheckpointCorruptionError(
+            f"checkpoint {path} failed integrity verification: {exc}"
+        ) from exc
     if "version" not in f or "step" not in f:
         raise CheckpointError(f"checkpoint {path} lacks the version/step header")
     version = int(f["version"])
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    if INTEGRITY_KEY not in f:
-        raise CheckpointCorruptionError(
-            f"checkpoint {path} lacks its integrity map"
-        )
-    try:
-        verify_checksums(
-            {k: v for k, v in f.items() if k != INTEGRITY_KEY},
-            parse_checksum_payload(f[INTEGRITY_KEY]),
-        )
-    except IntegrityError as exc:
-        raise CheckpointCorruptionError(
-            f"checkpoint {path} failed integrity verification: {exc}"
-        ) from exc
     return f
 
 
@@ -307,7 +251,7 @@ class CheckpointManager:
     """Step-addressed checkpoint store with bounded retention.
 
     One directory holds one solver's (or one rank's) checkpoints, named
-    ``step_<NNNNNNNN>.npz`` so the step is recoverable from a directory
+    ``step_<NNNNNNNN>.ckpt`` so the step is recoverable from a directory
     scan alone.  ``keep=K`` bounds disk for long campaigns: after every
     save, all but the newest K *active* checkpoints are pruned.
 
@@ -325,8 +269,7 @@ class CheckpointManager:
     #: Active checkpoint filename pattern (quarantined files get an
     #: extra suffix and no longer match).
     FILE_PREFIX = "step_"
-    FILE_SUFFIX = ".npz"
-    QUARANTINE_SUFFIX = ".quarantined"
+    FILE_SUFFIX = ".ckpt"
 
     def __init__(
         self,
@@ -396,8 +339,7 @@ class CheckpointManager:
         path = self.path_of(step)
         if not path.exists():
             return None
-        target = path.with_name(path.name + self.QUARANTINE_SUFFIX)
-        os.replace(path, target)
+        target = quarantine(path)
         if self.metrics is not None:
             self.metrics.counter("checkpoint.quarantined").add(1)
         return target

@@ -28,11 +28,11 @@ from repro.campaign import (
     RetryPolicy,
     TransientJobError,
     WorkerPool,
-    load_mesh_npz,
+    load_mesh_spill,
     mesh_cache_key,
     params_hash,
     render_campaign_table,
-    save_mesh_npz,
+    save_mesh_spill,
 )
 from repro.campaign.store import JobRecord
 from repro.config import constants
@@ -218,12 +218,12 @@ class TestMeshCache:
         assert isinstance(mesh, FakeMesh) and not hit
 
     def test_disk_spill_roundtrip(self, tmp_path):
-        """A real (tiny) mesh survives eviction via the NPZ spill."""
+        """A real (tiny) mesh survives eviction via the disk spill."""
         params = tiny_params()
         cache = MeshCache(max_entries=1, spill_dir=tmp_path)
         m1, _ = cache.get(params)
         cache.get(tiny_params(nex_xi=6))  # evict + spill
-        assert (tmp_path / f"mesh-{mesh_cache_key(params)}.npz").exists()
+        assert (tmp_path / f"mesh-{mesh_cache_key(params)}.mesh").exists()
         m1b, hit = cache.get(params)
         assert hit is False  # not in memory...
         assert cache.stats()["disk_hits"] == 1  # ...but not re-meshed
@@ -237,12 +237,12 @@ class TestMeshCache:
             )
         assert m1b.params.to_dict() == params.to_dict()
 
-    def test_npz_roundtrip_direct(self, tmp_path):
+    def test_spill_roundtrip_direct(self, tmp_path):
         from repro.mesh.mesher import build_global_mesh
 
         mesh = build_global_mesh(tiny_params())
-        path = save_mesh_npz(mesh, tmp_path / "mesh.npz")
-        again = load_mesh_npz(path)
+        path = save_mesh_spill(mesh, tmp_path / "mesh.mesh")
+        again = load_mesh_spill(path)
         assert set(again.regions) == set(mesh.regions)
         assert again.cube_elements == mesh.cube_elements
 

@@ -6,16 +6,15 @@ segments (with attenuation on and the fluid outer core marching) equals
 the uninterrupted run bit-for-bit *including seismograms*; checkpoint
 writes are atomic (no truncated file can block a restart, no temp litter
 survives); truncated or corrupt files are rejected loudly with
-:class:`CheckpointError`; format-v1 files still load with a warning; and
-the dt comparison tolerates the dt == 0 edge case.
+:class:`CheckpointError`; only format v5 is read, any other version is
+rejected; and the dt comparison tolerates the dt == 0 edge case.
 """
-
-import io
 
 import numpy as np
 import pytest
 
 from repro.campaign import run_segmented_simulation, segment_boundaries
+from repro.chaos.integrity import read_record, write_record
 from repro.config import constants
 from repro.config.parameters import SimulationParameters
 from repro.mesh import build_global_mesh
@@ -64,23 +63,17 @@ def make_solver(mesh, params, stations=True):
     return GlobalSolver(mesh, params, sources=[demo_source()], stations=st)
 
 
-def _rewrite_npz(path, mutate):
+def _rewrite_record(path, mutate):
     """Load a checkpoint's arrays, apply ``mutate(dict)``, write back.
 
-    The integrity map is refreshed after the mutation (when still
-    present): these rewrites simulate *format variants*, not on-disk
+    The record is rewritten through the shared codec, so every CRC32 is
+    fresh: these rewrites simulate *format variants*, not on-disk
     corruption — the corruption tests live in ``tests/test_chaos.py``.
     """
-    from repro.chaos.integrity import INTEGRITY_KEY, checksum_payload
-
-    with np.load(path, allow_pickle=False) as f:
-        arrays = {name: np.array(f[name]) for name in f.files}
+    magic = path.read_bytes()[:8]
+    arrays, meta = read_record(path, magic)
     mutate(arrays)
-    if INTEGRITY_KEY in arrays:
-        arrays[INTEGRITY_KEY] = checksum_payload(arrays)
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **arrays)
-    path.write_bytes(buf.getvalue())
+    write_record(path, magic, arrays, meta)
 
 
 # ---------------------------------------------------------------- boundaries
@@ -171,8 +164,8 @@ class TestSegmentedBitIdentity:
             checkpoint_dir=tmp_path,
             keep_checkpoints=True,
         )
-        kept = sorted(p.name for p in tmp_path.glob("*.npz"))
-        assert kept == ["segment_000.npz", "segment_001.npz"]
+        kept = sorted(p.name for p in tmp_path.glob("*.ckpt"))
+        assert kept == ["segment_000.ckpt", "segment_001.ckpt"]
         assert seg.segments[-1].checkpoint is None
 
 
@@ -182,14 +175,14 @@ class TestSegmentedBitIdentity:
 class TestCrashSafeCheckpoint:
     def test_no_temp_litter_after_save(self, mesh, params, tmp_path):
         solver = make_solver(mesh, params, stations=False)
-        save_checkpoint(solver, tmp_path / "state.npz", step=0)
+        save_checkpoint(solver, tmp_path / "state.ckpt", step=0)
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["state.npz"]
+        assert names == ["state.ckpt"]
 
     def test_save_over_existing_is_atomic(self, mesh, params, tmp_path):
         """A re-save replaces the old checkpoint in one rename."""
         solver = make_solver(mesh, params, stations=False)
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=0)
+        path = save_checkpoint(solver, tmp_path / "state.ckpt", step=0)
         first = path.read_bytes()
         solver._one_step(0.0)
         save_checkpoint(solver, path, step=1)
@@ -199,7 +192,7 @@ class TestCrashSafeCheckpoint:
 
     def test_truncated_checkpoint_rejected(self, mesh, params, tmp_path):
         solver = make_solver(mesh, params, stations=False)
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=5)
+        path = save_checkpoint(solver, tmp_path / "state.ckpt", step=5)
         whole = path.read_bytes()
         for fraction in (0.25, 0.5, 0.9):
             path.write_bytes(whole[: int(len(whole) * fraction)])
@@ -208,24 +201,29 @@ class TestCrashSafeCheckpoint:
                 load_checkpoint(fresh, path)
 
     def test_garbage_checkpoint_rejected(self, mesh, params, tmp_path):
-        path = tmp_path / "state.npz"
+        path = tmp_path / "state.ckpt"
         path.write_bytes(b"this is not an npz archive at all")
         solver = make_solver(mesh, params, stations=False)
         with pytest.raises(CheckpointError):
             load_checkpoint(solver, path)
 
     def test_missing_header_rejected(self, mesh, params, tmp_path):
-        path = tmp_path / "state.npz"
-        np.savez_compressed(path, unrelated=np.zeros(3))
         solver = make_solver(mesh, params, stations=False)
+        path = save_checkpoint(solver, tmp_path / "state.ckpt", step=0)
+
+        def replace_all(arrays):
+            arrays.clear()
+            arrays["unrelated"] = np.zeros(3)
+
+        _rewrite_record(path, replace_all)
         with pytest.raises(CheckpointError):
             load_checkpoint(solver, path)
 
     def test_missing_field_array_rejected(self, mesh, params, tmp_path):
         solver = make_solver(mesh, params, stations=False)
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=0)
+        path = save_checkpoint(solver, tmp_path / "state.ckpt", step=0)
         code = solver.solid_codes[0]
-        _rewrite_npz(path, lambda a: a.pop(f"displ_{code}"))
+        _rewrite_record(path, lambda a: a.pop(f"displ_{code}"))
         fresh = make_solver(mesh, params, stations=False)
         with pytest.raises(CheckpointError):
             load_checkpoint(fresh, path)
@@ -239,24 +237,24 @@ class TestCheckpointFormat:
         self, mesh, params, tmp_path
     ):
         solver = make_solver(mesh, params)
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=0)
+        path = save_checkpoint(solver, tmp_path / "state.ckpt", step=0)
 
         def drop_seis(arrays):
             for name in ("seis_data", "seis_step", "seis_n_steps"):
                 arrays.pop(name)
 
-        _rewrite_npz(path, drop_seis)
+        _rewrite_record(path, drop_seis)
         fresh = make_solver(mesh, params)
         with pytest.raises(ValueError, match="no seismogram buffers"):
             load_checkpoint(fresh, path)
 
     def test_unknown_version_rejected(self, mesh, params, tmp_path):
         solver = make_solver(mesh, params, stations=False)
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=0)
+        path = save_checkpoint(solver, tmp_path / "state.ckpt", step=0)
         fresh = make_solver(mesh, params, stations=False)
-        # v4 is the only readable format: older files are rejected too.
+        # v5 is the only readable format: older files are rejected too.
         for version in (99, 1, 2, 3, 4):
-            _rewrite_npz(path, lambda a: a.update(version=np.asarray(version)))
+            _rewrite_record(path, lambda a: a.update(version=np.asarray(version)))
             with pytest.raises(ValueError, match=f"version {version}"):
                 load_checkpoint(fresh, path)
 
@@ -264,7 +262,7 @@ class TestCheckpointFormat:
         solver = make_solver(mesh, params)
         result = solver.run(n_steps=12, start_step=0, stop_step=7)
         assert result is not None
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=7)
+        path = save_checkpoint(solver, tmp_path / "state.ckpt", step=7)
         fresh = make_solver(mesh, params)
         assert load_checkpoint(fresh, path) == 7
         assert fresh.receiver_set.step_cursor == 7
@@ -285,34 +283,34 @@ class TestDtComparison:
         the solver's dt was 0; math.isclose handles both directions.
         """
         solver = make_solver(mesh, params, stations=False)
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=0)
-        _rewrite_npz(path, lambda a: a.update(dt=np.asarray(0.0)))
+        path = save_checkpoint(solver, tmp_path / "state.ckpt", step=0)
+        _rewrite_record(path, lambda a: a.update(dt=np.asarray(0.0)))
         fresh = make_solver(mesh, params, stations=False)
         fresh.dt = 0.0
         assert load_checkpoint(fresh, path) == 0
 
     def test_zero_vs_nonzero_rejected(self, mesh, params, tmp_path):
         solver = make_solver(mesh, params, stations=False)
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=0)
+        path = save_checkpoint(solver, tmp_path / "state.ckpt", step=0)
         fresh = make_solver(mesh, params, stations=False)
         fresh.dt = 0.0
         with pytest.raises(ValueError, match="dt"):
             load_checkpoint(fresh, path)
-        _rewrite_npz(path, lambda a: a.update(dt=np.asarray(0.0)))
+        _rewrite_record(path, lambda a: a.update(dt=np.asarray(0.0)))
         other = make_solver(mesh, params, stations=False)
         with pytest.raises(ValueError, match="dt"):
             load_checkpoint(other, path)
 
     def test_tiny_relative_jitter_accepted(self, mesh, params, tmp_path):
         solver = make_solver(mesh, params, stations=False)
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=0)
+        path = save_checkpoint(solver, tmp_path / "state.ckpt", step=0)
         fresh = make_solver(mesh, params, stations=False)
         fresh.dt = solver.dt * (1.0 + 1e-15)  # below rel_tol=1e-12
         assert load_checkpoint(fresh, path) == 0
 
     def test_real_mismatch_still_rejected(self, mesh, params, tmp_path):
         solver = make_solver(mesh, params, stations=False)
-        path = save_checkpoint(solver, tmp_path / "state.npz", step=0)
+        path = save_checkpoint(solver, tmp_path / "state.ckpt", step=0)
         fresh = make_solver(mesh, params, stations=False)
         fresh.dt *= 1.5
         with pytest.raises(ValueError, match="dt"):

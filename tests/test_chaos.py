@@ -10,12 +10,14 @@ The acceptance criteria of the chaos subsystem, as tests:
 * an injected NaN is caught by the health sentinel within one check
   interval, and the campaign job fails *fast* (no retries) with the
   diagnostic snapshot persisted in the result-store manifest;
-* the v3 checkpoint and mesh-cache checksums detect single-bit on-disk
-  corruption; pre-v3 checkpoints still load with a warning.
+* the verified record under checkpoints and mesh-cache spills detects
+  single-bit on-disk corruption, a changed array (naming it) and a file
+  of another kind; a spill without checksums is quarantined, not loaded.
 """
 
 import json
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -26,7 +28,9 @@ from repro.campaign import (
     ResultStore,
     RetryPolicy,
     WorkerPool,
+    load_mesh_spill,
     run_segmented_simulation,
+    save_mesh_spill,
 )
 from repro.campaign.errors import JobTimeoutError, TransientJobError
 from repro.chaos import (
@@ -45,7 +49,8 @@ from repro.chaos.integrity import (
     IntegrityError,
     array_checksums,
     flip_bit,
-    verify_checksums,
+    read_record,
+    write_record,
 )
 from repro.config import constants
 from repro.config.parameters import ConfigError, SimulationParameters
@@ -391,13 +396,13 @@ class TestCheckpointIntegrity:
         solver = self._solver(mesh)
         for step in range(4):
             solver._one_step(step * solver.dt)
-        path = save_checkpoint(solver, tmp_path / "s.npz", step=4)
+        path = save_checkpoint(solver, tmp_path / "s.ckpt", step=4)
         fresh = self._solver(mesh)
         assert load_checkpoint(fresh, path) == 4
 
     def test_single_bit_flip_detected(self, mesh, tmp_path):
         solver = self._solver(mesh)
-        path = save_checkpoint(solver, tmp_path / "s.npz", step=0)
+        path = save_checkpoint(solver, tmp_path / "s.ckpt", step=0)
         flip_bit(path, bit=8 * (path.stat().st_size // 2))
         fresh = self._solver(mesh)
         with pytest.raises(CheckpointCorruptionError):
@@ -408,40 +413,62 @@ class TestCheckpointIntegrity:
         assert issubclass(CheckpointCorruptionError, IntegrityError)
 
     def test_tampered_array_detected(self, mesh, tmp_path):
-        """Corruption the zip layer accepts is still caught by the CRCs."""
+        """A changed array under the old header fails its own CRC32."""
         solver = self._solver(mesh)
-        path = save_checkpoint(solver, tmp_path / "s.npz", step=0)
-        with np.load(path, allow_pickle=False) as f:
-            arrays = {name: np.array(f[name]) for name in f.files}
+        path = save_checkpoint(solver, tmp_path / "s.ckpt", step=0)
+        magic = path.read_bytes()[:8]
+        arrays, meta = read_record(path, magic)
         code = solver.solid_codes[0]
         arrays[f"displ_{code}"] = arrays[f"displ_{code}"] + 1e-3
-        np.savez_compressed(path, **arrays)  # valid zip, stale CRC map
+        tampered = write_record(tmp_path / "t.ckpt", magic, arrays, meta)
+        # The old preamble + header (stale CRCs) over the changed bytes.
+        nbytes = sum(a.nbytes for a in arrays.values())
+        old, new = path.read_bytes(), tampered.read_bytes()
+        path.write_bytes(old[:len(old) - nbytes] + new[len(new) - nbytes:])
         fresh = self._solver(mesh)
-        with pytest.raises(CheckpointCorruptionError, match="integrity"):
+        with pytest.raises(CheckpointCorruptionError, match="integrity") as info:
             load_checkpoint(fresh, path)
+        assert f"displ_{code}" in str(info.value)
 
-    def test_v3_without_integrity_map_rejected(self, mesh, tmp_path):
-        solver = self._solver(mesh)
-        path = save_checkpoint(solver, tmp_path / "s.npz", step=0)
-        with np.load(path, allow_pickle=False) as f:
-            arrays = {
-                name: np.array(f[name])
-                for name in f.files
-                if name != "integrity_json"
-            }
-        np.savez_compressed(path, **arrays)
-        fresh = self._solver(mesh)
-        with pytest.raises(CheckpointCorruptionError, match="integrity map"):
-            load_checkpoint(fresh, path)
+    def test_foreign_records_rejected(self, mesh, tmp_path):
+        """Each artifact's magic keeps it out of the other loaders."""
+        from repro.service import SeismogramStore
 
-    def test_verify_checksums_names_offender(self):
-        arrays = {"a": np.arange(3.0), "b": np.ones(2)}
-        expected = array_checksums(arrays)
-        arrays["b"][0] = 7.0
-        with pytest.raises(IntegrityError, match="b"):
-            verify_checksums(arrays, expected)
-        with pytest.raises(IntegrityError, match="c"):
-            verify_checksums(arrays, {**array_checksums(arrays), "c": 1})
+        ckpt = save_checkpoint(self._solver(mesh), tmp_path / "s.ckpt", step=0)
+        with pytest.raises(CacheCorruptionError):
+            load_mesh_spill(ckpt)
+        spill = save_mesh_spill(mesh, tmp_path / "m.mesh")
+        run = SeismogramStore(tmp_path / "store").put(
+            "k", "p", tuple(demo_stations()), np.zeros((1, 2, 3)), 0.5
+        )
+        for foreign in (spill, run.path):
+            with pytest.raises(CheckpointCorruptionError):
+                load_checkpoint(self._solver(mesh), foreign)
+
+
+class TestRecordIntegrity:
+    def test_array_checksums_hash_the_c_order_bytes(self):
+        base = np.arange(24.0).reshape(4, 6)
+        arrays = {
+            "c": base, "transposed": base.T, "strided": base[:, ::2],
+            "scalar": np.asarray(7), "int32": np.arange(5, dtype=np.int32),
+        }
+        assert array_checksums(arrays) == {
+            name: zlib.crc32(np.ascontiguousarray(a).tobytes())
+            for name, a in arrays.items()
+        }
+
+    def test_round_trip_returns_writable_arrays(self, tmp_path):
+        arrays = {"a": np.arange(6.0).reshape(2, 3).T, "n": np.asarray(3)}
+        path = write_record(tmp_path / "r", b"TESTREC1", arrays, {"k": 1})
+        loaded, meta = read_record(path, b"TESTREC1")
+        assert meta == {"k": 1}
+        for name, a in arrays.items():
+            assert loaded[name].shape == a.shape
+            np.testing.assert_array_equal(loaded[name], a)
+        loaded["a"][0, 0] = -1.0
+        with pytest.raises(IntegrityError, match="magic"):
+            read_record(path, b"OTHERRC1")
 
 
 # ------------------------------------------------------- mesh-cache integrity
@@ -465,7 +492,7 @@ class TestMeshCacheIntegrity:
         )
         cache.get(params)                           # build + spill
         cache.get(tiny_params(ner_crust_mantle=3))  # evict the first entry
-        spills = list(tmp_path.glob("*.npz"))
+        spills = list(tmp_path.glob("*.mesh"))
         assert spills
         for spill in spills:
             flip_bit(spill, bit=8 * (spill.stat().st_size // 2))
@@ -476,6 +503,44 @@ class TestMeshCacheIntegrity:
         assert cache.stats()["corruptions"] >= 1
         assert metrics.counter("campaign.mesh_cache.corruptions").value >= 1
         # Quarantined, not deleted: the bad file is kept for post-mortem.
+        assert list(tmp_path.glob("*.quarantined"))
+
+    def test_spill_without_checksums_quarantined_as_miss(self, tmp_path):
+        """A spill carrying no checksums is corruption, never a disk hit."""
+        from repro.mesh import build_global_mesh
+
+        params = tiny_params()
+        builds = []
+
+        def builder(p):
+            builds.append(1)
+            return build_global_mesh(p)
+
+        cache = MeshCache(max_entries=1, spill_dir=tmp_path, builder=builder)
+        mesh, _hit = cache.get(params)
+        cache.get(tiny_params(ner_crust_mantle=3))  # evict + spill
+        (spill,) = tmp_path.iterdir()
+        # The spill's arrays as an NPZ that carries no checksum at all.
+        arrays = {
+            "region_codes": np.asarray(sorted(mesh.regions)),
+            "cube_elements": np.asarray(mesh.cube_elements),
+            "params_json": np.asarray(json.dumps(mesh.params.to_dict())),
+        }
+        for code, r in mesh.regions.items():
+            arrays.update({
+                f"{code}_xyz": r.xyz, f"{code}_ibool": r.ibool,
+                f"{code}_nglob": np.asarray(r.nglob), f"{code}_rho": r.rho,
+                f"{code}_kappa": r.kappa, f"{code}_mu": r.mu,
+                f"{code}_q_mu": r.q_mu,
+                f"{code}_owner": mesh.slice_of_element[code],
+            })
+        with open(spill, "wb") as fh:
+            np.savez(fh, **arrays)
+        again, hit = cache.get(params)
+        assert not hit and again is not None
+        assert len(builds) == 3
+        assert cache.stats()["corruptions"] == 1
+        assert cache.stats()["disk_hits"] == 0
         assert list(tmp_path.glob("*.quarantined"))
 
 

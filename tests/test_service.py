@@ -14,19 +14,18 @@ with the solver provably never called again.
 """
 
 import asyncio
+import hashlib
 import json
+import shutil
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.chaos import flip_bit, run_service_drill
-from repro.chaos.integrity import (
-    INTEGRITY_KEY,
-    CacheCorruptionError,
-    checksum_payload,
-)
+from repro.chaos.integrity import CacheCorruptionError, array_checksums
 from repro.config.parameters import ParameterError, SimulationParameters
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import render_service_report
@@ -377,6 +376,47 @@ def test_every_bit_flip_truncation_and_stray_byte_is_quarantined(tmp_path):
     assert np.array_equal(store.load(run), canonical)
 
 
+#: sha256 of the record written by ``_pinned_put`` — the SEISREC1 bytes.
+PINNED_RECORD_SHA256 = (
+    "38fe1cc7a319875b58df2c82af72e7697ef9f3a4a1c5501945b89c29a32ef88c"
+)
+#: A store directory holding that one run, written by the release whose
+#: record codec was private to the service store.
+SEISREC1_STORE = Path(__file__).parent / "data" / "seisrec1_store"
+
+
+def _pinned_put(store):
+    stations = (
+        Station("A", (6371.0, 0.0, 0.0)), Station("B", (0.0, 0.0, 6371.0)),
+    )
+    data = 0.5 * np.arange(24, dtype=np.float64).reshape(2, 4, 3)
+    return store.put(
+        "0123456789abcdef", "fedcba9876543210", stations, data, 0.25,
+        params_hash="5eed",
+    )
+
+
+def test_record_bytes_are_pinned(tmp_path):
+    # Every stored run on disk is in this format: a codec change that
+    # moved one byte would orphan every existing store.
+    run = _pinned_put(SeismogramStore(tmp_path))
+    for path in (run.path, SEISREC1_STORE / "runs" / run.path.name):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            PINNED_RECORD_SHA256
+
+
+def test_existing_seisrec1_store_scans_and_loads(tmp_path):
+    shutil.copytree(SEISREC1_STORE, tmp_path / "store")
+    store = SeismogramStore(tmp_path / "store")
+    run = store.find_exact("0123456789abcdef")
+    assert len(store) == 1 and run is not None
+    assert run.station_names == ("A", "B")
+    np.testing.assert_array_equal(
+        store.load(run), 0.5 * np.arange(24.0).reshape(2, 4, 3)
+    )
+    assert store.stats()["corruptions"] == 0
+
+
 def test_older_npz_payload_records_are_not_indexed(tmp_path):
     # A store written by the NPZ-payload release: its records are left
     # alone (not quarantined, not counted corrupt) and their requests
@@ -394,7 +434,9 @@ def test_older_npz_payload_records_are_not_indexed(tmp_path):
         "station_positions": np.asarray([s.position for s in keys.stations]),
         "meta_json": np.asarray(json.dumps({"key": keys.key})),
     }
-    arrays[INTEGRITY_KEY] = checksum_payload(arrays)
+    arrays["integrity_json"] = np.asarray(
+        json.dumps(array_checksums(arrays), sort_keys=True)
+    )
     np.savez_compressed(old_payload, **arrays)
     record = {
         "record_type": "seismogram_run", "key": keys.key,
