@@ -10,8 +10,9 @@ sentinel check **plus** one full checksum of the checkpoint-sized state
 overhead stays under 3% of solver wall time.
 
 Fault injection itself costs nothing here: with no fault plan attached,
-``VirtualCluster`` never wraps a communicator and the solver loop is
-byte-for-byte the undisturbed code path — the drill-disabled default.
+a communicator operation pays one ``fault_plan is None`` check and the
+solver loop is byte-for-byte the undisturbed code path — the
+drill-disabled default.
 
 Timing is min-of-repeats on whole check intervals, the cleanest
 estimate of each variant's true cost.

@@ -6,10 +6,10 @@ on communicator traffic, and the probing receive normally matches its
 message on the first probe slice (sends are eager), costing one extra
 dict lookup per receive.  This guard runs the same distributed
 simulation with the detector disarmed (``failure_detector=None`` — the
-default, byte-for-byte the pre-resilience code path, no wrapper
-allocated) and armed (a :class:`~repro.resilience.detector
-.FailureDetector` with ``MonitoredComm`` wrapping every rank), and
-asserts the armed run stays within 3% of the disarmed one.
+default, one ``is None`` check per communicator operation) and armed (a
+:class:`~repro.resilience.detector.FailureDetector` every rank's
+communicator beats and probes), and asserts the armed run stays within
+3% of the disarmed one.
 
 Runs are interleaved A/B/A/B and scored min-of-repeats, which suppresses
 thermal drift and scheduler noise: the minimum is the cleanest estimate
@@ -75,6 +75,6 @@ def test_detector_overhead_under_3pct(record):
 
 def test_disarmed_cluster_allocates_no_wrapper():
     # The disarmed default must be the plain pre-resilience path: no
-    # detector object, no MonitoredComm in the facade chain.
+    # detector object for any communicator to beat or probe.
     cluster = VirtualCluster(2)
     assert cluster.failure_detector is None

@@ -3,7 +3,7 @@
 
 Runs one small NEX=8 distributed simulation twice — blocking and
 overlapped halo schedules — with ``sanitize=True``, so every rank's
-communicator is wrapped in a :class:`repro.analysis.SanitizerComm`.
+communicator reports to one :class:`repro.analysis.CommSanitizer`.
 The run must finish with an *empty* sanitizer report (no unmatched
 sends, no leaked requests, no double-waits, no tag collisions); any
 finding exits non-zero.  As a positive control, a deliberately leaked

@@ -31,7 +31,6 @@ from .normal_modes import (
 from .sanitizer import (
     CommSanitizer,
     CommSanitizerError,
-    SanitizerComm,
     SanitizerFinding,
     SanitizerReport,
 )
@@ -39,7 +38,6 @@ from .sanitizer import (
 __all__ = [
     "CommSanitizer",
     "CommSanitizerError",
-    "SanitizerComm",
     "SanitizerFinding",
     "SanitizerReport",
     "arrival_time",

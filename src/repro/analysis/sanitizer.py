@@ -1,11 +1,10 @@
 """Runtime comm sanitizer: dynamic checking of the SPMD message discipline.
 
 The static rules in :mod:`repro.analysis.static` prove properties of the
-*source*; this module checks the *execution*.  A :class:`SanitizerComm`
-wraps one rank's :class:`~repro.parallel.comm.VirtualComm` — the same
-seam :class:`~repro.chaos.faults.ChaosComm` uses — and reports every
-message and request to a cluster-wide :class:`CommSanitizer`.  At the
-end of the run (``VirtualCluster.run`` finalizes the sanitizer even when
+*source*; this module checks the *execution*.  Every rank's
+:class:`~repro.parallel.comm.VirtualComm` reports each message and
+request to one cluster-wide :class:`CommSanitizer`.  At the end of the
+run (``VirtualCluster.run`` finalizes the sanitizer even when
 a rank failed) the collected evidence becomes a :class:`SanitizerReport`:
 
 * **unmatched-send** — a posted message nobody ever received; on real
@@ -25,9 +24,9 @@ a rank failed) the collected evidence becomes a :class:`SanitizerReport`:
   instead of leaving a bare ``RankTimeoutError``.
 
 Enable with ``VirtualCluster(sanitize=True)`` or
-``run_distributed_simulation(..., sanitize=True)``; when chaos faults
-are active the chaos wrapper sits *outside* the sanitizer, so injected
-drops and duplicates show up as the protocol violations they are.
+``run_distributed_simulation(..., sanitize=True)``.  Where the sanitizer
+sits relative to fault injection and the failure detector is set out
+once, in the :mod:`repro.parallel.comm` module docstring.
 """
 
 from __future__ import annotations
@@ -36,16 +35,9 @@ import json
 import threading
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..parallel import tags
-from ..parallel.comm import RecvRequest, Request
-from ..parallel.errors import RankTimeoutError
-
 __all__ = [
     "CommSanitizer",
     "CommSanitizerError",
-    "SanitizerComm",
     "SanitizerFinding",
     "SanitizerReport",
 ]
@@ -104,8 +96,8 @@ class SanitizerReport:
 class CommSanitizer:
     """Cluster-wide recorder of message and request lifecycles.
 
-    One instance is shared by all ranks' :class:`SanitizerComm` wrappers;
-    every method is thread-safe.  ``finalize()`` is idempotent and turns
+    One instance is shared by all ranks' communicators; every method is
+    thread-safe.  ``finalize()`` is idempotent and turns
     the collected state into a :class:`SanitizerReport`.
     """
 
@@ -286,97 +278,3 @@ class CommSanitizer:
                 )
             self._report = SanitizerReport(findings=findings)
             return self._report
-
-
-class _SanitizedRequest(Request):
-    """Tracked wrapper around a send/recv request handle."""
-
-    __slots__ = ("_inner", "_sanitizer", "_req_id", "_rank")
-
-    def __init__(
-        self,
-        inner: Request,
-        sanitizer: CommSanitizer,
-        req_id: int,
-        rank: int,
-    ):
-        self._inner = inner
-        self._sanitizer = sanitizer
-        self._req_id = req_id
-        self._rank = rank
-
-    def wait(self, timeout: float | None = None):
-        self._sanitizer.on_wait(self._req_id, self._rank)
-        result = self._inner.wait(timeout)
-        self._sanitizer.on_request_complete(self._req_id)
-        return result
-
-    @property
-    def done(self) -> bool:
-        return self._inner.done
-
-
-class SanitizerComm:
-    """Protocol-checking wrapper around one rank's ``VirtualComm``.
-
-    Point-to-point traffic and request lifecycles are reported to the
-    shared :class:`CommSanitizer`; collectives, accounting, and
-    attributes (``rank``, ``size``, ``stats``) delegate untouched.
-    Requests returned by ``isend``/``irecv`` are wrapped so their waits
-    are tracked; blocking receives (and request waits, which funnel
-    through ``_complete_recv``) update the wait-for graph used in the
-    deadlock report.
-    """
-
-    def __init__(self, comm, sanitizer: CommSanitizer):
-        self._comm = comm
-        self._sanitizer = sanitizer
-
-    def __getattr__(self, name: str):
-        return getattr(self._comm, name)
-
-    # -- point to point ------------------------------------------------------
-
-    def send(self, dest: int, payload, tag: int = tags.DEFAULT) -> None:
-        self._sanitizer.on_send(self._comm.rank, dest, tag)
-        return self._comm.send(dest, payload, tag=tag)
-
-    def isend(self, dest: int, payload, tag: int = tags.DEFAULT) -> Request:
-        rank = self._comm.rank
-        req_id = self._sanitizer.on_request(rank, "isend", dest, tag)
-        self._sanitizer.on_send(rank, dest, tag)
-        inner = self._comm.isend(dest, payload, tag=tag)
-        return _SanitizedRequest(inner, self._sanitizer, req_id, rank)
-
-    def recv(
-        self, source: int, tag: int = tags.DEFAULT, timeout: float | None = None
-    ) -> np.ndarray:
-        return self._complete_recv(source, tag, timeout)
-
-    def irecv(self, source: int, tag: int = tags.DEFAULT) -> Request:
-        rank = self._comm.rank
-        req_id = self._sanitizer.on_request(rank, "irecv", source, tag)
-        # Bound to *this* wrapper: the eventual wait() funnels through
-        # _complete_recv below, so the receive is accounted exactly once.
-        inner = RecvRequest(self, source, tag)
-        return _SanitizedRequest(inner, self._sanitizer, req_id, rank)
-
-    def _complete_recv(
-        self, source: int, tag: int, timeout: float | None
-    ) -> np.ndarray:
-        rank = self._comm.rank
-        self._sanitizer.on_wait_begin(rank, source, tag)
-        try:
-            data = self._comm._complete_recv(source, tag, timeout)
-        except RankTimeoutError:
-            self._sanitizer.on_timeout(rank, source, tag)
-            raise
-        finally:
-            self._sanitizer.on_wait_end(rank)
-        self._sanitizer.on_recv_complete(rank, source, tag)
-        return data
-
-    def waitall(
-        self, requests: list[Request], timeout: float | None = None
-    ) -> list[np.ndarray | None]:
-        return [req.wait(timeout) for req in requests]

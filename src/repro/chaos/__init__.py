@@ -7,9 +7,9 @@ diverge, and long-lived artifacts rot on disk.  This package makes all
 three *testable* on the virtual cluster, as three coupled layers:
 
 * **injection** (:mod:`~repro.chaos.faults`) — seeded, deterministic,
-  serializable :class:`FaultPlan`\\ s applied by a :class:`ChaosComm`
-  wrapper at the communicator API, so both halo schedules are
-  attackable unmodified;
+  serializable :class:`FaultPlan`\\ s consulted by the communicator on
+  every send and receive, so both halo schedules are attackable
+  unmodified;
 * **detection** (:mod:`~repro.chaos.sentinel`,
   :mod:`~repro.chaos.integrity`) — the periodic numerical
   :class:`HealthSentinel` in the solver loop, and the one verified
@@ -36,7 +36,6 @@ from .drill import (
 from .faults import (
     COMM_FAULT_KINDS,
     FAULT_KINDS,
-    ChaosComm,
     FaultPlan,
     FaultSpec,
     InjectedRankCrash,
@@ -54,7 +53,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultSpec",
     "FaultPlan",
-    "ChaosComm",
     "InjectedRankCrash",
     "HealthSentinel",
     "HealthSnapshot",

@@ -3,13 +3,15 @@
 The paper's 62K-core production runs survive (or die by) hung ranks,
 lost messages, and corrupted restart files.  This module makes those
 failures *reproducible*: a :class:`FaultPlan` is a seeded, serializable
-list of :class:`FaultSpec` entries, and a :class:`ChaosComm` wraps one
-rank's :class:`~repro.parallel.comm.VirtualComm` to apply them — drop,
+list of :class:`FaultSpec` entries that every rank's
+:class:`~repro.parallel.comm.VirtualComm` consults on each send and
+receive (:meth:`FaultPlan.on_send`, :meth:`FaultPlan.on_recv`) — drop,
 delay, duplicate, or bit-flip a message, or crash/stall the rank when a
-matching operation occurs.  Because the wrapper sits at the communicator
-API, both the blocking halo exchange and the overlapped
-``isend``/``irecv``/``waitall`` path (:mod:`repro.parallel.halo`) are
-attackable without modification.
+matching operation occurs.  Both the blocking halo exchange and the
+overlapped ``isend``/``irecv``/``waitall`` path
+(:mod:`repro.parallel.halo`) are attackable without modification; where
+the plan sits relative to the comm sanitizer and the failure detector is
+set out once, in the :mod:`repro.parallel.comm` module docstring.
 
 Trigger semantics are count-based and therefore deterministic: a spec
 matches operations by (rank, op kind, tag, peer) and fires on the
@@ -39,18 +41,16 @@ from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from ..obs.metrics import MetricsRegistry
-    from ..parallel.comm import RecvRequest, SendRequest
 
 __all__ = [
     "FAULT_KINDS",
     "COMM_FAULT_KINDS",
     "FaultSpec",
     "FaultPlan",
-    "ChaosComm",
     "InjectedRankCrash",
 ]
 
-#: Message-level faults applied by :class:`ChaosComm` at send/recv time.
+#: Message-level faults, applied by :meth:`FaultPlan.on_send` and ``on_recv``.
 COMM_FAULT_KINDS = ("drop", "delay", "duplicate", "bitflip", "crash", "stall")
 
 #: All fault kinds; ``poison`` is a solver-side fault (NaN written into a
@@ -262,6 +262,45 @@ class FaultPlan:
         with self._lock:
             return self._rng.randrange(nbits)
 
+    def on_send(self, rank: int, dest: int, tag: int, payload) -> tuple:
+        """Apply this plan to one send; return the payloads to deliver.
+
+        ``crash`` raises :class:`InjectedRankCrash`, ``stall``/``delay``
+        sleep, ``bitflip`` corrupts a copy of the payload; the result is
+        empty after a ``drop`` (the peer's receive times out) and holds
+        the payload twice after a ``duplicate``.
+        """
+        fired = self.match_op(rank, "send", tag, dest)
+        if not fired:
+            return (payload,)
+        self._apply_common(rank, fired)
+        for spec in fired:
+            if spec.kind == "bitflip":
+                payload = np.array(payload, copy=True)
+                raw = payload.view(np.uint8).reshape(-1)
+                pos = self.pick_bit(raw.size, spec)
+                raw[pos // 8] ^= np.uint8(1 << (pos % 8))
+        if any(s.kind == "drop" for s in fired):
+            return ()
+        if any(s.kind == "duplicate" for s in fired):
+            return (payload, payload)
+        return (payload,)
+
+    def on_recv(self, rank: int, source: int, tag: int) -> None:
+        """Apply this plan to one receive (``crash``/``stall``/``delay``)."""
+        fired = self.match_op(rank, "recv", tag, source)
+        if fired:
+            self._apply_common(rank, fired)
+
+    @staticmethod
+    def _apply_common(rank: int, fired: list[FaultSpec]) -> None:
+        """Handle crash/stall/delay (shared by send and recv paths)."""
+        for spec in fired:
+            if spec.kind == "crash":
+                raise InjectedRankCrash(f"rank {rank}: injected crash")
+            if spec.kind in ("stall", "delay") and spec.delay_s > 0:
+                time.sleep(spec.delay_s)
+
     # -- solver-side faults --------------------------------------------------
 
     def solver_callback(self, rank: int = 0) -> "Callable[[int, object], None]":
@@ -303,89 +342,3 @@ class FaultPlan:
                 solver.solid[region].displ[0, 0] = np.nan  # event 0, point 0
 
         return fire
-
-
-class ChaosComm:
-    """A fault-injecting wrapper around one rank's ``VirtualComm``.
-
-    Send-side faults (``drop``/``delay``/``duplicate``/``bitflip``)
-    mutate the message stream; ``crash`` raises
-    :class:`InjectedRankCrash` and ``stall`` sleeps through the peers'
-    per-receive deadline.  Receive-side matching covers both blocking
-    ``recv`` and the ``irecv``/``wait`` path (requests are bound to this
-    wrapper, so a posted receive completed inside ``waitall`` still
-    consults the plan).  Everything unrelated to fault injection —
-    accounting, collectives, attributes like ``stats`` — delegates to
-    the wrapped communicator untouched.
-    """
-
-    def __init__(self, comm, plan: FaultPlan) -> None:
-        self._comm = comm
-        self._plan = plan
-
-    def __getattr__(self, name: str):
-        return getattr(self._comm, name)
-
-    # -- fault application ---------------------------------------------------
-
-    def _apply_common(self, fired: list[FaultSpec]) -> None:
-        """Handle crash/stall/delay (shared by send and recv paths)."""
-        for spec in fired:
-            if spec.kind == "crash":
-                raise InjectedRankCrash(
-                    f"rank {self._comm.rank}: injected crash"
-                )
-            if spec.kind in ("stall", "delay") and spec.delay_s > 0:
-                time.sleep(spec.delay_s)
-
-    # -- point to point ------------------------------------------------------
-
-    def send(self, dest: int, payload, tag: int = 0) -> None:
-        fired = self._plan.match_op(self._comm.rank, "send", tag, dest)
-        if not fired:
-            return self._comm.send(dest, payload, tag=tag)
-        self._apply_common(fired)
-        drop = any(s.kind == "drop" for s in fired)
-        duplicate = any(s.kind == "duplicate" for s in fired)
-        for spec in fired:
-            if spec.kind == "bitflip":
-                payload = np.array(payload, copy=True)
-                raw = payload.view(np.uint8).reshape(-1)
-                pos = self._plan.pick_bit(raw.size, spec)
-                raw[pos // 8] ^= np.uint8(1 << (pos % 8))
-        if drop:
-            return None  # the message vanishes; the peer's recv times out
-        self._comm.send(dest, payload, tag=tag)
-        if duplicate:
-            self._comm.send(dest, payload, tag=tag)
-        return None
-
-    def isend(self, dest: int, payload, tag: int = 0) -> "SendRequest":
-        from ..parallel.comm import SendRequest
-
-        self.send(dest, payload, tag=tag)
-        return SendRequest()
-
-    def recv(
-        self, source: int, tag: int = 0, timeout: float | None = None
-    ) -> np.ndarray:
-        return self._complete_recv(source, tag, timeout)
-
-    def irecv(self, source: int, tag: int = 0) -> "RecvRequest":
-        from ..parallel.comm import RecvRequest
-
-        # Bound to *this* wrapper: the eventual wait() funnels through
-        # _complete_recv below, so recv-side faults hit the overlapped
-        # path exactly like the blocking one.
-        return RecvRequest(self, source, tag)
-
-    def _complete_recv(
-        self, source: int, tag: int, timeout: float | None
-    ) -> np.ndarray:
-        fired = self._plan.match_op(self._comm.rank, "recv", tag, source)
-        if fired:
-            self._apply_common(fired)
-        return self._comm._complete_recv(source, tag, timeout)
-
-    def waitall(self, requests: list, timeout: float | None = None) -> list:
-        return [req.wait(timeout) for req in requests]

@@ -1,8 +1,9 @@
 """Virtual MPI: communicators, halo assembly, distributed launcher.
 
 Message tags come from the :mod:`.tags` registry (checked by the static
-analyzer's rule R2); ``VirtualCluster(sanitize=True)`` wraps every rank
-in the :mod:`repro.analysis.sanitizer` protocol checker.
+analyzer's rule R2); with ``VirtualCluster(sanitize=True)`` every rank's
+communicator reports to the :mod:`repro.analysis.sanitizer` protocol
+checker.
 """
 
 from . import tags

@@ -29,22 +29,46 @@ message and a hung program surface through the same typed error.
 Barriers carry the same deadline: a rank whose peers never arrive raises
 :class:`RankTimeoutError` instead of blocking forever.
 
-Fault injection: ``VirtualCluster(fault_plan=...)`` wraps every rank's
-communicator in a :class:`~repro.chaos.faults.ChaosComm`, so a seeded
-:class:`~repro.chaos.faults.FaultPlan` can drop, delay, duplicate, or
-bit-flip messages and crash or stall chosen ranks — without the rank
-programs (or the halo exchanger) changing at all.
+The communicator seam has three optional collaborators, all off by
+default and all consulted by :class:`VirtualComm` itself — no wrapper
+stands between a rank program and its communicator:
 
-Communication sanitizing: ``VirtualCluster(sanitize=True)`` wraps every
-rank's communicator in a
-:class:`~repro.analysis.sanitizer.SanitizerComm` at the same seam, and
-after :meth:`VirtualCluster.run` the cluster's ``sanitizer_report``
-holds a :class:`~repro.analysis.sanitizer.SanitizerReport`: unmatched
-sends, never-completed requests, double-waits, tag collisions, and — on
-a receive timeout — the rank wait-for graph with any deadlock cycle.
-When both a fault plan and the sanitizer are active, the chaos wrapper
-sits *outside* the sanitizer, so the sanitizer observes the disturbed
-message stream actually on the wire.
+* ``VirtualCluster(fault_plan=...)`` — a seeded
+  :class:`~repro.chaos.faults.FaultPlan` that drops, delays,
+  duplicates or bit-flips messages and crashes or stalls chosen ranks,
+  without the rank programs (or the halo exchanger) changing at all;
+* ``VirtualCluster(sanitize=True)`` — a
+  :class:`~repro.analysis.sanitizer.CommSanitizer` recording messages
+  and request lifecycles; after :meth:`VirtualCluster.run` the
+  cluster's ``sanitizer_report`` lists unmatched sends, never-completed
+  requests, double-waits, tag collisions and — on a receive timeout —
+  the rank wait-for graph with any deadlock cycle;
+* ``VirtualCluster(failure_detector=...)`` — a
+  :class:`~repro.resilience.detector.FailureDetector` fed heartbeats by
+  every operation, which turns a receive blocked on a dead peer into a
+  :class:`~repro.parallel.errors.RankDeathError` within one probe
+  interval.
+
+Every operation consults them in one fixed order (:meth:`VirtualComm.
+_send` and :meth:`VirtualComm._complete_recv`): **chaos decides first**
+(crash, stall, delay, bit-flip, drop, duplicate), **then the sanitizer
+records, then the detector beats, then the mailbox**.  The order is the
+design:
+
+* chaos first, so the sanitizer observes the disturbed message stream
+  actually on the wire (an injected drop or duplicate shows up as the
+  protocol violation it is) and the detector sees injected failures
+  exactly like real ones;
+* the detector's probing lives in the mailbox wait itself
+  (:meth:`VirtualCluster._match` waits one probe interval at a time and
+  asks :meth:`~repro.resilience.detector.FailureDetector.probe` between
+  slices), so an expired probe slice never reaches the sanitizer as a
+  spurious receive timeout — only the full deadline does.
+
+A request carries the sanitizer's tracking id (``None`` when the
+cluster is not sanitized), so ``isend``/``irecv`` handles are tracked
+whatever else is armed.  With nothing armed each operation pays three
+``is None`` checks.
 """
 
 from __future__ import annotations
@@ -92,9 +116,29 @@ class CommStats:
 
 
 class Request:
-    """Handle of one non-blocking operation (MPI_Request analogue)."""
+    """Handle of one non-blocking operation (MPI_Request analogue).
+
+    ``track`` is the comm sanitizer's id for the request, ``None`` when
+    the cluster is not sanitized; a tracked wait reports its start and
+    its completion (double-wait and leaked-request checks).
+    """
+
+    __slots__ = ("_comm", "_track")
+
+    def __init__(self, comm: "VirtualComm", track: int | None = None):
+        self._comm = comm
+        self._track = track
 
     def wait(self, timeout: float | None = None):
+        if self._track is None:
+            return self._complete(timeout)
+        sanitizer = self._comm._cluster.sanitizer
+        sanitizer.on_wait(self._track, self._comm.rank)
+        result = self._complete(timeout)
+        sanitizer.on_request_complete(self._track)
+        return result
+
+    def _complete(self, timeout: float | None):
         raise NotImplementedError
 
     @property
@@ -109,7 +153,7 @@ class SendRequest(Request):
 
     __slots__ = ()
 
-    def wait(self, timeout: float | None = None) -> None:
+    def _complete(self, timeout: float | None) -> None:
         return None
 
     @property
@@ -121,15 +165,21 @@ class RecvRequest(Request):
     """In-flight receive: ``wait()`` blocks until the matching message
     arrives, accounts it, and returns the payload (idempotent)."""
 
-    __slots__ = ("_comm", "source", "tag", "_data")
+    __slots__ = ("source", "tag", "_data")
 
-    def __init__(self, comm: "VirtualComm", source: int, tag: int):
-        self._comm = comm
+    def __init__(
+        self,
+        comm: "VirtualComm",
+        source: int,
+        tag: int,
+        track: int | None = None,
+    ):
+        super().__init__(comm, track)
         self.source = source
         self.tag = tag
         self._data: np.ndarray | None = None
 
-    def wait(self, timeout: float | None = None) -> np.ndarray:
+    def _complete(self, timeout: float | None) -> np.ndarray:
         if self._data is None:
             self._data = self._comm._complete_recv(self.source, self.tag, timeout)
         return self._data
@@ -154,14 +204,7 @@ class VirtualComm:
         self, dest: int, payload: np.ndarray, tag: int = tags.DEFAULT
     ) -> None:
         """Eager (buffered) send: copies the payload into the mailbox."""
-        if not 0 <= dest < self.size:
-            raise ValueError(f"invalid destination rank {dest}")
-        if dest == self.rank:
-            raise ValueError("self-send is not supported")
-        data = np.array(payload, copy=True)
-        self._cluster._mailbox(dest).put((self.rank, tag, data))
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += data.nbytes
+        self._send(dest, payload, tag, "send")
 
     def recv(
         self, source: int, tag: int = tags.DEFAULT, timeout: float | None = None
@@ -179,8 +222,7 @@ class VirtualComm:
     ) -> SendRequest:
         """Non-blocking send.  Virtual sends are eager, so the returned
         request is already complete; accounting matches :meth:`send`."""
-        self.send(dest, payload, tag)
-        return SendRequest()
+        return SendRequest(self, self._send(dest, payload, tag, "isend"))
 
     def irecv(self, source: int, tag: int = tags.DEFAULT) -> RecvRequest:
         """Post a non-blocking receive; complete it with ``wait()``.
@@ -189,7 +231,11 @@ class VirtualComm:
         overlap pattern is ``req = irecv(...); <compute>; data = req.wait()``
         so only genuinely blocked time lands in ``comm_time_s``.
         """
-        return RecvRequest(self, source, tag)
+        sanitizer = self._cluster.sanitizer
+        track = None
+        if sanitizer is not None:
+            track = sanitizer.on_request(self.rank, "irecv", source, tag)
+        return RecvRequest(self, source, tag, track)
 
     def waitall(
         self, requests: list[Request], timeout: float | None = None
@@ -198,19 +244,71 @@ class VirtualComm:
         (payload arrays for receives, ``None`` for sends)."""
         return [req.wait(timeout) for req in requests]
 
+    def _send(
+        self, dest: int, payload: np.ndarray, tag: int, op: str
+    ) -> int | None:
+        """The one send path (``op`` is ``send`` or ``isend``), in the
+        module's fixed order: chaos, sanitizer, detector, mailbox.
+        Returns the sanitizer's tracking id of an ``isend`` request."""
+        if not 0 <= dest < self.size:
+            raise ValueError(f"invalid destination rank {dest}")
+        if dest == self.rank:
+            raise ValueError("self-send is not supported")
+        cluster = self._cluster
+        copies = (payload,)
+        if cluster.fault_plan is not None:
+            copies = cluster.fault_plan.on_send(self.rank, dest, tag, payload)
+        sanitizer = cluster.sanitizer
+        track = None
+        if sanitizer is not None and op == "isend":
+            track = sanitizer.on_request(self.rank, op, dest, tag)
+        detector = cluster.failure_detector
+        for message in copies:
+            if sanitizer is not None:
+                sanitizer.on_send(self.rank, dest, tag)
+            if detector is not None:
+                detector.beat(self.rank)
+            data = np.array(message, copy=True)
+            cluster._mailboxes[dest].put((self.rank, tag, data))
+            self.stats.messages_sent += 1
+            self.stats.bytes_sent += data.nbytes
+        return track
+
     def _complete_recv(
         self, source: int, tag: int, timeout: float | None
     ) -> np.ndarray:
-        effective = (
-            timeout if timeout is not None else self._cluster.recv_timeout_s
-        )
+        """The one receive path, in the same order as :meth:`_send`."""
+        cluster = self._cluster
+        if cluster.fault_plan is not None:
+            cluster.fault_plan.on_recv(self.rank, source, tag)
+        sanitizer = cluster.sanitizer
+        detector = cluster.failure_detector
+        effective = timeout if timeout is not None else cluster.recv_timeout_s
+        if sanitizer is not None:
+            sanitizer.on_wait_begin(self.rank, source, tag)
         t0 = time.perf_counter()
         try:
-            data = self._cluster._match(self.rank, source, tag, effective)
+            data = cluster._match(self.rank, source, tag, effective, detector)
         except TimeoutError as exc:
+            if detector is not None:
+                # Dead peer or straggler?  Arbitrated by heartbeat age.
+                report = detector.escalate_timeout(
+                    source, self.rank, effective,
+                    f"recv(source={source}, tag={tag})",
+                )
+                if report is not None:
+                    raise RankDeathError(source, exc, report=report) from None
+            if sanitizer is not None:
+                sanitizer.on_timeout(self.rank, source, tag)
             raise RankTimeoutError(self.rank, exc) from exc
         finally:
             self.stats.comm_time_s += time.perf_counter() - t0
+            if sanitizer is not None:
+                sanitizer.on_wait_end(self.rank)
+        if sanitizer is not None:
+            sanitizer.on_recv_complete(self.rank, source, tag)
+        if detector is not None:
+            detector.beat(self.rank)
         self.stats.messages_received += 1
         self.stats.bytes_received += data.nbytes
         return data
@@ -223,6 +321,8 @@ class VirtualComm:
         :class:`~repro.parallel.errors.RankTimeoutError` instead of
         wedging this rank forever.
         """
+        if self._cluster.failure_detector is not None:
+            self._cluster.failure_detector.beat(self.rank)
         deadline = self._cluster.recv_timeout_s
         t0 = time.perf_counter()
         try:
@@ -256,6 +356,8 @@ class VirtualComm:
             raise ValueError(
                 f"allreduce op must be one of {ALLREDUCE_OPS}, got {op!r}"
             )
+        if self._cluster.failure_detector is not None:
+            self._cluster.failure_detector.beat(self.rank)
         t0 = time.perf_counter()
         result = self._cluster._allreduce(self.rank, np.asarray(value), op)
         self.stats.comm_time_s += time.perf_counter() - t0
@@ -272,6 +374,8 @@ class VirtualComm:
         """
         if not 0 <= root < self.size:
             raise ValueError(f"invalid gather root {root} for size {self.size}")
+        if self._cluster.failure_detector is not None:
+            self._cluster.failure_detector.beat(self.rank)
         t0 = time.perf_counter()
         out = self._cluster._gather(self.rank, value, root)
         self.stats.comm_time_s += time.perf_counter() - t0
@@ -314,15 +418,13 @@ class VirtualCluster:
                 f"recv_timeout_s must be positive, got {recv_timeout_s}"
             )
         self.size = size
-        #: Optional :class:`repro.chaos.faults.FaultPlan`; when set, every
-        #: rank's comm is wrapped in a ``ChaosComm`` that injects the
-        #: plan's faults.  Firing state lives on the plan, so a retried
-        #: run with the same plan sees already-exhausted faults stay quiet.
+        #: Optional :class:`repro.chaos.faults.FaultPlan` whose faults every
+        #: rank's comm injects.  Firing state lives on the plan, so a
+        #: retried run with the same plan sees exhausted faults stay quiet.
         self.fault_plan = fault_plan
         #: Shared :class:`~repro.analysis.sanitizer.CommSanitizer` when
-        #: ``sanitize=True``; every rank's comm is wrapped in a
-        #: ``SanitizerComm`` feeding it, and :meth:`run` finalizes it
-        #: into :attr:`sanitizer_report`.
+        #: ``sanitize=True``; every rank's comm feeds it, and :meth:`run`
+        #: finalizes it into :attr:`sanitizer_report`.
         self.sanitizer = None
         if sanitize:
             # Lazy import: the analysis package is an optional layer on
@@ -334,12 +436,9 @@ class VirtualCluster:
         #: recent :meth:`run` (``None`` unless ``sanitize=True``).
         self.sanitizer_report: "SanitizerReport | None" = None
         #: Optional :class:`~repro.resilience.detector.FailureDetector`.
-        #: When set, every rank's comm is wrapped in a ``MonitoredComm``
-        #: (innermost, under sanitizer and chaos) that feeds heartbeats
-        #: and turns blocked receives into death-probing waits, and the
-        #: runner confirms abnormal rank terminations to it.  When
-        #: ``None`` (the default) no wrapper exists at all — the
-        #: disabled path adds zero per-operation work.
+        #: When set, every rank's comm feeds it heartbeats and receives
+        #: probe it between wait slices, and the runner confirms abnormal
+        #: rank terminations to it.
         self.failure_detector = failure_detector
         if failure_detector is not None and failure_detector.size != size:
             raise ValueError(
@@ -373,10 +472,20 @@ class VirtualCluster:
 
     # -- internals ---------------------------------------------------------------
 
-    def _mailbox(self, rank: int) -> queue.Queue:
-        return self._mailboxes[rank]
-
-    def _match(self, rank: int, source: int, tag: int, timeout: float) -> np.ndarray:
+    def _match(
+        self,
+        rank: int,
+        source: int,
+        tag: int,
+        timeout: float,
+        detector: "FailureDetector | None" = None,
+    ) -> np.ndarray:
+        # With a detector the wait runs in probe slices: each empty slice
+        # asks the detector whether the peer died or departed meanwhile.
+        slice_s = timeout
+        if detector is not None:
+            detector.probe(rank, source, tag, waited=False)
+            slice_s = detector.probe_interval_s
         # Check already-drained messages first.
         pending = self._unmatched[rank]
         for i, (src, t, data) in enumerate(pending):
@@ -392,8 +501,12 @@ class VirtualCluster:
                     f"within {timeout}s"
                 )
             try:
-                src, t, data = self._mailboxes[rank].get(timeout=remaining)
+                src, t, data = self._mailboxes[rank].get(
+                    timeout=min(slice_s, remaining)
+                )
             except queue.Empty:
+                if detector is not None:
+                    detector.probe(rank, source, tag, waited=True)
                 continue
             if src == source and t == tag:
                 return data
@@ -464,26 +577,8 @@ class VirtualCluster:
 
         def runner(rank: int) -> None:
             comm = VirtualComm(self, rank)
-            facade = comm
-            if self.failure_detector is not None:
-                # Innermost wrapper: probe slices stay invisible to the
-                # sanitizer, and chaos faults disturb the *monitored*
-                # stream.  Imported lazily like the other layers.
-                from ..resilience.detector import MonitoredComm
-
-                facade = MonitoredComm(facade, self.failure_detector)
-            if self.sanitizer is not None:
-                from ..analysis.sanitizer import SanitizerComm
-
-                facade = SanitizerComm(facade, self.sanitizer)
-            if self.fault_plan is not None:
-                # Imported lazily: the chaos package is an optional layer
-                # on top of the comm core, not a dependency of it.
-                from ..chaos.faults import ChaosComm
-
-                facade = ChaosComm(facade, self.fault_plan)
             try:
-                results[rank] = program(facade)
+                results[rank] = program(comm)
             # Rank isolation: the first real failure is re-raised after all
             # threads join, so nothing is swallowed here.
             except BaseException as exc:  # repro: disable=R5

@@ -41,9 +41,10 @@ class RankTimeoutError(RankFailedError, TimeoutError):
 class RankDeathError(RankFailedError):
     """A peer rank was *confirmed* dead while this rank waited on it.
 
-    Raised by the failure detector's :class:`~repro.resilience.detector
-    .MonitoredComm` when a blocked receive can be attributed to a peer
-    that has already crashed — as opposed to :class:`RankTimeoutError`,
+    Raised by a receive probing the failure detector
+    (:meth:`~repro.resilience.detector.FailureDetector.probe`, or its
+    deadline escalation) when the wait can be attributed to a peer that
+    has already crashed — as opposed to :class:`RankTimeoutError`,
     which means the peer merely failed to answer within the deadline
     (a straggler or a lost message).  ``rank`` is the *dead peer*, not
     the raising rank; ``report`` carries the detector's

@@ -331,8 +331,8 @@ def run_distributed_simulation(
     :class:`EpochPlan` cut at the segment boundaries that saves nothing;
     an explicit ``epoch_plan`` takes precedence.
 
-    ``fault_plan`` (a :class:`~repro.chaos.faults.FaultPlan`) wraps every
-    rank's communicator in a fault-injecting ``ChaosComm`` — the chaos
+    ``fault_plan`` (a :class:`~repro.chaos.faults.FaultPlan`) is consulted
+    by every rank's communicator on each send and receive — the chaos
     drills run this very function unchanged under injected message drops
     and rank crashes.  ``recv_timeout_s`` shortens the per-receive (and
     barrier) deadline below ``timeout_s``, so a dropped message surfaces
@@ -341,8 +341,8 @@ def run_distributed_simulation(
     rank's solver runs a :class:`~repro.chaos.sentinel.HealthSentinel`
     labelled with its own rank.
 
-    ``sanitize=True`` wraps every rank's communicator in a
-    :class:`~repro.analysis.sanitizer.SanitizerComm`; the finalized
+    ``sanitize=True`` has every rank's communicator report its traffic
+    to one :class:`~repro.analysis.sanitizer.CommSanitizer`; the finalized
     :class:`~repro.analysis.sanitizer.SanitizerReport` (unmatched sends,
     leaked requests, double-waits, tag collisions) is returned as
     ``result.sanitizer_report``.
@@ -364,9 +364,9 @@ def run_distributed_simulation(
     The three resilience hooks (all used by
     :class:`~repro.resilience.supervisor.RunSupervisor`):
     ``failure_detector`` (a
-    :class:`~repro.resilience.detector.FailureDetector`) arms the
-    cluster's per-rank ``MonitoredComm`` wrappers so peer deaths surface
-    as fast typed :class:`RankDeathError`\\ s; ``world`` supplies a
+    :class:`~repro.resilience.detector.FailureDetector`) is fed heartbeats
+    by every rank's communicator and probed by its blocked receives, so
+    peer deaths surface as fast typed :class:`RankDeathError`\\ s; ``world`` supplies a
     prebuilt :class:`WorldSetup` so a recovery epoch skips re-meshing;
     ``epoch_plan`` (an :class:`EpochPlan`) makes the run start mid-loop
     from restored state and save checkpoints at chosen steps.

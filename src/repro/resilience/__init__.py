@@ -30,7 +30,7 @@ See ``docs/resilience.md`` for the detector design, the recovery state
 machine, and the bit-identity argument.
 """
 
-from .detector import FailureDetector, MonitoredComm, RankDeathReport
+from .detector import FailureDetector, RankDeathReport
 from .supervisor import (
     RecoveryEvent,
     RecoveryPolicy,
@@ -40,7 +40,6 @@ from .supervisor import (
 
 __all__ = [
     "FailureDetector",
-    "MonitoredComm",
     "RankDeathReport",
     "RecoveryPolicy",
     "RecoveryEvent",

@@ -10,12 +10,9 @@ needs patience.  This module provides the virtual-cluster analogue:
 * :class:`FailureDetector` — one shared, thread-safe object per run.
   Ranks record *heartbeats* piggybacked on their existing communicator
   traffic (no extra messages), and the cluster runner *confirms* deaths
-  when a rank program terminates abnormally.
-* :class:`MonitoredComm` — a wrapper around one rank's communicator
-  (same ``__getattr__`` delegation idiom as ``ChaosComm``) that feeds
-  the detector and turns a blocked receive into a *probing* wait: the
-  receive deadline is sliced into short probes, and between slices the
-  detector is consulted, so a peer confirmed dead surfaces as a typed
+  when a rank program terminates abnormally.  A blocked receive waits in
+  short probe slices and calls :meth:`FailureDetector.probe` on each
+  empty one, so a peer confirmed dead surfaces as a typed
   :class:`~repro.parallel.errors.RankDeathError` within one probe
   interval instead of after the full (possibly hundreds of seconds)
   receive deadline.
@@ -33,12 +30,9 @@ with recent traffic is a straggler, and the receive fails with the
 ordinary :class:`~repro.parallel.errors.RankTimeoutError` that the
 campaign retry policy already classifies as transient.
 
-The monitored wrapper sits *innermost* (base comm → monitored →
-sanitizer → chaos), for two reasons: probe slices must not reach the
-sanitizer (each expired slice would be recorded as a spurious receive
-timeout), and injected faults from the chaos wrapper must disturb the
-*monitored* stream so drills exercise the detector exactly like real
-failures.
+Where the detector sits relative to fault injection and the comm
+sanitizer is set out once, in the :mod:`repro.parallel.comm` module
+docstring.
 """
 
 from __future__ import annotations
@@ -47,12 +41,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
+from ..parallel.errors import RankDeathError
 
-from ..parallel import tags
-from ..parallel.errors import RankDeathError, RankTimeoutError
-
-__all__ = ["RankDeathReport", "FailureDetector", "MonitoredComm"]
+__all__ = ["RankDeathReport", "FailureDetector"]
 
 #: Detector verdicts for :meth:`FailureDetector.status`.
 RANK_STATES = ("alive", "suspect", "dead")
@@ -101,9 +92,9 @@ class FailureDetector:
 
     #: Default heartbeat-staleness threshold for the escalation path.
     DEFAULT_SUSPECT_AFTER_S = 5.0
-    #: Default probe slice for monitored receives.  Long enough that an
+    #: Default probe slice of a receive.  Long enough that an
     #: eagerly-delivered message is matched on the first slice (the
-    #: common case costs one extra ``is_dead`` lookup), short enough
+    #: common case costs one extra death-registry lookup), short enough
     #: that a confirmed death interrupts a blocked peer quickly.
     DEFAULT_PROBE_INTERVAL_S = 0.05
 
@@ -217,6 +208,47 @@ class FailureDetector:
             return "suspect"
         return "alive"
 
+    # -- probing -------------------------------------------------------------
+
+    def probe(self, rank: int, source: int, tag: int, waited: bool) -> None:
+        """One probe of ``rank``'s receive from ``source``: beat, then
+        raise :class:`~repro.parallel.errors.RankDeathError` if the peer
+        is gone.
+
+        Called by the receive's wait loop once before waiting
+        (``waited=False``) and after every empty probe slice
+        (``waited=True``).  Three cases raise: the peer was dead before
+        the wait, died mid-wait, or departed mid-wait.  A *departed* (but
+        not dead) peer is only failed after a slice has passed — its
+        eagerly-sent messages may already be queued, and draining them
+        keeps partial progress deterministic.  Beating while probing is
+        liveness: peers blocked on *this* rank must not escalate it as
+        unresponsive while it merely waits out a dead neighbour.
+        """
+        self.beat(rank)
+        op = f"recv(source={source}, tag={tag})"
+        report = self.report_of(source)
+        if report is not None:
+            if waited:
+                why = f"peer {source} died while this rank waited in {op}"
+            else:
+                why = f"{op} from dead peer"
+            raise RankDeathError(
+                source, TimeoutError(f"rank {rank}: {why}"), report=report
+            ) from None
+        if waited and self.is_departed(source):
+            # Secondary casualty: the peer exited after some other rank's
+            # death collapsed its epoch.  Cite the primary report so the
+            # cascade stays attributed to its root cause.
+            raise RankDeathError(
+                source,
+                TimeoutError(
+                    f"rank {rank}: peer {source} departed mid-run while "
+                    f"this rank waited in {op}"
+                ),
+                report=self.primary_report(),
+            ) from None
+
     # -- escalation ----------------------------------------------------------
 
     def escalate_timeout(
@@ -224,7 +256,7 @@ class FailureDetector:
     ) -> RankDeathReport | None:
         """Arbitrate an expired receive deadline: dead peer or straggler?
 
-        Called by :class:`MonitoredComm` when the *full* deadline on a
+        Called by the communicator when the *full* deadline on a
         receive from ``source`` has expired without a confirmed death.
         A heartbeat-silent peer is declared ``unresponsive`` and a
         report is returned; a peer with recent traffic is a straggler
@@ -242,138 +274,3 @@ class FailureDetector:
             detected_by=detected_by,
             op=op,
         )
-
-
-class MonitoredComm:
-    """Heartbeat-feeding, death-probing wrapper around one rank's comm.
-
-    Every operation records this rank's heartbeat; receives are split
-    into probe slices so a peer confirmed dead mid-wait raises
-    :class:`~repro.parallel.errors.RankDeathError` within one
-    ``probe_interval_s`` instead of after the full receive deadline.
-    Accounting stays on the wrapped communicator and stays correct:
-    each expired probe slice adds only its own blocked time to
-    ``comm_time_s``, and a message is counted received exactly once, on
-    the slice that matches it.
-    """
-
-    def __init__(self, comm, detector: FailureDetector) -> None:
-        self._comm = comm
-        self._detector = detector
-
-    def __getattr__(self, name: str):
-        return getattr(self._comm, name)
-
-    # -- point to point ------------------------------------------------------
-
-    def send(self, dest: int, payload, tag: int = tags.DEFAULT) -> None:
-        self._detector.beat(self._comm.rank)
-        return self._comm.send(dest, payload, tag=tag)
-
-    def isend(self, dest: int, payload, tag: int = tags.DEFAULT):
-        self._detector.beat(self._comm.rank)
-        return self._comm.isend(dest, payload, tag=tag)
-
-    def recv(
-        self, source: int, tag: int = tags.DEFAULT, timeout: float | None = None
-    ) -> np.ndarray:
-        return self._complete_recv(source, tag, timeout)
-
-    def irecv(self, source: int, tag: int = tags.DEFAULT):
-        from ..parallel.comm import RecvRequest
-
-        # Bound to *this* wrapper: the eventual wait() funnels through
-        # _complete_recv below, so the overlapped halo path gets the
-        # same probing wait as the blocking one.
-        return RecvRequest(self, source, tag)
-
-    def _complete_recv(
-        self, source: int, tag: int, timeout: float | None
-    ) -> np.ndarray:
-        detector = self._detector
-        rank = self._comm.rank
-        detector.beat(rank)
-        effective = (
-            timeout
-            if timeout is not None
-            else self._comm._cluster.recv_timeout_s
-        )
-        op = f"recv(source={source}, tag={tag})"
-        report = detector.report_of(source)
-        if report is not None:
-            raise RankDeathError(
-                source,
-                TimeoutError(f"rank {rank}: {op} from dead peer"),
-                report=report,
-            )
-        # NOTE: a *departed* (but not dead) peer is still given one probe
-        # slice before failing — its eagerly-sent messages may already be
-        # queued, and draining them keeps partial progress deterministic.
-        deadline = time.monotonic() + effective
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                # Full deadline expired with the peer never confirmed
-                # dead: escalate by heartbeat age (dead vs straggler).
-                report = detector.escalate_timeout(
-                    source, rank, effective, op
-                )
-                cause = TimeoutError(
-                    f"rank {rank}: no message from {source} tag {tag} "
-                    f"within {effective}s"
-                )
-                if report is not None:
-                    raise RankDeathError(source, cause, report=report)
-                raise RankTimeoutError(rank, cause)
-            slice_s = min(detector.probe_interval_s, remaining)
-            try:
-                data = self._comm._complete_recv(source, tag, slice_s)
-            except RankTimeoutError:
-                # Actively probing is liveness: beat so peers blocked on
-                # *this* rank do not escalate it as unresponsive while
-                # it is merely waiting out a dead neighbour.
-                detector.beat(rank)
-                report = detector.report_of(source)
-                if report is not None:
-                    raise RankDeathError(
-                        source,
-                        TimeoutError(
-                            f"rank {rank}: peer {source} died while "
-                            f"this rank waited in {op}"
-                        ),
-                        report=report,
-                    ) from None
-                if detector.is_departed(source):
-                    # Secondary casualty: the peer exited after some
-                    # other rank's death collapsed its epoch.  Cite the
-                    # primary report so the cascade stays attributed to
-                    # its root cause.
-                    primary = detector.primary_report()
-                    raise RankDeathError(
-                        source,
-                        TimeoutError(
-                            f"rank {rank}: peer {source} departed "
-                            f"mid-run while this rank waited in {op}"
-                        ),
-                        report=primary,
-                    ) from None
-                continue
-            detector.beat(rank)
-            return data
-
-    def waitall(self, requests: list, timeout: float | None = None) -> list:
-        return [req.wait(timeout) for req in requests]
-
-    # -- collectives ---------------------------------------------------------
-
-    def barrier(self) -> None:
-        self._detector.beat(self._comm.rank)
-        return self._comm.barrier()
-
-    def allreduce(self, value, op: str = "sum"):
-        self._detector.beat(self._comm.rank)
-        return self._comm.allreduce(value, op)
-
-    def gather(self, value, root: int = 0):
-        self._detector.beat(self._comm.rank)
-        return self._comm.gather(value, root)
