@@ -95,11 +95,17 @@ def run_segmented_simulation(
     restores the previous segment's checkpoint, marches to its boundary,
     and checkpoints — the same state flow as chained queue jobs.  The
     result's seismograms are bit-identical to an unsegmented run (the
-    v2 checkpoint carries the partially-recorded buffers).
+    checkpoint carries the partially-recorded buffers).  On a mesh the
+    :class:`~repro.campaign.mesh_cache.MeshCache` serves, the solvers of
+    every segment share the mesh's
+    :class:`~repro.solver.prepared.PreparedMesh`: geometry, mass,
+    coupling operators and the Courant bound are prepared once for the
+    whole chain, and each restart builds only its event state.
 
     Restores fall back to the *last verified checkpoint*: when the
-    newest checkpoint fails to load (the v3 CRC32 map catches on-disk
-    corruption), it is dropped with a warning and the next-older one is
+    newest checkpoint fails to load (a checkpoint is one ``CKPTREC1``
+    verified record with a CRC32 per array, so on-disk corruption is
+    caught on load), it is dropped with a warning and the next-older one is
     tried, down to a cold restart from step 0.  Because the marching is
     deterministic, re-running the lost span reproduces the exact same
     state, so the final seismograms stay bit-identical — corruption

@@ -21,7 +21,7 @@ and filled once, on the merged region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -353,12 +353,21 @@ class GlobalMesh:
     ``slice_of_element[region]`` records, per merged element, the rank that
     owned it in the distributed decomposition — used by partitioning
     studies and by the legacy I/O writer.
+
+    ``prepared`` is the :class:`~repro.solver.prepared.PreparedMesh` that
+    every solver on this mesh shares; only
+    :class:`~repro.campaign.mesh_cache.MeshCache` sets it, for as long as
+    the mesh is one of its entries (None otherwise: each solver then
+    prepares its own).
     """
 
     params: SimulationParameters
     regions: dict[int, RegionMesh]
     slice_of_element: dict[int, np.ndarray]
     cube_elements: int = 0
+    prepared: object | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def nspec_total(self) -> int:

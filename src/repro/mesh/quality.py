@@ -19,6 +19,7 @@ from .element import RegionMesh
 __all__ = [
     "MeshResolution",
     "estimate_time_step",
+    "stable_time_step_bound",
     "estimate_resolution",
     "element_size_range",
     "load_balance_imbalance",
@@ -54,13 +55,14 @@ def _max_gll_spacing_per_element(xyz: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(d_i, d_j), d_k)
 
 
-def estimate_time_step(
-    meshes: list[RegionMesh], courant: float = 0.4, length_scale: float = 1.0
+def stable_time_step_bound(
+    meshes: list[RegionMesh], length_scale: float = 1.0
 ) -> float:
-    """Stable explicit time step: ``courant * min(dx_gll / vp)``.
+    """``min(dx_gll / vp)`` over the meshes: the stable explicit time step
+    is this times the Courant number (:func:`estimate_time_step`).
 
     ``length_scale`` converts mesh coordinates to metres (mesh is in km,
-    so pass 1000.0 for a dt in seconds).
+    so pass 1000.0 for a bound in seconds).
     """
     if not meshes:
         raise ValueError("need at least one region mesh")
@@ -72,7 +74,18 @@ def estimate_time_step(
         dx = _min_gll_spacing_per_element(mesh.xyz) * length_scale
         vp_max = vp.reshape(mesh.nspec, -1).max(axis=1)
         dt = min(dt, float(np.min(dx / vp_max)))
-    return courant * dt
+    return dt
+
+
+def estimate_time_step(
+    meshes: list[RegionMesh], courant: float = 0.4, length_scale: float = 1.0
+) -> float:
+    """Stable explicit time step: ``courant * min(dx_gll / vp)``.
+
+    ``length_scale`` converts mesh coordinates to metres (mesh is in km,
+    so pass 1000.0 for a dt in seconds).
+    """
+    return courant * stable_time_step_bound(meshes, length_scale)
 
 
 def estimate_resolution(

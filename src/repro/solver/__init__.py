@@ -14,6 +14,7 @@ from .coupling import CouplingOperator, build_coupling_operator
 from .fields import FluidField, SolidField
 from .newmark import corrector, corrector_scalar, predictor, predictor_scalar
 from .oceans import OceanLoad, build_ocean_load
+from .prepared import PreparedMesh
 from .receivers import LocatedReceiver, ReceiverSet, Station, locate_receivers
 from .solver import GlobalSolver, SolverResult, SolverTimings
 from .sources import (
@@ -49,6 +50,7 @@ __all__ = [
     "predictor_scalar",
     "OceanLoad",
     "build_ocean_load",
+    "PreparedMesh",
     "LocatedReceiver",
     "ReceiverSet",
     "Station",

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -44,32 +45,28 @@ from ..kernels.flops import (
     elastic_kernel_flops,
     newmark_update_flops,
 )
-from ..kernels.geometry import compute_geometry
 from ..kernels.weakform import Workspace, carve
 from ..mesh.element import RegionMesh
-from ..mesh.interfaces import external_faces, faces_at_radius
-from ..mesh.quality import estimate_time_step
 from ..model.prem import PREM, RegionCode
 from ..obs.tracer import maybe_tracer
 from . import newmark
-from .assembly import (
-    assemble_mass_matrix,
-    assemble_scalar_mass_matrix,
-    gather,
-    scatter_add,
-)
+from .assembly import gather, scatter_add
 from .attenuation import AttenuationState, build_attenuation
 from .body_terms import coriolis_local_force, gravity_local_force
-from .coupling import CouplingOperator, build_coupling_operator
+from .coupling import CouplingOperator
 from .fields import FluidField, SolidField
-from .oceans import OceanLoad, build_ocean_load
+from .oceans import OceanLoad
+from .prepared import (
+    LENGTH_SCALE,
+    PreparedMesh,
+    PreparedRegion,
+    deformed_surfaces,
+    surface_tolerance,
+)
 from .receivers import PointLocator, ReceiverSet, Station
 from .sources import MomentTensorSource, PointForceSource, moment_tensor_source_array
 
 __all__ = ["GlobalSolver", "SolverResult", "SolverTimings"]
-
-#: Metres per mesh coordinate unit (meshes are built in km).
-LENGTH_SCALE = 1000.0
 
 
 @dataclass
@@ -128,29 +125,15 @@ class _EventAttenuation:
 
 
 class _RegionState:
-    """Per-region solver state: geometry, materials (SI), fields, mass."""
+    """Per-region solver view: the mesh, its numbering and its prepared
+    (shared, read-only) geometry — nothing per solver."""
 
-    def __init__(self, mesh: RegionMesh, basis: GLLBasis):
+    def __init__(self, mesh: RegionMesh, prepared: PreparedRegion):
         self.mesh = mesh
-        self.xyz_m = mesh.xyz * LENGTH_SCALE
-        self.geom = compute_geometry(self.xyz_m, basis)
-        self.rho = mesh.rho
-        self.mu = mesh.mu
-        self.lam = mesh.kappa - (2.0 / 3.0) * mesh.mu
-        self.q_mu = mesh.q_mu
+        self.geom = prepared.geom
+        self.ti_frames = prepared.ti_frames
         self.ibool = mesh.ibool
         self.nglob = mesh.nglob
-        # Transverse isotropy: precompute the radial frames once.
-        self.ti_moduli = mesh.ti_moduli
-        self.ti_frames = (
-            None if mesh.ti_moduli is None else _radial_frames_cached(self.xyz_m)
-        )
-
-
-def _radial_frames_cached(xyz_m: np.ndarray) -> np.ndarray:
-    from ..kernels.anisotropic import radial_frames
-
-    return radial_frames(xyz_m)
 
 
 class _RegionSubset:
@@ -171,12 +154,13 @@ class _RegionSubset:
         st = solver.regions[code]
         self.code = code
         self.idx = idx
+        mesh = st.mesh
         self.ibool = st.ibool[idx]
         self.geom = st.geom.subset(idx)
-        self.rho = st.rho[idx]
-        self.xyz_m = st.xyz_m[idx]
+        self.rho = mesh.rho[idx]
         g = solver.gravity_g.get(code)
         self.gravity_g = None if g is None else g[idx]
+        self.xyz_m = None if g is None else mesh.xyz[idx] * LENGTH_SCALE
         # Per-phase flop estimates (the PSiNS-analog counters attached to
         # kernel spans), computed once so the hot loop only reads them.
         nspec = self.ibool.shape[0]
@@ -187,17 +171,18 @@ class _RegionSubset:
             self.flops = float(acoustic_kernel_flops(nspec))
         else:
             self.flops = float(elastic_kernel_flops(nspec))
-            if st.ti_moduli is None:
+            mu = mesh.mu[idx]
+            lam = mesh.kappa[idx] - (2.0 / 3.0) * mu
+            if mesh.ti_moduli is None:
                 self.operator = ElasticOperator(
-                    self.geom, st.lam[idx], st.mu[idx], basis, ws,
-                    solver.params.kernel_variant,
+                    self.geom, lam, mu, basis, ws, solver.params.kernel_variant,
                 )
             else:
                 from ..kernels.anisotropic import TIElasticOperator
 
-                m = st.ti_moduli
+                m = mesh.ti_moduli
                 self.operator = TIElasticOperator(
-                    self.geom, st.lam[idx], st.mu[idx],
+                    self.geom, lam, mu,
                     type(m)(A=m.A[idx], C=m.C[idx], L=m.L[idx], N=m.N[idx], F=m.F[idx]),
                     st.ti_frames[idx], basis, ws,
                 )
@@ -222,7 +207,7 @@ class GlobalSolver:
         ``post``/``complete``, ``merge_regions``) summing the other
         ranks' contributions into point-leading ``{region: (nglob, ...)
         array}`` dicts *in place*; None for serial runs.  Also applied
-        once to the mass matrices at setup.
+        once at setup, to a copy of the prepared mass matrices.
     element_splits : dict ``region -> ElementSplit`` (from
         :func:`repro.mesh.partition.split_slice_elements`) classifying
         each region's elements as halo-touching or interior.  Given, the
@@ -300,8 +285,16 @@ class GlobalSolver:
         self.health_sentinel = health_sentinel
         self.basis = GLLBasis(constants.NGLLX)
         self.exchanger = exchanger
+        #: The mesh-determined artefacts (geometry, mass, couplings, the
+        #: Courant bound): the cache-served mesh's shared instance, else a
+        #: private one that dies with this solver.
+        deformed = self._deformed_surfaces()
+        prepared = getattr(mesh_bundle, "prepared", None)
+        if prepared is None or not prepared.serves(mesh_bundle, deformed):
+            prepared = PreparedMesh(mesh_bundle.regions, deformed)
+        self.prepared = prepared
         self.regions = {
-            code: _RegionState(mesh, self.basis)
+            code: _RegionState(mesh, prepared.regions[code])
             for code, mesh in mesh_bundle.regions.items()
         }
         # Fluid/solid split by the meshes' own flags (region code by
@@ -323,22 +316,18 @@ class GlobalSolver:
             )
         )
 
-        # -- Mass matrices (assembled across ranks, one region per round) --
-        self.mass: dict[int, np.ndarray] = {}
-        for code in self.solid_codes:
-            st = self.regions[code]
-            self.mass[code] = assemble_mass_matrix(
-                st.rho, st.geom, st.ibool, st.nglob
-            )
-        if self.fluid_code is not None:
-            st = self.regions[self.fluid_code]
-            kappa_inv = 1.0 / st.mesh.kappa
-            self.mass[self.fluid_code] = assemble_scalar_mass_matrix(
-                kappa_inv, st.geom, st.ibool, st.nglob
-            )
+        # -- Mass matrices (assembled across ranks, one region per round,
+        # into a copy: the prepared mass is this bundle's alone) ----------
+        order = self.solid_codes + (
+            [] if self.fluid_code is None else [self.fluid_code]
+        )
+        self.mass: dict[int, np.ndarray] = {
+            code: prepared.regions[code].mass for code in order
+        }
         if exchanger is not None:
-            for code, local_mass in self.mass.items():
-                exchanger.assemble({code: local_mass})
+            for code in order:
+                self.mass[code] = self.mass[code].copy()
+                exchanger.assemble({code: self.mass[code]})
         #: Reciprocal mass (SPECFEM's ``rmass``), shaped to broadcast over
         #: a region's (B, nglob[, 3]) force: the step multiplies, never divides.
         self._rmass = {
@@ -354,20 +343,15 @@ class GlobalSolver:
                 raise ValueError(f"dt_override must be positive, got {dt_override}")
             self.dt = float(dt_override)
         else:
-            self.dt = estimate_time_step(
-                [st.mesh for st in self.regions.values()],
-                courant=params.courant,
-                length_scale=LENGTH_SCALE,
-            )
+            # ``estimate_time_step``'s arithmetic, on the prepared bound.
+            self.dt = params.courant * prepared.dt_bound
         if params.nstep_override is not None:
             self.n_steps = int(params.nstep_override)
         else:
             self.n_steps = max(1, int(np.ceil(params.record_length_s / self.dt)))
 
-        # -- Coupling operators ----------------------------------------------
-        self.couplings: list[tuple[int, CouplingOperator]] = []
-        if self.fluid_code is not None:
-            self._build_couplings()
+        #: ``(solid_code, operator)`` per solid-fluid interface.
+        self.couplings: tuple[tuple[int, CouplingOperator], ...] = prepared.couplings
 
         # -- Physics extras ----------------------------------------------------
         self.attenuation: dict[int, _EventAttenuation] = {}
@@ -376,7 +360,7 @@ class GlobalSolver:
             for code in self.solid_codes:
                 st = self.regions[code]
                 state = build_attenuation(
-                    st.q_mu, self.dt, f_centre / 3.0, f_centre * 3.0
+                    st.mesh.q_mu, self.dt, f_centre / 3.0, f_centre * 3.0
                 )
                 zeta = np.zeros((self.batch, *state.zeta.shape))
                 self.attenuation[code] = _EventAttenuation(
@@ -386,32 +370,12 @@ class GlobalSolver:
         self.omega_vector = (
             np.array([0.0, 0.0, constants.EARTH_OMEGA]) if params.rotation else None
         )
-        self.gravity_g: dict[int, np.ndarray] = {}
-        if params.gravity:
-            for code in self.solid_codes:
-                st = self.regions[code]
-                r_km = np.linalg.norm(st.mesh.xyz, axis=-1)
-                g = np.interp(
-                    r_km,
-                    np.linspace(0, constants.R_EARTH_KM, 200),
-                    [PREM.gravity(float(r))
-                     for r in np.linspace(0, constants.R_EARTH_KM, 200)],
-                )
-                self.gravity_g[code] = g
-        self.ocean_load: OceanLoad | None = None
-        if params.oceans and RegionCode.CRUST_MANTLE in self.regions:
-            st = self.regions[RegionCode.CRUST_MANTLE]
-            surf = faces_at_radius(
-                st.mesh.xyz,
-                external_faces(st.ibool),
-                constants.R_EARTH_KM,
-                rel_tolerance=self._surface_tolerance(),
-                radial_faces_only=self._deformed_surfaces(),
-            )
-            w2 = np.outer(self.basis.weights, self.basis.weights)
-            self.ocean_load = build_ocean_load(
-                surf, st.mesh.xyz, st.ibool, w2, length_scale=LENGTH_SCALE
-            )
+        self.gravity_g: Mapping[int, np.ndarray] = (
+            prepared.gravity if params.gravity else {}
+        )
+        self.ocean_load: OceanLoad | None = (
+            prepared.ocean_load if params.oceans else None
+        )
 
         # -- Sources and receivers ----------------------------------------------
         # One point locator (a KD-tree over a region's GLL points) per
@@ -578,44 +542,10 @@ class GlobalSolver:
 
     def _deformed_surfaces(self) -> bool:
         """True when mesh surfaces deviate from exact spheres."""
-        return self.params.ellipticity or self.params.topography
+        return deformed_surfaces(self.params)
 
     def _surface_tolerance(self) -> float:
-        # Ellipticity moves interfaces by ~0.3%; synthetic topography by up
-        # to ~0.2% near the surface. 2% stays well clear of layer thickness.
-        return 0.02 if self._deformed_surfaces() else 1e-6
-
-    def _build_couplings(self) -> None:
-        fl = self.regions[self.fluid_code]
-        w2 = np.outer(self.basis.weights, self.basis.weights)
-        fluid_ext = external_faces(fl.ibool)
-        tol = self._surface_tolerance()
-        radial_only = self._deformed_surfaces()
-        for radius_km, solid_code, orientation in (
-            (constants.R_CMB_KM, RegionCode.CRUST_MANTLE, +1.0),
-            (constants.R_ICB_KM, RegionCode.INNER_CORE, -1.0),
-        ):
-            if solid_code not in self.regions:
-                continue
-            sol = self.regions[solid_code]
-            fluid_faces = faces_at_radius(
-                fl.mesh.xyz, fluid_ext, radius_km,
-                rel_tolerance=tol, radial_faces_only=radial_only,
-            )
-            solid_faces = faces_at_radius(
-                sol.mesh.xyz, external_faces(sol.ibool), radius_km,
-                rel_tolerance=tol, radial_faces_only=radial_only,
-            )
-            if not len(fluid_faces):
-                continue
-            op = build_coupling_operator(
-                fl.mesh.xyz, fl.ibool, fluid_faces,
-                sol.mesh.xyz, sol.ibool, solid_faces,
-                radius_km, w2, outward_from_fluid=orientation,
-            )
-            # Convert area weights (km^2) to metres.
-            op.weights = op.weights * LENGTH_SCALE**2
-            self.couplings.append((solid_code, op))
+        return surface_tolerance(self._deformed_surfaces())
 
     def _locate_source(self, source, locator) -> tuple[int, int, np.ndarray, object]:
         """Resolve a source into (region, element, source_array, source)."""
@@ -631,10 +561,9 @@ class GlobalSolver:
         e, ref = located.element, located.ref
         if isinstance(source, MomentTensorSource):
             # Jacobian at the source point, in SI length units.
-            inv_jac = self._inverse_jacobian_at(st, e, ref)
-            arr = moment_tensor_source_array(
-                source.moment, st.xyz_m[e], inv_jac, *ref
-            )
+            exyz = st.mesh.xyz[e] * LENGTH_SCALE
+            inv_jac = self._inverse_jacobian_at(exyz, ref)
+            arr = moment_tensor_source_array(source.moment, exyz, inv_jac, *ref)
         else:
             from .sources import point_force_source_array
 
@@ -643,17 +572,16 @@ class GlobalSolver:
             )
         return region, e, arr, source
 
-    def _inverse_jacobian_at(
-        self, st: _RegionState, element: int, ref: np.ndarray
-    ) -> np.ndarray:
+    @staticmethod
+    def _inverse_jacobian_at(exyz: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        """``dxi_l / dx_c`` at reference point ``ref`` of the element whose
+        GLL coordinates (metres) are ``exyz``."""
         from ..gll.lagrange import lagrange_basis, lagrange_basis_derivative
         from ..gll.quadrature import gll_points_and_weights
 
-        n = st.mesh.ngll
-        nodes, _ = gll_points_and_weights(n)
+        nodes, _ = gll_points_and_weights(exyz.shape[0])
         hx, hy, hz = (lagrange_basis(nodes, v) for v in ref)
         dhx, dhy, dhz = (lagrange_basis_derivative(nodes, v) for v in ref)
-        exyz = st.xyz_m[element]
         jac = np.stack(
             [
                 np.einsum("ijk,ijkc->c",
