@@ -3,8 +3,8 @@
 Public surface re-exported from :mod:`.core`, :mod:`.rules` and
 :mod:`.sarif`; the CLI lives in :mod:`repro.analysis.__main__`
 (``python -m repro.analysis check src``).  See ``docs/analysis.md`` for
-the rule catalog (R1–R7, R9), the pragma/baseline workflow and the
-SARIF/CI integration.
+the rule catalog (R1–R6 and R9; R7 and R8 are retired), the
+pragma/baseline workflow and the SARIF/CI integration.
 """
 
 from .core import (
@@ -14,7 +14,6 @@ from .core import (
     Finding,
     FunctionInfo,
     Project,
-    ProjectRule,
     Report,
     Rule,
     check_paths,
@@ -30,7 +29,6 @@ __all__ = [
     "Finding",
     "FunctionInfo",
     "Project",
-    "ProjectRule",
     "REGISTRY",
     "Report",
     "Rule",

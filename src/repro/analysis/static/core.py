@@ -23,8 +23,6 @@ rule pack in :mod:`repro.analysis.static.rules`:
   returns and call arguments to a fixpoint), blocking-call propagation
   for the async-hygiene rule, and request-return tracking so R1 can
   follow an isend result across function boundaries.
-* :class:`ProjectRule` — rules that reason about several files at once
-  (``check_project`` instead of per-file ``check``).
 * :func:`check_paths` — run the (selected) rules over files/trees and
   fold pragma and baseline suppression into a :class:`Report`.  The
   :class:`Project` is always built over *all* given files, so an
@@ -54,7 +52,6 @@ __all__ = [
     "Finding",
     "FunctionInfo",
     "Project",
-    "ProjectRule",
     "REGISTRY",
     "Report",
     "Rule",
@@ -247,23 +244,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """A rule that reasons across files (state-lifecycle completeness).
-
-    ``check_project`` runs once per analyzer invocation over the whole
-    :class:`Project`; findings still anchor to concrete files/lines so
-    pragma and baseline suppression work unchanged.
-    """
-
-    project_level = True
-
-    def check(self, ctx: FileContext) -> list[Finding]:  # pragma: no cover
-        return []
-
-    def check_project(self, project: "Project") -> list[Finding]:
-        raise NotImplementedError
-
-
 def attr_chain(node: ast.AST) -> str | None:
     """Dotted source text of a Name/Attribute chain (``np.random.rand``)."""
     parts: list[str] = []
@@ -436,9 +416,6 @@ class Project:
 
     def __init__(self, contexts: list[FileContext]):
         self.contexts = list(contexts)
-        self._ctx_by_path: dict[str, FileContext] = {
-            str(c.path): c for c in contexts
-        }
         self.modules: dict[str, _ModuleSymbols] = {}
         self._suffix_modules: dict[str, str | None] = {}
         self.functions: dict[str, FunctionInfo] = {}
@@ -459,16 +436,6 @@ class Project:
         self._propagate()
 
     # -- lookups -------------------------------------------------------------
-
-    def context_for_path(self, path: str | Path) -> FileContext | None:
-        return self._ctx_by_path.get(str(path))
-
-    def context_for_suffix(self, suffix: str) -> FileContext | None:
-        """The context whose normalized path ends with ``suffix``."""
-        for ctx in self.contexts:
-            if normalize_path(ctx.path).endswith(suffix):
-                return ctx
-        return None
 
     def function_at(self, node: ast.AST) -> FunctionInfo | None:
         """The FunctionInfo of a def node (or a module body)."""
@@ -1128,43 +1095,21 @@ def check_paths(
     for ctx in contexts:
         ctx.project = project
 
-    file_rules = [
-        r for r in selected if not getattr(r, "project_level", False)
-    ]
-    project_rules = [
-        r for r in selected if getattr(r, "project_level", False)
-    ]
-
-    def _fold(ctx: FileContext, finding: Finding) -> None:
-        if ctx.is_suppressed(finding):
-            report.suppressed += 1
-        elif baseline is not None and baseline.matches(finding):
-            report.baselined += 1
-        else:
-            report.findings.append(finding)
-
     for ctx in contexts:
         if not _is_selected(ctx.path):
             continue
-        applicable = [r for r in file_rules if r.applies_to(ctx.path)]
+        applicable = [r for r in selected if r.applies_to(ctx.path)]
         if not applicable:
             continue
         report.files_checked += 1
         for rule in applicable:
             for finding in rule.check(ctx):
-                _fold(ctx, finding)
-
-    for rule in project_rules:
-        for finding in rule.check_project(project):
-            if not _is_selected(finding.path):
-                continue
-            fctx = project.context_for_path(finding.path)
-            if fctx is not None:
-                _fold(fctx, finding)
-            elif baseline is not None and baseline.matches(finding):
-                report.baselined += 1
-            else:
-                report.findings.append(finding)
+                if ctx.is_suppressed(finding):
+                    report.suppressed += 1
+                elif baseline is not None and baseline.matches(finding):
+                    report.baselined += 1
+                else:
+                    report.findings.append(finding)
 
     report.findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return report

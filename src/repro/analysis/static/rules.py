@@ -15,7 +15,6 @@ from .core import (
     COLLECTIVE_ATTRS,
     FileContext,
     Finding,
-    ProjectRule,
     Rule,
     blocking_call_reason,
     register,
@@ -30,7 +29,6 @@ __all__ = [
     "LeakedRequestRule",
     "MagicTagRule",
     "SPMDDivergenceRule",
-    "StateLifecycleRule",
 ]
 
 
@@ -752,172 +750,6 @@ class SPMDDivergenceRule(Rule):
             child = current
             current = ctx.parent(current)
         return None
-
-
-@register
-class StateLifecycleRule(ProjectRule):
-    """R7: every dynamic state array survives checkpoint AND remap."""
-
-    id = "R7"
-    title = "state array missing from checkpoint/remap lifecycle"
-    rationale = (
-        "The paper's production runs restarted from disk across "
-        "reservation windows, so checkpoint save/load and the shrink "
-        "remap must capture the *complete* dynamic state — a field "
-        "that is integrated every step but missing from one of those "
-        "three surfaces restarts as zeros and corrupts the physics "
-        "silently (no crash, wrong seismograms).  The rule re-derives "
-        "the state registry from the source of truth: the ndarray "
-        "fields of solver/fields.py dataclasses, the attenuation "
-        "memory arrays mutated by AttenuationState's update methods, "
-        "and the receiver recording buffers — then verifies each name "
-        "is referenced by checkpoint.py's save functions, its "
-        "load/read functions, and resilience/remap.py.  Adding a field "
-        "without threading it through restart is a blocking finding, "
-        "not a code review hope."
-    )
-    scope_suffixes = (
-        "solver/fields.py", "solver/checkpoint.py", "resilience/remap.py",
-    )
-
-    def check_project(self, project) -> list[Finding]:
-        fields_ctx = project.context_for_suffix("solver/fields.py")
-        if fields_ctx is None:
-            return []
-        registry = self._state_registry(project, fields_ctx)
-        if not registry:
-            return []
-        surfaces = self._surfaces(project)
-        findings: list[Finding] = []
-        for name, origin in registry:
-            for tag, sctx, nodes, verb in surfaces:
-                if any(self._covers(n, name) for n in nodes):
-                    continue
-                anchor = nodes[0] if nodes else sctx.tree
-                findings.append(
-                    Finding(
-                        rule=self.id,
-                        path=str(sctx.path),
-                        line=getattr(anchor, "lineno", 1),
-                        scope=f"{name}:{tag}",
-                        message=(
-                            f"dynamic state array {name!r} (declared in "
-                            f"{origin}) is never {verb} — a restart "
-                            f"would silently reset it"
-                        ),
-                    )
-                )
-        return findings
-
-    def _surfaces(self, project):
-        surfaces = []
-        ckpt = project.context_for_suffix("solver/checkpoint.py")
-        if ckpt is not None:
-            defs = [
-                n for n in ast.walk(ckpt.tree)
-                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ]
-            surfaces.append((
-                "save", ckpt, [n for n in defs if "save" in n.name],
-                "captured by a checkpoint save function",
-            ))
-            surfaces.append((
-                "load", ckpt,
-                [n for n in defs
-                 if "load" in n.name or n.name.startswith("read")],
-                "restored by a checkpoint load function",
-            ))
-        remap = project.context_for_suffix("resilience/remap.py")
-        if remap is not None:
-            surfaces.append((
-                "remap", remap, [remap.tree],
-                "redistributed by the shrink remap",
-            ))
-        return surfaces
-
-    def _state_registry(
-        self, project, fields_ctx: FileContext
-    ) -> list[tuple[str, str]]:
-        registry: list[tuple[str, str]] = []
-        for stmt in fields_ctx.tree.body:
-            if not (isinstance(stmt, ast.ClassDef)
-                    and stmt.name.endswith("Field")):
-                continue
-            for sub in stmt.body:
-                if (
-                    isinstance(sub, ast.AnnAssign)
-                    and isinstance(sub.target, ast.Name)
-                    and self._is_ndarray_annotation(sub.annotation)
-                ):
-                    registry.append((sub.target.id, "solver/fields.py"))
-        atten = project.context_for_suffix("solver/attenuation.py")
-        if atten is not None:
-            for name in sorted(self._mutated_state_attrs(atten)):
-                registry.append((name, "solver/attenuation.py"))
-        receivers = project.context_for_suffix("solver/receivers.py")
-        if receivers is not None and any(
-            isinstance(n, ast.ClassDef) and "ReceiverSet" in n.name
-            for n in ast.walk(receivers.tree)
-        ):
-            for name in ("seis_data", "seis_step", "seis_n_steps"):
-                registry.append((name, "solver/receivers.py"))
-        return registry
-
-    def _is_ndarray_annotation(self, annotation: ast.expr) -> bool:
-        for sub in ast.walk(annotation):
-            if isinstance(sub, ast.Attribute) and sub.attr == "ndarray":
-                return True
-            if isinstance(sub, ast.Name) and sub.id == "ndarray":
-                return True
-            if isinstance(sub, ast.Constant) and \
-                    isinstance(sub.value, str) and "ndarray" in sub.value:
-                return True
-        return False
-
-    def _mutated_state_attrs(self, atten: FileContext) -> set[str]:
-        """self.<attr> arrays an Attenuation class mutates outside init."""
-        names: set[str] = set()
-        for cls in ast.walk(atten.tree):
-            if not (isinstance(cls, ast.ClassDef)
-                    and "Attenuation" in cls.name):
-                continue
-            for method in cls.body:
-                if not isinstance(
-                    method, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ) or method.name == "__init__":
-                    continue
-                for node in ast.walk(method):
-                    target: ast.expr | None = None
-                    if isinstance(node, ast.AugAssign):
-                        target = node.target
-                    elif isinstance(node, ast.Assign) and \
-                            len(node.targets) == 1:
-                        target = node.targets[0]
-                    if isinstance(target, ast.Subscript):
-                        target = target.value
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        names.add(target.attr)
-        return names
-
-    def _covers(self, node: ast.AST, name: str) -> bool:
-        """Does this subtree reference the state array ``name``?
-
-        Matches the exact string, the f-string prefix form
-        (``f"{name}_{code}"`` leaves a ``"name_"`` constant), or an
-        attribute access ``.name``.
-        """
-        prefixed = name + "_"
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                if sub.value == name or sub.value == prefixed:
-                    return True
-            elif isinstance(sub, ast.Attribute) and sub.attr == name:
-                return True
-        return False
 
 
 @register

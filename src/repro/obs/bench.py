@@ -649,7 +649,7 @@ def bench_recovery_latency(quick: bool) -> dict[str, float]:
 
 @register(
     "analysis_runtime",
-    "static analyzer (R1-R7 and R9, interprocedural) full-repo wall time",
+    "static analyzer (R1-R6 and R9, interprocedural) full-repo wall time",
     guards=(
         # The analyzer is a blocking CI gate and a pre-commit habit;
         # the whole-program pass (call graph + taint fixpoint) must

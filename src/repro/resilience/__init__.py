@@ -13,10 +13,11 @@ instead of restarting from zero:
   :class:`~repro.parallel.errors.RankDeathError`) from *stragglers*
   (plain :class:`~repro.parallel.errors.RankTimeoutError` after the full
   deadline) and emits :class:`.detector.RankDeathReport`\\ s.
-* :mod:`.remap` — shrink-and-redistribute state transfer: global-point
-  fields and per-element attenuation memory from a dead world's
-  checkpoints are remapped onto any smaller world's partition by
-  quantized coordinates, the same matching rule the halo builder uses.
+* :mod:`.remap` — shrink-and-redistribute state transfer: every array
+  a solver declares (global-point fields, per-element attenuation
+  memory, seismogram buffers) is remapped from a dead world's
+  checkpoints onto any smaller world's partition by quantized
+  coordinates, the same matching rule the halo builder uses.
 * :mod:`.supervisor` — :class:`.supervisor.RunSupervisor`, wrapping
   :func:`~repro.parallel.launcher.run_distributed_simulation` with a
   bounded recovery budget: on a detected death it restores every rank

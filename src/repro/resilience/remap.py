@@ -10,91 +10,91 @@ new world at the same coordinates, and every element has the same
 centroid.  This module matches them the way the halo builder matches
 shared slice-boundary points — by coordinates quantized at
 ``tolerance_km`` (:data:`repro.parallel.halo.build_halos` uses the same
-rule) — and carries over:
+rule) — and carries over every array the new rank's solver declares
+(:meth:`~repro.solver.solver.GlobalSolver.dynamic_state`), by kind:
 
-* global-point fields — solid ``displ``/``veloc``/``accel`` per region,
-  fluid ``chi``/``chi_dot``/``chi_ddot``;
-* per-element attenuation *memory* (``zeta``) by element centroid.  The
-  attenuation coefficients (alpha/y/gain) are deliberately NOT
+* ``point`` arrays (the solid and fluid fields) by global-point
+  coordinates;
+* ``element`` arrays (the attenuation *memory*) by element centroid.
+  The attenuation coefficients (alpha/y/gain) are deliberately NOT
   remapped: they are element-local functions of (Q_mu, dt) alone
   (:func:`repro.solver.attenuation.build_attenuation` bins by distinct
   Q value), so the new world's solver rebuilds identical coefficients
   as long as dt is pinned — which the supervisor does;
-* partially-recorded seismogram buffers, re-keyed by *station name*
-  (stations are re-assigned to the nearest point of the new partition,
-  so their owning rank and row order may change).
+* the ``receiver`` array (partially-recorded seismograms), re-keyed by
+  *station name* (stations are re-assigned to the nearest point of the
+  new partition, so their owning rank and row order may change).
 
-Every state array is event-leading (checkpoint format v5): fields
-``(B, nglob[, 3])``, ``zeta`` ``(B, n_sls, nspec, 6, n, n, n)``, seismograms
-``(B, nrec, n_steps, 3)`` — so the point and receiver slots are axis 1
-and the element slot axis 2, with ``B = 1`` for a single-event run.
+The result is a checkpoint-shaped array dict per new rank, which
+:func:`repro.solver.checkpoint.restore_state` — the checkpoint load's
+own path — validates and writes into the solver.  Every state array is
+event-leading (checkpoint format v5), so the point axis is axis 1 and
+the element axis axis 2, with ``B = 1`` for a single-event run.
 
-Points shared by several old ranks are taken first-writer-wins (old
-rank order).  For points with 3+ owners the per-rank assembled values
-can differ in the last ulps (floating-point addition order), which is
-why shrink recovery is validated against a tolerance, not bit identity
-— respawn recovery, which reloads each rank's own checkpoint, is the
-bit-exact path (docs/resilience.md).
+The matching is array-form, on :func:`repro.mesh.numbering.group_rows`:
+per region, the old ranks' quantized keys in rank order followed by the
+new ranks' keys are grouped once, and each new row takes its group's
+first row.  Points shared by several old ranks are therefore taken
+first-writer-wins (old rank order).  For points with 3+ owners the
+per-rank assembled values can differ in the last ulps (floating-point
+addition order), which is why shrink recovery is validated against a
+tolerance, not bit identity — respawn recovery, which reloads each
+rank's own checkpoint, is the bit-exact path (docs/resilience.md).
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-__all__ = ["remap_world_state", "apply_rank_state"]
+from ..mesh.numbering import group_rows
+
+__all__ = ["WorldRemap"]
 
 #: Matching tolerance, in km — the same quantum the halo builder uses to
 #: identify shared points across slices.
 TOLERANCE_KM = 1e-5
 
-
-def _point_keys(mesh, tol: float) -> list[bytes]:
-    """One hashable quantized-coordinate key per global point of a region."""
-    ibool = mesh.ibool.reshape(-1)
-    nglob = int(ibool.max()) + 1
-    coords = np.empty((nglob, 3))
-    coords[ibool] = mesh.xyz.reshape(-1, 3)
-    q = np.round(coords / tol).astype(np.int64)
-    return [row.tobytes() for row in q]
+#: The axis a partition cuts, per state-array kind.
+_AXIS = {"point": 1, "element": 2}
 
 
-def _element_keys(mesh, tol: float) -> list[bytes]:
-    """One hashable quantized-centroid key per element of a region."""
-    centroids = mesh.xyz.reshape(mesh.nspec, -1, 3).mean(axis=1)
-    q = np.round(centroids / tol).astype(np.int64)
-    return [row.tobytes() for row in q]
+def _keys(mesh, kind: str, tol: float) -> np.ndarray:
+    """Quantized coordinates, one int64 row per global point (``point``)
+    or element centroid (``element``) of a region."""
+    if kind == "point":
+        ibool = mesh.ibool.reshape(-1)
+        coords = np.empty((int(ibool.max()) + 1, 3))
+        coords[ibool] = mesh.xyz.reshape(-1, 3)
+    else:
+        coords = mesh.xyz.reshape(mesh.nspec, -1, 3).mean(axis=1)
+    return np.round(coords / tol).astype(np.int64)
 
 
-def _harvest_points(
-    old_slices: list, old_arrays: dict[int, dict], code, name: str, tol: float
-) -> dict[bytes, np.ndarray]:
-    """Gather ``name``'s per-point values across the old world.
+def _first_rows(
+    old_keys: list[np.ndarray], new_keys: list[np.ndarray], region, kind: str
+) -> list[np.ndarray]:
+    """Per new rank, the row of the old world (its ranks' rows concatenated
+    in rank order) that each of its rows takes: the first with its key.
 
-    First-writer-wins in old rank order for points owned by several
-    ranks (see the module docstring for why that is tolerable).
+    A key with no old row is a coverage gap — the two partitions do not
+    discretize the same globe, and recovery on such a world would be
+    silently wrong — so it is rejected loudly.
     """
-    values: dict[bytes, np.ndarray] = {}
-    for rank in sorted(old_arrays):
-        arrays = old_arrays[rank]
-        if name not in arrays:
-            continue
-        keys = _point_keys(old_slices[rank].regions[code], tol)
-        arr = arrays[name]
-        for i, key in enumerate(keys):
-            if key not in values:
-                values[key] = arr[:, i]
-    return values
+    n_old = sum(len(k) for k in old_keys)
+    first, group = group_rows(np.concatenate(old_keys + new_keys))
+    rows = first[group[n_old:]]
+    if np.any(rows >= n_old):
+        raise ValueError(
+            f"shrink remap: region {region} has a {kind} with no "
+            f"counterpart in the old world's checkpoints"
+        )
+    return np.split(rows, np.cumsum([len(k) for k in new_keys])[:-1])
 
 
-def remap_world_state(
-    old_slices: list,
-    old_arrays: dict[int, dict],
-    new_slices: list,
-    old_station_names: dict[int, list[str]] | None = None,
-    new_station_names: dict[int, list[str]] | None = None,
-    tolerance_km: float = TOLERANCE_KM,
-) -> list[dict]:
-    """Remap a dead world's checkpointed state onto a new partition.
+class WorldRemap:
+    """A dead world's checkpointed state, cut to a new partition's ranks.
 
     Parameters
     ----------
@@ -105,154 +105,100 @@ def remap_world_state(
     old_station_names / new_station_names : per-rank station-name lists
         in receiver order, for re-keying seismogram buffers.
 
-    Returns one state dict per new rank, ready for
-    :func:`apply_rank_state`.  All old ranks must checkpoint the *same*
-    step (the supervisor guarantees it); a mismatch is rejected.
+    All old ranks must checkpoint the *same* step (the supervisor
+    guarantees it); a mismatch is rejected.  The matching is done once,
+    here; :meth:`arrays_for` is safe to call from every new rank's thread.
     """
-    if not old_arrays:
-        raise ValueError("remap needs at least one old-world checkpoint")
-    steps = {int(a["step"]) for a in old_arrays.values()}
-    if len(steps) != 1:
-        raise ValueError(
-            f"old-world checkpoints disagree on the step: {sorted(steps)}"
-        )
-    step = steps.pop()
-    tol = tolerance_km
-    sample = next(iter(old_arrays.values()))
-    solid_codes = [int(c) for c in sample["solid_codes"]]
-    has_fluid = "chi" in sample
-    zeta_names = [k for k in sample if k.startswith("zeta_")]
 
-    # -- global-point fields -------------------------------------------------
-    # (region code, field name) -> quantized point key -> value row
-    point_values: dict[tuple, dict[bytes, np.ndarray]] = {}
-    from ..model.prem import RegionCode
-
-    field_names: list[tuple] = []
-    for code in solid_codes:
-        for prefix in ("displ", "veloc", "accel"):
-            field_names.append((code, f"{prefix}_{code}"))
-    fluid_code = None
-    if has_fluid:
-        fluid_code = RegionCode.OUTER_CORE
-        for name in ("chi", "chi_dot", "chi_ddot"):
-            field_names.append((fluid_code, name))
-    for region, name in field_names:
-        point_values[(region, name)] = _harvest_points(
-            old_slices, old_arrays, region, name, tol
-        )
-
-    # -- per-element attenuation memory --------------------------------------
-    # zeta name -> quantized centroid key -> per-element memory block
-    elem_values: dict[str, dict[bytes, np.ndarray]] = {}
-    for name in zeta_names:
-        code = int(name[len("zeta_"):])
-        values: dict[bytes, np.ndarray] = {}
-        for rank in sorted(old_arrays):
-            arrays = old_arrays[rank]
-            if name not in arrays:
-                continue
-            keys = _element_keys(old_slices[rank].regions[code], tol)
-            z = arrays[name]  # (B, n_sls, nspec, 6, n, n, n)
-            for e, key in enumerate(keys):
-                if key not in values:
-                    values[key] = z[:, :, e]
-        elem_values[name] = values
-
-    # -- seismogram rows by station name -------------------------------------
-    seis_rows: dict[str, np.ndarray] = {}
-    seis_cursor = 0
-    seis_nbuf = None
-    for rank in sorted(old_arrays):
-        arrays = old_arrays[rank]
-        names = (old_station_names or {}).get(rank, [])
-        if "seis_data" not in arrays or not names:
-            continue
-        data = arrays["seis_data"]
-        if data.shape[1] != len(names):
+    def __init__(
+        self,
+        old_slices: list,
+        old_arrays: dict[int, dict],
+        new_slices: list,
+        old_station_names: dict[int, list[str]] | None = None,
+        new_station_names: dict[int, list[str]] | None = None,
+        tolerance_km: float = TOLERANCE_KM,
+    ):
+        if not old_arrays:
+            raise ValueError("remap needs at least one old-world checkpoint")
+        steps = {int(a["step"]) for a in old_arrays.values()}
+        if len(steps) != 1:
             raise ValueError(
-                f"old rank {rank} checkpoint has {data.shape[1]} "
-                f"receiver rows but {len(names)} station names"
+                f"old-world checkpoints disagree on the step: {sorted(steps)}"
             )
-        seis_cursor = int(arrays["seis_step"])
-        seis_nbuf = int(arrays["seis_n_steps"])
-        for j, station in enumerate(names):
-            seis_rows[station] = data[:, j]
-
-    # -- assemble per-new-rank states ----------------------------------------
-    states: list[dict] = []
-    for rank, sl in enumerate(new_slices):
-        state: dict = {"step": step, "solid": {}, "fluid": None, "zeta": {}}
-        for code in solid_codes:
-            keys = _point_keys(sl.regions[code], tol)
-            parts = []
-            for prefix in ("displ", "veloc", "accel"):
-                values = point_values[(code, f"{prefix}_{code}")]
-                parts.append(_gather(values, keys, code, prefix))
-            state["solid"][code] = tuple(parts)
-        if has_fluid:
-            keys = _point_keys(sl.regions[fluid_code], tol)
-            state["fluid"] = tuple(
-                _gather(point_values[(fluid_code, name)], keys, fluid_code, name)
-                for name in ("chi", "chi_dot", "chi_ddot")
-            )
-        for name in zeta_names:
-            code = int(name[len("zeta_"):])
-            keys = _element_keys(sl.regions[code], tol)
-            cols = _gather(elem_values[name], keys, code, name)
-            state["zeta"][code] = np.stack(cols, axis=2)
-        names = (new_station_names or {}).get(rank, [])
-        if names and seis_nbuf is not None:
-            missing = [n for n in names if n not in seis_rows]
-            if missing:
-                raise ValueError(
-                    f"no checkpointed seismogram rows for stations {missing}"
+        ranks = sorted(old_arrays)
+        self._old = [old_arrays[r] for r in ranks]
+        self._old_station_names = [
+            (old_station_names or {}).get(r, []) for r in ranks
+        ]
+        self._new_station_names = new_station_names or {}
+        sample = self._old[0]
+        self._header = {k: sample[k] for k in ("step", "dt", "solid_codes")}
+        #: (kind, region) -> per new rank, the old-world row of each row.
+        self._rows: dict[tuple[str, int], list[np.ndarray]] = {}
+        for kind in _AXIS:
+            for code in new_slices[0].regions:
+                self._rows[kind, code] = _first_rows(
+                    [_keys(old_slices[r].regions[code], kind, tolerance_km)
+                     for r in ranks],
+                    [_keys(sl.regions[code], kind, tolerance_km)
+                     for sl in new_slices],
+                    code,
+                    kind,
                 )
-            data = np.stack([seis_rows[n] for n in names], axis=1)
-            state["seis"] = (data, seis_cursor, seis_nbuf)
-        else:
-            state["seis"] = None
-        states.append(state)
-    return states
+        self._joined: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()
 
+    def arrays_for(self, rank: int, solver) -> dict[str, np.ndarray]:
+        """New rank ``rank``'s state for ``solver``, checkpoint-shaped: one
+        entry per array the solver declares that the old world carried
+        (a missing one is :func:`~repro.solver.checkpoint.restore_state`'s
+        to reject), plus the header."""
+        arrays = dict(self._header)
+        for state in solver.dynamic_state():
+            if state.kind == "receiver":
+                arrays.update(self._seismograms(rank, state.name))
+            elif all(state.name in a for a in self._old):
+                axis = _AXIS[state.kind]
+                arrays[state.name] = np.take(
+                    self._old_world(state.name, axis),
+                    self._rows[state.kind, state.region][rank],
+                    axis=axis,
+                )
+        return arrays
 
-def _gather(values: dict[bytes, np.ndarray], keys: list[bytes], region, what):
-    """Look every key up, loudly rejecting coverage gaps (a gap means the
-    two partitions do not discretize the same globe — recovery on such a
-    world would be silently wrong)."""
-    out = []
-    for key in keys:
-        row = values.get(key)
-        if row is None:
+    def _old_world(self, name: str, axis: int) -> np.ndarray:
+        """Every old rank's ``name``, concatenated in rank order along
+        ``axis`` (built by the first rank thread that asks)."""
+        with self._lock:
+            if name not in self._joined:
+                self._joined[name] = np.concatenate(
+                    [a[name] for a in self._old], axis=axis
+                )
+            return self._joined[name]
+
+    def _seismograms(self, rank: int, name: str) -> dict[str, np.ndarray]:
+        """The receiver array ``name`` for new rank ``rank``'s stations,
+        row by station name, with the old world's cursor and horizon."""
+        rows: dict[str, np.ndarray] = {}
+        for r, (arrays, names) in enumerate(
+            zip(self._old, self._old_station_names)
+        ):
+            if not names or name not in arrays:
+                continue
+            data = arrays[name]
+            if data.shape[1] != len(names):
+                raise ValueError(
+                    f"old rank {r} checkpoint has {data.shape[1]} "
+                    f"receiver rows but {len(names)} station names"
+                )
+            cursor = {k: arrays[k] for k in ("seis_step", "seis_n_steps")}
+            rows.update(zip(names, np.moveaxis(data, 1, 0)))
+        names = self._new_station_names.get(rank, [])
+        missing = [n for n in names if n not in rows]
+        if missing or not names:
             raise ValueError(
-                f"shrink remap: region {region} has a {what} point/element "
-                f"with no counterpart in the old world's checkpoints"
+                f"no checkpointed seismogram rows for new rank {rank}'s "
+                f"stations {missing or names}"
             )
-        out.append(row)
-    return out
-
-
-def apply_rank_state(solver, state: dict) -> int:
-    """Seed a freshly built solver with remapped state; returns the step.
-
-    The in-memory twin of :func:`repro.solver.checkpoint.load_checkpoint`
-    — same field/zeta/seismogram coverage, minus the disk round-trip.
-    """
-    for code, (displ, veloc, accel) in state["solid"].items():
-        fld = solver.solid[code]
-        fld.displ[:] = np.stack(displ, axis=1)
-        fld.veloc[:] = np.stack(veloc, axis=1)
-        fld.accel[:] = np.stack(accel, axis=1)
-    if state["fluid"] is not None:
-        chi, chi_dot, chi_ddot = state["fluid"]
-        fl = solver.fluid
-        fl.chi[:] = np.stack(chi, axis=1)
-        fl.chi_dot[:] = np.stack(chi_dot, axis=1)
-        fl.chi_ddot[:] = np.stack(chi_ddot, axis=1)
-    for code, zeta in state["zeta"].items():
-        solver.attenuation[code].zeta[:] = zeta
-    seis = state.get("seis")
-    if seis is not None and solver.receiver_sets:
-        data, cursor, _nbuf = seis
-        solver.restore_seismograms(data, cursor)
-    return int(state["step"])
+        return {name: np.stack([rows[n] for n in names], axis=1), **cursor}

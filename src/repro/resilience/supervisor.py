@@ -50,9 +50,9 @@ from ..parallel.launcher import (
     run_distributed_simulation,
     segment_boundaries,
 )
-from ..solver.checkpoint import CheckpointError, CheckpointManager
+from ..solver.checkpoint import CheckpointError, CheckpointManager, restore_state
 from .detector import FailureDetector, RankDeathReport
-from .remap import apply_rank_state, remap_world_state
+from .remap import WorldRemap
 
 __all__ = [
     "RecoveryPolicy",
@@ -371,7 +371,7 @@ class RunSupervisor:
                                     r: managers[r].arrays(resume)
                                     for r in range(old_world.size)
                                 }
-                                states = remap_world_state(
+                                remap = WorldRemap(
                                     old_world.slices,
                                     old_arrays,
                                     world.slices,
@@ -388,7 +388,9 @@ class RunSupervisor:
                                 )
 
                                 def restore(rank: int, solver) -> None:
-                                    apply_rank_state(solver, states[rank])
+                                    restore_state(
+                                        solver, remap.arrays_for(rank, solver)
+                                    )
 
                             else:
                                 restore = None

@@ -127,6 +127,8 @@ class ServiceHTTPServer:
         self.port = port
         self.defaults = dict(defaults or {})
         self._server: asyncio.AbstractServer | None = None
+        #: Live connection handlers, which :meth:`stop` finishes.
+        self._handlers: set[asyncio.Task] = set()
 
     async def start(self) -> "ServiceHTTPServer":
         self._server = await asyncio.start_server(
@@ -141,8 +143,17 @@ class ServiceHTTPServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
+        """Stop listening, then cancel and await every connection handler.
+
+        ``wait_closed`` alone returns while a keep-alive handler still
+        waits for its client's next request; left pending, the loop's
+        teardown destroys it mid-await."""
         if self._server is not None:
             self._server.close()
+            handlers = list(self._handlers)
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -151,6 +162,8 @@ class ServiceHTTPServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
             while True:
                 try:
@@ -169,6 +182,7 @@ class ServiceHTTPServer:
             # The peer vanished mid-response; nothing left to answer.
             pass
         finally:
+            self._handlers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -3,11 +3,13 @@
 The paper's production runs take "about 1 week ... of dedicated 32K or
 more processor supercomputer time" — far beyond any queue's wall limit, so
 runs of that class live and die by checkpointing.  This module saves and
-restores the complete dynamic state of a :class:`GlobalSolver` (fields of
-every region, attenuation memory variables, step counter, and the
-partially-recorded seismogram buffers with their step cursor) so a run
-split into segments is bit-identical to an uninterrupted one *including
-its seismograms* — the property the tests verify.
+restores the complete dynamic state of a :class:`GlobalSolver` — every
+array its :meth:`~repro.solver.solver.GlobalSolver.dynamic_state`
+declares (fields of every region, attenuation memory variables, the
+partially-recorded seismogram buffers) plus the step counter and the
+recording cursor — so a run split into segments is bit-identical to an
+uninterrupted one *including its seismograms*, the property the tests
+verify.  Save and load iterate the declaration and name no state array.
 
 A checkpoint is one verified record (:mod:`repro.chaos.integrity`,
 magic ``CKPTREC1``): every state array plus the scalars as 0-d arrays,
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -46,6 +49,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "read_verified_arrays",
+    "restore_state",
 ]
 
 _FORMAT_VERSION = 5
@@ -100,24 +104,12 @@ def _save_checkpoint_body(solver, path: Path, step: int) -> Path:
         "dt": np.asarray(solver.dt),
         "solid_codes": np.asarray(sorted(solver.solid_codes)),
     }
-    for code in solver.solid_codes:
-        f = solver.solid[code]
-        arrays[f"displ_{code}"] = f.displ
-        arrays[f"veloc_{code}"] = f.veloc
-        arrays[f"accel_{code}"] = f.accel
-    if solver.fluid is not None:
-        arrays["chi"] = solver.fluid.chi
-        arrays["chi_dot"] = solver.fluid.chi_dot
-        arrays["chi_ddot"] = solver.fluid.chi_ddot
-    for code, atten in solver.attenuation.items():
-        arrays[f"zeta_{code}"] = atten.zeta
-    # Partially-recorded seismograms plus the recording cursor, so a
-    # segmented run's seismograms match an uninterrupted run exactly.
+    arrays.update((state.name, state.array) for state in solver.dynamic_state())
+    # The recording cursor and horizon travel with the seismogram buffers,
+    # so a segmented run's seismograms match an uninterrupted run exactly.
     if solver.receiver_sets:
-        sets = solver.receiver_sets
-        arrays["seis_data"] = np.stack([rs.data for rs in sets])
-        arrays["seis_step"] = np.asarray(int(sets[0].step_cursor))
-        arrays["seis_n_steps"] = np.asarray(int(sets[0].n_steps))
+        arrays["seis_step"] = np.asarray(int(solver.receiver_sets[0].step_cursor))
+        arrays["seis_n_steps"] = np.asarray(int(solver.receiver_sets[0].n_steps))
     return write_record(path, _MAGIC, arrays)
 
 
@@ -140,7 +132,7 @@ def load_checkpoint(solver, path: str | Path, tracer=None, metrics=None) -> int:
         if metrics is not None:
             metrics.counter("checkpoint.loads").add(1)
             metrics.counter("io.checkpoint_bytes_read").add(nbytes)
-        return _load_checkpoint_body(solver, path)
+        return restore_state(solver, read_verified_arrays(path))
 
 
 def read_verified_arrays(path: str | Path) -> dict[str, np.ndarray]:
@@ -166,9 +158,30 @@ def read_verified_arrays(path: str | Path) -> dict[str, np.ndarray]:
     return f
 
 
-def _load_checkpoint_body(solver, path: Path) -> int:
-    f = read_verified_arrays(path)
-    saved_dt = float(f["dt"])
+#: Record entries that are not state arrays: the header, and the
+#: recording cursor and horizon that travel with the seismogram buffers.
+_NOT_STATE = frozenset(
+    ("version", "step", "dt", "solid_codes", "seis_step", "seis_n_steps")
+)
+
+
+def restore_state(solver, arrays: Mapping[str, np.ndarray]) -> int:
+    """Write checkpoint-shaped ``arrays`` into ``solver``; returns the step.
+
+    The one way state enters a solver — a checkpoint load, and a shrink
+    recovery's remapped arrays (:mod:`repro.resilience.remap`).  The
+    whole record is checked against the solver's declared state
+    (:meth:`~repro.solver.solver.GlobalSolver.dynamic_state`) before any
+    array is written: a declared array the record lacks is a
+    :class:`CheckpointError`, and a state array the solver does not
+    declare (an attenuated record on an elastic solver), a shape, dt or
+    region mismatch are a ``ValueError`` — the solver is wrong for the
+    record, so nothing is quarantined.
+    """
+    for name in ("step", "dt", "solid_codes"):
+        if name not in arrays:
+            raise CheckpointError(f"checkpoint lacks the {name} header")
+    saved_dt = float(arrays["dt"])
     # Relative comparison via math.isclose: tolerates the dt == 0 edge
     # (both zero compares equal; zero vs. non-zero is rejected) instead of
     # the old ``abs(diff) > 1e-12 * solver.dt`` which degenerated at 0.
@@ -176,75 +189,70 @@ def _load_checkpoint_body(solver, path: Path) -> int:
         raise ValueError(
             f"checkpoint dt {saved_dt} does not match solver dt {solver.dt}"
         )
-    saved_codes = set(int(c) for c in f["solid_codes"])
+    saved_codes = set(int(c) for c in arrays["solid_codes"])
     if saved_codes != set(solver.solid_codes):
         raise ValueError(
             f"checkpoint regions {saved_codes} do not match solver "
             f"regions {set(solver.solid_codes)}"
         )
-    for code in solver.solid_codes:
-        field = solver.solid[code]
-        for name, target in (
-            (f"displ_{code}", field.displ),
-            (f"veloc_{code}", field.veloc),
-            (f"accel_{code}", field.accel),
-        ):
-            if name not in f:
-                raise CheckpointError(f"checkpoint lacks array {name}")
-            data = f[name]
-            if data.shape != target.shape:
-                raise ValueError(
-                    f"checkpoint array {name} has shape {data.shape}, "
-                    f"solver expects {target.shape}"
-                )
-            target[:] = data
-    if solver.fluid is not None:
-        if "chi" not in f:
-            raise ValueError("checkpoint lacks the fluid state")
-        solver.fluid.chi[:] = f["chi"]
-        solver.fluid.chi_dot[:] = f["chi_dot"]
-        solver.fluid.chi_ddot[:] = f["chi_ddot"]
-    for code, atten in solver.attenuation.items():
-        name = f"zeta_{code}"
-        if name not in f:
-            raise ValueError(
-                f"checkpoint lacks attenuation memory for region {code}"
-            )
-        atten.zeta[:] = f[name]
-    # -- Seismogram buffers -------------------------------------------------
-    if "seis_data" in f:
-        if not solver.receiver_sets:
-            raise ValueError(
-                "checkpoint carries seismogram buffers but the solver has "
-                "no receivers; rebuild the solver with the same stations"
-            )
-        data = f["seis_data"]  # (B, nrec, n_steps, 3)
-        sets = solver.receiver_sets
-        expected = (len(sets), len(sets[0].receivers))
-        if data.ndim != 4 or data.shape[:2] != expected or data.shape[-1] != 3:
-            raise ValueError(
-                f"checkpoint seismogram buffer {data.shape} does not match "
-                f"the solver's {expected[0]} events x {expected[1]} receivers"
-            )
-        # The restored run keeps the checkpointed recording horizon.
-        # ``seis_n_steps`` was once written but never read back, so a
-        # truncated buffer silently passed as a shorter recording;
-        # cross-check it against the buffer's actual step extent.
-        if "seis_n_steps" in f:
-            declared = int(f["seis_n_steps"])
-            if declared != data.shape[2]:
-                raise ValueError(
-                    f"checkpoint seismogram buffer carries "
-                    f"{data.shape[2]} steps but declares "
-                    f"seis_n_steps={declared}; the file is inconsistent"
-                )
-        solver.restore_seismograms(data, int(f["seis_step"]))
-    elif solver.receiver_sets:
+    declared = list(solver.dynamic_state())
+    undeclared = sorted(
+        set(arrays) - _NOT_STATE - {state.name for state in declared}
+    )
+    if undeclared:
         raise ValueError(
-            "checkpoint has no seismogram buffers but the solver records "
-            "receivers; the segmented seismograms would be wrong"
+            f"checkpoint carries state array(s) {undeclared} that the solver "
+            f"does not declare; rebuild the solver with the same physics "
+            f"and stations"
         )
-    return int(f["step"])
+    for state in declared:
+        if state.name not in arrays:
+            hint = (
+                ": it has no seismogram buffers but the solver records receivers"
+                if state.kind == "receiver"
+                else ""
+            )
+            raise CheckpointError(f"checkpoint lacks state array {state.name!r}{hint}")
+        data = arrays[state.name]
+        if state.kind == "receiver":
+            _check_seismograms(data, arrays, state.array.shape)
+        elif data.shape != state.array.shape:
+            raise ValueError(
+                f"checkpoint array {state.name} has shape {data.shape}, "
+                f"solver expects {state.array.shape}"
+            )
+    for state in declared:
+        if state.kind == "receiver":
+            solver.restore_seismograms(
+                arrays[state.name], int(arrays["seis_step"])
+            )
+        else:
+            state.array[:] = arrays[state.name]
+    return int(arrays["step"])
+
+
+def _check_seismograms(data: np.ndarray, arrays, expected: tuple) -> None:
+    """A ``(B, nrec, n_steps, 3)`` buffer for ``expected``'s events and
+    receivers, of any horizon (the restored run keeps the checkpointed
+    one), with a cursor and a horizon that agrees with it."""
+    if data.ndim != 4 or data.shape[:2] != expected[:2] or data.shape[-1] != 3:
+        raise ValueError(
+            f"checkpoint seismogram buffer {data.shape} does not match "
+            f"the solver's {expected[0]} events x {expected[1]} receivers"
+        )
+    if "seis_step" not in arrays:
+        raise CheckpointError("checkpoint lacks the seismogram cursor seis_step")
+    # ``seis_n_steps`` was once written but never read back, so a
+    # truncated buffer silently passed as a shorter recording;
+    # cross-check it against the buffer's actual step extent.
+    if "seis_n_steps" in arrays:
+        declared = int(arrays["seis_n_steps"])
+        if declared != data.shape[2]:
+            raise ValueError(
+                f"checkpoint seismogram buffer carries "
+                f"{data.shape[2]} steps but declares "
+                f"seis_n_steps={declared}; the file is inconsistent"
+            )
 
 
 class CheckpointManager:

@@ -1,4 +1,4 @@
-"""Wavefield state containers for the solid and fluid regions.
+"""Wavefield state containers and the declaration of a solver's state.
 
 Array contract
 --------------
@@ -25,15 +25,45 @@ know the event axis exists: the solver's phase functions hand every
 component a ``displ[b]``-style *view* in the single-event layout
 ``(nglob[, 3])``, which is what makes bit-identity of event ``b`` with a
 dedicated run hold by construction (see docs/batching.md).
+
+Dynamic state
+-------------
+:meth:`GlobalSolver.dynamic_state
+<repro.solver.solver.GlobalSolver.dynamic_state>` declares, as one
+:class:`StateArray` per array, everything a restart must carry: these
+fields, the attenuation memory and the seismogram buffers.  Checkpoint
+save and load, the shrink remap (:mod:`repro.resilience.remap`) and the
+solver's first touch iterate that declaration and name no state array:
+a new one is declared there once, and ``tests/test_dynamic_state.py``
+fails when a time step changes an array that is not declared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["SolidField", "FluidField"]
+__all__ = ["SolidField", "FluidField", "StateArray"]
+
+
+class StateArray(NamedTuple):
+    """One array of a solver's dynamic state, as a restart carries it.
+
+    ``name`` is the array's name in a checkpoint record.  ``kind`` says
+    which axis a partition cuts: a ``"point"`` array ``(B, nglob[, 3])``
+    lives on region ``region``'s global points, an ``"element"`` array
+    ``(B, n_sls, nspec, ...)`` on its elements, and the ``"receiver"``
+    array ``(B, nrec, n_steps, 3)`` (``region`` None) holds the
+    seismogram buffers, restored with their step cursor through
+    :meth:`~repro.solver.solver.GlobalSolver.restore_seismograms`.
+    """
+
+    name: str
+    array: np.ndarray
+    kind: str
+    region: int | None
 
 
 @dataclass

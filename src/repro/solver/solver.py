@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .assembly import gather, scatter_add
 from .attenuation import AttenuationState, build_attenuation
 from .body_terms import coriolis_local_force, gravity_local_force
 from .coupling import CouplingOperator
-from .fields import FluidField, SolidField
+from .fields import FluidField, SolidField, StateArray
 from .oceans import OceanLoad
 from .prepared import (
     LENGTH_SCALE,
@@ -495,28 +495,59 @@ class GlobalSolver:
         resident before the loop starts.  ``np.zeros``/``np.empty`` only
         reserve address space; left alone, the first step pays the page
         faults of ~80 MiB at NEX 8 — +23 ms median and +130 ms worst on a
-        48 ms step, 12 ms here — which is set-up hidden inside the loop."""
+        48 ms step, 12 ms here — which is set-up hidden inside the loop.
+        The state arrays come from :meth:`dynamic_state`; the seismogram
+        buffers are left out (a step writes one row of them)."""
         ws = self._workspace
         buffers = [ws.a, ws.b, ws.c, self._gathered, self._local]
         buffers += [*self._force.values(), *self._scratch_local.values()]
         if self.attenuation:
             buffers.append(ws.memory)
-            buffers += [att.zeta for att in self.attenuation.values()]
-        for f in self.solid.values():
-            buffers += [f.displ, f.veloc, f.accel]
-        if self.fluid is not None:
-            buffers += [self.fluid.chi, self.fluid.chi_dot, self.fluid.chi_ddot]
+        buffers += [
+            state.array
+            for state in self.dynamic_state()
+            if state.kind != "receiver"
+        ]
         for buf in buffers:
             buf.fill(0.0)
+
+    def dynamic_state(self) -> Iterator[StateArray]:
+        """Every array a restart must carry, in checkpoint record order.
+
+        The one declaration of the solver's dynamic state (the
+        :mod:`~repro.solver.fields` docstring): per solid region its
+        ``displ``/``veloc``/``accel``, the fluid's ``chi``/``chi_dot``/
+        ``chi_ddot``, per attenuating region its memory ``zeta``, and the
+        seismogram buffers.  Checkpoint save and load, the shrink remap and
+        :meth:`_touch_step_buffers` iterate it; nothing else names these
+        arrays.
+        """
+        for code in self.solid_codes:
+            field = self.solid[code]
+            for name in ("displ", "veloc", "accel"):
+                yield StateArray(f"{name}_{code}", getattr(field, name), "point", code)
+        if self.fluid is not None:
+            for name in ("chi", "chi_dot", "chi_ddot"):
+                yield StateArray(
+                    name, getattr(self.fluid, name), "point", self.fluid_code
+                )
+        for code, atten in self.attenuation.items():
+            yield StateArray(f"zeta_{code}", atten.zeta, "element", code)
+        if self.receiver_sets:
+            yield StateArray("seis_data", self._seismograms, "receiver", None)
 
     def reset_receivers(self, n_steps: int) -> None:
         """(Re)allocate every event's recording buffers for ``n_steps``:
         one :class:`ReceiverSet` per event over the shared located
-        receivers, none without stations."""
+        receivers, none without stations.  The sets record into views of
+        one ``(B, nrec, n_steps, 3)`` array, the declared ``seis_data``."""
+        self._seismograms = np.zeros((self.batch, len(self._located), n_steps, 3))
         self.receiver_sets: list[ReceiverSet] = [
             ReceiverSet(self._located, n_steps, self.dt)
             for _ in range(self.batch if self._located else 0)
         ]
+        for rs, data in zip(self.receiver_sets, self._seismograms):
+            rs.data = data
 
     def restore_seismograms(self, data: np.ndarray, cursor: int) -> None:
         """Restore partially-recorded ``(B, nrec, n_steps, 3)`` buffers and
@@ -526,8 +557,8 @@ class GlobalSolver:
         default ``n_steps``."""
         if data.shape[2] != self.receiver_sets[0].n_steps:
             self.reset_receivers(data.shape[2])
-        for rs, event_data in zip(self.receiver_sets, data):
-            rs.data[:] = event_data
+        self._seismograms[:] = data
+        for rs in self.receiver_sets:
             rs.step_cursor = int(cursor)
 
     @property

@@ -616,6 +616,31 @@ def test_http_round_trip(tmp_path):
     assert backend.calls == 1
 
 
+def test_stop_finishes_idle_keep_alive_handlers(tmp_path):
+    # An idle keep-alive client leaves its connection handler waiting for
+    # the next request; stop() must cancel and await it, not leave it
+    # pending for the loop's teardown to destroy.
+    service, _backend = make_service(tmp_path)
+
+    async def scenario():
+        server = await ServiceHTTPServer(service, port=0).start()
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        writer.write(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        head = await reader.readuntil(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+        assert json.loads(await reader.readexactly(length)) == {"ok": True}
+        await server.stop()
+        left = asyncio.all_tasks() - {asyncio.current_task()}
+        writer.close()
+        return left
+
+    try:
+        assert asyncio.run(scenario()) == set()
+    finally:
+        service.close()
+
+
 # ------------------------------------------------ lifetime and concurrency
 
 def test_closed_service_is_freed_without_the_cycle_collector(tmp_path):
