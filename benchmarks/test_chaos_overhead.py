@@ -44,20 +44,9 @@ def _build_solver():
 
 
 def _state_arrays(solver):
-    """The array set a checkpoint fingerprints (fields + attenuation)."""
-    arrays = {}
-    for code in solver.solid_codes:
-        f = solver.solid[code]
-        arrays[f"displ_{code}"] = f.displ
-        arrays[f"veloc_{code}"] = f.veloc
-        arrays[f"accel_{code}"] = f.accel
-    if solver.fluid is not None:
-        arrays["chi"] = solver.fluid.chi
-        arrays["chi_dot"] = solver.fluid.chi_dot
-        arrays["chi_ddot"] = solver.fluid.chi_ddot
-    for code, atten in solver.attenuation.items():
-        arrays[f"zeta_{code}"] = atten.zeta
-    return arrays
+    """The array set a checkpoint fingerprints: the solver's declared
+    dynamic state (fields, attenuation memory, seismogram buffers)."""
+    return {state.name: state.array for state in solver.dynamic_state()}
 
 
 def test_sentinel_and_checksum_overhead_under_3pct(record):

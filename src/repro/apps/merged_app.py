@@ -31,7 +31,6 @@ from ..solver.solver import GlobalSolver, SolverResult
 __all__ = [
     "GlobalSimulationResult",
     "run_global_simulation",
-    "run_batched_simulation",
     "run_legacy_two_program",
 ]
 
@@ -112,8 +111,10 @@ def run_global_simulation(
     ``stream`` (a :class:`~repro.obs.stream.StreamingTelemetry`) samples
     the solver loop per step; the caller owns and closes it.
 
-    ``event_sources`` (instead of ``sources``) runs B events through the
-    one solver; see :func:`run_batched_simulation`.
+    ``event_sources`` (instead of ``sources``) runs B events through ONE
+    solver on the shared mesh (docs/batching.md): the ``seismograms``
+    gain a leading event axis, ``solver_result.receivers[b]`` is event
+    b's, and both are bit-identical to a ``sources=event_sources[b]`` run.
     """
     if tracer is None and trace:
         tracer = Tracer(pid=0)
@@ -161,36 +162,6 @@ def run_global_simulation(
         solver=solver,
         tracer=tracer,
         metrics=metrics,
-    )
-
-
-def run_batched_simulation(
-    params: SimulationParameters,
-    event_sources: list[list],
-    stations: list[Station] | None = None,
-    n_steps: int | None = None,
-    trace: bool = False,
-    mesh: GlobalMesh | None = None,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-    stream=None,
-) -> GlobalSimulationResult:
-    """Run B events through ONE solver on a shared mesh.
-
-    ``event_sources[b]`` is event b's source list; every other argument
-    is :func:`run_global_simulation`'s.  The mesh is built (or reused via
-    ``mesh``) once and the solver's fields carry a leading event axis, so
-    the mesh, geometry factors and — distributed — the halo messages are
-    shared B ways (docs/batching.md).  The result's ``seismograms`` are
-    ``(B, n_stations, n_steps, 3)``; ``result.solver_result.receivers[b]``
-    is event b's :class:`~repro.solver.receivers.ReceiverSet`, and both
-    are bit-identical to B separate :func:`run_global_simulation` calls
-    with ``sources=event_sources[b]``.
-    """
-    return run_global_simulation(
-        params, stations=stations, n_steps=n_steps, trace=trace, mesh=mesh,
-        tracer=tracer, metrics=metrics, stream=stream,
-        event_sources=event_sources,
     )
 
 

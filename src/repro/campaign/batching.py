@@ -6,8 +6,8 @@ campaign-side half of that optimisation: it inspects a campaign's
 :class:`~repro.campaign.queue.JobSpec` list, packs *compatible* jobs —
 same ``params_hash`` (so same mesh and physics), same stations, same
 step count; only the sources differ — into batched groups, executes each
-group as ONE :func:`~repro.apps.merged_app.run_batched_simulation` call,
-and fans the per-event seismograms back out as ordinary per-job
+group as ONE ``run_global_simulation(event_sources=)`` call, and fans
+the per-event seismograms back out as ordinary per-job
 :class:`~repro.campaign.workers.JobResult` / store records, so
 downstream provenance is unchanged (each record simply gains
 ``batch_size`` / ``batch_index`` / ``batch_key`` metadata).
@@ -124,16 +124,16 @@ def _run_batched_group(
     :class:`NumericalHealthError` the group is re-run sequentially so
     only the offending event fails (see module docstring).
     """
-    from ..apps.merged_app import run_batched_simulation
+    from ..apps.merged_app import run_global_simulation
 
     first = group[0]
     key = batch_key(first)
     t0 = time.perf_counter()
     try:
         mesh, hit = pool.mesh_cache.get(first.params)
-        sim = run_batched_simulation(
+        sim = run_global_simulation(
             first.params,
-            [list(job.sources or []) for job in group],
+            event_sources=[list(job.sources or []) for job in group],
             stations=first.stations,
             n_steps=first.n_steps,
             mesh=mesh,

@@ -211,8 +211,10 @@ def run_segmented_simulation(
                 # *before* this segment's planned boundary, and the span
                 # [resume, start) re-executes steps whose metrics earlier
                 # segments already emitted.  Gating emission at the planned
-                # boundary keeps counters (``solver.steps``,
-                # ``health.checks``, ...) equal to an unsegmented run's.
+                # boundary keeps ``solver.steps``, ``io.seismogram_bytes``
+                # and the series equal to an unsegmented run's.
+                # ``health.checks`` is not: every segment checks its last
+                # step, which guards the checkpoint written next.
                 result = solver.run(
                     n_steps=total, start_step=resume, stop_step=stop,
                     metrics_from_step=start,

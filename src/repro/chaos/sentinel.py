@@ -5,9 +5,11 @@ it silently floods the wavefield, the seismograms, and the next
 checkpoint with garbage, and a retry policy that cannot tell this from a
 lost node will happily re-run the same divergence three times.  The
 :class:`HealthSentinel` is the detection half of the chaos subsystem:
-called every ``check_every`` steps from ``GlobalSolver.run``, it scans
-the displacement/velocity/potential fields for non-finite values,
-amplitude blow-up, and runaway kinetic-energy growth, and raises a typed
+one of ``GlobalSolver.run``'s step observers
+(:meth:`HealthSentinel.observe`, every ``check_every`` steps and on a
+run's last step), it scans the displacement/velocity/potential fields
+for non-finite values, amplitude blow-up, and runaway kinetic-energy
+growth, and raises a typed
 :class:`NumericalHealthError` carrying a :class:`HealthSnapshot` (step,
 per-region max amplitudes, offending rank) that the campaign layer
 persists into the job's provenance record.
@@ -124,6 +126,24 @@ class HealthSentinel:
     def due(self, step: int) -> bool:
         """Check after ``step`` completes? (0-based; every Nth step.)"""
         return (step + 1) % self.check_every == 0
+
+    def observe(self, step: int, solver) -> None:
+        """Step observer: :meth:`check` when due and on the run's last
+        step, so a blow-up cannot slip unflagged into the seismograms or
+        the checkpoint written next; counted into ``health.checks`` and
+        ``health.failures`` behind the replay gate (``solver.publishing``)."""
+        if not (self.due(step) or step == solver.last_step):
+            return
+        metrics = solver.publishing(step)
+        with solver.tracer.span("health.check", step=step):
+            if metrics is not None:
+                metrics.counter("health.checks").add(1)
+            try:
+                self.check(solver, step)
+            except Exception:
+                if metrics is not None:
+                    metrics.counter("health.failures").add(1)
+                raise
 
     def _snapshot(self, solver, step: int, reason: str, detail: str,
                   energy: float) -> HealthSnapshot:

@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["Counter", "Gauge", "Histogram", "TimeSeries", "MetricsRegistry"]
+import numpy as np
+
+__all__ = ["Counter", "Gauge", "Histogram", "TimeSeries", "MetricsRegistry",
+           "record_step_metrics"]
 
 
 @dataclass
@@ -188,3 +191,20 @@ class MetricsRegistry:
         for name, s in self.series.items():
             out["series"][name] = {"steps": s.steps, "values": s.values}
         return out
+
+
+def record_step_metrics(step: int, solver) -> None:
+    """Step observer of ``GlobalSolver.run``: count the step into
+    ``solver.steps`` and append the peak solid displacement to the
+    ``solver.max_displacement_m`` series, behind the run's replay gate
+    (``GlobalSolver.publishing``)."""
+    metrics = solver.publishing(step)
+    if metrics is None:
+        return
+    metrics.counter("solver.steps").add(1)
+    solid = solver.solid
+    peak = max(
+        (float(np.max(np.abs(solid[code].displ))) for code in solver.solid_codes),
+        default=0.0,
+    )
+    metrics.timeseries("solver.max_displacement_m").append(step, peak)

@@ -9,15 +9,16 @@ module is that channel:
 
 * :class:`StreamingTelemetry` holds a **preallocated** ring buffer of
   per-step samples (step wall time, compute/comm split, halo-wait time,
-  seismogram-buffer fill, health-sentinel values).  The solver calls
+  seismogram-buffer fill, health-sentinel values).  The solver's last
+  step observer (:meth:`~StreamingTelemetry.observe_run`) calls
   :meth:`~StreamingTelemetry.sample` once per time step; the fast path
   writes one row of a numpy array and allocates nothing (the same R3
   no-allocation discipline the kernels follow).
 * Every ``flush_every`` samples the pending rows are appended to a JSONL
   file and the OS buffer is flushed, so ``tail -f run.stream.jsonl``
   shows the run marching in near-real time.  ``GlobalSolver.run`` also
-  flushes in a ``finally`` block, so a crash (or an injected chaos
-  fault) loses at most the torn final line.
+  flushes its observers in a ``finally`` block, so a crash (or an
+  injected chaos fault) loses at most the torn final line.
 * :func:`read_stream` is the tolerant reader: undecodable lines (a
   process killed mid-``write``) are counted and skipped, never raised.
 
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -67,6 +68,9 @@ _N_FIELDS = len(STREAM_FIELDS)
 class StreamingTelemetry:
     """Per-step telemetry ring buffer with periodic JSONL flush.
 
+    ``GlobalSolver(stream=)`` makes it the last step observer of every run
+    (:meth:`observe_run`); it reads the solver's clocks itself.
+
     Parameters
     ----------
     path : JSONL output file (created lazily on first flush; parent
@@ -79,12 +83,6 @@ class StreamingTelemetry:
     flush_every : samples between automatic flushes.
     meta : extra key/values for the ``stream_meta`` header line (run
         label, rank, resolution ...).
-    comm_time_fn : optional ``() -> float`` returning *cumulative*
-        communication seconds for this rank (the launcher wires the
-        virtual communicator's ``stats.comm_time_s``); the solver
-        differences it per step into the ``comm_s`` column.
-    halo_wait_fn : same, for cumulative halo-wait seconds (the
-        :class:`~repro.parallel.halo.HaloExchanger` ``wait_s`` counter).
     """
 
     def __init__(
@@ -93,8 +91,6 @@ class StreamingTelemetry:
         capacity: int = 1024,
         flush_every: int = 64,
         meta: dict | None = None,
-        comm_time_fn: Callable[[], float] | None = None,
-        halo_wait_fn: Callable[[], float] | None = None,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -104,8 +100,6 @@ class StreamingTelemetry:
         self.capacity = int(capacity)
         self.flush_every = int(flush_every)
         self.meta = dict(meta or {})
-        self.comm_time_fn = comm_time_fn
-        self.halo_wait_fn = halo_wait_fn
         #: Preallocated once; the per-step fast path only writes rows.
         self._buf = np.empty((self.capacity, _N_FIELDS), dtype=np.float64)
         self._count = 0  # samples ever taken
@@ -113,8 +107,34 @@ class StreamingTelemetry:
         self.dropped = 0  # samples overwritten before they were flushed
         self._fh = None
         self._closed = False
+        self._clock = (0.0, 0.0, 0.0, 0.0)  # see observe_run
 
     # -- fast path ----------------------------------------------------------
+
+    def observe_run(self, solver) -> "StreamingTelemetry":
+        """Arm the stream as the step observer of one run of ``solver``:
+        the first step's deltas start from the solver's clocks now."""
+        self._clock = _clocks(solver)
+        return self
+
+    def __call__(self, step: int, solver) -> None:
+        """Step observer: one sample of ``solver`` after ``step``; wall,
+        compute, comm and halo wait are deltas since the last sample."""
+        last, self._clock = self._clock, _clocks(solver)
+        wall, compute, comm, wait = (a - b for a, b in zip(self._clock, last))
+        rs = solver.receiver_sets[0] if solver.receiver_sets else None
+        sentinel = solver.health_sentinel
+        self.sample(
+            step,
+            wall,
+            compute_s=compute,
+            comm_s=comm,
+            halo_wait_s=wait,
+            seismogram_fill=math.nan if rs is None else rs.step_cursor / rs.n_steps,
+            health_checks=math.nan if sentinel is None else sentinel.checks,
+            health_peak_m=math.nan if sentinel is None else sentinel.last_peak_m,
+            health_energy_j=math.nan if sentinel is None else sentinel.last_energy_j,
+        )
 
     def sample(
         self,
@@ -248,6 +268,16 @@ class StreamingTelemetry:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
+
+
+def _clocks(solver) -> tuple[float, float, float, float]:
+    """Cumulative wall, compute, comm and halo-wait seconds of ``solver``;
+    comm and halo wait are its exchanger's (zero without one)."""
+    ex = solver.exchanger
+    comm, wait = (0.0, 0.0) if ex is None else (
+        ex.comm.stats.comm_time_s, ex.wait_s
+    )
+    return time.perf_counter(), solver.timings.compute_s, comm, wait
 
 
 def read_stream(path: str | Path) -> tuple[list[dict], dict, dict]:

@@ -338,8 +338,8 @@ def run_distributed_simulation(
     barrier) deadline below ``timeout_s``, so a dropped message surfaces
     as :class:`RankTimeoutError` quickly instead of after the full
     program timeout.  When ``params.health_check_every`` is set, every
-    rank's solver runs a :class:`~repro.chaos.sentinel.HealthSentinel`
-    labelled with its own rank.
+    rank's solver makes its own :class:`~repro.chaos.sentinel.HealthSentinel`,
+    labelled with the rank of its exchanger's communicator.
 
     ``sanitize=True`` has every rank's communicator report its traffic
     to one :class:`~repro.analysis.sanitizer.CommSanitizer`; the finalized
@@ -351,7 +351,9 @@ def run_distributed_simulation(
     per-step samples (wall/compute/comm split, halo-wait, health values)
     to ``<stream_dir>/rank<NNNN>.stream.jsonl`` through a
     :class:`~repro.obs.stream.StreamingTelemetry` ring buffer, flushed
-    periodically so a long run can be watched with ``tail -f``.
+    periodically so a long run can be watched with ``tail -f``.  The
+    solver's stream observer reads the comm and halo-wait clocks from
+    the rank's exchanger itself.
 
     ``event_sources`` (mutually exclusive with ``sources``) runs B events
     at once through one solver per rank: entry b is event b's source
@@ -430,13 +432,6 @@ def run_distributed_simulation(
         exchanger = HaloExchanger(comm, world.halos[rank], tracer=rank_tracer)
         exchanger.merge_regions = combine_solid_messages
         my_stations = world.station_assignment.get(rank, [])
-        sentinel = None
-        if params.health_check_every is not None:
-            from ..chaos.sentinel import HealthSentinel
-
-            sentinel = HealthSentinel(
-                check_every=params.health_check_every, rank=rank
-            )
         stream = None
         if stream_dir is not None:
             from ..obs.stream import StreamingTelemetry
@@ -444,8 +439,6 @@ def run_distributed_simulation(
             stream = StreamingTelemetry(
                 Path(stream_dir) / f"rank{rank:04d}.stream.jsonl",
                 meta={"rank": rank, "nex_xi": params.nex_xi},
-                comm_time_fn=lambda: comm.stats.comm_time_s,
-                halo_wait_fn=lambda: exchanger.wait_s,
             )
         solver = GlobalSolver(
             world.slices[rank],
@@ -458,7 +451,6 @@ def run_distributed_simulation(
             dt_override=dt_global,
             tracer=rank_tracer,
             metrics=rank_metrics,
-            health_sentinel=sentinel,
             stream=stream,
         )
         # The allreduce a real run would perform (a no-op on equal values,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -48,6 +49,7 @@ from ..kernels.flops import (
 from ..kernels.weakform import Workspace, carve
 from ..mesh.element import RegionMesh
 from ..model.prem import PREM, RegionCode
+from ..obs.metrics import record_step_metrics
 from ..obs.tracer import maybe_tracer
 from . import newmark
 from .assembly import gather, scatter_add
@@ -67,6 +69,9 @@ from .receivers import PointLocator, ReceiverSet, Station
 from .sources import MomentTensorSource, PointForceSource, moment_tensor_source_array
 
 __all__ = ["GlobalSolver", "SolverResult", "SolverTimings"]
+
+#: Steps between the kinetic-energy samples of a ``track_energy`` run.
+ENERGY_EVERY = 10
 
 
 @dataclass
@@ -242,7 +247,6 @@ class GlobalSolver:
         dt_override: float | None = None,
         tracer=None,
         metrics=None,
-        health_sentinel=None,
         stream=None,
         event_sources: list[list] | None = None,
     ):
@@ -262,8 +266,8 @@ class GlobalSolver:
         #: persistent array).
         self.batch = len(event_sources)
         #: Observability hooks: a no-op tracer unless one is injected, and
-        #: an optional :class:`~repro.obs.metrics.MetricsRegistry` sampled
-        #: per timestep.
+        #: an optional :class:`~repro.obs.metrics.MetricsRegistry` the step
+        #: observers publish to (:meth:`publishing`).
         self.tracer = maybe_tracer(tracer)
         self.metrics = metrics
         #: Optional :class:`~repro.obs.stream.StreamingTelemetry`: one
@@ -271,18 +275,22 @@ class GlobalSolver:
         #: runs are watchable live.  The solver only *reads* state into
         #: the stream, so streamed and unstreamed runs are bit-identical.
         self.stream = stream
-        #: Numerical health sentinel (:mod:`repro.chaos.sentinel`): either
-        #: injected (the launcher passes per-rank sentinels) or
-        #: auto-created when ``params.health_check_every`` is set, so every
-        #: entry point — serial apps, segmented campaigns, distributed
-        #: runs — gets the same divergence detection from one knob.
-        if health_sentinel is None and params.health_check_every is not None:
+        #: Numerical health sentinel (:mod:`repro.chaos.sentinel`), made
+        #: when ``params.health_check_every`` is set and labelled with the
+        #: exchanger's rank, so every entry point — serial apps, segmented
+        #: campaigns, distributed runs — gets the same divergence
+        #: detection from one knob.
+        self.health_sentinel = None
+        if params.health_check_every is not None:
             from ..chaos.sentinel import HealthSentinel
 
-            health_sentinel = HealthSentinel(
-                check_every=params.health_check_every
+            self.health_sentinel = HealthSentinel(
+                check_every=params.health_check_every,
+                rank=0 if exchanger is None else exchanger.comm.rank,
             )
-        self.health_sentinel = health_sentinel
+        #: The current run's last step and replay gate (:meth:`run`).
+        self.last_step = -1
+        self.metrics_from_step = 0
         self.basis = GLLBasis(constants.NGLLX)
         self.exchanger = exchanger
         #: The mesh-determined artefacts (geometry, mass, couplings, the
@@ -658,7 +666,6 @@ class GlobalSolver:
         self,
         n_steps: int | None = None,
         track_energy: bool = False,
-        energy_every: int = 10,
         callbacks: list | None = None,
         start_step: int = 0,
         stop_step: int | None = None,
@@ -666,8 +673,13 @@ class GlobalSolver:
     ) -> SolverResult:
         """March the coupled system and return seismograms and timings.
 
-        ``callbacks`` are invoked as ``cb(step, solver)`` after every step
-        (movie recorders, checkpoint writers, custom probes).
+        After every step, inside its ``solver.timestep`` span, each step
+        observer is called as ``cb(step, solver)`` in the fixed order of
+        :meth:`_step_observers`: ``callbacks`` (movie recorders, checkpoint
+        writers, fault plans), then the health sentinel, receiver
+        recording, the energy history (``track_energy``), step metrics and
+        the stream.  An observer that buffers output has a ``flush()``,
+        called when the run ends or raises: a crash keeps what was sampled.
 
         ``n_steps`` is the length of the run's time grid (seismogram
         buffers are sized to it); marching covers ``[start_step,
@@ -676,16 +688,14 @@ class GlobalSolver:
         point and ``stop_step`` at its wall-limit boundary; the restored
         receiver buffers are preserved, not re-allocated.
 
-        ``metrics_from_step`` suppresses per-step metrics emission for
-        steps below it (default: ``start_step``, i.e. emit everything
-        marched).  The segmented executor passes its *planned* segment
-        boundary here: when a corrupt checkpoint forces a restart from an
-        older step, the re-run of the already-counted span must not
-        re-add ``solver.steps``/byte counters or duplicate time-series
-        points — a segmented run's metrics match an uninterrupted run's
-        exactly, like its seismograms.  Streaming telemetry is *not*
-        gated: the stream is an honest log of what executed (re-run
-        steps appear twice; the aggregator dedupes keep-last).
+        ``metrics_from_step`` (default ``start_step``) is the replay gate:
+        observers publish a step to ``metrics`` only at or above it
+        (:meth:`publishing`).  The segmented executor passes its planned
+        segment boundary, so re-running a span after a corrupt-checkpoint
+        fallback re-adds nothing: ``solver.steps``,
+        ``io.seismogram_bytes`` and the series match an uninterrupted
+        run's.  ``health.checks`` does not: every run checks its last step.
+        The stream is not gated (re-run steps appear twice).
         """
         n_steps = int(n_steps) if n_steps is not None else self.n_steps
         start_step = int(start_step)
@@ -705,120 +715,25 @@ class GlobalSolver:
                     f"to match n_steps {n_steps}"
                 )
             self.reset_receivers(n_steps)
-        energies: list[float] = []
-        tr = self.tracer
-        metrics = self.metrics
-        metrics_from = (
+        self.last_step = stop - 1
+        self.metrics_from_step = (
             start_step if metrics_from_step is None else int(metrics_from_step)
         )
-        stream = self.stream
-        if stream is not None:
-            comm_fn = stream.comm_time_fn
-            halo_fn = stream.halo_wait_fn
-            comm_prev = comm_fn() if comm_fn is not None else 0.0
-            halo_prev = halo_fn() if halo_fn is not None else 0.0
+        energies: list[float] | None = [] if track_energy else None
+        observers = self._step_observers(callbacks, energies)
+        tr = self.tracer
         t_start = time.perf_counter()
         try:
             with tr.span("solver.run", steps=stop - start_step):
                 for step in range(start_step, stop):
-                    t = step * self.dt
-                    if stream is not None:
-                        t_step = time.perf_counter()
-                        compute_prev = self.timings.compute_s
                     with tr.span("solver.timestep"):
-                        self._one_step(t)
-                        for cb in callbacks or ():
-                            cb(step, self)
-                        sentinel = self.health_sentinel
-                        if sentinel is not None and (
-                            sentinel.due(step) or step == stop - 1
-                        ):
-                            # The final step is always checked so a blow-up
-                            # in the last partial interval cannot slip into
-                            # the returned seismograms unflagged.
-                            with tr.span("health.check", step=step):
-                                if metrics is not None and step >= metrics_from:
-                                    metrics.counter("health.checks").add(1)
-                                try:
-                                    sentinel.check(self, step)
-                                except Exception:
-                                    if (
-                                        metrics is not None
-                                        and step >= metrics_from
-                                    ):
-                                        metrics.counter(
-                                            "health.failures"
-                                        ).add(1)
-                                    raise
-                        if self.receiver_sets:
-                            cm = self.regions[RegionCode.CRUST_MANTLE]
-                            displ = self.solid[RegionCode.CRUST_MANTLE].displ
-                            with tr.span("io.seismogram_record") as sp:
-                                for b, rs in enumerate(self.receiver_sets):
-                                    rs.record(displ[b], cm.ibool)
-                                nbytes = len(self._located) * 3 * 8 * self.batch
-                                sp.add(bytes=nbytes)
-                                if metrics is not None and step >= metrics_from:
-                                    metrics.counter(
-                                        "io.seismogram_bytes"
-                                    ).add(nbytes)
-                        if track_energy and step % energy_every == 0:
-                            energies.append(self._total_kinetic_energy())
-                            if metrics is not None and step >= metrics_from:
-                                metrics.timeseries(
-                                    "solver.kinetic_energy_j"
-                                ).append(step, energies[-1])
-                    if metrics is not None and step >= metrics_from:
-                        metrics.counter("solver.steps").add(1)
-                        max_displ = max(
-                            (
-                                float(np.max(np.abs(self.solid[code].displ)))
-                                for code in self.solid_codes
-                            ),
-                            default=0.0,
-                        )
-                        metrics.timeseries("solver.max_displacement_m").append(
-                            step, max_displ
-                        )
-                    if stream is not None:
-                        comm_now = comm_fn() if comm_fn is not None else 0.0
-                        halo_now = halo_fn() if halo_fn is not None else 0.0
-                        sentinel = self.health_sentinel
-                        rs = self.receiver_sets[0] if self.receiver_sets else None
-                        stream.sample(
-                            step,
-                            time.perf_counter() - t_step,
-                            compute_s=self.timings.compute_s - compute_prev,
-                            comm_s=comm_now - comm_prev,
-                            halo_wait_s=halo_now - halo_prev,
-                            seismogram_fill=(
-                                rs.step_cursor / rs.n_steps
-                                if rs is not None and rs.n_steps
-                                else float("nan")
-                            ),
-                            health_checks=(
-                                float(sentinel.checks)
-                                if sentinel is not None
-                                else float("nan")
-                            ),
-                            health_peak_m=(
-                                sentinel.last_peak_m
-                                if sentinel is not None
-                                else float("nan")
-                            ),
-                            health_energy_j=(
-                                sentinel.last_energy_j
-                                if sentinel is not None
-                                else float("nan")
-                            ),
-                        )
-                        comm_prev, halo_prev = comm_now, halo_now
+                        self._one_step(step * self.dt)
+                        for observe in observers:
+                            observe(step, self)
         finally:
-            # Crash tolerance: an injected fault (or a real blow-up) must
-            # not lose the already-buffered samples — the stream is the
-            # post-mortem's first witness.
-            if stream is not None:
-                stream.flush()
+            for observe in observers:
+                if hasattr(observe, "flush"):
+                    observe.flush()
         self.timings.total_s = time.perf_counter() - t_start
         self.timings.steps = stop - start_step
         return SolverResult(
@@ -826,8 +741,30 @@ class GlobalSolver:
             timings=self.timings,
             dt=self.dt,
             n_steps=n_steps,
-            energy_history=np.asarray(energies) if track_energy else None,
+            energy_history=None if energies is None else np.asarray(energies),
         )
+
+    def _step_observers(self, callbacks, energies) -> list:
+        """The run's ``cb(step, solver)`` observers, in the order they are
+        called: the caller's ``callbacks``, the health sentinel, receiver
+        recording, the energy history, step metrics, the stream."""
+        observers = list(callbacks or ())
+        if self.health_sentinel is not None:
+            observers.append(self.health_sentinel.observe)
+        if self.receiver_sets:
+            observers.append(_record_seismograms)
+        if energies is not None:
+            observers.append(partial(_record_energy, energies))
+        if self.metrics is not None:
+            observers.append(record_step_metrics)
+        if self.stream is not None:
+            observers.append(self.stream.observe_run(self))
+        return observers
+
+    def publishing(self, step: int):
+        """The registry a step observer publishes ``step`` to: ``metrics``,
+        or None without one or below the run's replay gate."""
+        return self.metrics if step >= self.metrics_from_step else None
 
     def _coupling_span_name(self, solid_code: int) -> str:
         return (
@@ -1069,3 +1006,27 @@ class GlobalSolver:
                 np.sum(self.mass[self.fluid_code] * self.fluid.chi_dot**2)
             )
         return total
+
+
+def _record_energy(energies: list, step: int, solver: GlobalSolver) -> None:
+    """Step observer (bound to a run's list): the kinetic energy every
+    :data:`ENERGY_EVERY` steps, published as ``solver.kinetic_energy_j``."""
+    if step % ENERGY_EVERY == 0:
+        energies.append(solver._total_kinetic_energy())
+        metrics = solver.publishing(step)
+        if metrics is not None:
+            metrics.timeseries("solver.kinetic_energy_j").append(step, energies[-1])
+
+
+def _record_seismograms(step: int, solver: GlobalSolver) -> None:
+    """Step observer: one row of every event's seismograms."""
+    cm = solver.regions[RegionCode.CRUST_MANTLE]
+    displ = solver.solid[RegionCode.CRUST_MANTLE].displ
+    with solver.tracer.span("io.seismogram_record") as sp:
+        for b, rs in enumerate(solver.receiver_sets):
+            rs.record(displ[b], cm.ibool)
+        nbytes = len(solver._located) * 3 * 8 * solver.batch
+        sp.add(bytes=nbytes)
+        metrics = solver.publishing(step)
+        if metrics is not None:
+            metrics.counter("io.seismogram_bytes").add(nbytes)

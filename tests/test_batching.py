@@ -11,7 +11,7 @@ a failure.
 import numpy as np
 import pytest
 
-from repro.apps.merged_app import run_batched_simulation, run_global_simulation
+from repro.apps.merged_app import run_global_simulation
 from repro.campaign import (
     JobSpec,
     MeshCache,
@@ -92,8 +92,8 @@ class TestSerialBitIdentity:
 
     def test_b4_matches_sequential(self, params, mesh):
         ev = events(4)
-        batched = run_batched_simulation(
-            params, ev, stations=stations(), mesh=mesh
+        batched = run_global_simulation(
+            params, event_sources=ev, stations=stations(), mesh=mesh
         )
         assert batched.seismograms.shape[0] == 4
         for b, srcs in enumerate(ev):
@@ -106,8 +106,8 @@ class TestSerialBitIdentity:
 
     def test_b1_matches_unbatched(self, params, mesh):
         ev = events(1)
-        batched = run_batched_simulation(
-            params, ev, stations=stations(), mesh=mesh
+        batched = run_global_simulation(
+            params, event_sources=ev, stations=stations(), mesh=mesh
         )
         solo = run_global_simulation(
             params, sources=ev[0], stations=stations(), mesh=mesh
@@ -119,8 +119,8 @@ class TestSerialBitIdentity:
         # Guard the guard: if the per-event source injection were broken
         # (every event seeing event 0's source), the bit-identity tests
         # above could pass vacuously.
-        batched = run_batched_simulation(
-            params, events(3), stations=stations(), mesh=mesh
+        batched = run_global_simulation(
+            params, event_sources=events(3), stations=stations(), mesh=mesh
         )
         for a in range(3):
             for b in range(a + 1, 3):
@@ -140,7 +140,9 @@ class TestSerialBitIdentity:
             )
 
         ev = events(3)
-        batched = run_batched_simulation(params, ev, mesh=mesh, trace=True)
+        batched = run_global_simulation(
+            params, event_sources=ev, mesh=mesh, trace=True
+        )
         solo = [
             run_global_simulation(params, sources=srcs, mesh=mesh, trace=True)
             for srcs in ev
@@ -222,7 +224,9 @@ def test_receiver_extraction_and_checkpoint_roundtrip(
     ev = events(nbatch)
     sta = stations(n_stations)
 
-    uninterrupted = run_batched_simulation(params, ev, stations=sta, mesh=mesh)
+    uninterrupted = run_global_simulation(
+        params, event_sources=ev, stations=sta, mesh=mesh
+    )
     receivers = uninterrupted.solver_result.receivers
     for b, srcs in enumerate(ev):
         solo = run_global_simulation(params, sources=srcs, stations=sta, mesh=mesh)

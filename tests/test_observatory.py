@@ -168,17 +168,14 @@ class TestStreamedSolverRun:
 
     def test_stream_samples_health_sentinel(self):
         """Sentinel peak/energy reach the stream without extra scans."""
-        from repro.chaos import HealthSentinel
         from repro.mesh import build_global_mesh
         from repro.solver import GlobalSolver
 
-        params = small_params(n_steps=6)
+        params = small_params(n_steps=6, health_check_every=2)
         mesh = build_global_mesh(params)
         stream = StreamingTelemetry(capacity=16)
         solver = GlobalSolver(
-            mesh, params, sources=[demo_source()],
-            health_sentinel=HealthSentinel(check_every=2),
-            stream=stream,
+            mesh, params, sources=[demo_source()], stream=stream
         )
         solver.run(n_steps=6)
         samples = stream.latest(6)
@@ -218,6 +215,33 @@ class TestStreamedSolverRun:
         assert info["complete"] is False  # no end marker: honest crash
 
 
+class TestStepObserverOrder:
+    def test_observers_run_in_one_fixed_order(self):
+        """callbacks, sentinel, receivers, energy, metrics, stream: a poison
+        at step 3 fails that step's check, so nothing after the sentinel
+        sees step 3 while every observer saw steps 0-2."""
+        from repro.chaos import FaultPlan, FaultSpec, NumericalHealthError
+        from repro.mesh import build_global_mesh
+        from repro.solver import GlobalSolver
+
+        params = small_params(n_steps=8, health_check_every=1)
+        metrics = MetricsRegistry()
+        stream = StreamingTelemetry(capacity=16)
+        solver = GlobalSolver(
+            build_global_mesh(params), params, sources=[demo_source()],
+            stations=demo_stations()[:1], metrics=metrics, stream=stream,
+        )
+        plan = FaultPlan([FaultSpec(kind="poison", rank=0, step=3)])
+        with pytest.raises(NumericalHealthError) as err:
+            solver.run(callbacks=[plan.solver_callback(rank=0)])
+        assert err.value.snapshot.step == 3
+        assert solver.receiver_set.step_cursor == 3
+        assert [s["step"] for s in stream.latest(16)] == [0, 1, 2]
+        assert metrics.counter("health.checks").value == 4
+        assert metrics.counter("health.failures").value == 1
+        assert metrics.counter("solver.steps").value == 3
+
+
 class TestDistributedStreams:
     def test_stream_dir_writes_one_file_per_rank(self, tmp_path):
         from repro.parallel import run_distributed_simulation
@@ -236,6 +260,24 @@ class TestDistributedStreams:
             assert info["complete"] is True
             # Distributed ranks communicate: the comm split is recorded.
             assert all("comm_s" in s for s in samples)
+
+    def test_stream_comm_columns_come_from_the_exchanger(self, tmp_path):
+        """Per rank, the streamed comm deltas are a positive part of the
+        communicator's total (set-up and the final gather are outside
+        the steps) and the halo-wait deltas are positive."""
+        from repro.parallel import run_distributed_simulation
+
+        params = small_params(n_steps=4)
+        result = run_distributed_simulation(
+            params, sources=[demo_source()], n_steps=4,
+            stream_dir=tmp_path,
+        )
+        files = sorted(tmp_path.glob("rank*.stream.jsonl"))
+        for stats, path in zip(result.comm_stats, files, strict=True):
+            samples, _meta, _info = read_stream(path)
+            comm = sum(s["comm_s"] for s in samples)
+            assert 0.0 < comm <= stats.comm_time_s
+            assert sum(s["halo_wait_s"] for s in samples) > 0.0
 
 
 # -------------------------------------------------- segmented double-count
@@ -309,6 +351,25 @@ class TestSegmentedMetricsNoDoubleCount:
         steps = [s["step"] for s in samples]
         assert len(steps) == 12  # 9 logical + 3 re-executed
         assert [s["step"] for s in dedupe_steps(samples)] == list(range(9))
+
+    def test_health_checks_count_each_segments_last_step(self, mesh):
+        """The replay gate does not make ``health.checks`` match: every
+        segment checks its last step, which guards its checkpoint."""
+        from repro.apps.merged_app import run_global_simulation
+
+        params = small_params(n_steps=9, health_check_every=5)
+        whole = MetricsRegistry()
+        run_global_simulation(
+            params, sources=[demo_source()], stations=demo_stations(),
+            n_steps=9, mesh=mesh, metrics=whole,
+        )
+        _result, segmented = self._counters(params, mesh, n_segments=3)
+        assert whole.counter("health.checks").value == 2  # steps 4, 8
+        assert segmented.counter("health.checks").value == 4  # 2, 4, 5, 8
+        for name in ("solver.steps", "io.seismogram_bytes"):
+            assert (
+                segmented.counter(name).value == whole.counter(name).value
+            ), name
 
     def test_checkpoint_spans_and_counters(self, params, mesh):
         from repro.campaign import run_segmented_simulation
