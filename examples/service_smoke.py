@@ -3,22 +3,25 @@
 Boots ``python -m repro.service serve`` as a subprocess on an ephemeral
 port, then drives a warm/cold request mix through the HTTP client:
 
-* one cold request (the only real solve of its key),
+* one cold request (the only real solve of its key), then five timed
+  repeats of it (hits),
 * a warm batch via ``/warm`` (hits),
 * repeated, permuted-station, and subset-station requests (hits and an
   exact slice),
 * a burst of concurrent identical requests on a fresh key — proving
   single-flight coalescing end to end over TCP.
 
-Asserts from ``/stats``: hit rate >= 0.5, at least one coalesced
-request, at least one slice, zero client-visible errors, and exactly
-two backend solves for the whole mix.  Exits non-zero (with the stats
-payload printed) on any violation — this is the CI gate that the
+Asserts that a hit is at least 5x faster than the cold solve (median of
+the five repeats), and from ``/stats``: hit rate >= 0.5, at least one
+coalesced request, at least one slice, zero client-visible errors, and
+exactly two backend solves for the whole mix.  Exits non-zero (with the
+stats payload printed) on any violation — this is the CI gate that the
 serving tier actually serves.
 """
 
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -38,6 +41,9 @@ PARAMS = {
     "NER_OUTER_CORE": 1,
     "NER_INNER_CORE": 1,
 }
+
+HIT_SPEEDUP_FLOOR = 5.0
+N_TIMED_HITS = 5
 
 STATIONS = [
     {"name": "POLE", "position": [0.0, 0.0, 6371.0]},
@@ -62,6 +68,12 @@ def simulate(port, body):
     return payload
 
 
+def timed_simulate(port, body):
+    t0 = time.perf_counter()
+    payload = simulate(port, body)
+    return payload, time.perf_counter() - t0
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
@@ -79,8 +91,24 @@ def main() -> int:
             print(f"[smoke] {line.strip()}")
 
             # Cold: the one real solve for this key.
-            cold = simulate(port, spec())
+            cold, cold_s = timed_simulate(port, spec())
             assert cold["status"] == "computed", cold
+
+            # Repeats of the same spec are store hits, served without a
+            # solve: the cache must pay for itself by a wide margin.
+            hit_s = []
+            for _ in range(N_TIMED_HITS):
+                hit, wall_s = timed_simulate(port, spec())
+                assert hit["status"] == "hit", hit
+                hit_s.append(wall_s)
+            hit_p50_s = statistics.median(hit_s)
+            hit_speedup = cold_s / hit_p50_s
+            print(f"[smoke] cold {cold_s:.3f}s, hit p50 "
+                  f"{hit_p50_s * 1e3:.2f}ms: {hit_speedup:.0f}x")
+            assert hit_speedup >= HIT_SPEEDUP_FLOOR, (
+                f"a hit is only {hit_speedup:.1f}x faster than the cold "
+                f"solve; the store needs >= {HIT_SPEEDUP_FLOOR}x"
+            )
 
             # Warm batch: same key again, all hits.
             status, warm = http_json(

@@ -26,11 +26,11 @@ Usage::
 phase tree, top-N span table, and per-rank comm/compute summary;
 ``--campaign STORE_DIR`` renders the campaign-wide aggregate instead.
 
-The observatory adds two more channels on top of the span tracer:
+The observatory adds one more channel on top of the span tracer:
 :mod:`repro.obs.stream` (per-step streaming telemetry from inside the
-solver loop — a preallocated ring buffer flushed as JSONL) and
-:mod:`repro.obs.bench` (a regression-guarded benchmark registry writing
-canonical ``BENCH_<name>.json`` records; see ``python -m repro.obs.bench``).
+solver loop — a preallocated ring buffer flushed as JSONL).  Performance
+is measured by the ledger (``benchmarks/ledger``) and bounded by the
+pytest guards under ``benchmarks/``.
 """
 
 from .aggregate import (

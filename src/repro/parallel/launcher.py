@@ -504,6 +504,7 @@ def run_distributed_simulation(
             "compute_cpu_s": result.timings.compute_cpu_s,
             "elements": world.slices[rank].nspec_total,
             "dt": solver.dt,
+            "steps": steps,
         }
         return comm.gather(payload, root=0)
 
@@ -545,7 +546,7 @@ def run_distributed_simulation(
     # owned by several ranks; the solver injects it in each, but
     # seismograms are recorded once per station (stations are assigned
     # uniquely), so plain concatenation is correct.
-    steps = data_blocks[0].shape[2] if data_blocks else (n_steps or 0)
+    steps = gathered[0]["steps"]
     seismograms = np.concatenate(data_blocks, axis=1) if data_blocks else None
     if seismograms is not None and world.single_event:
         seismograms = seismograms[0]

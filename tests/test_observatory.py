@@ -1,7 +1,6 @@
-"""Performance observatory: streaming telemetry, aggregation, calibration,
-benchmark registry.
+"""Performance observatory: streaming telemetry, aggregation, calibration.
 
-Four subsystems, four invariant families:
+Three subsystems, three invariant families:
 
 * **Streaming** (:mod:`repro.obs.stream`) — ring-buffer wraparound is
   counted, never silent; a crashed writer leaves a readable file (the
@@ -15,8 +14,6 @@ Four subsystems, four invariant families:
   :mod:`repro.perf.calibrate`) — campaign rollups match the records they
   summarise; a calibration fitted at NEX=6 predicts a NEX=8 run's total
   within 25%.
-* **Benchmark registry** (:mod:`repro.obs.bench`) — canonical records,
-  and the comparator trips on an injected 2x slowdown.
 """
 
 import json
@@ -640,108 +637,3 @@ class TestCalibration:
         assert "calibrated from" in out
         assert "extrapolation" in out
         del SpanRecord  # imported only to assert availability
-
-
-# ------------------------------------------------------------- benchmarks
-
-
-class TestBenchRegistry:
-    def test_registry_has_required_benchmarks(self):
-        from repro.obs.bench import REGISTRY
-
-        assert {"kernel_shootout", "overlap_ablation", "cache_hit",
-                "stream_overhead"} <= set(REGISTRY)
-        for spec in REGISTRY.values():
-            assert spec.guards, f"{spec.name} has no regression guards"
-
-    def test_guard_spec_validation(self):
-        from repro.obs.bench import GuardSpec
-
-        with pytest.raises(ValueError):
-            GuardSpec("m", direction="sideways")
-        with pytest.raises(ValueError):
-            GuardSpec("m", ratio=0.5)
-        g = GuardSpec("t", direction="lower", ratio=1.5, floor=0.0,
-                      ceiling=10.0)
-        assert g.check_absolute(5.0) is None
-        assert "ceiling" in g.check_absolute(11.0)
-        assert g.check_relative(1.0, 1.0) is None
-        assert "regressed" in g.check_relative(2.0, 1.0)
-        h = GuardSpec("s", direction="higher", ratio=2.0)
-        assert "regressed" in h.check_relative(0.4, 1.0)
-        assert h.check_relative(0.6, 1.0) is None
-
-    def test_run_writes_canonical_record(self, tmp_path):
-        from repro.obs.bench import (
-            BENCH_FORMAT_VERSION,
-            REGISTRY,
-            run_benchmark,
-        )
-
-        path = run_benchmark(REGISTRY["kernel_shootout"], quick=True,
-                             out_dir=tmp_path)
-        assert path.name == "BENCH_kernel_shootout.json"
-        rec = json.loads(path.read_text(encoding="utf-8"))
-        assert rec["format_version"] == BENCH_FORMAT_VERSION
-        assert rec["name"] == "kernel_shootout"
-        assert rec["quick"] is True
-        assert isinstance(rec["git_rev"], str)
-        assert {"platform", "python", "numpy", "cpus"} <= set(rec["machine"])
-        metrics = rec["metrics"]
-        assert metrics["vectorized_s"] > 0
-        assert metrics["vector_speedup"] > 1.0
-
-    def test_compare_fails_on_injected_2x_slowdown(self, tmp_path):
-        """The acceptance drill: a 2x time regression must trip."""
-        from repro.obs.bench import REGISTRY, compare_records, run_benchmark
-
-        base_dir = tmp_path / "base"
-        cand_dir = tmp_path / "cand"
-        run_benchmark(REGISTRY["cache_hit"], quick=True, out_dir=base_dir)
-        # Candidate = baseline with build_s doubled (injected slowdown).
-        rec = json.loads(
-            (base_dir / "BENCH_cache_hit.json").read_text(encoding="utf-8")
-        )
-        rec["metrics"]["build_s"] *= 2.0
-        cand_dir.mkdir()
-        (cand_dir / "BENCH_cache_hit.json").write_text(
-            json.dumps(rec), encoding="utf-8"
-        )
-        ok, lines = compare_records(cand_dir, base_dir)
-        assert not ok
-        assert any("FAIL" in line and "build_s" in line for line in lines)
-
-        # And the unmodified candidate passes.
-        ok2, _lines2 = compare_records(base_dir, base_dir)
-        assert ok2
-
-    def test_compare_missing_baseline_is_no_history(self, tmp_path):
-        from repro.obs.bench import REGISTRY, compare_records, run_benchmark
-
-        cand_dir = tmp_path / "cand"
-        run_benchmark(REGISTRY["cache_hit"], quick=True, out_dir=cand_dir)
-        ok, lines = compare_records(cand_dir, tmp_path / "empty")
-        assert ok
-        assert any("no history" in line for line in lines)
-
-    def test_compare_empty_candidate_fails(self, tmp_path):
-        from repro.obs.bench import compare_records
-
-        ok, lines = compare_records(tmp_path, None)
-        assert not ok
-        assert any("no BENCH_" in line for line in lines)
-
-    def test_cli_run_compare_report(self, tmp_path, capsys):
-        from repro.obs.bench import main
-
-        out = tmp_path / "records"
-        assert main(["run", "--quick", "--out", str(out),
-                     "cache_hit"]) == 0
-        assert (out / "BENCH_cache_hit.json").exists()
-        assert main(["compare", "--baseline", str(out),
-                     "--candidate", str(out)]) == 0
-        assert main(["report", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "cache_hit" in text
-        assert main(["run", "no_such_bench"]) == 2
-        assert main([]) == 2

@@ -259,7 +259,10 @@ class TestDistributedVsSerial:
 
     def test_load_balance_near_perfect(self, scenario):
         params, source, stations = scenario
-        dist = run_distributed_simulation(params, n_steps=3)
+        # Station-less and n_steps=None: the marched step count still
+        # comes back (nothing was recorded to read it from).
+        dist = run_distributed_simulation(params.with_updates(nstep_override=3))
+        assert dist.n_steps == 3 and len(dist.times) == 3
         counts = np.asarray(dist.rank_elements, dtype=float)
         # The polar chunks carry the split central cube: imbalance equals
         # the cube share, and the split keeps it moderate.

@@ -258,6 +258,9 @@ class TestRespawnRecovery:
         assert res.world_sizes == [6, 6]
         assert [r.kind for r in res.reports] == ["crash"]
         assert res.reports[0].rank == crash_rank
+        # Recovery resumes from the newest checkpoint boundary below the
+        # crash (boundaries 2/5/8 of 10 steps): only that span re-runs.
+        assert res.recoveries[0].resume_step == {3: 2, 7: 5}[crash_step]
         assert np.array_equal(
             reference.seismograms, res.result.seismograms
         )
