@@ -80,14 +80,10 @@ def run_forward_with_recording(
         else np.array([0.0, 0.0, 1.0])
     )
     for step in range(n_steps):
-        _step_with_point_force(
-            solver,
-            source_index,
-            (
-                source_time_function(step * solver.dt) * direction
-                if source_time_function is not None and source_index is not None
-                else None
-            ),
+        solver.step(
+            (source_index, source_time_function(step * solver.dt) * direction)
+            if source_time_function is not None and source_index is not None
+            else None
         )
         displ[step] = solver.displ
         accel[step] = solver.accel
@@ -99,29 +95,6 @@ def run_forward_with_recording(
         receiver_index=receiver_index,
         dt=solver.dt,
     )
-
-
-def _step_with_point_force(
-    solver: CartesianElasticSolver,
-    index: int | None,
-    force: np.ndarray | None,
-) -> None:
-    """One Newmark step with an optional nodal point force."""
-    from ..kernels.elastic import compute_forces_elastic
-    from ..solver import newmark
-    from ..solver.assembly import scatter_add
-
-    newmark.predictor(solver.displ, solver.veloc, solver.accel, solver.dt)
-    u_local = gather(solver.displ, solver.mesh.ibool)
-    force_local = compute_forces_elastic(
-        u_local, solver.geom, solver.lam, solver.mu, solver.basis,
-        variant=solver.kernel_variant,
-    )
-    total = scatter_add(force_local, solver.mesh.ibool, solver.mesh.nglob)
-    if index is not None and force is not None:
-        total[index] += force
-    solver.accel[:] = total / solver.mass[:, None]
-    newmark.corrector(solver.veloc, solver.accel, solver.dt)
 
 
 def misfit_and_adjoint_source(
@@ -148,18 +121,15 @@ def run_adjoint(
 
     The returned array is ordered in *adjoint time* s = 0..T; the kernel
     integrals pair adjoint step s with forward step (n_steps - 1 - s).
-    The injected force includes the dt factor of the misfit's time
-    integral so that delta chi has the correct units.
     """
     n_steps = adjoint_source.shape[0]
     nglob = solver.mesh.nglob
     out = np.empty((n_steps, nglob, 3))
     for s in range(n_steps):
-        force = adjoint_source[n_steps - 1 - s] * solver.dt / solver.dt
-        # dt cancels: chi's integral carries dt, but injecting the raw
+        # No dt factor: chi's integral carries dt, but injecting the raw
         # residual as a discrete force per step already sums to the same
         # Riemann integral through the kernel time quadrature below.
-        _step_with_point_force(solver, receiver_index, force)
+        solver.step((receiver_index, adjoint_source[n_steps - 1 - s]))
         out[s] = solver.displ
     return out
 

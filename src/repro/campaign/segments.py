@@ -87,7 +87,6 @@ def run_segmented_simulation(
     metrics=None,
     on_checkpoint=None,
     stream=None,
-    retain: int | None = None,
 ) -> SegmentedResult:
     """Run one simulation as ``n_segments`` checkpointed segments.
 
@@ -119,14 +118,6 @@ def run_segmented_simulation(
     ``checkpoint_dir`` defaults to a temp directory removed afterwards
     unless ``keep_checkpoints`` is set.
 
-    ``retain`` bounds disk for long chains: after each checkpoint write,
-    all but the newest ``retain`` checkpoint files are deleted (default
-    ``None`` keeps every segment's checkpoint, the historical
-    behaviour).  The walk-back window shrinks accordingly — with
-    ``retain=1`` a corrupt newest checkpoint forces a cold restart.
-    Step-addressed per-rank retention for supervised distributed runs
-    lives in :class:`repro.solver.checkpoint.CheckpointManager`.
-
     ``stream`` (a :class:`~repro.obs.stream.StreamingTelemetry`) is
     shared across the whole chain: every segment's fresh solver samples
     into the same ring buffer, so the stream is one continuous per-step
@@ -136,8 +127,6 @@ def run_segmented_simulation(
     :func:`~repro.obs.stream.dedupe_steps`.  The caller closes it.
     """
     tr = maybe_tracer(tracer)
-    if retain is not None and retain < 1:
-        raise ValueError(f"retain must be >= 1 (or None for all), got {retain}")
     if mesh is None:
         mesh = build_global_mesh(params, tracer=tracer)
     own_dir = checkpoint_dir is None
@@ -178,9 +167,13 @@ def run_segmented_simulation(
                         except CheckpointError as exc:
                             # Corrupt/unreadable: quarantine it from the
                             # chain and fall back to the next-older one
-                            # (or a cold restart).  Determinism makes the
-                            # re-run bit-identical, so only wall time is
-                            # lost.
+                            # (or a cold restart).  A rejected record
+                            # wrote nothing into the solver (it fails
+                            # verification, or ``restore_state`` checks
+                            # it whole, before any write), so the same
+                            # solver tries the next one.  Determinism
+                            # makes the re-run bit-identical, so only
+                            # wall time is lost.
                             checkpoints.pop()
                             warnings.warn(
                                 f"checkpoint {path} rejected ({exc}); "
@@ -192,12 +185,6 @@ def run_segmented_simulation(
                                 metrics.counter(
                                     "campaign.checkpoint_corruptions"
                                 ).add(1)
-                            # A failed restore may have partially written
-                            # solver state; rebuild before the next try.
-                            solver = _fresh_solver(
-                                mesh, params, sources, stations, tr, metrics,
-                                stream,
-                            )
                             continue
                         if resumed != step_at:
                             raise RuntimeError(
@@ -226,10 +213,6 @@ def run_segmented_simulation(
                         step=stop, tracer=tr, metrics=metrics,
                     )
                     checkpoints.append((stop, ckpt))
-                    if retain is not None and len(checkpoints) > retain:
-                        for _old_step, old_path in checkpoints[:-retain]:
-                            old_path.unlink(missing_ok=True)
-                        del checkpoints[:-retain]
                     if on_checkpoint is not None:
                         on_checkpoint(index, ckpt)
             segments.append(

@@ -71,7 +71,9 @@ class CartesianElasticSolver:
         force = scatter_add(force_local, self.mesh.ibool, self.mesh.nglob)
         self.accel[:] = force / self.mass[:, None]
 
-    def step(self) -> None:
+    def step(self, point_force: tuple[int, np.ndarray] | None = None) -> None:
+        """One Newmark step; ``point_force = (point, force)`` adds a nodal
+        force at one global point (the adjoint module's sources)."""
         newmark.predictor(self.displ, self.veloc, self.accel, self.dt)
         u_local = gather(self.displ, self.mesh.ibool)
         force_local = compute_forces_elastic(
@@ -79,6 +81,9 @@ class CartesianElasticSolver:
             variant=self.kernel_variant,
         )
         force = scatter_add(force_local, self.mesh.ibool, self.mesh.nglob)
+        if point_force is not None:
+            point, nodal = point_force
+            force[point] += nodal
         self.accel[:] = force / self.mass[:, None]
         newmark.corrector(self.veloc, self.accel, self.dt)
 

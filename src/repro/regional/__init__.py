@@ -1,14 +1,11 @@
-"""Regional single-chunk simulations with absorbing boundaries."""
+"""Regional single-chunk meshes: one cubed-sphere chunk truncated at depth.
 
-from .absorbing import StaceyBoundary, build_stacey_boundary
+A :class:`RegionalMesh` is a mesh bundle, so it runs on
+:class:`~repro.solver.GlobalSolver` like the globe does; the Stacey
+absorbing boundary on its ``absorbing_faces`` is a term of that solver's
+time step (:mod:`repro.solver.absorbing`).
+"""
+
 from .mesh import RegionalMesh, build_regional_mesh
-from .solver import RegionalResult, RegionalSolver
 
-__all__ = [
-    "StaceyBoundary",
-    "build_stacey_boundary",
-    "RegionalMesh",
-    "build_regional_mesh",
-    "RegionalResult",
-    "RegionalSolver",
-]
+__all__ = ["RegionalMesh", "build_regional_mesh"]

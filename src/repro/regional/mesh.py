@@ -31,7 +31,13 @@ __all__ = ["RegionalMesh", "build_regional_mesh"]
 
 @dataclass
 class RegionalMesh:
-    """One chunk's truncated mesh plus its classified boundary faces."""
+    """One chunk's truncated mesh plus its classified boundary faces.
+
+    A mesh bundle: :class:`~repro.solver.GlobalSolver` runs it, applying
+    the Stacey boundary on ``absorbing_faces``.  A copy with none of them
+    (``dataclasses.replace(regional, absorbing_faces=
+    regional.absorbing_faces[:0])``) is the rigid-boundary run.
+    """
 
     mesh: RegionMesh
     chunk: int
@@ -39,6 +45,10 @@ class RegionalMesh:
     #: Face sets: (N, 2) rows of (ispec, face_id).
     free_surface_faces: np.ndarray
     absorbing_faces: np.ndarray
+
+    @property
+    def regions(self) -> dict[int, RegionMesh]:
+        return {RegionCode.CRUST_MANTLE: self.mesh}
 
     @property
     def nspec(self) -> int:

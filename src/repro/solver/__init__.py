@@ -1,5 +1,6 @@
 """The solver: time marching, assembly, coupling, sources, receivers."""
 
+from .absorbing import StaceyBoundary, build_stacey_boundary
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .movie import SurfaceMovieRecorder
 from .assembly import (
@@ -28,6 +29,8 @@ from .sources import (
 )
 
 __all__ = [
+    "StaceyBoundary",
+    "build_stacey_boundary",
     "CheckpointError",
     "load_checkpoint",
     "save_checkpoint",

@@ -8,6 +8,9 @@ paraxial absorption applies the traction
 on the truncation surfaces, which exactly absorbs normally-incident plane
 P and S waves and strongly damps oblique ones.  Implemented as a
 velocity-proportional surface force assembled with the face quadrature.
+:class:`~repro.solver.GlobalSolver` adds it to every step's solid force
+when its mesh bundle carries ``absorbing_faces`` (SPECFEM's
+``compute_stacey_*`` routines, which also live in the solver).
 """
 
 from __future__ import annotations

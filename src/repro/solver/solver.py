@@ -13,6 +13,8 @@ virtual-MPI launcher provides):
   self-gravitation (Cowling), and ocean load;
 * moment-tensor sources and interpolated/closest-point receivers
   (Section 4.4);
+* on a truncated (regional) bundle, the Stacey absorbing boundary of
+  Figure 1 as one more term of the solid force;
 * B events on one mesh (docs/batching.md): the persistent arrays carry a
   leading event axis — a ``sources=`` run is ``B = 1`` — and the event
   loop lives here, in the phase functions, and nowhere else: every
@@ -53,6 +55,7 @@ from ..obs.metrics import record_step_metrics
 from ..obs.tracer import maybe_tracer
 from . import newmark
 from .assembly import gather, scatter_add
+from .absorbing import StaceyBoundary, build_stacey_boundary
 from .attenuation import AttenuationState, build_attenuation
 from .body_terms import coriolis_local_force, gravity_local_force
 from .coupling import CouplingOperator
@@ -204,7 +207,12 @@ class GlobalSolver:
     Parameters
     ----------
     mesh_bundle : object with ``regions: dict[int, RegionMesh]`` (a
-        :class:`repro.mesh.GlobalMesh` or :class:`repro.mesh.SliceMesh`).
+        :class:`repro.mesh.GlobalMesh`, :class:`repro.mesh.SliceMesh` or
+        :class:`repro.regional.RegionalMesh`) and optionally
+        ``absorbing_faces``, the (N, 2) ``(ispec, face_id)`` rows of the
+        crust/mantle's truncation surfaces: non-empty, every step adds
+        their Stacey traction (:mod:`repro.solver.absorbing`) to the
+        solid force; absent or empty, the boundary is free or rigid.
     params : simulation parameters (kernel variant, physics switches...).
     sources, stations : source and receiver definitions (positions in km).
     exchanger : optional halo exchanger (duck-typed
@@ -383,6 +391,14 @@ class GlobalSolver:
         )
         self.ocean_load: OceanLoad | None = (
             prepared.ocean_load if params.oceans else None
+        )
+        faces = getattr(mesh_bundle, "absorbing_faces", ())
+        self.stacey: StaceyBoundary | None = (
+            build_stacey_boundary(
+                self.regions[RegionCode.CRUST_MANTLE].mesh, faces, self.basis
+            )
+            if len(faces)
+            else None
         )
 
         # -- Sources and receivers ----------------------------------------------
@@ -855,7 +871,8 @@ class GlobalSolver:
         self, code: int, local: np.ndarray, ibool: np.ndarray, b: int, t: float
     ) -> None:
         """Scatter event ``b``'s local force into its row of the region's
-        force buffer, then add the point terms (coupling, sources)."""
+        force buffer, then add the point terms (coupling, absorbing
+        boundary, sources)."""
         force = self._force[code][b]
         with self.tracer.span("solver.assemble"):
             scatter_add(local, ibool, force.shape[0], out=force)
@@ -863,6 +880,8 @@ class GlobalSolver:
                 self._apply_fluid_coupling(force, b)
             else:
                 self._apply_solid_coupling(code, force, b)
+                if self.stacey is not None and code == RegionCode.CRUST_MANTLE:
+                    self.stacey.apply(force, self.solid[code].veloc[b])
                 self._apply_sources(code, force, b, t)
 
     def _update_fluid(self) -> None:  # repro: hot-loop

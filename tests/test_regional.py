@@ -1,17 +1,21 @@
 """Tests for the regional single-chunk mode and Stacey absorbing boundaries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.config import constants
 from repro.config.parameters import SimulationParameters
 from repro.gll import GLLBasis
-from repro.regional import (
-    RegionalSolver,
-    build_regional_mesh,
+from repro.regional import build_regional_mesh
+from repro.solver import (
+    GlobalSolver,
     build_stacey_boundary,
+    load_checkpoint,
+    save_checkpoint,
 )
-from repro.regional.absorbing import _outward_normals
+from repro.solver.absorbing import _outward_normals
 from repro.mesh.interfaces import FACE_SLICES
 from repro.solver import MomentTensorSource, Station, gaussian_stf
 
@@ -101,7 +105,7 @@ class TestStaceyBoundary:
             build_stacey_boundary(regional.mesh, [], GLLBasis(5))
 
 
-class TestRegionalSolver:
+class TestRegionalRun:
     def _source(self):
         return MomentTensorSource(
             position=(0.0, 0.0, constants.R_EARTH_KM - 80.0),
@@ -112,7 +116,7 @@ class TestRegionalSolver:
 
     def test_stable_run_with_receivers(self, regional, params):
         stations = [Station("TOP", (0.0, 0.0, constants.R_EARTH_KM))]
-        solver = RegionalSolver(
+        solver = GlobalSolver(
             regional, params, sources=[self._source()], stations=stations
         )
         result = solver.run()
@@ -133,10 +137,14 @@ class TestRegionalSolver:
             time_shift=6.0,
         )
 
+        rigid = dataclasses.replace(
+            regional, absorbing_faces=regional.absorbing_faces[:0]
+        )
+
         def late_energy(absorbing: bool) -> tuple[float, float]:
-            solver = RegionalSolver(
-                regional, long_params, sources=[deep_source],
-                absorbing=absorbing,
+            solver = GlobalSolver(
+                regional if absorbing else rigid, long_params,
+                sources=[deep_source],
             )
             result = solver.run(track_energy=True)
             e = result.energy_history
@@ -151,6 +159,58 @@ class TestRegionalSolver:
         assert e_abs / peak_abs < 0.5
 
     def test_energy_never_negative(self, regional, params):
-        solver = RegionalSolver(regional, params, sources=[self._source()])
+        solver = GlobalSolver(regional, params, sources=[self._source()])
         result = solver.run(track_energy=True)
         assert np.all(result.energy_history >= 0)
+
+
+class TestRegionalOnGlobalSolver:
+    """A regional mesh is a mesh bundle: batching and checkpoint/restart
+    of the one solver hold on it, bit for bit, with Stacey active."""
+
+    def _source(self, depth_km: float, m0: float):
+        return MomentTensorSource(
+            position=(0.0, 0.0, constants.R_EARTH_KM - depth_km),
+            moment=m0 * np.eye(3),
+            stf=gaussian_stf(4.0),
+            time_shift=8.0,
+        )
+
+    def _stations(self):
+        r = constants.R_EARTH_KM
+        return [
+            Station("TOP", (0.0, 0.0, r)),
+            Station("FAR", (r * np.sin(0.3), 0.0, r * np.cos(0.3))),
+        ]
+
+    def test_batched_event_equals_dedicated_run(self, regional, params):
+        events = [[self._source(80.0, 1e18)], [self._source(200.0, 3e18)]]
+        batched = GlobalSolver(
+            regional, params, stations=self._stations(), event_sources=events
+        ).run()
+        for b, sources in enumerate(events):
+            solo = GlobalSolver(
+                regional, params, sources=sources, stations=self._stations()
+            ).run()
+            assert np.array_equal(batched.seismograms[b], solo.seismograms)
+
+    def test_checkpoint_resume_equals_uninterrupted_run(
+        self, regional, params, tmp_path
+    ):
+        sources = [self._source(80.0, 1e18)]
+        n_steps = params.nstep_override
+        half = n_steps // 2
+        uninterrupted = GlobalSolver(
+            regional, params, sources=sources, stations=self._stations()
+        ).run()
+        writer = GlobalSolver(
+            regional, params, sources=sources, stations=self._stations()
+        )
+        writer.run(stop_step=half)
+        path = save_checkpoint(writer, tmp_path / "regional.ckpt", step=half)
+        reader = GlobalSolver(
+            regional, params, sources=sources, stations=self._stations()
+        )
+        assert load_checkpoint(reader, path) == half
+        resumed = reader.run(start_step=half)
+        assert np.array_equal(resumed.seismograms, uninterrupted.seismograms)
