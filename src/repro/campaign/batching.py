@@ -40,6 +40,7 @@ import time
 import numpy as np
 
 from ..chaos.sentinel import NumericalHealthError
+from ..obs.tracer import Tracer, maybe_tracer
 from .mesh_cache import mesh_cache_key, params_hash
 from .queue import JobSpec, JobStatus
 from .store import ResultStore
@@ -114,7 +115,7 @@ def plan_batches(
 
 
 def _run_batched_group(
-    group: list[JobSpec], pool: WorkerPool
+    group: list[JobSpec], pool: WorkerPool, tracer=None
 ) -> dict[str, JobResult]:
     """Execute one >=2-event group as a single batched solver run.
 
@@ -122,7 +123,9 @@ def _run_batched_group(
     b's seismograms are the leading-axis slice b) and records each into
     the pool's store with batch provenance metadata.  On
     :class:`NumericalHealthError` the group is re-run sequentially so
-    only the offending event fails (see module docstring).
+    only the offending event fails (see module docstring).  With a
+    ``tracer`` the group is one ``campaign.batch`` span (counter
+    ``events=B``) around the mesh lookup and the solver's spans.
     """
     from ..apps.merged_app import run_global_simulation
 
@@ -130,15 +133,17 @@ def _run_batched_group(
     key = batch_key(first)
     t0 = time.perf_counter()
     try:
-        mesh, hit = pool.mesh_cache.get(first.params)
-        sim = run_global_simulation(
-            first.params,
-            event_sources=[list(job.sources or []) for job in group],
-            stations=first.stations,
-            n_steps=first.n_steps,
-            mesh=mesh,
-            metrics=pool.metrics,
-        )
+        with maybe_tracer(tracer).span("campaign.batch", events=len(group)):
+            mesh, hit = pool.mesh_cache.get(first.params, tracer=tracer)
+            sim = run_global_simulation(
+                first.params,
+                event_sources=[list(job.sources or []) for job in group],
+                stations=first.stations,
+                n_steps=first.n_steps,
+                mesh=mesh,
+                tracer=tracer,
+                metrics=pool.metrics,
+            )
     except NumericalHealthError:
         # One event diverged and poisoned the shared run: fall back to
         # per-event sequential execution so the healthy events complete
@@ -197,21 +202,27 @@ def run_batched_campaign(
     Results come back in submission order, exactly as ``run_campaign``
     returns them; batched results carry ``batch_size`` / ``batch_index``
     / ``batch_key`` in their payload and record metadata.
+
+    With ``trace=True`` the batched groups record into one more tracer
+    on the workers' epoch, left in ``pool.tracers`` after the workers'.
     """
     if store is None and store_dir is not None:
         store = ResultStore(store_dir)
     pool = WorkerPool(
         n_workers=n_workers, store=store, metrics=metrics, **pool_kwargs
     )
+    tracer = Tracer(pid=n_workers, epoch=pool.epoch) if pool.trace else None
     results: dict[str, JobResult] = {}
     sequential: list[JobSpec] = []
     for group in plan_batches(jobs, max_batch=max_batch):
         if len(group) == 1:
             sequential.append(group[0])
         else:
-            results.update(_run_batched_group(group, pool))
+            results.update(_run_batched_group(group, pool, tracer))
     if sequential:
         results.update(
             dict(zip((j.name for j in sequential), pool.run(sequential)))
         )
+    if tracer is not None:
+        pool.tracers.append(tracer)
     return [results[job.name] for job in jobs], pool

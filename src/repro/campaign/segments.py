@@ -9,6 +9,10 @@ that executor in miniature — each segment even rebuilds the solver from
 scratch (as a freshly scheduled job would) and restores state purely
 from the checkpoint file, so the test for bit-identity against an
 uninterrupted run exercises exactly what production restarts rely on.
+Checkpoints go through a step-addressed
+:class:`~repro.solver.checkpoint.CheckpointManager`, and every restore
+is the checkpoint module's one :func:`~repro.solver.checkpoint.walk_back`
+over the steps this run wrote.
 """
 
 from __future__ import annotations
@@ -26,11 +30,7 @@ from ..config.parameters import SimulationParameters
 from ..mesh.mesher import GlobalMesh, build_global_mesh
 from ..obs.tracer import maybe_tracer
 from ..parallel.launcher import segment_boundaries
-from ..solver.checkpoint import (
-    CheckpointError,
-    load_checkpoint,
-    save_checkpoint,
-)
+from ..solver.checkpoint import CheckpointManager, restore_state, walk_back
 from ..solver.solver import GlobalSolver, SolverResult
 
 __all__ = ["SegmentInfo", "SegmentedResult", "segment_boundaries",
@@ -101,15 +101,19 @@ def run_segmented_simulation(
     coupling operators and the Courant bound are prepared once for the
     whole chain, and each restart builds only its event state.
 
-    Restores fall back to the *last verified checkpoint*: when the
-    newest checkpoint fails to load (a checkpoint is one ``CKPTREC1``
-    verified record with a CRC32 per array, so on-disk corruption is
-    caught on load), it is dropped with a warning and the next-older one is
-    tried, down to a cold restart from step 0.  Because the marching is
-    deterministic, re-running the lost span reproduces the exact same
-    state, so the final seismograms stay bit-identical — corruption
-    costs wall time, not correctness.  Each fallback increments the
-    ``campaign.checkpoint_corruptions`` metrics counter.
+    Restores fall back to the *last verified checkpoint*: each segment
+    walks back (:func:`~repro.solver.checkpoint.walk_back`) over the
+    checkpoints this call wrote, newest first.  One that fails to load
+    (a checkpoint is one ``CKPTREC1`` verified record with a CRC32 per
+    array, so on-disk corruption is caught on load) is quarantined with
+    a warning and the next-older one is tried, down to a cold restart
+    from step 0.  Because the marching is deterministic, re-running the
+    lost span reproduces the exact same state, so the final seismograms
+    stay bit-identical — corruption costs wall time, not correctness.
+    Each fallback increments the ``campaign.checkpoint_corruptions``
+    metrics counter.  Files this call did not write — a reused
+    ``checkpoint_dir``'s ``step_*.ckpt`` from another run — are never
+    restore candidates.
 
     ``on_checkpoint(index, path)`` is called after each segment's
     checkpoint is written — the chaos drills use it to corrupt a
@@ -137,6 +141,17 @@ def run_segmented_simulation(
     )
     directory.mkdir(parents=True, exist_ok=True)
     segments: list[SegmentInfo] = []
+    manager = CheckpointManager(directory, tracer=tr, metrics=metrics)
+
+    def on_reject(path, exc):
+        warnings.warn(
+            f"checkpoint {path} rejected ({exc}); falling back to the last "
+            f"verified checkpoint",
+            stacklevel=4,  # the caller of run_segmented_simulation
+        )
+        if metrics is not None:
+            metrics.counter("campaign.checkpoint_corruptions").add(1)
+
     try:
         # Total step count comes from a throwaway probe of the parameters
         # when not given explicitly (solvers are rebuilt per segment).
@@ -146,9 +161,6 @@ def run_segmented_simulation(
         total = int(n_steps) if n_steps is not None else solver.n_steps
         bounds = segment_boundaries(total, n_segments)
         result: SolverResult | None = None
-        # Checkpoints that were written, newest last; restores walk this
-        # list backwards past any entry that fails verification.
-        checkpoints: list[tuple[int, Path]] = []
         for index, (start, stop) in enumerate(bounds):
             t0 = time.perf_counter()
             with tr.span("campaign.segment", index=index, steps=stop - start):
@@ -157,42 +169,18 @@ def run_segmented_simulation(
                     solver = _fresh_solver(
                         mesh, params, sources, stations, tr, metrics, stream
                     )
+                    # Every earlier segment wrote the checkpoint at its
+                    # stop; determinism makes a re-run from an older one
+                    # (or from 0) bit-identical.
+                    found = walk_back(
+                        [manager],
+                        (done for _start, done in bounds[:index]),
+                        on_reject=on_reject,
+                    )
                     resume = 0
-                    while checkpoints:
-                        step_at, path = checkpoints[-1]
-                        try:
-                            resumed = load_checkpoint(
-                                solver, path, tracer=tr, metrics=metrics
-                            )
-                        except CheckpointError as exc:
-                            # Corrupt/unreadable: quarantine it from the
-                            # chain and fall back to the next-older one
-                            # (or a cold restart).  A rejected record
-                            # wrote nothing into the solver (it fails
-                            # verification, or ``restore_state`` checks
-                            # it whole, before any write), so the same
-                            # solver tries the next one.  Determinism
-                            # makes the re-run bit-identical, so only
-                            # wall time is lost.
-                            checkpoints.pop()
-                            warnings.warn(
-                                f"checkpoint {path} rejected ({exc}); "
-                                f"falling back to the last verified "
-                                f"checkpoint",
-                                stacklevel=2,
-                            )
-                            if metrics is not None:
-                                metrics.counter(
-                                    "campaign.checkpoint_corruptions"
-                                ).add(1)
-                            continue
-                        if resumed != step_at:
-                            raise RuntimeError(
-                                f"checkpoint {path} resumes at step "
-                                f"{resumed}, expected {step_at}"
-                            )
-                        resume = resumed
-                        break
+                    if found is not None:
+                        resume, (arrays,) = found
+                        restore_state(solver, arrays)
                 # ``metrics_from_step=start`` is the double-count guard:
                 # after a corrupt-checkpoint fallback ``resume`` can lie
                 # *before* this segment's planned boundary, and the span
@@ -208,11 +196,7 @@ def run_segmented_simulation(
                 )
                 ckpt: Path | None = None
                 if index < len(bounds) - 1:
-                    ckpt = save_checkpoint(
-                        solver, directory / f"segment_{index:03d}.ckpt",
-                        step=stop, tracer=tr, metrics=metrics,
-                    )
-                    checkpoints.append((stop, ckpt))
+                    ckpt = manager.save(solver, stop)
                     if on_checkpoint is not None:
                         on_checkpoint(index, ckpt)
             segments.append(

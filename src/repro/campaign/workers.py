@@ -232,7 +232,9 @@ class WorkerPool:
     store : optional :class:`ResultStore` receiving a record per job.
     trace : record per-worker tracers (``pool.tracers``, one per worker
         thread, like the launcher's per-rank tracers) with
-        ``campaign.job`` / ``campaign.segment`` spans.
+        ``campaign.job`` / ``campaign.segment`` spans.  Every tracer the
+        pool hands out shares its ``epoch`` (the pool's construction
+        time), so all of them sit on one timeline.
     metrics : optional shared registry; jobs emit ``campaign.jobs.*``
         counters (updates are serialised on a pool lock).
     sleep : injectable clock for tests (defaults to :func:`time.sleep`).
@@ -262,6 +264,7 @@ class WorkerPool:
         )
         self.store = store
         self.trace = trace
+        self.epoch = time.perf_counter()
         #: Per-worker tracers of the last :meth:`run` (empty when
         #: ``trace=False``); merge/export through :mod:`repro.obs`.
         self.tracers: list = []
@@ -377,8 +380,9 @@ class WorkerPool:
         if self.trace:
             from ..obs.tracer import Tracer
 
-            epoch = time.perf_counter()
-            self.tracers = [Tracer(pid=i, epoch=epoch) for i in range(n_threads)]
+            self.tracers = [
+                Tracer(pid=i, epoch=self.epoch) for i in range(n_threads)
+            ]
         else:
             self.tracers = []
         results: dict[str, JobResult] = {}

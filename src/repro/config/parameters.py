@@ -160,6 +160,13 @@ class SimulationParameters:
         """Total radial element layers across all regions."""
         return self.ner_crust_mantle + self.ner_outer_core + self.ner_inner_core
 
+    def step_count(self, dt: float) -> int:
+        """Time steps of a run at ``dt``: ``nstep_override`` when set, else
+        enough to cover ``record_length_s``."""
+        if self.nstep_override is not None:
+            return int(self.nstep_override)
+        return max(1, int(math.ceil(self.record_length_s / dt)))
+
     def with_updates(self, **changes: Any) -> "SimulationParameters":
         """Return a copy with the given fields replaced (re-validated)."""
         return replace(self, **changes)

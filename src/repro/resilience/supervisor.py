@@ -14,13 +14,15 @@ epoch is abandoned, and the supervisor:
    any world);
 2. checks the *recovery budget* (``max_recoveries``), backing off
    between recoveries;
-3. finds the newest step for which **every** rank holds a CRC-verified
-   checkpoint (corrupt files are quarantined and older steps tried);
-4. rebuilds the world — either *respawn* (same size, every rank reloads
-   its own checkpoint: bit-identical to an uninterrupted run, see
-   docs/resilience.md) or *shrink* (the next smaller valid
-   ``nproc_xi``: the cached-mesh re-partition is rebuilt via
-   ``mesh/partition`` inside :func:`~repro.parallel.launcher
+3. walks back (:func:`~repro.solver.checkpoint.walk_back`) to the
+   newest checkpoint step for which **every** rank holds a CRC-verified
+   record (corrupt files are quarantined and older steps tried), reading
+   each rank's record once;
+4. rebuilds the world from those verified arrays — either *respawn*
+   (same size, every rank restores its own record: bit-identical to an
+   uninterrupted run, see docs/resilience.md) or *shrink* (the next
+   smaller valid ``nproc_xi``: the cached-mesh re-partition is rebuilt
+   via ``mesh/partition`` inside :func:`~repro.parallel.launcher
    .prepare_world`, and state crosses partitions through
    :mod:`repro.resilience.remap`, validated by tolerance);
 5. resumes the time loop from the common step with dt pinned to the
@@ -42,6 +44,7 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from ..config.parameters import ParameterError
 from ..parallel.errors import RankFailedError
 from ..parallel.launcher import (
     DistributedResult,
@@ -50,7 +53,7 @@ from ..parallel.launcher import (
     run_distributed_simulation,
     segment_boundaries,
 )
-from ..solver.checkpoint import CheckpointError, CheckpointManager, restore_state
+from ..solver.checkpoint import CheckpointManager, restore_state, walk_back
 from .detector import FailureDetector, RankDeathReport
 from .remap import WorldRemap
 
@@ -61,6 +64,12 @@ __all__ = [
     "RunSupervisor",
 ]
 
+#: Checkpoint interval count: a supervised run is cut into this many
+#: spans and every internal boundary is a checkpoint step.
+CHECKPOINT_SEGMENTS = 4
+#: Pause before each recovery, seconds.
+BACKOFF_S = 0.05
+
 
 @dataclass
 class RecoveryPolicy:
@@ -68,21 +77,11 @@ class RecoveryPolicy:
 
     ``mode``: ``"respawn"`` restarts on the original world size (the
     bit-exact path); ``"shrink"`` restarts on the surviving world — the
-    next smaller ``nproc_xi`` that divides the mesh.  ``keep``
-    bounds per-rank checkpoint retention; note ``keep=1`` can leave
-    ranks with disjoint checkpoint sets mid-epoch (rank A pruned the
-    step rank B is still on), forcing recovery back to step 0 — use
-    ``keep >= 2`` (or None, keep-all) when recovery matters more than
-    disk.
+    next smaller ``nproc_xi`` that divides the mesh.
     """
 
     max_recoveries: int = 2
-    backoff_s: float = 0.05
     mode: str = "respawn"
-    #: Checkpoint interval count: the run is cut into this many spans
-    #: and every internal boundary is a checkpoint step.
-    n_checkpoint_segments: int = 4
-    keep: int | None = None
     suspect_after_s: float = FailureDetector.DEFAULT_SUSPECT_AFTER_S
     probe_interval_s: float = FailureDetector.DEFAULT_PROBE_INTERVAL_S
 
@@ -93,8 +92,6 @@ class RecoveryPolicy:
             )
         if self.max_recoveries < 0:
             raise ValueError("max_recoveries must be >= 0")
-        if self.n_checkpoint_segments < 1:
-            raise ValueError("n_checkpoint_segments must be >= 1")
 
 
 @dataclass
@@ -183,47 +180,18 @@ class RunSupervisor:
         return {
             rank: CheckpointManager(
                 directory / f"n{size}" / f"rank{rank:04d}",
-                keep=self.policy.keep,
                 metrics=self.metrics,
             )
             for rank in range(size)
         }
 
-    def _common_resume_step(
-        self, managers: dict[int, CheckpointManager], total: int
-    ) -> int:
-        """Newest step at which EVERY rank holds a verified checkpoint.
-
-        Candidate steps are verified rank by rank; a checkpoint failing
-        CRC is quarantined and the next-older common step is tried.
-        Returns 0 (cold restart) when no common verified step exists.
-        """
-        common: set[int] | None = None
-        for manager in managers.values():
-            steps = {s for s in manager.steps() if s < total}
-            common = steps if common is None else (common & steps)
-        for step in sorted(common or (), reverse=True):
-            ok = True
-            for manager in managers.values():
-                try:
-                    manager.arrays(step)
-                except CheckpointError:
-                    manager.quarantine(step)
-                    self._count("resilience.checkpoint_rejections")
-                    ok = False
-            if ok:
-                return step
-        return 0
-
     def _shrunk_params(self, params):
         """The next smaller valid ``nproc_xi`` for this mesh."""
         for npx in range(params.nproc_xi - 1, 0, -1):
             try:
-                candidate = replace(params, nproc_xi=npx)
-            except Exception:
+                return replace(params, nproc_xi=npx)
+            except ParameterError:
                 continue
-            if params.nex_xi % npx == 0:
-                return candidate
         raise RankFailedError(
             -1,
             RuntimeError(
@@ -267,17 +235,8 @@ class RunSupervisor:
                 params, sources=sources, stations=stations, overlap=overlap
             )
             dt_pin = world.dt_global
-            if n_steps is not None:
-                total = int(n_steps)
-            elif params.nstep_override is not None:
-                total = int(params.nstep_override)
-            else:
-                import math
-
-                total = max(1, int(math.ceil(params.record_length_s / dt_pin)))
-            bounds = segment_boundaries(
-                total, min(policy.n_checkpoint_segments, total)
-            )
+            total = int(n_steps) if n_steps is not None else params.step_count(dt_pin)
+            bounds = segment_boundaries(total, min(CHECKPOINT_SEGMENTS, total))
             checkpoint_steps = tuple(stop for _start, stop in bounds[:-1])
 
             managers = self._managers(directory, world.size)
@@ -349,14 +308,23 @@ class RunSupervisor:
                     )
                     if len(recoveries) >= policy.max_recoveries:
                         raise
-                    if policy.backoff_s > 0:
-                        time.sleep(policy.backoff_s)
+                    time.sleep(BACKOFF_S)
                     with tr.span(
                         "resilience.recover",
                         failed_rank=failed_rank,
                         mode=policy.mode,
                     ) as span:
-                        resume = self._common_resume_step(managers, total)
+                        found = walk_back(
+                            list(managers.values()),
+                            checkpoint_steps,
+                            on_reject=lambda _path, _exc: self._count(
+                                "resilience.checkpoint_rejections"
+                            ),
+                        )
+                        resume, arrays, restore = 0, {}, None
+                        if found is not None:
+                            resume, records = found
+                            arrays = dict(zip(managers, records))
                         if policy.mode == "shrink" and world.size > 6:
                             old_world = world
                             shrunk = self._shrunk_params(world.params)
@@ -366,14 +334,10 @@ class RunSupervisor:
                                 stations=stations,
                                 overlap=overlap,
                             )
-                            if resume > 0:
-                                old_arrays = {
-                                    r: managers[r].arrays(resume)
-                                    for r in range(old_world.size)
-                                }
+                            if arrays:
                                 remap = WorldRemap(
                                     old_world.slices,
-                                    old_arrays,
+                                    arrays,
                                     world.slices,
                                     old_station_names={
                                         r: [s.name for s in names]
@@ -392,23 +356,17 @@ class RunSupervisor:
                                         solver, remap.arrays_for(rank, solver)
                                     )
 
-                            else:
-                                restore = None
                             managers = self._managers(directory, world.size)
-                            world_sizes.append(world.size)
-                        else:
+                        elif arrays:
                             # Respawn to the original size: each rank
-                            # reloads its OWN checkpoint — the bit-exact
-                            # path (docs/resilience.md).
-                            world_sizes.append(world.size)
-                            if resume > 0:
-                                resume_managers = managers
+                            # restores its OWN verified record — the
+                            # bit-exact path (docs/resilience.md).  Bound
+                            # here (a later recovery rebinds ``arrays``)
+                            # and popped, so a restored record is freed.
+                            def restore(rank: int, solver, arrays=arrays) -> None:
+                                restore_state(solver, arrays.pop(rank))
 
-                                def restore(rank: int, solver) -> None:
-                                    resume_managers[rank].load(solver, resume)
-
-                            else:
-                                restore = None
+                        world_sizes.append(world.size)
                         start_step = resume
                         span.add(resume_step=resume, world_size=world.size)
                     event = RecoveryEvent(

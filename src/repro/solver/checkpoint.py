@@ -19,10 +19,16 @@ place, so a job killed mid-checkpoint never leaves a truncated file that
 would block restart.  Integrity is verified end to end on load, so
 silent on-disk corruption — a flipped bit, a truncation, a file of
 another kind — surfaces as the typed :class:`CheckpointCorruptionError`
-instead of garbage state.  The campaign's segmented executor treats that
-error as "fall back to the last *verified* checkpoint"; the retry policy
-treats it as fail-fast for the artifact (re-running the same load cannot
-fix the file).
+instead of garbage state.  The retry policy treats that error as
+fail-fast for the artifact (re-running the same load cannot fix the
+file).
+
+A run's checkpoints live in a step-addressed :class:`CheckpointManager`
+(one per solver, or one per rank), and :func:`walk_back` is the one way
+back past corruption: the campaign's segmented executor calls it with
+one manager, the run supervisor's recovery with one manager per rank.
+It returns the newest step at which every manager holds a verified
+record, with those records, so each file is read once per restore.
 
 Format v5 is the only one read or written: every state array is
 event-leading (docs/batching.md) — fields ``(B, nglob[, 3])``, ``zeta``
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +52,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointCorruptionError",
     "CheckpointManager",
+    "walk_back",
     "save_checkpoint",
     "load_checkpoint",
     "read_verified_arrays",
@@ -119,20 +126,25 @@ def load_checkpoint(solver, path: str | Path, tracer=None, metrics=None) -> int:
     The solver must have been constructed with the identical mesh,
     parameters and number of events; shape mismatches are rejected loudly.
 
-    With a ``tracer``/``metrics`` pair the read is recorded as a
-    ``checkpoint.load`` span plus ``checkpoint.loads``/
-    ``io.checkpoint_bytes_read`` counters.
+    With a ``tracer``/``metrics`` pair the read (not the copy into the
+    solver) is recorded as a ``checkpoint.load`` span plus
+    ``checkpoint.loads``/``io.checkpoint_bytes_read`` counters.
     """
+    return restore_state(solver, _read_checkpoint(Path(path), tracer, metrics))
+
+
+def _read_checkpoint(path: Path, tracer, metrics) -> dict[str, np.ndarray]:
+    """:func:`read_verified_arrays` under the ``checkpoint.load`` span and
+    the ``checkpoint.loads``/``io.checkpoint_bytes_read`` counters."""
     from ..obs.tracer import maybe_tracer
 
-    path = Path(path)
     with maybe_tracer(tracer).span("checkpoint.load") as span:
         nbytes = path.stat().st_size if path.exists() else 0
         span.add(bytes=nbytes)
         if metrics is not None:
             metrics.counter("checkpoint.loads").add(1)
             metrics.counter("io.checkpoint_bytes_read").add(nbytes)
-        return restore_state(solver, read_verified_arrays(path))
+        return read_verified_arrays(path)
 
 
 def read_verified_arrays(path: str | Path) -> dict[str, np.ndarray]:
@@ -256,22 +268,13 @@ def _check_seismograms(data: np.ndarray, arrays, expected: tuple) -> None:
 
 
 class CheckpointManager:
-    """Step-addressed checkpoint store with bounded retention.
+    """Step-addressed checkpoint store.
 
     One directory holds one solver's (or one rank's) checkpoints, named
     ``step_<NNNNNNNN>.ckpt`` so the step is recoverable from a directory
-    scan alone.  ``keep=K`` bounds disk for long campaigns: after every
-    save, all but the newest K *active* checkpoints are pruned.
-
-    Corruption interacts with retention through *quarantine*, not
-    deletion: a checkpoint that fails verification during
-    :meth:`restore_latest` is renamed aside (suffix
-    ``.quarantined``) so it stops counting against ``keep`` and stops
-    being a restore candidate, while the evidence survives for
-    post-mortem.  Pruning only ever removes the *oldest* active files,
-    so walking back past a corrupt newest checkpoint always finds the
-    next-newest verified one if any exists — the prune-past-corruption
-    property the unit tests pin down.
+    scan alone.  A checkpoint that :func:`walk_back` rejects is renamed
+    aside (suffix ``.quarantined``): it stops being a restore candidate,
+    while the evidence survives for post-mortem.
     """
 
     #: Active checkpoint filename pattern (quarantined files get an
@@ -279,17 +282,8 @@ class CheckpointManager:
     FILE_PREFIX = "step_"
     FILE_SUFFIX = ".ckpt"
 
-    def __init__(
-        self,
-        directory: str | Path,
-        keep: int | None = None,
-        tracer=None,
-        metrics=None,
-    ):
-        if keep is not None and keep < 1:
-            raise ValueError(f"keep must be >= 1 (or None for all), got {keep}")
+    def __init__(self, directory: str | Path, tracer=None, metrics=None):
         self.directory = Path(directory)
-        self.keep = keep
         self.tracer = tracer
         self.metrics = metrics
 
@@ -314,33 +308,11 @@ class CheckpointManager:
         return sorted(out)
 
     def save(self, solver, step: int) -> Path:
-        """Checkpoint ``solver`` at ``step``, then apply retention."""
-        path = save_checkpoint(
+        """Checkpoint ``solver`` at ``step``."""
+        return save_checkpoint(
             solver, self.path_of(step), step,
             tracer=self.tracer, metrics=self.metrics,
         )
-        self.prune()
-        return path
-
-    def load(self, solver, step: int) -> int:
-        """Restore ``solver`` from the checkpoint at exactly ``step``."""
-        path = self.path_of(step)
-        if not path.exists():
-            raise CheckpointError(
-                f"no checkpoint for step {step} in {self.directory}"
-            )
-        loaded = load_checkpoint(
-            solver, path, tracer=self.tracer, metrics=self.metrics
-        )
-        if loaded != int(step):
-            raise CheckpointError(
-                f"checkpoint {path} carries step {loaded}, expected {step}"
-            )
-        return loaded
-
-    def arrays(self, step: int) -> dict[str, np.ndarray]:
-        """Raw verified arrays of the checkpoint at ``step`` (no solver)."""
-        return read_verified_arrays(self.path_of(step))
 
     def quarantine(self, step: int) -> Path | None:
         """Move the checkpoint at ``step`` aside (evidence, not a candidate)."""
@@ -352,40 +324,47 @@ class CheckpointManager:
             self.metrics.counter("checkpoint.quarantined").add(1)
         return target
 
-    def prune(self) -> list[int]:
-        """Delete the oldest active checkpoints beyond ``keep``; returns
-        the pruned steps."""
-        if self.keep is None:
-            return []
-        active = self.steps()
-        doomed = active[:-self.keep] if len(active) > self.keep else []
-        for step in doomed:
-            try:
-                self.path_of(step).unlink()
-            except OSError:
-                pass
-        if doomed and self.metrics is not None:
-            self.metrics.counter("checkpoint.pruned").add(len(doomed))
-        return doomed
 
-    def restore_latest(self, solver, on_reject=None) -> int | None:
-        """Restore from the newest verified checkpoint, walking back past
-        corruption.
+def walk_back(
+    managers: Sequence[CheckpointManager],
+    steps: Iterable[int],
+    on_reject: Callable[[Path, CheckpointError], None] | None = None,
+) -> tuple[int, list[dict[str, np.ndarray]]] | None:
+    """The newest of ``steps`` at which every manager holds a verified
+    record; returns it with each manager's arrays, in ``managers`` order.
 
-        Each checkpoint that fails to load is quarantined and reported
-        through ``on_reject(path, exc)`` before the next-newest is
-        tried.  Returns the restored step, or ``None`` when no loadable
-        checkpoint exists (the caller restarts from scratch).
-        """
-        for step in reversed(self.steps()):
-            path = self.path_of(step)
+    Candidates are read newest first, each file under the
+    ``checkpoint.load`` span and counters of its manager.  A file that
+    fails verification, or whose header step is not the step its name
+    carries, is quarantined and reported through ``on_reject(path,
+    exc)``, and the next-older step is tried.  A step that some manager
+    no longer lists (a file quarantined by an earlier walk) is skipped
+    without a second rejection.  Returns ``None`` when no step
+    qualifies: the caller starts cold.
+
+    Only corruption walks back.  A verified record that does not fit the
+    solver raises from :func:`restore_state`: the chain's own solvers
+    write these records, so a misfit is a bug that an older step would
+    not fix.
+    """
+    common = set(steps).intersection(*(m.steps() for m in managers))
+    for step in sorted(common, reverse=True):
+        records = []
+        for manager in managers:
+            path = manager.path_of(step)
             try:
-                return self.load(solver, step)
-            # Only corruption/unreadability walks back; a shape or dt
-            # mismatch (ValueError) means the *solver* is wrong for this
-            # store and quarantining intact files would not help.
+                arrays = _read_checkpoint(path, manager.tracer, manager.metrics)
+                if int(arrays["step"]) != step:
+                    raise CheckpointError(
+                        f"checkpoint {path} carries step "
+                        f"{int(arrays['step'])}, expected {step}"
+                    )
             except CheckpointError as exc:
-                quarantined = self.quarantine(step)
+                quarantined = manager.quarantine(step)
                 if on_reject is not None:
                     on_reject(quarantined or path, exc)
-        return None
+                break
+            records.append(arrays)
+        else:
+            return step, records
+    return None

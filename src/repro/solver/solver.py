@@ -361,10 +361,7 @@ class GlobalSolver:
         else:
             # ``estimate_time_step``'s arithmetic, on the prepared bound.
             self.dt = params.courant * prepared.dt_bound
-        if params.nstep_override is not None:
-            self.n_steps = int(params.nstep_override)
-        else:
-            self.n_steps = max(1, int(np.ceil(params.record_length_s / self.dt)))
+        self.n_steps = params.step_count(self.dt)
 
         #: ``(solid_code, operator)`` per solid-fluid interface.
         self.couplings: tuple[tuple[int, CouplingOperator], ...] = prepared.couplings

@@ -412,3 +412,24 @@ class TestBatchedCampaign:
         assert statuses["bad"] == "failed"
         assert statuses["good-a"] == statuses["good-b"] == "succeeded"
         assert metrics.counter("campaign.batch.fallbacks").value == 1
+
+    def test_traced_batched_group_records_spans(self):
+        params = self.base_params()
+        jobs = [
+            JobSpec(name=f"ev{i}", params=params, sources=events(2)[i],
+                    stations=stations())
+            for i in range(2)
+        ]
+        # A different step count cannot batch: it runs on the worker.
+        jobs.append(JobSpec(name="solo", params=params, sources=events(1)[0],
+                            stations=stations(), n_steps=4))
+        results, pool = run_batched_campaign(
+            jobs, n_workers=1, mesh_cache=MeshCache(), trace=True
+        )
+        assert [r.payload.get("batch_size") for r in results] == [2, 2, None]
+        assert len(pool.tracers) == 2  # the worker's and the groups'
+        records = [rec for tracer in pool.tracers for rec in tracer.records]
+        batches = [rec for rec in records if rec.name == "campaign.batch"]
+        assert [rec.counters["events"] for rec in batches] == [2]
+        assert any(rec.name == "kernel.elastic" for rec in records)
+        assert len({tracer.epoch for tracer in pool.tracers}) == 1

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.campaign import run_segmented_simulation, segment_boundaries
-from repro.chaos.integrity import read_record, write_record
+from repro.chaos.integrity import flip_bit, read_record, write_record
 from repro.config import constants
 from repro.config.parameters import SimulationParameters
 from repro.mesh import build_global_mesh
@@ -165,8 +165,46 @@ class TestSegmentedBitIdentity:
             keep_checkpoints=True,
         )
         kept = sorted(p.name for p in tmp_path.glob("*.ckpt"))
-        assert kept == ["segment_000.ckpt", "segment_001.ckpt"]
+        assert kept == ["step_00000004.ckpt", "step_00000008.ckpt"]
         assert seg.segments[-1].checkpoint is None
+
+
+class TestReusedCheckpointDir:
+    def test_stale_checkpoints_are_never_restored(self, mesh, params, tmp_path):
+        """Only steps this call wrote are restore candidates: another
+        run's ``step_*.ckpt`` in a reused directory stay untouched."""
+        other = MomentTensorSource(
+            position=(0.0, 0.0, constants.R_EARTH_KM - 300.0),
+            moment=3e20 * np.eye(3),
+            stf=gaussian_stf(10.0),
+            time_shift=3.0,
+        )
+        run_segmented_simulation(  # leaves steps 3, 6 and 9 behind
+            params, sources=[other], stations=demo_stations(), n_segments=4,
+            mesh=mesh, checkpoint_dir=tmp_path,
+        )
+        stale = {p.name: p.read_bytes() for p in tmp_path.glob("*.ckpt")}
+        assert sorted(stale) == [
+            "step_00000003.ckpt", "step_00000006.ckpt", "step_00000009.ckpt"
+        ]
+        straight = make_solver(mesh, params)
+        straight.run()
+
+        def corrupt(index, path):
+            flip_bit(path, bit=8 * (path.stat().st_size // 2))
+
+        with pytest.warns(UserWarning, match="falling back"):
+            seg = run_segmented_simulation(
+                params, sources=[demo_source()], stations=demo_stations(),
+                n_segments=3, mesh=mesh, checkpoint_dir=tmp_path,
+                on_checkpoint=corrupt,
+            )
+        # Both of this call's checkpoints were rejected: cold restarts,
+        # never the older stale steps.
+        np.testing.assert_array_equal(
+            straight.receiver_set.data, seg.seismograms
+        )
+        assert {n: (tmp_path / n).read_bytes() for n in stale} == stale
 
 
 # -------------------------------------------------------------- crash-safety

@@ -1,4 +1,4 @@
-"""Elastic rank-failure recovery: detector, checkpoint retention,
+"""Elastic rank-failure recovery: detector, checkpoint walk-back,
 supervisor, and campaign/service integration.
 
 The acceptance criteria of the resilience subsystem, as tests:
@@ -7,9 +7,10 @@ The acceptance criteria of the resilience subsystem, as tests:
   beyond the suspicion threshold) from a **straggler** (recent traffic)
   at recv-deadline escalation, and a confirmed death interrupts blocked
   peers within one probe interval;
-* :class:`~repro.solver.checkpoint.CheckpointManager` keeps the last K
-  verified checkpoints, prunes older ones, and ``restore_latest`` walks
-  back *past* a corrupted newest checkpoint;
+* :func:`~repro.solver.checkpoint.walk_back` over a
+  :class:`~repro.solver.checkpoint.CheckpointManager` walks back *past*
+  a corrupted newest checkpoint, and a recovery reads each rank's
+  checkpoint once;
 * respawn recovery is **bit-identical** to an uninterrupted run across
   (crash step x crashing rank x halo schedule);
 * shrink recovery (24 -> 6 ranks) matches within tolerance, with
@@ -49,10 +50,14 @@ from repro.resilience import (
     RunSupervisor,
 )
 from repro.solver import GlobalSolver
+from repro.solver import checkpoint as checkpoint_module
 from repro.solver.checkpoint import (
     CheckpointError,
     CheckpointManager,
+    read_verified_arrays,
+    restore_state,
     save_checkpoint,
+    walk_back,
 )
 
 
@@ -88,6 +93,19 @@ def run_supervised(params, plan, mode="respawn", **kwargs):
         fault_plan=plan,
         **kwargs,
     )
+
+
+def _count_checkpoint_reads(monkeypatch) -> list[Path]:
+    """Record the path of every checkpoint record read from now on."""
+    reads: list[Path] = []
+    real = checkpoint_module.read_record
+
+    def counting(path, magic):
+        reads.append(Path(path))
+        return real(path, magic)
+
+    monkeypatch.setattr(checkpoint_module, "read_record", counting)
+    return reads
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +169,7 @@ class TestFailureDetector:
 
 
 # ---------------------------------------------------------------------------
-# CheckpointManager retention
+# CheckpointManager and the walk-back
 # ---------------------------------------------------------------------------
 
 
@@ -165,22 +183,15 @@ class TestCheckpointManager:
         solver.run(n_steps=6, start_step=0, stop_step=3)
         return solver
 
-    def test_keep_k_prunes_oldest(self, solver, tmp_path):
-        manager = CheckpointManager(tmp_path, keep=2)
-        for step in (1, 2, 3):
-            manager.save(solver, step)
-        assert manager.steps() == [2, 3]
-        assert not manager.path_of(1).exists()
-
     def test_keep_none_retains_all(self, solver, tmp_path):
         manager = CheckpointManager(tmp_path)
         for step in (1, 2, 3):
             manager.save(solver, step)
         assert manager.steps() == [1, 2, 3]
 
-    def test_restore_latest_walks_past_corruption(self, solver, tmp_path):
+    def test_walk_back_past_corruption(self, solver, tmp_path):
         metrics = MetricsRegistry()
-        manager = CheckpointManager(tmp_path, keep=3, metrics=metrics)
+        manager = CheckpointManager(tmp_path, metrics=metrics)
         for step in (1, 2, 3):
             manager.save(solver, step)
         newest = manager.path_of(3)
@@ -190,9 +201,11 @@ class TestCheckpointManager:
                              sources=[default_source()],
                              stations=default_stations())
         rejected = []
-        step = manager.restore_latest(
-            fresh, on_reject=lambda path, exc: rejected.append(path)
+        step, (arrays,) = walk_back(
+            [manager], (1, 2, 3),
+            on_reject=lambda path, exc: rejected.append(path),
         )
+        assert restore_state(fresh, arrays) == step
         # The corrupt newest checkpoint is rejected and quarantined; the
         # next-older verified one restores.
         assert step == 2
@@ -202,19 +215,22 @@ class TestCheckpointManager:
         quarantined = list(tmp_path.glob("*.quarantined"))
         assert len(quarantined) == 1
 
-    def test_restore_latest_none_when_empty(self, solver, tmp_path):
+    def test_walk_back_none_when_empty(self, solver, tmp_path):
         manager = CheckpointManager(tmp_path)
-        params = tiny_params(nstep_override=6)
-        fresh = GlobalSolver(build_global_mesh(params), params,
-                             sources=[default_source()],
-                             stations=default_stations())
-        assert manager.restore_latest(fresh) is None
+        assert walk_back([manager], (1, 2, 3)) is None
 
     def test_load_validates_step(self, solver, tmp_path):
         manager = CheckpointManager(tmp_path)
         manager.save(solver, 2)
-        with pytest.raises(CheckpointError):
-            manager.load(solver, 7)
+        # A record whose header step is not the step its name carries.
+        manager.path_of(2).rename(manager.path_of(7))
+        rejected = []
+        assert walk_back(
+            [manager], (7,), on_reject=lambda path, exc: rejected.append(exc)
+        ) is None
+        assert len(rejected) == 1
+        assert isinstance(rejected[0], CheckpointError)
+        assert manager.steps() == []
 
     def test_arrays_raises_on_corruption(self, solver, tmp_path):
         manager = CheckpointManager(tmp_path)
@@ -222,11 +238,7 @@ class TestCheckpointManager:
         path = manager.path_of(1)
         flip_bit(path, bit=8 * (path.stat().st_size // 2))
         with pytest.raises(CheckpointError):
-            manager.arrays(1)
-
-    def test_rejects_bad_keep(self, tmp_path):
-        with pytest.raises(ValueError):
-            CheckpointManager(tmp_path, keep=0)
+            read_verified_arrays(path)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +316,16 @@ class TestRespawnRecovery:
         assert metrics.counter("resilience.deaths").value == 2
         assert metrics.counter("resilience.epochs").value == 3
 
+    def test_reads_each_rank_checkpoint_once(self, monkeypatch):
+        reads = _count_checkpoint_reads(monkeypatch)
+        plan = FaultPlan([FaultSpec(kind="crash", rank=2, step=3)])
+        res = run_supervised(tiny_params(), plan)
+        assert res.recoveries[0].resume_step == 2
+        resume_reads = [p for p in reads if p.name == "step_00000002.ckpt"]
+        assert sorted(p.parent.name for p in resume_reads) == [
+            f"rank{r:04d}" for r in range(6)
+        ]
+
     def test_provenance_payload(self):
         plan = FaultPlan([FaultSpec(kind="crash", rank=3, step=6)])
         res = run_supervised(tiny_params(), plan)
@@ -351,6 +373,18 @@ class TestShrinkRecovery:
         assert np.max(np.abs(reference.seismograms - recovered)) <= (
             1e-9 * scale
         )
+
+    def test_reads_each_rank_checkpoint_once(self, monkeypatch):
+        reads = _count_checkpoint_reads(monkeypatch)
+        params = tiny_params(nproc_xi=2, nstep_override=8)  # 24 ranks
+        plan = FaultPlan([FaultSpec(kind="crash", rank=7, step=5)])
+        res = run_supervised(params, plan, mode="shrink")
+        assert res.world_sizes == [24, 6]
+        assert res.recoveries[0].resume_step == 4
+        resume_reads = [p for p in reads if p.name == "step_00000004.ckpt"]
+        assert sorted(p.parent.name for p in resume_reads) == [
+            f"rank{r:04d}" for r in range(24)
+        ]
 
     def test_shrink_on_minimum_world_respawns(self):
         # 6 ranks is the floor (nproc_xi=1): shrink mode falls back to
