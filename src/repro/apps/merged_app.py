@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config.parameters import SimulationParameters
+from ..config.parameters import MESH, SimulationParameters
 from ..io.meshfiles import (
     DiskUsage,
     read_slice_database,
@@ -124,10 +124,7 @@ def run_global_simulation(
     if mesh is None:
         mesh = build_global_mesh(params, tracer=tracer)
     else:
-        # Lazy import: campaign sits above apps in the layer diagram.
-        from ..campaign.mesh_cache import mesh_cache_key
-
-        if mesh_cache_key(mesh.params) != mesh_cache_key(params):
+        if mesh.params.key_payload(MESH) != params.key_payload(MESH):
             raise ValueError(
                 "pre-built mesh was generated from mesh-incompatible "
                 "parameters; rebuild or fix the cache key"

@@ -66,13 +66,6 @@ EXAMPLE_SPEC = {
 }
 
 
-def _build_params(defaults: dict, overrides: dict) -> SimulationParameters:
-    base = SimulationParameters().to_dict()
-    base.update(defaults)
-    base.update(overrides)
-    return SimulationParameters.from_dict(base)
-
-
 def _build_source(spec: dict) -> MomentTensorSource:
     return MomentTensorSource(
         position=tuple(float(v) for v in spec["position"]),
@@ -98,7 +91,9 @@ def _build_jobs(spec: dict) -> list[JobSpec]:
         jobs.append(
             JobSpec(
                 name=job.get("name", f"job-{i}"),
-                params=_build_params(defaults, job.get("params", {})),
+                params=SimulationParameters.from_dict(
+                    {**defaults, **job.get("params", {})}
+                ),
                 sources=sources,
                 stations=stations,
                 n_steps=job.get("n_steps"),

@@ -26,8 +26,9 @@ Packing rules (see docs/batching.md for the rationale):
 Failure isolation: a batched run that dies with a
 :class:`~repro.chaos.sentinel.NumericalHealthError` (one diverging event
 poisons the shared health check) falls back to running the group's
-events sequentially through the pool, so only the offending event's
-JobRecord fails — the healthy events complete normally.  Bit-identity
+events sequentially, in the pool's one run with the singletons, so
+only the offending event's JobRecord fails — the healthy events
+complete normally.  Bit-identity
 (docs/batching.md) guarantees the fallback results equal what the
 batched run would have produced for the healthy events.
 """
@@ -116,14 +117,15 @@ def plan_batches(
 
 def _run_batched_group(
     group: list[JobSpec], pool: WorkerPool, tracer=None
-) -> dict[str, JobResult]:
+) -> dict[str, JobResult] | None:
     """Execute one >=2-event group as a single batched solver run.
 
     Fans the batched result out into per-job :class:`JobResult`s (event
     b's seismograms are the leading-axis slice b) and records each into
     the pool's store with batch provenance metadata.  On
-    :class:`NumericalHealthError` the group is re-run sequentially so
-    only the offending event fails (see module docstring).  With a
+    :class:`NumericalHealthError` it returns None: the caller then runs
+    the group's events sequentially, so only the offending event fails
+    (see module docstring).  With a
     ``tracer`` the group is one ``campaign.batch`` span (counter
     ``events=B``) around the mesh lookup and the solver's spans.
     """
@@ -150,7 +152,7 @@ def _run_batched_group(
         # and only the offending event's record fails (fatal, fail-fast
         # via the pool's retry policy).
         pool._count("batch.fallbacks")
-        return dict(zip((j.name for j in group), pool.run(group)))
+        return None
     wall = time.perf_counter() - t0
     pool._count("batch.groups")
     pool._count("batch.events", len(group))
@@ -215,10 +217,12 @@ def run_batched_campaign(
     results: dict[str, JobResult] = {}
     sequential: list[JobSpec] = []
     for group in plan_batches(jobs, max_batch=max_batch):
-        if len(group) == 1:
-            sequential.append(group[0])
+        batched = len(group) > 1 and _run_batched_group(group, pool, tracer)
+        if batched:
+            results.update(batched)
         else:
-            results.update(_run_batched_group(group, pool, tracer))
+            sequential.extend(group)
+    # One pool run for singletons and fallen-back groups keeps every span.
     if sequential:
         results.update(
             dict(zip((j.name for j in sequential), pool.run(sequential)))

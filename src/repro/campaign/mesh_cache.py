@@ -8,8 +8,10 @@ at one resolution therefore needs one mesh, not N (the amortisation move
 of the frequency-domain solvers in PAPERS.md: one factorisation, many
 right-hand sides).
 
-:func:`mesh_cache_key` canonically hashes that subset; :class:`MeshCache`
-keeps an in-memory LRU of built meshes keyed on it, with an optional
+:func:`mesh_cache_key` canonically hashes that subset — the keys the
+parameter table (:mod:`repro.config.parameters`) declares in its *mesh*
+class — and :func:`params_hash` the whole table.  :class:`MeshCache`
+keeps an in-memory LRU of built meshes keyed on the first, with an optional
 on-disk spill directory of verified records
 (:mod:`repro.chaos.integrity`) so meshes survive eviction (and
 processes).
@@ -24,8 +26,6 @@ workers.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -39,7 +39,13 @@ from ..chaos.integrity import (
     read_record,
     write_record,
 )
-from ..config.parameters import SimulationParameters
+from ..config.parameters import (
+    KEY_CLASSES,
+    MESH,
+    SimulationParameters,
+    content_digest,
+    par_keys,
+)
 from ..mesh.element import RegionMesh
 from ..mesh.mesher import GlobalMesh, build_global_mesh
 from ..solver.prepared import PreparedMesh, deformed_surfaces
@@ -55,41 +61,19 @@ __all__ = [
 
 _MAGIC = b"MESHREC1"
 
-#: Par_file keys that determine the generated mesh, and nothing else.
-#: Solver-only switches (attenuation, rotation, gravity, oceans, kernel
-#: variant, record length, sources/receivers) are deliberately absent:
-#: two parameter sets differing only in those share one mesh.
-#: ``SINGLE_PASS_MESHER`` is also absent — both passes produce identical
-#: meshes (that is the point of the A-MESH2X ablation).
-MESH_KEY_FIELDS = (
-    "NEX_XI",
-    "NPROC_XI",
-    "NER_CRUST_MANTLE",
-    "NER_OUTER_CORE",
-    "NER_INNER_CORE",
-    "ELLIPTICITY",
-    "TOPOGRAPHY",
-    "TRANSVERSE_ISOTROPY",
-    "USE_3D_MODEL",
-    "UNIFORM_RADIAL_LAYERS",
-    "SEED",
-)
+#: Par_file keys that determine the generated mesh (the table's *mesh*
+#: class): parameter sets differing only in other keys share one mesh.
+MESH_KEY_FIELDS = par_keys(MESH)
 
 
 def mesh_cache_key(params: SimulationParameters) -> str:
-    """Canonical content hash of the mesh-relevant parameter subset."""
-    full = params.to_dict()
-    subset = {name: full[name] for name in MESH_KEY_FIELDS}
-    canon = json.dumps(subset, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    """Canonical content hash of the mesh-class parameter subset."""
+    return content_digest(params.key_payload(MESH))
 
 
 def params_hash(params: SimulationParameters) -> str:
     """Canonical content hash of the *complete* parameter set (provenance)."""
-    canon = json.dumps(
-        params.to_dict(), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return content_digest(params.key_payload(*KEY_CLASSES))
 
 
 # -------------------------------------------------------------------- spill

@@ -14,8 +14,8 @@ from .constants import (
     shortest_period_for_nex,
 )
 from .parameters import (
-    IO_MODES,
     KERNEL_VARIANTS,
+    RETIRED_KEYS,
     STATION_LOCATION_MODES,
     ConfigError,
     ParameterError,
@@ -35,8 +35,8 @@ __all__ = [
     "R_ICB_KM",
     "nex_for_shortest_period",
     "shortest_period_for_nex",
-    "IO_MODES",
     "KERNEL_VARIANTS",
+    "RETIRED_KEYS",
     "STATION_LOCATION_MODES",
     "ConfigError",
     "ParameterError",

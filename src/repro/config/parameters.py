@@ -1,16 +1,22 @@
 """Simulation parameter handling (the analogue of SPECFEM's ``Par_file``).
 
 :class:`SimulationParameters` collects every user-facing knob of the mesher
-and solver — mesh resolution ``NEX_XI``, process-grid size ``NPROC_XI``,
-physics switches (attenuation, rotation, gravity, oceans), kernel variant,
-I/O mode — and validates the SPECFEM composition rules between them.
+and solver and validates the SPECFEM composition rules between them.  Its
+fields are the one parameter table: each declares a key once — its
+Par_file name (the field name upper-cased), its type (the annotation,
+checked at construction) and its key class (:data:`MESH`,
+:data:`PHYSICS` or :data:`OBSERVE`, in ``field(metadata=...)``).  The
+Par_file dict and text and every content key derive from the table
+(:meth:`~SimulationParameters.key_payload`, :func:`content_digest`).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Mapping, get_args, get_type_hints
 
 from . import constants
 
@@ -31,11 +37,36 @@ class ParameterError(ConfigError):
 #: Kernel implementation choices (see :mod:`repro.kernels`).
 KERNEL_VARIANTS = ("baseline", "vectorized", "blas")
 
-#: Mesher -> solver handoff modes (see :mod:`repro.io`).
-IO_MODES = ("files", "merged")
-
 #: Station-location algorithms (see :mod:`repro.solver.receivers`).
 STATION_LOCATION_MODES = ("interpolated", "closest_point")
+
+#: Key classes: what flipping a key forks.
+MESH = "mesh"  # the mesh, and so everything computed on it
+PHYSICS = "physics"  # the wavefield's bits, not the mesh
+OBSERVE = "observe"  # nothing computed
+KEY_CLASSES = (MESH, PHYSICS, OBSERVE)
+
+#: Par_file keys no code reads any more, at the one value every stored
+#: digest was made with: :meth:`SimulationParameters.from_dict` drops them
+#: (old stores, spills and Par_files stay valid) and ``key_payload``
+#: hashes them as physics keys at these values (no digest moved).
+RETIRED_KEYS: Mapping[str, Any] = {
+    "USE_CUTHILL_MCKEE": True,
+    "IO_MODE": "merged",
+    "USE_PADDING": True,
+}
+
+
+def _key(default: Any, key_class: str) -> Any:
+    """One table entry: a field default and its key class."""
+    return field(default=default, metadata={"key_class": key_class})
+
+
+def content_digest(payload: Any) -> str:
+    """Content address of a JSON-able payload: the sha256 of its canonical
+    JSON (sorted keys, no whitespace), first 16 hex digits."""
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -48,58 +79,73 @@ class SimulationParameters:
     each side, for a total of ``6 * nproc_xi**2`` processes.
     """
 
-    nex_xi: int = 16
-    nproc_xi: int = 1
+    nex_xi: int = _key(16, MESH)
+    nproc_xi: int = _key(1, MESH)
 
     # Radial discretisation: number of element layers per region.
-    ner_crust_mantle: int = 4
-    ner_outer_core: int = 2
-    ner_inner_core: int = 1
+    ner_crust_mantle: int = _key(4, MESH)
+    ner_outer_core: int = _key(2, MESH)
+    ner_inner_core: int = _key(1, MESH)
 
     # Physics switches.
-    attenuation: bool = False
-    rotation: bool = False
-    gravity: bool = False
-    oceans: bool = False
-    ellipticity: bool = False
-    topography: bool = False
-    transverse_isotropy: bool = False
-    use_3d_model: bool = False
+    attenuation: bool = _key(False, PHYSICS)
+    rotation: bool = _key(False, PHYSICS)
+    gravity: bool = _key(False, PHYSICS)
+    oceans: bool = _key(False, PHYSICS)
+    ellipticity: bool = _key(False, MESH)
+    topography: bool = _key(False, MESH)
+    transverse_isotropy: bool = _key(False, MESH)
+    use_3d_model: bool = _key(False, MESH)
 
     # Numerics / engineering switches.
     #: Skip the PREM-discontinuity snapping of radial layers (used with
     #: homogeneous material models, e.g. normal-mode validation, where thin
     #: crustal layers would only shrink the stable time step).
-    uniform_radial_layers: bool = False
-    kernel_variant: str = "vectorized"
-    use_cuthill_mckee: bool = True
-    single_pass_mesher: bool = True
-    station_location: str = "closest_point"
-    io_mode: str = "merged"
-    use_padding: bool = True
+    uniform_radial_layers: bool = _key(False, MESH)
+    kernel_variant: str = _key("vectorized", PHYSICS)
+    #: Both mesher passes produce the same mesh (the A-MESH2X ablation).
+    single_pass_mesher: bool = _key(True, OBSERVE)
+    station_location: str = _key("closest_point", PHYSICS)
     #: Overlap halo communication with interior-element computation in
     #: distributed runs (non-blocking exchange; bit-identical to the
     #: blocking reference path, which remains the default).
-    overlap_comm: bool = False
+    overlap_comm: bool = _key(False, OBSERVE)
 
     # Time marching.
-    record_length_s: float = 200.0
-    courant: float = constants.COURANT_SUGGESTED
-    nstep_override: int | None = None
+    record_length_s: float = _key(200.0, PHYSICS)
+    courant: float = _key(constants.COURANT_SUGGESTED, PHYSICS)
+    nstep_override: int | None = _key(None, PHYSICS)
 
     # Robustness.
     #: Run the numerical health sentinel every N steps (``None`` = off).
     #: See :mod:`repro.chaos.sentinel`.
-    health_check_every: int | None = None
+    health_check_every: int | None = _key(None, OBSERVE)
 
-    # Reproducibility.
-    seed: int = 12345
+    # Reproducibility: seeds the synthetic 3-D model and topography.
+    seed: int = _key(12345, MESH)
 
     def __post_init__(self) -> None:
+        # A bool field takes only a bool, an int field an int but not a
+        # bool, a float field an int or a float (stored as a float), and
+        # a ``| None`` field also None.
+        for name, key, _, base, accepts in _TABLE:
+            value = getattr(self, name)
+            if not isinstance(value, accepts) or (
+                isinstance(value, bool) and base is not bool
+            ):
+                expected = " or None" if type(None) in accepts else ""
+                raise ParameterError(
+                    f"{key} must be {base.__name__}{expected}, got {value!r}"
+                )
+            if base is float and type(value) is int:
+                object.__setattr__(self, name, float(value))
         if self.nex_xi < 2:
             raise ParameterError(f"NEX_XI must be >= 2, got {self.nex_xi}")
-        if self.nproc_xi < 1:
-            raise ParameterError(f"NPROC_XI must be >= 1, got {self.nproc_xi}")
+        for name in ("nproc_xi", "ner_crust_mantle", "ner_outer_core",
+                     "ner_inner_core", "nstep_override", "health_check_every"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ParameterError(f"{name.upper()} must be >= 1, got {value}")
         if self.nex_xi % (2 * self.nproc_xi) != 0:
             # SPECFEM rule: NEX_XI must be a multiple of 2*NPROC_XI so each
             # slice holds an even, equal number of surface elements.
@@ -107,36 +153,17 @@ class SimulationParameters:
                 f"NEX_XI ({self.nex_xi}) must be a multiple of 2*NPROC_XI "
                 f"({2 * self.nproc_xi})"
             )
-        if self.kernel_variant not in KERNEL_VARIANTS:
-            raise ParameterError(
-                f"kernel_variant must be one of {KERNEL_VARIANTS}, "
-                f"got {self.kernel_variant!r}"
-            )
-        if self.io_mode not in IO_MODES:
-            raise ParameterError(
-                f"io_mode must be one of {IO_MODES}, got {self.io_mode!r}"
-            )
-        if self.station_location not in STATION_LOCATION_MODES:
-            raise ParameterError(
-                f"station_location must be one of {STATION_LOCATION_MODES}, "
-                f"got {self.station_location!r}"
-            )
-        for name in ("ner_crust_mantle", "ner_outer_core", "ner_inner_core"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
+        for name, choices in (("kernel_variant", KERNEL_VARIANTS),
+                              ("station_location", STATION_LOCATION_MODES)):
+            if getattr(self, name) not in choices:
+                raise ParameterError(
+                    f"{name} must be one of {choices}, "
+                    f"got {getattr(self, name)!r}"
+                )
         if not (0.0 < self.courant <= 1.0):
             raise ParameterError(f"courant must be in (0, 1], got {self.courant}")
         if self.record_length_s <= 0.0:
             raise ParameterError("record_length_s must be positive")
-        if self.nstep_override is not None and self.nstep_override < 1:
-            raise ParameterError(
-                f"nstep_override must be >= 1, got {self.nstep_override}"
-            )
-        if self.health_check_every is not None and self.health_check_every < 1:
-            raise ParameterError(
-                f"health_check_every must be >= 1, "
-                f"got {self.health_check_every}"
-            )
 
     # -- Derived quantities ---------------------------------------------------
 
@@ -175,72 +202,52 @@ class SimulationParameters:
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise to a plain dict (Par_file analogue)."""
-        return {
-            "NEX_XI": self.nex_xi,
-            "NPROC_XI": self.nproc_xi,
-            "NER_CRUST_MANTLE": self.ner_crust_mantle,
-            "NER_OUTER_CORE": self.ner_outer_core,
-            "NER_INNER_CORE": self.ner_inner_core,
-            "ATTENUATION": self.attenuation,
-            "ROTATION": self.rotation,
-            "GRAVITY": self.gravity,
-            "OCEANS": self.oceans,
-            "ELLIPTICITY": self.ellipticity,
-            "TOPOGRAPHY": self.topography,
-            "TRANSVERSE_ISOTROPY": self.transverse_isotropy,
-            "USE_3D_MODEL": self.use_3d_model,
-            "UNIFORM_RADIAL_LAYERS": self.uniform_radial_layers,
-            "KERNEL_VARIANT": self.kernel_variant,
-            "USE_CUTHILL_MCKEE": self.use_cuthill_mckee,
-            "SINGLE_PASS_MESHER": self.single_pass_mesher,
-            "STATION_LOCATION": self.station_location,
-            "IO_MODE": self.io_mode,
-            "USE_PADDING": self.use_padding,
-            "OVERLAP_COMM": self.overlap_comm,
-            "RECORD_LENGTH_S": self.record_length_s,
-            "COURANT": self.courant,
-            "NSTEP_OVERRIDE": self.nstep_override,
-            "HEALTH_CHECK_EVERY": self.health_check_every,
-            "SEED": self.seed,
-        }
+        return {key: getattr(self, name) for name, key, *_ in _TABLE}
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "SimulationParameters":
-        """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        mapping = {
-            "NEX_XI": "nex_xi",
-            "NPROC_XI": "nproc_xi",
-            "NER_CRUST_MANTLE": "ner_crust_mantle",
-            "NER_OUTER_CORE": "ner_outer_core",
-            "NER_INNER_CORE": "ner_inner_core",
-            "ATTENUATION": "attenuation",
-            "ROTATION": "rotation",
-            "GRAVITY": "gravity",
-            "OCEANS": "oceans",
-            "ELLIPTICITY": "ellipticity",
-            "TOPOGRAPHY": "topography",
-            "TRANSVERSE_ISOTROPY": "transverse_isotropy",
-            "USE_3D_MODEL": "use_3d_model",
-            "UNIFORM_RADIAL_LAYERS": "uniform_radial_layers",
-            "KERNEL_VARIANT": "kernel_variant",
-            "USE_CUTHILL_MCKEE": "use_cuthill_mckee",
-            "SINGLE_PASS_MESHER": "single_pass_mesher",
-            "STATION_LOCATION": "station_location",
-            "IO_MODE": "io_mode",
-            "USE_PADDING": "use_padding",
-            "OVERLAP_COMM": "overlap_comm",
-            "RECORD_LENGTH_S": "record_length_s",
-            "COURANT": "courant",
-            "NSTEP_OVERRIDE": "nstep_override",
-            "HEALTH_CHECK_EVERY": "health_check_every",
-            "SEED": "seed",
-        }
+        """Rebuild from :meth:`to_dict` output (unknown keys rejected,
+        :data:`RETIRED_KEYS` dropped)."""
         kwargs: dict[str, Any] = {}
         for key, value in d.items():
-            if key not in mapping:
+            if key in PAR_TYPES:
+                kwargs[key.lower()] = value
+            elif key not in RETIRED_KEYS:
                 raise ParameterError(f"unknown Par_file key: {key!r}")
-            kwargs[mapping[key]] = value
         return cls(**kwargs)
+
+    def key_payload(self, *classes: str) -> dict[str, Any]:
+        """The Par_file dict of the keys in ``classes``: what a content key
+        over those classes hashes.  A payload with :data:`PHYSICS` keys
+        also holds :data:`RETIRED_KEYS` at their fixed values."""
+        payload = {key: getattr(self, key.lower()) for key in par_keys(*classes)}
+        if PHYSICS in classes:
+            payload.update(RETIRED_KEYS)
+        return payload
+
+
+def _accepted_types(hint: Any) -> tuple[type, tuple[type, ...]]:
+    """``(base type, accepted types)`` of one field annotation."""
+    args = get_args(hint)  # ``T | None``
+    base = next(a for a in args if a is not type(None)) if args else hint
+    accepts = {float: (int, float)}.get(base, (base,))
+    return base, accepts + ((type(None),) if args else ())
+
+
+#: ``(field name, Par_file key, key class, base type, accepted types)`` of
+#: every field, in declaration order.
+_HINTS = get_type_hints(SimulationParameters)
+_TABLE = tuple(
+    (f.name, f.name.upper(), f.metadata["key_class"], *_accepted_types(_HINTS[f.name]))
+    for f in fields(SimulationParameters)
+)
+#: Par_file key -> ``(base type, takes None)``.
+PAR_TYPES = {key: (base, type(None) in ok) for _, key, _, base, ok in _TABLE}
+
+
+def par_keys(*classes: str) -> tuple[str, ...]:
+    """Par_file keys of the given key classes, in declaration order."""
+    return tuple(key for _, key, key_class, *_ in _TABLE if key_class in classes)
 
 
 def params_for_period(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..config.parameters import ParameterError, SimulationParameters
+from ..config.parameters import PAR_TYPES, ParameterError, SimulationParameters
 
 __all__ = ["write_par_file", "read_par_file", "format_par_file", "parse_par_file"]
 
@@ -27,7 +27,9 @@ def format_par_file(params: SimulationParameters) -> str:
 
 
 def parse_par_file(text: str) -> SimulationParameters:
-    """Parse ``KEY = value`` lines back into parameters."""
+    """Parse ``KEY = value`` lines back into parameters, each value by
+    its key's declared type (an undeclared key's value is left for
+    :meth:`SimulationParameters.from_dict` to drop or reject)."""
     raw: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -38,19 +40,26 @@ def parse_par_file(text: str) -> SimulationParameters:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if value in (".true.", ".false."):
-            raw[key] = value == ".true."
-        elif value == "none":
-            raw[key] = None
-        else:
-            try:
-                raw[key] = int(value)
-            except ValueError:
-                try:
-                    raw[key] = float(value)
-                except ValueError:
-                    raw[key] = value
+        raw[key] = _parse_value(key, value, lineno) if key in PAR_TYPES else value
     return SimulationParameters.from_dict(raw)
+
+
+def _parse_value(key: str, value: str, lineno: int) -> object:
+    """One Par_file value, converted by its key's declared type."""
+    base, takes_none = PAR_TYPES[key]
+    if takes_none and value == "none":
+        return None
+    if base is bool:
+        if value in (".true.", ".false."):
+            return value == ".true."
+    else:
+        try:
+            return base(value)
+        except ValueError:
+            pass
+    raise ParameterError(
+        f"Par_file line {lineno}: {key} takes a {base.__name__}, got {value!r}"
+    )
 
 
 def write_par_file(params: SimulationParameters, path: str | Path) -> None:

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..config.parameters import KERNEL_VARIANTS
 from ..gll.lagrange import GLLBasis
 
 if TYPE_CHECKING:
@@ -50,8 +51,6 @@ __all__ = [
 
 #: Elements per block (measurement in the module docstring).
 BLOCK = 64
-
-KERNEL_VARIANTS = ("baseline", "vectorized", "blas")
 
 
 def _contract_batched(axis, m, mt, src, dst, n):  # repro: hot-loop

@@ -178,8 +178,10 @@ class ServiceHTTPServer:
                 await self._send(writer, status, payload)
                 if headers.get("connection", "").lower() == "close":
                     break
-        except (ConnectionError, OSError):
-            # The peer vanished mid-response; nothing left to answer.
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            # The peer vanished mid-response, or this server's stop()
+            # cancelled its own handler and reads no result from it; let
+            # out, the cancellation is logged by the stream's done-callback.
             pass
         finally:
             self._handlers.discard(task)

@@ -22,21 +22,29 @@ station list still hits the same cache entry (the regression test in
 ``tests/test_service.py`` proves it).  Responses are always mapped back
 to the order the client asked for.
 
-Engineering switches proven bit-identical to their reference path —
-``SINGLE_PASS_MESHER`` (the A-MESH2X ablation), ``OVERLAP_COMM`` (the
-overlap bit-identity gate) — and the purely observational
-``HEALTH_CHECK_EVERY`` are excluded from the key: flipping them must
-not fork the cache.
+Both keys hash the parameter table's *mesh* and *physics* classes
+(:meth:`~repro.config.parameters.SimulationParameters.key_payload`),
+never its *observe* class: engineering switches proven bit-identical to
+their reference path — ``SINGLE_PASS_MESHER`` (the A-MESH2X ablation),
+``OVERLAP_COMM`` (the overlap bit-identity gate) — and the purely
+observational ``HEALTH_CHECK_EVERY``.  Flipping them must not fork the
+cache.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..config.parameters import ParameterError, SimulationParameters
+from ..config.parameters import (
+    MESH,
+    OBSERVE,
+    PHYSICS,
+    ParameterError,
+    SimulationParameters,
+    content_digest,
+    par_keys,
+)
 from ..solver.receivers import Station
 
 __all__ = [
@@ -51,12 +59,8 @@ __all__ = [
 ]
 
 #: Par_file keys that do NOT change the computed seismograms bit-wise
-#: (or only observe the run) and are therefore excluded from both keys.
-SERVICE_EXCLUDED_FIELDS = (
-    "SINGLE_PASS_MESHER",
-    "OVERLAP_COMM",
-    "HEALTH_CHECK_EVERY",
-)
+#: (the table's *observe* class), excluded from both keys.
+SERVICE_EXCLUDED_FIELDS = par_keys(OBSERVE)
 
 
 def _canon_floats(value: Any) -> Any:
@@ -132,10 +136,9 @@ class SimulationRequest:
         and optional ``n_steps`` / ``job_options``; ``defaults``
         (Par_file keys) underlie the per-request ``params``.
         """
-        base = SimulationParameters().to_dict()
-        base.update(defaults or {})
-        base.update(spec.get("params", {}))
-        params = SimulationParameters.from_dict(base)
+        params = SimulationParameters.from_dict(
+            {**(defaults or {}), **spec.get("params", {})}
+        )
         stations = tuple(
             Station(
                 name=str(s["name"]),
@@ -182,29 +185,19 @@ def canonical_stations(stations: tuple[Station, ...]) -> tuple[Station, ...]:
     )
 
 
-def _digest(payload: Any) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
 def _station_rows(canonical: tuple[Station, ...]) -> list[list[Any]]:
     return [[s.name, _canon_floats(list(s.position))] for s in canonical]
 
 
 def station_fingerprint(stations: tuple[Station, ...]) -> str:
     """Order-insensitive content hash of a station set."""
-    return _digest(_station_rows(canonical_stations(stations)))
+    return content_digest(_station_rows(canonical_stations(stations)))
 
 
 def _physics_payload(request: SimulationRequest) -> dict[str, Any]:
-    full = request.params.to_dict()
-    subset = {
-        name: _canon_floats(value)
-        for name, value in full.items()
-        if name not in SERVICE_EXCLUDED_FIELDS
-    }
+    subset = request.params.key_payload(MESH, PHYSICS)
     return {
-        "params": subset,
+        "params": {name: _canon_floats(v) for name, v in subset.items()},
         "source": request.source,
         "n_steps": request.n_steps,
     }
@@ -212,7 +205,7 @@ def _physics_payload(request: SimulationRequest) -> dict[str, Any]:
 
 def physics_key(request: SimulationRequest) -> str:
     """Content hash of everything that determines the wavefield."""
-    return _digest(_physics_payload(request))
+    return content_digest(_physics_payload(request))
 
 
 def request_key(request: SimulationRequest) -> str:
@@ -238,7 +231,7 @@ def derive_keys(request: SimulationRequest) -> RequestKeys:
     payload = _physics_payload(request)
     stations = canonical_stations(request.stations)
     return RequestKeys(
-        key=_digest({**payload, "stations": _station_rows(stations)}),
-        physics=_digest(payload),
+        key=content_digest({**payload, "stations": _station_rows(stations)}),
+        physics=content_digest(payload),
         stations=stations,
     )

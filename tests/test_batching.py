@@ -69,6 +69,16 @@ def stations(n: int = 2):
     return all_stations[:n]
 
 
+def poisoned_event():
+    """An infinite moment: the health check trips on the first check."""
+    return MomentTensorSource(
+        position=(0.0, 0.0, constants.R_EARTH_KM - 150.0),
+        moment=np.diag([np.inf] * 3),
+        stf=gaussian_stf(15.0),
+        time_shift=40.0,
+    )
+
+
 def events(nbatch: int):
     """B distinct events: different depths AND different magnitudes."""
     return [
@@ -383,12 +393,7 @@ class TestBatchedCampaign:
         # mid-batch, the scheduler falls back to sequential execution,
         # and ONLY the poisoned event's record fails.
         params = self.base_params(health_check_every=2)
-        poison = MomentTensorSource(
-            position=(0.0, 0.0, constants.R_EARTH_KM - 150.0),
-            moment=np.diag([np.inf] * 3),
-            stf=gaussian_stf(15.0),
-            time_shift=40.0,
-        )
+        poison = poisoned_event()
         jobs = [
             JobSpec(name="good-a", params=params,
                     sources=[explosion(100.0)], stations=stations()),
@@ -433,3 +438,30 @@ class TestBatchedCampaign:
         assert [rec.counters["events"] for rec in batches] == [2]
         assert any(rec.name == "kernel.elastic" for rec in records)
         assert len({tracer.epoch for tracer in pool.tracers}) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # fault test: NaNs
+    def test_traced_fallback_keeps_every_job_span(self):
+        # A poisoned pair falls back to per-event runs; with one job that
+        # cannot batch, the campaign's tracers hold all three job spans,
+        # every tracer under its own pid on the pool's epoch.
+        params = self.base_params(health_check_every=2)
+        jobs = [
+            JobSpec(name="good", params=params, sources=[explosion(100.0)],
+                    stations=stations()),
+            JobSpec(name="bad", params=params, sources=[poisoned_event()],
+                    stations=stations()),
+            JobSpec(name="solo", params=params, sources=[explosion(200.0)],
+                    stations=stations(), n_steps=4),
+        ]
+        results, pool = run_batched_campaign(
+            jobs, n_workers=2, mesh_cache=MeshCache(), trace=True
+        )
+        assert [r.succeeded for r in results] == [True, False, True]
+        jobs_traced = [
+            rec for tracer in pool.tracers for rec in tracer.records
+            if rec.name == "campaign.job"
+        ]
+        assert len(jobs_traced) == 3
+        pids = [tracer.pid for tracer in pool.tracers]
+        assert len(set(pids)) == len(pids)
+        assert {tracer.epoch for tracer in pool.tracers} == {pool.epoch}

@@ -29,10 +29,6 @@ class TestValidation:
         with pytest.raises(ParameterError):
             SimulationParameters(kernel_variant="cuda")
 
-    def test_bad_io_mode(self):
-        with pytest.raises(ParameterError):
-            SimulationParameters(io_mode="nfs")
-
     def test_bad_station_mode(self):
         with pytest.raises(ParameterError):
             SimulationParameters(station_location="triangulated")

@@ -616,6 +616,39 @@ def test_http_round_trip(tmp_path):
     assert backend.calls == 1
 
 
+def test_wrongly_typed_params_are_a_400(tmp_path):
+    # "false" is a truthy string: taken as given it would run attenuated.
+    service, backend = make_service(tmp_path)
+    specs = [
+        {"params": {key: value}, "source": SOURCE,
+         "stations": [{"name": "POLE", "position": [0, 0, 6371]}]}
+        for key, value in (("ATTENUATION", "false"), ("NEX_XI", 4.0))
+    ]
+    for spec in specs:
+        with pytest.raises(ParameterError):
+            SimulationRequest.from_spec(spec)
+
+    async def scenario():
+        server = await ServiceHTTPServer(service, port=0).start()
+        loop = asyncio.get_running_loop()
+        try:
+            return await asyncio.gather(*(
+                loop.run_in_executor(None, http_json, server.host,
+                                     server.port, "POST", "/simulate", spec)
+                for spec in specs
+            ))
+        finally:
+            await server.stop()
+
+    try:
+        answers = asyncio.run(scenario())
+    finally:
+        service.close()
+    assert [status for status, _ in answers] == [400, 400]
+    assert "ATTENUATION" in answers[0][1]["error"]
+    assert backend.calls == 0
+
+
 def test_stop_finishes_idle_keep_alive_handlers(tmp_path):
     # An idle keep-alive client leaves its connection handler waiting for
     # the next request; stop() must cancel and await it, not leave it
@@ -639,6 +672,30 @@ def test_stop_finishes_idle_keep_alive_handlers(tmp_path):
         assert asyncio.run(scenario()) == set()
     finally:
         service.close()
+
+
+def test_stop_logs_nothing_for_a_cancelled_keep_alive_handler(tmp_path):
+    # stop() cancels the idle handler; the cancellation must end it
+    # quietly, not reach the stream's done-callback as a logged error.
+    service, _backend = make_service(tmp_path)
+    logged = []
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _loop, context: logged.append(context))
+        server = await ServiceHTTPServer(service, port=0).start()
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        writer.write(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        await reader.readuntil(b"\r\n\r\n")
+        await server.stop()
+        await asyncio.sleep(0)  # let done-callbacks run
+        writer.close()
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        service.close()
+    assert logged == []
 
 
 # ------------------------------------------------ lifetime and concurrency
