@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lagrange import lagrange_basis
+from .lagrange import shape_functions
 from .quadrature import gll_points_and_weights
 
 __all__ = [
@@ -32,11 +32,7 @@ def interpolation_weights_3d(
     for name, v in (("xi", xi), ("eta", eta), ("gamma", gamma)):
         if not -1.0 - 1e-12 <= v <= 1.0 + 1e-12:
             raise ValueError(f"{name}={v} outside the reference cube [-1,1]^3")
-    nodes, _ = gll_points_and_weights(ngll)
-    hx = lagrange_basis(nodes, float(xi))
-    hy = lagrange_basis(nodes, float(eta))
-    hz = lagrange_basis(nodes, float(gamma))
-    return hx[:, None, None] * hy[None, :, None] * hz[None, None, :]
+    return shape_functions(ngll, (xi, eta, gamma))
 
 
 def interpolate_at_point(

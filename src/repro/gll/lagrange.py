@@ -18,6 +18,7 @@ from .quadrature import gll_points_and_weights
 __all__ = [
     "lagrange_basis",
     "lagrange_basis_derivative",
+    "shape_functions",
     "derivative_matrix",
     "derivative_matrix_weighted",
     "GLLBasis",
@@ -53,6 +54,32 @@ def lagrange_basis_derivative(nodes: np.ndarray, x: float) -> np.ndarray:
             total += term
         derivs[j] = total
     return derivs
+
+
+def shape_functions(
+    ngll: int, ref, derivatives: bool = False
+) -> np.ndarray | tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The tensor-product Lagrange basis of a GLL element at one reference
+    point ``ref = (xi, eta, gamma)``.
+
+    Returns the ``(n, n, n)`` array ``N`` with ``N[i, j, k] = l_i(xi)
+    l_j(eta) l_k(gamma)``; with ``derivatives=True`` also its partial
+    derivatives along xi, eta and gamma, as ``(N, (dN_dxi, dN_deta,
+    dN_dgamma))``.  The one place a basis at a point is built: the Newton
+    inversion of an element, the source arrays and Jacobian, and the
+    receiver weights all use it.
+    """
+    nodes, _ = gll_points_and_weights(ngll)
+    hx, hy, hz = (lagrange_basis(nodes, v) for v in ref)
+    basis = hx[:, None, None] * hy[None, :, None] * hz[None, None, :]
+    if not derivatives:
+        return basis
+    dhx, dhy, dhz = (lagrange_basis_derivative(nodes, v) for v in ref)
+    return basis, (
+        dhx[:, None, None] * hy[None, :, None] * hz[None, None, :],
+        hx[:, None, None] * dhy[None, :, None] * hz[None, None, :],
+        hx[:, None, None] * hy[None, :, None] * dhz[None, None, :],
+    )
 
 
 @lru_cache(maxsize=64)

@@ -42,6 +42,13 @@ __all__ = [
 #: centres and the cube edges.
 INFLATION_GAMMA = 0.41
 
+_ROTATIONS = np.stack([chunk_rotation(face) for face in range(NCHUNKS)])
+#: Each chunk rotation is a signed permutation: column j of face f has its
+#: one nonzero entry, ``_SIGN_OF[f, j]``, in row ``_COLUMN_OF[f, j]``, so
+#: ``(u @ R)[j] = u[_COLUMN_OF[f, j]] * _SIGN_OF[f, j]``.
+_COLUMN_OF = np.abs(_ROTATIONS).argmax(axis=1)
+_SIGN_OF = np.take_along_axis(_ROTATIONS, _COLUMN_OF[:, None, :], axis=1)[:, 0]
+
 
 def cube_surface_radius(
     xi: np.ndarray, eta: np.ndarray, rc: float, gamma: float = INFLATION_GAMMA
@@ -80,34 +87,40 @@ def map_cube_points(
     p = np.stack([a.ravel(), b.ravel(), c.ravel()], axis=-1)
     if np.any(np.abs(p) > 1.0 + 1e-12):
         raise ValueError("cube parameters must lie in [-1, 1]^3")
-    m = np.max(np.abs(p), axis=-1)
-    out = np.zeros_like(p)
-    nonzero = m > 0
-    if np.any(nonzero):
-        u = p[nonzero] / m[nonzero, None]
-        # Choose the owning face: the chunk whose local +z projection of u is
-        # largest (ties broken toward the lowest chunk index: the comparison
-        # below only replaces on strict improvement).
-        best_l = np.full((u.shape[0], 3), -np.inf)
-        best_face = np.zeros(u.shape[0], dtype=np.int64)
-        for face in range(NCHUNKS):
-            l = u @ chunk_rotation(face)  # == (R^T u^T)^T row-wise
-            better = l[:, 2] > best_l[:, 2] + 1e-12
-            best_l[better] = l[better]
-            best_face[better] = face
-        # Transverse parameters are scaled angles (equiangular convention).
-        xi = best_l[:, 0] * (np.pi / 4.0)
-        eta = best_l[:, 1] * (np.pi / 4.0)
-        tx, ty = np.tan(xi), np.tan(eta)
-        n = np.sqrt(1.0 + tx * tx + ty * ty)
-        r_s = rc * (1.0 + gamma * (n - 1.0))
-        d_local = np.stack([tx / n, ty / n, 1.0 / n], axis=-1)
-        d_global = np.empty_like(d_local)
-        for face in range(NCHUNKS):
-            mask = best_face == face
-            if np.any(mask):
-                d_global[mask] = d_local[mask] @ chunk_rotation(face).T
-        out[nonzero] = (m[nonzero] * r_s)[:, None] * d_global
+    m = np.maximum(np.maximum(np.abs(p[:, 0]), np.abs(p[:, 1])), np.abs(p[:, 2]))
+    # The centre (m = 0) maps to the origin; it is carried through with
+    # m = 1 (u = 0) and zeroed at the end.
+    centre = m == 0
+    u = p / np.where(centre, 1.0, m)[:, None]
+    # Choose the owning face: the chunk whose local +z projection of u is
+    # largest (ties broken toward the lowest chunk index: the comparison
+    # below only replaces on strict improvement).  The chunk rotations are
+    # signed permutations, so ``u @ R`` is a gather and a sign.
+    z = u[:, _COLUMN_OF[:, 2]] * _SIGN_OF[:, 2]  # (N, face)
+    best_z = np.full(u.shape[0], -np.inf)
+    best_face = np.zeros(u.shape[0], dtype=np.intp)
+    for face in range(NCHUNKS):
+        better = z[:, face] > best_z + 1e-12
+        best_z = np.where(better, z[:, face], best_z)
+        best_face[better] = face
+    best_l = (
+        np.take_along_axis(u, _COLUMN_OF[best_face, :2], axis=1)
+        * _SIGN_OF[best_face, :2]
+    )
+    # Transverse parameters are scaled angles (equiangular convention).
+    xi = best_l[:, 0] * (np.pi / 4.0)
+    eta = best_l[:, 1] * (np.pi / 4.0)
+    tx, ty = np.tan(xi), np.tan(eta)
+    n = np.sqrt(1.0 + tx * tx + ty * ty)
+    r_s = rc * (1.0 + gamma * (n - 1.0))
+    d_local = np.stack([tx / n, ty / n, 1.0 / n], axis=-1)
+    # Back to the global frame by each point's own face: d_local @ R.T.
+    # Each entry is one exact product plus exact zeros, one of them
+    # d_local[:, 2] * 0 = +0 where it is zero, so it has the per-face
+    # product's bits however the sum is ordered.
+    d_global = np.einsum("nk,njk->nj", d_local, _ROTATIONS[best_face])
+    out = (m * r_s)[:, None] * d_global
+    out[centre] = 0.0
     return out.reshape(*shape, 3)
 
 

@@ -27,12 +27,12 @@ import numpy as np
 
 from ..config import constants
 from ..config.parameters import SimulationParameters
-from ..cubed_sphere.mapping import chunk_points
+from ..cubed_sphere.mapping import NCHUNKS, chunk_points
 from ..cubed_sphere.topology import SliceAddress, SliceGrid
 from ..gll.quadrature import gll_points_and_weights
 from ..model.ellipticity import EllipticityProfile
 from ..model.perturbations import SyntheticTomography
-from ..model.prem import PREM, RegionCode
+from ..model.prem import LOVE_PROPERTIES, PREM, RegionCode, love_moduli
 from ..obs.tracer import maybe_tracer
 from . import central_cube, radial
 from .element import RegionMesh, SliceMesh
@@ -129,10 +129,65 @@ def _shell_region_geometry(
     return pts.reshape(nspec, ngll, ngll, ngll, 3)
 
 
+def _shell_labels(
+    params: SimulationParameters, address: SliceAddress, region: int
+) -> np.ndarray:
+    """Numbering labels of one region's shell elements, in the element
+    order of :func:`_shell_region_geometry` (see
+    :func:`~repro.mesh.numbering.build_global_numbering`).
+
+    A chunk is a structured (xi, eta, r) grid, so a point inside it is
+    labelled by its chunk and grid index.  Points on the chunk's four
+    edges (shared with other chunks) and, in the inner core, on the bottom
+    surface glued to the central cube are labelled -1: coordinate matching
+    finds their partners.
+    """
+    ngll = constants.NGLLX
+    p = ngll - 1
+    nex_per = params.nex_per_slice
+    n_layers = _region_layer_count(params, region)
+    n_side = params.nex_xi * p + 1
+    n_radial = n_layers * p + 1
+    local = np.arange(ngll)
+    xi_cells = address.iproc_xi * nex_per + np.arange(nex_per)
+    eta_cells = address.iproc_eta * nex_per + np.arange(nex_per)
+    # Axes (layer, eta cell, xi cell, i, j, k) with GLL i along xi, j
+    # along eta, k along r — the geometry's layout.
+    ixi = (xi_cells[:, None] * p + local)[None, None, :, :, None, None]
+    ieta = (eta_cells[:, None] * p + local)[None, :, None, None, :, None]
+    ir = (np.arange(n_layers)[:, None] * p + local)[:, None, None, None, None, :]
+    labels = ((address.chunk * n_radial + ir) * n_side + ieta) * n_side + ixi
+    shared = (ixi == 0) | (ixi == n_side - 1) | (ieta == 0) | (ieta == n_side - 1)
+    if region == RegionCode.INNER_CORE:
+        shared = shared | (ir == 0)
+    return np.where(shared, -1, labels).reshape(-1, ngll, ngll, ngll)
+
+
+def _cube_labels(params: SimulationParameters, cells: np.ndarray) -> np.ndarray:
+    """Numbering labels of central-cube elements ``cells`` ((nelem, 3) of
+    (ia, ib, ic)): the cube's grid index, after every inner-core shell
+    label; -1 on the cube's surface, which the shell's bottom shares."""
+    ngll = constants.NGLLX
+    p = ngll - 1
+    n_side = params.nex_xi * p + 1
+    offset = NCHUNKS * (params.ner_inner_core * p + 1) * n_side**2
+    index = cells[:, :, None] * p + np.arange(ngll)  # (nelem, 3, ngll)
+    ia = index[:, 0, :, None, None]
+    ib = index[:, 1, None, :, None]
+    ic = index[:, 2, None, None, :]
+    labels = offset + (ia * n_side + ib) * n_side + ic
+    surface = (
+        (ia == 0) | (ia == n_side - 1) | (ib == 0) | (ib == n_side - 1)
+        | (ic == 0) | (ic == n_side - 1)
+    )
+    return np.where(surface, -1, labels)
+
+
 def _cube_geometry(
     params: SimulationParameters, address: SliceAddress, split_in_two: bool
-) -> np.ndarray:
-    """GLL coordinates of this slice's central-cube elements (may be empty)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """GLL coordinates and numbering labels of this slice's central-cube
+    elements (may be empty)."""
     ngll = constants.NGLLX
     assignment = central_cube.assign_cube_columns(
         params.nex_xi, params.nproc_xi, split_in_two=split_in_two
@@ -140,7 +195,10 @@ def _cube_geometry(
     slice_rank = address.iproc_eta * params.nproc_xi + address.iproc_xi
     cells = assignment.get((address.chunk, slice_rank), [])
     if not cells:
-        return np.empty((0, ngll, ngll, ngll, 3))
+        return (
+            np.empty((0, ngll, ngll, ngll, 3)),
+            np.empty((0, ngll, ngll, ngll), dtype=np.int64),
+        )
     rc = radial.central_cube_radius_km()
     bounds = np.linspace(-1.0, 1.0, params.nex_xi + 1)
     gll = _angular_gll_grid(bounds, ngll)  # (nex_xi, ngll) params per cell
@@ -149,7 +207,7 @@ def _cube_geometry(
     B = gll[cells_arr[:, 1]][:, None, :, None]
     C = gll[cells_arr[:, 2]][:, None, None, :]
     A, B, C = np.broadcast_arrays(A, B, C)
-    return central_cube.map_cube_points(A, B, C, rc)
+    return central_cube.map_cube_points(A, B, C, rc), _cube_labels(params, cells_arr)
 
 
 def assign_materials(
@@ -177,6 +235,7 @@ def assign_materials(
     )
     if want_ti:
         love = {name: np.empty_like(r) for name in "ACLNF"}
+    props = ("rho", "vp", "vs", "q_mu") + (LOVE_PROPERTIES if want_ti else ())
     # Split points into "below centroid" and "above centroid" batches so the
     # discontinuity side is resolved per element in two vectorised queries.
     above = r >= r_mid[:, None, None, None]
@@ -186,10 +245,10 @@ def assign_materials(
         if not np.any(mask):
             continue
         radii = np.clip(r[mask], 0.0, constants.R_EARTH_KM)
-        rho[mask] = PREM.density(radii, side=side)
-        vp = np.asarray(PREM.vp(radii, side=side))
-        vs = np.asarray(PREM.vs(radii, side=side))
-        q_mu[mask] = PREM.q_mu(radii, side=side)
+        # One layer lookup for every property of this side.
+        profile = PREM.sample(radii, side, props)
+        side_rho, vp, vs = profile["rho"], profile["vp"], profile["vs"]
+        q_mu[mask] = profile["q_mu"]
         if (
             params.use_3d_model
             and tomography is not None
@@ -199,20 +258,18 @@ def assign_materials(
             dv = tomography.dv_over_v(pts[..., 0], pts[..., 1], pts[..., 2])
             vs = vs * (1.0 + dv)
             vp = vp * (1.0 + 0.5 * dv)
-            rho[mask] = rho[mask] * (1.0 + 0.3 * dv)
-        mu[mask] = rho[mask] * vs**2
-        kappa[mask] = rho[mask] * vp**2 - (4.0 / 3.0) * mu[mask]
+            side_rho = side_rho * (1.0 + 0.3 * dv)
+        side_mu = side_rho * vs**2
+        rho[mask] = side_rho
+        mu[mask] = side_mu
+        kappa[mask] = side_rho * vp**2 - (4.0 / 3.0) * side_mu
         if want_ti:
             # Love parameters from the anisotropic PREM polynomials; the 3-D
             # perturbation (already applied to vp/vs/rho above) scales the
             # isotropic part only — standard practice for long-wavelength
             # tomography on top of a TI reference.
-            a, c, l, n, f = PREM.love_parameters(radii, side=side)
-            love["A"][mask] = a
-            love["C"][mask] = c
-            love["L"][mask] = l
-            love["N"][mask] = n
-            love["F"][mask] = f
+            for name, modulus in zip("ACLNF", love_moduli(profile)):
+                love[name][mask] = modulus
     mesh.rho = rho
     mesh.kappa = kappa
     mesh.mu = mu
@@ -239,9 +296,10 @@ def _region_geometry(
     split_central_cube: bool,
     stats: MesherStats,
     tracer,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """GLL coordinates of one region of one slice: the shell elements,
-    any central-cube share behind the inner core's, then the deformations.
+    any central-cube share behind the inner core's, then the deformations;
+    and the points' numbering labels (:func:`_shell_labels`).
 
     With ``params.single_pass_mesher=False`` the legacy two-pass behaviour
     is emulated faithfully: the whole generation pipeline — geometry *and*
@@ -249,13 +307,17 @@ def _region_geometry(
     factor-of-two mesher cost).
     """
 
-    def generate() -> np.ndarray:
+    def generate() -> tuple[np.ndarray, np.ndarray]:
         with tracer.span("mesher.geometry") as span:
             xyz = _shell_region_geometry(params, address, region)
+            labels = _shell_labels(params, address, region)
             if region == RegionCode.INNER_CORE:
-                cube_xyz = _cube_geometry(params, address, split_central_cube)
+                cube_xyz, cube_labels = _cube_geometry(
+                    params, address, split_central_cube
+                )
                 if cube_xyz.shape[0]:
                     xyz = np.concatenate([xyz, cube_xyz], axis=0)
+                    labels = np.concatenate([labels, cube_labels], axis=0)
             if topography is not None:
                 xyz = topography.apply_to_points(xyz)
             if ellipticity is not None:
@@ -263,19 +325,20 @@ def _region_geometry(
             span.add(elements=xyz.shape[0], gll_points=xyz[..., 0].size)
         stats.elements_generated += xyz.shape[0]
         stats.gll_points_generated += xyz[..., 0].size
-        return xyz
+        return xyz, labels
 
-    xyz = generate()
+    xyz, labels = generate()
     if not params.single_pass_mesher:
         with tracer.span("mesher.numbering"):
-            build_global_numbering(xyz)
-        xyz = generate()
-    return xyz
+            build_global_numbering(xyz, labels=labels)
+        xyz, labels = generate()
+    return xyz, labels
 
 
 def _number_and_fill(
     region: int,
     xyz: np.ndarray,
+    labels: np.ndarray,
     params: SimulationParameters,
     tomography: SyntheticTomography | None,
     stats: MesherStats,
@@ -283,7 +346,7 @@ def _number_and_fill(
 ) -> RegionMesh:
     """Number a region's points and attach its materials."""
     with tracer.span("mesher.numbering"):
-        ibool, nglob = build_global_numbering(xyz)
+        ibool, nglob = build_global_numbering(xyz, labels=labels)
     mesh = RegionMesh(region=region, xyz=xyz, ibool=ibool, nglob=nglob)
     with tracer.span("mesher.materials") as span:
         assign_materials(mesh, params, tomography=tomography, stats=stats)
@@ -323,12 +386,12 @@ def build_slice_mesh(
     with tracer.span("mesher.slice"):
         for region in _REGIONS:
             with tracer.span("mesher.region", region=region):
-                xyz = _region_geometry(
+                xyz, labels = _region_geometry(
                     params, address, region, ellipticity, topography,
                     split_central_cube, stats, tracer,
                 )
                 regions[region] = _number_and_fill(
-                    region, xyz, params, tomography, stats, tracer
+                    region, xyz, labels, params, tomography, stats, tracer
                 )
     stats.geometry_passes += 1 if params.single_pass_mesher else 2
     return SliceMesh(
@@ -402,14 +465,16 @@ def build_global_mesh(
     stats = stats if stats is not None else MesherStats()
     tracer = maybe_tracer(tracer)
     grid = SliceGrid(params.nproc_xi)
-    per_region_xyz: dict[int, list[np.ndarray]] = {r: [] for r in _REGIONS}
+    per_region: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {
+        r: [] for r in _REGIONS
+    }
     cube_total = 0
     with tracer.span("mesher.generate") as gen_span:
         for rank in range(grid.nproc_total):
             with tracer.span("mesher.slice"):
                 for region in _REGIONS:
                     with tracer.span("mesher.region", region=region):
-                        per_region_xyz[region].append(
+                        per_region[region].append(
                             _region_geometry(
                                 params, grid.address_of(rank), region, ellipticity,
                                 topography, split_central_cube, stats, tracer,
@@ -417,18 +482,22 @@ def build_global_mesh(
                         )
             stats.geometry_passes += 1 if params.single_pass_mesher else 2
             cube_total += _cube_elements(
-                params, per_region_xyz[RegionCode.INNER_CORE][-1].shape[0]
+                params, per_region[RegionCode.INNER_CORE][-1][0].shape[0]
             )
         regions: dict[int, RegionMesh] = {}
         owners: dict[int, np.ndarray] = {}
         with tracer.span("mesher.merge"):
-            for region, parts in per_region_xyz.items():
-                regions[region] = _number_and_fill(
-                    region, np.concatenate(parts, axis=0), params, tomography,
-                    stats, tracer,
-                )
+            for region in _REGIONS:
+                # The slices' shares are dropped once merged, before the
+                # region's materials are filled.
+                parts = per_region.pop(region)
                 owners[region] = np.repeat(
-                    np.arange(len(parts)), [xyz.shape[0] for xyz in parts]
+                    np.arange(len(parts)), [part.shape[0] for part, _ in parts]
+                )
+                xyz, labels = (np.concatenate(a, axis=0) for a in zip(*parts))
+                del parts
+                regions[region] = _number_and_fill(
+                    region, xyz, labels, params, tomography, stats, tracer
                 )
         gen_span.add(
             elements=sum(m.nspec for m in regions.values()),

@@ -7,6 +7,9 @@ degree-of-freedom index; the solver then sums elemental contributions into
 the global arrays through ``ibool``.  Identification is done by exact
 matching of coordinates rounded to a tolerance — robust because the mesher
 evaluates analytic mappings, so shared points agree to machine precision.
+A caller that knows the mesh's structure (the mesher: a chunk's interior
+is a structured grid) passes per-point ``labels`` instead, and only the
+points it cannot label are matched by coordinates.
 
 Also provides the global-point renumbering pass the paper builds on
 (Section 4.2): renumbering points in first-touch order of the element loop
@@ -56,8 +59,31 @@ def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], inverse
 
 
+def _first_touch(labels: np.ndarray, n_labels: int) -> tuple[np.ndarray, int]:
+    """Number labels in the order the flat element loop first touches them.
+
+    ``labels`` holds integers in ``[0, n_labels)``.  Returns ``(perm,
+    count)``: ``perm[label]`` is the label's rank among the ``count``
+    distinct labels by first occurrence in ``labels.ravel()``, -1 for a
+    label that never occurs.  One ``np.minimum.at`` finds each label's
+    first position; no sort, no Python loop.
+    """
+    flat = labels.ravel()
+    first = np.full(n_labels, flat.size, dtype=np.intp)
+    np.minimum.at(first, flat, np.arange(flat.size, dtype=np.intp))
+    is_first = np.zeros(flat.size, dtype=bool)
+    is_first[first[first < flat.size]] = True
+    # flat[is_first] lists each label once, in first-touch order.
+    touched = flat[is_first]
+    perm = np.full(n_labels, -1, dtype=np.int64)
+    perm[touched] = np.arange(touched.size)
+    return perm, int(touched.size)
+
+
 def build_global_numbering(
-    xyz: np.ndarray, tolerance: float | None = None
+    xyz: np.ndarray,
+    tolerance: float | None = None,
+    labels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Build ``ibool`` for elements with GLL coordinates ``xyz``.
 
@@ -65,6 +91,12 @@ def build_global_numbering(
     ----------
     xyz : (nspec, n, n, n, 3) array of GLL point coordinates.
     tolerance : matching tolerance; defaults to ``1e-9 *`` coordinate span.
+    labels : optional (nspec, n, n, n) integer array from a caller that
+        knows the mesh's structure: points with equal labels ``>= 0``
+        coincide, points with different labels ``>= 0`` do not, and no
+        labelled point coincides with a point labelled ``-1``.  Only the
+        ``-1`` points are matched by coordinates.  Without labels every
+        point is.
 
     Returns
     -------
@@ -80,15 +112,21 @@ def build_global_numbering(
         span = float(np.max(xyz) - np.min(xyz)) if xyz.size else 1.0
         tolerance = max(span, 1.0) * _REL_TOLERANCE
     flat = xyz.reshape(-1, 3)
-    keys = _quantise(flat, tolerance)
-    # Group the quantised rows into the distinct points; remap the group
-    # ids into first-encounter order to keep locality.
-    first_index, inverse = group_rows(keys)
-    order = np.argsort(first_index, kind="stable")
-    rank_of_unique = np.empty_like(order)
-    rank_of_unique[order] = np.arange(order.size)
-    ibool = rank_of_unique[inverse].reshape(xyz.shape[:-1])
-    return ibool, int(order.size)
+    if labels is None:
+        point_labels = np.full(flat.shape[0], -1, dtype=np.int64)
+    else:
+        point_labels = np.array(labels, dtype=np.int64).ravel()
+    # Coincident unlabelled points become one label each, after the
+    # caller's; the first-touch pass then numbers all labels at once.
+    unlabelled = np.flatnonzero(point_labels < 0)
+    base = int(point_labels.max(initial=-1)) + 1
+    n_labels = base
+    if unlabelled.size:
+        first_index, inverse = group_rows(_quantise(flat[unlabelled], tolerance))
+        point_labels[unlabelled] = base + inverse
+        n_labels += first_index.size
+    perm, nglob = _first_touch(point_labels, n_labels)
+    return perm[point_labels].reshape(xyz.shape[:-1]), nglob
 
 
 def renumber_first_touch(ibool: np.ndarray, nglob: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,16 +137,10 @@ def renumber_first_touch(ibool: np.ndarray, nglob: int) -> tuple[np.ndarray, np.
     Returns ``(new_ibool, permutation)`` where
     ``permutation[old_global] = new_global``.
     """
-    flat = ibool.ravel()
-    perm = np.full(nglob, -1, dtype=np.int64)
-    next_id = 0
-    for g in flat:
-        if perm[g] < 0:
-            perm[g] = next_id
-            next_id += 1
-    if next_id != nglob:
+    perm, touched = _first_touch(ibool, nglob)
+    if touched != nglob:
         raise ValueError(
-            f"ibool references {next_id} globals but nglob={nglob}"
+            f"ibool references {touched} globals but nglob={nglob}"
         )
     return perm[ibool], perm
 

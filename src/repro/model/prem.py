@@ -23,7 +23,15 @@ import numpy as np
 
 from ..config import constants
 
-__all__ = ["PremLayer", "PremModel", "PREM", "RegionCode"]
+__all__ = [
+    "LOVE_PROPERTIES",
+    "PROPERTIES",
+    "PremLayer",
+    "PremModel",
+    "PREM",
+    "RegionCode",
+    "love_moduli",
+]
 
 #: Large finite stand-in for "no shear attenuation" in the fluid core.
 _QMU_INFINITE = 1.0e9
@@ -89,6 +97,39 @@ class PremLayer:
             if c != 0.0:
                 out += c * x**power
         return out
+
+
+#: What :meth:`PremModel.sample` can return: name -> (layer attributes
+#: tried in order, factor to SI units).  A TI velocity falls back to the
+#: isotropic polynomial, ``eta`` to 1 in layers without TI coefficients;
+#: a factor of None marks a per-layer constant rather than a polynomial.
+PROPERTIES: dict[str, tuple[tuple[str, ...], float | None]] = {
+    "rho": (("rho",), 1000.0),  # g/cm^3 -> kg/m^3
+    "vp": (("vp",), 1000.0),  # km/s -> m/s
+    "vs": (("vs",), 1000.0),
+    "vph": (("vph", "vp"), 1000.0),
+    "vpv": (("vpv", "vp"), 1000.0),
+    "vsh": (("vsh", "vs"), 1000.0),
+    "vsv": (("vsv", "vs"), 1000.0),
+    "eta": (("eta",), 1.0),
+    "q_mu": (("q_mu",), None),
+    "q_kappa": (("q_kappa",), None),
+}
+
+#: The properties :func:`love_moduli` reads.
+LOVE_PROPERTIES = ("rho", "vph", "vpv", "vsv", "vsh", "eta")
+
+
+def love_moduli(profile: dict) -> tuple:
+    """(A, C, L, N, F) in Pa from a :meth:`PremModel.sample` of
+    :data:`LOVE_PROPERTIES`."""
+    rho = np.asarray(profile["rho"])
+    a = rho * np.asarray(profile["vph"]) ** 2
+    c = rho * np.asarray(profile["vpv"]) ** 2
+    l = rho * np.asarray(profile["vsv"]) ** 2
+    n = rho * np.asarray(profile["vsh"]) ** 2
+    f = np.asarray(profile["eta"]) * (a - 2.0 * l)
+    return a, c, l, n, f
 
 
 def _prem_layers() -> tuple[PremLayer, ...]:
@@ -246,116 +287,95 @@ class PremModel:
             idx = np.searchsorted(tops, r + 1e-12, side="right")
         return np.minimum(idx, len(self.layers) - 1)
 
-    def _evaluate(
-        self, prop: str, r_km: np.ndarray | float, side: str, scale: float
-    ) -> np.ndarray | float:
+    def sample(
+        self, r_km, side: str = "below", props: tuple[str, ...] = ("rho",)
+    ) -> dict[str, np.ndarray | float]:
+        """Several properties at the same radii from one layer lookup.
+
+        ``props`` names entries of :data:`PROPERTIES`: layer polynomials
+        (SI units; the TI velocities fall back to the isotropic polynomial
+        and ``eta`` to 1 outside TI layers) or the layer constants ``q_mu``
+        and ``q_kappa``.  Each layer present is masked once and every
+        polynomial evaluated under that mask, so a material pass pays for
+        one ``searchsorted`` and one set of masks, not one per property.
+        """
         scalar = np.isscalar(r_km)
         r = np.atleast_1d(np.asarray(r_km, dtype=np.float64))
         shape = r.shape
         r = r.ravel()
         x = r / constants.R_EARTH_KM
         idx = self._layer_indices(r, side)
-        out = np.empty_like(r)
-        # Evaluate layer by layer: typically few distinct layers per query.
-        for li in np.unique(idx):
+        out: dict[str, np.ndarray] = {}
+        polynomials = []
+        for name in props:
+            attrs, scale = PROPERTIES[name]
+            if scale is None:
+                constant = [getattr(layer, attrs[0]) for layer in self.layers]
+                out[name] = np.asarray(constant)[idx]
+            else:
+                out[name] = np.ones_like(r)
+                polynomials.append((out[name], attrs, scale))
+        for li in np.flatnonzero(np.bincount(idx, minlength=len(self.layers))):
             mask = idx == li
+            xm = x[mask]
             layer = self.layers[li]
-            out[mask] = layer.evaluate(getattr(layer, prop), x[mask])
-        out *= scale
-        return float(out[0]) if scalar else out.reshape(shape)
+            for values, attrs, _ in polynomials:
+                coeffs = [getattr(layer, a) for a in attrs if getattr(layer, a)]
+                if coeffs:
+                    values[mask] = layer.evaluate(coeffs[0], xm)
+        for values, _, scale in polynomials:
+            values *= scale
+        return {
+            name: float(v[0]) if scalar else v.reshape(shape)
+            for name, v in out.items()
+        }
+
+    def _one(self, prop: str, r_km, side: str):
+        return self.sample(r_km, side, (prop,))[prop]
 
     def density(self, r_km, side: str = "below"):
         """Density in kg/m^3 (PREM polynomials are in g/cm^3)."""
-        return self._evaluate("rho", r_km, side, 1000.0)
+        return self._one("rho", r_km, side)
 
     def vp(self, r_km, side: str = "below"):
         """P-wave speed in m/s."""
-        return self._evaluate("vp", r_km, side, 1000.0)
+        return self._one("vp", r_km, side)
 
     def vs(self, r_km, side: str = "below"):
         """S-wave speed in m/s (zero in the fluid outer core)."""
-        return self._evaluate("vs", r_km, side, 1000.0)
-
-    def _layer_scalar(self, attr: str, r_km, side: str):
-        scalar = np.isscalar(r_km)
-        r = np.atleast_1d(np.asarray(r_km, dtype=np.float64))
-        shape = r.shape
-        idx = self._layer_indices(r.ravel(), side)
-        values = np.asarray([getattr(layer, attr) for layer in self.layers])
-        out = values[idx]
-        return float(out[0]) if scalar else out.reshape(shape)
+        return self._one("vs", r_km, side)
 
     def q_mu(self, r_km, side: str = "below"):
         """Shear quality factor (dimensionless)."""
-        return self._layer_scalar("q_mu", r_km, side)
+        return self._one("q_mu", r_km, side)
 
     def q_kappa(self, r_km, side: str = "below"):
         """Bulk quality factor (dimensionless)."""
-        return self._layer_scalar("q_kappa", r_km, side)
-
-    def _evaluate_anisotropic(
-        self, prop: str, fallback: str, r_km, side: str, scale: float
-    ):
-        """Evaluate an anisotropic polynomial, falling back to the isotropic
-        one in layers without TI coefficients."""
-        scalar = np.isscalar(r_km)
-        r = np.atleast_1d(np.asarray(r_km, dtype=np.float64))
-        shape = r.shape
-        r = r.ravel()
-        x = r / constants.R_EARTH_KM
-        idx = self._layer_indices(r, side)
-        out = np.empty_like(r)
-        for li in np.unique(idx):
-            mask = idx == li
-            layer = self.layers[li]
-            coeffs = getattr(layer, prop)
-            if coeffs is None:
-                coeffs = getattr(layer, fallback)
-            out[mask] = layer.evaluate(coeffs, x[mask])
-        out *= scale
-        return float(out[0]) if scalar else out.reshape(shape)
+        return self._one("q_kappa", r_km, side)
 
     def vph(self, r_km, side: str = "below"):
         """Horizontally-polarised P speed (m/s); = vp outside TI layers."""
-        return self._evaluate_anisotropic("vph", "vp", r_km, side, 1000.0)
+        return self._one("vph", r_km, side)
 
     def vpv(self, r_km, side: str = "below"):
         """Vertically-polarised P speed (m/s)."""
-        return self._evaluate_anisotropic("vpv", "vp", r_km, side, 1000.0)
+        return self._one("vpv", r_km, side)
 
     def vsh(self, r_km, side: str = "below"):
         """Horizontally-polarised S speed (m/s)."""
-        return self._evaluate_anisotropic("vsh", "vs", r_km, side, 1000.0)
+        return self._one("vsh", r_km, side)
 
     def vsv(self, r_km, side: str = "below"):
         """Vertically-polarised S speed (m/s)."""
-        return self._evaluate_anisotropic("vsv", "vs", r_km, side, 1000.0)
+        return self._one("vsv", r_km, side)
 
     def eta_anisotropy(self, r_km, side: str = "below"):
         """The dimensionless eta parameter (1 outside TI layers)."""
-        scalar = np.isscalar(r_km)
-        r = np.atleast_1d(np.asarray(r_km, dtype=np.float64))
-        shape = r.shape
-        r = r.ravel()
-        x = r / constants.R_EARTH_KM
-        idx = self._layer_indices(r, side)
-        out = np.ones_like(r)
-        for li in np.unique(idx):
-            layer = self.layers[li]
-            if layer.eta is not None:
-                mask = idx == li
-                out[mask] = layer.evaluate(layer.eta, x[mask])
-        return float(out[0]) if scalar else out.reshape(shape)
+        return self._one("eta", r_km, side)
 
     def love_parameters(self, r_km, side: str = "below"):
         """(A, C, L, N, F) in Pa — the TI moduli at the given radii."""
-        rho = np.asarray(self.density(r_km, side))
-        a = rho * np.asarray(self.vph(r_km, side)) ** 2
-        c = rho * np.asarray(self.vpv(r_km, side)) ** 2
-        l = rho * np.asarray(self.vsv(r_km, side)) ** 2
-        n = rho * np.asarray(self.vsh(r_km, side)) ** 2
-        f = np.asarray(self.eta_anisotropy(r_km, side)) * (a - 2.0 * l)
-        return a, c, l, n, f
+        return love_moduli(self.sample(r_km, side, LOVE_PROPERTIES))
 
     def moduli(self, r_km, side: str = "below"):
         """(kappa, mu) elastic moduli in Pa from (rho, vp, vs)."""

@@ -28,8 +28,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ..gll.interpolation import interpolation_weights_3d
-from ..gll.lagrange import lagrange_basis, lagrange_basis_derivative
-from ..gll.quadrature import gll_points_and_weights
+from ..gll.lagrange import shape_functions
 
 __all__ = [
     "Station",
@@ -126,6 +125,11 @@ class ReceiverSet:
         raise KeyError(f"no station named {name!r}")
 
 
+def _newton_tolerance(target: np.ndarray) -> float:
+    """Residual distance at which the Newton inversion stops."""
+    return 1e-12 * max(1.0, float(np.abs(target).max()))
+
+
 def _invert_isoparametric(
     element_xyz: np.ndarray, target: np.ndarray, max_iter: int = 20
 ) -> tuple[np.ndarray, float]:
@@ -134,38 +138,15 @@ def _invert_isoparametric(
     Returns (reference coords clipped to the cube, final residual distance).
     """
     n = element_xyz.shape[0]
-    nodes, _ = gll_points_and_weights(n)
     ref = np.zeros(3)
     for _ in range(max_iter):
-        hx = lagrange_basis(nodes, ref[0])
-        hy = lagrange_basis(nodes, ref[1])
-        hz = lagrange_basis(nodes, ref[2])
-        dhx = lagrange_basis_derivative(nodes, ref[0])
-        dhy = lagrange_basis_derivative(nodes, ref[1])
-        dhz = lagrange_basis_derivative(nodes, ref[2])
-        basis = hx[:, None, None] * hy[None, :, None] * hz[None, None, :]
+        basis, grads = shape_functions(n, ref, derivatives=True)
         x = np.einsum("ijk,ijkc->c", basis, element_xyz)
         residual = target - x
-        if np.linalg.norm(residual) < 1e-12 * max(1.0, np.abs(target).max()):
+        if np.linalg.norm(residual) < _newton_tolerance(target):
             break
         jac = np.stack(
-            [
-                np.einsum(
-                    "ijk,ijkc->c",
-                    dhx[:, None, None] * hy[None, :, None] * hz[None, None, :],
-                    element_xyz,
-                ),
-                np.einsum(
-                    "ijk,ijkc->c",
-                    hx[:, None, None] * dhy[None, :, None] * hz[None, None, :],
-                    element_xyz,
-                ),
-                np.einsum(
-                    "ijk,ijkc->c",
-                    hx[:, None, None] * hy[None, :, None] * dhz[None, None, :],
-                    element_xyz,
-                ),
-            ],
+            [np.einsum("ijk,ijkc->c", grad, element_xyz) for grad in grads],
             axis=1,
         )  # jac[c, l] = dx_c / dxi_l
         try:
@@ -173,12 +154,14 @@ def _invert_isoparametric(
         except np.linalg.LinAlgError:
             break
         ref = np.clip(ref + step, -1.0, 1.0)
-    hx = lagrange_basis(nodes, ref[0])
-    hy = lagrange_basis(nodes, ref[1])
-    hz = lagrange_basis(nodes, ref[2])
-    basis = hx[:, None, None] * hy[None, :, None] * hz[None, None, :]
-    x = np.einsum("ijk,ijkc->c", basis, element_xyz)
+    x = np.einsum("ijk,ijkc->c", shape_functions(n, ref), element_xyz)
     return ref, float(np.linalg.norm(target - x))
+
+
+#: How far inside the reference cube (in each coordinate) a converged
+#: Newton solution must lie for :meth:`PointLocator.locate` to take its
+#: element without trying the other candidates.
+_INTERIOR_MARGIN = 1e-6
 
 
 class PointLocator:
@@ -210,15 +193,33 @@ class PointLocator:
                 global_index=int(nearest_global),
                 location_error=float(dist),
             )
-        # Interpolated: try every element containing the nearest point.
-        candidate_elements = np.unique(
+        # Interpolated: the host is one of the elements containing the
+        # nearest point, the one whose Newton error is smallest (the first
+        # such in element order).  Candidates are tried most likely host
+        # first — the element whose centre lies most nearly in the
+        # direction of the target, seen from the nearest point — and a
+        # converged solution strictly inside its element ends the search:
+        # elements do not overlap, so no other candidate can come as close.
+        candidates = np.unique(
             np.nonzero((ibool == nearest_global).reshape(ibool.shape[0], -1))[0]
         )
-        best = None
-        for e in candidate_elements:
-            ref, err = _invert_isoparametric(xyz[e], target)
-            if best is None or err < best[2]:
+        node = xyz.reshape(-1, 3)[flat_index]
+        inward = xyz[candidates].mean(axis=(1, 2, 3)) - node
+        facing = inward @ (target - node) / np.linalg.norm(inward, axis=1)
+        tried: dict[int, tuple[np.ndarray, float]] = {}
+        for e in candidates[np.argsort(-facing, kind="stable")]:
+            ref, err = tried[int(e)] = _invert_isoparametric(xyz[e], target)
+            if err < _newton_tolerance(target) and (
+                np.abs(ref).max() < 1.0 - _INTERIOR_MARGIN
+            ):
                 best = (int(e), ref, err)
+                break
+        else:
+            best = None
+            for e in candidates:
+                ref, err = tried[int(e)]
+                if best is None or err < best[2]:
+                    best = (int(e), ref, err)
         element, ref, err = best
         return LocatedReceiver(
             station=station,

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..config import constants
 from ..config.parameters import SimulationParameters
-from ..gll.lagrange import GLLBasis
+from ..gll.lagrange import GLLBasis, shape_functions
 from ..kernels.acoustic import AcousticOperator
 from ..kernels.elastic import ElasticOperator
 from ..kernels.flops import (
@@ -628,25 +628,9 @@ class GlobalSolver:
     def _inverse_jacobian_at(exyz: np.ndarray, ref: np.ndarray) -> np.ndarray:
         """``dxi_l / dx_c`` at reference point ``ref`` of the element whose
         GLL coordinates (metres) are ``exyz``."""
-        from ..gll.lagrange import lagrange_basis, lagrange_basis_derivative
-        from ..gll.quadrature import gll_points_and_weights
-
-        nodes, _ = gll_points_and_weights(exyz.shape[0])
-        hx, hy, hz = (lagrange_basis(nodes, v) for v in ref)
-        dhx, dhy, dhz = (lagrange_basis_derivative(nodes, v) for v in ref)
+        _, grads = shape_functions(exyz.shape[0], ref, derivatives=True)
         jac = np.stack(
-            [
-                np.einsum("ijk,ijkc->c",
-                          dhx[:, None, None] * hy[None, :, None] * hz[None, None, :],
-                          exyz),
-                np.einsum("ijk,ijkc->c",
-                          hx[:, None, None] * dhy[None, :, None] * hz[None, None, :],
-                          exyz),
-                np.einsum("ijk,ijkc->c",
-                          hx[:, None, None] * hy[None, :, None] * dhz[None, None, :],
-                          exyz),
-            ],
-            axis=0,
+            [np.einsum("ijk,ijkc->c", grad, exyz) for grad in grads], axis=0
         )  # jac[l, c] = dx_c / dxi_l
         return np.linalg.inv(jac).T  # [l, c] = dxi_l / dx_c
 

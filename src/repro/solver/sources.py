@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..gll.lagrange import lagrange_basis, lagrange_basis_derivative
-from ..gll.quadrature import gll_points_and_weights
+from ..gll.lagrange import shape_functions
 
 __all__ = [
     "gaussian_stf",
@@ -138,23 +137,8 @@ def moment_tensor_source_array(
     -------
     (n, n, n, 3) array to be scaled by S(t) and scatter-added into accel.
     """
-    n = element_xyz.shape[0]
-    nodes, _ = gll_points_and_weights(n)
-    hx = lagrange_basis(nodes, xi)
-    hy = lagrange_basis(nodes, eta)
-    hz = lagrange_basis(nodes, gamma)
-    dhx = lagrange_basis_derivative(nodes, xi)
-    dhy = lagrange_basis_derivative(nodes, eta)
-    dhz = lagrange_basis_derivative(nodes, gamma)
-    # d(basis_ijk)/d(xi_l): tensor products.
-    dref = np.stack(
-        [
-            dhx[:, None, None] * hy[None, :, None] * hz[None, None, :],
-            hx[:, None, None] * dhy[None, :, None] * hz[None, None, :],
-            hx[:, None, None] * hy[None, :, None] * dhz[None, None, :],
-        ],
-        axis=-1,
-    )  # (n, n, n, l)
+    _, grads = shape_functions(element_xyz.shape[0], (xi, eta, gamma), True)
+    dref = np.stack(grads, axis=-1)  # d(basis_ijk)/d(xi_l), (n, n, n, l)
     # d(basis)/dx_d = sum_l dref_l * d(xi_l)/dx_d
     dphys = np.einsum("ijkl,ld->ijkd", dref, inv_jacobian_at_source)
     moment = np.asarray(moment, dtype=np.float64)
@@ -169,9 +153,5 @@ def point_force_source_array(
     gamma: float,
 ) -> np.ndarray:
     """Elemental source array for a point force: ``F * basis(x_s)``."""
-    nodes, _ = gll_points_and_weights(ngll)
-    hx = lagrange_basis(nodes, xi)
-    hy = lagrange_basis(nodes, eta)
-    hz = lagrange_basis(nodes, gamma)
-    basis = hx[:, None, None] * hy[None, :, None] * hz[None, None, :]
+    basis = shape_functions(ngll, (xi, eta, gamma))
     return basis[..., None] * np.asarray(force, dtype=np.float64)

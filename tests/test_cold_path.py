@@ -1,13 +1,15 @@
 """The cold path in array form equals the loops it replaced, exactly.
 
 Set-up (external faces, surface filters, coupling operators, halos, the
-merged global mesh, ocean load, source location) finds integer indices and
-surface factors with array passes over all elements, faces or points.  The
-loop forms they replaced live on here, verbatim, as oracles: the array
-forms must return the same values BIT FOR BIT (``np.array_equal``, never
-``allclose``), fail on the same inputs, and stay free of per-element,
-per-face and per-point Python loops — which the function-call guard at
-the bottom checks on any machine, whatever its speed.
+merged global mesh, its numbering, materials and central cube, ocean load,
+source location) finds integer indices, surface factors and material
+values with array passes over all elements, faces or points.  The forms
+they replaced live on here, verbatim, as oracles: the array forms must
+return the same values BIT FOR BIT (``np.array_equal`` or equal bytes,
+never ``allclose``), fail on the same inputs, and stay free of
+per-element, per-face and per-point Python loops — which the
+function-call guard at the bottom checks on any machine, whatever its
+speed.
 """
 
 import cProfile
@@ -20,7 +22,16 @@ from hypothesis import given, settings, strategies as st
 from repro.config import constants
 from repro.config.parameters import SimulationParameters
 from repro.cubed_sphere import SliceAddress, SliceGrid
-from repro.gll.lagrange import GLLBasis, derivative_matrix
+from repro.cubed_sphere.mapping import NCHUNKS, chunk_rotation
+from repro.gll.interpolation import interpolation_weights_3d
+from repro.gll.lagrange import (
+    GLLBasis,
+    derivative_matrix,
+    lagrange_basis,
+    lagrange_basis_derivative,
+    shape_functions,
+)
+from repro.gll.quadrature import gll_points_and_weights
 from repro.mesh import (
     build_global_mesh,
     build_global_numbering,
@@ -29,9 +40,12 @@ from repro.mesh import (
     faces_at_radius,
 )
 from repro.mesh import mesher
+from repro.mesh.central_cube import map_cube_points
 from repro.mesh.element import RegionMesh
 from repro.mesh.interfaces import FACE_SLICES, face_area_weights, face_points
-from repro.model.prem import RegionCode
+from repro.mesh.numbering import group_rows, renumber_first_touch
+from repro.model.perturbations import SyntheticTomography
+from repro.model.prem import PREM, RegionCode
 from repro.parallel.halo import build_halos
 from repro.parallel.launcher import prepare_world
 from repro.solver import (
@@ -43,6 +57,10 @@ from repro.solver import (
     gaussian_stf,
 )
 from repro.solver import receivers
+from repro.solver.sources import (
+    moment_tensor_source_array,
+    point_force_source_array,
+)
 
 #: The ledger's problem size (benchmarks/ledger/inputs.py ``MESH_KEYS``).
 LEDGER_LAYERS = dict(ner_crust_mantle=2, ner_outer_core=1, ner_inner_core=1)
@@ -574,6 +592,365 @@ class TestLocators:
             merged.regions[code].ibool.size
             for code in (RegionCode.CRUST_MANTLE, RegionCode.INNER_CORE)
         )
+
+
+# ------------------------------------ numbering, materials, cube, locator
+# The set-up's arithmetic: chunk interiors numbered by grid index, one PREM
+# lookup per layer, the central cube in one pass, a Newton search that
+# stops at its host.  Their previous forms, kept as they were:
+
+
+def oracle_numbering(xyz):
+    """``build_global_numbering`` matching every point by coordinates."""
+    span = float(np.max(xyz) - np.min(xyz)) if xyz.size else 1.0
+    tolerance = max(span, 1.0) * 1e-9
+    keys = np.round(xyz.reshape(-1, 3) / tolerance).astype(np.int64)
+    first_index, inverse = group_rows(keys)
+    order = np.argsort(first_index, kind="stable")
+    rank_of_unique = np.empty_like(order)
+    rank_of_unique[order] = np.arange(order.size)
+    return rank_of_unique[inverse].reshape(xyz.shape[:-1]), int(order.size)
+
+
+def oracle_renumber_first_touch(ibool, nglob):
+    flat = ibool.ravel()
+    perm = np.full(nglob, -1, dtype=np.int64)
+    next_id = 0
+    for g in flat:
+        if perm[g] < 0:
+            perm[g] = next_id
+            next_id += 1
+    if next_id != nglob:
+        raise ValueError(f"ibool references {next_id} globals but nglob={nglob}")
+    return perm[ibool], perm
+
+
+def _oracle_layer_indices(r, side):
+    tops = np.asarray([layer.r_top_km for layer in PREM.layers])
+    if side == "below":
+        idx = np.searchsorted(tops, r - 1e-12, side="left")
+    else:
+        idx = np.searchsorted(tops, r + 1e-12, side="right")
+    return np.minimum(idx, len(PREM.layers) - 1)
+
+
+def oracle_prem(prop, r, side, fallback=None):
+    """One PREM property by its own lookup and layer loop (SI units)."""
+    x = r / constants.R_EARTH_KM
+    idx = _oracle_layer_indices(r, side)
+    if prop in ("q_mu", "q_kappa"):
+        return np.asarray([getattr(layer, prop) for layer in PREM.layers])[idx]
+    out = np.ones_like(r) if prop == "eta" else np.empty_like(r)
+    for li in np.unique(idx):
+        mask = idx == li
+        layer = PREM.layers[li]
+        coeffs = getattr(layer, prop)
+        if coeffs is None and fallback is not None:
+            coeffs = getattr(layer, fallback)
+        if coeffs is not None:
+            out[mask] = layer.evaluate(coeffs, x[mask])
+    if prop != "eta":
+        out *= 1000.0
+    return out
+
+
+def oracle_love(r, side):
+    rho = oracle_prem("rho", r, side)
+    a = rho * oracle_prem("vph", r, side, "vp") ** 2
+    c = rho * oracle_prem("vpv", r, side, "vp") ** 2
+    l = rho * oracle_prem("vsv", r, side, "vs") ** 2
+    n = rho * oracle_prem("vsh", r, side, "vs") ** 2
+    f = oracle_prem("eta", r, side) * (a - 2.0 * l)
+    return a, c, l, n, f
+
+
+def oracle_materials(mesh, params, tomography):
+    """``assign_materials`` with one PREM query per property and side."""
+    r = mesh.radii()
+    r_mid = r.reshape(mesh.nspec, -1).mean(axis=1)
+    rho, kappa, mu, q_mu = (np.empty_like(r) for _ in range(4))
+    want_ti = params.transverse_isotropy and mesh.region == RegionCode.CRUST_MANTLE
+    love = {name: np.empty_like(r) for name in "ACLNF"}
+    above = r >= r_mid[:, None, None, None]
+    for mask, side in ((above, "below"), (~above, "above")):
+        if not np.any(mask):
+            continue
+        radii = np.clip(r[mask], 0.0, constants.R_EARTH_KM)
+        rho[mask] = oracle_prem("rho", radii, side)
+        vp = oracle_prem("vp", radii, side)
+        vs = oracle_prem("vs", radii, side)
+        q_mu[mask] = oracle_prem("q_mu", radii, side)
+        if params.use_3d_model and mesh.region == RegionCode.CRUST_MANTLE:
+            pts = mesh.xyz[mask]
+            dv = tomography.dv_over_v(pts[..., 0], pts[..., 1], pts[..., 2])
+            vs = vs * (1.0 + dv)
+            vp = vp * (1.0 + 0.5 * dv)
+            rho[mask] = rho[mask] * (1.0 + 0.3 * dv)
+        mu[mask] = rho[mask] * vs**2
+        kappa[mask] = rho[mask] * vp**2 - (4.0 / 3.0) * mu[mask]
+        if want_ti:
+            for name, value in zip("ACLNF", oracle_love(radii, side)):
+                love[name][mask] = value
+    out = dict(rho=rho, kappa=kappa, mu=mu, q_mu=q_mu)
+    if want_ti:
+        out.update(love)
+    return out
+
+
+def oracle_map_cube_points(a, b, c, rc, gamma=0.41):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    a, b, c = np.broadcast_arrays(a, b, c)
+    shape = a.shape
+    p = np.stack([a.ravel(), b.ravel(), c.ravel()], axis=-1)
+    if np.any(np.abs(p) > 1.0 + 1e-12):
+        raise ValueError("cube parameters must lie in [-1, 1]^3")
+    m = np.max(np.abs(p), axis=-1)
+    out = np.zeros_like(p)
+    nonzero = m > 0
+    if np.any(nonzero):
+        u = p[nonzero] / m[nonzero, None]
+        best_l = np.full((u.shape[0], 3), -np.inf)
+        best_face = np.zeros(u.shape[0], dtype=np.int64)
+        for face in range(NCHUNKS):
+            l = u @ chunk_rotation(face)
+            better = l[:, 2] > best_l[:, 2] + 1e-12
+            best_l[better] = l[better]
+            best_face[better] = face
+        xi = best_l[:, 0] * (np.pi / 4.0)
+        eta = best_l[:, 1] * (np.pi / 4.0)
+        tx, ty = np.tan(xi), np.tan(eta)
+        n = np.sqrt(1.0 + tx * tx + ty * ty)
+        r_s = rc * (1.0 + gamma * (n - 1.0))
+        d_local = np.stack([tx / n, ty / n, 1.0 / n], axis=-1)
+        d_global = np.empty_like(d_local)
+        for face in range(NCHUNKS):
+            mask = best_face == face
+            if np.any(mask):
+                d_global[mask] = d_local[mask] @ chunk_rotation(face).T
+        out[nonzero] = (m[nonzero] * r_s)[:, None] * d_global
+    return out.reshape(*shape, 3)
+
+
+def oracle_locate(xyz, ibool, target):
+    """Newton in every element that holds the nearest GLL point; the
+    smallest error wins, the first in element order on a tie."""
+    flat_index = int(np.argmin(np.linalg.norm(xyz.reshape(-1, 3) - target, axis=1)))
+    nearest_global = ibool.ravel()[flat_index]
+    candidates = np.unique(
+        np.nonzero((ibool == nearest_global).reshape(ibool.shape[0], -1))[0]
+    )
+    best = None
+    for e in candidates:
+        ref, err = receivers._invert_isoparametric(xyz[e], target)
+        if best is None or err < best[2]:
+            best = (int(e), ref, err)
+    return best
+
+
+def oracle_shape_functions(ngll, ref):
+    nodes, _ = gll_points_and_weights(ngll)
+    hx, hy, hz = (lagrange_basis(nodes, v) for v in ref)
+    dhx, dhy, dhz = (lagrange_basis_derivative(nodes, v) for v in ref)
+    return hx[:, None, None] * hy[None, :, None] * hz[None, None, :], (
+        dhx[:, None, None] * hy[None, :, None] * hz[None, None, :],
+        hx[:, None, None] * dhy[None, :, None] * hz[None, None, :],
+        hx[:, None, None] * hy[None, :, None] * dhz[None, None, :],
+    )
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: The three events the ledger's seeds 0, 1 and 2 locate first
+#: (benchmarks/ledger/inputs.py ``event_inputs``).
+LEDGER_EVENTS = (
+    (1191.796625406026, -1252.2218516847183, 6070.565588721398),
+    (2108.2368241437916, 5012.282579143765, 2015.8318235274678),
+    (1711.7106797536144, -4733.02345410761, -3739.9239935995706),
+)
+
+
+class TestNumbering:
+    @pytest.mark.parametrize("which", ["merged", "deformed"])
+    def test_merged_mesh_equals_coordinate_matching(self, which, request):
+        for region in request.getfixturevalue(which).regions.values():
+            ibool, nglob = oracle_numbering(region.xyz)
+            assert region.nglob == nglob
+            assert same_bits(region.ibool, ibool)
+
+    @pytest.mark.parametrize("nproc_xi", [1, 2])
+    def test_cube_in_one_piece_equals_coordinate_matching(self, nproc_xi):
+        mesh = build_global_mesh(params_of(nproc_xi=nproc_xi), split_central_cube=False)
+        for region in mesh.regions.values():
+            ibool, nglob = oracle_numbering(region.xyz)
+            assert region.nglob == nglob
+            assert same_bits(region.ibool, ibool)
+
+    @pytest.mark.parametrize("split", [True, False])
+    def test_nproc2_slices_equal_coordinate_matching(self, split):
+        params = params_of(nproc_xi=2)
+        grid = SliceGrid(2)
+        for rank in range(grid.nproc_total):
+            sl = build_slice_mesh(
+                params, grid.address_of(rank), split_central_cube=split
+            )
+            for region in sl.regions.values():
+                ibool, nglob = oracle_numbering(region.xyz)
+                assert region.nglob == nglob
+                assert same_bits(region.ibool, ibool)
+
+    def test_without_labels_every_point_is_matched_by_coordinates(self, merged):
+        xyz = merged.regions[RegionCode.INNER_CORE].xyz
+        ibool, nglob = build_global_numbering(xyz)
+        want, want_n = oracle_numbering(xyz)
+        assert nglob == want_n and same_bits(ibool, want)
+
+    def test_first_touch_renumbering_equals_the_point_loop(self, merged):
+        region = merged.regions[RegionCode.CRUST_MANTLE]
+        shuffle = np.random.default_rng(5).permutation(region.nglob)
+        for ibool in (region.ibool, shuffle[region.ibool], shuffle[region.ibool[::-1]]):
+            got = renumber_first_touch(ibool, region.nglob)
+            want = oracle_renumber_first_touch(ibool, region.nglob)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+        with pytest.raises(ValueError, match="references"):
+            renumber_first_touch(region.ibool, region.nglob + 1)
+
+
+class TestMaterials:
+    @pytest.mark.parametrize(
+        "which", ["merged", "deformed", "transversely_isotropic_3d"]
+    )
+    def test_one_lookup_per_side_equals_one_per_property(self, which, request):
+        mesh = (
+            build_global_mesh(params_of(transverse_isotropy=True, use_3d_model=True))
+            if which == "transversely_isotropic_3d"
+            else request.getfixturevalue(which)
+        )
+        tomography = SyntheticTomography(seed=mesh.params.seed)
+        for region in mesh.regions.values():
+            want = oracle_materials(region, mesh.params, tomography)
+            for name in ("rho", "kappa", "mu", "q_mu"):
+                assert same_bits(getattr(region, name), want[name]), name
+            if "A" in want:
+                for name in "ACLNF":
+                    assert same_bits(getattr(region.ti_moduli, name), want[name])
+
+    def test_prem_accessors_equal_their_own_lookups(self):
+        r = np.concatenate(
+            [np.linspace(0.0, constants.R_EARTH_KM, 997),
+             [layer.r_top_km for layer in PREM.layers]]
+        )
+        for side in ("below", "above"):
+            for prop, fallback in (
+                ("rho", None), ("vp", None), ("vs", None), ("q_mu", None),
+                ("q_kappa", None), ("vph", "vp"), ("vpv", "vp"),
+                ("vsh", "vs"), ("vsv", "vs"),
+            ):
+                got = getattr(PREM, "density" if prop == "rho" else prop)(r, side)
+                assert same_bits(got, oracle_prem(prop, r, side, fallback)), prop
+            assert same_bits(PREM.eta_anisotropy(r, side), oracle_prem("eta", r, side))
+            for got, want in zip(PREM.love_parameters(r, side), oracle_love(r, side)):
+                assert same_bits(got, want)
+        assert PREM.density(3000.0) == float(oracle_prem("rho", np.array([3000.0]), "below")[0])
+
+
+class TestCentralCube:
+    def test_one_pass_equals_the_per_face_loop(self):
+        # Kink planes (|a| = |b| etc.), cube edges and corners where faces
+        # tie, ties inside the 1e-12 rule, signed zeros and the centre.
+        g = np.unique(np.concatenate([
+            np.linspace(-1.0, 1.0, 17),
+            [0.0, 1e-13, -1e-13, 1 - 1e-13, -1 + 1e-13, 1 - 2e-12, 0.5 + 1e-13],
+        ]))
+        a, b, c = np.meshgrid(g, g, g, indexing="ij")
+        rng = np.random.default_rng(11)
+        cases = [
+            (a, b, c),
+            (np.where(a == 0, -0.0, a), -b, np.where(c == 0, -0.0, c)),
+            tuple(rng.uniform(-1.0, 1.0, (3, 4000))),
+            (a, a, -a),
+        ]
+        for args in cases:
+            for gamma in (0.41, 0.0, 1.0):
+                got = map_cube_points(*args, 1221.5, gamma)
+                assert same_bits(got, oracle_map_cube_points(*args, 1221.5, gamma))
+        for bad in ((1.5, 0.0, 0.0), (0.0, 0.0, -1.0 - 1e-9)):
+            with pytest.raises(ValueError):
+                map_cube_points(*bad, 1221.5)
+
+
+def locator_targets(mesh, region, count, seed):
+    """``count`` points of ``region``: inside elements, on shared faces,
+    edges and corners (reference coordinates pinned to +-1) and on GLL
+    nodes, each mapped through its element."""
+    rng = np.random.default_rng(seed)
+    xyz = mesh.regions[region].xyz
+    nodes, _ = gll_points_and_weights(xyz.shape[1])
+    out = []
+    for t in range(count):
+        ref = rng.uniform(-1.0, 1.0, 3)
+        pinned = t % 5  # 0: interior, 1: face, 2: edge, 3: corner, 4: node
+        if pinned == 4:
+            ref = rng.choice(nodes, 3)
+        else:
+            ref[:pinned] = rng.choice([-1.0, 1.0], pinned)
+            rng.shuffle(ref)
+        e = rng.integers(xyz.shape[0])
+        out.append(np.einsum("ijk,ijkc->c", shape_functions(xyz.shape[1], ref), xyz[e]))
+    return out
+
+
+class TestLocator:
+    @pytest.mark.parametrize(
+        "region, count", [(RegionCode.CRUST_MANTLE, 140), (RegionCode.INNER_CORE, 60)]
+    )
+    def test_stopping_at_the_host_equals_trying_every_candidate(
+        self, merged, region, count
+    ):
+        mesh = merged.regions[region]
+        locator = receivers.PointLocator(mesh.xyz, mesh.ibool)
+        targets = locator_targets(merged, region, count, seed=region)
+        if region == RegionCode.CRUST_MANTLE:
+            targets += [np.asarray(p) for p in LEDGER_EVENTS]
+        for target in targets:
+            got = locator.locate(Station("t", tuple(target)), "interpolated")
+            element, ref, err = oracle_locate(mesh.xyz, mesh.ibool, target)
+            assert got.element == element
+            assert same_bits(got.ref, ref) and got.location_error == err
+            assert same_bits(
+                got.weights, interpolation_weights_3d(mesh.xyz.shape[1], *ref)
+            )
+
+
+class TestShapeFunctions:
+    def test_one_helper_equals_the_hand_built_products(self):
+        rng = np.random.default_rng(3)
+        nodes, _ = gll_points_and_weights(5)
+        refs = [rng.uniform(-1.0, 1.0, 3) for _ in range(40)]
+        refs += [np.array([1.0, -1.0, 0.0]), nodes[[0, 2, 4]], np.zeros(3)]
+        moment = np.arange(9.0).reshape(3, 3) + np.arange(9.0).reshape(3, 3).T
+        exyz = rng.standard_normal((5, 5, 5, 3))
+        inv_jac = rng.standard_normal((3, 3))
+        for ref in refs:
+            basis, grads = shape_functions(5, ref, derivatives=True)
+            want_basis, want_grads = oracle_shape_functions(5, ref)
+            assert same_bits(basis, want_basis)
+            assert same_bits(shape_functions(5, ref), want_basis)
+            assert all(same_bits(g, w) for g, w in zip(grads, want_grads))
+            assert same_bits(interpolation_weights_3d(5, *ref), want_basis)
+            assert same_bits(
+                point_force_source_array((1.0, -2.0, 3.0), 5, *ref),
+                want_basis[..., None] * np.asarray((1.0, -2.0, 3.0)),
+            )
+            dphys = np.einsum("ijkl,ld->ijkd", np.stack(want_grads, axis=-1), inv_jac)
+            assert same_bits(
+                moment_tensor_source_array(moment, exyz, inv_jac, *ref),
+                np.einsum("cd,ijkd->ijkc", moment, dphys),
+            )
 
 
 # ------------------------------------------- the guard noise cannot touch

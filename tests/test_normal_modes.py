@@ -1,9 +1,13 @@
-"""Normal-mode validation: the SEM globe vs analytic toroidal eigenmodes.
+"""Normal-mode validation helpers: analytic toroidal eigenmodes.
 
-The strongest end-to-end correctness test of the globe solver: initialise
-the homogeneous solid sphere with the analytic _0T_2 eigenmode and verify
-the SEM oscillates at the analytic eigenfrequency (the Section-3 practice
-of benchmarking against semi-analytical normal-mode synthetics).
+The pieces the end-to-end check is built from — characteristic equation,
+eigenfrequencies, mode displacement, homogeneous model, period
+measurement.  The check itself (initialise the homogeneous solid sphere
+with the analytic _0T_2 eigenmode and verify the SEM oscillates at the
+analytic eigenfrequency, the Section-3 practice of benchmarking against
+semi-analytical normal-mode synthetics) marches 3 234 steps and lives in
+``benchmarks/test_validation_normal_modes.py::test_0T2_period``, a
+blocking CI guard.
 """
 
 import numpy as np
@@ -16,10 +20,8 @@ from repro.analysis import (
     toroidal_eigenfrequencies,
     toroidal_mode_displacement,
 )
-from repro.config import constants
 from repro.config.parameters import SimulationParameters
 from repro.mesh import build_global_mesh
-from repro.solver import GlobalSolver
 
 
 class TestAnalyticModes:
@@ -107,44 +109,3 @@ class TestPeriodMeasurement:
     def test_too_few_crossings(self):
         with pytest.raises(ValueError):
             measure_period_zero_crossings(np.ones(100), 0.1)
-
-
-@pytest.mark.slow
-class TestSEMvsNormalModes:
-    def test_0T2_eigenfrequency(self):
-        """Initialise _0T_2 and check the SEM oscillation period (~2510 s
-        analytically) to within a few percent on a coarse mesh."""
-        vs, vp, rho = 4000.0, 6928.0, 4500.0
-        params = SimulationParameters(
-            nex_xi=4, nproc_xi=1, ner_crust_mantle=3, ner_outer_core=2,
-            ner_inner_core=1, uniform_radial_layers=True,
-        )
-        mesh = build_global_mesh(params)
-        make_homogeneous(mesh, rho=rho, vp=vp, vs=vs)
-        omega = toroidal_eigenfrequencies(2, vs, constants.R_EARTH_M, 1)[0]
-        period_analytic = 2 * np.pi / omega
-
-        solver = GlobalSolver(mesh, params)
-        assert solver.fluid is None  # the sphere is entirely solid
-        solver.set_initial_displacement(
-            lambda coords: 1.0e-3
-            * toroidal_mode_displacement(coords, 2, omega, vs)
-        )
-        # Record u_y at a point on the x-axis surface (phi_hat = +y there),
-        # colatitude 90 deg where |dP2/dtheta| is... zero! Use 45 degrees.
-        st = solver.regions[2] if 2 in solver.regions else None
-        cm = solver.regions[0]
-        coords = np.empty((cm.nglob, 3))
-        coords[cm.ibool.ravel()] = cm.mesh.xyz.reshape(-1, 3)
-        target = constants.R_EARTH_KM / np.sqrt(2.0) * np.array([1.0, 0.0, 1.0])
-        probe = int(np.argmin(np.linalg.norm(coords - target, axis=1)))
-
-        n_steps = int(np.ceil(1.6 * period_analytic / solver.dt))
-        trace = np.empty(n_steps)
-        for step in range(n_steps):
-            solver._one_step(step * solver.dt)
-            trace[step] = solver.solid[0].displ[0, probe, 1]
-        period_sem = measure_period_zero_crossings(trace, solver.dt)
-        assert period_sem == pytest.approx(period_analytic, rel=0.05), (
-            f"SEM period {period_sem:.0f}s vs analytic {period_analytic:.0f}s"
-        )
