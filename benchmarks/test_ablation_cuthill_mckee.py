@@ -32,20 +32,43 @@ from repro.solver.assembly import gather, scatter_add
 from conftest import small_params
 
 
-def _kernel_pass_time(xyz, ibool, nglob, lam, mu, repeats=5):
+#: Timed passes per element order.  The two orders alternate pass by
+#: pass, so a change in the host's speed falls on both alike.
+PASSES = 11
+
+
+def _kernel_pass(xyz, ibool, nglob, lam, mu):
+    """A timed gather -> force -> scatter pass over one element order,
+    warmed up once."""
     geom = compute_geometry(xyz)
     basis = GLLBasis(5)
-    rng = np.random.default_rng(0)
-    u_glob = rng.standard_normal((nglob, 3))
-    # Warm-up.
-    f = compute_forces_elastic(gather(u_glob, ibool), geom, lam, mu, basis)
-    scatter_add(f, ibool, nglob)
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        u = gather(u_glob, ibool)
-        f = compute_forces_elastic(u, geom, lam, mu, basis)
+    u_glob = np.random.default_rng(0).standard_normal((nglob, 3))
+
+    def timed_pass():
+        t0 = time.perf_counter()
+        f = compute_forces_elastic(gather(u_glob, ibool), geom, lam, mu, basis)
         scatter_add(f, ibool, nglob)
-    return (time.perf_counter() - t0) / repeats
+        return time.perf_counter() - t0
+
+    timed_pass()
+    return timed_pass
+
+
+def _interleaved_times(*arms, passes=PASSES):
+    """Each arm's pass times, the arms run in turn and their order
+    reversed every pass."""
+    times = [[] for _ in arms]
+    for i in range(passes):
+        turn = list(enumerate(arms))
+        for k, arm in turn if i % 2 == 0 else reversed(turn):
+            times[k].append(arm())
+    return [np.asarray(t) for t in times]
+
+
+def _quartile_spread(times):
+    """Interquartile range over median."""
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return (q3 - q1) / median
 
 
 def test_cuthill_mckee_stride_and_runtime(benchmark, record):
@@ -66,7 +89,6 @@ def test_cuthill_mckee_stride_and_runtime(benchmark, record):
         # earlier optimisation the paper says already did most of the work).
         ibool_s, _ = renumber_first_touch(ibool_s, mesh.nglob)
         stride_before = average_global_stride(ibool_s)
-        t_before = _kernel_pass_time(xyz_s, ibool_s, mesh.nglob, lam_s, mu_s)
 
         order = cuthill_mckee_order(element_adjacency(ibool_s))
         blocks = multilevel_cache_blocks(order, block_elements=64)
@@ -76,12 +98,16 @@ def test_cuthill_mckee_stride_and_runtime(benchmark, record):
         )
         ibool_cm, _ = renumber_first_touch(ibool_cm, mesh.nglob)
         stride_after = average_global_stride(ibool_cm)
-        t_after = _kernel_pass_time(xyz_cm, ibool_cm, mesh.nglob, lam_cm, mu_cm)
-        return stride_before, stride_after, t_before, t_after
+        times = _interleaved_times(
+            _kernel_pass(xyz_s, ibool_s, mesh.nglob, lam_s, mu_s),
+            _kernel_pass(xyz_cm, ibool_cm, mesh.nglob, lam_cm, mu_cm),
+        )
+        return stride_before, stride_after, times
 
-    stride_before, stride_after, t_before, t_after = benchmark.pedantic(
+    stride_before, stride_after, (times_before, times_after) = benchmark.pedantic(
         experiment, rounds=1, iterations=1
     )
+    t_before, t_after = np.median(times_before), np.median(times_after)
 
     # CM sorting reduces the access strides of the element loop.
     assert stride_after < stride_before
@@ -95,6 +121,9 @@ def test_cuthill_mckee_stride_and_runtime(benchmark, record):
         stride_shuffled=round(stride_before, 1),
         stride_cm_sorted=round(stride_after, 1),
         runtime_gain_pct=round(100 * gain, 1),
+        passes_per_order=PASSES,
+        quartile_spread_pct_shuffled=round(100 * _quartile_spread(times_before), 1),
+        quartile_spread_pct_cm_sorted=round(100 * _quartile_spread(times_after), 1),
         paper="at most 5% gain - point renumbering had already removed "
               "most L2 misses",
     )

@@ -5,32 +5,35 @@ crust mantle and inner core simultaneously" — the two solid regions'
 halo contributions to each neighbour travel in one message instead of
 two, so per step each rank sends 2 message groups (fluid + combined
 solid) instead of 3: exactly one third fewer.
+
+Production runs always merge; this benchmark is the only runner of the
+per-region rounds, injected by clearing ``HaloExchanger.merge_regions``
+on the class for the legacy run.
 """
 
 import numpy as np
 
 from repro.parallel import run_distributed_simulation
-from repro.analysis import relative_l2_misfit
+from repro.parallel.halo import HaloExchanger
 
 from conftest import demo_source, demo_stations, small_params
 
 N_STEPS = 6
 
 
-def test_message_merging(benchmark, record):
+def test_message_merging(benchmark, record, monkeypatch):
     params = small_params(nex=4, nproc=1, nstep_override=N_STEPS)
     source, stations = demo_source(), demo_stations()
 
+    def run(merge):
+        with monkeypatch.context() as patch:
+            patch.setattr(HaloExchanger, "merge_regions", merge)
+            return run_distributed_simulation(
+                params, sources=[source], stations=stations, n_steps=N_STEPS,
+            )
+
     def run_both():
-        legacy = run_distributed_simulation(
-            params, sources=[source], stations=stations,
-            n_steps=N_STEPS, combine_solid_messages=False,
-        )
-        merged = run_distributed_simulation(
-            params, sources=[source], stations=stations,
-            n_steps=N_STEPS, combine_solid_messages=True,
-        )
-        return legacy, merged
+        return run(False), run(True)
 
     legacy, merged = benchmark.pedantic(run_both, rounds=1, iterations=1)
 

@@ -29,12 +29,11 @@ __all__ = ["CartesianElasticSolver", "CartesianAcousticSolver"]
 class CartesianElasticSolver:
     """Explicit elastic SEM on a box: ``M u'' = -K u``."""
 
-    def __init__(self, mesh: BoxMesh, courant: float = 0.4, kernel_variant: str = "vectorized"):
+    def __init__(self, mesh: BoxMesh, courant: float = 0.4):
         self.mesh = mesh
         self.basis = GLLBasis(mesh.ngll)
         self.geom = compute_geometry(mesh.xyz, self.basis)
         self.rho, self.lam, self.mu = mesh.material_arrays()
-        self.kernel_variant = kernel_variant
         self.mass = assemble_mass_matrix(
             self.rho, self.geom, mesh.ibool, mesh.nglob
         )
@@ -65,8 +64,7 @@ class CartesianElasticSolver:
         # a = 0 would inject a one-time O(omega dt / 2) velocity error.
         u_local = gather(self.displ, self.mesh.ibool)
         force_local = compute_forces_elastic(
-            u_local, self.geom, self.lam, self.mu, self.basis,
-            variant=self.kernel_variant,
+            u_local, self.geom, self.lam, self.mu, self.basis
         )
         force = scatter_add(force_local, self.mesh.ibool, self.mesh.nglob)
         self.accel[:] = force / self.mass[:, None]
@@ -77,8 +75,7 @@ class CartesianElasticSolver:
         newmark.predictor(self.displ, self.veloc, self.accel, self.dt)
         u_local = gather(self.displ, self.mesh.ibool)
         force_local = compute_forces_elastic(
-            u_local, self.geom, self.lam, self.mu, self.basis,
-            variant=self.kernel_variant,
+            u_local, self.geom, self.lam, self.mu, self.basis
         )
         force = scatter_add(force_local, self.mesh.ibool, self.mesh.nglob)
         if point_force is not None:

@@ -14,9 +14,7 @@ from .constants import (
     shortest_period_for_nex,
 )
 from .parameters import (
-    KERNEL_VARIANTS,
     RETIRED_KEYS,
-    STATION_LOCATION_MODES,
     ConfigError,
     ParameterError,
     SimulationParameters,
@@ -35,9 +33,7 @@ __all__ = [
     "R_ICB_KM",
     "nex_for_shortest_period",
     "shortest_period_for_nex",
-    "KERNEL_VARIANTS",
     "RETIRED_KEYS",
-    "STATION_LOCATION_MODES",
     "ConfigError",
     "ParameterError",
     "SimulationParameters",

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..config.parameters import PAR_TYPES, ParameterError, SimulationParameters
+from ..config.parameters import (
+    PAR_TYPES,
+    RETIRED_KEYS,
+    ParameterError,
+    SimulationParameters,
+)
 
 __all__ = ["write_par_file", "read_par_file", "format_par_file", "parse_par_file"]
 
@@ -28,8 +33,9 @@ def format_par_file(params: SimulationParameters) -> str:
 
 def parse_par_file(text: str) -> SimulationParameters:
     """Parse ``KEY = value`` lines back into parameters, each value by
-    its key's declared type (an undeclared key's value is left for
-    :meth:`SimulationParameters.from_dict` to drop or reject)."""
+    its key's declared type — a retired key's by its retired value's
+    (an unknown key's value is left for
+    :meth:`SimulationParameters.from_dict` to reject)."""
     raw: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -40,13 +46,14 @@ def parse_par_file(text: str) -> SimulationParameters:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        raw[key] = _parse_value(key, value, lineno) if key in PAR_TYPES else value
+        known = key in PAR_TYPES or key in RETIRED_KEYS
+        raw[key] = _parse_value(key, value, lineno) if known else value
     return SimulationParameters.from_dict(raw)
 
 
 def _parse_value(key: str, value: str, lineno: int) -> object:
     """One Par_file value, converted by its key's declared type."""
-    base, takes_none = PAR_TYPES[key]
+    base, takes_none = PAR_TYPES.get(key) or (type(RETIRED_KEYS[key].value), False)
     if takes_none and value == "none":
         return None
     if base is bool:

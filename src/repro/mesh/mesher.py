@@ -12,9 +12,9 @@ spectrally to obtain exact-to-interpolation Jacobians.
 
 Section 4.4 of the paper: the legacy mesher ran its generation loop twice
 (geometry first, then a second identical sweep to attach material values),
-halving mesher throughput at scale; ``single_pass=True`` (default) assigns
-materials immediately after creating each region's geometry.  Both paths
-are kept so the A-MESH2X ablation can measure the factor-of-two.  The
+halving mesher throughput at scale; this mesher assigns materials right
+after creating each region's geometry, in one pass (the A-MESH2X
+ablation wraps the geometry step to measure the factor-of-two).  The
 merged global mesh takes geometry only from its slices and is numbered
 and filled once, on the merged region.
 """
@@ -51,7 +51,6 @@ __all__ = [
 class MesherStats:
     """Bookkeeping from one mesher run (feeds the perf models)."""
 
-    geometry_passes: int = 0
     elements_generated: int = 0
     gll_points_generated: int = 0
     material_points_assigned: int = 0
@@ -299,39 +298,24 @@ def _region_geometry(
 ) -> tuple[np.ndarray, np.ndarray]:
     """GLL coordinates of one region of one slice: the shell elements,
     any central-cube share behind the inner core's, then the deformations;
-    and the points' numbering labels (:func:`_shell_labels`).
-
-    With ``params.single_pass_mesher=False`` the legacy two-pass behaviour
-    is emulated faithfully: the whole generation pipeline — geometry *and*
-    the global-numbering pass — runs a second time (the paper's
-    factor-of-two mesher cost).
-    """
-
-    def generate() -> tuple[np.ndarray, np.ndarray]:
-        with tracer.span("mesher.geometry") as span:
-            xyz = _shell_region_geometry(params, address, region)
-            labels = _shell_labels(params, address, region)
-            if region == RegionCode.INNER_CORE:
-                cube_xyz, cube_labels = _cube_geometry(
-                    params, address, split_central_cube
-                )
-                if cube_xyz.shape[0]:
-                    xyz = np.concatenate([xyz, cube_xyz], axis=0)
-                    labels = np.concatenate([labels, cube_labels], axis=0)
-            if topography is not None:
-                xyz = topography.apply_to_points(xyz)
-            if ellipticity is not None:
-                xyz = ellipticity.apply_to_points(xyz)
-            span.add(elements=xyz.shape[0], gll_points=xyz[..., 0].size)
-        stats.elements_generated += xyz.shape[0]
-        stats.gll_points_generated += xyz[..., 0].size
-        return xyz, labels
-
-    xyz, labels = generate()
-    if not params.single_pass_mesher:
-        with tracer.span("mesher.numbering"):
-            build_global_numbering(xyz, labels=labels)
-        xyz, labels = generate()
+    and the points' numbering labels (:func:`_shell_labels`)."""
+    with tracer.span("mesher.geometry") as span:
+        xyz = _shell_region_geometry(params, address, region)
+        labels = _shell_labels(params, address, region)
+        if region == RegionCode.INNER_CORE:
+            cube_xyz, cube_labels = _cube_geometry(
+                params, address, split_central_cube
+            )
+            if cube_xyz.shape[0]:
+                xyz = np.concatenate([xyz, cube_xyz], axis=0)
+                labels = np.concatenate([labels, cube_labels], axis=0)
+        if topography is not None:
+            xyz = topography.apply_to_points(xyz)
+        if ellipticity is not None:
+            xyz = ellipticity.apply_to_points(xyz)
+        span.add(elements=xyz.shape[0], gll_points=xyz[..., 0].size)
+    stats.elements_generated += xyz.shape[0]
+    stats.gll_points_generated += xyz[..., 0].size
     return xyz, labels
 
 
@@ -366,8 +350,8 @@ def build_slice_mesh(
 ) -> SliceMesh:
     """Mesh one slice: the three regions plus any central-cube share.
 
-    Each region is generated (see :func:`_region_geometry` for the legacy
-    two-pass mode), numbered, and given its materials.
+    Each region is generated (:func:`_region_geometry`), numbered, and
+    given its materials.
     """
     from ..model.topography import SyntheticTopography
 
@@ -393,7 +377,6 @@ def build_slice_mesh(
                 regions[region] = _number_and_fill(
                     region, xyz, labels, params, tomography, stats, tracer
                 )
-    stats.geometry_passes += 1 if params.single_pass_mesher else 2
     return SliceMesh(
         chunk=address.chunk,
         iproc_xi=address.iproc_xi,
@@ -480,7 +463,6 @@ def build_global_mesh(
                                 topography, split_central_cube, stats, tracer,
                             )
                         )
-            stats.geometry_passes += 1 if params.single_pass_mesher else 2
             cube_total += _cube_elements(
                 params, per_region[RegionCode.INNER_CORE][-1][0].shape[0]
             )

@@ -204,6 +204,12 @@ class HaloExchanger:
     (receives + adds).
     """
 
+    #: The solver hands both solid regions over as ONE round (the paper's
+    #: "reduction of MPI messages by 33% inside each chunk by handling
+    #: crust mantle and inner core simultaneously").  The A-MSG ablation
+    #: and its tests clear it on the class to run per-region rounds.
+    merge_regions = True
+
     def __init__(
         self,
         comm,
@@ -217,11 +223,6 @@ class HaloExchanger:
         #: communication time), kept even without a tracer so streaming
         #: telemetry can difference it per step at near-zero cost.
         self.wait_s = 0.0
-        #: Whether the solver should hand both solid regions over as ONE
-        #: round (the paper's "reduction of MPI messages by 33% inside each
-        #: chunk by handling crust mantle and inner core simultaneously");
-        #: the launcher clears it for the message-merging ablation.
-        self.merge_regions = True
 
     # -- the one round ------------------------------------------------------
 

@@ -300,7 +300,6 @@ def run_distributed_simulation(
     stations: list[Station] | None = None,
     n_steps: int | None = None,
     timeout_s: float = 600.0,
-    combine_solid_messages: bool = True,
     trace: bool = False,
     overlap: bool | None = None,
     n_segments: int = 1,
@@ -430,7 +429,6 @@ def run_distributed_simulation(
         rank_tracer = _tracer(rank)
         rank_metrics = metrics[rank] if metrics is not None else None
         exchanger = HaloExchanger(comm, world.halos[rank], tracer=rank_tracer)
-        exchanger.merge_regions = combine_solid_messages
         my_stations = world.station_assignment.get(rank, [])
         stream = None
         if stream_dir is not None:

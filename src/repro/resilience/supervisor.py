@@ -212,7 +212,6 @@ class RunSupervisor:
         recv_timeout_s: float | None = None,
         fault_plan=None,
         overlap: bool | None = None,
-        combine_solid_messages: bool = True,
         stream_dir=None,
     ) -> SupervisedResult:
         """Run to completion, recovering from up to ``max_recoveries``
@@ -270,7 +269,6 @@ class RunSupervisor:
                         n_steps=total,
                         timeout_s=timeout_s,
                         recv_timeout_s=recv_timeout_s,
-                        combine_solid_messages=combine_solid_messages,
                         fault_plan=fault_plan,
                         stream_dir=stream_dir,
                         failure_detector=detector,

@@ -24,11 +24,14 @@ to the order the client asked for.
 
 Both keys hash the parameter table's *mesh* and *physics* classes
 (:meth:`~repro.config.parameters.SimulationParameters.key_payload`),
-never its *observe* class: engineering switches proven bit-identical to
-their reference path — ``SINGLE_PASS_MESHER`` (the A-MESH2X ablation),
-``OVERLAP_COMM`` (the overlap bit-identity gate) — and the purely
-observational ``HEALTH_CHECK_EVERY``.  Flipping them must not fork the
-cache.
+never its *observe* class: ``OVERLAP_COMM``, an engineering switch
+proven bit-identical to its reference path (the overlap bit-identity
+gate), and the purely observational ``HEALTH_CHECK_EVERY``.  Flipping
+them must not fork the cache.  A retired key (``RETIRED_KEYS``) hashes
+at its one value in its class's keys, so a request naming it at any
+value that computed the same bits — ``KERNEL_VARIANT = blas``, say — is
+the same request, and one naming a value that computed other bits
+(``STATION_LOCATION = interpolated``) is refused.
 """
 
 from __future__ import annotations

@@ -180,8 +180,8 @@ class PreparedMesh:
     whether its surfaces deviate from spheres (ellipticity or topography,
     both mesh parameters): the two inputs of every artefact.  Nothing a
     solver chooses for itself (time step, Courant number, attenuation,
-    record length, kernel variant) enters, so one instance serves every
-    solver on the mesh.  Each accessor fills its group once, under the
+    record length, events) enters, so one instance serves every solver
+    on the mesh.  Each accessor fills its group once, under the
     instance's lock, and returns the same read-only objects thereafter;
     a group no solver asks for (gravity, ocean load, the Courant bound of
     a rank handed the global time step) is never built.

@@ -7,12 +7,12 @@ virtual-MPI launcher provides):
 
 * three regions (two solid, one fluid) marched with the explicit Newmark
   scheme of Section 2.4;
-* internal forces from the :mod:`repro.kernels` variants of Section 4.3;
+* internal forces from the vectorized :mod:`repro.kernels` operator of
+  Section 4.3;
 * displacement-based non-iterative solid-fluid coupling at CMB and ICB;
 * optional attenuation (memory variables), rotation (Coriolis),
   self-gravitation (Cowling), and ocean load;
-* moment-tensor sources and interpolated/closest-point receivers
-  (Section 4.4);
+* moment-tensor sources and closest-grid-point receivers (Section 4.4);
 * on a truncated (regional) bundle, the Stacey absorbing boundary of
   Figure 1 as one more term of the solid force;
 * B events on one mesh (docs/batching.md): the persistent arrays carry a
@@ -182,9 +182,7 @@ class _RegionSubset:
             mu = mesh.mu[idx]
             lam = mesh.kappa[idx] - (2.0 / 3.0) * mu
             if mesh.ti_moduli is None:
-                self.operator = ElasticOperator(
-                    self.geom, lam, mu, basis, ws, solver.params.kernel_variant,
-                )
+                self.operator = ElasticOperator(self.geom, lam, mu, basis, ws)
             else:
                 from ..kernels.anisotropic import TIElasticOperator
 
@@ -213,7 +211,7 @@ class GlobalSolver:
         crust/mantle's truncation surfaces: non-empty, every step adds
         their Stacey traction (:mod:`repro.solver.absorbing`) to the
         solid force; absent or empty, the boundary is free or rigid.
-    params : simulation parameters (kernel variant, physics switches...).
+    params : simulation parameters (resolution, physics switches...).
     sources, stations : source and receiver definitions (positions in km).
     exchanger : optional halo exchanger (duck-typed
         :class:`repro.parallel.halo.HaloExchanger`: ``assemble``,
@@ -416,7 +414,7 @@ class GlobalSolver:
             for source in event
         ]
         self._located: list = [
-            locator(RegionCode.CRUST_MANTLE).locate(station, params.station_location)
+            locator(RegionCode.CRUST_MANTLE).locate(station, "closest_point")
             for station in stations or []
         ]
         # No tree lives on into the run.

@@ -106,7 +106,7 @@ class TestMeshCacheKey:
             dict(attenuation=True),
             dict(rotation=True, gravity=True),
             dict(record_length_s=500.0),
-            dict(kernel_variant="baseline"),
+            dict(courant=0.3, oceans=True),
             dict(nstep_override=99),
         ):
             assert mesh_cache_key(base) == mesh_cache_key(

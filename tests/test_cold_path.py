@@ -488,10 +488,20 @@ class TestGlobalMesher:
         monkeypatch.setattr(
             mesher, "assign_materials", counted("materials", mesher.assign_materials)
         )
+        if not single_pass:
+            # The legacy two-pass mesher (the A-MESH2X arm), injected: each
+            # slice region's geometry is generated and numbered, then
+            # generated again.
+            geometry = mesher._region_geometry
+
+            def two_pass(*args):
+                xyz, labels = geometry(*args)
+                mesher.build_global_numbering(xyz, labels=labels)
+                return geometry(*args)
+
+            monkeypatch.setattr(mesher, "_region_geometry", two_pass)
         stats = mesher.MesherStats()
-        mesh = build_global_mesh(
-            params_of(nex_xi=8, single_pass_mesher=single_pass), stats=stats
-        )
+        mesh = build_global_mesh(params_of(nex_xi=8), stats=stats)
         # The legacy two-pass mode repeats geometry and its numbering pass
         # slice by slice (6 slices x 3 regions); materials stay single.
         assert calls == {"numbering": numberings, "materials": 3}
@@ -546,8 +556,17 @@ STATIONS = [
 
 
 class TestLocators:
-    def test_batched_source_terms_equal_dedicated_solvers(self, merged):
-        params = merged.params.with_updates(station_location="interpolated")
+    def test_batched_source_terms_equal_dedicated_solvers(
+        self, merged, monkeypatch
+    ):
+        # Interpolated stations carry weights to compare: inject that
+        # locator (the A-STATION reference arm) at the solver's call.
+        locate = receivers.PointLocator.locate
+        monkeypatch.setattr(
+            receivers.PointLocator, "locate",
+            lambda self, station, mode: locate(self, station, "interpolated"),
+        )
+        params = merged.params
         batched = GlobalSolver(
             merged, params, event_sources=EVENTS, stations=STATIONS
         )

@@ -1,5 +1,9 @@
 """Extended distributed-run coverage: 24 ranks, physics switches, message
-merging equivalence."""
+merging equivalence.
+
+Production runs always merge the two solid regions' halo messages; the
+per-region rounds they are compared with (the A-MSG ablation's losing
+arm) are injected by clearing ``HaloExchanger.merge_regions``."""
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from repro.config import constants
 from repro.config.parameters import SimulationParameters
 from repro.parallel import run_distributed_simulation
+from repro.parallel.halo import HaloExchanger
 from repro.solver import MomentTensorSource, Station, gaussian_stf
 
 
@@ -25,18 +30,17 @@ def stations():
 
 
 class TestMessageMergingEquivalence:
-    def test_combined_messages_identical_physics(self):
+    def test_combined_messages_identical_physics(self, monkeypatch):
         params = SimulationParameters(
             nex_xi=4, nproc_xi=1, ner_crust_mantle=2, ner_outer_core=1,
             ner_inner_core=1, nstep_override=12,
         )
         merged = run_distributed_simulation(
             params, sources=[source()], stations=stations(),
-            combine_solid_messages=True,
         )
+        monkeypatch.setattr(HaloExchanger, "merge_regions", False)
         separate = run_distributed_simulation(
             params, sources=[source()], stations=stations(),
-            combine_solid_messages=False,
         )
         np.testing.assert_array_equal(merged.seismograms, separate.seismograms)
         msgs_m = sum(s.messages_sent for s in merged.comm_stats)
@@ -56,7 +60,7 @@ class TestScheduleTimesMerging:
             ner_inner_core=1, attenuation=True,
         )
 
-    def test_merging_is_honoured_under_both_schedules(self, params):
+    def test_merging_is_honoured_under_both_schedules(self, params, monkeypatch):
         from repro.model.prem import RegionCode
         from repro.parallel.launcher import prepare_world
 
@@ -69,11 +73,9 @@ class TestScheduleTimesMerging:
                 overlap=overlap,
             )
             for merge in (True, False):
+                monkeypatch.setattr(HaloExchanger, "merge_regions", merge)
                 one, full = (
-                    run_distributed_simulation(
-                        params, n_steps=n, world=world,
-                        combine_solid_messages=merge,
-                    )
+                    run_distributed_simulation(params, n_steps=n, world=world)
                     for n in (1, steps)
                 )
                 seismograms[overlap, merge] = full.seismograms

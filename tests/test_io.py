@@ -137,7 +137,7 @@ class TestDiskModel:
 class TestParFile:
     def test_roundtrip(self):
         params = SimulationParameters(
-            nex_xi=32, nproc_xi=2, attenuation=True, kernel_variant="blas",
+            nex_xi=32, nproc_xi=2, attenuation=True, health_check_every=5,
             record_length_s=123.5,
         )
         assert parse_par_file(format_par_file(params)) == params

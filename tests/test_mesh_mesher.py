@@ -7,7 +7,6 @@ from repro.config import constants
 from repro.config.parameters import SimulationParameters
 from repro.cubed_sphere import SliceAddress
 from repro.mesh import (
-    MesherStats,
     assign_cube_columns,
     build_global_mesh,
     build_slice_mesh,
@@ -199,16 +198,6 @@ class TestSliceMesh:
         # of global points: fewer globals than 125 * nspec.
         ic = polar_slice.regions[RegionCode.INNER_CORE]
         assert ic.nglob < ic.nspec * 125
-
-    def test_two_pass_mesher_doubles_geometry_work(self, small_params):
-        stats1 = MesherStats()
-        build_slice_mesh(small_params, stats=stats1)
-        stats2 = MesherStats()
-        build_slice_mesh(
-            small_params.with_updates(single_pass_mesher=False), stats=stats2
-        )
-        assert stats2.gll_points_generated == 2 * stats1.gll_points_generated
-        assert stats2.material_points_assigned == stats1.material_points_assigned
 
 
 class TestGlobalMesh:

@@ -2,12 +2,14 @@
 
 The pieces the end-to-end check is built from — characteristic equation,
 eigenfrequencies, mode displacement, homogeneous model, period
-measurement.  The check itself (initialise the homogeneous solid sphere
-with the analytic _0T_2 eigenmode and verify the SEM oscillates at the
-analytic eigenfrequency, the Section-3 practice of benchmarking against
-semi-analytical normal-mode synthetics) marches 3 234 steps and lives in
-``benchmarks/test_validation_normal_modes.py::test_0T2_period``, a
-blocking CI guard.
+measurement.  The marching check (initialise the homogeneous solid
+sphere with the analytic _0T_2 eigenmode and verify the SEM oscillates at
+the analytic eigenfrequency, the Section-3 practice of benchmarking
+against semi-analytical normal-mode synthetics) marches 3 234 steps and
+lives in ``benchmarks/test_validation_normal_modes.py::test_0T2_period``,
+a blocking CI guard.  :class:`TestRayleighQuotient` checks the same
+operator without marching: the SEM's Rayleigh quotient of each analytic
+eigenmode against its squared eigenfrequency.
 """
 
 import numpy as np
@@ -20,8 +22,10 @@ from repro.analysis import (
     toroidal_eigenfrequencies,
     toroidal_mode_displacement,
 )
+from repro.config import constants
 from repro.config.parameters import SimulationParameters
 from repro.mesh import build_global_mesh
+from repro.solver import GlobalSolver
 
 
 class TestAnalyticModes:
@@ -109,3 +113,45 @@ class TestPeriodMeasurement:
     def test_too_few_crossings(self):
         with pytest.raises(ValueError):
             measure_period_zero_crossings(np.ones(100), 0.1)
+
+
+class TestRayleighQuotient:
+    """The direct-SEM normal-mode comparison (Myhill & Al-Attar, arXiv
+    2603.08613): with the displacement set to an analytic toroidal
+    eigenmode u and the velocity zero, ``2 E / u^T M u`` is the SEM's
+    Rayleigh quotient ``u^T K u / u^T M u``, which approximates the
+    mode's omega^2 to the discretisation error of the NEX 4 sphere."""
+
+    VS, VP, RHO = 4000.0, 6928.0, 4500.0
+    #: (overtone n, degree l) -> bound on |quotient / omega^2 - 1|: ten
+    #: times the NEX 4 error (2.1e-8, -7.9e-8, 1.2e-7, 8.1e-8, 1.1e-6).
+    #: Those are discretisation errors, not roundoff: at NEX 8 (NER
+    #: 6/4/2) the same modes read 7.8e-10, -1.8e-10, 6.9e-9, 2.4e-9 and
+    #: 2.7e-8, 18-450 times smaller.
+    BOUNDS = {(0, 2): 2e-7, (0, 3): 8e-7, (1, 2): 1.2e-6, (1, 3): 8e-7,
+              (2, 2): 1.1e-5}
+
+    @pytest.fixture(scope="class")
+    def solver(self):
+        params = SimulationParameters(
+            nex_xi=4, nproc_xi=1, ner_crust_mantle=3, ner_outer_core=2,
+            ner_inner_core=1, uniform_radial_layers=True,
+        )
+        mesh = build_global_mesh(params)
+        make_homogeneous(mesh, rho=self.RHO, vp=self.VP, vs=self.VS)
+        return GlobalSolver(mesh, params)
+
+    @pytest.mark.parametrize("n, l", sorted(BOUNDS))
+    def test_quotient_matches_eigenfrequency(self, solver, n, l):
+        omega = toroidal_eigenfrequencies(
+            l, self.VS, constants.R_EARTH_M, n + 1
+        )[n]
+        solver.set_initial_displacement(
+            lambda coords: toroidal_mode_displacement(coords, l, omega, self.VS)
+        )
+        u_m_u = sum(
+            float(np.sum(solver.mass[code][:, None] * solver.solid[code].displ**2))
+            for code in solver.solid_codes
+        )
+        quotient = 2.0 * solver.total_energy() / u_m_u
+        assert abs(quotient / omega**2 - 1.0) < self.BOUNDS[n, l]

@@ -4,8 +4,9 @@ Guards store addressing, so it runs in CI's "Store integrity" step:
 
 * a key's declared type is enforced, and equal parameter sets hash
   equally (``200`` and ``200.0`` are one record length);
-* the retired keys still load from spills, Par_files and requests, and
-  a request differing only in one is a warm hit;
+* the retired keys still load from spills, Par_files and requests at
+  every value that computed their retired value's bits, and a request
+  differing only in one is a warm hit; any other value is refused;
 * every declared key behaves as its class says: flipped from a base
   where it can matter, a *mesh* key changes the merged mesh and
   ``mesh_cache_key``, a *physics* key the seismograms or ``dt`` and
@@ -29,6 +30,7 @@ from repro.config.parameters import (
     OBSERVE,
     PHYSICS,
     RETIRED_KEYS,
+    ParameterError,
     SimulationParameters,
     par_keys,
 )
@@ -79,6 +81,9 @@ def test_int_valued_floats_share_one_batch():
 @pytest.mark.parametrize("key, value", [
     ("ATTENUATION", "false"), ("NEX_XI", 4.0), ("NEX_XI", True),
     ("NSTEP_OVERRIDE", 8.0), ("COURANT", "0.4"), ("KERNEL_VARIANT", 1),
+    # A retired key loads only at the values that computed its bits.
+    ("KERNEL_VARIANT", "cuda"), ("SINGLE_PASS_MESHER", "false"),
+    ("USE_PADDING", 1), ("STATION_LOCATION", "interpolated"),
 ])
 def test_a_wrongly_typed_key_is_rejected(key, value):
     with pytest.raises(ValueError, match=key):
@@ -88,11 +93,10 @@ def test_a_wrongly_typed_key_is_rejected(key, value):
 def test_par_file_values_convert_by_declared_type():
     params = parse_par_file(
         "NEX_XI = 8\nRECORD_LENGTH_S = 100\nATTENUATION = .true.\n"
-        "KERNEL_VARIANT = blas\nHEALTH_CHECK_EVERY = none\n"
+        "NSTEP_OVERRIDE = 12\nHEALTH_CHECK_EVERY = none\n"
     )
     assert params == SimulationParameters(
-        nex_xi=8, record_length_s=100.0, attenuation=True,
-        kernel_variant="blas",
+        nex_xi=8, record_length_s=100.0, attenuation=True, nstep_override=12,
     )
     for line in ("NEX_XI = 8.0", "ATTENUATION = true", "SEED = none"):
         with pytest.raises(ValueError, match=line.split()[0]):
@@ -104,18 +108,24 @@ def test_par_file_values_convert_by_declared_type():
 
 def test_retired_keys_are_dropped_and_leave_every_key_unmoved():
     params = SimulationParameters(**BASE)
-    with_retired = SimulationParameters.from_dict(
-        {**params.to_dict(), "USE_CUTHILL_MCKEE": False, "IO_MODE": "files",
-         "USE_PADDING": False}
-    )
-    assert with_retired == params
     assert not set(RETIRED_KEYS) & set(params.to_dict())
-    assert set(RETIRED_KEYS) <= set(params.key_payload(PHYSICS))
-    # A request naming a retired key is the same request: a warm hit.
-    spec = request(params).to_spec()
-    spec["params"]["USE_CUTHILL_MCKEE"] = False
-    assert physics_key(SimulationRequest.from_spec(spec)) == \
-        physics_key(request(params))
+    base_spec = request(params).to_spec()
+    for key, retired in RETIRED_KEYS.items():
+        # Each hashes at its retired value in its own class's payloads only.
+        for key_class in KEY_CLASSES:
+            payload = params.key_payload(key_class)
+            assert payload.get(key) == (
+                retired.value if key_class == retired.key_class else None
+            ), (key, key_class)
+        for value in retired.same_bits:
+            with_retired = SimulationParameters.from_dict(
+                {**params.to_dict(), key: value}
+            )
+            assert with_retired == params, (key, value)
+            # A request naming a retired key is the same request: a warm hit.
+            spec = {**base_spec, "params": {**base_spec["params"], key: value}}
+            assert physics_key(SimulationRequest.from_spec(spec)) == \
+                physics_key(request(params)), (key, value)
 
 
 def test_par_file_with_retired_keys_parses():
@@ -124,8 +134,13 @@ def test_par_file_with_retired_keys_parses():
         "USE_CUTHILL_MCKEE       = .true.\n"
         "IO_MODE                 = merged\n"
         "USE_PADDING             = .false.\n"
+        "KERNEL_VARIANT          = blas\n"
+        "SINGLE_PASS_MESHER      = .false.\n"
+        "STATION_LOCATION        = closest_point\n"
     )
     assert parse_par_file(text) == params
+    with pytest.raises(ParameterError, match="STATION_LOCATION"):
+        parse_par_file(text.replace("closest_point", "interpolated"))
 
 
 def test_mesh_spill_with_retired_keys_loads(tmp_path):
@@ -134,7 +149,9 @@ def test_mesh_spill_with_retired_keys_loads(tmp_path):
     path = save_mesh_spill(mesh, tmp_path / "mesh.mesh")
     # Rewrite the record as a spill from before the keys' retirement.
     arrays, meta = read_record(path, b"MESHREC1")
-    meta["params"].update(RETIRED_KEYS)
+    meta["params"].update(
+        (key, retired.value) for key, retired in RETIRED_KEYS.items()
+    )
     write_record(path, b"MESHREC1", arrays, meta)
     loaded = load_mesh_spill(path)
     assert loaded.params == params
@@ -162,9 +179,6 @@ FLIPS = {
     "TRANSVERSE_ISOTROPY": (True, {}),
     "USE_3D_MODEL": (True, {}),
     "UNIFORM_RADIAL_LAYERS": (True, {}),
-    "KERNEL_VARIANT": ("baseline", {}),
-    "SINGLE_PASS_MESHER": (False, {}),
-    "STATION_LOCATION": ("interpolated", {}),
     "OVERLAP_COMM": (True, {"distributed": True}),
     # With attenuation on, the record length sets the absorption band.
     "RECORD_LENGTH_S": (100.0, {"attenuation": True}),
@@ -173,12 +187,6 @@ FLIPS = {
     "HEALTH_CHECK_EVERY": (1, {}),
     "SEED": (7, {"use_3d_model": True}),
 }
-
-#: Physics keys whose every value computes the same bits.  Each still
-#: forks ``physics_key``: moving it to the observe class would move every
-#: stored digest.
-SAME_BITS = {"KERNEL_VARIANT"}
-
 
 def _mesh_digest(mesh) -> str:
     h = hashlib.sha256()
@@ -240,7 +248,7 @@ def test_every_key_behaves_as_its_class_says():
             elif key_class == PHYSICS:
                 assert same_mesh and not mesh_key_moved, key
                 assert physics_moved, key
-                assert same_bits == (key in SAME_BITS), key
+                assert not same_bits, key
             else:
                 assert key_class == OBSERVE
                 assert same_mesh and same_bits, key

@@ -171,15 +171,15 @@ def test_property_sls_modulus_defect_bounded(q, n_sls):
     nproc=st.integers(min_value=1, max_value=12),
     atten=st.booleans(),
     rot=st.booleans(),
-    kernel=st.sampled_from(["baseline", "vectorized", "blas"]),
+    check=st.one_of(st.none(), st.integers(min_value=1, max_value=100)),
 )
-def test_property_par_file_roundtrip(nex_base, nproc, atten, rot, kernel):
+def test_property_par_file_roundtrip(nex_base, nproc, atten, rot, check):
     params = SimulationParameters(
         nex_xi=nex_base * 2 * nproc,
         nproc_xi=nproc,
         attenuation=atten,
         rotation=rot,
-        kernel_variant=kernel,
+        health_check_every=check,
     )
     assert parse_par_file(format_par_file(params)) == params
 

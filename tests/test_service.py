@@ -124,7 +124,7 @@ def test_physics_key_ignores_stations_but_request_key_does_not():
 def test_excluded_engineering_switches_do_not_fork_the_key():
     base = make_request()
     flipped = SimulationRequest(
-        params=tiny_params(single_pass_mesher=True, overlap_comm=True),
+        params=tiny_params(overlap_comm=True, health_check_every=1),
         stations=STATIONS,
         source=SOURCE,
         n_steps=8,
@@ -614,6 +614,49 @@ def test_http_round_trip(tmp_path):
     assert results["lost"][0] == 404
     assert results["health"] == (200, {"ok": True})
     assert backend.calls == 1
+
+
+def test_a_retired_kernel_variant_request_is_a_warm_hit(tmp_path):
+    # Every kernel variant computed the same bits, so naming one is the
+    # default request.
+    service, backend = make_service(tmp_path)
+    spec = make_request().to_spec()
+    spec["params"]["KERNEL_VARIANT"] = "blas"
+    try:
+        first = asyncio.run(service.handle(make_request()))
+        named = asyncio.run(service.handle(SimulationRequest.from_spec(spec)))
+    finally:
+        service.close()
+    assert (first.status, named.status) == ("computed", "hit")
+    assert backend.calls == 1
+    assert np.array_equal(first.seismograms, named.seismograms)
+
+
+def test_a_retired_station_location_request_is_a_400(tmp_path):
+    # Interpolated stations recorded other seismograms: answering with the
+    # closest-point ones would be wrong, so the request is refused.
+    service, backend = make_service(tmp_path)
+    spec = make_request().to_spec()
+    spec["params"]["STATION_LOCATION"] = "interpolated"
+
+    async def scenario():
+        server = await ServiceHTTPServer(service, port=0).start()
+        loop = asyncio.get_running_loop()
+        try:
+            return await loop.run_in_executor(
+                None, http_json, server.host, server.port, "POST",
+                "/simulate", spec,
+            )
+        finally:
+            await server.stop()
+
+    try:
+        status, body = asyncio.run(scenario())
+    finally:
+        service.close()
+    assert status == 400
+    assert "STATION_LOCATION" in body["error"]
+    assert backend.calls == 0
 
 
 def test_wrongly_typed_params_are_a_400(tmp_path):
