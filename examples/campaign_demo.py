@@ -24,7 +24,6 @@ from repro.apps import default_source, default_stations
 from repro.campaign import (
     JobSpec,
     MeshCache,
-    ResultStore,
     RetryPolicy,
     plan_batches,
     render_campaign_table,
@@ -71,7 +70,7 @@ def main() -> None:
         jobs,
         n_workers=2,
         mesh_cache=cache,
-        store=ResultStore(store_dir),
+        store_dir=store_dir,
         metrics=metrics,
         retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.1),
     )

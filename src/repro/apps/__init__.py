@@ -2,6 +2,7 @@
 
 from .merged_app import (
     GlobalSimulationResult,
+    SegmentInfo,
     run_global_simulation,
     run_legacy_two_program,
 )
@@ -10,6 +11,7 @@ from .specfem import default_source, default_stations
 
 __all__ = [
     "GlobalSimulationResult",
+    "SegmentInfo",
     "run_global_simulation",
     "run_legacy_two_program",
     "mesh_globe_to_databases",

@@ -1,16 +1,22 @@
 """The merged application: mesher + solver in one process (Section 4.1).
 
-``run_global_simulation`` is the package's one-call entry point: it meshes
+``run_global_simulation`` is the package's one serial runner: it meshes
 the globe, hands the mesh to the solver through memory (no intermediate
 files — the paper's fix), runs the time loop, and returns seismograms and
-accounting.  The legacy two-program mode (mesh -> files -> solve) lives in
-:func:`run_legacy_two_program` for the A-IO ablation.
+accounting.  A long run is the same call cut into a chain of checkpointed
+segments (``n_segments``), the way the paper's week-long production runs
+outlive any queue wall limit.  The legacy two-program mode (mesh -> files
+-> solve) lives in :func:`run_legacy_two_program` for the A-IO ablation.
 """
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 import time
-from dataclasses import dataclass
+import warnings
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +30,33 @@ from ..io.meshfiles import (
 )
 from ..mesh.mesher import GlobalMesh, build_global_mesh
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import Tracer
+from ..obs.tracer import Tracer, maybe_tracer
+from ..parallel.launcher import segment_boundaries
+from ..solver.checkpoint import CheckpointManager, restore_state, walk_back
 from ..solver.receivers import Station
 from ..solver.solver import GlobalSolver, SolverResult
 
 __all__ = [
     "GlobalSimulationResult",
+    "SegmentInfo",
     "run_global_simulation",
     "run_legacy_two_program",
 ]
+
+
+@dataclass
+class SegmentInfo:
+    """Accounting of one executed segment."""
+
+    index: int
+    start_step: int
+    stop_step: int
+    wall_s: float
+    checkpoint: Path | None  # written at the segment's end (None for last)
+
+    @property
+    def steps(self) -> int:
+        return self.stop_step - self.start_step
 
 
 @dataclass
@@ -50,10 +74,16 @@ class GlobalSimulationResult:
     #: per-timestep metrics registry; both None for untraced runs.
     tracer: Tracer | None = None
     metrics: MetricsRegistry | None = None
+    #: The chain log, one entry per segment (one for an unsegmented run).
+    segments: list[SegmentInfo] = field(default_factory=list)
 
     @property
     def seismograms(self) -> np.ndarray | None:
         return self.solver_result.seismograms
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.segments)
 
     @property
     def dt(self) -> float:
@@ -93,6 +123,9 @@ def run_global_simulation(
     metrics: MetricsRegistry | None = None,
     stream=None,
     event_sources: list[list] | None = None,
+    n_segments: int = 1,
+    checkpoint_dir: str | Path | None = None,
+    on_checkpoint=None,
 ) -> GlobalSimulationResult:
     """Mesh and solve in one process with in-memory handoff.
 
@@ -115,7 +148,46 @@ def run_global_simulation(
     solver on the shared mesh (docs/batching.md): the ``seismograms``
     gain a leading event axis, ``solver_result.receivers[b]`` is event
     b's, and both are bit-identical to a ``sources=event_sources[b]`` run.
+
+    ``n_segments > 1`` marches the run as a chain of checkpointed
+    segments (:func:`~repro.parallel.launcher.segment_boundaries`), the
+    state flow of chained queue jobs: every later segment builds a
+    *fresh* solver over the shared mesh, restores the previous
+    segment's checkpoint, marches to its boundary and checkpoints.  The
+    seismograms are bit-identical to a one-segment run (the checkpoint
+    carries the partially recorded buffers).  On a mesh the
+    :class:`~repro.campaign.mesh_cache.MeshCache` serves, every segment's
+    solver shares the mesh's :class:`~repro.solver.prepared.PreparedMesh`,
+    so a restart builds only its event state.  Each segment is a
+    ``campaign.segment`` span and adds 1 to ``campaign.segments``; a
+    one-segment run writes no checkpoint and records neither.
+    ``track_energy`` needs one segment: each segment's solver would
+    cover only its own span.
+
+    Restores fall back to the *last verified checkpoint*: each segment
+    walks back (:func:`~repro.solver.checkpoint.walk_back`) over the
+    checkpoints this call wrote, newest first.  One that fails to load
+    (a checkpoint is one ``CKPTREC1`` verified record with a CRC32 per
+    array) is quarantined with a warning and the next-older one is
+    tried, down to a cold restart from step 0.  The marching is
+    deterministic, so re-running the lost span reproduces the exact same
+    state: corruption costs wall time, not correctness.  Each fallback
+    adds 1 to ``campaign.checkpoint_corruptions``.  Files this call did
+    not write — a reused ``checkpoint_dir``'s ``step_*.ckpt`` from
+    another run — are never restore candidates.  ``checkpoint_dir``
+    defaults to a temp directory removed afterwards.
+    ``on_checkpoint(index, path)`` is called after segment ``index``'s
+    checkpoint is written (the chaos drills corrupt it there).
+
+    A ``stream`` is shared by the whole chain, so it is one continuous
+    per-step log: steps re-executed after a fallback appear twice, and
+    readers collapse them with :func:`~repro.obs.stream.dedupe_steps`.
     """
+    if n_segments > 1 and track_energy:
+        raise ValueError(
+            "track_energy needs one segment: each of n_segments="
+            f"{n_segments} solvers would cover only its own span"
+        )
     if tracer is None and trace:
         tracer = Tracer(pid=0)
     if metrics is None and trace:
@@ -133,17 +205,98 @@ def run_global_simulation(
             metrics.counter("mesher.reused").add(1)
     mesher_s = time.perf_counter() - t0
     t1 = time.perf_counter()
-    solver = GlobalSolver(
-        mesh,
-        params,
-        sources=sources,
-        stations=stations,
-        tracer=tracer,
-        metrics=metrics,
-        stream=stream,
-        event_sources=event_sources,
-    )
-    result = solver.run(n_steps=n_steps, track_energy=track_energy)
+
+    def new_solver() -> GlobalSolver:
+        return GlobalSolver(
+            mesh,
+            params,
+            sources=sources,
+            stations=stations,
+            tracer=tracer,
+            metrics=metrics,
+            stream=stream,
+            event_sources=event_sources,
+        )
+
+    solver = new_solver()
+    total = int(n_steps) if n_steps is not None else solver.n_steps
+    bounds = segment_boundaries(total, n_segments)
+    chained = len(bounds) > 1
+    tr = maybe_tracer(tracer)
+    own_dir = chained and checkpoint_dir is None
+    if chained:
+        directory = Path(
+            tempfile.mkdtemp(prefix="repro-segments-")
+            if own_dir
+            else checkpoint_dir
+        )
+        directory.mkdir(parents=True, exist_ok=True)
+        manager = CheckpointManager(directory, tracer=tr, metrics=metrics)
+
+    def on_reject(path, exc):
+        warnings.warn(
+            f"checkpoint {path} rejected ({exc}); falling back to the last "
+            f"verified checkpoint",
+            stacklevel=4,  # the caller of run_global_simulation
+        )
+        if metrics is not None:
+            metrics.counter("campaign.checkpoint_corruptions").add(1)
+
+    segments: list[SegmentInfo] = []
+    try:
+        for index, (start, stop) in enumerate(bounds):
+            ts = time.perf_counter()
+            span = (
+                tr.span("campaign.segment", index=index, steps=stop - start)
+                if chained
+                else nullcontext()
+            )
+            with span:
+                resume = start
+                if index > 0:
+                    solver = new_solver()
+                    # Every earlier segment wrote the checkpoint at its
+                    # stop; determinism makes a re-run from an older one
+                    # (or from 0) bit-identical.
+                    found = walk_back(
+                        [manager],
+                        (done for _start, done in bounds[:index]),
+                        on_reject=on_reject,
+                    )
+                    resume = 0
+                    if found is not None:
+                        resume, (arrays,) = found
+                        restore_state(solver, arrays)
+                # ``metrics_from_step=start`` is the double-count guard:
+                # after a corrupt-checkpoint fallback ``resume`` can lie
+                # *before* this segment's planned boundary, and the span
+                # [resume, start) re-executes steps whose metrics earlier
+                # segments already emitted.  Gating emission at the planned
+                # boundary keeps ``solver.steps``, ``io.seismogram_bytes``
+                # and the series equal to an unsegmented run's.
+                # ``health.checks`` is not: every segment checks its last
+                # step, which guards the checkpoint written next.
+                result = solver.run(
+                    n_steps=total, track_energy=track_energy,
+                    start_step=resume, stop_step=stop,
+                    metrics_from_step=start,
+                )
+                ckpt: Path | None = None
+                if index < len(bounds) - 1:
+                    ckpt = manager.save(solver, stop)
+                    if on_checkpoint is not None:
+                        on_checkpoint(index, ckpt)
+            segments.append(
+                SegmentInfo(
+                    index=index, start_step=start, stop_step=stop,
+                    wall_s=time.perf_counter() - ts, checkpoint=ckpt,
+                )
+            )
+            if chained and metrics is not None:
+                metrics.counter("campaign.segments").add(1)
+    finally:
+        if own_dir:
+            shutil.rmtree(directory, ignore_errors=True)
     solver_s = time.perf_counter() - t1
     if metrics is not None:
         metrics.gauge("mesher.wall_s").set(mesher_s)
@@ -159,6 +312,7 @@ def run_global_simulation(
         solver=solver,
         tracer=tracer,
         metrics=metrics,
+        segments=segments,
     )
 
 
@@ -227,4 +381,5 @@ def run_legacy_two_program(
         solver_wall_s=solver_s,
         disk=disk,
         solver=solver,
+        segments=[SegmentInfo(0, 0, result.n_steps, solver_s, None)],
     )

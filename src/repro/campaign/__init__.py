@@ -1,4 +1,4 @@
-"""Campaign orchestration: job queue, mesh cache, segments, provenance.
+"""Campaign orchestration: job queue, mesh cache, batching, provenance.
 
 The paper's production runs are week-long, 32K+-processor affairs that
 no queue wall limit accommodates — real SPECFEM campaigns are chains of
@@ -10,12 +10,16 @@ north star:
 * :mod:`~repro.campaign.queue` / :mod:`~repro.campaign.workers` — a job
   queue and worker pool running many simulations concurrently with
   per-job timeouts and retry-with-exponential-backoff over typed
-  transient failures (including the launcher's rank failures);
+  transient failures (including the launcher's rank failures); a job
+  with ``n_segments > 1`` runs as a chain of checkpointed segments of
+  :func:`~repro.apps.merged_app.run_global_simulation`, bit-identical
+  to an uninterrupted run;
 * :mod:`~repro.campaign.mesh_cache` — a content-addressed mesh cache
   (LRU + verified on-disk spill) so N events at one resolution build one
   mesh, not N;
-* :mod:`~repro.campaign.segments` — segmented checkpoint–restart
-  execution, bit-identical to an uninterrupted run;
+* :mod:`~repro.campaign.batching` — :func:`run_batched_campaign`, the
+  one campaign entry: it packs compatible jobs into one event-batched
+  run and drains the rest through the worker pool;
 * :mod:`~repro.campaign.store` — a JSON run manifest recording per-job
   provenance (parameter/mesh hashes, segments, retries, wall times).
 
@@ -40,14 +44,8 @@ from .mesh_cache import (
     save_mesh_spill,
 )
 from .queue import JobQueue, JobSpec, JobStatus, RetryPolicy
-from .segments import (
-    SegmentInfo,
-    SegmentedResult,
-    run_segmented_simulation,
-    segment_boundaries,
-)
 from .store import JobRecord, ResultStore, render_campaign_table
-from .workers import JobResult, WorkerPool, run_campaign
+from .workers import JobResult, WorkerPool
 
 __all__ = [
     "CampaignError",
@@ -64,16 +62,11 @@ __all__ = [
     "JobSpec",
     "JobStatus",
     "RetryPolicy",
-    "SegmentInfo",
-    "SegmentedResult",
-    "run_segmented_simulation",
-    "segment_boundaries",
     "JobRecord",
     "ResultStore",
     "render_campaign_table",
     "JobResult",
     "WorkerPool",
-    "run_campaign",
     "batch_key",
     "plan_batches",
     "run_batched_campaign",

@@ -34,10 +34,10 @@ from ..config.parameters import SimulationParameters
 from ..obs.metrics import MetricsRegistry
 from ..solver.receivers import Station
 from ..solver.sources import MomentTensorSource, gaussian_stf
+from .batching import run_batched_campaign
 from .mesh_cache import MeshCache
 from .queue import JobSpec, RetryPolicy
 from .store import ResultStore, render_campaign_table
-from .workers import WorkerPool
 
 EXAMPLE_SPEC = {
     "defaults": {
@@ -115,29 +115,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("spec has no jobs", file=sys.stderr)
         return 2
     metrics = MetricsRegistry()
-    store = ResultStore(args.store) if args.store else None
     cache = MeshCache(
         max_entries=args.cache_entries,
         spill_dir=args.spill_dir,
         metrics=metrics,
     )
-    pool = WorkerPool(
+    results, pool = run_batched_campaign(
+        jobs,
         n_workers=args.workers,
+        store_dir=args.store or None,
+        metrics=metrics,
         retry_policy=RetryPolicy(
             max_attempts=args.max_attempts, base_delay_s=args.base_delay_s
         ),
         mesh_cache=cache,
-        store=store,
-        metrics=metrics,
     )
-    results = pool.run(jobs)
     print(
         render_campaign_table(
             [r.to_record() for r in results], cache_stats=cache.stats()
         )
     )
-    if store is not None:
-        print(f"manifest: {store.manifest_path}")
+    if pool.store is not None:
+        print(f"manifest: {pool.store.manifest_path}")
     return 0 if all(r.succeeded for r in results) else 1
 
 

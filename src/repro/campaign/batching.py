@@ -14,21 +14,23 @@ downstream provenance is unchanged (each record simply gains
 
 Packing rules (see docs/batching.md for the rationale):
 
-* batchable — ``n_segments == 1``, no injected failures, no per-job
-  stream or timeout (those are per-run concepts that do not decompose
-  across a shared solver);
+* batchable — ``n_segments == 1``, not supervised, no injected
+  failures, no per-job stream or timeout (those are per-run concepts
+  that do not decompose across a shared solver; a supervised job runs
+  on the virtual cluster with its own fault plan and recovery budget);
 * compatible — equal ``batch_key``: ``params_hash`` + station signature
   + ``n_steps``;
 * groups are capped at ``max_batch`` events and preserve first-seen
   submission order; singletons (batchable or not) run through the
   normal worker pool.
 
-Failure isolation: a batched run that dies with a
-:class:`~repro.chaos.sentinel.NumericalHealthError` (one diverging event
-poisons the shared health check) falls back to running the group's
-events sequentially, in the pool's one run with the singletons, so
-only the offending event's JobRecord fails — the healthy events
-complete normally.  Bit-identity
+Failure isolation: when a batched run raises — a
+:class:`~repro.chaos.sentinel.NumericalHealthError` because one
+diverging event poisoned the shared health check, or any other
+exception — the group's events fall back to sequential execution, in
+the pool's one run with the singletons.  The pool classifies each
+event's outcome on its own, so only the offending event's JobRecord
+fails and the healthy events complete normally.  Bit-identity
 (docs/batching.md) guarantees the fallback results equal what the
 batched run would have produced for the healthy events.
 """
@@ -40,7 +42,6 @@ import time
 
 import numpy as np
 
-from ..chaos.sentinel import NumericalHealthError
 from ..obs.tracer import Tracer, maybe_tracer
 from .mesh_cache import mesh_cache_key, params_hash
 from .queue import JobSpec, JobStatus
@@ -75,6 +76,7 @@ def batch_key(job: JobSpec) -> str | None:
     """
     if (
         job.n_segments != 1
+        or job.supervise
         or job.inject_failures != 0
         or job.stream_path is not None
         or job.timeout_s is not None
@@ -122,10 +124,10 @@ def _run_batched_group(
 
     Fans the batched result out into per-job :class:`JobResult`s (event
     b's seismograms are the leading-axis slice b) and records each into
-    the pool's store with batch provenance metadata.  On
-    :class:`NumericalHealthError` it returns None: the caller then runs
-    the group's events sequentially, so only the offending event fails
-    (see module docstring).  With a
+    the pool's store with batch provenance metadata.  If the run raises
+    it returns None: the caller then runs the group's events
+    sequentially, so only the offending event fails (see module
+    docstring).  With a
     ``tracer`` the group is one ``campaign.batch`` span (counter
     ``events=B``) around the mesh lookup and the solver's spans.
     """
@@ -146,11 +148,12 @@ def _run_batched_group(
                 tracer=tracer,
                 metrics=pool.metrics,
             )
-    except NumericalHealthError:
-        # One event diverged and poisoned the shared run: fall back to
-        # per-event sequential execution so the healthy events complete
-        # and only the offending event's record fails (fatal, fail-fast
-        # via the pool's retry policy).
+    # repro: disable=R5 - the pool re-runs each event and classifies it
+    except Exception:
+        # One event diverged (NumericalHealthError) or failed otherwise
+        # and took the shared run down: fall back to per-event sequential
+        # execution so the healthy events complete and only the offending
+        # event's record fails, classified by the pool's retry policy.
         pool._count("batch.fallbacks")
         return None
     wall = time.perf_counter() - t0
@@ -192,24 +195,25 @@ def run_batched_campaign(
     store_dir=None,
     max_batch: int = DEFAULT_MAX_BATCH,
     metrics=None,
-    store: ResultStore | None = None,
     **pool_kwargs,
 ) -> tuple[list[JobResult], WorkerPool]:
-    """Run a campaign with the batching scheduler.
+    """Run a campaign: the package's one campaign entry.
 
-    Drop-in alternative to :func:`~repro.campaign.workers.run_campaign`:
-    compatible jobs are packed into batched solver runs (one mesh, one
+    Compatible jobs are packed into batched solver runs (one mesh, one
     kernel sweep, one halo message per neighbour per step for all B
-    events), everything else drains through the normal worker pool.
-    Results come back in submission order, exactly as ``run_campaign``
-    returns them; batched results carry ``batch_size`` / ``batch_index``
-    / ``batch_key`` in their payload and record metadata.
+    events); everything else drains through one
+    :class:`~repro.campaign.workers.WorkerPool` built from
+    ``pool_kwargs`` (``retry_policy``, ``mesh_cache``, ``trace``, ...).
+    Results come back in submission order; batched results carry
+    ``batch_size`` / ``batch_index`` / ``batch_key`` in their payload
+    and record metadata.  ``store_dir`` names the
+    :class:`~repro.campaign.store.ResultStore` directory that receives
+    one record per job.
 
     With ``trace=True`` the batched groups record into one more tracer
     on the workers' epoch, left in ``pool.tracers`` after the workers'.
     """
-    if store is None and store_dir is not None:
-        store = ResultStore(store_dir)
+    store = ResultStore(store_dir) if store_dir is not None else None
     pool = WorkerPool(
         n_workers=n_workers, store=store, metrics=metrics, **pool_kwargs
     )

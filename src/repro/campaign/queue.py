@@ -40,8 +40,9 @@ class JobStatus:
 class JobSpec:
     """One simulation request: what to run and how to treat failures.
 
-    ``n_segments > 1`` routes the job through the segmented
-    checkpoint–restart executor (:mod:`repro.campaign.segments`);
+    ``n_segments > 1`` cuts the job's
+    :func:`~repro.apps.merged_app.run_global_simulation` into that many
+    checkpointed segments (the checkpoint–restart chain);
     ``inject_failures = k`` makes the first ``k`` attempts raise
     :class:`~repro.campaign.errors.InjectedFailure` — the standing fault
     drill that keeps the retry path honest.

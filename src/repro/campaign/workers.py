@@ -27,7 +27,7 @@ from .mesh_cache import MeshCache, mesh_cache_key, params_hash
 from .queue import JobQueue, JobSpec, JobStatus, RetryPolicy
 from .store import JobRecord, ResultStore
 
-__all__ = ["JobResult", "WorkerPool", "run_campaign"]
+__all__ = ["JobResult", "WorkerPool"]
 
 
 @dataclass
@@ -92,7 +92,10 @@ class JobResult:
 
 
 def _default_runner(job: JobSpec, mesh, tracer, metrics) -> dict[str, Any]:
-    """Execute one job body: merged, segmented, or supervised run.
+    """Execute one job body: a supervised or a merged serial run.
+
+    A serial job is one ``run_global_simulation`` call, cut into
+    ``job.n_segments`` checkpointed segments.
 
     A ``job.stream_path`` turns on per-step streaming telemetry for the
     job's solver loop; the stream is flushed and closed even when the
@@ -143,28 +146,6 @@ def _default_runner(job: JobSpec, mesh, tracer, metrics) -> dict[str, Any]:
             meta={"job": job.name, "segments": job.n_segments},
         )
     try:
-        if job.n_segments > 1:
-            from .segments import run_segmented_simulation
-
-            seg = run_segmented_simulation(
-                job.params,
-                sources=job.sources,
-                stations=job.stations,
-                n_steps=job.n_steps,
-                n_segments=job.n_segments,
-                mesh=mesh,
-                tracer=tracer,
-                metrics=metrics,
-                stream=stream,
-            )
-            return {
-                "seismograms": seg.seismograms,
-                "dt": seg.solver_result.dt,
-                "segment_count": seg.n_segments,
-                "mesher_wall_s": 0.0,
-                "solver_wall_s": seg.total_wall_s,
-                "stream_path": job.stream_path,
-            }
         from ..apps.merged_app import run_global_simulation
 
         sim = run_global_simulation(
@@ -176,11 +157,12 @@ def _default_runner(job: JobSpec, mesh, tracer, metrics) -> dict[str, Any]:
             tracer=tracer,
             metrics=metrics,
             stream=stream,
+            n_segments=job.n_segments,
         )
         return {
             "seismograms": sim.seismograms,
             "dt": sim.dt,
-            "segment_count": 1,
+            "segment_count": sim.n_segments,
             "mesher_wall_s": sim.mesher_wall_s,
             "solver_wall_s": sim.solver_wall_s,
             "stream_path": job.stream_path,
@@ -239,7 +221,7 @@ class WorkerPool:
         counters (updates are serialised on a pool lock).
     sleep : injectable clock for tests (defaults to :func:`time.sleep`).
     runner : job-body hook ``(job, mesh, tracer, metrics) -> payload
-        dict``; defaults to the merged/segmented simulation runner.
+        dict``; defaults to the supervised or merged serial runner.
     """
 
     def __init__(
@@ -418,17 +400,3 @@ class WorkerPool:
             raise errors[0]
         return [results[job.name] for job in jobs]
 
-
-def run_campaign(
-    jobs: list[JobSpec],
-    n_workers: int = 2,
-    store_dir=None,
-    metrics=None,
-    **pool_kwargs,
-) -> tuple[list[JobResult], WorkerPool]:
-    """Convenience wrapper: build a pool, run the jobs, return both."""
-    store = ResultStore(store_dir) if store_dir is not None else None
-    pool = WorkerPool(
-        n_workers=n_workers, store=store, metrics=metrics, **pool_kwargs
-    )
-    return pool.run(jobs), pool

@@ -18,8 +18,8 @@ three *testable* on the virtual cluster, as three coupled layers:
 * **containment** — typed-error classification in the campaign
   :class:`~repro.campaign.queue.RetryPolicy` (transient comm faults
   retry; deterministic numerical/corruption faults fail fast with a
-  diagnostic snapshot in the job manifest) and the segmented executor's
-  fallback to the last *verified* checkpoint.
+  diagnostic snapshot in the job manifest) and a segmented
+  ``run_global_simulation``'s fallback to the last *verified* checkpoint.
 
 :mod:`~repro.chaos.drill` closes the loop: end-to-end drills that
 inject, recover, and assert the recovered seismograms are bit-identical

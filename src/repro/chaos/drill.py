@@ -15,8 +15,8 @@ Three drills cover the three failure surfaces:
   distributed run, recovered by the retry loop (works in both the
   blocking and the overlapped halo schedule);
 * :func:`run_checkpoint_drill` — a bit flipped in a mid-run checkpoint,
-  recovered by the segmented executor's fallback to the last verified
-  checkpoint;
+  recovered by a segmented ``run_global_simulation``'s fallback to the
+  last verified checkpoint;
 * :func:`run_service_drill` — a transient backend fault plus a
   corrupted cache payload behind the serving tier, both absorbed by the
   campaign retry loop and the store's quarantine-and-recompute without
@@ -173,21 +173,22 @@ def run_checkpoint_drill(
 ) -> DrillReport:
     """Flip a bit in a mid-run checkpoint; recover via verified fallback.
 
-    Runs the segmented executor twice over one shared mesh: once clean,
-    once with the ``corrupt_segment``-th checkpoint corrupted right
-    after it is written (through the ``on_checkpoint`` hook).  The
+    Runs a segmented ``run_global_simulation`` twice over one shared
+    mesh: once clean, once with the ``corrupt_segment``-th checkpoint
+    corrupted right after it is written (through the ``on_checkpoint``
+    hook).  The
     corrupted restore must be rejected by the v3 CRC32 verification and
     the run must fall back to the last verified checkpoint (or step 0),
     re-march the lost span, and still produce bit-identical seismograms.
     """
-    from ..campaign.segments import run_segmented_simulation
+    from ..apps.merged_app import run_global_simulation
     from ..mesh.mesher import build_global_mesh
     from ..obs.metrics import MetricsRegistry
     from .integrity import flip_bit
 
     t0 = time.perf_counter()
     mesh = build_global_mesh(params)
-    clean = run_segmented_simulation(
+    clean = run_global_simulation(
         params,
         sources=sources,
         stations=stations,
@@ -219,7 +220,7 @@ def run_checkpoint_drill(
     try:
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")  # the fallback warns by design
-            disturbed = run_segmented_simulation(
+            disturbed = run_global_simulation(
                 params,
                 sources=sources,
                 stations=stations,

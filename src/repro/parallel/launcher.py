@@ -302,7 +302,6 @@ def run_distributed_simulation(
     timeout_s: float = 600.0,
     trace: bool = False,
     overlap: bool | None = None,
-    n_segments: int = 1,
     fault_plan=None,
     recv_timeout_s: float | None = None,
     sanitize: bool = False,
@@ -323,12 +322,7 @@ def run_distributed_simulation(
     ``overlap`` selects the non-blocking overlapped halo schedule
     (default: ``params.overlap_comm``); ``timeout_s`` bounds both the
     whole run and every individual blocking receive (a hung peer raises
-    :class:`RankTimeoutError` rather than deadlocking).  ``n_segments``
-    splits the marching into that many back-to-back ``solver.run``
-    segments over one shared time grid (the campaign restart pattern),
-    exercising state carry-over without changing the results — an
-    :class:`EpochPlan` cut at the segment boundaries that saves nothing;
-    an explicit ``epoch_plan`` takes precedence.
+    :class:`RankTimeoutError` rather than deadlocking).
 
     ``fault_plan`` (a :class:`~repro.chaos.faults.FaultPlan`) is consulted
     by every rank's communicator on each send and receive — the chaos
@@ -374,8 +368,6 @@ def run_distributed_simulation(
     """
     import time as _time
 
-    if n_segments < 1:
-        raise ValueError(f"n_segments must be >= 1, got {n_segments}")
     if event_sources is not None:
         if sources is not None:
             raise ValueError("pass either sources or event_sources, not both")
@@ -420,9 +412,8 @@ def run_distributed_simulation(
     # The supervisor pins dt across recovery epochs (attenuation
     # coefficients depend on it); an unsupervised run uses the world's
     # min-allreduced step.
-    dt_global = world.dt_global
-    if epoch_plan is not None and epoch_plan.dt_pin is not None:
-        dt_global = epoch_plan.dt_pin
+    plan = epoch_plan if epoch_plan is not None else EpochPlan()
+    dt_global = world.dt_global if plan.dt_pin is None else plan.dt_pin
 
     def program(comm: VirtualComm):
         rank = comm.rank
@@ -462,12 +453,6 @@ def run_distributed_simulation(
         run_callbacks = (
             [fault_plan.solver_callback(rank)] if fault_plan is not None else None
         )
-        plan = epoch_plan
-        if plan is None:
-            cuts = segment_boundaries(steps, n_segments) if n_segments > 1 else []
-            plan = EpochPlan(
-                checkpoint_steps=tuple(stop for _start, stop in cuts[:-1])
-            )
         try:
             if plan.restore is not None:
                 plan.restore(rank, solver)

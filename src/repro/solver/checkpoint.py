@@ -25,8 +25,8 @@ file).
 
 A run's checkpoints live in a step-addressed :class:`CheckpointManager`
 (one per solver, or one per rank), and :func:`walk_back` is the one way
-back past corruption: the campaign's segmented executor calls it with
-one manager, the run supervisor's recovery with one manager per rank.
+back past corruption: a segmented ``run_global_simulation`` calls it
+with one manager, the run supervisor's recovery with one manager per rank.
 It returns the newest step at which every manager holds a verified
 record, with those records, so each file is read once per restore.
 

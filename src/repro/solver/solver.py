@@ -685,7 +685,7 @@ class GlobalSolver:
 
         ``metrics_from_step`` (default ``start_step``) is the replay gate:
         observers publish a step to ``metrics`` only at or above it
-        (:meth:`publishing`).  The segmented executor passes its planned
+        (:meth:`publishing`).  A segmented run passes its planned
         segment boundary, so re-running a span after a corrupt-checkpoint
         fallback re-adds nothing: ``solver.steps``,
         ``io.seismogram_bytes`` and the series match an uninterrupted

@@ -343,6 +343,12 @@ class TestPlanBatches:
         with pytest.raises(ValueError):
             plan_batches([], max_batch=0)
 
+    def test_supervised_jobs_never_share_a_group(self):
+        # A batched group runs unsupervised: it would drop each job's fault
+        # plan, recovery budget and recovery provenance.
+        groups = plan_batches(self.make_jobs(2, supervise=True))
+        assert [[j.name for j in g] for g in groups] == [["j0"], ["j1"]]
+
 
 class TestBatchedCampaign:
     def base_params(self, **overrides):
@@ -366,7 +372,8 @@ class TestBatchedCampaign:
         ]
         store = ResultStore(tmp_path / "store")
         results, pool = run_batched_campaign(
-            jobs, n_workers=1, store=store, mesh_cache=MeshCache()
+            jobs, n_workers=1, store_dir=tmp_path / "store",
+            mesh_cache=MeshCache(),
         )
         assert [r.job.name for r in results] == ["ev0", "ev1", "ev2"]
         assert all(r.succeeded for r in results)
@@ -405,8 +412,8 @@ class TestBatchedCampaign:
         store = ResultStore(tmp_path / "store")
         metrics = MetricsRegistry()
         results, pool = run_batched_campaign(
-            jobs, n_workers=1, store=store, mesh_cache=MeshCache(),
-            metrics=metrics,
+            jobs, n_workers=1, store_dir=tmp_path / "store",
+            mesh_cache=MeshCache(), metrics=metrics,
         )
         by_name = {r.job.name: r for r in results}
         assert by_name["good-a"].succeeded
@@ -416,6 +423,48 @@ class TestBatchedCampaign:
         statuses = {rec.name: rec.status for rec in store.load()}
         assert statuses["bad"] == "failed"
         assert statuses["good-a"] == statuses["good-b"] == "succeeded"
+        assert metrics.counter("campaign.batch.fallbacks").value == 1
+
+    def test_any_group_failure_falls_back_per_job(self, tmp_path, monkeypatch):
+        # Not a health failure: any exception that takes the batched run
+        # down sends the group back through the pool, so every job gets a
+        # classified record and only the job that raises fails.
+        import repro.apps.merged_app as merged_app
+
+        real = merged_app.run_global_simulation
+        bad = explosion(150.0)
+
+        def failing(params, sources=None, event_sources=None, **kwargs):
+            events = event_sources or [sources or []]
+            if any(src is bad for ev in events for src in ev):
+                raise RuntimeError("injected failure")
+            return real(params, sources=sources, event_sources=event_sources,
+                        **kwargs)
+
+        monkeypatch.setattr(merged_app, "run_global_simulation", failing)
+        params = self.base_params()
+        jobs = [
+            JobSpec(name="good-a", params=params,
+                    sources=[explosion(100.0)], stations=stations()),
+            JobSpec(name="bad", params=params, sources=[bad],
+                    stations=stations()),
+            JobSpec(name="good-b", params=params,
+                    sources=[explosion(200.0)], stations=stations()),
+        ]
+        metrics = MetricsRegistry()
+        results, _pool = run_batched_campaign(
+            jobs, n_workers=1, store_dir=tmp_path / "store",
+            mesh_cache=MeshCache(), metrics=metrics,
+        )
+        by_name = {r.job.name: r for r in results}
+        assert by_name["good-a"].succeeded and by_name["good-b"].succeeded
+        assert by_name["bad"].failure_class == "permanent"
+        assert "injected failure" in by_name["bad"].error
+        records = ResultStore(tmp_path / "store").load()
+        statuses = {rec.name: rec.status for rec in records}
+        assert statuses == {
+            "good-a": "succeeded", "bad": "failed", "good-b": "succeeded"
+        }
         assert metrics.counter("campaign.batch.fallbacks").value == 1
 
     def test_traced_batched_group_records_spans(self):

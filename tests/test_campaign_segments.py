@@ -13,11 +13,14 @@ rejected; and the dt comparison tolerates the dt == 0 edge case.
 import numpy as np
 import pytest
 
-from repro.campaign import run_segmented_simulation, segment_boundaries
+from repro.apps.merged_app import run_global_simulation
 from repro.chaos.integrity import flip_bit, read_record, write_record
 from repro.config import constants
 from repro.config.parameters import SimulationParameters
 from repro.mesh import build_global_mesh
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
+from repro.parallel.launcher import segment_boundaries
 from repro.solver import (
     CheckpointError,
     GlobalSolver,
@@ -110,7 +113,7 @@ class TestSegmentedBitIdentity:
         straight = make_solver(mesh, params)
         straight.run()
 
-        seg = run_segmented_simulation(
+        seg = run_global_simulation(
             params,
             sources=[demo_source()],
             stations=demo_stations(),
@@ -142,7 +145,7 @@ class TestSegmentedBitIdentity:
     def test_uneven_split_also_matches(self, mesh, params):
         straight = make_solver(mesh, params)
         straight.run()
-        seg = run_segmented_simulation(
+        seg = run_global_simulation(
             params,
             sources=[demo_source()],
             stations=demo_stations(),
@@ -155,14 +158,13 @@ class TestSegmentedBitIdentity:
         )
 
     def test_checkpoints_kept_when_requested(self, mesh, params, tmp_path):
-        seg = run_segmented_simulation(
+        seg = run_global_simulation(
             params,
             sources=[demo_source()],
             stations=demo_stations(),
             n_segments=3,
             mesh=mesh,
             checkpoint_dir=tmp_path,
-            keep_checkpoints=True,
         )
         kept = sorted(p.name for p in tmp_path.glob("*.ckpt"))
         assert kept == ["step_00000004.ckpt", "step_00000008.ckpt"]
@@ -179,7 +181,7 @@ class TestReusedCheckpointDir:
             stf=gaussian_stf(10.0),
             time_shift=3.0,
         )
-        run_segmented_simulation(  # leaves steps 3, 6 and 9 behind
+        run_global_simulation(  # leaves steps 3, 6 and 9 behind
             params, sources=[other], stations=demo_stations(), n_segments=4,
             mesh=mesh, checkpoint_dir=tmp_path,
         )
@@ -194,7 +196,7 @@ class TestReusedCheckpointDir:
             flip_bit(path, bit=8 * (path.stat().st_size // 2))
 
         with pytest.warns(UserWarning, match="falling back"):
-            seg = run_segmented_simulation(
+            seg = run_global_simulation(
                 params, sources=[demo_source()], stations=demo_stations(),
                 n_segments=3, mesh=mesh, checkpoint_dir=tmp_path,
                 on_checkpoint=corrupt,
@@ -205,6 +207,54 @@ class TestReusedCheckpointDir:
             straight.receiver_set.data, seg.seismograms
         )
         assert {n: (tmp_path / n).read_bytes() for n in stale} == stale
+
+
+class TestOneRunFunction:
+    """``run_global_simulation`` is the one serial runner: one segment is
+    the plain run, more are the checkpointed chain."""
+
+    def test_one_segment_is_the_plain_run(self, mesh, params, tmp_path,
+                                          monkeypatch):
+        def no_temp_dir(*args, **kwargs):
+            raise AssertionError("a one-segment run made a checkpoint dir")
+
+        monkeypatch.setattr("tempfile.mkdtemp", no_temp_dir)
+        tracer, metrics = Tracer(pid=0), MetricsRegistry()
+        run = run_global_simulation(
+            params, sources=[demo_source()], stations=demo_stations(),
+            n_steps=3, mesh=mesh, tracer=tracer, metrics=metrics,
+            checkpoint_dir=tmp_path / "unused",
+        )
+        assert not (tmp_path / "unused").exists()
+        assert [s.steps for s in run.segments] == [3]
+        assert run.segments[0].checkpoint is None
+        # The spans and counters of the solver alone, plus the mesh reuse.
+        bare_tracer, bare_metrics = Tracer(pid=0), MetricsRegistry()
+        GlobalSolver(
+            mesh, params, sources=[demo_source()], stations=demo_stations(),
+            tracer=bare_tracer, metrics=bare_metrics,
+        ).run(n_steps=3)
+        assert [r.name for r in tracer.records] == [
+            r.name for r in bare_tracer.records
+        ]
+        assert set(metrics.counters) == set(bare_metrics.counters) | {
+            "mesher.reused"
+        }
+        assert metrics.counter("solver.steps").value == 3
+
+    def test_segmented_run_checks_the_mesh(self, mesh, params):
+        other = params.with_updates(ner_crust_mantle=3)
+        with pytest.raises(ValueError, match="mesh-incompatible"):
+            run_global_simulation(
+                other, sources=[demo_source()], n_segments=3, mesh=mesh,
+            )
+
+    def test_energy_needs_one_segment(self, mesh, params):
+        with pytest.raises(ValueError, match="track_energy"):
+            run_global_simulation(
+                params, sources=[demo_source()], n_segments=2, mesh=mesh,
+                track_energy=True,
+            )
 
 
 # -------------------------------------------------------------- crash-safety

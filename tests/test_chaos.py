@@ -22,6 +22,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.apps.merged_app import run_global_simulation
 from repro.campaign import (
     JobSpec,
     MeshCache,
@@ -29,7 +30,6 @@ from repro.campaign import (
     RetryPolicy,
     WorkerPool,
     load_mesh_spill,
-    run_segmented_simulation,
     save_mesh_spill,
 )
 from repro.campaign.errors import JobTimeoutError, TransientJobError
@@ -659,7 +659,7 @@ class TestRetryClassification:
 
 class TestSegmentedFallback:
     def _run(self, mesh, on_checkpoint=None, metrics=None):
-        return run_segmented_simulation(
+        return run_global_simulation(
             tiny_params(nstep_override=12),
             sources=[demo_source()],
             stations=demo_stations(),

@@ -292,10 +292,10 @@ class TestSegmentedMetricsNoDoubleCount:
         return build_global_mesh(params)
 
     def _counters(self, params, mesh, **kw):
-        from repro.campaign import run_segmented_simulation
+        from repro.apps.merged_app import run_global_simulation
 
         metrics = MetricsRegistry()
-        result = run_segmented_simulation(
+        result = run_global_simulation(
             params, sources=[demo_source()], stations=demo_stations(),
             n_steps=9, mesh=mesh, metrics=metrics, **kw,
         )
@@ -369,11 +369,11 @@ class TestSegmentedMetricsNoDoubleCount:
             ), name
 
     def test_checkpoint_spans_and_counters(self, params, mesh):
-        from repro.campaign import run_segmented_simulation
+        from repro.apps.merged_app import run_global_simulation
 
         tracer = Tracer(pid=0)
         metrics = MetricsRegistry()
-        run_segmented_simulation(
+        run_global_simulation(
             params, sources=[demo_source()], n_steps=9, n_segments=3,
             mesh=mesh, tracer=tracer, metrics=metrics,
         )
@@ -420,14 +420,14 @@ class TestCampaignStreamWiring:
     def test_job_stream_path_lands_in_record(self, tmp_path):
         from repro.campaign.queue import JobSpec
         from repro.campaign.store import ResultStore
-        from repro.campaign.workers import run_campaign
+        from repro.campaign import run_batched_campaign
 
         stream_path = tmp_path / "ev1.stream.jsonl"
         jobs = [
             JobSpec(name="ev1", params=small_params(n_steps=4), n_steps=4,
                     stream_path=str(stream_path)),
         ]
-        results, _pool = run_campaign(
+        results, _pool = run_batched_campaign(
             jobs, n_workers=1, store_dir=tmp_path / "store"
         )
         assert results[0].succeeded
@@ -455,7 +455,7 @@ class TestAggregate:
 
     def test_campaign_aggregate_and_summary_record(self, tmp_path):
         from repro.campaign.queue import JobSpec
-        from repro.campaign.workers import run_campaign
+        from repro.campaign import run_batched_campaign
         from repro.obs.aggregate import (
             aggregate_campaign,
             record_campaign_summary,
@@ -470,7 +470,7 @@ class TestAggregate:
             JobSpec(name="c", params=small_params(n_steps=4), n_steps=4,
                     inject_failures=1),
         ]
-        run_campaign(jobs, n_workers=2, store_dir=store)
+        run_batched_campaign(jobs, n_workers=2, store_dir=store)
         agg = aggregate_campaign(store)
         assert agg.jobs == 3
         assert agg.succeeded == 3
@@ -493,13 +493,13 @@ class TestAggregate:
 
     def test_report_cli_campaign_mode(self, tmp_path, capsys):
         from repro.campaign.queue import JobSpec
-        from repro.campaign.workers import run_campaign
+        from repro.campaign import run_batched_campaign
         from repro.obs.report import main
 
         store = tmp_path / "store"
         jobs = [JobSpec(name="solo", params=small_params(n_steps=4),
                         n_steps=4)]
-        run_campaign(jobs, n_workers=1, store_dir=store)
+        run_batched_campaign(jobs, n_workers=1, store_dir=store)
         assert main(["--campaign", str(store)]) == 0
         out = capsys.readouterr().out
         assert "campaign aggregate" in out

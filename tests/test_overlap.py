@@ -23,6 +23,7 @@ from repro.parallel import (
     build_halos,
     run_distributed_simulation,
 )
+from repro.parallel.launcher import EpochPlan
 from repro.solver import MomentTensorSource, Station, gaussian_stf
 
 
@@ -433,7 +434,7 @@ class TestOverlapBitIdentity:
         # campaign-style segmented marching unchanged.
         overlapped = run_distributed_simulation(
             params, sources=[source], stations=stations, overlap=True,
-            n_segments=3,
+            epoch_plan=EpochPlan(checkpoint_steps=(5, 10)),
         )
         assert blocking.seismograms is not None
         assert np.max(np.abs(blocking.seismograms)) > 0
@@ -501,10 +502,3 @@ class TestOverlapBitIdentity:
         ]
         assert len(posts) > len(step_exchanges)
 
-    def test_invalid_n_segments_rejected(self, scenario):
-        params, source, stations = scenario
-        with pytest.raises(ValueError, match="n_segments"):
-            run_distributed_simulation(
-                params, sources=[source], stations=stations, n_steps=4,
-                n_segments=0,
-            )

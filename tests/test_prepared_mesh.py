@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.apps.merged_app import run_global_simulation
-from repro.campaign import MeshCache, run_segmented_simulation
+from repro.campaign import MeshCache
 from repro.config import constants
 from repro.config.parameters import SimulationParameters
 from repro.kernels.geometry import compute_geometry
@@ -213,7 +213,7 @@ class TestBitIdentity:
     def test_two_segment_run(self, cached):
         _cache, mesh = cached
         params = tiny_params()
-        segmented = run_segmented_simulation(
+        segmented = run_global_simulation(
             params, sources=[explosion()], stations=stations(), n_segments=2, mesh=mesh
         )
         assert segmented.n_segments == 2

@@ -33,7 +33,7 @@ import pytest
 from repro.apps import default_source, default_stations
 from repro.chaos import FaultPlan, FaultSpec, run_rank_death_drill
 from repro.chaos.integrity import flip_bit
-from repro.campaign import JobSpec, run_campaign
+from repro.campaign import JobSpec, run_batched_campaign
 from repro.config.parameters import SimulationParameters
 from repro.mesh.mesher import build_global_mesh
 from repro.obs.metrics import MetricsRegistry
@@ -425,7 +425,7 @@ class TestIntegration:
                 [FaultSpec(kind="crash", rank=3, step=5)]
             ),
         )
-        results, _pool = run_campaign(
+        results, _pool = run_batched_campaign(
             [job], n_workers=1, store_dir=tmp_path
         )
         result = results[0]
