@@ -76,8 +76,8 @@ def test_orchestration_overhead_per_job(record):
     n_jobs = 20
     params = small_params()
 
-    def noop_runner(job, mesh, tracer, metrics):
-        return {"seismograms": None, "dt": 0.1}
+    def noop_runner(jobs, mesh, tracer, metrics):
+        return [{"seismograms": None, "dt": 0.1}]
 
     def campaign():
         pool = WorkerPool(

@@ -437,10 +437,6 @@ class Project:
 
     # -- lookups -------------------------------------------------------------
 
-    def function_at(self, node: ast.AST) -> FunctionInfo | None:
-        """The FunctionInfo of a def node (or a module body)."""
-        return self._info_by_node.get(id(node))
-
     def enclosing_info(self, ctx: FileContext, node: ast.AST) -> FunctionInfo | None:
         """The function (or module body) whose code contains ``node``."""
         func = ctx.enclosing_function(node)

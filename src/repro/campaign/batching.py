@@ -3,14 +3,16 @@
 The event-batched solver (docs/batching.md) runs B events through one
 kernel sweep when they share a mesh and station set.  This module is the
 campaign-side half of that optimisation: it inspects a campaign's
-:class:`~repro.campaign.queue.JobSpec` list, packs *compatible* jobs —
+:class:`~repro.campaign.queue.JobSpec` list and packs *compatible* jobs —
 same ``params_hash`` (so same mesh and physics), same stations, same
-step count; only the sources differ — into batched groups, executes each
-group as ONE ``run_global_simulation(event_sources=)`` call, and fans
-the per-event seismograms back out as ordinary per-job
-:class:`~repro.campaign.workers.JobResult` / store records, so
-downstream provenance is unchanged (each record simply gains
-``batch_size`` / ``batch_index`` / ``batch_key`` metadata).
+step count; only the sources differ — into groups.
+:func:`run_batched_campaign` hands every group to the
+:class:`~repro.campaign.workers.WorkerPool` as one work item: a worker
+runs it as ONE ``run_global_simulation(event_sources=)`` call and fans
+the per-event seismograms back out as ordinary per-job results and
+store records, so downstream provenance is unchanged (each record
+simply gains ``batch_size`` / ``batch_index`` / ``batch_key``
+metadata).
 
 Packing rules (see docs/batching.md for the rationale):
 
@@ -21,32 +23,33 @@ Packing rules (see docs/batching.md for the rationale):
 * compatible — equal ``batch_key``: ``params_hash`` + station signature
   + ``n_steps``;
 * groups are capped at ``max_batch`` events and preserve first-seen
-  submission order; singletons (batchable or not) run through the
-  normal worker pool.
+  submission order; singletons (batchable or not) are work items of
+  one job.
 
 Failure isolation: when a batched run raises — a
 :class:`~repro.chaos.sentinel.NumericalHealthError` because one
 diverging event poisoned the shared health check, or any other
-exception — the group's events fall back to sequential execution, in
-the pool's one run with the singletons.  The pool classifies each
-event's outcome on its own, so only the offending event's JobRecord
-fails and the healthy events complete normally.  Bit-identity
-(docs/batching.md) guarantees the fallback results equal what the
-batched run would have produced for the healthy events.
+exception — the worker re-runs the group's events one by one, each a
+one-job item with its own retries and classification, so only the
+offending event's JobRecord fails and the healthy events complete
+normally.  Bit-identity (docs/batching.md) guarantees the fallback
+results equal what the batched run would have produced for the healthy
+events.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..obs.tracer import Tracer, maybe_tracer
-from .mesh_cache import mesh_cache_key, params_hash
-from .queue import JobSpec, JobStatus
+from .mesh_cache import params_hash
+from .queue import JobSpec
 from .store import ResultStore
-from .workers import JobResult, WorkerPool
+
+if TYPE_CHECKING:  # workers imports batch_key from here
+    from .workers import JobResult, WorkerPool
 
 __all__ = ["batch_key", "plan_batches", "run_batched_campaign"]
 
@@ -93,9 +96,9 @@ def plan_batches(
 ) -> list[list[JobSpec]]:
     """Partition a campaign into execution groups, preserving order.
 
-    Returns a list of groups: each group of length >= 2 is a batched
-    run; length-1 groups (non-batchable jobs, or batchable jobs with no
-    compatible partner) run through the normal per-job path.  Groups
+    Returns a list of groups, each one work item of the pool: a group
+    of length >= 2 is a batched run; length-1 groups (non-batchable
+    jobs, or batchable jobs with no compatible partner) run alone.  Groups
     appear in order of their first member's submission, and no group
     exceeds ``max_batch`` events.
     """
@@ -117,78 +120,6 @@ def plan_batches(
     return groups
 
 
-def _run_batched_group(
-    group: list[JobSpec], pool: WorkerPool, tracer=None
-) -> dict[str, JobResult] | None:
-    """Execute one >=2-event group as a single batched solver run.
-
-    Fans the batched result out into per-job :class:`JobResult`s (event
-    b's seismograms are the leading-axis slice b) and records each into
-    the pool's store with batch provenance metadata.  If the run raises
-    it returns None: the caller then runs the group's events
-    sequentially, so only the offending event fails (see module
-    docstring).  With a
-    ``tracer`` the group is one ``campaign.batch`` span (counter
-    ``events=B``) around the mesh lookup and the solver's spans.
-    """
-    from ..apps.merged_app import run_global_simulation
-
-    first = group[0]
-    key = batch_key(first)
-    t0 = time.perf_counter()
-    try:
-        with maybe_tracer(tracer).span("campaign.batch", events=len(group)):
-            mesh, hit = pool.mesh_cache.get(first.params, tracer=tracer)
-            sim = run_global_simulation(
-                first.params,
-                event_sources=[list(job.sources or []) for job in group],
-                stations=first.stations,
-                n_steps=first.n_steps,
-                mesh=mesh,
-                tracer=tracer,
-                metrics=pool.metrics,
-            )
-    # repro: disable=R5 - the pool re-runs each event and classifies it
-    except Exception:
-        # One event diverged (NumericalHealthError) or failed otherwise
-        # and took the shared run down: fall back to per-event sequential
-        # execution so the healthy events complete and only the offending
-        # event's record fails, classified by the pool's retry policy.
-        pool._count("batch.fallbacks")
-        return None
-    wall = time.perf_counter() - t0
-    pool._count("batch.groups")
-    pool._count("batch.events", len(group))
-    out: dict[str, JobResult] = {}
-    for b, job in enumerate(group):
-        result = JobResult(
-            job=job,
-            status=JobStatus.SUCCEEDED,
-            params_hash=params_hash(job.params),
-            mesh_hash=mesh_cache_key(job.params),
-            cache_hit=hit,
-            wall_s=wall,  # the shared batched wall; see docs/batching.md
-            seismograms=(
-                sim.seismograms[b] if sim.seismograms is not None else None
-            ),
-            dt=sim.dt,
-            mesher_wall_s=sim.mesher_wall_s,
-            solver_wall_s=sim.solver_wall_s,
-            payload={
-                "batch_size": len(group),
-                "batch_index": b,
-                "batch_key": key,
-            },
-        )
-        record = result.to_record()
-        record.metadata.update(result.payload)
-        if pool.store is not None:
-            pool.store.record(record)
-        pool._count(f"jobs.{result.status}")
-        out[job.name] = result
-    return out
-
-
 def run_batched_campaign(
     jobs: list[JobSpec],
     n_workers: int = 2,
@@ -199,38 +130,26 @@ def run_batched_campaign(
 ) -> tuple[list[JobResult], WorkerPool]:
     """Run a campaign: the package's one campaign entry.
 
-    Compatible jobs are packed into batched solver runs (one mesh, one
-    kernel sweep, one halo message per neighbour per step for all B
-    events); everything else drains through one
-    :class:`~repro.campaign.workers.WorkerPool` built from
-    ``pool_kwargs`` (``retry_policy``, ``mesh_cache``, ``trace``, ...).
-    Results come back in submission order; batched results carry
-    ``batch_size`` / ``batch_index`` / ``batch_key`` in their payload
-    and record metadata.  ``store_dir`` names the
+    The jobs are packed by :func:`plan_batches` and every group drains
+    through one :class:`~repro.campaign.workers.WorkerPool` built from
+    ``pool_kwargs`` (``retry_policy``, ``mesh_cache``, ``trace``, ...)
+    as one work item: a group of B compatible jobs is one batched solver
+    run on a worker (one mesh, one kernel sweep, one halo message per
+    neighbour per step for all B events).  Results come back in
+    submission order; batched results carry ``batch_size`` /
+    ``batch_index`` / ``batch_key`` in their payload and record
+    metadata.  ``store_dir`` names the
     :class:`~repro.campaign.store.ResultStore` directory that receives
     one record per job.
-
-    With ``trace=True`` the batched groups record into one more tracer
-    on the workers' epoch, left in ``pool.tracers`` after the workers'.
     """
+    from .workers import WorkerPool  # imported late: it imports batch_key
+
     store = ResultStore(store_dir) if store_dir is not None else None
     pool = WorkerPool(
         n_workers=n_workers, store=store, metrics=metrics, **pool_kwargs
     )
-    tracer = Tracer(pid=n_workers, epoch=pool.epoch) if pool.trace else None
-    results: dict[str, JobResult] = {}
-    sequential: list[JobSpec] = []
-    for group in plan_batches(jobs, max_batch=max_batch):
-        batched = len(group) > 1 and _run_batched_group(group, pool, tracer)
-        if batched:
-            results.update(batched)
-        else:
-            sequential.extend(group)
-    # One pool run for singletons and fallen-back groups keeps every span.
-    if sequential:
-        results.update(
-            dict(zip((j.name for j in sequential), pool.run(sequential)))
-        )
-    if tracer is not None:
-        pool.tracers.append(tracer)
+    results = {
+        result.job.name: result
+        for result in pool.run_items(plan_batches(jobs, max_batch=max_batch))
+    }
     return [results[job.name] for job in jobs], pool

@@ -1,13 +1,18 @@
 """Campaign worker pool: concurrent jobs, timeouts, retry with backoff.
 
-``WorkerPool.run`` drains a :class:`~repro.campaign.queue.JobQueue` with
-N worker threads (the NumPy kernels release the GIL, so threads give
-real concurrency at this scale).  Each job gets its mesh from the shared
-content-addressed :class:`~repro.campaign.mesh_cache.MeshCache`, runs
-under a per-job wall limit, and is retried with capped exponential
+The pool is the one executor of campaign jobs.  It drains a
+:class:`~repro.campaign.queue.JobQueue` of *work items* with N worker
+threads (the NumPy kernels release the GIL, so threads give real
+concurrency at this scale).  A work item is a list of jobs that share
+one solver run: a :func:`~repro.campaign.batching.plan_batches` group,
+or one job (``WorkerPool.run`` makes every job an item of one).  Each
+item gets its mesh from the shared content-addressed
+:class:`~repro.campaign.mesh_cache.MeshCache`, runs under a per-job
+wall limit, and a one-job item is retried with capped exponential
 backoff on transient failures — injected faults, per-job timeouts, and
 the launcher's typed :class:`~repro.parallel.launcher.RankFailedError`.
-Every outcome lands in the :class:`~repro.campaign.store.ResultStore`
+A batched item that fails re-runs its jobs as one-job items.  Every
+job's outcome lands in the :class:`~repro.campaign.store.ResultStore`
 with full provenance.
 """
 
@@ -22,12 +27,17 @@ from typing import Any, Callable
 import numpy as np
 
 from ..obs.tracer import maybe_tracer
+from .batching import batch_key
 from .errors import InjectedFailure, JobTimeoutError
 from .mesh_cache import MeshCache, mesh_cache_key, params_hash
 from .queue import JobQueue, JobSpec, JobStatus, RetryPolicy
 from .store import JobRecord, ResultStore
 
 __all__ = ["JobResult", "WorkerPool"]
+
+#: Provenance a job of a batched work item carries in its payload and
+#: record metadata: the item's size, the job's event index, the group key.
+BATCH_FIELDS = ("batch_size", "batch_index", "batch_key")
 
 
 @dataclass
@@ -87,29 +97,41 @@ class JobResult:
             error=self.error,
             failure_class=self.failure_class,
             health_snapshot=self.health_snapshot,
-            metadata=dict(self.job.metadata),
+            metadata={
+                **self.job.metadata,
+                **{k: self.payload[k] for k in BATCH_FIELDS if k in self.payload},
+            },
         )
 
 
-def _default_runner(job: JobSpec, mesh, tracer, metrics) -> dict[str, Any]:
-    """Execute one job body: a supervised or a merged serial run.
+def _default_runner(
+    jobs: list[JobSpec], mesh, tracer, metrics
+) -> list[dict[str, Any]]:
+    """Execute one work item: a supervised run or one merged serial run.
 
-    A serial job is one ``run_global_simulation`` call, cut into
-    ``job.n_segments`` checkpointed segments.
+    The serial body is one ``run_global_simulation`` call whose
+    ``event_sources`` hold every job's sources: B = ``len(jobs)`` events
+    share one solver (docs/batching.md), cut into ``n_segments``
+    checkpointed segments, and job b's payload carries the event-b slice
+    of the seismograms.  Only the slices outlive the call, never the
+    solver.
 
-    A ``job.stream_path`` turns on per-step streaming telemetry for the
+    A ``stream_path`` turns on per-step streaming telemetry for the
     job's solver loop; the stream is flushed and closed even when the
     body raises (crash tolerance is the point of the stream), and the
     path is returned in the payload so it lands in the job record.
 
-    ``job.supervise`` routes the body through the resilience
+    ``supervise`` routes the body through the resilience
     :class:`~repro.resilience.supervisor.RunSupervisor` on the virtual
     cluster: rank deaths are recovered in-run from per-rank checkpoints,
     and the payload carries ``recoveries`` plus the full recovery
-    provenance.  Supervised jobs mesh their own world (the distributed
-    partitioner, not the shared-mesh cache), and ``stream_path`` is a
-    *directory* of per-rank streams.
+    provenance.  A supervised job runs alone (``batch_key`` never packs
+    one), meshes its own world (the distributed partitioner, not the
+    shared-mesh cache), reports that world's set-up as
+    ``mesher_wall_s``, and its ``stream_path`` is a *directory* of
+    per-rank streams.
     """
+    job = jobs[0]
     if job.supervise:
         from ..resilience.supervisor import RecoveryPolicy, RunSupervisor
 
@@ -127,16 +149,16 @@ def _default_runner(job: JobSpec, mesh, tracer, metrics) -> dict[str, Any]:
             fault_plan=job.fault_plan,
             stream_dir=job.stream_path,
         )
-        return {
+        return [{
             "seismograms": supervised.result.seismograms,
             "dt": supervised.result.dt,
             "segment_count": 1,
-            "mesher_wall_s": 0.0,
-            "solver_wall_s": 0.0,
+            "mesher_wall_s": supervised.mesher_wall_s,
+            "solver_wall_s": supervised.solver_wall_s,
             "stream_path": job.stream_path,
             "recoveries": supervised.n_recoveries,
             "resilience": supervised.provenance(),
-        }
+        }]
     stream = None
     if job.stream_path is not None:
         from ..obs.stream import StreamingTelemetry
@@ -150,7 +172,7 @@ def _default_runner(job: JobSpec, mesh, tracer, metrics) -> dict[str, Any]:
 
         sim = run_global_simulation(
             job.params,
-            sources=job.sources,
+            event_sources=[list(j.sources or []) for j in jobs],
             stations=job.stations,
             n_steps=job.n_steps,
             mesh=mesh,
@@ -159,14 +181,20 @@ def _default_runner(job: JobSpec, mesh, tracer, metrics) -> dict[str, Any]:
             stream=stream,
             n_segments=job.n_segments,
         )
-        return {
-            "seismograms": sim.seismograms,
-            "dt": sim.dt,
-            "segment_count": sim.n_segments,
-            "mesher_wall_s": sim.mesher_wall_s,
-            "solver_wall_s": sim.solver_wall_s,
-            "stream_path": job.stream_path,
-        }
+        seismograms = sim.seismograms
+        return [
+            {
+                "seismograms": (
+                    seismograms[b] if seismograms is not None else None
+                ),
+                "dt": sim.dt,
+                "segment_count": sim.n_segments,
+                "mesher_wall_s": sim.mesher_wall_s,
+                "solver_wall_s": sim.solver_wall_s,
+                "stream_path": job.stream_path,
+            }
+            for b in range(len(jobs))
+        ]
     finally:
         if stream is not None:
             stream.close()
@@ -214,14 +242,16 @@ class WorkerPool:
     store : optional :class:`ResultStore` receiving a record per job.
     trace : record per-worker tracers (``pool.tracers``, one per worker
         thread, like the launcher's per-rank tracers) with
-        ``campaign.job`` / ``campaign.segment`` spans.  Every tracer the
-        pool hands out shares its ``epoch`` (the pool's construction
-        time), so all of them sit on one timeline.
+        ``campaign.job`` / ``campaign.batch`` / ``campaign.segment``
+        spans.  Every tracer the pool hands out shares its ``epoch``
+        (the pool's construction time), so all of them sit on one
+        timeline.
     metrics : optional shared registry; jobs emit ``campaign.jobs.*``
         counters (updates are serialised on a pool lock).
     sleep : injectable clock for tests (defaults to :func:`time.sleep`).
-    runner : job-body hook ``(job, mesh, tracer, metrics) -> payload
-        dict``; defaults to the supervised or merged serial runner.
+    runner : work-item hook ``(jobs, mesh, tracer, metrics) -> list of
+        payload dicts``, one per job; defaults to the supervised or the
+        merged serial (1...B events) runner.
     """
 
     def __init__(
@@ -233,7 +263,7 @@ class WorkerPool:
         trace: bool = False,
         metrics=None,
         sleep: Callable[[float], None] = time.sleep,
-        runner: Callable[..., dict[str, Any]] | None = None,
+        runner: Callable[..., list[dict[str, Any]]] | None = None,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -247,7 +277,7 @@ class WorkerPool:
         self.store = store
         self.trace = trace
         self.epoch = time.perf_counter()
-        #: Per-worker tracers of the last :meth:`run` (empty when
+        #: Per-worker tracers of the last :meth:`run_items` (empty when
         #: ``trace=False``); merge/export through :mod:`repro.obs`.
         self.tracers: list = []
         self.sleep = sleep
@@ -262,56 +292,77 @@ class WorkerPool:
             with self._metrics_lock:
                 self.metrics.counter(f"campaign.{name}").add(value)
 
-    def _attempt(self, job: JobSpec, attempt: int, tracer) -> dict[str, Any]:
+    def _attempt(
+        self, item: list[JobSpec], attempt: int, tracer
+    ) -> list[dict[str, Any]]:
         """One attempt: injected faults fire first, then the real body."""
-        if attempt <= job.inject_failures:
+        lead = item[0]
+        if attempt <= lead.inject_failures:
             raise InjectedFailure(
-                f"job {job.name!r}: injected fault on attempt {attempt}"
+                f"job {lead.name!r}: injected fault on attempt {attempt}"
             )
 
-        def body() -> dict[str, Any]:
-            if job.supervise:
-                # Supervised jobs partition their own distributed world
-                # (prepare_world) — the shared single-mesh cache does not
-                # apply.
-                payload = self.runner(job, None, tracer, self.metrics)
-                payload.setdefault("cache_hit", False)
-                return payload
-            mesh, hit = self.mesh_cache.get(job.params, tracer=tracer)
-            payload = self.runner(job, mesh, tracer, self.metrics)
-            payload.setdefault("cache_hit", hit)
-            return payload
+        def body() -> list[dict[str, Any]]:
+            # Supervised jobs partition their own distributed world
+            # (prepare_world) — the shared single-mesh cache does not
+            # apply.
+            mesh, hit = (
+                (None, False)
+                if lead.supervise
+                else self.mesh_cache.get(lead.params, tracer=tracer)
+            )
+            payloads = self.runner(item, mesh, tracer, self.metrics)
+            for payload in payloads:
+                payload.setdefault("cache_hit", hit)
+            return payloads
 
-        return _call_with_timeout(body, job.timeout_s, job.name)
+        return _call_with_timeout(body, lead.timeout_s, lead.name)
 
-    def _execute(self, job: JobSpec, queue: JobQueue, tracer=None) -> JobResult:
+    def _execute(
+        self, item: list[JobSpec], queue: JobQueue, tracer=None
+    ) -> list[JobResult]:
+        """Run one work item to one final result per job.
+
+        A one-job item is one ``campaign.job`` span and retries
+        transient failures with backoff.  A multi-job item is one
+        ``campaign.batch`` span (counter ``events=B``) and one attempt:
+        if it raises anything, its jobs re-run here as one-job items, so
+        each is retried and classified on its own.
+        """
         policy = self.retry_policy
-        max_attempts = job.max_attempts or policy.max_attempts
+        lead = item[0]
+        batched = len(item) > 1
+        max_attempts = 1 if batched else (lead.max_attempts or policy.max_attempts)
         tracer = maybe_tracer(tracer)
-        result = JobResult(
-            job=job,
-            status=JobStatus.FAILED,
-            params_hash=params_hash(job.params),
-            mesh_hash=mesh_cache_key(job.params),
+        for job in item[1:]:
+            queue.set_status(job.name, JobStatus.RUNNING)
+        span = (
+            tracer.span("campaign.batch", events=len(item))
+            if batched
+            else tracer.span("campaign.job")
         )
+        payloads, failure = None, {}
         t0 = time.perf_counter()
-        with tracer.span("campaign.job"):
+        with span:
             for attempt in range(1, max_attempts + 1):
-                result.attempts = attempt
                 try:
-                    payload = self._attempt(job, attempt, tracer)
+                    payloads = self._attempt(item, attempt, tracer)
                 except Exception as exc:  # noqa: BLE001 - classified below
+                    if batched:
+                        # One event diverged or the shared run failed
+                        # otherwise: re-run the events alone below, so
+                        # only the offending job's record fails.
+                        break
                     kind = policy.classify(exc)
                     if kind == "transient" and attempt < max_attempts:
                         delay = policy.delay(attempt)
                         self.backoffs.append(delay)
                         self._count("jobs.retries")
-                        queue.set_status(job.name, JobStatus.RETRYING)
+                        queue.set_status(lead.name, JobStatus.RETRYING)
                         self.sleep(delay)
-                        queue.set_status(job.name, JobStatus.RUNNING)
+                        queue.set_status(lead.name, JobStatus.RUNNING)
                         continue
-                    result.status = JobStatus.FAILED
-                    result.failure_class = kind
+                    failure["failure_class"] = kind
                     if kind == "fatal":
                         # Fail fast, with diagnostics: a deterministic
                         # failure (diverged solution, corrupt artifact)
@@ -320,45 +371,83 @@ class WorkerPool:
                         self._count("jobs.failed_fast")
                         snap = getattr(exc, "snapshot", None)
                         if snap is not None:
-                            result.health_snapshot = snap.to_dict()
-                    result.error = (
+                            failure["health_snapshot"] = snap.to_dict()
+                    failure["error"] = (
                         f"{type(exc).__name__}: {exc}"
                         if str(exc)
                         else traceback.format_exception_only(exc)[0].strip()
                     )
-                    break
-                result.status = JobStatus.SUCCEEDED
-                result.payload = payload
-                result.seismograms = payload.get("seismograms")
-                result.dt = float(payload.get("dt", 0.0))
-                result.cache_hit = bool(payload.get("cache_hit", False))
-                result.segment_count = int(payload.get("segment_count", 1))
-                result.mesher_wall_s = float(payload.get("mesher_wall_s", 0.0))
-                result.solver_wall_s = float(payload.get("solver_wall_s", 0.0))
-                result.recoveries = int(payload.get("recoveries", 0))
                 break
-            result.wall_s = time.perf_counter() - t0
-            tracer.add(attempts=result.attempts)
-        self._count(f"jobs.{result.status}")
-        if self.metrics is not None:
-            with self._metrics_lock:
-                self.metrics.histogram("campaign.job.wall_s").observe(
-                    result.wall_s
-                )
-        queue.set_status(job.name, result.status)
-        if self.store is not None:
-            self.store.record(result.to_record())
-        return result
+            wall_s = time.perf_counter() - t0
+            tracer.add(attempts=attempt)
+        if batched and payloads is None:
+            self._count("batch.fallbacks")
+            return [
+                result
+                for job in item
+                for result in self._execute([job], queue, tracer=tracer)
+            ]
+        if batched:
+            self._count("batch.groups")
+            self._count("batch.events", len(item))
+        status = JobStatus.FAILED if payloads is None else JobStatus.SUCCEEDED
+        key = batch_key(lead) if batched else None
+        results = []
+        for b, (job, payload) in enumerate(
+            zip(item, payloads or [{}], strict=True)
+        ):
+            if batched:
+                payload.update(batch_size=len(item), batch_index=b, batch_key=key)
+            result = JobResult(
+                job=job,
+                status=status,
+                attempts=attempt,
+                wall_s=wall_s,  # a batch's jobs share its wall
+                seismograms=payload.get("seismograms"),
+                dt=float(payload.get("dt", 0.0)),
+                params_hash=params_hash(job.params),
+                mesh_hash=mesh_cache_key(job.params),
+                cache_hit=bool(payload.get("cache_hit", False)),
+                segment_count=int(payload.get("segment_count", 1)),
+                mesher_wall_s=float(payload.get("mesher_wall_s", 0.0)),
+                solver_wall_s=float(payload.get("solver_wall_s", 0.0)),
+                recoveries=int(payload.get("recoveries", 0)),
+                payload=payload,
+                **failure,
+            )
+            self._count(f"jobs.{status}")
+            if self.metrics is not None:
+                with self._metrics_lock:
+                    self.metrics.histogram("campaign.job.wall_s").observe(wall_s)
+            queue.set_status(job.name, status)
+            if self.store is not None:
+                self.store.record(result.to_record())
+            results.append(result)
+        return results
 
     # -- API ----------------------------------------------------------------
 
     def run(self, jobs: list[JobSpec]) -> list[JobResult]:
-        """Execute a batch of jobs; results come back in submission order."""
+        """Execute jobs, one work item each; results in submission order."""
+        return self.run_items([[job] for job in jobs])
+
+    def run_items(self, items: list[list[JobSpec]]) -> list[JobResult]:
+        """Execute work items: each a list of jobs that share one solver
+        run (a :func:`~repro.campaign.batching.plan_batches` group, or one
+        job).  Every job gets a queue status and a result; results come
+        back in item order, an item's jobs in their order."""
         queue = JobQueue()
-        for job in jobs:
-            queue.submit(job)
+        for item in items:
+            # The queue dispatches an item by its lead job; the others
+            # share its fate, and their statuses, from here on.
+            queue.submit(item[0])
+            for job in item[1:]:
+                if job.name in queue.status:
+                    raise ValueError(f"duplicate job name {job.name!r}")
+                queue.set_status(job.name, JobStatus.PENDING)
         queue.close()
-        n_threads = min(self.n_workers, max(1, len(jobs)))
+        item_of = {item[0].name: item for item in items}
+        n_threads = min(self.n_workers, max(1, len(items)))
         if self.trace:
             from ..obs.tracer import Tracer
 
@@ -367,24 +456,24 @@ class WorkerPool:
             ]
         else:
             self.tracers = []
-        results: dict[str, JobResult] = {}
+        results: dict[str, list[JobResult]] = {}
         results_lock = threading.Lock()
         errors: list[BaseException] = []
 
         def worker(index: int) -> None:
             tracer = self.tracers[index] if self.tracers else None
             while True:
-                job = queue.pop()
-                if job is None:
+                lead = queue.pop()
+                if lead is None:
                     return
                 try:
-                    result = self._execute(job, queue, tracer=tracer)
+                    done = self._execute(item_of[lead.name], queue, tracer)
                 # repro: disable=R5 - re-raised on the joining thread
                 except BaseException as exc:  # pragma: no cover - defensive
                     errors.append(exc)
                     return
                 with results_lock:
-                    results[job.name] = result
+                    results[lead.name] = done
 
         threads = [
             threading.Thread(
@@ -398,5 +487,4 @@ class WorkerPool:
             t.join()
         if errors:
             raise errors[0]
-        return [results[job.name] for job in jobs]
-
+        return [result for item in items for result in results[item[0].name]]

@@ -57,14 +57,6 @@ class SLSFit:
         """Unrelaxed -> relaxed modulus factor ``1 - sum_j y_j``."""
         return float(1.0 - self.y.sum())
 
-    def modulus_scale_unrelaxed(self) -> float:
-        """Scale factor applied to mu so the *unrelaxed* modulus produces the
-        target phase velocity at the centre of the band (SPECFEM's
-        ``scale_factor`` correction; here the standard first-order form)."""
-        # Velocity dispersion correction: mu_unrelaxed = mu_ref * (1 + 1/(pi Q) ln(f_c/f_ref))
-        # With f_ref = f_c the factor is 1; we keep the band-centre convention.
-        return 1.0
-
     def memory_update_coefficients(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact exponential integrator coefficients for the memory ODE.
 

@@ -16,7 +16,6 @@ and mantle across the ICB and CMB (Section 2/3 of the paper).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +73,6 @@ class PremLayer:
     vsv: tuple[float, ...] | None = None
     vsh: tuple[float, ...] | None = None
     eta: tuple[float, ...] | None = None
-
-    @property
-    def is_anisotropic(self) -> bool:
-        return self.vpv is not None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.r_bottom_km < self.r_top_km:
@@ -252,25 +247,6 @@ class PremModel:
     def __init__(self) -> None:
         self.layers = _prem_layers()
         self._tops = [layer.r_top_km for layer in self.layers]
-
-    # -- Layer lookup -----------------------------------------------------------
-
-    def layer_index(self, r_km: float, side: str = "below") -> int:
-        """Index of the layer containing radius ``r_km``."""
-        if not 0.0 <= r_km <= constants.R_EARTH_KM + 1e-9:
-            raise ValueError(f"radius {r_km} km outside the Earth")
-        if side not in ("below", "above"):
-            raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-        r = min(r_km, constants.R_EARTH_KM)
-        if side == "below":
-            # First layer whose top is >= r.
-            idx = bisect.bisect_left(self._tops, r - 1e-12)
-        else:
-            idx = bisect.bisect_right(self._tops, r + 1e-12)
-        return min(idx, len(self.layers) - 1)
-
-    def layer_at(self, r_km: float, side: str = "below") -> PremLayer:
-        return self.layers[self.layer_index(r_km, side)]
 
     # -- Material properties (SI units) ------------------------------------------
 

@@ -38,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..obs.report import COMM_SPAN_PREFIXES, build_phase_tree
+from ..obs.report import _is_comm, build_phase_tree
 from ..obs.tracer import SpanRecord
 
 __all__ = [
@@ -104,10 +104,6 @@ def phase_observations(
         for key, value in node.counters.items():
             o.counters[key] = o.counters.get(key, 0.0) + value
     return obs
-
-
-def _is_comm(name: str) -> bool:
-    return name.startswith(COMM_SPAN_PREFIXES)
 
 
 @dataclass

@@ -128,6 +128,10 @@ class SupervisedResult:
     #: World size of each epoch, first to last — more than one entry
     #: means recoveries happened; a changed final entry means a shrink.
     world_sizes: list[int] = field(default_factory=list)
+    #: Wall of every ``prepare_world`` (the first world and each shrink
+    #: re-partition) and of every epoch's time loop, failed ones included.
+    mesher_wall_s: float = 0.0
+    solver_wall_s: float = 0.0
 
     @property
     def n_recoveries(self) -> int:
@@ -151,18 +155,17 @@ class RunSupervisor:
     """Wrap :func:`run_distributed_simulation` with rank-death recovery.
 
     One supervisor instance supervises one run at a time (``run`` may be
-    called repeatedly; checkpoint directories are per-call).
+    called repeatedly; each call checkpoints into its own temporary
+    directory, removed when it returns).
     """
 
     def __init__(
         self,
         policy: RecoveryPolicy | None = None,
-        checkpoint_dir: str | Path | None = None,
         tracer=None,
         metrics=None,
     ):
         self.policy = policy or RecoveryPolicy()
-        self.checkpoint_dir = checkpoint_dir
         self.tracer = tracer
         self.metrics = metrics
 
@@ -223,16 +226,14 @@ class RunSupervisor:
         policy = self.policy
         classifier = RetryPolicy()
         tr = maybe_tracer(self.tracer)
-        own_dir = self.checkpoint_dir is None
-        directory = Path(
-            tempfile.mkdtemp(prefix="repro-resilience-")
-            if own_dir
-            else self.checkpoint_dir
-        )
+        directory = Path(tempfile.mkdtemp(prefix="repro-resilience-"))
         try:
+            t_mesh = time.perf_counter()
             world = prepare_world(
                 params, sources=sources, stations=stations, overlap=overlap
             )
+            mesher_s = time.perf_counter() - t_mesh
+            solver_s = 0.0
             dt_pin = world.dt_global
             total = int(n_steps) if n_steps is not None else params.step_count(dt_pin)
             bounds = segment_boundaries(total, min(CHECKPOINT_SEGMENTS, total))
@@ -263,6 +264,7 @@ class RunSupervisor:
                     dt_pin=dt_pin,
                 )
                 self._count("resilience.epochs")
+                t_epoch = time.perf_counter()
                 try:
                     result = run_distributed_simulation(
                         world.params,
@@ -280,9 +282,13 @@ class RunSupervisor:
                         recoveries=recoveries,
                         reports=reports,
                         world_sizes=world_sizes,
+                        mesher_wall_s=mesher_s,
+                        solver_wall_s=solver_s
+                        + time.perf_counter() - t_epoch,
                     )
                 except RankFailedError as exc:
                     t_recover = time.perf_counter()
+                    solver_s += t_recover - t_epoch
                     root = getattr(exc, "cause", None) or exc
                     if (
                         classifier.classify(exc) == "fatal"
@@ -326,12 +332,14 @@ class RunSupervisor:
                         if policy.mode == "shrink" and world.size > 6:
                             old_world = world
                             shrunk = self._shrunk_params(world.params)
+                            t_mesh = time.perf_counter()
                             world = prepare_world(
                                 shrunk,
                                 sources=sources,
                                 stations=stations,
                                 overlap=overlap,
                             )
+                            mesher_s += time.perf_counter() - t_mesh
                             if arrays:
                                 remap = WorldRemap(
                                     old_world.slices,
@@ -382,5 +390,4 @@ class RunSupervisor:
                         "resilience.steps_resumed", max(0, total - resume)
                     )
         finally:
-            if own_dir:
-                shutil.rmtree(directory, ignore_errors=True)
+            shutil.rmtree(directory, ignore_errors=True)

@@ -56,10 +56,6 @@ class StaceyBoundary:
         np.add.at(force[:, 1], self.ids, -traction[:, 1])
         np.add.at(force[:, 2], self.ids, -traction[:, 2])
 
-    @property
-    def n_points(self) -> int:
-        return self.ids.size
-
 
 def _outward_normals(
     face_xyz: np.ndarray, face_id, basis: GLLBasis

@@ -48,10 +48,3 @@ def corrector(
 # names keep call sites self-documenting.
 predictor_scalar = predictor
 corrector_scalar = corrector
-
-
-def stable_timestep(dt_courant: float, safety: float = 1.0) -> float:
-    """Final solver time step from the mesh Courant estimate."""
-    if dt_courant <= 0:
-        raise ValueError(f"Courant dt must be positive, got {dt_courant}")
-    return dt_courant * safety

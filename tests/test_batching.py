@@ -394,6 +394,45 @@ class TestBatchedCampaign:
             )
             assert np.array_equal(r.seismograms, solo.seismograms)
 
+    def test_group_runs_through_the_pool(self, monkeypatch):
+        # A batched group is one work item of the pool: the runner hook
+        # sees it whole, and its jobs, like the singleton's, end with a
+        # queue status.
+        import repro.campaign.workers as workers
+
+        queues = []
+
+        class RecordingQueue(workers.JobQueue):
+            def __init__(self):
+                super().__init__()
+                queues.append(self)
+
+        monkeypatch.setattr(workers, "JobQueue", RecordingQueue)
+        calls = []
+
+        def runner(jobs, mesh, tracer, metrics):
+            calls.append([job.name for job in jobs])
+            return [{"seismograms": None, "dt": 0.1} for _ in jobs]
+
+        params = self.base_params()
+        jobs = [
+            JobSpec(name=f"ev{i}", params=params, sources=events(2)[i],
+                    stations=stations())
+            for i in range(2)
+        ]
+        jobs.append(JobSpec(name="segmented", params=params,
+                            sources=events(1)[0], stations=stations(),
+                            n_segments=2))
+        results, _pool = run_batched_campaign(
+            jobs, n_workers=1, runner=runner,
+            mesh_cache=MeshCache(builder=lambda p: object()),
+        )
+        assert calls == [["ev0", "ev1"], ["segmented"]]
+        assert [r.payload.get("batch_size") for r in results] == [2, 2, None]
+        assert [q.status for q in queues] == [
+            {"ev0": "succeeded", "ev1": "succeeded", "segmented": "succeeded"}
+        ]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # fault test: NaNs
     def test_health_failure_isolated_to_offending_event(self, tmp_path):
         # Event 1's moment is infinite: the shared health check trips
@@ -481,7 +520,7 @@ class TestBatchedCampaign:
             jobs, n_workers=1, mesh_cache=MeshCache(), trace=True
         )
         assert [r.payload.get("batch_size") for r in results] == [2, 2, None]
-        assert len(pool.tracers) == 2  # the worker's and the groups'
+        assert len(pool.tracers) == 1  # the one worker's
         records = [rec for tracer in pool.tracers for rec in tracer.records]
         batches = [rec for rec in records if rec.name == "campaign.batch"]
         assert [rec.counters["events"] for rec in batches] == [2]

@@ -67,11 +67,12 @@ def fake_job(name, **kw):
 def fake_runner(payloads=None):
     """A runner that skips the solver and returns a canned payload."""
 
-    def run(job, mesh, tracer, metrics):
-        out = {"seismograms": None, "dt": 0.1, "segment_count": 1}
-        if payloads:
-            out.update(payloads.get(job.name, {}))
-        return out
+    def run(jobs, mesh, tracer, metrics):
+        return [
+            {"seismograms": None, "dt": 0.1, "segment_count": 1,
+             **(payloads or {}).get(job.name, {})}
+            for job in jobs
+        ]
 
     return run
 
@@ -344,7 +345,7 @@ class TestWorkerPool:
         assert "InjectedFailure" in results[0].error
 
     def test_permanent_error_fails_without_retry(self):
-        def runner(job, mesh, tracer, metrics):
+        def runner(jobs, mesh, tracer, metrics):
             raise ValueError("bad physics")
 
         pool = self.pool(runner=runner)
@@ -355,11 +356,11 @@ class TestWorkerPool:
     def test_rank_failure_is_retried(self):
         attempts = []
 
-        def runner(job, mesh, tracer, metrics):
+        def runner(jobs, mesh, tracer, metrics):
             attempts.append(1)
             if len(attempts) < 3:
                 raise RankFailedError(7, RuntimeError("lost node"))
-            return {"seismograms": None, "dt": 0.1}
+            return [{"seismograms": None, "dt": 0.1}]
 
         pool = self.pool(runner=runner, n_workers=1)
         results = pool.run([fake_job("cluster-job")])
@@ -368,9 +369,9 @@ class TestWorkerPool:
     def test_timeout_enforced_and_retryable(self):
         import time as _time
 
-        def runner(job, mesh, tracer, metrics):
+        def runner(jobs, mesh, tracer, metrics):
             _time.sleep(5.0)
-            return {}
+            return [{}]
 
         pool = self.pool(runner=runner)
         results = pool.run(
@@ -434,13 +435,46 @@ class TestWorkerPool:
         ]
         assert names.count("campaign.job") == 4
 
+    def test_work_items_under_contention(self):
+        """More workers than cores draining mixed work items under a
+        short switch interval: every job ends with exactly one result
+        and one final queue status, in item order."""
+        import sys
+
+        import repro.campaign.workers as workers
+
+        queues = []
+
+        class RecordingQueue(workers.JobQueue):
+            def __init__(self):
+                super().__init__()
+                queues.append(self)
+
+        items = [
+            [fake_job(f"i{i}j{j}") for j in range(i % 3 + 1)]
+            for i in range(30)
+        ]
+        pool = self.pool(n_workers=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(workers, "JobQueue", RecordingQueue)
+                results = pool.run_items(items)
+        finally:
+            sys.setswitchinterval(interval)
+        names = [job.name for item in items for job in item]
+        assert [r.job.name for r in results] == names
+        assert all(r.succeeded for r in results)
+        assert queues[0].status == dict.fromkeys(names, "succeeded")
+
     def test_worker_concurrency(self):
         """With 4 workers, 4 blocking jobs overlap in time."""
         barrier = threading.Barrier(4, timeout=10)
 
-        def runner(job, mesh, tracer, metrics):
+        def runner(jobs, mesh, tracer, metrics):
             barrier.wait()  # deadlocks unless all 4 run concurrently
-            return {}
+            return [{}]
 
         pool = self.pool(runner=runner, n_workers=4)
         results = pool.run([fake_job(f"j{i}") for i in range(4)])

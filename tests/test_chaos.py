@@ -551,11 +551,11 @@ def _fail_n_times_runner(n, exc_factory):
     """A WorkerPool runner failing the first ``n`` attempts."""
     calls = {"n": 0}
 
-    def runner(job, mesh, tracer, metrics):
+    def runner(jobs, mesh, tracer, metrics):
         calls["n"] += 1
         if calls["n"] <= n:
             raise exc_factory()
-        return {"seismograms": np.zeros((1, 2, 3)), "dt": 0.1}
+        return [{"seismograms": np.zeros((1, 2, 3)), "dt": 0.1}]
 
     return runner
 

@@ -441,6 +441,30 @@ class TestIntegration:
         assert record["recoveries"] == 1
         assert record["retries"] == 0
 
+    def test_supervised_job_reports_mesher_and_solver_walls(self, tmp_path):
+        # prepare_world is the supervised job's mesher and the epochs its
+        # solver: neither may be booked as orchestration.
+        job = JobSpec(
+            name="supervised-walls",
+            params=tiny_params(nstep_override=6),
+            sources=[default_source()],
+            stations=default_stations(),
+            supervise=True,
+        )
+        results, _pool = run_batched_campaign(
+            [job], n_workers=1, store_dir=tmp_path
+        )
+        result = results[0]
+        assert result.succeeded
+        assert result.mesher_wall_s > 0.0
+        assert result.solver_wall_s > 0.0
+        assert result.mesher_wall_s + result.solver_wall_s <= result.wall_s
+        record = json.loads(
+            (tmp_path / "manifest.jsonl").read_text().splitlines()[-1]
+        )
+        assert record["mesher_wall_s"] == result.mesher_wall_s
+        assert record["solver_wall_s"] == result.solver_wall_s
+
     def test_jobspec_validates_supervise_combinations(self):
         with pytest.raises(ValueError):
             JobSpec(name="x", params=tiny_params(), supervise=True,
