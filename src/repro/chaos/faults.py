@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import random
 import threading
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -262,18 +261,23 @@ class FaultPlan:
         with self._lock:
             return self._rng.randrange(nbits)
 
-    def on_send(self, rank: int, dest: int, tag: int, payload) -> tuple:
+    def on_send(
+        self, rank: int, dest: int, tag: int, payload,
+        idle: "Callable[[float], None]",
+    ) -> tuple:
         """Apply this plan to one send; return the payloads to deliver.
 
         ``crash`` raises :class:`InjectedRankCrash`, ``stall``/``delay``
-        sleep, ``bitflip`` corrupts a copy of the payload; the result is
-        empty after a ``drop`` (the peer's receive times out) and holds
-        the payload twice after a ``duplicate``.
+        wait through ``idle`` (the communicator's unslotted, cancellable
+        wait: a stalled rank holds no run slot), ``bitflip`` corrupts a
+        copy of the payload; the result is empty after a ``drop`` (the
+        peer's receive times out) and holds the payload twice after a
+        ``duplicate``.
         """
         fired = self.match_op(rank, "send", tag, dest)
         if not fired:
             return (payload,)
-        self._apply_common(rank, fired)
+        self._apply_common(rank, fired, idle)
         for spec in fired:
             if spec.kind == "bitflip":
                 payload = np.array(payload, copy=True)
@@ -286,20 +290,26 @@ class FaultPlan:
             return (payload, payload)
         return (payload,)
 
-    def on_recv(self, rank: int, source: int, tag: int) -> None:
-        """Apply this plan to one receive (``crash``/``stall``/``delay``)."""
+    def on_recv(
+        self, rank: int, source: int, tag: int,
+        idle: "Callable[[float], None]",
+    ) -> None:
+        """Apply this plan to one receive (``crash``/``stall``/``delay``,
+        waiting through ``idle`` as in :meth:`on_send`)."""
         fired = self.match_op(rank, "recv", tag, source)
         if fired:
-            self._apply_common(rank, fired)
+            self._apply_common(rank, fired, idle)
 
     @staticmethod
-    def _apply_common(rank: int, fired: list[FaultSpec]) -> None:
+    def _apply_common(
+        rank: int, fired: list[FaultSpec], idle: "Callable[[float], None]"
+    ) -> None:
         """Handle crash/stall/delay (shared by send and recv paths)."""
         for spec in fired:
             if spec.kind == "crash":
                 raise InjectedRankCrash(f"rank {rank}: injected crash")
             if spec.kind in ("stall", "delay") and spec.delay_s > 0:
-                time.sleep(spec.delay_s)
+                idle(spec.delay_s)
 
     # -- solver-side faults --------------------------------------------------
 

@@ -130,7 +130,7 @@ class Workspace:
         self.a = np.empty(9 * vector, dtype=np.float64)
         self.b = np.empty(9 * vector, dtype=np.float64)
         self.c = np.empty(9 * vector, dtype=np.float64)
-        self.memory = np.empty((4, 6 * vector), dtype=np.float64)
+        self.memory = np.empty((3, 6 * vector), dtype=np.float64)
 
 
 def carve(flat: np.ndarray, *shape: int) -> np.ndarray:

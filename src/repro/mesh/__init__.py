@@ -26,7 +26,12 @@ from .mesher import (
     build_global_mesh,
     build_slice_mesh,
 )
-from .partition import ElementSplit, split_elements, split_slice_elements
+from .partition import (
+    ElementSplit,
+    boundary_first,
+    split_elements,
+    split_slice_elements,
+)
 from .numbering import (
     apply_global_permutation,
     average_global_stride,
@@ -63,6 +68,7 @@ __all__ = [
     "build_global_mesh",
     "build_slice_mesh",
     "ElementSplit",
+    "boundary_first",
     "split_elements",
     "split_slice_elements",
     "apply_global_permutation",

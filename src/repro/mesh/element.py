@@ -104,8 +104,11 @@ class SliceMesh:
 
     ``chunk``/``iproc_xi``/``iproc_eta`` locate the slice in the
     6 x NPROC_XI^2 decomposition; ``cube_elements`` counts how many of the
-    inner-core region's elements came from the central cube (they sit at
-    the end of the inner-core element list).
+    inner-core region's elements came from the central cube.  The mesher
+    appends them after the shell elements, but a distributed world
+    reorders every slice boundary-first
+    (:func:`repro.mesh.partition.boundary_first`), so no position in the
+    element list identifies them.
     """
 
     chunk: int

@@ -2,11 +2,31 @@
 
 The execution environment has no MPI; this module provides an in-process
 substitute with mpi4py-like semantics.  Rank programs run as Python
-threads (NumPy releases the GIL, so element work overlaps) and communicate
-through thread-safe mailboxes.  Every operation is accounted — message
-counts, byte volumes, and wall-clock time blocked in communication — which
-is exactly the data the paper's IPM measurements provide for the
-communication model of Figure 6.
+threads and communicate through thread-safe mailboxes.  Every operation
+is accounted — message counts, byte volumes, and wall-clock time blocked
+in communication — which is exactly the data the paper's IPM
+measurements provide for the communication model of Figure 6.
+
+Threads are ranks at thread cost only while no more of them run than
+there are CPUs: six runnable rank threads on two cores hand the GIL
+across cores at every NumPy call, and the same rank steps cost more than
+twice the CPU time they cost run one after another (EXPERIMENTS.md
+THREAD-SLOTS).  So a rank runs program code only while it holds one of
+*k* **run slots**, *k* being the number of CPUs this process may use
+(:func:`run_slot_count`, derived, never configured).  Slots are granted
+in FIFO ticket order.  A rank gives its slot up only where it would
+block — the mailbox wait, a barrier or collective, an injected stall —
+and takes it back only after the comm accounting of that wait has
+closed, so the time spent queueing for a slot lands in
+``CommStats.slot_wait_s`` and never in ``comm_time_s`` (nor in the halo
+spans: after :meth:`VirtualComm.waiting` the halo exchanger closes its
+span before it takes the slot back).
+
+:meth:`VirtualCluster.run` has one deadline for the whole run.  When it
+expires, every rank parked at a blocking point (mailbox wait, barrier,
+collective, slot queue, injected stall) is cancelled with
+:class:`~repro.parallel.errors.RunCancelledError`, the ranks are joined,
+and ``run`` raises :class:`TimeoutError`; no rank thread outlives it.
 
 Two point-to-point styles are offered, mirroring MPI:
 
@@ -73,16 +93,19 @@ whatever else is armed.  With nothing armed each operation pays three
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from . import tags
-from .errors import RankDeathError, RankTimeoutError
+from .errors import RankDeathError, RankTimeoutError, RunCancelledError
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from ..analysis.sanitizer import SanitizerReport
@@ -96,6 +119,7 @@ __all__ = [
     "RecvRequest",
     "VirtualComm",
     "VirtualCluster",
+    "run_slot_count",
 ]
 
 #: Reduction operators :meth:`VirtualComm.allreduce` understands.
@@ -111,8 +135,70 @@ class CommStats:
     messages_received: int = 0
     bytes_received: int = 0
     comm_time_s: float = 0.0
+    #: Seconds this rank was runnable but queued for a run slot (never
+    #: part of ``comm_time_s``).
+    slot_wait_s: float = 0.0
     barriers: int = 0
     allreduces: int = 0
+
+
+def run_slot_count() -> int:
+    """How many rank threads may run program code at once: the CPUs this
+    process may use.  Derived on every :meth:`VirtualCluster.run`."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _RunSlots:
+    """*k* run slots granted in FIFO ticket order.
+
+    A release hands the slot straight to the longest-waiting rank (each
+    waiter parks on its own gate), so no woken thread races another for
+    it.  :meth:`cancel` opens every gate; a rank woken that way raises
+    :class:`~repro.parallel.errors.RunCancelledError`.
+    """
+
+    def __init__(self, k: int):
+        self._lock = threading.Lock()
+        self._free = k
+        self._queue: deque[threading.Lock] = deque()
+        self._cancelled = False
+
+    def acquire(self, rank: int) -> float:
+        """Take a slot; returns the seconds spent queueing for it."""
+        with self._lock:
+            if self._cancelled:
+                raise RunCancelledError(f"rank {rank}: run cancelled")
+            if self._free:
+                self._free -= 1
+                return 0.0
+            gate = threading.Lock()
+            gate.acquire()
+            self._queue.append(gate)
+        t0 = time.perf_counter()
+        gate.acquire()
+        waited = time.perf_counter() - t0
+        if self._cancelled:
+            raise RunCancelledError(f"rank {rank}: run cancelled in the slot queue")
+        return waited
+
+    def release(self) -> None:
+        with self._lock:
+            if self._queue:
+                self._queue.popleft().release()
+            else:
+                self._free += 1
+
+    def cancel(self) -> None:
+        with self._lock:
+            self._cancelled = True
+            while self._queue:
+                self._queue.popleft().release()
+
+
+#: Put into every mailbox when a run is cancelled, to wake its waiter.
+_CANCEL = object()
 
 
 class Request:
@@ -197,6 +283,71 @@ class VirtualComm:
         self.rank = rank
         self.size = cluster.size
         self.stats = CommStats()
+        self._slotted = False
+        self._deferred = 0
+
+    # -- run slot ------------------------------------------------------------
+
+    def _park(self) -> None:
+        """Give the run slot up before blocking (no-op without one)."""
+        if self._slotted:
+            self._slotted = False
+            self._cluster._slots.release()
+
+    def _resume(self) -> None:
+        """Take a run slot back before returning to program code — unless
+        inside :meth:`waiting`, whose caller takes it back."""
+        if not self._slotted and not self._deferred:
+            self.stats.slot_wait_s += self._cluster._slots.acquire(self.rank)
+            self._slotted = True
+
+    @contextmanager
+    def waiting(self) -> Iterator[None]:
+        """A block of waits that leaves taking the run slot back to the
+        caller.
+
+        A wait inside that blocks gives the slot up as usual but does not
+        queue for it again: the caller calls :meth:`take_slot` once its
+        own accounting of the waits has closed.  The halo exchanger closes
+        its ``halo.wait``/``halo.exchange`` span first and queues inside a
+        ``rank.slot_wait`` span, so the slot queue is neither
+        communication nor unattributed step time.  An exception leaving
+        the block takes the slot back at once.
+        """
+        self._deferred += 1
+        try:
+            yield
+        except BaseException:
+            self._deferred -= 1
+            self._resume()
+            raise
+        self._deferred -= 1
+
+    def take_slot(self) -> None:
+        """Take the run slot back after :meth:`waiting` (no-op if held)."""
+        self._resume()
+
+    @contextmanager
+    def _blocked(self) -> Iterator[None]:
+        """A wait that blocks for sure (barrier, collective): unslotted,
+        accounted in ``comm_time_s``, then the slot is taken back."""
+        self._park()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stats.comm_time_s += time.perf_counter() - t0
+            self._resume()
+
+    def _idle(self, seconds: float) -> None:
+        """An injected stall or delay: unslotted, and cut short (raising
+        :class:`~repro.parallel.errors.RunCancelledError`) by a cancel."""
+        self._park()
+        try:
+            if self._cluster._cancel.wait(seconds):
+                raise RunCancelledError(f"rank {self.rank}: run cancelled in a stall")
+        finally:
+            self._resume()
 
     # -- point to point -----------------------------------------------------
 
@@ -257,7 +408,9 @@ class VirtualComm:
         cluster = self._cluster
         copies = (payload,)
         if cluster.fault_plan is not None:
-            copies = cluster.fault_plan.on_send(self.rank, dest, tag, payload)
+            copies = cluster.fault_plan.on_send(
+                self.rank, dest, tag, payload, self._idle
+            )
         sanitizer = cluster.sanitizer
         track = None
         if sanitizer is not None and op == "isend":
@@ -277,10 +430,12 @@ class VirtualComm:
     def _complete_recv(
         self, source: int, tag: int, timeout: float | None
     ) -> np.ndarray:
-        """The one receive path, in the same order as :meth:`_send`."""
+        """The one receive path, in the same order as :meth:`_send`.  The
+        mailbox wait gives the run slot up only if it must block; it is
+        taken back after ``comm_time_s`` has been accounted."""
         cluster = self._cluster
         if cluster.fault_plan is not None:
-            cluster.fault_plan.on_recv(self.rank, source, tag)
+            cluster.fault_plan.on_recv(self.rank, source, tag, self._idle)
         sanitizer = cluster.sanitizer
         detector = cluster.failure_detector
         effective = timeout if timeout is not None else cluster.recv_timeout_s
@@ -288,7 +443,7 @@ class VirtualComm:
             sanitizer.on_wait_begin(self.rank, source, tag)
         t0 = time.perf_counter()
         try:
-            data = cluster._match(self.rank, source, tag, effective, detector)
+            data = cluster._match(self, source, tag, effective, detector)
         except TimeoutError as exc:
             if detector is not None:
                 # Dead peer or straggler?  Arbitrated by heartbeat age.
@@ -305,6 +460,7 @@ class VirtualComm:
             self.stats.comm_time_s += time.perf_counter() - t0
             if sanitizer is not None:
                 sanitizer.on_wait_end(self.rank)
+            self._resume()
         if sanitizer is not None:
             sanitizer.on_recv_complete(self.rank, source, tag)
         if detector is not None:
@@ -324,13 +480,15 @@ class VirtualComm:
         if self._cluster.failure_detector is not None:
             self._cluster.failure_detector.beat(self.rank)
         deadline = self._cluster.recv_timeout_s
-        t0 = time.perf_counter()
-        try:
-            self._cluster._barrier.wait(timeout=deadline)
-        except threading.BrokenBarrierError:
-            elapsed = time.perf_counter() - t0
-            self.stats.comm_time_s += elapsed
-            if elapsed >= deadline - 1e-3:
+        broken_after = None
+        with self._blocked():
+            t0 = time.perf_counter()
+            try:
+                self._cluster._barrier.wait(timeout=deadline)
+            except threading.BrokenBarrierError:
+                broken_after = time.perf_counter() - t0
+        if broken_after is not None:
+            if broken_after >= deadline - 1e-3:
                 # Our own wait expired: the peers never arrived.
                 raise RankTimeoutError(
                     self.rank,
@@ -338,11 +496,10 @@ class VirtualComm:
                         f"rank {self.rank}: barrier not reached by all "
                         f"ranks within {deadline}s"
                     ),
-                ) from None
+                )
             # Broken by another rank's abort — a secondary effect of the
             # first real failure; re-raise so run() can filter it out.
-            raise
-        self.stats.comm_time_s += time.perf_counter() - t0
+            raise threading.BrokenBarrierError
         self.stats.barriers += 1
 
     def allreduce(self, value: np.ndarray | float, op: str = "sum"):
@@ -358,9 +515,8 @@ class VirtualComm:
             )
         if self._cluster.failure_detector is not None:
             self._cluster.failure_detector.beat(self.rank)
-        t0 = time.perf_counter()
-        result = self._cluster._allreduce(self.rank, np.asarray(value), op)
-        self.stats.comm_time_s += time.perf_counter() - t0
+        with self._blocked():
+            result = self._cluster._allreduce(self.rank, np.asarray(value), op)
         self.stats.allreduces += 1
         if np.isscalar(value) or np.asarray(value).ndim == 0:
             return float(result)
@@ -376,10 +532,8 @@ class VirtualComm:
             raise ValueError(f"invalid gather root {root} for size {self.size}")
         if self._cluster.failure_detector is not None:
             self._cluster.failure_detector.beat(self.rank)
-        t0 = time.perf_counter()
-        out = self._cluster._gather(self.rank, value, root)
-        self.stats.comm_time_s += time.perf_counter() - t0
-        return out
+        with self._blocked():
+            return self._cluster._gather(self.rank, value, root)
 
 
 class VirtualCluster:
@@ -402,6 +556,9 @@ class VirtualCluster:
     #: Default program timeout of :meth:`run`, shared with the per-receive
     #: deadline when neither is overridden.
     DEFAULT_TIMEOUT_S = 600.0
+    #: How long a cancelled run waits for ranks to reach a blocking point
+    #: (where the cancel takes them) before :meth:`run` gives up on them.
+    CANCEL_GRACE_S = 5.0
 
     def __init__(
         self,
@@ -461,6 +618,9 @@ class VirtualCluster:
         self._read_barrier = threading.Barrier(size)
         self._gather_buffer: dict[int, list] = {}
         self.stats: list[CommStats] = [CommStats() for _ in range(size)]
+        # Run slots and the cancel signal, both renewed by every run().
+        self._slots = _RunSlots(run_slot_count())
+        self._cancel = threading.Event()
 
     @property
     def recv_timeout_s(self) -> float:
@@ -474,12 +634,17 @@ class VirtualCluster:
 
     def _match(
         self,
-        rank: int,
+        comm: VirtualComm,
         source: int,
         tag: int,
         timeout: float,
         detector: "FailureDetector | None" = None,
     ) -> np.ndarray:
+        """Take the message ``(source, tag)`` out of ``comm``'s mailbox.
+
+        Queued messages are drained without blocking first; only when the
+        mailbox is empty does the rank give its run slot up and wait."""
+        rank = comm.rank
         # With a detector the wait runs in probe slices: each empty slice
         # asks the detector whether the peer died or departed meanwhile.
         slice_s = timeout
@@ -492,25 +657,35 @@ class VirtualCluster:
             if src == source and t == tag:
                 pending.pop(i)
                 return data
+        mailbox = self._mailboxes[rank]
         deadline = time.monotonic() + timeout
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"rank {rank}: no message from {source} tag {tag} "
-                    f"within {timeout}s"
+            if self._cancel.is_set():
+                raise RunCancelledError(
+                    f"rank {rank}: run cancelled in recv(source={source}, tag={tag})"
                 )
             try:
-                src, t, data = self._mailboxes[rank].get(
-                    timeout=min(slice_s, remaining)
-                )
+                item = mailbox.get_nowait()
             except queue.Empty:
-                if detector is not None:
-                    detector.probe(rank, source, tag, waited=True)
-                continue
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError(
+                        f"rank {rank}: no message from {source} tag {tag} "
+                        f"within {timeout}s"
+                    ) from None
+                comm._park()
+                try:
+                    item = mailbox.get(timeout=min(slice_s, remaining))
+                except queue.Empty:
+                    if detector is not None:
+                        detector.probe(rank, source, tag, waited=True)
+                    continue
+            if item is _CANCEL:
+                continue  # a wake-up: the loop head decides
+            src, t, data = item
             if src == source and t == tag:
                 return data
-            pending.append((src, t, data))
+            pending.append(item)
 
     def _allreduce(self, rank: int, value: np.ndarray, op: str) -> np.ndarray:
         if op not in ALLREDUCE_OPS:
@@ -564,20 +739,26 @@ class VirtualCluster:
     ) -> list:
         """Run ``program(comm)`` on every rank; returns per-rank results.
 
-        Any rank raising propagates the first exception after all threads
-        finish or the timeout expires.  ``timeout`` (default
-        :data:`DEFAULT_TIMEOUT_S`) also becomes the per-receive deadline
+        ``timeout`` (default :data:`DEFAULT_TIMEOUT_S`) is one deadline
+        for the whole run; it also becomes the per-receive deadline
         unless the cluster was built with an explicit ``recv_timeout_s``.
+        When it expires, every rank parked at a blocking point is
+        cancelled, the ranks are joined, and :class:`TimeoutError` is
+        raised.  Otherwise any rank raising propagates the first real
+        exception after all ranks finish.
         """
         if timeout is None:
             timeout = self.DEFAULT_TIMEOUT_S
         self._run_timeout_s = timeout
+        self._slots = _RunSlots(run_slot_count())
+        self._cancel = threading.Event()
         results: list = [None] * self.size
         errors: list = [None] * self.size
 
         def runner(rank: int) -> None:
             comm = VirtualComm(self, rank)
             try:
+                comm._resume()  # queue for a first slot
                 results[rank] = program(comm)
             # Rank isolation: the first real failure is re-raised after all
             # threads join, so nothing is swallowed here.
@@ -585,34 +766,48 @@ class VirtualCluster:
                 errors[rank] = exc
                 if self.failure_detector is not None:
                     if not isinstance(
-                        exc, (threading.BrokenBarrierError, RankDeathError)
+                        exc,
+                        (threading.BrokenBarrierError, RankDeathError,
+                         RunCancelledError),
                     ):
                         # Confirm the death (secondary failures — broken
-                        # barriers, observed peer deaths — are not deaths
-                        # of *this* rank and must not be filed as such).
+                        # barriers, observed peer deaths, the deadline's
+                        # cancellation — are not deaths of *this* rank
+                        # and must not be filed as such).
                         self.failure_detector.mark_dead(rank, exc)
                     # Either way this rank's program is gone: peers
                     # probing it fail fast (citing the primary death)
                     # instead of waiting out their full recv deadline.
                     self.failure_detector.mark_departed(rank)
                 # Break the barriers so other ranks do not hang forever.
-                self._barrier.abort()
-                self._collect_barrier.abort()
-                self._read_barrier.abort()
+                self._abort_barriers()
             finally:
+                comm._park()
                 self.stats[rank] = comm.stats
 
         threads = [
-            threading.Thread(target=runner, args=(r,), daemon=True)
+            threading.Thread(
+                target=runner, args=(r,), name=f"rank-{r}", daemon=True
+            )
             for r in range(self.size)
         ]
+        deadline = time.monotonic() + timeout
         for t in threads:
             t.start()
         try:
             for t in threads:
-                t.join(timeout)
-                if t.is_alive():
-                    raise TimeoutError("virtual cluster run timed out")
+                t.join(max(0.0, deadline - time.monotonic()))
+            if any(t.is_alive() for t in threads):
+                self._cancel_run()
+                grace_end = time.monotonic() + self.CANCEL_GRACE_S
+                for t in threads:
+                    t.join(max(0.0, grace_end - time.monotonic()))
+                running = [r for r, t in enumerate(threads) if t.is_alive()]
+                raise TimeoutError(
+                    f"virtual cluster run exceeded its {timeout}s deadline"
+                    + (f"; ranks {running} never reached a blocking point"
+                       if running else "")
+                )
         finally:
             # Finalize even when a rank failed or the run timed out: the
             # report of a disturbed run is exactly what a drill inspects.
@@ -645,3 +840,17 @@ class VirtualCluster:
                 exc.failed_rank = rank
                 raise exc
         return results
+
+    def _abort_barriers(self) -> None:
+        self._barrier.abort()
+        self._collect_barrier.abort()
+        self._read_barrier.abort()
+
+    def _cancel_run(self) -> None:
+        """Wake every parked rank into :class:`RunCancelledError`: slot
+        queue, barriers and collectives, mailbox waits, injected stalls."""
+        self._cancel.set()
+        self._slots.cancel()
+        self._abort_barriers()
+        for mailbox in self._mailboxes:
+            mailbox.put(_CANCEL)

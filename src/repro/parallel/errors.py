@@ -11,7 +11,12 @@ backwards compatibility.
 
 from __future__ import annotations
 
-__all__ = ["RankFailedError", "RankTimeoutError", "RankDeathError"]
+__all__ = [
+    "RankFailedError",
+    "RankTimeoutError",
+    "RankDeathError",
+    "RunCancelledError",
+]
 
 
 class RankFailedError(RuntimeError):
@@ -58,3 +63,14 @@ class RankDeathError(RankFailedError):
     def __init__(self, rank: int, cause: BaseException, report=None):
         super().__init__(rank, cause)
         self.report = report
+
+
+class RunCancelledError(RuntimeError):
+    """The cluster run's deadline expired while this rank was parked.
+
+    Raised inside a rank at its blocking point (mailbox wait, barrier,
+    collective, run-slot queue or injected stall) when
+    :meth:`~repro.parallel.comm.VirtualCluster.run` cancels the run.  It
+    never leaves ``run``, which raises :class:`TimeoutError` instead, and
+    it is not a rank death: the failure detector does not file it.
+    """

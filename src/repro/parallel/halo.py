@@ -16,7 +16,7 @@ contributions, each counted once).
 
 A round is written once — pack per neighbour in sorted rank order and
 send, register the receives; then complete the sends, receive in sorted
-neighbour order and add — over a ``{region: array}`` dict, so several
+neighbour order, and add — over a ``{region: array}`` dict, so several
 regions travel in ONE message per neighbour (the paper's 33% message-count
 reduction) and one region is a dict of one.  It is offered in two forms:
 
@@ -25,13 +25,20 @@ reduction) and one region is a dict of one.  It is offered in two forms:
   requests, returning a :class:`PendingExchange`; the caller computes
   interior elements while the messages fly, then
   :meth:`HaloExchanger.complete` finishes the receives and adds them.
-  Posting is traced as a ``halo.post`` span and the completion as a
+  Posting is traced as a ``halo.post`` span and the receives as a
   ``halo.wait`` span, so the *visible* (unhidden) communication time of an
   overlapped step is exactly the ``halo.wait`` total — the quantity the
   A-OVERLAP benchmark compares against the blocking ``halo.exchange`` time.
 * **blocking** — :meth:`HaloExchanger.assemble` is the same post completed
   at once, with nothing in between to overlap.  One ``halo.exchange`` span
-  covers the whole round.
+  covers the post and the receives.
+
+In both forms the receives run inside the communicator's
+:meth:`~repro.parallel.comm.VirtualComm.waiting` block and the span closes
+inside it too: a receive that blocks gives the rank's run slot up, and
+the slot is taken back only after the span, inside a ``rank.slot_wait``
+span of its own — then the adds run.  So the queue for a run slot is
+never counted as communication, nor left unattributed in the step.
 
 Both forms run the same two bodies, so the received-contribution add order
 (sorted neighbour rank, then region) cannot differ between them: an
@@ -189,7 +196,7 @@ class PendingExchange:
 class HaloExchanger:
     """Per-rank exchange engine bound to a communicator.
 
-    One *round* (:meth:`_post`, :meth:`_complete`) in two forms:
+    One *round* (:meth:`_post`, :meth:`_receive`, :meth:`_add`) in two forms:
     non-blocking :meth:`post` ... :meth:`complete`, and blocking
     :meth:`assemble` — see the module docstring.  Tags come from the
     :mod:`repro.parallel.tags` registry: a one-region round uses that
@@ -201,7 +208,7 @@ class HaloExchanger:
     span whose counters record both directions of the traffic (messages,
     bytes) — the raw data of the paper's IPM summaries; a non-blocking
     one is a ``halo.post`` span (sends) and a ``halo.wait`` span
-    (receives + adds).
+    (receives).
     """
 
     #: The solver hands both solid regions over as ONE round (the paper's
@@ -298,36 +305,48 @@ class HaloExchanger:
             pending.recv_requests[nbr] = self.comm.irecv(nbr, tag=tag)
         return pending
 
-    def _complete(
-        self, pending: PendingExchange, arrays: dict[int, np.ndarray]
-    ) -> int:
-        """Wait for every request of the round and add the received
-        contributions in sorted-neighbour, then region, order — the one
-        add order of both forms, which is why they agree bit for bit.
-        Returns the bytes received."""
+    def _receive(self, pending: PendingExchange) -> list[np.ndarray]:
+        """Wait for every request of the round; the received payloads in
+        sorted-neighbour order."""
         t_wait = time.perf_counter()
         for req in pending.send_requests:
             req.wait()
-        received_bytes = 0
-        for nbr, req in pending.recv_requests.items():
-            received = req.wait()
-            received_bytes += received.nbytes
-            self._unpack_add(pending.regions, arrays, nbr, received)
+        received = [req.wait() for req in pending.recv_requests.values()]
         self.wait_s += time.perf_counter() - t_wait
-        return received_bytes
+        return received
+
+    def _take_slot(self) -> None:
+        """Take back the run slot a blocking receive gave up."""
+        with self.tracer.span("rank.slot_wait"):
+            self.comm.take_slot()
+
+    def _add(
+        self,
+        pending: PendingExchange,
+        arrays: dict[int, np.ndarray],
+        received: list[np.ndarray],
+    ) -> None:
+        """Add the received contributions in sorted-neighbour, then region,
+        order — the one add order of both forms, which is why they agree
+        bit for bit."""
+        for nbr, data in zip(pending.recv_requests, received):
+            self._unpack_add(pending.regions, arrays, nbr, data)
 
     # -- its two forms ------------------------------------------------------
 
     def assemble(self, arrays: dict[int, np.ndarray]) -> None:
         """Blocking round: sum the other ranks' contributions into the
         point-leading ``{region: array}`` arrays *in place*."""
-        with self.tracer.span("halo.exchange", regions=len(arrays)) as span:
-            pending = self._post(arrays, ASSEMBLE_REGION, ASSEMBLE_MERGED)
-            received_bytes = self._complete(pending, arrays)
-            span.add(
-                messages=2 * len(pending.recv_requests),
-                bytes=pending.bytes_sent + received_bytes,
-            )
+        with self.comm.waiting():
+            with self.tracer.span("halo.exchange", regions=len(arrays)) as span:
+                pending = self._post(arrays, ASSEMBLE_REGION, ASSEMBLE_MERGED)
+                received = self._receive(pending)
+                span.add(
+                    messages=2 * len(pending.recv_requests),
+                    bytes=pending.bytes_sent + sum(r.nbytes for r in received),
+                )
+        self._take_slot()
+        self._add(pending, arrays, received)
 
     def post(self, arrays: dict[int, np.ndarray]) -> PendingExchange:
         """Post a round without blocking.
@@ -350,6 +369,12 @@ class HaloExchanger:
     ) -> None:
         """Complete a :meth:`post`: wait for every neighbour and add its
         contribution into ``arrays`` in place."""
-        with self.tracer.span("halo.wait", regions=len(arrays)) as span:
-            received_bytes = self._complete(pending, arrays)
-            span.add(messages=len(pending.recv_requests), bytes=received_bytes)
+        with self.comm.waiting():
+            with self.tracer.span("halo.wait", regions=len(arrays)) as span:
+                received = self._receive(pending)
+                span.add(
+                    messages=len(pending.recv_requests),
+                    bytes=sum(r.nbytes for r in received),
+                )
+        self._take_slot()
+        self._add(pending, arrays, received)

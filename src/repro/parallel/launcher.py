@@ -6,12 +6,14 @@ on a global time step (min-allreduce), marches the same time loop, and
 exchanges halo contributions after every force evaluation.  Seismograms
 are gathered at rank 0.
 
-With ``overlap=True`` (or ``params.overlap_comm``) each rank classifies
-its elements into halo-touching and interior sets up front and hands the
-solver that split: boundary forces first, non-blocking halo post, interior
-forces while the messages are in flight, then wait — bit-identical to the
-blocking reference, which is the same schedule with no split and so
-nothing left to compute after the post.
+Every slice is classified into halo-touching and interior elements up
+front and reordered boundary-first (:func:`repro.mesh.partition.
+boundary_first`), whatever the schedule.  With ``overlap=True`` (or
+``params.overlap_comm``) each rank hands the solver that split: boundary
+forces first, non-blocking halo post, interior forces while the messages
+are in flight, then wait — bit-identical to the blocking reference, which
+runs the same element order with no split and so nothing left to compute
+after the post.
 
 The per-rank communication statistics collected by the virtual
 communicators are returned alongside the results — they are the raw
@@ -29,7 +31,7 @@ import numpy as np
 from ..config.parameters import SimulationParameters
 from ..cubed_sphere.topology import SliceGrid
 from ..mesh.mesher import build_slice_mesh
-from ..mesh.partition import split_slice_elements
+from ..mesh.partition import boundary_first
 from ..model.perturbations import SyntheticTomography
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
@@ -134,7 +136,9 @@ class WorldSetup:
     grid: SliceGrid
     slices: list
     halos: dict
-    splits: list | None
+    #: Per rank, ``region -> ElementSplit`` of its boundary-first slice
+    #: (handed to the solver only by an overlapped world).
+    splits: list
     station_assignment: dict[int, list[Station]]
     #: rank -> B-long list of per-event source lists (ranks owning no
     #: source are absent).
@@ -195,13 +199,11 @@ def prepare_world(
         for rank in range(grid.nproc_total)
     ]
     halos = build_halos(slices)
-    # Interior/boundary element classification for the overlapped schedule,
-    # precomputed per rank from the same halos the exchanger will use.
-    splits = (
-        [split_slice_elements(slices[r], halos[r]) for r in range(grid.nproc_total)]
-        if overlap
-        else None
-    )
+    # Interior/boundary element classification from the same halos the
+    # exchanger will use, and every slice reordered boundary-first by it —
+    # for both schedules, so a blocking and an overlapped world share one
+    # element order (and one summation order).
+    splits = [boundary_first(slices[r], halos[r]) for r in range(grid.nproc_total)]
     station_assignment = _assign_stations(stations or [], slices)
     # Sources must be injected by exactly one rank (the halo assembly then
     # propagates shared-point contributions); assign each event's sources

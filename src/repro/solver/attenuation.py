@@ -57,43 +57,36 @@ class AttenuationState:
     def n_sls(self) -> int:
         return self.zeta.shape[0]
 
-    def relax(self, strain: np.ndarray, rows, scratch: np.ndarray) -> np.ndarray:
+    def relax(self, strain: np.ndarray, rows: slice, scratch: np.ndarray) -> np.ndarray:
         """Advance the memory variables of elements ``rows`` one step with
         their current strain and return ``sum_j zeta_j``.
 
         ``strain`` is the six-component ``(6, nb, npts)`` strain of the
-        region's elements ``rows`` — a slice, relaxed in place, or an
-        ascending index array (the boundary/interior subsets of the
-        overlapped loop), relaxed on a gathered copy and written back;
-        only its deviatoric part drives the memory variables.  The
+        region's elements ``rows``, a slice (every element subset of the
+        solver is a contiguous run: boundary-first slices), relaxed in
+        place; only its deviatoric part drives the memory variables.  The
         relaxation is elementwise, so any partition of the region into
         blocks and subsets is bit-identical to one full update provided
         each element appears exactly once per step.  ``scratch`` is
-        ``(4, >= nb * 6 * npts)`` work space; the returned ``(nb, 6,
+        ``(>= 3, >= nb * 6 * npts)`` work space; the returned ``(nb, 6,
         npts)`` sum (element-major, like ``zeta``) is a view of it.
         """
         nb, npts = strain.shape[1:]
-        dev, total, z_rows, tmp = (carve(s, nb, 6, npts) for s in scratch)
-        mean = carve(scratch[3], nb, npts)  # shares tmp: dead before tmp is written
+        dev, total, tmp = (carve(s, nb, 6, npts) for s in scratch[:3])
+        mean = carve(scratch[2], nb, npts)  # shares tmp: dead before tmp is written
         np.add(strain[0], strain[1], out=mean)
         np.add(mean, strain[2], out=mean)
         np.multiply(mean, 1.0 / 3.0, out=mean)
         dev_by_component = dev.transpose(1, 0, 2)
         np.subtract(strain[:3], mean, out=dev_by_component[:3])
         np.copyto(dev_by_component[3:], strain[3:])
-        in_place = isinstance(rows, slice)
         zeta = self.zeta.reshape(self.n_sls, -1, 6, npts)
         for j in range(self.n_sls):
-            if in_place:
-                z = zeta[j, rows]
-            else:
-                z = np.take(zeta[j], rows, axis=0, out=z_rows, mode="clip")
+            z = zeta[j, rows]
             # zeta <- alpha zeta + (1 - alpha) y dev   (exponential relaxation)
             np.multiply(z, self.alpha[j, rows], out=z)
             np.multiply(dev, self.gain[j, rows], out=tmp)
             np.add(z, tmp, out=z)
-            if not in_place:
-                self.zeta[j, rows] = z.reshape(nb, *self.zeta.shape[2:])
             if j == 0:
                 np.copyto(total, z)
             else:

@@ -145,23 +145,39 @@ class _RegionState:
 
 
 class _RegionSubset:
-    """An element subset of one region's state, as the force kernels see it.
+    """A contiguous run ``start:stop`` of one region's elements, as the
+    force kernels see it.
 
-    ``idx`` selects the elements in the region's original order: the
-    trivial subset ``slice(None)`` (the whole region — every attribute
-    is then a view and nothing is copied) or the ascending boundary /
-    interior index arrays of the overlapped schedule.  Holds the subset's
-    force operator (geometry and materials folded once), numbering and
-    physics extras, built once at solver build so the time loop pays no
-    per-step slicing of static data.  The operator applied per subset
-    produces exactly the rows the full-region operator would, because
-    every step of it is elementwise over the element axis.
+    The whole region, or one side of a boundary-first split (boundary
+    elements ``0:nb``, interior ``nb:nspec``).  Numbering, geometry and
+    materials are views of the region's arrays; the force operator (its
+    materials folded with the volume measure once) is built at solver
+    build, so the time loop pays no per-step slicing of static data.  The
+    operator applied per subset produces exactly the rows the
+    full-region operator would, because every step of it is elementwise
+    over the element axis.
+
+    On a split region both sides write their local forces straight into
+    the region's ``stash`` (``(B, nspec, ...)``, full element order), and
+    the side computed after the post (``rescatter``) scatters the whole
+    stash — the summation order of the unsplit region.
     """
 
-    def __init__(self, solver: "GlobalSolver", code: int, idx):
+    def __init__(
+        self,
+        solver: "GlobalSolver",
+        code: int,
+        start: int,
+        stop: int,
+        stash: np.ndarray | None = None,
+        rescatter: bool = False,
+    ):
         st = solver.regions[code]
         self.code = code
-        self.idx = idx
+        self.start = start
+        self.stash = stash
+        self.rescatter = rescatter
+        idx = slice(start, stop)
         mesh = st.mesh
         self.ibool = st.ibool[idx]
         self.geom = st.geom.subset(idx)
@@ -171,7 +187,7 @@ class _RegionSubset:
         self.xyz_m = None if g is None else mesh.xyz[idx] * LENGTH_SCALE
         # Per-phase flop estimates (the PSiNS-analog counters attached to
         # kernel spans), computed once so the hot loop only reads them.
-        nspec = self.ibool.shape[0]
+        nspec = stop - start
         self.gll_points_count = float(nspec * constants.NGLLX**3)
         basis, ws = solver.basis, solver._workspace
         if code == solver.fluid_code:
@@ -193,10 +209,10 @@ class _RegionSubset:
                     st.ti_frames[idx], basis, ws,
                 )
 
-    def rows(self, lo: int, hi: int):
+    def rows(self, lo: int, hi: int) -> slice:
         """Region elements of this subset's elements ``lo:hi`` — the
         attenuation selector: the subsets of a region partition it."""
-        return slice(lo, hi) if isinstance(self.idx, slice) else self.idx[lo:hi]
+        return slice(self.start + lo, self.start + hi)
 
 
 class GlobalSolver:
@@ -219,13 +235,15 @@ class GlobalSolver:
         ranks' contributions into point-leading ``{region: (nglob, ...)
         array}`` dicts *in place*; None for serial runs.  Also applied
         once at setup, to a copy of the prepared mass matrices.
-    element_splits : dict ``region -> ElementSplit`` (from
-        :func:`repro.mesh.partition.split_slice_elements`) classifying
-        each region's elements as halo-touching or interior.  Given, the
-        time loop exchanges without blocking — boundary elements, post,
-        interior elements, wait; None is the blocking schedule, where
-        nothing remains after the post.  Regions missing from the dict
-        are treated as all-interior.
+    element_splits : dict ``region -> ElementSplit`` classifying each
+        region's elements as halo-touching or interior, **boundary-first**
+        (boundary elements ``0:nb``, interior ``nb:nspec``, as
+        :func:`repro.mesh.partition.boundary_first` orders a slice;
+        anything else is a :class:`ValueError`).  Given, the time loop
+        exchanges without blocking — boundary elements, post, interior
+        elements, wait; None is the blocking schedule, where nothing
+        remains after the post.  Regions missing from the dict are
+        treated as all-interior.
     event_sources : list of per-event source lists: ``B =
         len(event_sources)`` events share this mesh and one halo message
         per neighbour per step.  Mutually exclusive with ``sources``,
@@ -456,8 +474,9 @@ class GlobalSolver:
         self._local = np.empty(local, dtype=np.float64)
         #: Assembled force per region, (B, nglob[, 3]).
         self._force: dict[int, np.ndarray] = {}
-        #: Split regions only: local forces in full element order, for the
-        #: re-scatter that reproduces the unsplit summation order.
+        #: Split regions only: local forces in full element order (the
+        #: subsets' stash), for the re-scatter that reproduces the unsplit
+        #: summation order.
         self._scratch_local: dict[int, np.ndarray] = {}
         # Per region, the element subset computed before its round's post
         # (what feeds the halo) and the one computed after (what cannot).
@@ -468,23 +487,24 @@ class GlobalSolver:
             self._force[code] = np.empty(
                 (self.batch, st.nglob, *ncomp), dtype=np.float64
             )
-            # A degenerate side is skipped, not run empty: the other is the
-            # whole region as the trivial subset, scattered once — before
-            # the post unless no element of it touches the halo.
+            nspec = st.ibool.shape[0]
             split = element_splits.get(code) if self._overlap else None
-            if self._overlap and (split is None or not len(split.boundary)):
-                after[code] = _RegionSubset(self, code, slice(None))
-            elif split is None or not len(split.interior):
-                before[code] = _RegionSubset(self, code, slice(None))
+            nb = 0 if split is None else _boundary_count(split, nspec, code)
+            # A degenerate side is skipped, not run empty: the other is the
+            # whole region, scattered once — before the post unless no
+            # element of it touches the halo.
+            if self._overlap and not nb:
+                after[code] = _RegionSubset(self, code, 0, nspec)
+            elif split is None or nb == nspec:
+                before[code] = _RegionSubset(self, code, 0, nspec)
             else:
-                before[code] = _RegionSubset(
-                    self, code, np.asarray(split.boundary, dtype=np.intp)
-                )
-                after[code] = _RegionSubset(
-                    self, code, np.asarray(split.interior, dtype=np.intp)
-                )
-                self._scratch_local[code] = np.empty(
+                stash = np.empty(
                     (self.batch, *st.ibool.shape, *ncomp), dtype=np.float64
+                )
+                self._scratch_local[code] = stash
+                before[code] = _RegionSubset(self, code, 0, nb, stash)
+                after[code] = _RegionSubset(
+                    self, code, nb, nspec, stash, rescatter=True
                 )
         # The fluid goes first (the solids' coupling term needs its fresh
         # ``chi_ddot``), then the solids — in ONE round, one message per
@@ -810,7 +830,10 @@ class GlobalSolver:
         solid = code != self.fluid_code
         field = self.solid[code].displ[b] if solid else self.fluid.chi[b]
         shape = view.ibool.shape + field.shape[1:]
-        local = carve(self._local, *shape)
+        if view.stash is None:
+            local = carve(self._local, *shape)
+        else:
+            local = view.stash[b, view.rows(0, shape[0])]
         relax = None
         if code in self.attenuation:
             state = self.attenuation[code].events[b]
@@ -878,22 +901,20 @@ class GlobalSolver:
                 fluid.chi_dot, fluid.chi_ddot, self.dt, self._force[self.fluid_code]
             )
 
-    def _pass(  # repro: hot-loop
-        self, view: _RegionSubset, t: float, rescatter: bool
-    ) -> None:
+    def _pass(self, view: _RegionSubset, t: float) -> None:  # repro: hot-loop
         """Every event's force on one element subset, scattered into the
-        region's force buffer.  A split region stashes each side's local
-        forces in full element order; its after-post pass (``rescatter``)
-        then scatters the whole stash — one ``bincount`` over the full
-        ``ibool``, the summation order of the unsplit region."""
+        region's force buffer.  A split region's sides write their local
+        forces into its stash in full element order; the after-post side
+        (``rescatter``) then scatters the whole stash — one ``bincount``
+        over the full ``ibool``, the summation order of the unsplit
+        region."""
         code = view.code
-        scratch = self._scratch_local.get(code)
         for b in range(self.batch):
-            local, ibool = self._local_force(view, b), view.ibool
-            if scratch is not None:
-                scratch[b][view.idx] = local
-                if rescatter:
-                    local, ibool = scratch[b], self.regions[code].ibool
+            local = self._local_force(view, b)
+            if view.rescatter:
+                local, ibool = view.stash[b], self.regions[code].ibool
+            else:
+                ibool = view.ibool
             self._assemble_event(code, local, ibool, b, t)
 
     def _forces(self, t: float) -> None:  # repro: hot-loop
@@ -911,7 +932,8 @@ class GlobalSolver:
           copies the shared-point values at post time, so the force
           buffer is free to be overwritten by the after-post pass);
         * the final local force is re-scattered from the per-element
-          contributions in the *original* element order, so
+          contributions in the region's element order (boundary-first, the
+          order a blocking run of the same world uses too), so
           floating-point summation order matches the unsplit pass
           exactly, and the received neighbour contributions are added in
           the same sorted-rank order by both forms of the exchange.
@@ -919,7 +941,7 @@ class GlobalSolver:
         ex = self.exchanger
         for arrays, before, after in self._rounds:
             for view in before:
-                self._pass(view, t, rescatter=False)
+                self._pass(view, t)
             pending = None
             if ex is not None:
                 if self._overlap:
@@ -927,7 +949,7 @@ class GlobalSolver:
                 else:
                     ex.assemble(arrays)
             for view in after:
-                self._pass(view, t, rescatter=True)
+                self._pass(view, t)
             if pending is not None:
                 ex.complete(pending, arrays)
             if self.fluid_code in arrays:
@@ -1004,6 +1026,21 @@ class GlobalSolver:
                 np.sum(self.mass[self.fluid_code] * self.fluid.chi_dot**2)
             )
         return total
+
+
+def _boundary_count(split, nspec: int, code: int) -> int:
+    """Boundary elements of a boundary-first ``split`` of ``nspec``
+    elements; :class:`ValueError` unless its boundary elements are
+    ``0:nb`` and its interior ones ``nb:nspec``."""
+    nb = len(split.boundary)
+    order = np.concatenate([split.boundary, split.interior])
+    if not np.array_equal(order, np.arange(nspec)):
+        raise ValueError(
+            f"element split of region {code} is not boundary-first "
+            f"(boundary 0:{nb}, interior {nb}:{nspec}); order the slice "
+            f"with repro.mesh.partition.boundary_first"
+        )
+    return nb
 
 
 def _record_energy(energies: list, step: int, solver: GlobalSolver) -> None:
