@@ -99,7 +99,7 @@ def test_station_load_imbalance(benchmark, record):
     """Uneven station sets load slices unevenly (the paper's imbalance)."""
     from repro.cubed_sphere.topology import SliceGrid
     from repro.mesh import build_slice_mesh
-    from repro.parallel.launcher import _assign_stations
+    from repro.parallel.launcher import _assign_owners
 
     params = small_params(nex=8)
     stations = _dense_station_network(60)
@@ -110,7 +110,7 @@ def test_station_load_imbalance(benchmark, record):
             build_slice_mesh(params, grid.address_of(r))
             for r in range(grid.nproc_total)
         ]
-        return _assign_stations(stations, slices)
+        return _assign_owners(slices, stations, [])[0]
 
     assignment = benchmark.pedantic(assign, rounds=1, iterations=1)
     counts = np.zeros(6)

@@ -76,7 +76,7 @@ def test_orchestration_overhead_per_job(record):
     n_jobs = 20
     params = small_params()
 
-    def noop_runner(jobs, mesh, tracer, metrics):
+    def noop_runner(jobs, mesh, tracer, metrics, deadline):
         return [{"seismograms": None, "dt": 0.1}]
 
     def campaign():

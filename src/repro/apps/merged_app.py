@@ -126,6 +126,7 @@ def run_global_simulation(
     n_segments: int = 1,
     checkpoint_dir: str | Path | None = None,
     on_checkpoint=None,
+    timeout_s: float | None = None,
 ) -> GlobalSimulationResult:
     """Mesh and solve in one process with in-memory handoff.
 
@@ -182,12 +183,22 @@ def run_global_simulation(
     A ``stream`` is shared by the whole chain, so it is one continuous
     per-step log: steps re-executed after a fallback appear twice, and
     readers collapse them with :func:`~repro.obs.stream.dedupe_steps`.
+
+    ``timeout_s`` (None: no limit) is a wall limit from this call over
+    every segment: the first step observer raises :class:`TimeoutError`
+    at the first step boundary past it.
     """
     if n_segments > 1 and track_energy:
         raise ValueError(
             "track_energy needs one segment: each of n_segments="
             f"{n_segments} solvers would cover only its own span"
         )
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+
+    def check_deadline(step: int, _solver) -> None:
+        if time.monotonic() >= deadline:
+            raise TimeoutError(f"run exceeded its wall limit of {timeout_s}s")
+
     if tracer is None and trace:
         tracer = Tracer(pid=0)
     if metrics is None and trace:
@@ -280,6 +291,7 @@ def run_global_simulation(
                     n_steps=total, track_energy=track_energy,
                     start_step=resume, stop_step=stop,
                     metrics_from_step=start,
+                    callbacks=None if deadline is None else [check_deadline],
                 )
                 ckpt: Path | None = None
                 if index < len(bounds) - 1:

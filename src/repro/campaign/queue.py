@@ -21,7 +21,7 @@ from ..chaos.sentinel import NumericalHealthError
 from ..config.parameters import ConfigError, SimulationParameters
 from ..parallel.launcher import RankFailedError
 from ..solver.checkpoint import CheckpointCorruptionError
-from .errors import JobTimeoutError, TransientJobError
+from .errors import TransientJobError
 
 __all__ = ["JobSpec", "JobStatus", "JobQueue", "RetryPolicy"]
 
@@ -126,8 +126,7 @@ class RetryPolicy:
     factor: float = 2.0
     max_delay_s: float = 5.0
     retry_on: tuple[type[BaseException], ...] = (
-        TransientJobError,
-        JobTimeoutError,
+        TransientJobError,  # JobTimeoutError and InjectedFailure too
         RankFailedError,
     )
     no_retry_on: tuple[type[BaseException], ...] = (
@@ -196,13 +195,12 @@ class JobQueue:
             self._closed = True
             self._not_empty.notify_all()
 
-    def pop(self, timeout: float | None = None) -> JobSpec | None:
+    def pop(self) -> JobSpec | None:
         with self._lock:
             while not self._queue:
                 if self._closed:
                     return None
-                if not self._not_empty.wait(timeout=timeout):
-                    return None
+                self._not_empty.wait()
             job = self._queue.popleft()
             self.status[job.name] = JobStatus.RUNNING
             return job

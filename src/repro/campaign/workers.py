@@ -7,10 +7,11 @@ concurrency at this scale).  A work item is a list of jobs that share
 one solver run: a :func:`~repro.campaign.batching.plan_batches` group,
 or one job (``WorkerPool.run`` makes every job an item of one).  Each
 item gets its mesh from the shared content-addressed
-:class:`~repro.campaign.mesh_cache.MeshCache`, runs under a per-job
-wall limit, and a one-job item is retried with capped exponential
-backoff on transient failures — injected faults, per-job timeouts, and
-the launcher's typed :class:`~repro.parallel.launcher.RankFailedError`.
+:class:`~repro.campaign.mesh_cache.MeshCache` and runs on the worker's
+own thread under a per-job wall limit that the run enforces itself, and
+a one-job item is retried with capped exponential backoff on transient
+failures — injected faults, wall-limit overruns, and the launcher's
+typed :class:`~repro.parallel.launcher.RankFailedError`.
 A batched item that fails re-runs its jobs as one-job items.  Every
 job's outcome lands in the :class:`~repro.campaign.store.ResultStore`
 with full provenance.
@@ -105,9 +106,10 @@ class JobResult:
 
 
 def _default_runner(
-    jobs: list[JobSpec], mesh, tracer, metrics
+    jobs: list[JobSpec], mesh, tracer, metrics, deadline: float | None
 ) -> list[dict[str, Any]]:
-    """Execute one work item: a supervised run or one merged serial run.
+    """Execute one work item: a supervised run or one merged serial run,
+    whose ``timeout_s`` is what is left of ``deadline`` (None: no limit).
 
     The serial body is one ``run_global_simulation`` call whose
     ``event_sources`` hold every job's sources: B = ``len(jobs)`` events
@@ -132,6 +134,7 @@ def _default_runner(
     per-rank streams.
     """
     job = jobs[0]
+    timeout_s = None if deadline is None else deadline - time.monotonic()
     if job.supervise:
         from ..resilience.supervisor import RecoveryPolicy, RunSupervisor
 
@@ -145,7 +148,7 @@ def _default_runner(
             sources=job.sources,
             stations=job.stations,
             n_steps=job.n_steps,
-            timeout_s=job.timeout_s or 600.0,
+            timeout_s=timeout_s,
             fault_plan=job.fault_plan,
             stream_dir=job.stream_path,
         )
@@ -180,6 +183,7 @@ def _default_runner(
             metrics=metrics,
             stream=stream,
             n_segments=job.n_segments,
+            timeout_s=timeout_s,
         )
         seismograms = sim.seismograms
         return [
@@ -200,37 +204,6 @@ def _default_runner(
             stream.close()
 
 
-def _call_with_timeout(fn: Callable[[], Any], timeout_s: float | None, label: str):
-    """Run ``fn`` with a wall limit; :class:`JobTimeoutError` on overrun.
-
-    The body runs on a daemon helper thread so an overrunning simulation
-    cannot wedge the worker (it is abandoned, exactly like a job the
-    scheduler kills at the wall limit — restart happens from checkpoints).
-    """
-    if timeout_s is None:
-        return fn()
-    box: dict[str, Any] = {}
-    done = threading.Event()
-
-    def target() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # repro: disable=R5 - re-raised below
-            box["error"] = exc
-        finally:
-            done.set()
-
-    helper = threading.Thread(target=target, daemon=True, name=f"job-{label}")
-    helper.start()
-    if not done.wait(timeout_s):
-        raise JobTimeoutError(
-            f"job {label!r} exceeded its wall limit of {timeout_s}s"
-        )
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
 class WorkerPool:
     """N worker threads draining one campaign queue.
 
@@ -249,9 +222,12 @@ class WorkerPool:
     metrics : optional shared registry; jobs emit ``campaign.jobs.*``
         counters (updates are serialised on a pool lock).
     sleep : injectable clock for tests (defaults to :func:`time.sleep`).
-    runner : work-item hook ``(jobs, mesh, tracer, metrics) -> list of
-        payload dicts``, one per job; defaults to the supervised or the
-        merged serial (1...B events) runner.
+    runner : work-item hook ``(jobs, mesh, tracer, metrics, deadline)
+        -> list of payload dicts``, one per job, run on the worker's
+        thread (default: the supervised or merged serial runner).
+        ``deadline`` is the attempt's ``time.monotonic()`` wall limit
+        (None without ``timeout_s``), stamped before the mesh-cache
+        lookup; a :class:`TimeoutError` past it is a :class:`JobTimeoutError`.
     """
 
     def __init__(
@@ -301,22 +277,26 @@ class WorkerPool:
             raise InjectedFailure(
                 f"job {lead.name!r}: injected fault on attempt {attempt}"
             )
-
-        def body() -> list[dict[str, Any]]:
-            # Supervised jobs partition their own distributed world
-            # (prepare_world) — the shared single-mesh cache does not
-            # apply.
-            mesh, hit = (
-                (None, False)
-                if lead.supervise
-                else self.mesh_cache.get(lead.params, tracer=tracer)
-            )
-            payloads = self.runner(item, mesh, tracer, self.metrics)
-            for payload in payloads:
-                payload.setdefault("cache_hit", hit)
-            return payloads
-
-        return _call_with_timeout(body, lead.timeout_s, lead.name)
+        limit = lead.timeout_s
+        deadline = None if limit is None else time.monotonic() + limit
+        # Supervised jobs partition their own distributed world
+        # (prepare_world) — the shared single-mesh cache does not apply.
+        mesh, hit = (
+            (None, False)
+            if lead.supervise
+            else self.mesh_cache.get(lead.params, tracer=tracer)
+        )
+        try:
+            payloads = self.runner(item, mesh, tracer, self.metrics, deadline)
+        except TimeoutError as exc:
+            if deadline is None or time.monotonic() < deadline:
+                raise  # a receive deadline, not the wall limit
+            raise JobTimeoutError(
+                f"job {lead.name!r} exceeded its wall limit of {limit}s"
+            ) from exc
+        for payload in payloads:
+            payload.setdefault("cache_hit", hit)
+        return payloads
 
     def _execute(
         self, item: list[JobSpec], queue: JobQueue, tracer=None

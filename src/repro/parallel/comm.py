@@ -804,7 +804,7 @@ class VirtualCluster:
                     t.join(max(0.0, grace_end - time.monotonic()))
                 running = [r for r, t in enumerate(threads) if t.is_alive()]
                 raise TimeoutError(
-                    f"virtual cluster run exceeded its {timeout}s deadline"
+                    f"virtual cluster run exceeded its {timeout:.3g}s deadline"
                     + (f"; ranks {running} never reached a blocking point"
                        if running else "")
                 )

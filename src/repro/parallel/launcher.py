@@ -96,10 +96,12 @@ class DistributedResult:
         return MetricsRegistry.merged(self.metrics)
 
 
-def _assign_stations(
-    stations: list[Station], slices: list
-) -> dict[int, list[Station]]:
-    """Give each station to the single rank owning the nearest mesh point.
+def _assign_owners(
+    slices: list, stations: list[Station], event_sources: list[list]
+) -> tuple[dict[int, list[Station]], dict[int, list[list]]]:
+    """Give each station and source to the single rank owning the nearest
+    mesh point (ties to the lower rank): ``rank -> stations`` and ``rank
+    -> B-long list of per-event source lists``, one reduction per slice.
 
     Mirrors the paper's observation that "some mesh slices carry more
     seismic stations than others": assignment is by geometry, so uneven
@@ -107,17 +109,27 @@ def _assign_stations(
     """
     from ..model.prem import RegionCode
 
-    assignment: dict[int, list[Station]] = {}
-    for station in stations:
-        target = np.asarray(station.position)
-        best_rank, best_d = -1, np.inf
-        for rank, sl in enumerate(slices):
-            mesh = sl.regions[RegionCode.CRUST_MANTLE]
-            d = np.min(np.linalg.norm(mesh.xyz.reshape(-1, 3) - target, axis=1))
-            if d < best_d - 1e-12:
-                best_rank, best_d = rank, d
-        assignment.setdefault(best_rank, []).append(station)
-    return assignment
+    sources = [(b, src) for b, ev in enumerate(event_sources) for src in ev]
+    targets = np.array(
+        [s.position for s in stations] + [src.position for _b, src in sources],
+        dtype=float,
+    ).reshape(-1, 3)
+    owner = np.full(len(targets), -1)
+    best = np.full(len(targets), np.inf)
+    for rank, sl in enumerate(slices):
+        xyz = sl.regions[RegionCode.CRUST_MANTLE].xyz.reshape(-1, 3)
+        # The bits of ``np.linalg.norm(xyz - target, axis=1).min()``.
+        d2 = sum((xyz[:, k] - targets[:, k, None]) ** 2 for k in range(3))
+        d = np.sqrt(d2.min(axis=1))
+        closer = d < best - 1e-12
+        owner[closer], best[closer] = rank, d[closer]
+    station_assignment: dict[int, list[Station]] = {}
+    for station, rank in zip(stations, owner.tolist()):
+        station_assignment.setdefault(rank, []).append(station)
+    sources_of_rank: dict[int, list[list]] = {}
+    for (b, src), rank in zip(sources, owner[len(stations):].tolist()):
+        sources_of_rank.setdefault(rank, [[] for _ in event_sources])[b].append(src)
+    return station_assignment, sources_of_rank
 
 
 @dataclass
@@ -176,7 +188,6 @@ def prepare_world(
     single_event = event_sources is None
     if event_sources is None:
         event_sources = [sources or []]
-    nbatch = len(event_sources)
     if overlap is None:
         overlap = params.overlap_comm
     grid = SliceGrid(params.nproc_xi)
@@ -204,24 +215,12 @@ def prepare_world(
     # for both schedules, so a blocking and an overlapped world share one
     # element order (and one summation order).
     splits = [boundary_first(slices[r], halos[r]) for r in range(grid.nproc_total)]
-    station_assignment = _assign_stations(stations or [], slices)
     # Sources must be injected by exactly one rank (the halo assembly then
-    # propagates shared-point contributions); assign each event's sources
-    # like stations, by the nearest-point rule, giving every owning rank a
-    # B-long list of per-event source lists — empty lists for events with
-    # no source in that rank's slice.
-    event_sources_of_rank: dict[int, list[list]] = {}
-    for b, ev_srcs in enumerate(event_sources):
-        pseudo_b = [
-            Station(f"__src{i}", tuple(np.asarray(s.position)))
-            for i, s in enumerate(ev_srcs)
-        ]
-        for rank, plist in _assign_stations(pseudo_b, slices).items():
-            per_rank = event_sources_of_rank.setdefault(
-                rank, [[] for _ in range(nbatch)]
-            )
-            for p in plist:
-                per_rank[b].append(ev_srcs[int(p.name[5:])])
+    # propagates shared-point contributions): they are assigned like
+    # stations, by the nearest-point rule.
+    station_assignment, event_sources_of_rank = _assign_owners(
+        slices, stations or [], event_sources
+    )
     # Agree on the global time step before building any solver: attenuation
     # coefficients depend on dt, so it must be fixed up front.
     from ..mesh.quality import estimate_time_step
@@ -243,7 +242,7 @@ def prepare_world(
         splits=splits,
         station_assignment=station_assignment,
         event_sources_of_rank=event_sources_of_rank,
-        nbatch=nbatch,
+        nbatch=len(event_sources),
         single_event=single_event,
         dt_global=dt_global,
         overlap=overlap,
@@ -301,7 +300,7 @@ def run_distributed_simulation(
     sources: list | None = None,
     stations: list[Station] | None = None,
     n_steps: int | None = None,
-    timeout_s: float = 600.0,
+    timeout_s: float | None = None,
     trace: bool = False,
     overlap: bool | None = None,
     fault_plan=None,
@@ -322,8 +321,9 @@ def run_distributed_simulation(
     into one report by :mod:`repro.obs.report`.
 
     ``overlap`` selects the non-blocking overlapped halo schedule
-    (default: ``params.overlap_comm``); ``timeout_s`` bounds both the
-    whole run and every individual blocking receive (a hung peer raises
+    (default: ``params.overlap_comm``); ``timeout_s`` (default
+    :data:`VirtualCluster.DEFAULT_TIMEOUT_S`) bounds both the whole run
+    and every blocking receive (a hung peer raises
     :class:`RankTimeoutError` rather than deadlocking).
 
     ``fault_plan`` (a :class:`~repro.chaos.faults.FaultPlan`) is consulted

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..config.parameters import ParameterError
+from ..parallel.comm import VirtualCluster
 from ..parallel.errors import RankFailedError
 from ..parallel.launcher import (
     DistributedResult,
@@ -211,7 +212,7 @@ class RunSupervisor:
         sources: list | None = None,
         stations: list | None = None,
         n_steps: int | None = None,
-        timeout_s: float = 600.0,
+        timeout_s: float | None = None,
         recv_timeout_s: float | None = None,
         fault_plan=None,
         overlap: bool | None = None,
@@ -219,13 +220,20 @@ class RunSupervisor:
     ) -> SupervisedResult:
         """Run to completion, recovering from up to ``max_recoveries``
         rank deaths; raises the underlying error when the failure is
-        non-recoverable or the budget is exhausted."""
+        non-recoverable or the budget is exhausted.
+
+        ``timeout_s`` (default :data:`VirtualCluster.DEFAULT_TIMEOUT_S`)
+        is one deadline over all epochs; an epoch failing past it is
+        re-raised, not recovered: an expired deadline is not a death."""
         from ..campaign.queue import RetryPolicy
         from ..obs.tracer import maybe_tracer
 
         policy = self.policy
         classifier = RetryPolicy()
         tr = maybe_tracer(self.tracer)
+        deadline = time.monotonic() + (
+            VirtualCluster.DEFAULT_TIMEOUT_S if timeout_s is None else timeout_s
+        )
         directory = Path(tempfile.mkdtemp(prefix="repro-resilience-"))
         try:
             t_mesh = time.perf_counter()
@@ -269,7 +277,7 @@ class RunSupervisor:
                     result = run_distributed_simulation(
                         world.params,
                         n_steps=total,
-                        timeout_s=timeout_s,
+                        timeout_s=deadline - time.monotonic(),
                         recv_timeout_s=recv_timeout_s,
                         fault_plan=fault_plan,
                         stream_dir=stream_dir,
@@ -289,6 +297,8 @@ class RunSupervisor:
                 except RankFailedError as exc:
                     t_recover = time.perf_counter()
                     solver_s += t_recover - t_epoch
+                    if time.monotonic() >= deadline:
+                        raise
                     root = getattr(exc, "cause", None) or exc
                     if (
                         classifier.classify(exc) == "fatal"
@@ -298,9 +308,7 @@ class RunSupervisor:
                         # re-derive on any world.
                         raise
                     self._count("resilience.deaths")
-                    failed_rank = int(
-                        getattr(exc, "rank", getattr(exc, "failed_rank", -1))
-                    )
+                    failed_rank = exc.rank
                     report = detector.report_of(failed_rank)
                     if report is None:
                         report = RankDeathReport(

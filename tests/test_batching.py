@@ -410,7 +410,7 @@ class TestBatchedCampaign:
         monkeypatch.setattr(workers, "JobQueue", RecordingQueue)
         calls = []
 
-        def runner(jobs, mesh, tracer, metrics):
+        def runner(jobs, mesh, tracer, metrics, deadline):
             calls.append([job.name for job in jobs])
             return [{"seismograms": None, "dt": 0.1} for _ in jobs]
 

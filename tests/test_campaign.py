@@ -67,7 +67,7 @@ def fake_job(name, **kw):
 def fake_runner(payloads=None):
     """A runner that skips the solver and returns a canned payload."""
 
-    def run(jobs, mesh, tracer, metrics):
+    def run(jobs, mesh, tracer, metrics, deadline):
         return [
             {"seismograms": None, "dt": 0.1, "segment_count": 1,
              **(payloads or {}).get(job.name, {})}
@@ -345,7 +345,7 @@ class TestWorkerPool:
         assert "InjectedFailure" in results[0].error
 
     def test_permanent_error_fails_without_retry(self):
-        def runner(jobs, mesh, tracer, metrics):
+        def runner(jobs, mesh, tracer, metrics, deadline):
             raise ValueError("bad physics")
 
         pool = self.pool(runner=runner)
@@ -356,7 +356,7 @@ class TestWorkerPool:
     def test_rank_failure_is_retried(self):
         attempts = []
 
-        def runner(jobs, mesh, tracer, metrics):
+        def runner(jobs, mesh, tracer, metrics, deadline):
             attempts.append(1)
             if len(attempts) < 3:
                 raise RankFailedError(7, RuntimeError("lost node"))
@@ -367,16 +367,14 @@ class TestWorkerPool:
         assert results[0].succeeded and results[0].attempts == 3
 
     def test_timeout_enforced_and_retryable(self):
-        import time as _time
-
-        def runner(jobs, mesh, tracer, metrics):
-            _time.sleep(5.0)
-            return [{}]
-
-        pool = self.pool(runner=runner)
-        results = pool.run(
-            [fake_job("slow", timeout_s=0.1, max_attempts=2)]
+        # The default runner on a real run that takes seconds: it stops
+        # at the first step boundary past its wall limit.
+        pool = self.pool(runner=None, mesh_cache=MeshCache())
+        job = JobSpec(
+            name="slow", params=tiny_params(nstep_override=2000),
+            sources=[demo_source()], timeout_s=0.1, max_attempts=2,
         )
+        results = pool.run([job])
         assert not results[0].succeeded
         assert results[0].attempts == 2
         assert "wall limit" in results[0].error
@@ -472,7 +470,7 @@ class TestWorkerPool:
         """With 4 workers, 4 blocking jobs overlap in time."""
         barrier = threading.Barrier(4, timeout=10)
 
-        def runner(jobs, mesh, tracer, metrics):
+        def runner(jobs, mesh, tracer, metrics, deadline):
             barrier.wait()  # deadlocks unless all 4 run concurrently
             return [{}]
 

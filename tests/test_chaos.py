@@ -551,7 +551,7 @@ def _fail_n_times_runner(n, exc_factory):
     """A WorkerPool runner failing the first ``n`` attempts."""
     calls = {"n": 0}
 
-    def runner(jobs, mesh, tracer, metrics):
+    def runner(jobs, mesh, tracer, metrics, deadline):
         calls["n"] += 1
         if calls["n"] <= n:
             raise exc_factory()

@@ -47,7 +47,7 @@ from repro.mesh.numbering import group_rows, renumber_first_touch
 from repro.model.perturbations import SyntheticTomography
 from repro.model.prem import PREM, RegionCode
 from repro.parallel.halo import build_halos
-from repro.parallel.launcher import prepare_world
+from repro.parallel.launcher import _assign_owners, prepare_world
 from repro.solver import (
     GlobalSolver,
     MomentTensorSource,
@@ -441,6 +441,79 @@ class TestHalos:
         halos = build_halos([one_slice])
         assert set(halos[0]) == set(one_slice.regions)
         assert all(not halo.neighbors for halo in halos[0].values())
+
+
+def oracle_assign_stations(stations, slices):
+    assignment = {}
+    for station in stations:
+        target = np.asarray(station.position)
+        best_rank, best_d = -1, np.inf
+        for rank, sl in enumerate(slices):
+            mesh = sl.regions[RegionCode.CRUST_MANTLE]
+            d = np.min(np.linalg.norm(mesh.xyz.reshape(-1, 3) - target, axis=1))
+            if d < best_d - 1e-12:
+                best_rank, best_d = rank, d
+        assignment.setdefault(best_rank, []).append(station)
+    return assignment
+
+
+def oracle_assign_sources(event_sources, slices):
+    event_sources_of_rank = {}
+    for b, ev_srcs in enumerate(event_sources):
+        pseudo_b = [
+            Station(f"__src{i}", tuple(np.asarray(s.position)))
+            for i, s in enumerate(ev_srcs)
+        ]
+        for rank, plist in oracle_assign_stations(pseudo_b, slices).items():
+            per_rank = event_sources_of_rank.setdefault(
+                rank, [[] for _ in range(len(event_sources))]
+            )
+            for p in plist:
+                per_rank[b].append(ev_srcs[int(p.name[5:])])
+    return event_sources_of_rank
+
+
+class TestOwnerAssignment:
+    def test_one_pass_equals_the_per_station_rule(self):
+        params = params_of(nproc_xi=2)
+        grid = SliceGrid(2)
+        slices = [
+            build_slice_mesh(params, grid.address_of(rank))
+            for rank in range(grid.nproc_total)
+        ]
+        # Two points rank 0 shares with a neighbour: targets on a slice
+        # edge, as near to both slices as floating point allows.
+        mesh = slices[0].regions[RegionCode.CRUST_MANTLE]
+        nbr, ids = next(iter(build_halos(slices)[0][RegionCode.CRUST_MANTLE]
+                             .neighbors.items()))
+        flat = mesh.ibool.ravel()
+        edge = [
+            tuple(mesh.xyz.reshape(-1, 3)[np.flatnonzero(flat == p)[0]])
+            for p in (ids[0], ids[len(ids) // 2])
+        ]
+        stations = [*STATIONS, Station("EDGE", edge[0])]
+        on_edge = MomentTensorSource(
+            position=edge[1], moment=np.eye(3), stf=gaussian_stf(12.0)
+        )
+        event_sources = [[*EVENTS[3], on_edge], [], EVENTS[2]]
+        got_stations, got_sources = _assign_owners(
+            slices, stations, event_sources
+        )
+        want_stations = oracle_assign_stations(stations, slices)
+        want_sources = oracle_assign_sources(event_sources, slices)
+        assert got_stations == want_stations
+        assert list(got_stations) == list(want_stations)
+
+        def ids_of(by_rank):
+            return {r: [[id(s) for s in ev] for ev in evs]
+                    for r, evs in by_rank.items()}
+
+        assert ids_of(got_sources) == ids_of(want_sources)
+        assert list(got_sources) == list(want_sources)
+        # The tie goes to the lowest rank.
+        assert nbr > 0
+        assert stations[-1] in got_stations[0]
+        assert any(s is on_edge for s in got_sources[0][0])
 
 
 # ----------------------------------------------------- the global mesher
