@@ -19,10 +19,11 @@ strain, stress and memory variables are their six independent components.
 
 Callers own every allocation.  The time loop uses the operators
 (:class:`.elastic.ElasticOperator`, :class:`.acoustic.AcousticOperator`):
-built once at set-up, they write into the caller's output and a shared
-:class:`.weakform.Workspace` and allocate nothing.  The ``compute_forces_*``
-functions are their stateless forms (a fresh operator, workspace and
-result per call) for off-loop readers.  Static rule R3 polices the hot
+built once at set-up, they write into the caller's output and the
+:class:`.weakform.Workspace` of the lane that runs the blocks, and
+allocate nothing.  The ``compute_forces_*`` functions are their
+stateless forms (a fresh operator, workspace and result per call) for
+off-loop readers.  Static rule R3 polices the hot
 paths (``# repro: hot-loop`` functions: no ``np.zeros``/``empty``/
 ``stack``, no ``einsum``/``matmul``/``multiply``/``add``/``subtract``
 without ``out=``).

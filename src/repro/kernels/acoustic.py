@@ -33,12 +33,11 @@ class AcousticOperator(StiffnessOperator):
         geom: ElementGeometry,
         rho_inv: np.ndarray,
         basis: GLLBasis,
-        workspace: Workspace,
     ):
-        super().__init__(geom, basis, workspace)
+        super().__init__(geom, basis)
         self.rho_inv_jw = (rho_inv * geom.jweight).reshape(self.nspec, self.npts)
 
-    def _stress(self, grad, stress, lo, hi, relax) -> None:  # repro: hot-loop
+    def _stress(self, grad, stress, lo, hi, relax, ws) -> None:  # repro: hot-loop
         np.multiply(grad, self.rho_inv_jw[lo:hi], out=stress)
 
 
@@ -57,5 +56,7 @@ def compute_forces_acoustic(  # repro: hot-loop
     rho_inv : (nspec, n, n, n) 1/rho at the GLL points
     """
     out = np.empty_like(chi, order="C")
-    AcousticOperator(geom, rho_inv, basis, Workspace(basis.ngll)).apply(chi, out)
+    AcousticOperator(geom, rho_inv, basis).apply(
+        chi, out, None, Workspace(basis.ngll)
+    )
     return out

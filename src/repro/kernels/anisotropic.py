@@ -142,9 +142,8 @@ class TIElasticOperator(ElasticOperator):
         moduli: TIModuli,
         frames: np.ndarray,
         basis: GLLBasis,
-        workspace: Workspace,
     ):
-        super().__init__(geom, lam, mu, basis, workspace)
+        super().__init__(geom, lam, mu, basis)
 
         def per_point(a):
             return a.reshape(self.nspec, self.npts, *a.shape[4:])
@@ -177,7 +176,7 @@ def compute_forces_elastic_ti(  # repro: hot-loop
     isotropic pair is never read, so its isotropic embedding stands in).
     """
     out = np.empty_like(u, order="C")
-    TIElasticOperator(
-        geom, moduli.F, moduli.L, moduli, frames, basis, Workspace(basis.ngll)
-    ).apply(u, out)
+    TIElasticOperator(geom, moduli.F, moduli.L, moduli, frames, basis).apply(
+        u, out, None, Workspace(basis.ngll)
+    )
     return out

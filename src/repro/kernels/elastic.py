@@ -56,11 +56,15 @@ class ElasticOperator(StiffnessOperator):
 
     ``lam``/``mu`` are the subset's (nspec, n, n, n) Lame parameters; they
     are folded with the volume measure once, here.  ``apply(u, out,
-    relax)`` takes the memory-variable hook ``relax(strain, lo, hi)``:
-    called once per block between strain and Hooke with the six-component
-    ``(6, hi - lo, npts)`` strain of subset elements ``lo:hi``, it advances
+    relax, ws, ...)`` takes the memory-variable hook ``relax(strain, lo,
+    hi, ws)``: called once per block between strain and Hooke with the
+    six-component ``(6, hi - lo, npts)`` strain of subset elements
+    ``lo:hi`` and the workspace of the call (the lane's), it advances
     their memory variables and returns ``sum_j zeta_j`` as ``(hi - lo, 6,
-    npts)`` (:meth:`repro.solver.attenuation.AttenuationState.relax`).
+    npts)`` (:meth:`repro.solver.attenuation.AttenuationState.relax`),
+    which may be a view of ``ws.memory`` — the one scratch no other
+    stage of the block uses.  Blocks of one subset may run on several
+    lanes at once, so the hook must only touch rows ``lo:hi``.
     """
 
     ncomp = 3
@@ -71,18 +75,17 @@ class ElasticOperator(StiffnessOperator):
         lam: np.ndarray,
         mu: np.ndarray,
         basis: GLLBasis,
-        workspace: Workspace,
         variant: str = "vectorized",
     ):
-        super().__init__(geom, basis, workspace, variant)
+        super().__init__(geom, basis, variant)
         shape = (self.nspec, self.npts)
         self.lam_jw = (lam * geom.jweight).reshape(shape)
         self.mu2_jw = (2.0 * mu * geom.jweight).reshape(shape)
 
-    def _stress(self, grad, stress, lo, hi, relax) -> None:  # repro: hot-loop
+    def _stress(self, grad, stress, lo, hi, relax, ws) -> None:  # repro: hot-loop
         nb = hi - lo
         g = grad.reshape(9, nb, self.npts)
-        work = carve(self.ws.c, 7, nb, self.npts)
+        work = carve(ws.c, 7, nb, self.npts)
         strain, trace = work[:6], work[6]
         np.copyto(strain[:3], g[::4])
         np.add(g[1:3], g[3:7:3], out=strain[3:5])
@@ -90,7 +93,7 @@ class ElasticOperator(StiffnessOperator):
         np.multiply(strain[3:], 0.5, out=strain[3:])
         np.add(strain[0], strain[1], out=trace)
         np.add(trace, strain[2], out=trace)
-        memory = None if relax is None else relax(strain, lo, hi)
+        memory = None if relax is None else relax(strain, lo, hi, ws)
         self._hooke(strain, trace, memory, stress.reshape(9, nb, self.npts), lo, hi)
 
     def _hooke(self, strain, trace, memory, stress, lo, hi) -> None:  # repro: hot-loop
@@ -127,11 +130,12 @@ def compute_forces_elastic(  # repro: hot-loop
     to be assembled and scaled by the mass matrix.  Sign convention: this
     is the right-hand side ``-K u`` directly.
     """
-    operator = ElasticOperator(geom, lam, mu, basis, Workspace(basis.ngll), variant)
+    operator = ElasticOperator(geom, lam, mu, basis, variant)
+    ws = Workspace(basis.ngll)
     out = np.empty_like(u, order="C")
     events = (-1, *lam.shape, 3)
     for u_event, out_event in zip(u.reshape(events), out.reshape(events)):
-        operator.apply(u_event, out_event)
+        operator.apply(u_event, out_event, None, ws)
     return out
 
 

@@ -11,7 +11,9 @@ separate unit-stride arrays): an operand with tensor indices ``[a, b]``
 is stored ``(a, b, element, point)``, so each per-point 3x3 contraction
 is five broadcast ``np.multiply``/``np.add(out=)`` calls over contiguous
 vectors and each ``hprime`` contraction one batched ``np.matmul(out=)``.
-Every intermediate lives in the caller's :class:`Workspace`.
+Every intermediate lives in the :class:`Workspace` the caller hands
+:meth:`StiffnessOperator.apply` with the blocks to run, so lanes that
+run disjoint blocks of one subset at once never share a work vector.
 
 :data:`BLOCK` keeps the work vectors in L2 (2 MiB per core here).  Best
 whole step in ms of the NEX 8 globe (2048 elements, one BLAS thread),
@@ -117,15 +119,19 @@ def reference_derivatives(field: np.ndarray, basis: GLLBasis) -> np.ndarray:
 class Workspace:
     """Every work vector of one element block, allocated once.
 
-    One per solver, shared by all its regions, subsets and events (they
-    run one after another).  ``a``, ``b``, ``c`` hold nine block vectors
-    each and are reused as their contents die; ``memory`` is the scratch
-    of :meth:`repro.solver.attenuation.AttenuationState.relax`.  Pages of
-    a buffer nobody uses (``memory`` without attenuation) are never
+    One per lane (:mod:`repro.solver.lanes`): a lane runs its blocks of
+    every region, subset and event one after another in its own
+    workspace, and ``lane`` is the index of the lane using it (0: the
+    calling thread; a helper's is set by the run that takes it).  ``a``,
+    ``b``, ``c`` hold nine block vectors each and are reused as their
+    contents die; ``memory`` is the scratch the relax hook hands
+    :meth:`repro.solver.attenuation.AttenuationState.relax`.  Pages of a
+    buffer nobody uses (``memory`` without attenuation) are never
     touched, so they cost no resident memory.
     """
 
-    def __init__(self, ngll: int):
+    def __init__(self, ngll: int, lane: int = 0):
+        self.lane = lane
         vector = BLOCK * ngll**3
         self.a = np.empty(9 * vector, dtype=np.float64)
         self.b = np.empty(9 * vector, dtype=np.float64)
@@ -145,7 +151,8 @@ class StiffnessOperator:
     Built once at set-up from the subset's geometry; subclasses supply
     the number of field components and the stress law ``C``
     (:meth:`_stress`).  Inputs and outputs are the local (gathered)
-    fields in their natural ``(nspec, n, n, n[, 3])`` shape.
+    fields in their natural ``(nspec, n, n, n[, 3])`` shape.  The
+    operator holds no work space: each :meth:`apply` is handed one.
     """
 
     ncomp = 1
@@ -154,7 +161,6 @@ class StiffnessOperator:
         self,
         geom: ElementGeometry,
         basis: GLLBasis,
-        workspace: Workspace,
         variant: str = "vectorized",
     ):
         if variant not in _CONTRACT:
@@ -164,31 +170,37 @@ class StiffnessOperator:
         self._contract = _CONTRACT[variant]
         self.dxi_dx = geom.dxi_dx
         self.nspec, self.npts = geom.dxi_dx.shape[2:]
+        #: Element blocks of the subset, the unit :meth:`apply` runs.
+        self.nblocks = -(-self.nspec // BLOCK)
         self.ngll = basis.ngll
         self.h = np.ascontiguousarray(basis.hprime)
         self.ht = np.ascontiguousarray(basis.hprime.T)
-        self.ws = workspace
 
-    def _stress(self, grad, stress, lo, hi, relax) -> None:
+    def _stress(self, grad, stress, lo, hi, relax, ws) -> None:
         """Fill ``stress[c, d]`` — times the volume measure ``jweight`` —
         from ``grad[c, d] = d field_c / d x_d`` for elements ``lo:hi``
         (both ``(ncomp, 3, hi - lo, npts)``; ``grad`` may be destroyed).
-        ``relax`` is the caller's memory-variable hook, if the law has one."""
+        ``relax`` is the caller's memory-variable hook, if the law has one;
+        ``ws`` the workspace of the call (its ``c`` is free)."""
         raise NotImplementedError
 
-    def apply(self, field, out, relax=None) -> None:  # repro: hot-loop
-        """Write ``-K field`` into ``out`` (C-contiguous, shaped like
-        ``field``).  Workspace use: ``a`` and ``b`` alternate between the
-        stages, ``c`` is the scratch of the two 3x3 contractions and is
-        free while :meth:`_stress` runs."""
-        nc, npts, n, ws = self.ncomp, self.npts, self.ngll, self.ws
+    def apply(self, field, out, relax, ws, first=0, last=None) -> None:  # repro: hot-loop
+        """Write the rows of ``-K field`` of element blocks ``first:last``
+        (default: to the end) into ``out`` (C-contiguous, shaped like
+        ``field``), in work space ``ws``.  Calls on disjoint blocks, each
+        with its own workspace, may run at once: they read ``field`` and
+        write disjoint rows of ``out``.  Workspace use: ``a`` and ``b``
+        alternate between the stages, ``c`` is the scratch of the two 3x3
+        contractions and is free while :meth:`_stress` runs."""
+        nc, npts, n = self.ncomp, self.npts, self.ngll
         contract, h, ht = self._contract, self.h, self.ht
         if out.shape != field.shape or not out.flags.c_contiguous:
             # reshape would copy, and the caller's array never be written
             raise ValueError("out must be C-contiguous and shaped like field")
         field = np.moveaxis(field.reshape(self.nspec, npts, nc), -1, 0)
         out = np.moveaxis(out.reshape(self.nspec, npts, nc), -1, 0)
-        for lo in range(0, self.nspec, BLOCK):
+        stop = self.nspec if last is None else min(self.nspec, last * BLOCK)
+        for lo in range(first * BLOCK, stop, BLOCK):
             hi = min(lo + BLOCK, self.nspec)
             nb = hi - lo
             inv = self.dxi_dx[:, :, lo:hi]
@@ -206,7 +218,7 @@ class StiffnessOperator:
             np.multiply(t[2][:, None], inv[2][None, :], out=tmp)
             np.add(grad, tmp, out=grad)
             stress = carve(ws.a, nc, 3, nb, npts)
-            self._stress(grad, stress, lo, hi, relax)
+            self._stress(grad, stress, lo, hi, relax, ws)
             # flux[l, c] = sum_d stress[c, d] * dxi_l/dx_d
             flux = carve(ws.b, 3, nc, nb, npts)
             tmp = carve(ws.c, 3, nc, nb, npts)

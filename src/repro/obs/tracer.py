@@ -144,6 +144,18 @@ class Tracer:
         if cur is not None:
             cur.add(**counters)
 
+    def graft(self, records: list[SpanRecord]) -> None:
+        """Adopt another tracer's closed ``records`` (same epoch — a
+        helper thread's) under the innermost open span: their roots
+        become its children, deeper records keep their parents, re-indexed
+        into this tracer's list."""
+        parent = self._stack[-1] if self._stack else -1
+        base, depth = len(self.records), len(self._stack)
+        for rec in records:
+            rec.parent = parent if rec.parent < 0 else base + rec.parent
+            rec.depth += depth
+            self.records.append(rec)
+
     def total(self, counter: str) -> float:
         """Sum of one counter over all recorded spans."""
         return sum(r.counters.get(counter, 0.0) for r in self.records)

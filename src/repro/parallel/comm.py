@@ -13,7 +13,8 @@ across cores at every NumPy call, and the same rank steps cost more than
 twice the CPU time they cost run one after another (EXPERIMENTS.md
 THREAD-SLOTS).  So a rank runs program code only while it holds one of
 *k* **run slots**, *k* being the number of CPUs this process may use
-(:func:`run_slot_count`, derived, never configured).  Slots are granted
+(:func:`run_slot_count`, derived, never configured; read through this
+module's name on every :meth:`VirtualCluster.run`).  Slots are granted
 in FIFO ticket order.  A rank gives its slot up only where it would
 block — the mailbox wait, a barrier or collective, an injected stall —
 and takes it back only after the comm accounting of that wait has
@@ -93,7 +94,6 @@ whatever else is armed.  With nothing armed each operation pays three
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -104,6 +104,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
+from ..config.cpus import run_slot_count
 from . import tags
 from .errors import RankDeathError, RankTimeoutError, RunCancelledError
 
@@ -140,14 +141,6 @@ class CommStats:
     slot_wait_s: float = 0.0
     barriers: int = 0
     allreduces: int = 0
-
-
-def run_slot_count() -> int:
-    """How many rank threads may run program code at once: the CPUs this
-    process may use.  Derived on every :meth:`VirtualCluster.run`."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class _RunSlots:

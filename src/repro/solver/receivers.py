@@ -167,16 +167,26 @@ _INTERIOR_MARGIN = 1e-6
 class PointLocator:
     """Nearest-point and host-element search over one region mesh.
 
-    One KD-tree over all GLL points finds the nearest mesh point of any
+    One KD-tree over the distinct GLL points (the first copy of each
+    global point in element order) finds the nearest mesh point of any
     number of targets; in interpolated mode the elements sharing that
     point are then searched with Newton inversion and the best-fitting
-    one hosts the target.
+    one hosts the target.  The copies of a global point coincide to the
+    numbering's tolerance, so a tree over all of them (``ibool.size``
+    points, ~1.7x as many, ~1.7x the build time) finds the same point.
     """
 
     def __init__(self, xyz: np.ndarray, ibool: np.ndarray):
         self.xyz = xyz
         self.ibool = ibool
-        self._tree = cKDTree(xyz.reshape(-1, 3))
+        flat = ibool.ravel()
+        # Flat index of each global point's first copy: reversed, the
+        # assignment's last write per point is its first occurrence.
+        first = np.empty(int(flat.max()) + 1, dtype=np.intp)
+        first[flat[::-1]] = np.arange(flat.size - 1, -1, -1)
+        #: Tree point -> flat GLL index of the copy it was built from.
+        self._copy = first
+        self._tree = cKDTree(xyz.reshape(-1, 3)[first])
 
     def locate(self, station: Station, mode: str) -> LocatedReceiver:
         """Resolve one station against the mesh."""
@@ -184,7 +194,8 @@ class PointLocator:
             raise ValueError(f"unknown station location mode {mode!r}")
         xyz, ibool = self.xyz, self.ibool
         target = np.asarray(station.position, dtype=np.float64)
-        dist, flat_index = self._tree.query(target)
+        dist, point = self._tree.query(target)
+        flat_index = self._copy[point]
         nearest_global = ibool.ravel()[flat_index]
         if mode == "closest_point":
             return LocatedReceiver(

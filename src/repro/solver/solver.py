@@ -19,6 +19,9 @@ virtual-MPI launcher provides):
   leading event axis — a ``sources=`` run is ``B = 1`` — and the event
   loop lives here, in the phase functions, and nowhere else: every
   component they call is single-event and runs on a ``displ[b]`` view;
+* without an exchanger, the force kernel on every CPU the process may
+  use: each subset's element blocks split across the run's lanes
+  (:mod:`repro.solver.lanes`), bit-identical to one lane;
 * one force schedule (:meth:`GlobalSolver._forces`): for each exchange
   round, the elements that feed the halo, the post, the remaining
   elements, the wait.  Per-region ``element_splits`` say which elements
@@ -60,6 +63,7 @@ from .attenuation import AttenuationState, build_attenuation
 from .body_terms import coriolis_local_force, gravity_local_force
 from .coupling import CouplingOperator
 from .fields import FluidField, SolidField, StateArray
+from .lanes import Lanes
 from .oceans import OceanLoad
 from .prepared import (
     LENGTH_SCALE,
@@ -83,7 +87,9 @@ class SolverTimings:
 
     ``compute_cpu_s`` uses the per-thread CPU clock: under thread
     oversubscription (many virtual ranks on few cores) it measures actual
-    work done, where the wall clock would count scheduler wait.
+    work done, where the wall clock would count scheduler wait.  It is
+    the calling thread's CPU plus what the run's helper lanes spent on
+    their shares of the force kernel.
     """
 
     compute_s: float = 0.0
@@ -189,16 +195,16 @@ class _RegionSubset:
         # kernel spans), computed once so the hot loop only reads them.
         nspec = stop - start
         self.gll_points_count = float(nspec * constants.NGLLX**3)
-        basis, ws = solver.basis, solver._workspace
+        basis = solver.basis
         if code == solver.fluid_code:
-            self.operator = AcousticOperator(self.geom, 1.0 / self.rho, basis, ws)
+            self.operator = AcousticOperator(self.geom, 1.0 / self.rho, basis)
             self.flops = float(acoustic_kernel_flops(nspec))
         else:
             self.flops = float(elastic_kernel_flops(nspec))
             mu = mesh.mu[idx]
             lam = mesh.kappa[idx] - (2.0 / 3.0) * mu
             if mesh.ti_moduli is None:
-                self.operator = ElasticOperator(self.geom, lam, mu, basis, ws)
+                self.operator = ElasticOperator(self.geom, lam, mu, basis)
             else:
                 from ..kernels.anisotropic import TIElasticOperator
 
@@ -206,7 +212,7 @@ class _RegionSubset:
                 self.operator = TIElasticOperator(
                     self.geom, lam, mu,
                     type(m)(A=m.A[idx], C=m.C[idx], L=m.L[idx], N=m.N[idx], F=m.F[idx]),
-                    st.ti_frames[idx], basis, ws,
+                    st.ti_frames[idx], basis,
                 )
 
     def rows(self, lo: int, hi: int) -> slice:
@@ -462,9 +468,13 @@ class GlobalSolver:
         #: rank must choose alike: by what all ranks were given, never by
         #: what this rank's elements happen to leave over after a post.
         self._overlap = element_splits is not None
-        #: The kernels' block work vectors, one set for all regions, subsets
-        #: and events (they run one after another).
-        self._workspace = Workspace(constants.NGLLX)
+        #: The kernels' lanes, each with its block work vectors for all
+        #: regions, subsets and events (they run one after another): the
+        #: caller's, plus helpers on spare CPUs unless an exchanger is
+        #: present — the ranks already fill the CPUs.
+        self._lanes = Lanes(
+            Workspace(constants.NGLLX), self.tracer, helpers=exchanger is None
+        )
         # One event's gathered field and local force on the largest region.
         local = max(
             st.ibool.size * (1 if st.mesh.is_fluid else 3)
@@ -537,7 +547,7 @@ class GlobalSolver:
         48 ms step, 12 ms here — which is set-up hidden inside the loop.
         The state arrays come from :meth:`dynamic_state`; the seismogram
         buffers are left out (a step writes one row of them)."""
-        ws = self._workspace
+        ws = self._lanes.ws
         buffers = [ws.a, ws.b, ws.c, self._gathered, self._local]
         buffers += [*self._force.values(), *self._scratch_local.values()]
         if self.attenuation:
@@ -739,7 +749,7 @@ class GlobalSolver:
         tr = self.tracer
         t_start = time.perf_counter()
         try:
-            with tr.span("solver.run", steps=stop - start_step):
+            with self._lanes.running(), tr.span("solver.run", steps=stop - start_step):
                 for step in range(start_step, stop):
                     with tr.span("solver.timestep"):
                         self._one_step(step * self.dt)
@@ -837,14 +847,14 @@ class GlobalSolver:
         relax = None
         if code in self.attenuation:
             state = self.attenuation[code].events[b]
-            scratch = self._workspace.memory
+            tracers = self._lanes.tracers
 
-            def relax(strain, lo, hi):
-                with tr.span(
+            def relax(strain, lo, hi, ws):
+                with tracers[ws.lane].span(
                     "kernel.attenuation",
                     flops=float(attenuation_update_flops(hi - lo)),
                 ):
-                    return state.relax(strain, view.rows(lo, hi), scratch)
+                    return state.relax(strain, view.rows(lo, hi), ws.memory)
 
         with tr.span(
             "kernel.elastic" if solid else "kernel.acoustic",
@@ -852,7 +862,7 @@ class GlobalSolver:
             gll_points=view.gll_points_count,
         ):
             gathered = gather(field, view.ibool, out=carve(self._gathered, *shape))
-            view.operator.apply(gathered, local, relax)
+            self._lanes.apply(view.operator, gathered, local, relax)
         if solid and self.omega_vector is not None:
             v_local = gather(self.solid[code].veloc[b], view.ibool)
             local += coriolis_local_force(
@@ -969,7 +979,7 @@ class GlobalSolver:
                 )
 
         t0 = time.perf_counter()
-        cpu0 = time.thread_time()
+        cpu0 = time.thread_time() + self._lanes.helper_cpu_s
         self._forces(t)
         # Finish the update.
         with tr.span("solver.newmark_corrector", flops=self._newmark_flops):
@@ -981,7 +991,9 @@ class GlobalSolver:
                         self.ocean_load.apply(f.accel[b], self.mass[code])
                 newmark.corrector(f.veloc, f.accel, dt, self._force[code])
         self.timings.compute_s += time.perf_counter() - t0
-        self.timings.compute_cpu_s += time.thread_time() - cpu0
+        self.timings.compute_cpu_s += (
+            time.thread_time() + self._lanes.helper_cpu_s - cpu0
+        )
 
     def total_energy(self) -> float:
         """Total mechanical energy of the coupled system.
@@ -1004,7 +1016,9 @@ class GlobalSolver:
                 for b in range(self.batch):
                     local = gather(field[b], view.ibool)
                     k_local = np.empty_like(local)
-                    view.operator.apply(local, k_local)
+                    view.operator.apply(
+                        local, k_local, None, self._lanes.ws
+                    )
                     total += -0.5 * float(np.sum(local * k_local))
         for code in self.solid_codes:
             total += self.solid[code].kinetic_energy(self.mass[code])

@@ -57,6 +57,7 @@ from repro.solver import (
     gaussian_stf,
 )
 from repro.solver import receivers
+from repro.solver import solver as solver_module
 from repro.solver.sources import (
     moment_tensor_source_array,
     point_force_source_array,
@@ -679,11 +680,28 @@ class TestLocators:
         tree = receivers.cKDTree
         monkeypatch.setattr(receivers, "cKDTree", counted)
         GlobalSolver(merged, merged.params, event_sources=EVENTS, stations=STATIONS)
-        # Five sources in two regions and two stations: two trees, not seven.
+        # Five sources in two regions and two stations: two trees, not
+        # seven, each over the region's distinct points.
         assert sorted(built) == sorted(
-            merged.regions[code].ibool.size
+            merged.regions[code].nglob
             for code in (RegionCode.CRUST_MANTLE, RegionCode.INNER_CORE)
         )
+
+    def test_distinct_point_trees_locate_as_all_copy_trees(self, merged, monkeypatch):
+        # Interpolated stations carry an element and a ref to compare.
+        locate = receivers.PointLocator.locate
+        monkeypatch.setattr(
+            receivers.PointLocator, "locate",
+            lambda self, station, mode: locate(self, station, "interpolated"),
+        )
+        got = GlobalSolver(merged, merged.params, event_sources=EVENTS, stations=STATIONS)
+        monkeypatch.setattr(solver_module, "PointLocator", oracle_all_copies_locator)
+        want = GlobalSolver(merged, merged.params, event_sources=EVENTS, stations=STATIONS)
+        for g, w in zip(got.source_terms, want.source_terms, strict=True):
+            assert g[:3] == w[:3] and same_bits(g[3], w[3])
+        for g, w in zip(got._located, want._located, strict=True):
+            assert (g.global_index, g.element) == (w.global_index, w.element)
+            assert same_bits(g.ref, w.ref)
 
 
 # ------------------------------------ numbering, materials, cube, locator
@@ -839,6 +857,15 @@ def oracle_locate(xyz, ibool, target):
         if best is None or err < best[2]:
             best = (int(e), ref, err)
     return best
+
+
+def oracle_all_copies_locator(xyz, ibool):
+    """``PointLocator`` with its KD-tree over every GLL copy (``ibool.size``
+    points), as it was built before the tree kept one copy per point."""
+    locator = receivers.PointLocator(xyz, ibool)
+    locator._copy = np.arange(ibool.size)
+    locator._tree = receivers.cKDTree(xyz.reshape(-1, 3))
+    return locator
 
 
 def oracle_shape_functions(ngll, ref):
@@ -1016,6 +1043,21 @@ class TestLocator:
             assert same_bits(
                 got.weights, interpolation_weights_3d(mesh.xyz.shape[1], *ref)
             )
+
+    @pytest.mark.parametrize(
+        "region, count", [(RegionCode.CRUST_MANTLE, 140), (RegionCode.INNER_CORE, 60)]
+    )
+    def test_distinct_point_tree_equals_the_all_copies_tree(self, merged, region, count):
+        mesh = merged.regions[region]
+        locator = receivers.PointLocator(mesh.xyz, mesh.ibool)
+        assert locator._tree.n == mesh.nglob < mesh.ibool.size
+        oracle = oracle_all_copies_locator(mesh.xyz, mesh.ibool)
+        targets = locator_targets(merged, region, count, seed=region + 10)
+        targets += [np.asarray(s.position) for s in STATIONS]
+        for target in targets:
+            station = Station("t", tuple(target))
+            got = locator.locate(station, "closest_point")
+            assert got.global_index == oracle.locate(station, "closest_point").global_index
 
 
 class TestShapeFunctions:

@@ -149,14 +149,14 @@ class TestElasticKernelVariants:
         _, geom, basis, lam, mu, u = distorted_setup
         rng = np.random.default_rng(3)
         memory = rng.standard_normal((u.shape[0], 6, 125))
-        operator = ElasticOperator(geom, lam, mu, basis, Workspace(5))
+        operator = ElasticOperator(geom, lam, mu, basis)
 
         def forces(field, relax=None):
             out = np.empty_like(field)
-            operator.apply(field, out, relax)
+            operator.apply(field, out, relax, Workspace(5))
             return out
 
-        def relax(strain, lo, hi):
+        def relax(strain, lo, hi, ws):
             return memory[lo:hi]
 
         with_corr = forces(u, relax)
@@ -240,23 +240,22 @@ def big_setup():
 def run_operator(setup, idx=slice(None), variant="vectorized", memory=True):
     """Forces (and relaxed memory) of region elements ``idx`` — the solver's
     recipe: subset geometry and materials, region-wide attenuation state."""
-    ws = Workspace(5)
     operator = ElasticOperator(
         setup["geom"].subset(idx), setup["lam"][idx], setup["mu"][idx],
-        setup["basis"], ws, variant,
+        setup["basis"], variant,
     )
     state = build_attenuation(setup["q_mu"], dt=0.05, f_min=0.05, f_max=0.5)
     state.zeta[:] = setup["zeta0"]
     relax = None
     if memory:
 
-        def relax(strain, lo, hi):
+        def relax(strain, lo, hi, ws):
             start = idx.start or 0
             return state.relax(strain, slice(start + lo, start + hi), ws.memory)
 
     u = np.ascontiguousarray(setup["u"][idx])
     out = np.empty_like(u)
-    operator.apply(u, out, relax)
+    operator.apply(u, out, relax, Workspace(5))
     return out, state.zeta[:, idx], state
 
 
@@ -317,13 +316,13 @@ class TestFusedKernel:
     def test_strided_or_misshapen_out_rejected(self, distorted_setup):
         # reshape of a non-contiguous ``out`` would copy: nothing written back.
         _, geom, basis, lam, mu, u = distorted_setup
-        operator = ElasticOperator(geom, lam, mu, basis, Workspace(5))
+        operator = ElasticOperator(geom, lam, mu, basis)
         strided = np.empty((*u.shape[:-1], 6))[..., ::2]
         assert strided.shape == u.shape
         with pytest.raises(ValueError, match="C-contiguous"):
-            operator.apply(u, strided)
+            operator.apply(u, strided, None, Workspace(5))
         with pytest.raises(ValueError, match="shaped like field"):
-            operator.apply(u, np.empty(u.size))
+            operator.apply(u, np.empty(u.size), None, Workspace(5))
 
     def test_event_stack_is_a_loop_over_events(self, distorted_setup):
         _, geom, basis, lam, mu, u = distorted_setup

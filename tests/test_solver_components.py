@@ -270,18 +270,17 @@ class TestAttenuationState:
         forces = {}
         for mu in (1.0, 7.0):
             state.zeta[:] = zeta0
-            ws = Workspace(5)
             operator = ElasticOperator(
-                box_geom, np.ones(shape), np.full(shape, mu), GLLBasis(5), ws
+                box_geom, np.ones(shape), np.full(shape, mu), GLLBasis(5)
             )
             totals = []
 
-            def relax(strain, lo, hi):
+            def relax(strain, lo, hi, ws):
                 totals.append(state.relax(strain, slice(lo, hi), ws.memory).copy())
                 return totals[-1]
 
             forces[mu] = np.empty((*shape, 3))
-            operator.apply(np.zeros((*shape, 3)), forces[mu], relax)
+            operator.apply(np.zeros((*shape, 3)), forces[mu], relax, Workspace(5))
             np.testing.assert_array_equal(
                 np.concatenate(totals).reshape(state.zeta.shape[1:]),
                 state.zeta.sum(axis=0),
