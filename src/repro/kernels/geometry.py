@@ -73,10 +73,18 @@ def compute_geometry(xyz: np.ndarray, basis: GLLBasis | None = None) -> ElementG
         basis = GLLBasis(xyz.shape[1])
     jac = reference_derivatives(xyz, basis)  # [l, c] = d x_c / d xi_l
     # Closed-form inverse: dxi_l/dx_d = cofactor(jac)[l, d] / det, and row l
-    # of the cofactor matrix is the cross product of the other two rows.
+    # of the cofactor matrix is the cross product a x b of the other two
+    # rows: component d is a[d+1] b[d+2] - a[d+2] b[d+1] (indices mod 3),
+    # two rounded products and one rounded difference, as np.cross forms it.
     dxi_dx = np.empty_like(jac)
+    product = np.empty_like(jac[0, 0])
     for l in range(3):
-        dxi_dx[l] = np.cross(jac[(l + 1) % 3], jac[(l + 2) % 3], axis=0)
+        a, b = jac[(l + 1) % 3], jac[(l + 2) % 3]
+        for d in range(3):
+            d1, d2 = (d + 1) % 3, (d + 2) % 3
+            np.multiply(a[d1], b[d2], out=dxi_dx[l, d])
+            np.multiply(a[d2], b[d1], out=product)
+            dxi_dx[l, d] -= product
     det = np.einsum("cep,cep->ep", jac[0], dxi_dx[0])
     if np.any(det <= 0.0):
         bad = int(np.sum(det <= 0.0))

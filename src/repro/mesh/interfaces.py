@@ -16,6 +16,8 @@ physical surfaces.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .numbering import group_rows
@@ -26,6 +28,7 @@ __all__ = [
     "face_values",
     "external_faces",
     "faces_at_radius",
+    "faces_at_radii",
     "face_area_weights",
 ]
 
@@ -102,11 +105,29 @@ def faces_at_radius(
     shell elements qualify — side faces of thin layers would otherwise
     slip inside the loosened radius band.
     """
+    (on_radius,) = faces_at_radii(
+        xyz, faces, (radius,), rel_tolerance, radial_faces_only
+    )
+    return on_radius
+
+
+def faces_at_radii(
+    xyz: np.ndarray,
+    faces: np.ndarray,
+    radii: Sequence[float],
+    rel_tolerance: float = 1e-6,
+    radial_faces_only: bool = False,
+) -> list[np.ndarray]:
+    """:func:`faces_at_radius` for each of ``radii``, from one gather of
+    the faces' points and one set of their radii."""
     faces = np.asarray(faces, dtype=np.intp).reshape(-1, 2)
     if radial_faces_only:
         faces = faces[faces[:, 1] >= 4]
     r = np.linalg.norm(face_values(xyz, faces), axis=-1)
-    return faces[np.all(np.abs(r - radius) < radius * rel_tolerance, axis=(1, 2))]
+    return [
+        faces[np.all(np.abs(r - radius) < radius * rel_tolerance, axis=(1, 2))]
+        for radius in radii
+    ]
 
 
 def face_area_weights(

@@ -94,18 +94,17 @@ def _shell_region_geometry(
         breaks = radial.radial_breaks_km(region, n_layers)
     ref_gll, _ = gll_points_and_weights(ngll)
 
-    # Broadcast to (nlayer, neta, nxi, ngll_i, ngll_j, ngll_k).
-    XI = xi_gll[None, None, :, :, None, None]
-    ETA = eta_gll[None, :, None, None, :, None]
-    XI, ETA = np.broadcast_arrays(
-        XI, ETA, np.zeros((n_layers, nex_per, nex_per, ngll, ngll, ngll))
-    )[:2]
-
+    # Each (xi, eta) direction is evaluated once, on axes (eta cell, xi
+    # cell, GLL i, GLL j); every radius along it only scales it.
+    xi_dir = xi_gll[None, :, :, None]
+    eta_dir = eta_gll[:, None, None, :]
+    directions = chunk_points(address.chunk, xi_dir, eta_dir)
+    # Radii broadcast over (nlayer, neta, nxi, ngll_i, ngll_j, ngll_k).
     if region == RegionCode.INNER_CORE:
         # Bottom surface is the inflated central cube: radius varies with
         # angle; blend linearly in the layer fraction toward the ICB sphere.
         rc = radial.central_cube_radius_km()
-        r_surf = central_cube.cube_surface_radius(XI, ETA, rc)
+        r_surf = central_cube.cube_surface_radius(xi_dir, eta_dir, rc)
         fractions = np.linspace(0.0, 1.0, n_layers + 1)
         s_lo = fractions[:-1]
         s_hi = fractions[1:]
@@ -117,13 +116,12 @@ def _shell_region_geometry(
             )
         )  # (nlayer, ngll)
         S = s[:, None, None, None, None, :]
-        S = np.broadcast_arrays(S, XI)[0]
-        R = (1.0 - S) * r_surf + S * constants.R_ICB_KM
+        R = (1.0 - S) * r_surf[..., None] + S * constants.R_ICB_KM
     else:
         r_gll = _angular_gll_grid(breaks, ngll)  # (nlayer, ngll) radii
-        R = np.broadcast_arrays(r_gll[:, None, None, None, None, :], XI)[0]
+        R = r_gll[:, None, None, None, None, :]
 
-    pts = chunk_points(address.chunk, XI, ETA, R)
+    pts = R[..., None] * directions[:, :, :, :, None, :]
     nspec = n_layers * nex_per * nex_per
     return pts.reshape(nspec, ngll, ngll, ngll, 3)
 

@@ -36,23 +36,26 @@ class MeshResolution:
     max_element_size: float
 
 
-def _min_gll_spacing_per_element(xyz: np.ndarray) -> np.ndarray:
-    """Minimum distance between adjacent GLL points, per element.
+def _squared_gll_spacing_per_element(xyz: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+    """Per element, ``reduce`` (``np.minimum`` or ``np.maximum``) of the
+    squared distance between GLL points adjacent along each of the three
+    local axes — the spacing that enters the Courant condition.
 
-    Adjacent along each of the three local axes — the spacing that enters
-    the Courant condition.
+    Squared so that a caller takes one ``sqrt`` per element, not one per
+    point pair: ``sqrt`` is monotonic and correctly rounded, so the root
+    of the extreme square is the extreme distance bit for bit.  Each
+    square is the sum ``np.linalg.norm`` takes the root of, summed in its
+    order (x, then y, then z).
     """
-    d_i = np.linalg.norm(np.diff(xyz, axis=1), axis=-1).min(axis=(1, 2, 3))
-    d_j = np.linalg.norm(np.diff(xyz, axis=2), axis=-1).min(axis=(1, 2, 3))
-    d_k = np.linalg.norm(np.diff(xyz, axis=3), axis=-1).min(axis=(1, 2, 3))
-    return np.minimum(np.minimum(d_i, d_j), d_k)
-
-
-def _max_gll_spacing_per_element(xyz: np.ndarray) -> np.ndarray:
-    d_i = np.linalg.norm(np.diff(xyz, axis=1), axis=-1).max(axis=(1, 2, 3))
-    d_j = np.linalg.norm(np.diff(xyz, axis=2), axis=-1).max(axis=(1, 2, 3))
-    d_k = np.linalg.norm(np.diff(xyz, axis=3), axis=-1).max(axis=(1, 2, 3))
-    return np.maximum(np.maximum(d_i, d_j), d_k)
+    out = None
+    for axis in (1, 2, 3):
+        d = np.diff(xyz, axis=axis)
+        squared = d[..., 0] * d[..., 0]
+        squared += d[..., 1] * d[..., 1]
+        squared += d[..., 2] * d[..., 2]
+        extreme = reduce.reduce(squared.reshape(xyz.shape[0], -1), axis=1)
+        out = extreme if out is None else reduce(out, extreme)
+    return out
 
 
 def stable_time_step_bound(
@@ -62,7 +65,8 @@ def stable_time_step_bound(
     is this times the Courant number (:func:`estimate_time_step`).
 
     ``length_scale`` converts mesh coordinates to metres (mesh is in km,
-    so pass 1000.0 for a bound in seconds).
+    so pass 1000.0 for a bound in seconds).  Per element, the smallest
+    squared spacing and the largest ``vp**2`` each get one ``sqrt``.
     """
     if not meshes:
         raise ValueError("need at least one region mesh")
@@ -70,9 +74,12 @@ def stable_time_step_bound(
     for mesh in meshes:
         if not mesh.has_materials:
             raise ValueError("materials must be assigned before dt estimation")
-        vp = np.sqrt((mesh.kappa + (4.0 / 3.0) * mesh.mu) / mesh.rho)
-        dx = _min_gll_spacing_per_element(mesh.xyz) * length_scale
-        vp_max = vp.reshape(mesh.nspec, -1).max(axis=1)
+        vp_squared = (mesh.kappa + (4.0 / 3.0) * mesh.mu) / mesh.rho
+        vp_max = np.sqrt(vp_squared.reshape(mesh.nspec, -1).max(axis=1))
+        dx = (
+            np.sqrt(_squared_gll_spacing_per_element(mesh.xyz, np.minimum))
+            * length_scale
+        )
         dt = min(dt, float(np.min(dx / vp_max)))
     return dt
 
@@ -96,8 +103,9 @@ def estimate_resolution(
     """Shortest accurately-propagated period (s) of the mesh.
 
     Per element, the resolved wavelength is
-    ``avg_gll_spacing * points_per_wavelength`` and the limiting speed is
-    the slowest non-zero wave speed (S in solids, P in the fluid).
+    ``max_gll_spacing * points_per_wavelength`` (the element's largest
+    spacing between adjacent GLL points) and the limiting speed is the
+    slowest non-zero wave speed (S in solids, P in the fluid).
     """
     worst = 0.0
     for mesh in meshes:
@@ -106,7 +114,10 @@ def estimate_resolution(
         vs = np.sqrt(mesh.mu / mesh.rho)
         vp = np.sqrt((mesh.kappa + (4.0 / 3.0) * mesh.mu) / mesh.rho)
         v_lim = np.where(vs > 1.0, vs, vp).reshape(mesh.nspec, -1).min(axis=1)
-        dx_max = _max_gll_spacing_per_element(mesh.xyz) * length_scale
+        dx_max = (
+            np.sqrt(_squared_gll_spacing_per_element(mesh.xyz, np.maximum))
+            * length_scale
+        )
         period = points_per_wavelength * dx_max / v_lim
         worst = max(worst, float(np.max(period)))
     return worst
@@ -115,8 +126,8 @@ def estimate_resolution(
 def element_size_range(mesh: RegionMesh) -> tuple[float, float]:
     """(min, max) GLL spacing over all elements — shape-spread diagnostic."""
     return (
-        float(_min_gll_spacing_per_element(mesh.xyz).min()),
-        float(_max_gll_spacing_per_element(mesh.xyz).max()),
+        float(np.sqrt(_squared_gll_spacing_per_element(mesh.xyz, np.minimum).min())),
+        float(np.sqrt(_squared_gll_spacing_per_element(mesh.xyz, np.maximum).max())),
     )
 
 

@@ -8,6 +8,8 @@ that lets the SEM capture reflected/converted phases sharply.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..config import constants
@@ -80,15 +82,23 @@ def radial_breaks_between_km(
         raise ValueError(f"invalid bounds [{bottom}, {top}]")
     if not honor_discontinuities:
         return np.linspace(bottom, top, n_layers + 1)
+    return np.asarray(_honouring_breaks(bottom, top, n_layers), dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=64)
+def _honouring_breaks(bottom: float, top: float, n_layers: int) -> tuple[float, ...]:
+    """The breaks of :func:`radial_breaks_between_km` that honour PREM's
+    discontinuities.  PREM is fixed, so each (bounds, layer count) is
+    computed once per process, not once per slice of every mesh."""
     internal = [
         r for r in PREM.discontinuities_km() if bottom + 1e-9 < r < top - 1e-9
     ]
     if len(internal) > n_layers - 1:
         # Keep the discontinuities with the largest density jumps.
-        jumps = [
-            abs(PREM.density(r, side="above") - PREM.density(r, side="below"))
-            for r in internal
-        ]
+        jumps = np.abs(
+            PREM.density(np.asarray(internal), side="above")
+            - PREM.density(np.asarray(internal), side="below")
+        )
         order = np.argsort(jumps)[::-1][: n_layers - 1]
         internal = sorted(internal[i] for i in order)
     breaks = [bottom, *internal, top]
@@ -98,4 +108,4 @@ def radial_breaks_between_km(
         i = int(np.argmax(widths))
         breaks.insert(i + 1, 0.5 * (breaks[i] + breaks[i + 1]))
         breaks.sort()
-    return np.asarray(breaks, dtype=np.float64)
+    return tuple(breaks)

@@ -34,7 +34,7 @@ from ..config import constants
 from ..gll.lagrange import GLLBasis
 from ..kernels.geometry import ElementGeometry, compute_geometry
 from ..mesh.element import RegionMesh
-from ..mesh.interfaces import external_faces, faces_at_radius
+from ..mesh.interfaces import external_faces, faces_at_radii, faces_at_radius
 from ..mesh.quality import stable_time_step_bound
 from ..model.prem import PREM, RegionCode
 from .assembly import assemble_mass_matrix, assemble_scalar_mass_matrix
@@ -106,6 +106,14 @@ def _prepare_region(mesh: RegionMesh, basis: GLLBasis) -> PreparedRegion:
     return PreparedRegion(geom=geom, mass=mass, ti_frames=frames)
 
 
+#: The solid-fluid interfaces: (radius, solid region, orientation of the
+#: normal out of the fluid), CMB then ICB.
+_INTERFACES = (
+    (constants.R_CMB_KM, RegionCode.CRUST_MANTLE, +1.0),
+    (constants.R_ICB_KM, RegionCode.INNER_CORE, -1.0),
+)
+
+
 def _prepare_couplings(
     meshes: Mapping[int, RegionMesh], deformed: bool, basis: GLLBasis
 ) -> tuple[tuple[int, CouplingOperator], ...]:
@@ -114,26 +122,23 @@ def _prepare_couplings(
         return ()
     fl = fluid[0]
     w2 = np.outer(basis.weights, basis.weights)
-    fluid_ext = external_faces(fl.ibool)
     tol = surface_tolerance(deformed)
+    interfaces = [i for i in _INTERFACES if i[1] in meshes]
+    # One external-face pass per region: the fluid's faces and their radii
+    # serve both joins.
+    fluid_at = faces_at_radii(
+        fl.xyz, external_faces(fl.ibool), [radius for radius, _, _ in interfaces],
+        rel_tolerance=tol, radial_faces_only=deformed,
+    )
     couplings = []
-    for radius_km, solid_code, orientation in (
-        (constants.R_CMB_KM, RegionCode.CRUST_MANTLE, +1.0),
-        (constants.R_ICB_KM, RegionCode.INNER_CORE, -1.0),
-    ):
-        if solid_code not in meshes:
+    for (radius_km, solid_code, orientation), fluid_faces in zip(interfaces, fluid_at):
+        if not len(fluid_faces):
             continue
         sol = meshes[solid_code]
-        fluid_faces = faces_at_radius(
-            fl.xyz, fluid_ext, radius_km,
-            rel_tolerance=tol, radial_faces_only=deformed,
-        )
         solid_faces = faces_at_radius(
             sol.xyz, external_faces(sol.ibool), radius_km,
             rel_tolerance=tol, radial_faces_only=deformed,
         )
-        if not len(fluid_faces):
-            continue
         op = build_coupling_operator(
             fl.xyz, fl.ibool, fluid_faces,
             sol.xyz, sol.ibool, solid_faces,

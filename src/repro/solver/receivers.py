@@ -173,7 +173,11 @@ class PointLocator:
     point are then searched with Newton inversion and the best-fitting
     one hosts the target.  The copies of a global point coincide to the
     numbering's tolerance, so a tree over all of them (``ibool.size``
-    points, ~1.7x as many, ~1.7x the build time) finds the same point.
+    points, ~1.7x as many) finds the same point.  The tree is built
+    unbalanced (sliding-midpoint splits) and without shrinking its cells
+    to their points: over the 55 314 distinct crust/mantle points of a
+    NEX 8 mesh that takes ~4 ms against ~9.5 ms for scipy's default
+    balanced, compacted tree, and queries are exact whatever its shape.
     """
 
     def __init__(self, xyz: np.ndarray, ibool: np.ndarray):
@@ -186,7 +190,9 @@ class PointLocator:
         first[flat[::-1]] = np.arange(flat.size - 1, -1, -1)
         #: Tree point -> flat GLL index of the copy it was built from.
         self._copy = first
-        self._tree = cKDTree(xyz.reshape(-1, 3)[first])
+        self._tree = cKDTree(
+            xyz.reshape(-1, 3)[first], balanced_tree=False, compact_nodes=False
+        )
 
     def locate(self, station: Station, mode: str) -> LocatedReceiver:
         """Resolve one station against the mesh."""

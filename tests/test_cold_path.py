@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import constants
 from repro.config.parameters import SimulationParameters
 from repro.cubed_sphere import SliceAddress, SliceGrid
-from repro.cubed_sphere.mapping import NCHUNKS, chunk_rotation
+from repro.cubed_sphere.mapping import NCHUNKS, chunk_points, chunk_rotation
 from repro.gll.interpolation import interpolation_weights_3d
 from repro.gll.lagrange import (
     GLLBasis,
@@ -39,8 +39,13 @@ from repro.mesh import (
     external_faces,
     faces_at_radius,
 )
-from repro.mesh import mesher
-from repro.mesh.central_cube import map_cube_points
+from repro.mesh import mesher, quality, radial
+from repro.mesh.central_cube import cube_surface_radius, map_cube_points
+from repro.mesh.quality import (
+    element_size_range,
+    estimate_resolution,
+    estimate_time_step,
+)
 from repro.mesh.element import RegionMesh
 from repro.mesh.interfaces import FACE_SLICES, face_area_weights, face_points
 from repro.mesh.numbering import group_rows, renumber_first_touch
@@ -56,7 +61,16 @@ from repro.solver import (
     build_ocean_load,
     gaussian_stf,
 )
-from repro.solver import receivers
+from repro.kernels.anisotropic import radial_frames
+from repro.kernels.geometry import ElementGeometry
+from repro.kernels.weakform import reference_derivatives
+from repro.solver import assemble_mass_matrix, assemble_scalar_mass_matrix, receivers
+from repro.solver.prepared import (
+    LENGTH_SCALE,
+    PreparedMesh,
+    deformed_surfaces,
+    surface_tolerance,
+)
 from repro.solver import solver as solver_module
 from repro.solver.sources import (
     moment_tensor_source_array,
@@ -1085,6 +1099,270 @@ class TestShapeFunctions:
                 moment_tensor_source_array(moment, exyz, inv_jac, *ref),
                 np.einsum("cd,ijkd->ijkc", moment, dphys),
             )
+
+
+# ------------------------------------ shell directions and solver set-up
+# The mesher's shell geometry evaluated the gnomonic direction (and the
+# inflated cube's surface radius) at every broadcast GLL point; the solver
+# set-up formed cofactors with np.cross, took a norm per GLL point pair
+# and a sqrt per GLL point for the Courant bound, built a balanced KD-tree
+# and filtered the fluid's external faces once per interface.  Those forms,
+# as they were:
+
+
+def oracle_shell_region_geometry(params, address, region):
+    ngll = constants.NGLLX
+    grid = SliceGrid(params.nproc_xi)
+    nex_per = params.nex_per_slice
+    xi_bounds, eta_bounds = grid.slice_coordinates_1d(address, nex_per)
+    xi_gll = mesher._angular_gll_grid(xi_bounds, ngll)
+    eta_gll = mesher._angular_gll_grid(eta_bounds, ngll)
+    n_layers = mesher._region_layer_count(params, region)
+    if params.uniform_radial_layers:
+        breaks = radial.radial_breaks_km_uniform(region, n_layers)
+    else:
+        breaks = radial.radial_breaks_km(region, n_layers)
+    ref_gll, _ = gll_points_and_weights(ngll)
+    XI = xi_gll[None, None, :, :, None, None]
+    ETA = eta_gll[None, :, None, None, :, None]
+    XI, ETA = np.broadcast_arrays(
+        XI, ETA, np.zeros((n_layers, nex_per, nex_per, ngll, ngll, ngll))
+    )[:2]
+    if region == RegionCode.INNER_CORE:
+        rc = radial.central_cube_radius_km()
+        r_surf = cube_surface_radius(XI, ETA, rc)
+        fractions = np.linspace(0.0, 1.0, n_layers + 1)
+        s_lo = fractions[:-1]
+        s_hi = fractions[1:]
+        s = 0.5 * ((s_hi - s_lo)[:, None] * ref_gll[None, :] + (s_hi + s_lo)[:, None])
+        S = s[:, None, None, None, None, :]
+        S = np.broadcast_arrays(S, XI)[0]
+        R = (1.0 - S) * r_surf + S * constants.R_ICB_KM
+    else:
+        r_gll = mesher._angular_gll_grid(breaks, ngll)
+        R = np.broadcast_arrays(r_gll[:, None, None, None, None, :], XI)[0]
+    pts = chunk_points(address.chunk, XI, ETA, R)
+    return pts.reshape(n_layers * nex_per * nex_per, ngll, ngll, ngll, 3)
+
+
+def oracle_radial_breaks(bottom, top, n_layers):
+    internal = [
+        r for r in PREM.discontinuities_km() if bottom + 1e-9 < r < top - 1e-9
+    ]
+    if len(internal) > n_layers - 1:
+        jumps = [
+            abs(PREM.density(r, side="above") - PREM.density(r, side="below"))
+            for r in internal
+        ]
+        order = np.argsort(jumps)[::-1][: n_layers - 1]
+        internal = sorted(internal[i] for i in order)
+    breaks = [bottom, *internal, top]
+    while len(breaks) - 1 < n_layers:
+        widths = np.diff(breaks)
+        i = int(np.argmax(widths))
+        breaks.insert(i + 1, 0.5 * (breaks[i] + breaks[i + 1]))
+        breaks.sort()
+    return np.asarray(breaks, dtype=np.float64)
+
+
+def oracle_compute_geometry(xyz, basis):
+    """(dxi_dx, jacobian, jweight) with the cofactor rows from np.cross."""
+    jac = reference_derivatives(xyz, basis)
+    dxi_dx = np.empty_like(jac)
+    for l in range(3):
+        dxi_dx[l] = np.cross(jac[(l + 1) % 3], jac[(l + 2) % 3], axis=0)
+    det = np.einsum("cep,cep->ep", jac[0], dxi_dx[0])
+    dxi_dx /= det
+    det = det.reshape(xyz.shape[:-1])
+    return dxi_dx, det, det * basis.wgll3[None, ...]
+
+
+def oracle_min_gll_spacing(xyz):
+    d_i = np.linalg.norm(np.diff(xyz, axis=1), axis=-1).min(axis=(1, 2, 3))
+    d_j = np.linalg.norm(np.diff(xyz, axis=2), axis=-1).min(axis=(1, 2, 3))
+    d_k = np.linalg.norm(np.diff(xyz, axis=3), axis=-1).min(axis=(1, 2, 3))
+    return np.minimum(np.minimum(d_i, d_j), d_k)
+
+
+def oracle_max_gll_spacing(xyz):
+    d_i = np.linalg.norm(np.diff(xyz, axis=1), axis=-1).max(axis=(1, 2, 3))
+    d_j = np.linalg.norm(np.diff(xyz, axis=2), axis=-1).max(axis=(1, 2, 3))
+    d_k = np.linalg.norm(np.diff(xyz, axis=3), axis=-1).max(axis=(1, 2, 3))
+    return np.maximum(np.maximum(d_i, d_j), d_k)
+
+
+def oracle_stable_time_step_bound(meshes, length_scale):
+    dt = np.inf
+    for mesh in meshes:
+        vp = np.sqrt((mesh.kappa + (4.0 / 3.0) * mesh.mu) / mesh.rho)
+        dx = oracle_min_gll_spacing(mesh.xyz) * length_scale
+        vp_max = vp.reshape(mesh.nspec, -1).max(axis=1)
+        dt = min(dt, float(np.min(dx / vp_max)))
+    return dt
+
+
+def oracle_estimate_resolution(meshes, points_per_wavelength=5.0, length_scale=1.0):
+    worst = 0.0
+    for mesh in meshes:
+        vs = np.sqrt(mesh.mu / mesh.rho)
+        vp = np.sqrt((mesh.kappa + (4.0 / 3.0) * mesh.mu) / mesh.rho)
+        v_lim = np.where(vs > 1.0, vs, vp).reshape(mesh.nspec, -1).min(axis=1)
+        dx_max = oracle_max_gll_spacing(mesh.xyz) * length_scale
+        worst = max(worst, float(np.max(points_per_wavelength * dx_max / v_lim)))
+    return worst
+
+
+def oracle_balanced_locator(xyz, ibool):
+    """``PointLocator`` with scipy's default (balanced, compacted) tree."""
+    locator = receivers.PointLocator(xyz, ibool)
+    locator._tree = receivers.cKDTree(xyz.reshape(-1, 3)[locator._copy])
+    return locator
+
+
+def oracle_prepare_couplings(meshes, deformed):
+    """``(solid_code, operator)`` per interface, the fluid's external faces
+    filtered by radius once per interface."""
+    fl = meshes[RegionCode.OUTER_CORE]
+    fluid_ext = external_faces(fl.ibool)
+    tol = surface_tolerance(deformed)
+    couplings = []
+    for radius_km, solid_code, orientation in INTERFACES:
+        sol = meshes[solid_code]
+        fluid_faces = faces_at_radius(
+            fl.xyz, fluid_ext, radius_km,
+            rel_tolerance=tol, radial_faces_only=deformed,
+        )
+        solid_faces = faces_at_radius(
+            sol.xyz, external_faces(sol.ibool), radius_km,
+            rel_tolerance=tol, radial_faces_only=deformed,
+        )
+        op = build_coupling_operator(
+            fl.xyz, fl.ibool, fluid_faces, sol.xyz, sol.ibool, solid_faces,
+            radius_km, W2, outward_from_fluid=orientation,
+        )
+        couplings.append(
+            (solid_code, op.fluid_ids, op.solid_ids, op.normals,
+             op.weights * LENGTH_SCALE**2)
+        )
+    return couplings
+
+
+@pytest.fixture(scope="module")
+def transversely_isotropic():
+    return build_global_mesh(params_of(transverse_isotropy=True))
+
+
+class TestShellDirections:
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(nex_xi=8, nproc_xi=2),
+        dict(uniform_radial_layers=True),
+        dict(ner_crust_mantle=3, ner_outer_core=2, ner_inner_core=2),
+    ])
+    def test_each_direction_once_equals_every_point(self, overrides):
+        params = params_of(**overrides)
+        grid = SliceGrid(params.nproc_xi)
+        for rank in range(grid.nproc_total):
+            address = grid.address_of(rank)
+            for region in (0, 1, 2):
+                assert same_bits(
+                    mesher._shell_region_geometry(params, address, region),
+                    oracle_shell_region_geometry(params, address, region),
+                )
+
+    def test_cached_radial_breaks_equal_the_per_discontinuity_loop(self):
+        bounds = [radial.region_bounds_km(region) for region in (0, 1, 2)]
+        bounds.append((constants.R_EARTH_KM - 600.0, constants.R_EARTH_KM))
+        for bottom, top in bounds:
+            for n_layers in range(1, 12):
+                want = oracle_radial_breaks(bottom, top, n_layers)
+                for _ in range(2):  # computed, then served from the cache
+                    got = radial.radial_breaks_between_km(bottom, top, n_layers)
+                    assert same_bits(got, want)
+                got[0] = -1.0  # a caller's copy: the cache is not written
+        assert same_bits(
+            radial.radial_breaks_between_km(*bounds[-1], 11),
+            oracle_radial_breaks(*bounds[-1], 11),
+        )
+
+
+class TestSolverSetUp:
+    @pytest.mark.parametrize("which", ["merged", "deformed", "transversely_isotropic"])
+    def test_prepared_arrays_and_dt_equal_the_replaced_forms(self, which, request):
+        mesh = request.getfixturevalue(which)
+        deformed = deformed_surfaces(mesh.params)
+        prepared = PreparedMesh(mesh.regions, deformed)
+        basis = GLLBasis(constants.NGLLX)
+        for code, region in prepared.regions.items():
+            source = mesh.regions[code]
+            xyz_m = source.xyz * LENGTH_SCALE
+            dxi_dx, jacobian, jweight = oracle_compute_geometry(xyz_m, basis)
+            assert same_bits(region.geom.dxi_dx, dxi_dx)
+            assert same_bits(region.geom.jacobian, jacobian)
+            assert same_bits(region.geom.jweight, jweight)
+            geom = ElementGeometry(dxi_dx, jacobian, jweight)
+            if source.is_fluid:
+                mass = assemble_scalar_mass_matrix(
+                    1.0 / source.kappa, geom, source.ibool, source.nglob
+                )
+            else:
+                mass = assemble_mass_matrix(source.rho, geom, source.ibool, source.nglob)
+            assert same_bits(region.mass, mass)
+            if source.ti_moduli is not None:
+                assert same_bits(region.ti_frames, radial_frames(xyz_m))
+        assert (which == "transversely_isotropic") == any(
+            region.ti_frames is not None for region in prepared.regions.values()
+        )
+        want = oracle_prepare_couplings(mesh.regions, deformed)
+        assert len(prepared.couplings) == len(want) == 2
+        for (code, op), (want_code, *arrays) in zip(prepared.couplings, want):
+            assert code == want_code
+            got = (op.fluid_ids, op.solid_ids, op.normals, op.weights)
+            assert all(same_bits(g, w) for g, w in zip(got, arrays))
+        bound = oracle_stable_time_step_bound(
+            list(mesh.regions.values()), LENGTH_SCALE
+        )
+        assert same_bits(prepared.dt_bound, bound)
+
+    @pytest.mark.parametrize("which", ["merged", "deformed"])
+    def test_spacing_diagnostics_equal_the_norm_forms(self, which, request):
+        meshes = list(request.getfixturevalue(which).regions.values())
+        for mesh in meshes:
+            for reduce, oracle in (
+                (np.minimum, oracle_min_gll_spacing),
+                (np.maximum, oracle_max_gll_spacing),
+            ):
+                squared = quality._squared_gll_spacing_per_element(mesh.xyz, reduce)
+                assert same_bits(np.sqrt(squared), oracle(mesh.xyz))
+            assert element_size_range(mesh) == (
+                float(oracle_min_gll_spacing(mesh.xyz).min()),
+                float(oracle_max_gll_spacing(mesh.xyz).max()),
+            )
+        assert estimate_resolution(meshes, length_scale=1e3) == (
+            oracle_estimate_resolution(meshes, length_scale=1e3)
+        )
+        assert estimate_time_step(meshes, length_scale=1e3) == (
+            0.4 * oracle_stable_time_step_bound(meshes, 1e3)
+        )
+
+    @pytest.mark.parametrize(
+        "region, count", [(RegionCode.CRUST_MANTLE, 140), (RegionCode.INNER_CORE, 60)]
+    )
+    def test_unbalanced_tree_locates_as_the_balanced_tree(self, merged, region, count):
+        mesh = merged.regions[region]
+        locator = receivers.PointLocator(mesh.xyz, mesh.ibool)
+        oracle = oracle_balanced_locator(mesh.xyz, mesh.ibool)
+        targets = locator_targets(merged, region, count, seed=region + 20)
+        targets += [np.asarray(s.position) for s in STATIONS]
+        for target in targets:
+            station = Station("t", tuple(target))
+            for mode in ("closest_point", "interpolated"):
+                got = locator.locate(station, mode)
+                want = oracle.locate(station, mode)
+                assert got.global_index == want.global_index
+                assert got.location_error == want.location_error
+                assert got.element == want.element
+                assert same_bits(got.weights, want.weights)
 
 
 # ------------------------------------------- the guard noise cannot touch

@@ -86,7 +86,7 @@ PREPARATION = (
     assemble_scalar_mass_matrix,
     build_coupling_operator,
     build_ocean_load,
-    quality._min_gll_spacing_per_element,
+    quality._squared_gll_spacing_per_element,
 )
 
 
@@ -124,7 +124,7 @@ class TestPreparedOnce:
         assert first["compute_geometry"] == len(mesh.regions)
         assert first["build_coupling_operator"] == 2  # CMB and ICB
         assert first["build_ocean_load"] == 1
-        assert first["_min_gll_spacing_per_element"] == len(mesh.regions)
+        assert first["_squared_gll_spacing_per_element"] == len(mesh.regions)
         for calls in counters.values():
             calls.clear()
         GlobalSolver(
