@@ -111,9 +111,10 @@ class RetryPolicy:
     * ``"fatal"`` (``no_retry_on``) — deterministic failures such as a
       diverged solution (:class:`~repro.chaos.sentinel
       .NumericalHealthError`) or a corrupt checkpoint the segmented
-      executor could not route around: fail fast on the first attempt,
-      persisting the diagnostic snapshot, instead of burning the whole
-      retry budget re-deriving the same NaN;
+      executor could not route around, also as the ``cause`` of a
+      :class:`RankFailedError` (a rank that diverged): fail fast on the
+      first attempt, persisting the diagnostic snapshot, instead of
+      burning the whole retry budget re-deriving the same NaN;
     * ``"permanent"`` — everything else (bad parameters, code bugs).
 
     ``no_retry_on`` wins when an exception type matches both (e.g. a
@@ -153,6 +154,9 @@ class RetryPolicy:
 
     def classify(self, exc: BaseException) -> str:
         """``"fatal"`` | ``"transient"`` | ``"permanent"`` (see class doc)."""
+        if isinstance(exc, RankFailedError):
+            if isinstance(exc.cause, self.no_retry_on):
+                return "fatal"
         if isinstance(exc, self.no_retry_on):
             return "fatal"
         if isinstance(exc, self.retry_on):

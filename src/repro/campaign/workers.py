@@ -349,7 +349,9 @@ class WorkerPool:
                         # keeps its health snapshot in the provenance
                         # record instead of burning the retry budget.
                         self._count("jobs.failed_fast")
-                        snap = getattr(exc, "snapshot", None)
+                        # A diverged rank's snapshot is on its cause.
+                        cause = getattr(exc, "cause", exc)
+                        snap = getattr(cause, "snapshot", None)
                         if snap is not None:
                             failure["health_snapshot"] = snap.to_dict()
                     failure["error"] = (
@@ -428,20 +430,19 @@ class WorkerPool:
         queue.close()
         item_of = {item[0].name: item for item in items}
         n_threads = min(self.n_workers, max(1, len(items)))
+        tracers = [None] * n_threads
         if self.trace:
             from ..obs.tracer import Tracer
 
-            self.tracers = [
-                Tracer(pid=i, epoch=self.epoch) for i in range(n_threads)
-            ]
-        else:
-            self.tracers = []
+            tracers = [Tracer(pid=i, epoch=self.epoch) for i in range(n_threads)]
+        # Each worker gets its tracer as an argument: a concurrent run
+        # replaces ``self.tracers`` (the last run's) while this one works.
+        self.tracers = tracers if self.trace else []
         results: dict[str, list[JobResult]] = {}
         results_lock = threading.Lock()
         errors: list[BaseException] = []
 
-        def worker(index: int) -> None:
-            tracer = self.tracers[index] if self.tracers else None
+        def worker(tracer) -> None:
             while True:
                 lead = queue.pop()
                 if lead is None:
@@ -457,9 +458,9 @@ class WorkerPool:
 
         threads = [
             threading.Thread(
-                target=worker, args=(i,), name=f"campaign-worker-{i}"
+                target=worker, args=(tracer,), name=f"campaign-worker-{i}"
             )
-            for i in range(n_threads)
+            for i, tracer in enumerate(tracers)
         ]
         for t in threads:
             t.start()

@@ -387,7 +387,6 @@ def run_rank_death_drill(
     recv_timeout_s: float = 5.0,
     timeout_s: float = 300.0,
     suspect_after_s: float = 1.0,
-    probe_interval_s: float = 0.02,
 ) -> DrillReport:
     """Kill a rank mid-epoch; the supervisor must recover *in-run*.
 
@@ -447,7 +446,6 @@ def run_rank_death_drill(
             mode=mode,
             max_recoveries=max_recoveries,
             suspect_after_s=suspect_after_s,
-            probe_interval_s=probe_interval_s,
         )
     )
     try:

@@ -23,11 +23,15 @@ closed, so the time spent queueing for a slot lands in
 spans: after :meth:`VirtualComm.waiting` the halo exchanger closes its
 span before it takes the slot back).
 
-:meth:`VirtualCluster.run` has one deadline for the whole run.  When it
-expires, every rank parked at a blocking point (mailbox wait, barrier,
-collective, slot queue, injected stall) is cancelled with
+:meth:`VirtualCluster.run` has one cancel path.  It is taken when the
+run's one deadline expires and when a rank's program raises: every rank
+parked at a blocking point (mailbox wait, barrier, collective, slot
+queue, injected stall), or reaching one later, raises
 :class:`~repro.parallel.errors.RunCancelledError`, the ranks are joined,
-and ``run`` raises :class:`TimeoutError`; no rank thread outlives it.
+and ``run`` raises the failing rank's own exception — or
+:class:`TimeoutError` when the deadline, not a failure, cancelled the
+run.  As in one MPI job, one rank's failure ends the run; no rank thread
+outlives it.
 
 Two point-to-point styles are offered, mirroring MPI:
 
@@ -66,9 +70,9 @@ stands between a rank program and its communicator:
   the rank wait-for graph with any deadlock cycle;
 * ``VirtualCluster(failure_detector=...)`` — a
   :class:`~repro.resilience.detector.FailureDetector` fed heartbeats by
-  every operation, which turns a receive blocked on a dead peer into a
-  :class:`~repro.parallel.errors.RankDeathError` within one probe
-  interval.
+  every operation, which files a crashed rank's death and turns a
+  receive deadline expiring on a heartbeat-silent (hung) peer into a
+  :class:`~repro.parallel.errors.RankDeathError`.
 
 Every operation consults them in one fixed order (:meth:`VirtualComm.
 _send` and :meth:`VirtualComm._complete_recv`): **chaos decides first**
@@ -80,11 +84,9 @@ design:
   actually on the wire (an injected drop or duplicate shows up as the
   protocol violation it is) and the detector sees injected failures
   exactly like real ones;
-* the detector's probing lives in the mailbox wait itself
-  (:meth:`VirtualCluster._match` waits one probe interval at a time and
-  asks :meth:`~repro.resilience.detector.FailureDetector.probe` between
-  slices), so an expired probe slice never reaches the sanitizer as a
-  spurious receive timeout — only the full deadline does.
+* the detector arbitrates an expired receive before the sanitizer
+  records the timeout, so a hung peer is filed as a death and only a
+  straggler or a lost message reaches the sanitizer's wait-for graph.
 
 A request carries the sanitizer's tracking id (``None`` when the
 cluster is not sanitized), so ``isend``/``irecv`` handles are tracked
@@ -192,6 +194,11 @@ class _RunSlots:
 
 #: Put into every mailbox when a run is cancelled, to wake its waiter.
 _CANCEL = object()
+
+#: A rank's errors that only follow from another rank's failure or the
+#: cancel: never filed as its death, and behind a rank's own failure in
+#: :meth:`VirtualCluster.run`'s triage.
+_SECONDARY = (threading.BrokenBarrierError, RankDeathError, RunCancelledError)
 
 
 class Request:
@@ -434,9 +441,11 @@ class VirtualComm:
         effective = timeout if timeout is not None else cluster.recv_timeout_s
         if sanitizer is not None:
             sanitizer.on_wait_begin(self.rank, source, tag)
+        if detector is not None:
+            detector.waiting(self.rank)
         t0 = time.perf_counter()
         try:
-            data = cluster._match(self, source, tag, effective, detector)
+            data = cluster._match(self, source, tag, effective)
         except TimeoutError as exc:
             if detector is not None:
                 # Dead peer or straggler?  Arbitrated by heartbeat age.
@@ -453,11 +462,11 @@ class VirtualComm:
             self.stats.comm_time_s += time.perf_counter() - t0
             if sanitizer is not None:
                 sanitizer.on_wait_end(self.rank)
+            if detector is not None:
+                detector.beat(self.rank)
             self._resume()
         if sanitizer is not None:
             sanitizer.on_recv_complete(self.rank, source, tag)
-        if detector is not None:
-            detector.beat(self.rank)
         self.stats.messages_received += 1
         self.stats.bytes_received += data.nbytes
         return data
@@ -586,9 +595,9 @@ class VirtualCluster:
         #: recent :meth:`run` (``None`` unless ``sanitize=True``).
         self.sanitizer_report: "SanitizerReport | None" = None
         #: Optional :class:`~repro.resilience.detector.FailureDetector`.
-        #: When set, every rank's comm feeds it heartbeats and receives
-        #: probe it between wait slices, and the runner confirms abnormal
-        #: rank terminations to it.
+        #: When set, every rank's comm feeds it heartbeats, an expired
+        #: receive asks it whether the peer hung, and the runner confirms
+        #: abnormal rank terminations to it.
         self.failure_detector = failure_detector
         if failure_detector is not None and failure_detector.size != size:
             raise ValueError(
@@ -626,24 +635,13 @@ class VirtualCluster:
     # -- internals ---------------------------------------------------------------
 
     def _match(
-        self,
-        comm: VirtualComm,
-        source: int,
-        tag: int,
-        timeout: float,
-        detector: "FailureDetector | None" = None,
+        self, comm: VirtualComm, source: int, tag: int, timeout: float
     ) -> np.ndarray:
         """Take the message ``(source, tag)`` out of ``comm``'s mailbox.
 
         Queued messages are drained without blocking first; only when the
         mailbox is empty does the rank give its run slot up and wait."""
         rank = comm.rank
-        # With a detector the wait runs in probe slices: each empty slice
-        # asks the detector whether the peer died or departed meanwhile.
-        slice_s = timeout
-        if detector is not None:
-            detector.probe(rank, source, tag, waited=False)
-            slice_s = detector.probe_interval_s
         # Check already-drained messages first.
         pending = self._unmatched[rank]
         for i, (src, t, data) in enumerate(pending):
@@ -668,11 +666,9 @@ class VirtualCluster:
                     ) from None
                 comm._park()
                 try:
-                    item = mailbox.get(timeout=min(slice_s, remaining))
+                    item = mailbox.get(timeout=remaining)
                 except queue.Empty:
-                    if detector is not None:
-                        detector.probe(rank, source, tag, waited=True)
-                    continue
+                    continue  # the loop head raises the timeout
             if item is _CANCEL:
                 continue  # a wake-up: the loop head decides
             src, t, data = item
@@ -735,10 +731,15 @@ class VirtualCluster:
         ``timeout`` (default :data:`DEFAULT_TIMEOUT_S`) is one deadline
         for the whole run; it also becomes the per-receive deadline
         unless the cluster was built with an explicit ``recv_timeout_s``.
-        When it expires, every rank parked at a blocking point is
-        cancelled, the ranks are joined, and :class:`TimeoutError` is
-        raised.  Otherwise any rank raising propagates the first real
-        exception after all ranks finish.
+        The run is cancelled when a rank's program raises or when the
+        deadline expires: every peer raises
+        :class:`~repro.parallel.errors.RunCancelledError` at its current
+        or next blocking point, and the ranks are joined.  ``run`` then
+        raises the root cause, carrying its rank as ``failed_rank``: a
+        rank's own failure, else a peer filed dead by the failure
+        detector (:class:`~repro.parallel.errors.RankDeathError`), else a
+        broken barrier or the cancel itself.  A run the deadline
+        cancelled raises :class:`TimeoutError` instead.
         """
         if timeout is None:
             timeout = self.DEFAULT_TIMEOUT_S
@@ -753,27 +754,19 @@ class VirtualCluster:
             try:
                 comm._resume()  # queue for a first slot
                 results[rank] = program(comm)
-            # Rank isolation: the first real failure is re-raised after all
+            # Rank isolation: the root cause is re-raised after all
             # threads join, so nothing is swallowed here.
             except BaseException as exc:  # repro: disable=R5
                 errors[rank] = exc
-                if self.failure_detector is not None:
-                    if not isinstance(
-                        exc,
-                        (threading.BrokenBarrierError, RankDeathError,
-                         RunCancelledError),
-                    ):
-                        # Confirm the death (secondary failures — broken
-                        # barriers, observed peer deaths, the deadline's
-                        # cancellation — are not deaths of *this* rank
-                        # and must not be filed as such).
-                        self.failure_detector.mark_dead(rank, exc)
-                    # Either way this rank's program is gone: peers
-                    # probing it fail fast (citing the primary death)
-                    # instead of waiting out their full recv deadline.
-                    self.failure_detector.mark_departed(rank)
-                # Break the barriers so other ranks do not hang forever.
-                self._abort_barriers()
+                if self.failure_detector is not None and not isinstance(
+                    exc, _SECONDARY
+                ):
+                    # Confirm the death (broken barriers, peers filed
+                    # dead by escalation and the cancel are not deaths
+                    # of *this* rank and must not be filed as such).
+                    self.failure_detector.mark_dead(rank, exc)
+                # One rank's failure ends the run: stop every peer.
+                self._cancel_run()
             finally:
                 comm._park()
                 self.stats[rank] = comm.stats
@@ -791,59 +784,50 @@ class VirtualCluster:
             for t in threads:
                 t.join(max(0.0, deadline - time.monotonic()))
             if any(t.is_alive() for t in threads):
+                expired = not self._cancel.is_set()
                 self._cancel_run()
                 grace_end = time.monotonic() + self.CANCEL_GRACE_S
                 for t in threads:
                     t.join(max(0.0, grace_end - time.monotonic()))
                 running = [r for r, t in enumerate(threads) if t.is_alive()]
-                raise TimeoutError(
-                    f"virtual cluster run exceeded its {timeout:.3g}s deadline"
-                    + (f"; ranks {running} never reached a blocking point"
-                       if running else "")
-                )
+                if expired:
+                    raise TimeoutError(
+                        f"virtual cluster run exceeded its {timeout:.3g}s "
+                        "deadline"
+                        + (f"; ranks {running} never reached a blocking "
+                           "point" if running else "")
+                    )
         finally:
             # Finalize even when a rank failed or the run timed out: the
             # report of a disturbed run is exactly what a drill inspects.
             if self.sanitizer is not None:
                 self.sanitizer_report = self.sanitizer.finalize()
-        # Prefer the root-cause exception.  Three tiers: a rank's own
-        # failure beats a peer-observed death (RankDeathError — the dead
-        # rank's exception, when present, is the real cause), which beats
-        # a broken barrier (pure secondary effect).  The failing rank is
-        # attached so callers (the launcher) can wrap it in a typed error.
-        real = [(r, e) for r, e in enumerate(errors) if e is not None
-                and not isinstance(
-                    e, (threading.BrokenBarrierError, RankDeathError)
-                )]
-        if real:
-            rank, exc = real[0]
-            exc.failed_rank = rank
-            raise exc
-        deaths = [(r, e) for r, e in enumerate(errors)
-                  if isinstance(e, RankDeathError)]
-        if deaths:
-            # Attribute the failure to the *dead peer*, not the observer:
-            # an unresponsive (hung, never-raising) rank surfaces only
-            # through its peers' RankDeathErrors.
-            rank, exc = deaths[0]
-            exc.failed_rank = exc.rank
-            raise exc
-        for rank, exc in enumerate(errors):
-            if exc is not None:
+        failed = [(r, e) for r, e in enumerate(errors) if e is not None]
+        if not failed:
+            return results
+        # The root cause first: a rank's own failure, then a peer filed
+        # dead (attributed to the dead peer, not the observer: a hung,
+        # never-raising rank surfaces only through its peers'
+        # RankDeathErrors), then the cancel's secondary effects.
+        for rank, exc in failed:
+            if not isinstance(exc, _SECONDARY):
                 exc.failed_rank = rank
                 raise exc
-        return results
-
-    def _abort_barriers(self) -> None:
-        self._barrier.abort()
-        self._collect_barrier.abort()
-        self._read_barrier.abort()
+        for rank, exc in failed:
+            if isinstance(exc, RankDeathError):
+                exc.failed_rank = exc.rank
+                raise exc
+        rank, exc = failed[0]
+        exc.failed_rank = rank
+        raise exc
 
     def _cancel_run(self) -> None:
         """Wake every parked rank into :class:`RunCancelledError`: slot
-        queue, barriers and collectives, mailbox waits, injected stalls."""
+        queue, barriers and collectives, mailbox waits, injected stalls.
+        Idempotent: every failing rank calls it."""
         self._cancel.set()
         self._slots.cancel()
-        self._abort_barriers()
+        for barrier in (self._barrier, self._collect_barrier, self._read_barrier):
+            barrier.abort()
         for mailbox in self._mailboxes:
             mailbox.put(_CANCEL)

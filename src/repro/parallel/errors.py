@@ -44,20 +44,20 @@ class RankTimeoutError(RankFailedError, TimeoutError):
 
 
 class RankDeathError(RankFailedError):
-    """A peer rank was *confirmed* dead while this rank waited on it.
+    """A peer rank was declared dead while this rank waited on it.
 
-    Raised by a receive probing the failure detector
-    (:meth:`~repro.resilience.detector.FailureDetector.probe`, or its
-    deadline escalation) when the wait can be attributed to a peer that
-    has already crashed — as opposed to :class:`RankTimeoutError`,
-    which means the peer merely failed to answer within the deadline
-    (a straggler or a lost message).  ``rank`` is the *dead peer*, not
-    the raising rank; ``report`` carries the detector's
+    Raised by a receive whose deadline expired on a heartbeat-silent
+    peer, which the failure detector files as ``unresponsive``
+    (:meth:`~repro.resilience.detector.FailureDetector.escalate_timeout`)
+    — as opposed to :class:`RankTimeoutError`, which means the peer
+    merely failed to answer within the deadline (a straggler or a lost
+    message).  ``rank`` is the *dead peer*, not the raising rank;
+    ``report`` carries the detector's
     :class:`~repro.resilience.detector.RankDeathReport`.
 
     In :meth:`~repro.parallel.comm.VirtualCluster.run`'s error triage
-    this is a *secondary* failure (like a broken barrier): the dead
-    rank's own exception is the root cause and wins.
+    this comes after a rank's own failure: a crashed rank's exception is
+    the root cause and wins.
     """
 
     def __init__(self, rank: int, cause: BaseException, report=None):
@@ -66,11 +66,13 @@ class RankDeathError(RankFailedError):
 
 
 class RunCancelledError(RuntimeError):
-    """The cluster run's deadline expired while this rank was parked.
+    """The cluster run was cancelled while this rank was parked.
 
     Raised inside a rank at its blocking point (mailbox wait, barrier,
     collective, run-slot queue or injected stall) when
-    :meth:`~repro.parallel.comm.VirtualCluster.run` cancels the run.  It
-    never leaves ``run``, which raises :class:`TimeoutError` instead, and
-    it is not a rank death: the failure detector does not file it.
+    :meth:`~repro.parallel.comm.VirtualCluster.run` cancels the run:
+    because another rank's program raised, or because the run's deadline
+    expired.  It never leaves ``run``, which raises the failing rank's
+    own exception, or :class:`TimeoutError` for the deadline, and it is
+    not a rank death: the failure detector does not file it.
     """

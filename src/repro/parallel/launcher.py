@@ -324,7 +324,10 @@ def run_distributed_simulation(
     (default: ``params.overlap_comm``); ``timeout_s`` (default
     :data:`VirtualCluster.DEFAULT_TIMEOUT_S`) bounds both the whole run
     and every blocking receive (a hung peer raises
-    :class:`RankTimeoutError` rather than deadlocking).
+    :class:`RankTimeoutError` rather than deadlocking).  A rank that
+    raises (a crash, a diverged solution) cancels the run at once, and
+    its own exception is raised as the ``cause`` of a
+    :class:`RankFailedError` naming that rank.
 
     ``fault_plan`` (a :class:`~repro.chaos.faults.FaultPlan`) is consulted
     by every rank's communicator on each send and receive — the chaos
@@ -362,8 +365,9 @@ def run_distributed_simulation(
     :class:`~repro.resilience.supervisor.RunSupervisor`):
     ``failure_detector`` (a
     :class:`~repro.resilience.detector.FailureDetector`) is fed heartbeats
-    by every rank's communicator and probed by its blocked receives, so
-    peer deaths surface as fast typed :class:`RankDeathError`\\ s; ``world`` supplies a
+    by every rank's communicator, files crashed ranks, and turns a
+    receive deadline expiring on a hung peer into a typed
+    :class:`RankDeathError`; ``world`` supplies a
     prebuilt :class:`WorldSetup` so a recovery epoch skips re-meshing;
     ``epoch_plan`` (an :class:`EpochPlan`) makes the run start mid-loop
     from restored state and save checkpoints at chosen steps.

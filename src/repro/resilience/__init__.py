@@ -9,10 +9,10 @@ instead of restarting from zero:
 
 * :mod:`.detector` — a failure detector at the communicator seam:
   per-rank heartbeats piggybacked on existing traffic, plus a
-  recv-deadline escalation path that distinguishes *dead* ranks (fast
-  :class:`~repro.parallel.errors.RankDeathError`) from *stragglers*
-  (plain :class:`~repro.parallel.errors.RankTimeoutError` after the full
-  deadline) and emits :class:`.detector.RankDeathReport`\\ s.
+  recv-deadline escalation path that distinguishes *hung* ranks
+  (:class:`~repro.parallel.errors.RankDeathError`) from *stragglers*
+  (plain :class:`~repro.parallel.errors.RankTimeoutError`) and emits
+  :class:`.detector.RankDeathReport`\\ s.
 * :mod:`.remap` — shrink-and-redistribute state transfer: every array
   a solver declares (global-point fields, per-element attenuation
   memory, seismogram buffers) is remapped from a dead world's

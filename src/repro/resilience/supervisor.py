@@ -84,7 +84,6 @@ class RecoveryPolicy:
     max_recoveries: int = 2
     mode: str = "respawn"
     suspect_after_s: float = FailureDetector.DEFAULT_SUSPECT_AFTER_S
-    probe_interval_s: float = FailureDetector.DEFAULT_PROBE_INTERVAL_S
 
     def __post_init__(self) -> None:
         if self.mode not in ("respawn", "shrink"):
@@ -255,9 +254,7 @@ class RunSupervisor:
             world_sizes = [world.size]
             while True:
                 detector = FailureDetector(
-                    world.size,
-                    suspect_after_s=policy.suspect_after_s,
-                    probe_interval_s=policy.probe_interval_s,
+                    world.size, suspect_after_s=policy.suspect_after_s
                 )
                 epoch_managers = managers
 
@@ -299,11 +296,7 @@ class RunSupervisor:
                     solver_s += t_recover - t_epoch
                     if time.monotonic() >= deadline:
                         raise
-                    root = getattr(exc, "cause", None) or exc
-                    if (
-                        classifier.classify(exc) == "fatal"
-                        or classifier.classify(root) == "fatal"
-                    ):
+                    if classifier.classify(exc) == "fatal":
                         # Non-recoverable bin: the same failure would
                         # re-derive on any world.
                         raise
@@ -312,7 +305,7 @@ class RunSupervisor:
                     report = detector.report_of(failed_rank)
                     if report is None:
                         report = RankDeathReport(
-                            rank=failed_rank, kind="crash", cause=str(root)
+                            rank=failed_rank, kind="crash", cause=str(exc.cause)
                         )
                     reports.append(report)
                     reports.extend(

@@ -77,18 +77,6 @@ __all__ = [
     "SimulationService",
 ]
 
-#: JobSpec fields a request's ``job_options`` may set.
-_JOB_OPTION_FIELDS = (
-    "n_segments",
-    "timeout_s",
-    "max_attempts",
-    "inject_failures",
-    "stream_path",
-    "supervise",
-    "max_recoveries",
-)
-
-
 class ServiceError(RuntimeError):
     """Base class for service-layer failures."""
 
@@ -444,18 +432,13 @@ class SimulationService:
                     time_shift=spec["time_shift"],
                 )
             ]
-        options = {
-            name: request.job_options[name]
-            for name in _JOB_OPTION_FIELDS
-            if name in request.job_options
-        }
         job = JobSpec(
             name=f"service-{keys.key}-{next(self._seq)}",
             params=request.params,
             sources=sources,
             stations=list(keys.stations),
             n_steps=request.n_steps,
-            **options,
+            **request.job_options,
         )
         result = self.pool.run([job])[0]
         if not result.succeeded or result.seismograms is None:

@@ -52,6 +52,7 @@ from ..solver.receivers import Station
 
 __all__ = [
     "SERVICE_EXCLUDED_FIELDS",
+    "JOB_OPTION_TYPES",
     "SimulationRequest",
     "RequestKeys",
     "canonical_stations",
@@ -64,6 +65,36 @@ __all__ = [
 #: Par_file keys that do NOT change the computed seismograms bit-wise
 #: (the table's *observe* class), excluded from both keys.
 SERVICE_EXCLUDED_FIELDS = par_keys(OBSERVE)
+
+#: :class:`~repro.campaign.queue.JobSpec` fields a request's
+#: ``job_options`` may set, with the JSON types each accepts (``None``
+#: keeps the pool's default).  Nothing here names a server path.
+JOB_OPTION_TYPES: dict[str, tuple[type, ...]] = {
+    "n_segments": (int,),
+    "timeout_s": (int, float, type(None)),
+    "max_attempts": (int, type(None)),
+    "inject_failures": (int,),
+    "supervise": (bool,),
+    "max_recoveries": (int,),
+}
+
+
+def _check_job_options(options: Mapping[str, Any]) -> None:
+    """Refuse an unknown ``job_options`` key or a wrongly typed value."""
+    for name, value in options.items():
+        types = JOB_OPTION_TYPES.get(name)
+        if types is None:
+            raise ParameterError(
+                f"unknown job option {name!r}; known: {sorted(JOB_OPTION_TYPES)}"
+            )
+        # bool is an int to isinstance, never to a request.
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
+            raise ParameterError(
+                f"job option {name!r} must be "
+                f"{' or '.join(t.__name__ for t in types)}, got {value!r}"
+            )
 
 
 def _canon_floats(value: Any) -> Any:
@@ -104,10 +135,12 @@ class SimulationRequest:
     takes), not a built :class:`~repro.solver.sources
     .MomentTensorSource`: requests must be hashable and serializable,
     so the source object is constructed only when a solve is actually
-    needed.  ``job_options`` passes straight through to the backend
+    needed.  ``job_options`` passes through to the backend
     :class:`~repro.campaign.queue.JobSpec` (timeouts, segment counts,
-    drill fault injection) and is deliberately *not* part of any key —
-    how a job is executed never forks the cache.
+    drill fault injection; the keys and types of
+    :data:`JOB_OPTION_TYPES`, anything else is refused) and is
+    deliberately *not* part of any key — how a job is executed never
+    forks the cache.
     """
 
     params: SimulationParameters
@@ -120,6 +153,7 @@ class SimulationRequest:
         if not self.stations:
             raise ParameterError("request needs at least one station")
         object.__setattr__(self, "source", _canon_source(self.source))
+        _check_job_options(self.job_options)
         names = [s.name for s in self.stations]
         if len(set(names)) != len(names):
             raise ParameterError(

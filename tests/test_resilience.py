@@ -80,7 +80,6 @@ def run_supervised(params, plan, mode="respawn", **kwargs):
             mode=mode,
             max_recoveries=kwargs.pop("max_recoveries", 2),
             suspect_after_s=1.0,
-            probe_interval_s=0.02,
         ),
         metrics=kwargs.pop("metrics", None),
     )
@@ -149,12 +148,6 @@ class TestFailureDetector:
                                       op="recv(source=1)")
         assert report is None
         assert not det.is_dead(1)
-
-    def test_primary_report_is_first_filed(self):
-        det = FailureDetector(4)
-        det.mark_dead(3, "first")
-        det.mark_dead(1, "second")
-        assert det.primary_report().rank == 3
 
     def test_report_serializes(self):
         r = RankDeathReport(rank=2, kind="crash", cause="x", detected_by=0)

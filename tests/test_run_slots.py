@@ -200,7 +200,7 @@ class TestStallsHoldNoSlot:
         plan = FaultPlan(
             [FaultSpec(kind="stall", rank=0, op="send", delay_s=2.0)]
         )
-        detector = FailureDetector(2, suspect_after_s=0.2, probe_interval_s=0.02)
+        detector = FailureDetector(2, suspect_after_s=0.2)
         cluster = VirtualCluster(
             2, recv_timeout_s=0.4, fault_plan=plan, failure_detector=detector
         )
@@ -225,7 +225,7 @@ class TestStallsHoldNoSlot:
 
     def test_crashed_peer_reported_within_probe_slices(self, slots):
         slots(1)
-        detector = FailureDetector(2, suspect_after_s=10, probe_interval_s=0.02)
+        detector = FailureDetector(2, suspect_after_s=10)
         cluster = VirtualCluster(2, recv_timeout_s=20.0, failure_detector=detector)
 
         def program(comm):
