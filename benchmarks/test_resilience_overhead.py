@@ -2,14 +2,14 @@
 
 The resilience subsystem's economic claim is that *watching* for rank
 death is nearly free: heartbeats are single timestamp writes piggybacked
-on communicator traffic, and the probing receive normally matches its
-message on the first probe slice (sends are eager), costing one extra
-dict lookup per receive.  This guard runs the same distributed
-simulation with the detector disarmed (``failure_detector=None`` — the
-default, one ``is None`` check per communicator operation) and armed (a
+on communicator traffic, and a receive marks its rank as waiting with
+one more; only an expired receive deadline asks the detector anything.
+This guard runs the same distributed simulation with the detector
+disarmed (``failure_detector=None`` — the default, one ``is None`` check
+per communicator operation) and armed (a
 :class:`~repro.resilience.detector.FailureDetector` every rank's
-communicator beats and probes), and asserts the armed run stays within
-3% of the disarmed one.
+communicator beats), and asserts the armed run stays within 3% of the
+disarmed one.
 
 Runs are interleaved A/B/A/B and scored min-of-repeats, which suppresses
 thermal drift and scheduler noise: the minimum is the cleanest estimate
@@ -75,6 +75,6 @@ def test_detector_overhead_under_3pct(record):
 
 def test_disarmed_cluster_allocates_no_wrapper():
     # The disarmed default must be the plain pre-resilience path: no
-    # detector object for any communicator to beat or probe.
+    # detector object for any communicator to beat.
     cluster = VirtualCluster(2)
     assert cluster.failure_detector is None

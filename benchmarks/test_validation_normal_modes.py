@@ -34,7 +34,7 @@ def test_0T2_period(benchmark, record):
         mesh = build_global_mesh(params)
         make_homogeneous(mesh, rho=rho, vp=vp, vs=vs)
         solver = GlobalSolver(mesh, params)
-        solver.set_initial_displacement(
+        solver.set_initial_condition(
             lambda coords: 1e-3 * toroidal_mode_displacement(coords, 2, omega, vs)
         )
         cm = solver.regions[0]

@@ -11,6 +11,10 @@ the same batch of elements:
   copies (the "call SGEMM for every small matrix" strategy the paper
   measured to be a net loss).
 
+The solver runs only the ``vectorized`` contraction; the two losing
+arms are defined here and injected by replacing one operator's
+contraction (``StiffnessOperator._contract``).
+
 Also reports the 125 -> 128 padding overhead (the paper's 2.4%).
 
 Run:  python examples/kernel_shootout.py
@@ -23,12 +27,46 @@ import numpy as np
 from repro.cartesian import build_box_mesh
 from repro.gll import GLLBasis
 from repro.kernels import (
-    compute_forces_elastic,
     compute_geometry,
     elastic_kernel_flops,
     pad_elements,
     padding_overhead,
 )
+from repro.kernels.elastic import ElasticOperator
+from repro.kernels.weakform import StiffnessOperator, Workspace
+
+VECTOR = StiffnessOperator._contract
+
+
+def per_element(axis, m, mt, src, dst, n):
+    """The scalar analog: the batched contraction one element at a time."""
+    for e in range(src.shape[-2]):
+        VECTOR(axis, m, mt, src[..., e, :], dst[..., e, :], n)
+
+
+def per_cutplane(axis, m, mt, src, dst, n):
+    """The tiny-BLAS analog: one ``np.dot`` per copied cut-plane."""
+    src = src.reshape(-1, n, n, n)
+    dst = dst.reshape(-1, n, n, n)
+    for block, out in zip(src, dst):
+        for k in range(n):
+            if axis == 0:
+                out[:, :, k] = np.dot(m, np.ascontiguousarray(block[:, :, k]))
+            elif axis == 1:
+                out[:, :, k] = np.dot(m, np.ascontiguousarray(block[:, :, k].T)).T
+            else:
+                out[k] = np.dot(m, np.ascontiguousarray(block[k].T)).T
+
+
+ARMS = {"vectorized": VECTOR, "baseline": per_element, "blas": per_cutplane}
+
+
+def forces(variant, u, geom, lam, mu, basis):
+    operator = ElasticOperator(geom, lam, mu, basis)
+    operator._contract = ARMS[variant]
+    out = np.empty_like(u)
+    operator.apply(u, out, None, Workspace(basis.ngll))
+    return out
 
 
 def main() -> None:
@@ -43,10 +81,10 @@ def main() -> None:
     repeats = {"vectorized": 20, "baseline": 3, "blas": 1}
     reference = None
     for variant, n in repeats.items():
-        compute_forces_elastic(u, geom, lam, mu, basis, variant=variant)  # warm
+        forces(variant, u, geom, lam, mu, basis)  # warm
         t0 = time.perf_counter()
         for _ in range(n):
-            out = compute_forces_elastic(u, geom, lam, mu, basis, variant=variant)
+            out = forces(variant, u, geom, lam, mu, basis)
         timings[variant] = (time.perf_counter() - t0) / n
         if reference is None:
             reference = out

@@ -45,7 +45,7 @@ def main() -> None:
           f" (entirely solid: fluid region overridden)")
 
     omega0 = omegas[0]
-    solver.set_initial_displacement(
+    solver.set_initial_condition(
         lambda coords: 1e-3 * toroidal_mode_displacement(coords, 2, omega0, vs)
     )
     cm = solver.regions[0]

@@ -3,8 +3,8 @@
 
 The paper (Section 1) lists "the capacity to compute sensitivity kernels
 for inverse problems" among SPECFEM3D's algorithmic advances.  This
-example builds a banana-doughnut-style shear kernel on the Cartesian
-validation solver: forward run from a source, adjoint run from the
+example builds a banana-doughnut-style shear kernel on a Cartesian box
+run by the globe's solver: forward run from a source, adjoint run from the
 receiver's waveform residual, interaction integrals in between — and
 verifies the kernel against a finite difference of the actual misfit.
 
@@ -19,7 +19,7 @@ from repro.adjoint import (
     run_adjoint,
     run_forward_with_recording,
 )
-from repro.cartesian import CartesianElasticSolver, build_box_mesh
+from repro.cartesian import build_box_mesh
 from repro.gll import GLLBasis
 from repro.kernels import compute_geometry
 
@@ -40,9 +40,8 @@ def main() -> None:
         return (1 - 2 * a * (t - t0) ** 2) * np.exp(-a * (t - t0) ** 2)
 
     n_steps = 200
-    solver = CartesianElasticSolver(mesh, courant=0.3)
     forward = run_forward_with_recording(
-        solver, n_steps, rec, source_index=src, source_time_function=stf,
+        mesh, n_steps, rec, source_index=src, source_time_function=stf,
     )
 
     # 'Observed data': the same experiment in a model with a +2% mu blob
@@ -51,10 +50,9 @@ def main() -> None:
     d_mu = 0.02 * np.exp(
         -(np.linalg.norm(mesh.xyz - centre, axis=-1) / 0.15) ** 2
     )
-    solver_true = CartesianElasticSolver(mesh, courant=0.3)
-    solver_true.mu = solver_true.mu + d_mu
     data = run_forward_with_recording(
-        solver_true, n_steps, rec, source_index=src, source_time_function=stf,
+        mesh, n_steps, rec, source_index=src, source_time_function=stf,
+        d_mu=d_mu,
     ).receiver_trace
 
     chi, residual = misfit_and_adjoint_source(
@@ -62,9 +60,7 @@ def main() -> None:
     )
     print(f"waveform misfit chi = {chi:.3e}")
 
-    adj_solver = CartesianElasticSolver(mesh, courant=0.3)
-    adj_solver.dt = forward.dt
-    u_adj = run_adjoint(adj_solver, residual, rec)
+    u_adj = run_adjoint(mesh, residual, rec, forward.dt)
     geom = compute_geometry(mesh.xyz)
     kernels = compute_kernels(mesh, geom, GLLBasis(5), forward, u_adj)
 
@@ -81,10 +77,9 @@ def main() -> None:
     predicted = kernels.predicted_misfit_change(geom, d_mu=d_mu)
     # Finite difference: chi(mu + eps*d_mu) vs chi(mu).
     eps = 0.2
-    solver_fd = CartesianElasticSolver(mesh, courant=0.3)
-    solver_fd.mu = solver_fd.mu + eps * d_mu
     trace_fd = run_forward_with_recording(
-        solver_fd, n_steps, rec, source_index=src, source_time_function=stf,
+        mesh, n_steps, rec, source_index=src, source_time_function=stf,
+        d_mu=eps * d_mu,
     ).receiver_trace
     chi_fd, _ = misfit_and_adjoint_source(trace_fd, data, forward.dt)
     fd = (chi_fd - chi) / eps

@@ -3,8 +3,9 @@
 Section 1 of the paper lists, among the algorithmic advances, "the
 capacity to compute sensitivity kernels for inverse problems in addition
 to forward problems [13]" (Liu & Tromp's adjoint machinery).  This module
-implements that capability on the Cartesian validation solver, where it
-can be verified rigorously against finite differences:
+implements that capability on a Cartesian box run by the production
+:class:`~repro.solver.GlobalSolver`, where it can be verified rigorously
+against finite differences:
 
 * the *forward* run records the wavefield and the waveform misfit
   ``chi = 1/2 int (u(x_r, t) - d(t))^2 dt`` at a receiver;
@@ -19,18 +20,26 @@ can be verified rigorously against finite differences:
   such that ``delta chi = int (K_rho drho + K_lambda dlam + K_mu dmu) dV``
   to first order — the property the tests verify against finite
   differences of the actual misfit.
+
+Forces, moduli and kernels are in box units; the solver's box is in km,
+so a force enters it ``LENGTH_SCALE**3`` times larger and a modulus
+``LENGTH_SCALE**2`` times (:mod:`repro.cartesian.box`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..cartesian.box import BoxMesh
-from ..cartesian.solver import CartesianElasticSolver
+from ..config.parameters import SimulationParameters
 from ..kernels.elastic import displacement_gradient
+from ..model.prem import RegionCode
 from ..solver.assembly import gather
+from ..solver.prepared import LENGTH_SCALE, PreparedMesh
+from ..solver.solver import GlobalSolver
+from ..solver.sources import PointForceSource
 
 __all__ = [
     "ForwardRecord",
@@ -57,43 +66,66 @@ class ForwardRecord:
         return self.displ.shape[0]
 
 
+def _run(
+    box: BoxMesh, index: int, forces: list, n_steps: int, dt: float
+) -> np.ndarray:
+    """March ``box`` at ``dt`` under point forces at global point
+    ``index``, one per ``(time function, box-unit direction)``; returns
+    the displacement and acceleration after every step, (2, n_steps,
+    nglob, 3)."""
+    position = tuple(box.mesh.global_coordinates()[index])
+    sources = [
+        PointForceSource(position, tuple(LENGTH_SCALE**3 * np.asarray(d)), stf)
+        for stf, d in forces
+    ]
+    solver = GlobalSolver(
+        box, SimulationParameters(), sources=sources, dt_override=dt
+    )
+    history = np.empty((2, n_steps, box.nglob, 3))
+    field = solver.solid[RegionCode.CRUST_MANTLE]
+
+    def record(step: int, _solver) -> None:
+        history[0, step] = field.displ[0]
+        history[1, step] = field.accel[0]
+
+    solver.run(n_steps=n_steps, callbacks=[record])
+    return history
+
+
 def run_forward_with_recording(
-    solver: CartesianElasticSolver,
+    box: BoxMesh,
     n_steps: int,
     receiver_index: int,
-    source_index: int | None = None,
-    source_time_function=None,
-    source_direction: np.ndarray | None = None,
+    source_index: int,
+    source_time_function,
+    source_direction=(0.0, 0.0, 1.0),
+    courant: float = 0.3,
+    d_mu: np.ndarray | None = None,
 ) -> ForwardRecord:
-    """March ``n_steps`` recording u and a at every step.
+    """March ``n_steps`` from a point force at global point
+    ``source_index`` (box-unit direction times the time function),
+    recording u and a at every step.
 
-    A point-force source (optional) is injected at a global point with the
-    given direction and time function — sufficient for kernel validation.
+    ``d_mu`` (box units, (nspec, n, n, n)) raises the shear modulus at
+    fixed lambda, so kappa moves by 2/3 of it.  The time step is
+    ``courant`` times the *unperturbed* box's Courant bound, so runs of
+    perturbed models share one time grid.
     """
-    nglob = solver.mesh.nglob
-    displ = np.empty((n_steps, nglob, 3))
-    accel = np.empty((n_steps, nglob, 3))
-    trace = np.empty((n_steps, 3))
-    direction = (
-        np.asarray(source_direction, dtype=np.float64)
-        if source_direction is not None
-        else np.array([0.0, 0.0, 1.0])
+    dt = courant * PreparedMesh(box.regions, deformed=False).dt_bound
+    if d_mu is not None:
+        mesh, d_mu = box.mesh, LENGTH_SCALE**2 * d_mu
+        box = replace(box, mesh=replace(
+            mesh, mu=mesh.mu + d_mu, kappa=mesh.kappa + (2.0 / 3.0) * d_mu
+        ))
+    displ, accel = _run(
+        box, source_index, [(source_time_function, source_direction)], n_steps, dt
     )
-    for step in range(n_steps):
-        solver.step(
-            (source_index, source_time_function(step * solver.dt) * direction)
-            if source_time_function is not None and source_index is not None
-            else None
-        )
-        displ[step] = solver.displ
-        accel[step] = solver.accel
-        trace[step] = solver.displ[receiver_index]
     return ForwardRecord(
         displ=displ,
         accel=accel,
-        receiver_trace=trace,
+        receiver_trace=displ[:, receiver_index].copy(),
         receiver_index=receiver_index,
-        dt=solver.dt,
+        dt=dt,
     )
 
 
@@ -113,25 +145,27 @@ def misfit_and_adjoint_source(
 
 
 def run_adjoint(
-    solver: CartesianElasticSolver,
+    box: BoxMesh,
     adjoint_source: np.ndarray,
     receiver_index: int,
+    dt: float,
 ) -> np.ndarray:
     """Propagate the time-reversed residual; returns u_adj (n_steps, nglob, 3).
 
     The returned array is ordered in *adjoint time* s = 0..T; the kernel
     integrals pair adjoint step s with forward step (n_steps - 1 - s).
     """
-    n_steps = adjoint_source.shape[0]
-    nglob = solver.mesh.nglob
-    out = np.empty((n_steps, nglob, 3))
-    for s in range(n_steps):
-        # No dt factor: chi's integral carries dt, but injecting the raw
-        # residual as a discrete force per step already sums to the same
-        # Riemann integral through the kernel time quadrature below.
-        solver.step((receiver_index, adjoint_source[n_steps - 1 - s]))
-        out[s] = solver.displ
-    return out
+    # Adjoint step s injects residual row n_steps - 1 - s, component by
+    # component.  No dt factor: chi's integral carries dt, but injecting
+    # the raw residual as a discrete force per step already sums to the
+    # same Riemann integral through the kernel time quadrature below.
+    reversed_rows = adjoint_source[::-1]
+
+    def component(c: int):
+        return lambda t: reversed_rows[int(round(t / dt)), c]
+
+    forces = [(component(c), np.eye(3)[c]) for c in range(3)]
+    return _run(box, receiver_index, forces, adjoint_source.shape[0], dt)[0]
 
 
 @dataclass

@@ -1,7 +1,7 @@
-"""Cartesian validation problems: box meshes, solvers, analytic waves."""
+"""Cartesian validation problems: box meshes (mesh bundles that
+:class:`~repro.solver.GlobalSolver` runs) and analytic waves."""
 
 from .box import BoxMesh, build_box_mesh
-from .solver import CartesianAcousticSolver, CartesianElasticSolver
 from .waves import (
     PlaneWave,
     acoustic_standing_mode,
@@ -12,8 +12,6 @@ from .waves import (
 __all__ = [
     "BoxMesh",
     "build_box_mesh",
-    "CartesianAcousticSolver",
-    "CartesianElasticSolver",
     "PlaneWave",
     "acoustic_standing_mode",
     "plane_p_wave",

@@ -9,6 +9,13 @@ normal-mode seismograms).  A box of brick elements supports:
 * periodic boundaries — travelling plane waves (the cleanest dispersion
   and convergence measurements), implemented by wrapping coordinates
   before global numbering so opposite faces share degrees of freedom.
+
+A :class:`BoxMesh` is a mesh bundle, so it runs on
+:class:`~repro.solver.GlobalSolver` like the globe does.  Its units are
+the globe's: coordinates in km, speeds in km/s, so its one region holds
+SI moduli (``mu = rho (1000 vs)^2``) and times and displacements keep
+their box values, while masses, stiffnesses and forces are
+``LENGTH_SCALE**3`` times the box-unit ones.
 """
 
 from __future__ import annotations
@@ -18,40 +25,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gll.quadrature import gll_points_and_weights
+from ..mesh.element import RegionMesh
 from ..mesh.numbering import build_global_numbering
+from ..model.prem import RegionCode
+from ..solver.prepared import LENGTH_SCALE
 
 __all__ = ["BoxMesh", "build_box_mesh"]
 
 
 @dataclass
 class BoxMesh:
-    """A structured box of spectral elements.
+    """A structured box of spectral elements, one region of a bundle.
 
-    ``xyz`` are GLL coordinates (nspec, n, n, n, 3); ``ibool``/``nglob``
-    the global numbering (with periodic identification when requested).
-    Material fields are homogeneous scalars broadcast on demand.
+    ``mesh`` holds the GLL coordinates (nspec, n, n, n, 3), the global
+    numbering (with periodic identification when requested) and SI
+    materials: a crust/mantle (solid) region, or an outer-core (fluid)
+    one when ``vs == 0``.  ``rho``, ``vp``, ``vs`` are the homogeneous
+    box-unit values it was built from.
     """
 
     lengths: tuple[float, float, float]
     n_elements: tuple[int, int, int]
-    xyz: np.ndarray
-    ibool: np.ndarray
-    nglob: int
+    mesh: RegionMesh
     periodic: bool
     rho: float
     vp: float
     vs: float
 
     @property
-    def nspec(self) -> int:
-        return self.xyz.shape[0]
+    def regions(self) -> dict[int, RegionMesh]:
+        return {self.mesh.region: self.mesh}
 
     @property
-    def ngll(self) -> int:
-        return self.xyz.shape[1]
+    def xyz(self) -> np.ndarray:
+        return self.mesh.xyz
+
+    @property
+    def ibool(self) -> np.ndarray:
+        return self.mesh.ibool
+
+    @property
+    def nglob(self) -> int:
+        return self.mesh.nglob
+
+    @property
+    def nspec(self) -> int:
+        return self.mesh.nspec
 
     def material_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rho, lambda, mu) arrays at every GLL point."""
+        """Box-unit (rho, lambda, mu) arrays at every GLL point."""
         shape = self.xyz.shape[:-1]
         rho = np.full(shape, self.rho)
         mu = np.full(shape, self.rho * self.vs**2)
@@ -97,12 +119,21 @@ def build_box_mesh(
         ibool, nglob = build_global_numbering(wrapped)
     else:
         ibool, nglob = build_global_numbering(xyz)
-    return BoxMesh(
-        lengths=(lx, ly, lz),
-        n_elements=(nx, ny, nz),
+    shape = xyz.shape[:-1]
+    mu = rho * (LENGTH_SCALE * vs) ** 2
+    region = RegionMesh(
+        region=RegionCode.OUTER_CORE if vs == 0 else RegionCode.CRUST_MANTLE,
         xyz=xyz,
         ibool=ibool,
         nglob=nglob,
+        rho=np.full(shape, rho),
+        kappa=np.full(shape, rho * (LENGTH_SCALE * vp) ** 2 - (4.0 / 3.0) * mu),
+        mu=np.full(shape, mu),
+    )
+    return BoxMesh(
+        lengths=(lx, ly, lz),
+        n_elements=(nx, ny, nz),
+        mesh=region,
         periodic=periodic,
         rho=rho,
         vp=vp,

@@ -36,7 +36,7 @@ from .anisotropic import (
     radial_frames,
     stress_ti,
 )
-from .elastic import KERNEL_VARIANTS, compute_forces_elastic, displacement_gradient
+from .elastic import compute_forces_elastic, displacement_gradient
 from .flops import (
     acoustic_kernel_flops,
     attenuation_update_flops,
@@ -53,7 +53,6 @@ __all__ = [
     "compute_forces_elastic_ti",
     "radial_frames",
     "stress_ti",
-    "KERNEL_VARIANTS",
     "compute_forces_elastic",
     "displacement_gradient",
     "acoustic_kernel_flops",

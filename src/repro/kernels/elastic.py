@@ -12,19 +12,14 @@ Here the force of one element subset is **one routine**
 (:class:`ElasticOperator`, the three-component instance of
 :class:`repro.kernels.weakform.StiffnessOperator`): gradient (once) ->
 symmetric strain -> memory-variable relaxation in place -> Hooke -> flux
--> ``-B^T``.  ``variant`` keeps meaning what the paper compared and
-selects only how the cut-plane products are executed:
-
-* ``baseline``  — a Python loop per element: the scalar analog;
-* ``vectorized`` — one batched matmul per element block: the vector-unit
-  analog, amortising dispatch overhead across the block;
-* ``blas``      — one ``np.dot`` per (copied, aligned) cut-plane: the
-  tiny-GEMM analog with per-call overhead.
-
-Strain, relaxation, Hooke and flux are shared, so all variants — with or
-without attenuation — compute the identical ``accel -= B^T sigma(B u)``
-and agree to roundoff; the tests verify this against an independent
-pure-Python reference (:mod:`repro.kernels.reference`).  Strain, stress
+-> ``-B^T``, its cut-plane products one batched matmul per element
+block: the vector-unit analog, amortising dispatch overhead across the
+block.  The paper's other two ways to run them (the scalar loop and the
+tiny-GEMM call per cut-plane) are arms of the A-SSE bench
+(``benchmarks/test_ablation_kernels.py``), which patches them into
+the operator's contraction.  The tests verify the routine, with or
+without attenuation, against an independent pure-Python reference
+(:mod:`repro.kernels.reference`).  Strain, stress
 and memory variables are stored as their six independent components,
 ordered ``(xx, yy, zz, xy, xz, yz)``.
 """
@@ -35,16 +30,9 @@ import numpy as np
 
 from ..gll.lagrange import GLLBasis
 from .geometry import ElementGeometry
-from .weakform import (
-    KERNEL_VARIANTS,
-    StiffnessOperator,
-    Workspace,
-    carve,
-    reference_derivatives,
-)
+from .weakform import StiffnessOperator, Workspace, carve, reference_derivatives
 
 __all__ = [
-    "KERNEL_VARIANTS",
     "ElasticOperator",
     "compute_forces_elastic",
     "displacement_gradient",
@@ -75,9 +63,8 @@ class ElasticOperator(StiffnessOperator):
         lam: np.ndarray,
         mu: np.ndarray,
         basis: GLLBasis,
-        variant: str = "vectorized",
     ):
-        super().__init__(geom, basis, variant)
+        super().__init__(geom, basis)
         shape = (self.nspec, self.npts)
         self.lam_jw = (lam * geom.jweight).reshape(shape)
         self.mu2_jw = (2.0 * mu * geom.jweight).reshape(shape)
@@ -117,7 +104,6 @@ def compute_forces_elastic(  # repro: hot-loop
     lam: np.ndarray,
     mu: np.ndarray,
     basis: GLLBasis,
-    variant: str = "vectorized",
 ) -> np.ndarray:
     """Elemental internal-force contributions to the acceleration: the
     stateless form of :class:`ElasticOperator` (a fresh operator and
@@ -125,12 +111,11 @@ def compute_forces_elastic(  # repro: hot-loop
 
     ``u`` is the (nspec, n, n, n, 3) local displacement (gathered through
     ibool) or a (B, nspec, n, n, n, 3) stack of them, looped over;
-    ``lam``/``mu`` are (nspec, n, n, n); ``variant`` is one of
-    :data:`KERNEL_VARIANTS`.  Returns the local forces, shaped like ``u``,
-    to be assembled and scaled by the mass matrix.  Sign convention: this
-    is the right-hand side ``-K u`` directly.
+    ``lam``/``mu`` are (nspec, n, n, n).  Returns the local forces,
+    shaped like ``u``, to be assembled and scaled by the mass matrix.
+    Sign convention: this is the right-hand side ``-K u`` directly.
     """
-    operator = ElasticOperator(geom, lam, mu, basis, variant)
+    operator = ElasticOperator(geom, lam, mu, basis)
     ws = Workspace(basis.ngll)
     out = np.empty_like(u, order="C")
     events = (-1, *lam.shape, 3)

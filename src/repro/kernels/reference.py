@@ -3,7 +3,7 @@
 A deliberately naive, loop-by-loop transcription of the weak-form internal
 force computation, written without any shared code with
 :mod:`repro.kernels.elastic` so the optimised kernels can be validated
-against it.  Orders of magnitude slower than the production variants —
+against it.  Orders of magnitude slower than the production kernels —
 only ever used on tiny meshes in the test suite.
 """
 

@@ -43,7 +43,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BLOCK",
-    "KERNEL_VARIANTS",
     "Workspace",
     "StiffnessOperator",
     "carve",
@@ -55,7 +54,10 @@ BLOCK = 64
 
 
 def _contract_batched(axis, m, mt, src, dst, n):  # repro: hot-loop
-    """All items of ``src`` at once — the vector-unit analog."""
+    """Apply the (n, n) matrix ``m`` (``mt`` its contiguous transpose)
+    along local axis ``axis`` of every n^3-point item of ``src (...,
+    element, n^3)`` into ``dst``: all items at once, one batched matmul —
+    the vector-unit analog of the paper's kernels."""
     lead = src.shape[:-1]
     if axis == 0:
         np.matmul(m, src.reshape(*lead, n, n * n), out=dst.reshape(*lead, n, n * n))
@@ -63,43 +65,6 @@ def _contract_batched(axis, m, mt, src, dst, n):  # repro: hot-loop
         np.matmul(m, src.reshape(*lead, n, n, n), out=dst.reshape(*lead, n, n, n))
     else:
         np.matmul(src.reshape(*lead, n * n, n), mt, out=dst.reshape(*lead, n * n, n))
-
-
-def _contract_per_element(axis, m, mt, src, dst, n):  # repro: hot-loop
-    """A Python loop over elements — the scalar-loop analog, paying
-    interpreter dispatch per element."""
-    for e in range(src.shape[-2]):
-        _contract_batched(axis, m, mt, src[..., e, :], dst[..., e, :], n)
-
-
-def _contract_per_cutplane(axis, m, mt, src, dst, n):  # repro: hot-loop
-    """One ``np.dot`` per explicitly copied (aligned) cut-plane — the
-    paper's "call BLAS for each small matrix", copies and all."""
-    src = src.reshape(-1, n, n, n)
-    dst = dst.reshape(-1, n, n, n)
-    for block, out in zip(src, dst):
-        for k in range(n):
-            if axis == 0:  # contiguous cut-plane at fixed k
-                out[:, :, k] = np.dot(m, np.ascontiguousarray(block[:, :, k]))
-            elif axis == 1:  # needs a transpose copy first
-                out[:, :, k] = np.dot(m, np.ascontiguousarray(block[:, :, k].T)).T
-            else:  # cut along the slowest axis, copy then dot
-                out[k] = np.dot(m, np.ascontiguousarray(block[k].T)).T
-
-
-#: Kernel variant -> how the cut-plane products are executed:
-#: ``f(axis, m, mt, src, dst, n)`` applies the (n, n) matrix ``m`` (``mt``
-#: its contiguous transpose) along local axis ``axis`` of every n^3-point
-#: item of ``src (..., element, n^3)`` into ``dst``.
-_CONTRACT = {
-    "vectorized": _contract_batched,
-    "baseline": _contract_per_element,
-    "blas": _contract_per_cutplane,
-}
-
-#: The contraction variants the A-SSE ablation compares; the solvers
-#: build the ``"vectorized"`` one.
-KERNEL_VARIANTS = tuple(_CONTRACT)
 
 
 def reference_derivatives(field: np.ndarray, basis: GLLBasis) -> np.ndarray:
@@ -156,18 +121,11 @@ class StiffnessOperator:
     """
 
     ncomp = 1
+    #: How the cut-plane products run (:func:`_contract_batched`'s
+    #: signature).  The A-SSE bench patches it with its losing arms.
+    _contract = staticmethod(_contract_batched)
 
-    def __init__(
-        self,
-        geom: ElementGeometry,
-        basis: GLLBasis,
-        variant: str = "vectorized",
-    ):
-        if variant not in _CONTRACT:
-            raise ValueError(
-                f"unknown kernel variant {variant!r}; valid: {KERNEL_VARIANTS}"
-            )
-        self._contract = _CONTRACT[variant]
+    def __init__(self, geom: ElementGeometry, basis: GLLBasis):
         self.dxi_dx = geom.dxi_dx
         self.nspec, self.npts = geom.dxi_dx.shape[2:]
         #: Element blocks of the subset, the unit :meth:`apply` runs.

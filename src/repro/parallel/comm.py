@@ -759,11 +759,12 @@ class VirtualCluster:
             except BaseException as exc:  # repro: disable=R5
                 errors[rank] = exc
                 if self.failure_detector is not None and not isinstance(
-                    exc, _SECONDARY
+                    exc, (*_SECONDARY, RankTimeoutError)
                 ):
                     # Confirm the death (broken barriers, peers filed
-                    # dead by escalation and the cancel are not deaths
-                    # of *this* rank and must not be filed as such).
+                    # dead by escalation, the cancel and this rank's own
+                    # expired wait on a live peer are not deaths of
+                    # *this* rank and must not be filed as such).
                     self.failure_detector.mark_dead(rank, exc)
                 # One rank's failure ends the run: stop every peer.
                 self._cancel_run()

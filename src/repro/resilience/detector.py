@@ -52,7 +52,8 @@ class RankDeathReport:
     """Evidence for one detected rank death.
 
     ``kind`` is ``"crash"`` when the rank's program terminated with an
-    exception (confirmed by the cluster runner) and ``"unresponsive"``
+    exception (confirmed by the cluster runner; the expiry of its own
+    receive on a live peer is no such exception) and ``"unresponsive"``
     when a peer's receive deadline expired on a heartbeat-silent rank
     (the escalation path).  ``detected_by`` is the observing rank, or
     -1 when the cluster runner itself confirmed the death.

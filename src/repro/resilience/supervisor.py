@@ -5,8 +5,10 @@ over the requested world; every epoch checkpoints each rank at fixed
 step boundaries through a per-rank
 :class:`~repro.solver.checkpoint.CheckpointManager`.  When a rank dies
 mid-epoch — an injected crash, a hung peer escalated to ``unresponsive``
-by the failure detector, or any real exception — the surviving ranks'
-epoch is abandoned, and the supervisor:
+by the failure detector, or any real exception — or a receive expires
+on a live peer (a lost message: recovered alike, but no death is filed
+and its event's kind is ``timeout``), the surviving ranks' epoch is
+abandoned, and the supervisor:
 
 1. *classifies* the failure with the campaign's three-bin
    :class:`~repro.campaign.queue.RetryPolicy` and fails fast on the
@@ -46,7 +48,7 @@ from pathlib import Path
 
 from ..config.parameters import ParameterError
 from ..parallel.comm import VirtualCluster
-from ..parallel.errors import RankFailedError
+from ..parallel.errors import RankFailedError, RankTimeoutError
 from ..parallel.launcher import (
     DistributedResult,
     EpochPlan,
@@ -96,7 +98,12 @@ class RecoveryPolicy:
 
 @dataclass
 class RecoveryEvent:
-    """One executed recovery (who died, where the run resumed)."""
+    """One executed recovery (who failed, where the run resumed).
+
+    ``kind`` is the failed rank's report kind (``crash``,
+    ``unresponsive``), or ``timeout`` when ``failed_rank``'s own receive
+    expired on a live peer: a lost message or a straggler, no death.
+    """
 
     failed_rank: int
     kind: str
@@ -300,14 +307,18 @@ class RunSupervisor:
                         # Non-recoverable bin: the same failure would
                         # re-derive on any world.
                         raise
-                    self._count("resilience.deaths")
                     failed_rank = exc.rank
                     report = detector.report_of(failed_rank)
-                    if report is None:
+                    if report is None and not isinstance(exc, RankTimeoutError):
                         report = RankDeathReport(
                             rank=failed_rank, kind="crash", cause=str(exc.cause)
                         )
-                    reports.append(report)
+                    # A receive that expired on a live peer is no death:
+                    # nothing is filed, and the recovery says "timeout".
+                    kind = "timeout" if report is None else report.kind
+                    if report is not None:
+                        self._count("resilience.deaths")
+                        reports.append(report)
                     reports.extend(
                         r for r in detector.reports if r is not report
                     )
@@ -378,7 +389,7 @@ class RunSupervisor:
                         span.add(resume_step=resume, world_size=world.size)
                     event = RecoveryEvent(
                         failed_rank=failed_rank,
-                        kind=report.kind,
+                        kind=kind,
                         error=str(exc),
                         resume_step=resume,
                         old_world_size=world_sizes[-2],

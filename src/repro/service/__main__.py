@@ -66,7 +66,6 @@ async def _run_server(args: argparse.Namespace) -> int:
             store=args.store,
             metrics=metrics,
             n_backend_workers=args.workers,
-            allow_slicing=not args.no_slicing,
         )
     )
     server = ServiceHTTPServer(
@@ -196,8 +195,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--set", action="append", default=[],
                          metavar="KEY=VALUE",
                          help="Par_file default underlying every request")
-    p_serve.add_argument("--no-slicing", action="store_true",
-                         help="disable superset-run slicing")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_req = sub.add_parser("request", help="submit one request")

@@ -184,8 +184,6 @@ class SimulationService:
         appends one ``service.request`` span with outcome counters.
     n_backend_workers : executor threads driving backend solves (the
         per-solve worker threads live inside the pool).
-    allow_slicing : disable to force every non-exact request to the
-        solver (ablation and debugging switch).
     """
 
     def __init__(
@@ -196,7 +194,6 @@ class SimulationService:
         metrics=None,
         tracer=None,
         n_backend_workers: int = 2,
-        allow_slicing: bool = True,
     ):
         self.store = (
             store
@@ -213,7 +210,6 @@ class SimulationService:
         #: with its pool's cached mesh (~22 MiB at NEX 8), outlive
         #: ``close()`` until the next full garbage collection.
         self.compute = compute
-        self.allow_slicing = allow_slicing
         self._executor = ThreadPoolExecutor(
             max_workers=n_backend_workers, thread_name_prefix="service-solve"
         )
@@ -296,13 +292,12 @@ class SimulationService:
                 return self._respond(request, keys, data, run.dt, "hit")
         # 2. Superset reuse: a stored run with the same wavefield whose
         #    receivers contain (or bracket) the requested stations.
-        if self.allow_slicing:
-            # Candidate scan is in-memory but the winning candidate is
-            # read and sliced — also off-loop (R9).
-            sliced = await asyncio.to_thread(self._try_slice, request, keys)
-            if sliced is not None:
-                self._bump("sliced")
-                return sliced
+        #    Candidate scan is in-memory but the winning candidate is
+        #    read and sliced — also off-loop (R9).
+        sliced = await asyncio.to_thread(self._try_slice, request, keys)
+        if sliced is not None:
+            self._bump("sliced")
+            return sliced
         # 3. Identical solve already in flight: wait for it.
         existing = self._inflight.get(keys.key)
         if existing is not None:

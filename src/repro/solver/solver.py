@@ -628,10 +628,15 @@ class GlobalSolver:
         return surface_tolerance(self._deformed_surfaces())
 
     def _locate_source(self, source, locator) -> tuple[int, int, np.ndarray, object]:
-        """Resolve a source into (region, element, source_array, source)."""
+        """Resolve a source into (region, element, source_array, source).
+
+        The host region is PREM's region at the source radius, or the
+        bundle's one region (a regional chunk, a box)."""
         position = np.asarray(source.position, dtype=np.float64)
-        r = float(np.linalg.norm(position))
-        region = PREM.region_of(r)
+        if len(self.regions) == 1:
+            (region,) = self.regions
+        else:
+            region = PREM.region_of(float(np.linalg.norm(position)))
         if region == RegionCode.OUTER_CORE:
             raise ValueError("sources inside the fluid outer core are not supported")
         st = self.regions[region]
@@ -664,26 +669,37 @@ class GlobalSolver:
 
     # -------------------------------------------------------------- initial
 
-    def set_initial_displacement(self, displacement_fn) -> None:
-        """Set u(x, 0) on every solid region from a callable of coordinates.
+    def set_initial_condition(self, field_fn, rate_fn=None) -> None:
+        """Start every event from a field given as callables of coordinates.
 
-        ``displacement_fn`` receives (nglob, 3) coordinates in km and
-        returns (nglob, 3) displacements in metres.  Velocities and the
-        fluid potential are zeroed (cosine-phase start) — used by the
-        normal-mode validation, which initialises an analytic eigenmode.
+        ``field_fn`` (and ``rate_fn``, its time derivative; zero when
+        None) receive a region's (nglob, 3) point coordinates in km and
+        return its displacement (nglob, 3) on a solid region, its
+        potential (nglob,) on the fluid one.  The second derivative is
+        the consistent ``M^-1 (-K u0)`` of the stiffness alone (no
+        coupling, source or boundary term): starting from zero would
+        inject a one-time O(omega dt / 2) velocity error.  Used by the
+        normal-mode and Cartesian validations, which start from analytic
+        solutions.
         """
-        for code in self.solid_codes:
-            st = self.regions[code]
-            coords = np.empty((st.nglob, 3), dtype=np.float64)
-            coords[st.ibool.ravel()] = st.mesh.xyz.reshape(-1, 3)
-            field = self.solid[code]
-            field.displ[:] = displacement_fn(coords)
-            field.veloc[:] = 0.0
-            field.accel[:] = 0.0
+        fields = [(f.displ, f.veloc, f.accel, c) for c, f in self.solid.items()]
         if self.fluid is not None:
-            self.fluid.chi[:] = 0.0
-            self.fluid.chi_dot[:] = 0.0
-            self.fluid.chi_ddot[:] = 0.0
+            f = self.fluid
+            fields.append((f.chi, f.chi_dot, f.chi_ddot, self.fluid_code))
+        for value, rate, _, code in fields:
+            coords = self.regions[code].mesh.global_coordinates()
+            value[:] = field_fn(coords)
+            rate[:] = 0.0 if rate_fn is None else rate_fn(coords)
+        for force in self._force.values():
+            force.fill(0.0)
+        for view, b, _, k_local in self._stiffness_products():
+            nglob = self.regions[view.code].nglob
+            self._force[view.code][b] += scatter_add(k_local, view.ibool, nglob)
+        if self.exchanger is not None:
+            for arrays, _, _ in self._rounds:
+                self.exchanger.assemble(arrays)
+        for _, _, accel, code in fields:
+            np.multiply(self._force[code], self._rmass[code], out=accel)
 
     # ------------------------------------------------------------------- run
 
@@ -1007,19 +1023,9 @@ class GlobalSolver:
         to pin the coupling signs.
         """
         total = 0.0
-        # -1/2 x^T (-K x), a sum over elements: through the time loop's own
-        # subsets and operators, which partition every region.
-        for _, before, after in self._rounds:
-            for view in (*before, *after):
-                solid = view.code != self.fluid_code
-                field = self.solid[view.code].displ if solid else self.fluid.chi_dot
-                for b in range(self.batch):
-                    local = gather(field[b], view.ibool)
-                    k_local = np.empty_like(local)
-                    view.operator.apply(
-                        local, k_local, None, self._lanes.ws
-                    )
-                    total += -0.5 * float(np.sum(local * k_local))
+        # -1/2 x^T (-K x), a sum over elements.
+        for _, _, local, k_local in self._stiffness_products(fluid="chi_dot"):
+            total += -0.5 * float(np.sum(local * k_local))
         for code in self.solid_codes:
             total += self.solid[code].kinetic_energy(self.mass[code])
         if self.fluid is not None:
@@ -1027,6 +1033,24 @@ class GlobalSolver:
                 np.sum(self.mass[self.fluid_code] * self.fluid.chi_ddot**2)
             )
         return total
+
+    def _stiffness_products(self, fluid: str = "chi"):
+        """Per element subset and event, ``(view, b, local, -K local)``:
+        the gathered displacement (on the fluid, the ``fluid`` field of
+        :class:`FluidField`) and its unassembled stiffness force, through
+        the time loop's own subsets and operators, which partition every
+        region.  Off the time loop: allocates per subset."""
+        for _, before, after in self._rounds:
+            for view in (*before, *after):
+                if view.code == self.fluid_code:
+                    field = getattr(self.fluid, fluid)
+                else:
+                    field = self.solid[view.code].displ
+                for b in range(self.batch):
+                    local = gather(field[b], view.ibool)
+                    k_local = np.empty_like(local)
+                    view.operator.apply(local, k_local, None, self._lanes.ws)
+                    yield view, b, local, k_local
 
     def _total_kinetic_energy(self) -> float:
         total = 0.0

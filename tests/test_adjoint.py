@@ -10,7 +10,7 @@ from repro.adjoint import (
     run_adjoint,
     run_forward_with_recording,
 )
-from repro.cartesian import CartesianElasticSolver, build_box_mesh
+from repro.cartesian import build_box_mesh
 from repro.kernels import compute_geometry
 from repro.gll import GLLBasis
 
@@ -18,16 +18,13 @@ from repro.gll import GLLBasis
 def setup_problem(mu_perturbation: np.ndarray | None = None, n_steps=160):
     """A small periodic box: source at one point, receiver at another.
 
-    Returns (mesh, solver, forward_record). ``mu_perturbation`` perturbs
-    the shear modulus field (for FD checks and 'data' generation).
+    Returns (mesh, forward_record). ``mu_perturbation`` perturbs the shear
+    modulus field (for FD checks and 'data' generation).
     """
     mesh = build_box_mesh(
         (3, 3, 3), lengths=(1.0, 1.0, 1.0), periodic=True,
         rho=1.0, vp=np.sqrt(3.0), vs=1.0,
     )
-    solver = CartesianElasticSolver(mesh, courant=0.3)
-    if mu_perturbation is not None:
-        solver.mu = solver.mu + mu_perturbation
     coords = np.empty((mesh.nglob, 3))
     coords[mesh.ibool.ravel()] = mesh.xyz.reshape(-1, 3)
     source_index = int(np.argmin(np.linalg.norm(coords - 0.25, axis=1)))
@@ -41,12 +38,14 @@ def setup_problem(mu_perturbation: np.ndarray | None = None, n_steps=160):
         return (1.0 - 2.0 * a * (t - t0) ** 2) * np.exp(-a * (t - t0) ** 2)
 
     record = run_forward_with_recording(
-        solver, n_steps, receiver_index,
+        mesh, n_steps, receiver_index,
         source_index=source_index,
         source_time_function=stf,
         source_direction=np.array([0.0, 0.0, 1.0]),
+        courant=0.3,
+        d_mu=mu_perturbation,
     )
-    return mesh, solver, record
+    return mesh, record
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +55,13 @@ def baseline():
 
 class TestForwardRecording:
     def test_shapes(self, baseline):
-        mesh, _, record = baseline
+        mesh, record = baseline
         assert record.displ.shape == (record.n_steps, mesh.nglob, 3)
         assert record.receiver_trace.shape == (record.n_steps, 3)
         assert np.abs(record.receiver_trace).max() > 0
 
     def test_trace_matches_stored_field(self, baseline):
-        _, _, record = baseline
+        _, record = baseline
         np.testing.assert_array_equal(
             record.receiver_trace, record.displ[:, record.receiver_index]
         )
@@ -70,7 +69,7 @@ class TestForwardRecording:
 
 class TestMisfit:
     def test_zero_for_identical(self, baseline):
-        _, _, record = baseline
+        _, record = baseline
         chi, adj = misfit_and_adjoint_source(
             record.receiver_trace, record.receiver_trace, record.dt
         )
@@ -78,7 +77,7 @@ class TestMisfit:
         np.testing.assert_array_equal(adj, 0.0)
 
     def test_positive_for_different(self, baseline):
-        _, _, record = baseline
+        _, record = baseline
         data = np.zeros_like(record.receiver_trace)
         chi, adj = misfit_and_adjoint_source(
             record.receiver_trace, data, record.dt
@@ -87,7 +86,7 @@ class TestMisfit:
         np.testing.assert_array_equal(adj, record.receiver_trace)
 
     def test_shape_mismatch(self, baseline):
-        _, _, record = baseline
+        _, record = baseline
         with pytest.raises(ValueError):
             misfit_and_adjoint_source(
                 record.receiver_trace, record.receiver_trace[:-1], record.dt
@@ -98,7 +97,7 @@ class TestKernels:
     @pytest.fixture(scope="class")
     def kernels_and_parts(self):
         # "Data" from a perturbed-mu model; misfit/kernels in the baseline.
-        mesh, solver, record = setup_problem()
+        mesh, record = setup_problem()
         # Perturbation: a smooth blob of d_mu between source and receiver.
         coords = np.empty((mesh.nglob, 3))
         coords[mesh.ibool.ravel()] = mesh.xyz.reshape(-1, 3)
@@ -110,14 +109,12 @@ class TestKernels:
             return np.exp(-((d / 0.15) ** 2))
 
         d_mu_field = 0.02 * blob(mesh.xyz)  # (nspec, n, n, n)
-        mesh2, solver2, record2 = setup_problem(mu_perturbation=d_mu_field)
+        _, record2 = setup_problem(mu_perturbation=d_mu_field)
         data = record2.receiver_trace
         chi0, residual = misfit_and_adjoint_source(
             record.receiver_trace, data, record.dt
         )
-        adj_solver = CartesianElasticSolver(mesh, courant=0.3)
-        adj_solver.dt = record.dt
-        u_adj = run_adjoint(adj_solver, residual, record.receiver_index)
+        u_adj = run_adjoint(mesh, residual, record.receiver_index, record.dt)
         geom = compute_geometry(mesh.xyz)
         basis = GLLBasis(5)
         kernels = compute_kernels(mesh, geom, basis, record, u_adj)
@@ -135,7 +132,7 @@ class TestKernels:
         mesh, geom, kernels, d_mu_field, chi0, data = kernels_and_parts
         # chi at mu + eps * d_mu for a small eps (FD of dchi/deps at 0).
         eps = 0.2
-        _, _, record_pert = setup_problem(mu_perturbation=eps * d_mu_field)
+        _, record_pert = setup_problem(mu_perturbation=eps * d_mu_field)
         chi_eps, _ = misfit_and_adjoint_source(
             record_pert.receiver_trace, data, record_pert.dt
         )
@@ -146,7 +143,7 @@ class TestKernels:
         )
 
     def test_length_mismatch_rejected(self, baseline):
-        mesh, solver, record = baseline
+        mesh, record = baseline
         geom = compute_geometry(mesh.xyz)
         basis = GLLBasis(5)
         with pytest.raises(ValueError):

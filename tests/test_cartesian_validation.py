@@ -1,25 +1,40 @@
 """Validation of the SEM machinery against analytic solutions (V-SEM).
 
 These are the correctness anchors for everything the globe solver uses:
-kernels, assembly, mass matrices, and the explicit Newmark scheme.
+kernels, assembly, mass matrices, and the explicit Newmark scheme.  Every
+box runs on :class:`~repro.solver.GlobalSolver`, the loop production
+runs; box units are the globe's (km, km/s), so masses read
+``LENGTH_SCALE**3`` times their box-unit values.
 """
-
-import functools
 
 import numpy as np
 import pytest
 
 from repro.cartesian import (
-    CartesianAcousticSolver,
-    CartesianElasticSolver,
     acoustic_standing_mode,
     build_box_mesh,
     plane_p_wave,
     plane_s_wave,
 )
-from repro.cartesian import solver as cartesian_solver
-from repro.kernels.elastic import compute_forces_elastic
-from repro.kernels.weakform import KERNEL_VARIANTS
+from repro.config.parameters import SimulationParameters
+from repro.model.prem import RegionCode
+from repro.solver import GlobalSolver
+from repro.solver.prepared import LENGTH_SCALE
+
+CM = RegionCode.CRUST_MANTLE
+
+
+def box_solver(mesh, courant=0.4, t_end=1.0, dt=None):
+    """The globe's solver on a box: ``n_steps`` covers ``t_end``."""
+    params = SimulationParameters(courant=courant, record_length_s=t_end)
+    return GlobalSolver(mesh, params, dt_override=dt)
+
+
+def start_plane_wave(solver, wave, moving=True):
+    solver.set_initial_condition(
+        lambda x: wave.displacement(x, 0.0),
+        (lambda x: wave.velocity(x, 0.0)) if moving else None,
+    )
 
 
 class TestBoxMesh:
@@ -47,13 +62,17 @@ class TestBoxMesh:
 class TestMassMatrix:
     def test_total_mass(self):
         mesh = build_box_mesh((3, 2, 2), lengths=(2.0, 1.0, 1.0), rho=5.0)
-        solver = CartesianElasticSolver(mesh)
-        assert solver.mass.sum() == pytest.approx(5.0 * 2.0, rel=1e-12)
+        solver = box_solver(mesh)
+        assert solver.mass[CM].sum() == pytest.approx(
+            5.0 * 2.0 * LENGTH_SCALE**3, rel=1e-12
+        )
 
     def test_periodic_total_mass(self):
         mesh = build_box_mesh((2, 2, 2), periodic=True, rho=3.0)
-        solver = CartesianElasticSolver(mesh)
-        assert solver.mass.sum() == pytest.approx(3.0, rel=1e-12)
+        solver = box_solver(mesh)
+        assert solver.mass[CM].sum() == pytest.approx(
+            3.0 * LENGTH_SCALE**3, rel=1e-12
+        )
 
 
 class TestElasticPlaneWaves:
@@ -64,18 +83,13 @@ class TestElasticPlaneWaves:
             (n_elem, 1, 1), lengths=(1.0, 0.25, 0.25), periodic=True,
             rho=1.0, vp=np.sqrt(3.0), vs=1.0,
         )
-        solver = CartesianElasticSolver(mesh, courant=courant)
-        solver.set_initial_condition(
-            lambda x: wave.displacement(x, 0.0),
-            lambda x: wave.velocity(x, 0.0),
-        )
-        n = solver.run(t_end)
-        t = n * solver.dt
-        coords = np.empty((mesh.nglob, 3))
-        coords[mesh.ibool.ravel()] = mesh.xyz.reshape(-1, 3)
-        exact = wave.displacement(coords, t)
+        solver = box_solver(mesh, courant, t_end)
+        start_plane_wave(solver, wave)
+        solver.run()
+        t = solver.n_steps * solver.dt
+        exact = wave.displacement(mesh.mesh.global_coordinates(), t)
         return float(
-            np.linalg.norm(solver.displ - exact)
+            np.linalg.norm(solver.solid[CM].displ[0] - exact)
             / np.linalg.norm(exact)
         )
 
@@ -101,20 +115,18 @@ class TestElasticPlaneWaves:
 
 class TestAcousticStandingMode:
     def test_mode_oscillates_at_analytic_frequency(self):
-        mesh = build_box_mesh((4, 1, 1), lengths=(1.0, 0.3, 0.3), vp=1.0)
+        # vs = 0: the box is one fluid region, marched as the potential.
+        mesh = build_box_mesh((4, 1, 1), lengths=(1.0, 0.3, 0.3), vp=1.0, vs=0.0)
         chi_at, omega = acoustic_standing_mode((1.0, 0.3, 0.3), vp=1.0)
-        solver = CartesianAcousticSolver(mesh, courant=0.3)
-        solver.set_initial_condition(lambda x: chi_at(x, 0.0))
         # March half a period: chi should be exactly inverted.
         half_period = np.pi / omega
-        n = max(1, int(round(half_period / solver.dt)))
-        solver.dt = half_period / n  # land exactly on t = T/2
-        for _ in range(n):
-            solver.step()
-        coords = np.empty((mesh.nglob, 3))
-        coords[mesh.ibool.ravel()] = mesh.xyz.reshape(-1, 3)
-        exact = chi_at(coords, half_period)
-        err = np.linalg.norm(solver.chi - exact) / np.linalg.norm(exact)
+        n = max(1, int(round(half_period / box_solver(mesh, 0.3).dt)))
+        # Land exactly on t = T/2.
+        solver = box_solver(mesh, 0.3, dt=half_period / n)
+        solver.set_initial_condition(lambda x: chi_at(x, 0.0))
+        solver.run(n_steps=n)
+        exact = chi_at(mesh.mesh.global_coordinates(), half_period)
+        err = np.linalg.norm(solver.fluid.chi[0] - exact) / np.linalg.norm(exact)
         assert err < 1e-3
 
     def test_zero_mode_rejected(self):
@@ -128,21 +140,18 @@ class TestEnergyConservation:
             (3, 2, 2), lengths=(1.0, 0.7, 0.7), periodic=True, vp=np.sqrt(3.0)
         )
         wave = plane_s_wave((1.0, 0.7, 0.7), vs=1.0)
-        solver = CartesianElasticSolver(mesh, courant=0.3)
-        solver.set_initial_condition(
-            lambda x: wave.displacement(x, 0.0),
-            lambda x: wave.velocity(x, 0.0),
-        )
+        solver = box_solver(mesh, 0.3, t_end=0.5)
+        start_plane_wave(solver, wave)
         e0 = solver.total_energy()
-        solver.run(0.5)
+        solver.run()
         e1 = solver.total_energy()
         assert e1 == pytest.approx(e0, rel=1e-6)
 
     def test_energy_positive(self):
         mesh = build_box_mesh((2, 2, 2), periodic=True)
         wave = plane_s_wave((1.0, 1.0, 1.0), vs=1.0)
-        solver = CartesianElasticSolver(mesh)
-        solver.set_initial_condition(lambda x: wave.displacement(x, 0.0))
+        solver = box_solver(mesh)
+        start_plane_wave(solver, wave, moving=False)
         assert solver.total_energy() > 0.0
 
     def test_unstable_beyond_courant_limit(self):
@@ -150,39 +159,10 @@ class TestEnergyConservation:
         # step well beyond the Courant limit must blow up.
         mesh = build_box_mesh((3, 1, 1), lengths=(1.0, 0.3, 0.3), periodic=True)
         wave = plane_s_wave((1.0, 0.3, 0.3), vs=1.0)
-        solver = CartesianElasticSolver(mesh, courant=0.3)
-        solver.set_initial_condition(lambda x: wave.displacement(x, 0.0))
-        solver.dt *= 20.0
-        for _ in range(60):
-            solver.step()
-        assert not np.all(np.isfinite(solver.displ)) or (
-            np.max(np.abs(solver.displ)) > 1e3 * wave.amplitude
-        )
-
-    def test_kernel_variants_give_identical_trajectories(self, monkeypatch):
-        # The paper's associativity observation: different implementations
-        # (and loop orders) yield seismograms identical to roundoff.  The
-        # solver runs the vectorized contraction; each variant is injected
-        # at its force-kernel call.
-        mesh = build_box_mesh((2, 1, 1), lengths=(1.0, 0.4, 0.4), periodic=True)
-        wave = plane_s_wave((1.0, 0.4, 0.4), vs=1.0)
-        results = {}
-        for variant in KERNEL_VARIANTS:
-            monkeypatch.setattr(
-                cartesian_solver, "compute_forces_elastic",
-                functools.partial(compute_forces_elastic, variant=variant),
-            )
-            solver = CartesianElasticSolver(mesh)
-            solver.set_initial_condition(
-                lambda x: wave.displacement(x, 0.0),
-                lambda x: wave.velocity(x, 0.0),
-            )
-            for _ in range(20):
-                solver.step()
-            results[variant] = solver.displ.copy()
-        np.testing.assert_allclose(
-            results["baseline"], results["vectorized"], atol=1e-18
-        )
-        np.testing.assert_allclose(
-            results["blas"], results["vectorized"], atol=1e-14
+        solver = box_solver(mesh, dt=20.0 * box_solver(mesh, 0.3).dt)
+        start_plane_wave(solver, wave, moving=False)
+        solver.run(n_steps=60)
+        displ = solver.solid[CM].displ[0]
+        assert not np.all(np.isfinite(displ)) or (
+            np.max(np.abs(displ)) > 1e3 * wave.amplitude
         )

@@ -146,7 +146,7 @@ class TestRayleighQuotient:
         omega = toroidal_eigenfrequencies(
             l, self.VS, constants.R_EARTH_M, n + 1
         )[n]
-        solver.set_initial_displacement(
+        solver.set_initial_condition(
             lambda coords: toroidal_mode_displacement(coords, l, omega, self.VS)
         )
         u_m_u = sum(

@@ -8,7 +8,8 @@
 * ``TestRunDeadline`` — one deadline per :meth:`VirtualCluster.run`: every
   parked rank is cancelled, joined, and ``run`` raises ``TimeoutError``.
 * ``TestStallsHoldNoSlot`` — injected stalls and rank deaths are still
-  detected within the failure detector's probe contract with one slot.
+  detected with one slot: a stalled peer is filed ``unresponsive`` at its
+  waiter's receive deadline, a crashed one at the run's cancel.
 * ``TestBoundaryFirst`` — every split region of a prepared world is two
   contiguous runs, the solver's subsets are views of the region arrays,
   and a split that is not boundary-first is rejected.
@@ -223,7 +224,7 @@ class TestStallsHoldNoSlot:
         assert detected["after_s"] < 0.4 + 0.6
         assert [(r.rank, r.kind) for r in detector.reports] == [(0, "unresponsive")]
 
-    def test_crashed_peer_reported_within_probe_slices(self, slots):
+    def test_crashed_peer_reported_at_the_cancel(self, slots):
         slots(1)
         detector = FailureDetector(2, suspect_after_s=10)
         cluster = VirtualCluster(2, recv_timeout_s=20.0, failure_detector=detector)

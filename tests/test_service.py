@@ -268,17 +268,6 @@ def test_bracketed_station_interpolates_with_exact_false(tmp_path):
     assert np.allclose(interp.seismograms[0], expected)
 
 
-def test_slicing_disabled_forces_compute(tmp_path):
-    service, backend = make_service(tmp_path, allow_slicing=False)
-    try:
-        asyncio.run(service.handle(make_request(STATIONS)))
-        subset = asyncio.run(service.handle(make_request(STATIONS[:2])))
-    finally:
-        service.close()
-    assert subset.status == "computed"
-    assert backend.calls == 2
-
-
 def test_corruption_is_quarantined_and_recomputed(tmp_path):
     service, backend = make_service(tmp_path)
     request = make_request()
@@ -463,11 +452,12 @@ def test_older_npz_payload_records_are_not_indexed(tmp_path):
 
 
 def test_store_scan_survives_torn_manifest_line(tmp_path):
-    # Slicing off so the subset request persists its own run.
-    service, _backend = make_service(tmp_path, allow_slicing=False)
+    # A shorter record is another wavefield: the second request persists
+    # its own run.
+    service, _backend = make_service(tmp_path)
     try:
         asyncio.run(service.handle(make_request(STATIONS)))
-        asyncio.run(service.handle(make_request(STATIONS[:1])))
+        asyncio.run(service.handle(make_request(STATIONS[:1], n_steps=4)))
     finally:
         service.close()
     manifest = service.store.manifest_path
@@ -480,10 +470,10 @@ def test_store_scan_survives_torn_manifest_line(tmp_path):
 
 
 def test_store_scan_skips_vanished_payloads(tmp_path):
-    service, _backend = make_service(tmp_path, allow_slicing=False)
+    service, _backend = make_service(tmp_path)
     try:
         first = asyncio.run(service.handle(make_request(STATIONS)))
-        asyncio.run(service.handle(make_request(STATIONS[:1])))
+        asyncio.run(service.handle(make_request(STATIONS[:1], n_steps=4)))
     finally:
         service.close()
     service.store.find_exact(first.key).path.unlink()

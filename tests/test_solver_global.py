@@ -1,13 +1,10 @@
 """Integration tests: the coupled global solver on a small globe mesh."""
 
-import functools
-
 import numpy as np
 import pytest
 
 from repro.config import constants
 from repro.config.parameters import SimulationParameters
-from repro.kernels.elastic import ElasticOperator
 from repro.mesh import build_global_mesh
 from repro.model.prem import RegionCode
 from repro.solver import (
@@ -16,7 +13,6 @@ from repro.solver import (
     Station,
     gaussian_stf,
 )
-from repro.solver import solver as solver_module
 from repro.solver.receivers import PointLocator
 
 
@@ -210,23 +206,6 @@ class TestPhysicsSwitches:
         if scale > 0:
             np.testing.assert_allclose(a, b, atol=0.05 * scale)
 
-    def test_kernel_variants_identical_seismograms(
-        self, tiny_mesh, tiny_params, monkeypatch
-    ):
-        # The paper's loop-order/implementation invariance check, on the
-        # real globe mesh: the solver builds the vectorized operator; the
-        # tiny-BLAS contraction is injected where it builds it.
-        vec = self._run(tiny_mesh, tiny_params, n_steps=25)
-        monkeypatch.setattr(
-            solver_module, "ElasticOperator",
-            functools.partial(ElasticOperator, variant="blas"),
-        )
-        blas = self._run(tiny_mesh, tiny_params, n_steps=25)
-        scale = max(np.abs(vec.seismograms).max(), 1e-300)
-        np.testing.assert_allclose(
-            vec.seismograms / scale, blas.seismograms / scale, atol=1e-9
-        )
-
 
 class TestFusedForceSchedule:
     def test_one_hprime_triple_per_block_with_attenuation(
@@ -237,14 +216,16 @@ class TestFusedForceSchedule:
         # variables and the stress: one hprime triple forward, one back.
         from repro.kernels import weakform
 
-        batched = weakform._CONTRACT["vectorized"]
+        batched = weakform.StiffnessOperator._contract
         calls = []
 
         def counting(axis, m, mt, src, dst, n):
             calls.append((axis, m))
             batched(axis, m, mt, src, dst, n)
 
-        monkeypatch.setitem(weakform._CONTRACT, "vectorized", counting)
+        monkeypatch.setattr(
+            weakform.StiffnessOperator, "_contract", staticmethod(counting)
+        )
         n_steps, events = 2, [[explosion_source()], [explosion_source(300.0)]]
         solver = GlobalSolver(
             tiny_mesh, tiny_params.with_updates(attenuation=True),
